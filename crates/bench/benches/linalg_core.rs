@@ -44,7 +44,7 @@ fn bench_factorizations(c: &mut Criterion) {
         .sample_size(20);
     for &n in &[24usize, 48] {
         let m = spd(n);
-        group.bench_with_input(BenchmarkId::new("jacobi", n), &n, |bench, _| {
+        group.bench_with_input(BenchmarkId::new("symmetric_eigen", n), &n, |bench, _| {
             bench.iter(|| black_box(m.symmetric_eigen().expect("symmetric")));
         });
     }

@@ -1,12 +1,13 @@
 //! `perf` — the machine-readable performance harness.
 //!
-//! Times the workspace's twelve hot computational kernels (dense Cholesky
+//! Times the workspace's thirteen hot computational kernels (dense Cholesky
 //! solve, spline-basis assembly/evaluation, active-set QP, RK4 ODE
 //! integration, Monte-Carlo kernel estimation, blocked weighted-Gram
 //! assembly, the cold collocation-constrained QP on both the active-set
 //! and interior-point backends, banded Cholesky factor+solve and sparse
 //! banded Gram assembly at genome-scale basis sizes, the λ-path GCV
-//! fit, and the warm-started shared-Hessian QP pattern) plus the end-to-end
+//! fit unit-weighted and σ-weighted, and the warm-started shared-Hessian
+//! QP pattern) plus the end-to-end
 //! genome-wide batch deconvolution (wall time, per-gene throughput, and
 //! thread-count scaling at 1/2/4 workers), and writes the results as a
 //! schema-stable `BENCH.json` — the repo's perf trajectory format.
@@ -375,9 +376,9 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
 
     // 9. Banded Cholesky factor+solve at the genome-scale basis size the
     // Woodbury path pays per λ evaluation: n = 512, bandwidth 4. The
-    // committed baseline median for this name was measured through the
-    // pre-optimization dense path (512×512 dense Cholesky on the same
-    // system), so the gate records the O(n³) → O(n·b²) win.
+    // gate baseline is this banded kernel's own median; the O(n³) →
+    // O(n·b²) win over a dense 512×512 Cholesky is a documented ratio
+    // (docs/SOLVER.md §9), not a baseline.
     let mut sb = BandedMatrix::zeros(512, 4).expect("bandwidth < dim");
     for i in 0..512 {
         sb.set(i, i, 8.0 + (i as f64 * 0.29).sin().abs())
@@ -399,9 +400,9 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
 
     // 10. Sparse banded Gram assembly at the genome-scale collocation
     // shape: 10 000 rows × 512 B-spline columns, 4 nonzeros per row
-    // (cubic local support). The committed baseline median was measured
-    // through the pre-optimization dense path (dense 10 000×512
-    // `weighted_gram_into` on the same system).
+    // (cubic local support). As for kernel 9, the speed-up over a dense
+    // 10 000×512 `weighted_gram_into` is a documented ratio, not the
+    // gate baseline.
     let nnz_rows: Vec<(usize, [f64; 4])> = (0..10_000)
         .map(|r| {
             let start = (r * 509) / 10_000;
@@ -487,6 +488,26 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
         }
     });
     kernels.push(kernel_entry("lambda_path_gcv_18x11x4", reps, median, min));
+
+    // The same fit with per-measurement σ: a σ-weighted series cannot use
+    // the engine's cached unit-weight decomposition, so every fit pays
+    // the Gram assembly, the pencil eigendecomposition and the
+    // back-transform of its own spectral path — the per-gene cost of
+    // the σ-carrying half of a genome.
+    let sigmas: Vec<f64> = (0..g.len())
+        .map(|i| 0.05 * (1.0 + 0.5 * (i as f64 * 0.9).sin()))
+        .collect();
+    let (median, min) = time_reps(reps, || {
+        for _ in 0..4 {
+            std::hint::black_box(engine.fit(&g, Some(&sigmas)).expect("fits"));
+        }
+    });
+    kernels.push(kernel_entry(
+        "lambda_path_gcv_weighted_18x11x4",
+        reps,
+        median,
+        min,
+    ));
 
     // 7. Warm-started repeated QP: one Hessian, 32 right-hand sides — the
     // bootstrap-replicate pattern (λ fixed, per-replicate noise only).

@@ -108,6 +108,22 @@ fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
     }
 }
 
+/// The λ with the smallest score in a `(λ, score)` scan (the first on
+/// ties). A NaN score means the selection criterion broke down, which is
+/// an error rather than a silently skipped grid point.
+fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
+    if scores.iter().any(|(_, s)| s.is_nan()) {
+        return Err(DeconvError::NumericalBreakdown(
+            "cross-validation score is NaN",
+        ));
+    }
+    scores
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|&(l, _)| l)
+        .ok_or(DeconvError::InvalidConfig("λ grid is empty"))
+}
+
 impl Deconvolver {
     /// Builds the engine for a kernel and configuration, using the paper's
     /// Caulobacter parameters for the constraint functionals.
@@ -925,14 +941,20 @@ impl Deconvolver {
         if self.equality.is_none() && self.positivity.is_none() {
             return Ok(None); // direct SPD solve path: no QP to warm.
         }
+        let FitWorkspace {
+            spectral,
+            zproj,
+            d,
+            beta,
+            ..
+        } = workspace;
         let path: &SpectralPath = if unit {
             self.spectral_unit
                 .as_ref()
                 .expect("GCV engines build the unit-weight decomposition")
         } else {
-            workspace.spectral.as_ref().expect("built by gcv_lambda")
+            spectral
         };
-        let FitWorkspace { zproj, d, beta, .. } = workspace;
         path.reduced_solution(zproj, lambda, d, beta)?;
         let ops = self
             .ops
@@ -959,11 +981,9 @@ impl Deconvolver {
             .as_ref()
             .expect("dense GCV engines build the reduction");
         if !unit {
-            workspace.spectral = Some(SpectralPath::new(
-                ops,
-                &workspace.weights,
-                self.ridge_eff(),
-            )?);
+            workspace
+                .spectral
+                .rebuild(ops, &workspace.weights, self.ridge_eff())?;
         }
         let FitWorkspace {
             spectral,
@@ -982,7 +1002,7 @@ impl Deconvolver {
                 .as_ref()
                 .expect("GCV engines build the unit-weight decomposition")
         } else {
-            spectral.as_ref().expect("built above")
+            spectral
         };
         path.project_series(ops, weights, g, w2g, rhs_r, zproj)?;
 
@@ -1068,12 +1088,7 @@ impl Deconvolver {
                 self.kfold_score(workspace, &b, &y, l, folds, seed, cancel)?,
             ));
         }
-        let best = scores
-            .iter()
-            .cloned()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"))
-            .expect("non-empty grid");
-        Ok((best.0, scores))
+        Ok((argmin_score(&scores)?, scores))
     }
 
     /// Mean held-out weighted squared error of the constrained fit at one
@@ -1632,6 +1647,55 @@ mod tests {
             assert_eq!(reused.lambda(), fresh.lambda(), "fit {i}");
             assert_eq!(reused.predicted(), fresh.predicted(), "fit {i}");
         }
+    }
+
+    #[test]
+    fn weighted_spectral_rebuild_ignores_workspace_history() {
+        // The weighted spectral path is rebuilt inside the workspace's
+        // buffers. After the workspace has served a weighted fit on a
+        // larger engine and then a unit-weight fit, a weighted GCV fit
+        // must match a fresh workspace bit for bit.
+        let gcv = |basis: usize| {
+            DeconvolutionConfig::builder()
+                .basis_size(basis)
+                .positivity(true)
+                .lambda_selection(LambdaSelection::Gcv {
+                    log10_min: -8.0,
+                    log10_max: 1.0,
+                    points: 9,
+                })
+                .build()
+                .unwrap()
+        };
+        let k = kernel(23, 14);
+        let big = Deconvolver::new(k.clone(), gcv(14)).unwrap();
+        let small = Deconvolver::new(k.clone(), gcv(9)).unwrap();
+        let g = ForwardModel::new(k).predict(&smooth_truth()).unwrap();
+        let sigmas_a: Vec<f64> = (0..g.len()).map(|i| 0.02 + 0.03 * i as f64).collect();
+        let sigmas_b: Vec<f64> = (0..g.len()).map(|i| 10f64.powi(i as i32 % 5 - 3)).collect();
+
+        let mut shared = FitWorkspace::new();
+        big.fit_with(&mut shared, &g, Some(&sigmas_a)).unwrap();
+        small.fit_with(&mut shared, &g, None).unwrap();
+        let reused = small.fit_with(&mut shared, &g, Some(&sigmas_b)).unwrap();
+        let fresh = small
+            .fit_with(&mut FitWorkspace::new(), &g, Some(&sigmas_b))
+            .unwrap();
+        assert_eq!(reused.alpha(), fresh.alpha());
+        assert_eq!(reused.lambda().to_bits(), fresh.lambda().to_bits());
+        assert_eq!(reused.selection_scores(), fresh.selection_scores());
+        assert_eq!(reused.predicted(), fresh.predicted());
+    }
+
+    #[test]
+    fn nan_selection_score_is_a_structured_error() {
+        let scores = [(1e-3, 0.5), (1e-2, f64::NAN), (1e-1, 0.25)];
+        let err = argmin_score(&scores).unwrap_err();
+        assert_eq!(err.code(), "numerical_breakdown");
+        // Infinite scores (saturated smoothers) are ordinary losers.
+        let scores = [(1e-3, f64::INFINITY), (1e-2, 0.5), (1e-1, 0.5)];
+        assert_eq!(argmin_score(&scores).unwrap(), 1e-2);
+        assert!(argmin_score(&[]).is_err());
     }
 
     #[test]

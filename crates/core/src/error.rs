@@ -78,6 +78,10 @@ pub enum DeconvError {
     DeadlineExceeded,
     /// Optimization substrate failure.
     Opt(cellsync_opt::OptError),
+    /// A numerical quantity the fit depends on came out non-finite from
+    /// finite input (for example a NaN cross-validation score), so no
+    /// result can be trusted.
+    NumericalBreakdown(&'static str),
     /// ODE substrate failure.
     Ode(cellsync_ode::OdeError),
 }
@@ -108,6 +112,7 @@ impl DeconvError {
             DeconvError::DeadlineExceeded => "deadline_exceeded",
             DeconvError::Opt(_) => "opt",
             DeconvError::Ode(_) => "ode",
+            DeconvError::NumericalBreakdown(_) => "numerical_breakdown",
         }
     }
 }
@@ -156,6 +161,7 @@ impl fmt::Display for DeconvError {
             }
             DeconvError::Opt(e) => write!(f, "optimization failure: {e}"),
             DeconvError::Ode(e) => write!(f, "ode failure: {e}"),
+            DeconvError::NumericalBreakdown(what) => write!(f, "numerical breakdown: {what}"),
         }
     }
 }
@@ -233,6 +239,7 @@ mod tests {
             cellsync_popsim::PopsimError::InvalidPhase(2.0).into(),
             cellsync_opt::OptError::InvalidArgument("y").into(),
             cellsync_ode::OdeError::InvalidStep(0.0).into(),
+            DeconvError::NumericalBreakdown("nan score"),
             DeconvError::Series {
                 index: 17,
                 source: Box::new(DeconvError::InvalidPhase(2.0)),
@@ -299,6 +306,10 @@ mod tests {
                     delta: 1e-3,
                 },
                 "mixture_not_converged",
+            ),
+            (
+                DeconvError::NumericalBreakdown("nan score"),
+                "numerical_breakdown",
             ),
         ];
         let mut seen = std::collections::BTreeSet::new();

@@ -24,7 +24,10 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The [`Default`] value is an empty (0 × 0) factor: storage for a later
+/// [`CholeskyDecomposition::refactor`].
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CholeskyDecomposition {
     /// Lower-triangular factor, stored densely with zeros above the diagonal.
     l: Matrix,
@@ -42,9 +45,7 @@ impl CholeskyDecomposition {
     /// * [`LinalgError::InvalidArgument`] for non-finite or asymmetric input.
     /// * [`LinalgError::NotPositiveDefinite`] when a pivot is non-positive.
     pub fn new(a: &Matrix) -> Result<Self> {
-        let mut decomposition = CholeskyDecomposition {
-            l: Matrix::zeros(0, 0),
-        };
+        let mut decomposition = CholeskyDecomposition::default();
         decomposition.refactor(a)?;
         Ok(decomposition)
     }

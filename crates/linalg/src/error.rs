@@ -37,6 +37,12 @@ pub enum LinalgError {
     },
     /// An argument was invalid (NaN entries, bad dimensions, ...).
     InvalidArgument(&'static str),
+    /// A routine given finite input produced a non-finite result
+    /// (intermediate overflow).
+    NonFinite {
+        /// The operation that overflowed.
+        op: &'static str,
+    },
 }
 
 impl fmt::Display for LinalgError {
@@ -56,9 +62,13 @@ impl fmt::Display for LinalgError {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
             LinalgError::ConvergenceFailed { iterations } => {
-                write!(f, "iteration failed to converge after {iterations} sweeps")
+                write!(
+                    f,
+                    "iteration failed to converge after {iterations} iterations"
+                )
             }
             LinalgError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
+            LinalgError::NonFinite { op } => write!(f, "{op} produced a non-finite result"),
         }
     }
 }
@@ -83,6 +93,7 @@ mod tests {
             LinalgError::NotPositiveDefinite { pivot: 1 },
             LinalgError::ConvergenceFailed { iterations: 100 },
             LinalgError::InvalidArgument("nan entry"),
+            LinalgError::NonFinite { op: "eigen" },
         ];
         for e in errors {
             let s = e.to_string();

@@ -1,6 +1,6 @@
 //! Generalized symmetric-definite eigendecomposition `A·t = γ·B·t`.
 
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{CholeskyDecomposition, LinalgError, Matrix, Result, Vector};
 
 /// Eigendecomposition of the symmetric-definite pencil `(A, B)`:
 /// `A·tᵢ = γᵢ·B·tᵢ` with symmetric `A` and symmetric positive definite
@@ -32,12 +32,21 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`GeneralizedSymmetricEigen::refactor`] re-decomposes into the same
+/// storage, so a loop over many pencils of one size (one per weight
+/// vector in a genome-wide fit) allocates nothing after the first; the
+/// [`Default`] value is an empty (0 × 0) decomposition to refactor into.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GeneralizedSymmetricEigen {
     /// Generalized eigenvalues γ, sorted ascending.
     values: Vector,
     /// Columns `tᵢ`: B-orthonormal eigenvectors (`TᵀBT = I`).
     vectors: Matrix,
+    /// Cholesky factor `L` of the metric `B`.
+    metric: CholeskyDecomposition,
+    /// Off-diagonal scratch of the tridiagonal QL phase (length n).
+    work: Vec<f64>,
 }
 
 impl GeneralizedSymmetricEigen {
@@ -50,9 +59,27 @@ impl GeneralizedSymmetricEigen {
     /// * [`LinalgError::InvalidArgument`] for non-finite or asymmetric
     ///   input.
     /// * [`LinalgError::NotPositiveDefinite`] when `b` is not SPD.
-    /// * [`LinalgError::ConvergenceFailed`] from the Jacobi sweep (not
-    ///   observed in practice).
+    /// * [`LinalgError::ConvergenceFailed`] / [`LinalgError::NonFinite`]
+    ///   from the symmetric eigensolver (see
+    ///   [`crate::SymmetricEigen::new`]).
     pub fn new(a: &Matrix, b: &Matrix) -> Result<Self> {
+        let mut pencil = GeneralizedSymmetricEigen::default();
+        pencil.refactor(a, b)?;
+        Ok(pencil)
+    }
+
+    /// Re-decomposes the pencil `(a, b)` into this decomposition's
+    /// existing storage (no allocation when the dimension is unchanged).
+    /// The result is bit-identical to [`GeneralizedSymmetricEigen::new`]:
+    /// every buffer is overwritten before it is read.
+    ///
+    /// On error the decomposition's contents are unspecified; refactor
+    /// again before reading them.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`GeneralizedSymmetricEigen::new`].
+    pub fn refactor(&mut self, a: &Matrix, b: &Matrix) -> Result<()> {
         if a.shape() != b.shape() {
             return Err(LinalgError::ShapeMismatch {
                 left: a.shape(),
@@ -63,58 +90,74 @@ impl GeneralizedSymmetricEigen {
         if !a.is_square() {
             return Err(LinalgError::NotSquare { shape: a.shape() });
         }
+        if !a.is_finite() {
+            return Err(LinalgError::InvalidArgument(
+                "pencil matrix A must be finite",
+            ));
+        }
         let scale = a.norm_inf().max(1.0);
         if a.asymmetry()? > 1e-8 * scale {
             return Err(LinalgError::InvalidArgument(
                 "pencil matrix A must be symmetric",
             ));
         }
+        self.metric.refactor(b)?;
         let n = a.rows();
-        let chol = b.cholesky()?;
-        let l = chol.factor();
+        let l = self.metric.factor().as_slice();
 
-        // C = L⁻¹·A: forward-substitute every column of A.
-        let mut c = Matrix::zeros(n, n);
-        for j in 0..n {
-            for i in 0..n {
-                let mut sum = a[(i, j)];
-                for k in 0..i {
-                    sum -= l[(i, k)] * c[(k, j)];
+        // Whitening M = L⁻¹·A·L⁻ᵀ on flat row-major storage, in place in
+        // the eigenvector buffer. First C = L⁻¹·A by row operations:
+        // row i ← (row i − Σ_{k<i} L_ik · row k) / L_ii, where every row k
+        // above i already holds its final value.
+        self.vectors.copy_from(a);
+        let m = self.vectors.as_mut_slice();
+        for i in 0..n {
+            let (done, rest) = m.split_at_mut(i * n);
+            let row = &mut rest[..n];
+            for (k, &lik) in l[i * n..i * n + i].iter().enumerate() {
+                for (x, &y) in row.iter_mut().zip(&done[k * n..(k + 1) * n]) {
+                    *x -= lik * y;
                 }
-                c[(i, j)] = sum / l[(i, i)];
+            }
+            let lii = l[i * n + i];
+            for x in row.iter_mut() {
+                *x /= lii;
             }
         }
-        // M = C·L⁻ᵀ, computed as Mᵀ = L⁻¹·Cᵀ and written transposed:
-        // forward-substitute every column of Cᵀ (i.e. every row of C).
-        let mut m = Matrix::zeros(n, n);
-        for j in 0..n {
-            for i in 0..n {
-                let mut sum = c[(j, i)];
-                for k in 0..i {
-                    sum -= l[(i, k)] * m[(j, k)];
-                }
-                m[(j, i)] = sum / l[(i, i)];
+        // Then M = C·L⁻ᵀ: row j of M solves L·mⱼ = cⱼ by forward
+        // substitution. M is symmetric and the eigensolver reads only its
+        // lower triangle, so each row stops at the diagonal.
+        for (j, row) in m.chunks_exact_mut(n).enumerate() {
+            for i in 0..=j {
+                let li = &l[i * n..i * n + i];
+                let dot: f64 = li.iter().zip(&row[..i]).map(|(a, b)| a * b).sum();
+                row[i] = (row[i] - dot) / l[i * n + i];
             }
         }
-        m.symmetrize()?;
-        let eig = m.symmetric_eigen()?;
 
-        // T = L⁻ᵀ·U: back-substitute every column of U.
-        let u = eig.eigenvectors();
-        let mut t = Matrix::zeros(n, n);
-        for j in 0..n {
-            for i in (0..n).rev() {
-                let mut sum = u[(i, j)];
-                for k in (i + 1)..n {
-                    sum -= l[(k, i)] * t[(k, j)];
+        if self.values.len() != n {
+            self.values = Vector::zeros(n);
+        }
+        self.work.resize(n, 0.0);
+        crate::eigen::decompose_in_place(n, m, self.values.as_mut_slice(), &mut self.work)?;
+
+        // Back-transform T = L⁻ᵀ·U in place, bottom row first:
+        // row i ← (row i − Σ_{k>i} L_ki · row k) / L_ii.
+        for i in (0..n).rev() {
+            let (head, done) = m.split_at_mut((i + 1) * n);
+            let row = &mut head[i * n..];
+            for (k, below) in done.chunks_exact(n).enumerate() {
+                let lki = l[(i + 1 + k) * n + i];
+                for (x, &y) in row.iter_mut().zip(below) {
+                    *x -= lki * y;
                 }
-                t[(i, j)] = sum / l[(i, i)];
+            }
+            let lii = l[i * n + i];
+            for x in row.iter_mut() {
+                *x /= lii;
             }
         }
-        Ok(GeneralizedSymmetricEigen {
-            values: eig.eigenvalues().clone(),
-            vectors: t,
-        })
+        Ok(())
     }
 
     /// Generalized eigenvalues γ, sorted ascending.
@@ -215,6 +258,25 @@ mod tests {
     }
 
     #[test]
+    fn refactor_is_bit_identical_to_new_across_sizes() {
+        // The in-place path reuses storage left by a larger and a smaller
+        // pencil; every buffer must be overwritten before it is read.
+        let mut reused = GeneralizedSymmetricEigen::new(&sym(7), &spd(7, 1.0)).unwrap();
+        for &(n, shift) in &[(5, 3.0), (2, 0.5), (6, 4.0), (5, 3.0)] {
+            reused.refactor(&sym(n), &spd(n, shift)).unwrap();
+            let fresh = GeneralizedSymmetricEigen::new(&sym(n), &spd(n, shift)).unwrap();
+            assert_eq!(reused, fresh, "n = {n}");
+        }
+        // A failed refactor leaves storage that the next one overwrites.
+        assert!(reused.refactor(&sym(3), &Matrix::zeros(3, 3)).is_err());
+        reused.refactor(&sym(4), &spd(4, 2.0)).unwrap();
+        assert_eq!(
+            reused,
+            GeneralizedSymmetricEigen::new(&sym(4), &spd(4, 2.0)).unwrap()
+        );
+    }
+
+    #[test]
     fn input_validation() {
         let a = sym(3);
         // Shape mismatch.
@@ -225,5 +287,8 @@ mod tests {
         // Asymmetric A.
         let asym = Matrix::from_rows(&[&[1.0, 5.0], &[0.0, 1.0]]).unwrap();
         assert!(GeneralizedSymmetricEigen::new(&asym, &Matrix::identity(2)).is_err());
+        // Non-finite A.
+        let nan = Matrix::from_rows(&[&[1.0, f64::NAN], &[f64::NAN, 1.0]]).unwrap();
+        assert!(GeneralizedSymmetricEigen::new(&nan, &Matrix::identity(2)).is_err());
     }
 }

@@ -14,15 +14,17 @@
 //! * [`CholeskyDecomposition`] — for symmetric positive definite systems.
 //! * [`QrDecomposition`] — Householder QR: least squares, orthonormal bases,
 //!   null spaces (used by the null-space active-set QP in `cellsync-opt`).
-//! * [`SymmetricEigen`] — cyclic Jacobi eigendecomposition of symmetric
-//!   matrices (used for influence traces and diagnostics).
+//! * [`SymmetricEigen`] — Householder tridiagonalization plus implicit-shift
+//!   QL eigendecomposition of symmetric matrices (used for influence
+//!   traces and diagnostics).
 //! * [`GeneralizedSymmetricEigen`] — simultaneous diagonalization of a
 //!   symmetric-definite pencil `(A, B)`; the factor-once basis behind the
 //!   λ-path GCV sweep in `cellsync`.
 //!
 //! The factorizations expose in-place entry points
 //! ([`CholeskyDecomposition::refactor`] / [`CholeskyDecomposition::solve_in_place`],
-//! [`QrDecomposition::refactor`]) and the [`Matrix`] product kernels have
+//! [`QrDecomposition::refactor`], [`GeneralizedSymmetricEigen::refactor`])
+//! and the [`Matrix`] product kernels have
 //! `_into` variants ([`Matrix::gram_into`], [`Matrix::weighted_gram_into`],
 //! [`Matrix::matvec_into`], [`Matrix::tr_matvec_into`]) that write into
 //! caller-provided buffers, so per-λ / per-replicate hot loops run without

@@ -713,12 +713,12 @@ impl Matrix {
         QrDecomposition::new(self)
     }
 
-    /// Jacobi eigendecomposition of a symmetric matrix.
+    /// Eigendecomposition of a symmetric matrix (see [`SymmetricEigen`]).
     ///
     /// # Errors
     ///
-    /// Propagates [`LinalgError::NotSquare`] and
-    /// [`LinalgError::ConvergenceFailed`].
+    /// Propagates [`LinalgError::NotSquare`],
+    /// [`LinalgError::ConvergenceFailed`] and [`LinalgError::NonFinite`].
     pub fn symmetric_eigen(&self) -> Result<SymmetricEigen> {
         SymmetricEigen::new(self)
     }

@@ -4,7 +4,7 @@
 //! factorization residuals, orthogonality, and solver consistency across
 //! independent code paths (LU vs Cholesky vs QR).
 
-use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{BandedMatrix, GeneralizedSymmetricEigen, Matrix, SparseRowMatrix, Vector};
 use proptest::prelude::*;
 
 /// Strategy: a square matrix with entries in [-10, 10].
@@ -77,6 +77,72 @@ fn local_support_design() -> impl Strategy<Value = (Matrix, Vec<f64>, usize)> {
         })
 }
 
+/// Strategy: `(n, draws, extra)` — a dimension in 1..=40 with `n²`
+/// and `n` uniform draws in [-1, 1] to build a test matrix from.
+fn eigen_inputs() -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
+    (1usize..=40).prop_flat_map(|n| {
+        (
+            Just(n),
+            prop::collection::vec(-1.0..1.0f64, n * n),
+            prop::collection::vec(-1.0..1.0f64, n),
+        )
+    })
+}
+
+/// The symmetric-eigensolver input families, selected by `kind`:
+/// 0 random symmetric; 1 a rotated diagonal with repeated and clustered
+/// eigenvalues; 2 rank-deficient (rank ⌈n/3⌉); 3 random symmetric under
+/// a 1e-8…1e8 graded diagonal scaling; 4 the zero matrix; 5 an unrotated
+/// diagonal with duplicates.
+fn eigen_test_matrix(kind: usize, n: usize, draws: &[f64], extra: &[f64]) -> Matrix {
+    let x = Matrix::from_vec(n, n, draws.to_vec()).expect("sized draws");
+    let sym = |m: &Matrix| Matrix::from_fn(n, n, |i, j| 0.5 * (m[(i, j)] + m[(j, i)]));
+    let grade = |i: usize| 10f64.powf(-8.0 + 16.0 * i as f64 / (n.max(2) - 1) as f64);
+    // Eigenvalues from a 3-value palette, each nudged by at most 1e-10:
+    // exact repeats and tight clusters in one spectrum.
+    let palette = |i: usize| [-1.0, 0.5, 2.0][((extra[i] + 1.0) * 1.5) as usize % 3];
+    let nudge = |i: usize| {
+        if i.is_multiple_of(2) {
+            0.0
+        } else {
+            1e-10 * extra[i]
+        }
+    };
+    match kind {
+        0 => sym(&x),
+        1 => {
+            let q = x.qr().expect("square").q().clone();
+            let lambda = Matrix::from_diagonal(&Vector::from_fn(n, |i| palette(i) + nudge(i)));
+            sym(&q.matmul(&lambda).unwrap().matmul(&q.transpose()).unwrap())
+        }
+        2 => {
+            let k = n.div_ceil(3);
+            let y = Matrix::from_fn(n, k, |i, j| x[(i, j)]);
+            sym(&y.matmul(&y.transpose()).unwrap())
+        }
+        3 => {
+            let s = sym(&x);
+            Matrix::from_fn(n, n, |i, j| grade(i) * s[(i, j)] * grade(j))
+        }
+        4 => Matrix::zeros(n, n),
+        _ => Matrix::from_diagonal(&Vector::from_fn(n, palette)),
+    }
+}
+
+/// Second-difference roughness Gram `DᵀD` (`n × n`, rank `n − 2`).
+fn second_difference_gram(n: usize) -> Matrix {
+    let mut omega = Matrix::zeros(n, n);
+    for i in 1..n.saturating_sub(1) {
+        let stencil = [(i - 1, 1.0), (i, -2.0), (i + 1, 1.0)];
+        for &(r, a) in &stencil {
+            for &(c, b) in &stencil {
+                omega[(r, c)] += a * b;
+            }
+        }
+    }
+    omega
+}
+
 /// Makes an SPD matrix from an arbitrary square one: `AᵀA + n·I`.
 fn make_spd(a: &Matrix) -> Matrix {
     let n = a.rows();
@@ -139,6 +205,75 @@ proptest! {
         let spd = make_spd(&a);
         let eig = spd.symmetric_eigen().expect("symmetric");
         prop_assert!(eig.min_eigenvalue() > 0.0);
+    }
+
+    #[test]
+    fn symmetric_eigen_is_backward_stable(input in eigen_inputs(), kind in 0usize..6) {
+        // ‖AV − VΛ‖_F ≤ 50·n·ε·‖A‖_F, ‖VᵀV − I‖_F ≤ 50·n·ε, ascending λ —
+        // across random, repeated/clustered, rank-deficient, graded
+        // (1e-8…1e8) and zero inputs.
+        let (n, draws, extra) = input;
+        let a = eigen_test_matrix(kind, n, &draws, &extra);
+        let eig = a.symmetric_eigen().expect("finite symmetric input");
+        let v = eig.eigenvectors();
+        let lambda = eig.eigenvalues();
+        let eps = f64::EPSILON;
+        let av = a.matmul(v).expect("shapes");
+        let v_lambda = Matrix::from_fn(n, n, |i, j| v[(i, j)] * lambda[j]);
+        let residual = (&av - &v_lambda).norm_frobenius();
+        prop_assert!(
+            residual <= 50.0 * n as f64 * eps * a.norm_frobenius(),
+            "kind {} n {}: ‖AV − VΛ‖ = {:e}, ‖A‖ = {:e}", kind, n, residual, a.norm_frobenius()
+        );
+        let vtv = v.transpose().matmul(v).expect("shapes");
+        let orth = (&vtv - &Matrix::identity(n)).norm_frobenius();
+        prop_assert!(orth <= 50.0 * n as f64 * eps, "kind {} n {}: ‖VᵀV − I‖ = {:e}", kind, n, orth);
+        for w in lambda.as_slice().windows(2) {
+            prop_assert!(w[0] <= w[1], "kind {} n {}: not ascending {:?}", kind, n, w);
+        }
+    }
+
+    #[test]
+    fn spectral_path_pencils_diagonalize(
+        input in eigen_inputs(),
+        rows in 2usize..=48,
+        log_sigma_span in 0.0..3.0f64,
+    ) {
+        // The pencil shape the λ-path builds: A = Ω (second-difference
+        // Gram, singular), B = XᵀW²X + εI + μΩ with μ = tr(XᵀW²X + εI)/tr(Ω)
+        // and σ spread over up to 3 decades. Then TᵀBT = I and
+        // TᵀAT = diag(γ). Two or more rows let the Gram cover Ω's null
+        // space (the linear functions), as every real design does, so
+        // B is definite beyond the ridge.
+        let (n, draws, extra) = input;
+        let omega = second_difference_gram(n);
+        let x = Matrix::from_fn(rows, n, |i, j| draws[(i * n + j) % draws.len()]);
+        let weights: Vec<f64> = (0..rows)
+            .map(|i| 10f64.powf(-log_sigma_span * extra[i % n]))
+            .collect();
+        let mut b = Matrix::zeros(n, n);
+        x.weighted_gram_into(&weights, &mut b).expect("shapes");
+        for i in 0..n {
+            b[(i, i)] += 1e-9;
+        }
+        let omega_trace = omega.trace().expect("square");
+        if omega_trace > 0.0 {
+            let mu = b.trace().expect("square") / omega_trace;
+            b = &b + &omega.scaled(mu);
+        }
+        let pencil = GeneralizedSymmetricEigen::new(&omega, &b).expect("SPD metric");
+        let t = pencil.vectors();
+        let tbt = t.transpose().matmul(&b).unwrap().matmul(t).unwrap();
+        let metric_err = (&tbt - &Matrix::identity(n)).norm_frobenius();
+        prop_assert!(metric_err <= 1e-8, "n {} rows {}: ‖TᵀBT − I‖ = {:e}", n, rows, metric_err);
+        let tat = t.transpose().matmul(&omega).unwrap().matmul(t).unwrap();
+        let diag = Matrix::from_diagonal(pencil.eigenvalues());
+        let gamma_scale = pencil.eigenvalues().norm_inf().max(1e-300);
+        let diag_err = (&tat - &diag).norm_frobenius() / gamma_scale;
+        prop_assert!(diag_err <= 1e-8, "n {} rows {}: ‖TᵀΩT − Γ‖/‖γ‖ = {:e}", n, rows, diag_err);
+        for w in pencil.eigenvalues().as_slice().windows(2) {
+            prop_assert!(w[0] <= w[1]);
+        }
     }
 
     #[test]

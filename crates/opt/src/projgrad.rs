@@ -7,7 +7,7 @@ use crate::{OptError, Result};
 /// Projected gradient descent for `min ½xᵀHx + cᵀx s.t. x ≥ lo`
 /// (element-wise lower bounds).
 ///
-/// Uses the fixed step `1/λ_max(H)` (computed by Jacobi eigendecomposition)
+/// Uses the fixed step `1/λ_max(H)` (computed by symmetric eigendecomposition)
 /// which guarantees monotone convergence for convex problems. Slower than
 /// the active-set method but with trivially verifiable iterations — kept as
 /// an independent implementation to cross-check the QP solver in tests and
