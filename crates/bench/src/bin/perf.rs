@@ -1,10 +1,11 @@
 //! `perf` — the machine-readable performance harness.
 //!
-//! Times the workspace's thirteen hot computational kernels (dense Cholesky
+//! Times the workspace's fourteen hot computational kernels (dense Cholesky
 //! solve, spline-basis assembly/evaluation, active-set QP, RK4 ODE
 //! integration, Monte-Carlo kernel estimation, blocked weighted-Gram
 //! assembly, the cold collocation-constrained QP on both the active-set
-//! and interior-point backends, banded Cholesky factor+solve and sparse
+//! backend — from the origin and from the interior-direction start — and
+//! the interior-point backend, banded Cholesky factor+solve and sparse
 //! banded Gram assembly at genome-scale basis sizes, the λ-path GCV
 //! fit unit-weighted and σ-weighted, and the warm-started shared-Hessian
 //! QP pattern) plus the end-to-end
@@ -356,6 +357,32 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
         }
     });
     kernels.push(kernel_entry("qp_cold_colloc_18x101x6", reps, median, min));
+
+    // 7b. Kernel 7's QP with the engine's start rule: the same H, c and
+    // collocation rows plus the constant-profile interior direction
+    // (all ones: the cardinal basis reproduces constants with unit
+    // coefficients), so the walk starts strictly inside the positivity
+    // cone instead of at the origin, where all 101 rows are tight. The
+    // speed-up over kernel 7 is a documented ratio (docs/SOLVER.md,
+    // "QP start"), not a gate.
+    let ones18 = Vector::from_fn(18, |_| 1.0);
+    let (median, min) = time_reps(reps, || {
+        for _ in 0..6 {
+            let mut workspace = QpWorkspace::new();
+            let problem = QpProblem::new(&h, &c)
+                .expect("valid qp")
+                .with_inequalities(&colloc, &zeros101)
+                .expect("shapes agree")
+                .with_interior_direction(&ones18);
+            std::hint::black_box(workspace.solve(&problem).expect("solvable"));
+        }
+    });
+    kernels.push(kernel_entry(
+        "qp_interior_colloc_18x101x6",
+        reps,
+        median,
+        min,
+    ));
 
     // 8. The same cold collocation-constrained QP through the Mehrotra
     // interior-point backend — the second opinion a differential

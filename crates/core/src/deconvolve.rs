@@ -53,6 +53,12 @@ pub struct Deconvolver {
     equality: Option<(Matrix, Vector)>,
     /// Positivity collocation matrix with its zero right-hand side.
     positivity: Option<(Matrix, Vector)>,
+    /// Interior direction of the constraint set (`E·d = 0`, `P·d > 0`;
+    /// [`constraints::interior_direction`]), handed to every QP the
+    /// engine builds so cold solves start strictly inside the positivity
+    /// cone. `None` without positivity, or when the equalities admit no
+    /// such direction (the QP then starts at the origin).
+    interior: Option<Vector>,
     /// Equality-nullspace-reduced design and penalty. Built only by
     /// dense-path GCV engines — the only consumers of the reduction.
     ops: Option<ReducedOperators>,
@@ -196,6 +202,10 @@ impl Deconvolver {
         } else {
             None
         };
+        let interior = match &positivity {
+            Some((p, _)) => constraints::interior_direction(p, equality.as_ref().map(|(e, _)| e))?,
+            None => None,
+        };
 
         // Execution path: banded iff the basis has local support and the
         // strategy/selection permit it. K-fold stays dense (fold designs
@@ -250,6 +260,7 @@ impl Deconvolver {
             omega,
             equality,
             positivity,
+            interior,
             ops,
             spectral_unit,
             banded,
@@ -316,6 +327,10 @@ impl Deconvolver {
 
     pub(crate) fn positivity_ref(&self) -> Option<&(Matrix, Vector)> {
         self.positivity.as_ref()
+    }
+
+    pub(crate) fn interior_ref(&self) -> Option<&Vector> {
+        self.interior.as_ref()
     }
 
     pub(crate) fn ridge_effective(&self) -> f64 {
@@ -590,8 +605,9 @@ impl Deconvolver {
         // solve: the spectral path's own unconstrained minimizer at the
         // selected λ. It is a pure function of (engine, data, λ) — never
         // of workspace history — so batch results stay order- and
-        // thread-invariant; the QP ignores it whenever it is infeasible.
-        // A λ override never ran the sweep, so it carries no hint.
+        // thread-invariant. When it violates positivity the QP moves it
+        // inside along the engine's interior direction instead. A λ
+        // override never ran the sweep, so it carries no hint.
         let hint = if lambda_override.is_some() {
             None
         } else {
@@ -881,6 +897,9 @@ impl Deconvolver {
                             if let Some((p, rhs)) = &self.positivity {
                                 problem = problem.with_inequalities(p, rhs)?;
                             }
+                            if let Some(d) = &self.interior {
+                                problem = problem.with_interior_direction(d);
+                            }
                             // H is shared across replicates, so the cached
                             // Hessian factor in the QP workspace stays valid.
                             scratch.qp.solve(&problem)?.x
@@ -927,8 +946,9 @@ impl Deconvolver {
     /// The deterministic warm hint of a GCV fit: the unconstrained
     /// spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the selected λ
     /// (`None` for non-GCV selections, whose workspaces hold no spectral
-    /// projection). The QP validates feasibility at solve time, so a
-    /// hint that violates positivity is simply ignored.
+    /// projection). The QP validates feasibility at solve time: a hint
+    /// that violates positivity becomes the base point of the interior
+    /// start (see [`Deconvolver::solve_assembled`]).
     fn spectral_warm_hint(
         &self,
         workspace: &mut FitWorkspace,
@@ -1182,8 +1202,11 @@ impl Deconvolver {
     /// Core constrained solve: expects `workspace.h = BᵀB` and
     /// `workspace.c = Bᵀy`, turns them into `H = 2(BᵀB + λΩ + εI)` and
     /// `c = −2Bᵀy` in place, and dispatches to the direct SPD solve or
-    /// the active-set QP (seeded with `hint` as a deterministic warm
-    /// start when one is supplied).
+    /// the active-set QP. The QP gets the engine's interior direction, so
+    /// it starts at `hint` when that is feasible, else at `hint` (or the
+    /// equality-constrained minimizer when there is no hint) moved
+    /// strictly inside the positivity cone — never at the degenerate
+    /// origin unless the constraints admit no interior direction.
     fn solve_assembled(
         &self,
         workspace: &mut FitWorkspace,
@@ -1238,6 +1261,9 @@ impl Deconvolver {
                 Some((sp, srhs)) => problem.with_inequalities_sparse(sp, srhs)?,
                 None => problem.with_inequalities(p, rhs)?,
             };
+        }
+        if let Some(d) = &self.interior {
+            problem = problem.with_interior_direction(d);
         }
         Ok(qp.solve(&problem)?.x)
     }
@@ -2106,5 +2132,120 @@ mod tests {
         let without = d.fit_request(&FitRequest::new(g.clone())).unwrap();
         assert_eq!(with_token.result().alpha(), without.result().alpha());
         assert_eq!(with_token.result().lambda(), without.result().lambda());
+    }
+
+    /// Fixed-λ engine with positivity and the given equalities.
+    fn fixed_engine(basis: usize, conservation: bool, rate: bool) -> Deconvolver {
+        let config = DeconvolutionConfig::builder()
+            .basis_size(basis)
+            .conservation(conservation)
+            .rate_continuity(rate)
+            .lambda(1e-5)
+            .build()
+            .unwrap();
+        Deconvolver::new(kernel(41, 16), config).unwrap()
+    }
+
+    /// The constrained solve of a unit-weight fit exactly as
+    /// `solve_assembled` builds it, minus the interior direction: the
+    /// origin (or minimum-norm) start.
+    fn origin_start_alpha(engine: &Deconvolver, g: &[f64]) -> Vector {
+        let n = engine.basis.len();
+        let lambda = match engine.config.lambda() {
+            LambdaSelection::Fixed(l) => *l,
+            _ => unreachable!("fixed-λ engines only"),
+        };
+        let mut h = Matrix::zeros(n, n);
+        engine
+            .design
+            .weighted_gram_into(&engine.unit_weights, &mut h)
+            .unwrap();
+        engine.assemble_hessian(&mut h, lambda).unwrap();
+        let mut c = Vector::zeros(n);
+        engine
+            .design
+            .tr_matvec_into(&Vector::from_slice(g), &mut c)
+            .unwrap();
+        for v in c.as_mut_slice() {
+            *v *= -2.0;
+        }
+        let (p, p_rhs) = engine.positivity.as_ref().unwrap();
+        let mut problem = QpProblem::new(&h, &c)
+            .unwrap()
+            .with_inequalities(p, p_rhs)
+            .unwrap();
+        if let Some((e, e_rhs)) = &engine.equality {
+            problem = problem.with_equalities(e, e_rhs).unwrap();
+        }
+        QpWorkspace::new().solve(&problem).unwrap().x
+    }
+
+    /// A profile that dips well below zero, so positivity binds.
+    fn dipping_series(engine: &Deconvolver) -> Vec<f64> {
+        let truth = PhaseProfile::from_fn(200, |phi| {
+            (2.0 * std::f64::consts::PI * phi).sin() * 1.5 - 0.3
+        })
+        .unwrap();
+        engine.forward().predict(&truth).unwrap()
+    }
+
+    #[test]
+    fn interior_direction_is_interior_for_each_constraint_set() {
+        for basis in [18, SolveStrategy::BANDED_THRESHOLD] {
+            for (conservation, rate) in [(false, false), (true, false), (true, true)] {
+                let engine = fixed_engine(basis, conservation, rate);
+                let d = engine
+                    .interior
+                    .as_ref()
+                    .unwrap_or_else(|| panic!("basis {basis} {conservation}/{rate}: no direction"));
+                let (p, _) = engine.positivity.as_ref().unwrap();
+                let pd = p.matvec(d).unwrap();
+                let min = pd.iter().cloned().fold(f64::INFINITY, f64::min);
+                assert!(
+                    min > 0.0,
+                    "basis {basis} {conservation}/{rate}: min P·d {min}"
+                );
+                if let Some((e, _)) = &engine.equality {
+                    let ed = e.matvec(d).unwrap();
+                    let scale = e.norm_inf() * d.norm_inf();
+                    assert!(
+                        ed.norm_inf() <= 1e-12 * scale,
+                        "basis {basis} {conservation}/{rate}: E·d = {ed}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interior_start_fits_match_the_origin_start() {
+        for (conservation, rate) in [(false, false), (true, false), (true, true)] {
+            let engine = fixed_engine(18, conservation, rate);
+            let g = dipping_series(&engine);
+            let fitted = Vector::from_slice(engine.fit(&g, None).unwrap().alpha());
+            let origin = origin_start_alpha(&engine, &g);
+            let diff = (&fitted - &origin).norm_inf() / (1.0 + origin.norm_inf());
+            assert!(diff <= 1e-8, "{conservation}/{rate}: Δα {diff:e}");
+        }
+    }
+
+    #[test]
+    fn engine_without_interior_direction_keeps_the_origin_start() {
+        // Pin the profile to zero at φ = 0: every direction that keeps
+        // that equality leaves the first collocation row at zero, so the
+        // constraint set admits no interior direction.
+        let mut engine = fixed_engine(18, true, false);
+        let (p, _) = engine.positivity.as_ref().unwrap();
+        let pin = Matrix::from_rows(&[p.row(0)]).unwrap();
+        engine.interior = constraints::interior_direction(p, Some(&pin)).unwrap();
+        assert!(engine.interior.is_none());
+        engine.equality = Some((pin, Vector::zeros(1)));
+        let g = dipping_series(&engine);
+        let fitted = engine.fit(&g, None).unwrap();
+        assert_eq!(
+            fitted.alpha(),
+            origin_start_alpha(&engine, &g).as_slice(),
+            "the fit must be the origin-start solve, bit for bit"
+        );
     }
 }

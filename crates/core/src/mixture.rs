@@ -601,6 +601,16 @@ impl MixtureDeconvolver {
         bw
     }
 
+    /// The components' interior directions stacked in canonical block
+    /// order, or `None` when any component has none.
+    fn stacked_interior_direction(&self) -> Option<Vector> {
+        let mut stacked = Vec::new();
+        for &i in &self.canonical {
+            stacked.extend_from_slice(self.slots[i].engine.interior_ref()?.as_slice());
+        }
+        Some(Vector::from_slice(&stacked))
+    }
+
     /// Selects one shared λ for every component by generalized
     /// cross-validation on the **stacked** mixture smoother.
     ///
@@ -635,21 +645,23 @@ impl MixtureDeconvolver {
         let ridge = self.slots[0].engine.ridge_effective();
         let yw: Vec<f64> = (0..m).map(|r| weights[r] * g[r]).collect();
 
+        // The λ-invariant parts, built once: BᵀB and Bᵀy_w.
+        let gram = stacked_gram(&bw);
+        let mut bty = Vector::zeros(kn);
+        for p in 0..kn {
+            let mut acc = 0.0;
+            for r in 0..m {
+                acc += bw[(r, p)] * yw[r];
+            }
+            bty[p] = acc;
+        }
+
         let mut best: Option<(f64, f64)> = None;
         let mut mmat = Matrix::zeros(kn, kn);
         let mut work = Vector::zeros(kn);
         let mut rhs = Vector::zeros(kn);
         for &l in &grid {
-            for p in 0..kn {
-                for q in p..kn {
-                    let mut acc = 0.0;
-                    for r in 0..m {
-                        acc += bw[(r, p)] * bw[(r, q)];
-                    }
-                    mmat[(p, q)] = acc;
-                    mmat[(q, p)] = acc;
-                }
-            }
+            mmat.as_mut_slice().copy_from_slice(gram.as_slice());
             for (block, &i) in self.canonical.iter().enumerate() {
                 let omega = self.slots[i].engine.omega_ref();
                 for a in 0..n {
@@ -682,13 +694,7 @@ impl MixtureDeconvolver {
             if !(denom > 1e-9) {
                 continue;
             }
-            for p in 0..kn {
-                let mut acc = 0.0;
-                for r in 0..m {
-                    acc += bw[(r, p)] * yw[r];
-                }
-                rhs[p] = acc;
-            }
+            rhs.as_mut_slice().copy_from_slice(bty.as_slice());
             chol.solve_in_place(&mut rhs)?;
             let mut rss = 0.0;
             for (r, &y) in yw.iter().enumerate() {
@@ -834,17 +840,10 @@ impl MixtureDeconvolver {
         // start, which also keeps this path's error reporting — every
         // surfaced error still comes from a per-component refit.
         if (2..=3).contains(&k) {
-            match self.solve_joint(request, &lambda, &weights) {
-                Ok(seed) => {
-                    for (i, r) in seed.into_iter().enumerate() {
-                        prev_alpha[i] = r.alpha().to_vec();
-                        predicted[i] = r.predicted().to_vec();
-                    }
-                }
-                Err(e) => {
-                    if std::env::var_os("CELLSYNC_MIX_DEBUG").is_some() {
-                        eprintln!("seed failed: {e}");
-                    }
+            if let Ok(seed) = self.solve_joint(request, &lambda, &weights) {
+                for (i, r) in seed.into_iter().enumerate() {
+                    prev_alpha[i] = r.alpha().to_vec();
+                    predicted[i] = r.predicted().to_vec();
                 }
             }
         }
@@ -928,11 +927,6 @@ impl MixtureDeconvolver {
                         && (rho - rho_h).abs() <= 0.5 * (1.0 - rho);
                     if stable {
                         let gain = (rho / (1.0 - rho)).min(max_gain);
-                        if std::env::var_os("CELLSYNC_MIX_DEBUG").is_some() {
-                            eprintln!(
-                                "accel sweep {sweep} delta {delta:.3e} rho {rho:.6} gain {gain:.1} obj {objective:.6e}"
-                            );
-                        }
                         saved = Some((predicted.clone(), objective));
                         for i in 0..k {
                             for t in 0..m {
@@ -996,17 +990,7 @@ impl MixtureDeconvolver {
         let bw = self.stacked_weighted_design(weights);
         // H = 2(BᵀB + blockdiag(λₖΩ) + εI), c = −2 Bᵀ(W g).
         let ridge = self.slots[0].engine.ridge_effective();
-        let mut h = Matrix::zeros(kn, kn);
-        for p in 0..kn {
-            for q in p..kn {
-                let mut acc = 0.0;
-                for r in 0..m {
-                    acc += bw[(r, p)] * bw[(r, q)];
-                }
-                h[(p, q)] = acc;
-                h[(q, p)] = acc;
-            }
-        }
+        let mut h = stacked_gram(&bw);
         for (block, &i) in self.canonical.iter().enumerate() {
             let omega = self.slots[i].engine.omega_ref();
             let l = lambda[i];
@@ -1067,6 +1051,11 @@ impl MixtureDeconvolver {
             qp = qp
                 .with_inequalities(stacked, rhs)
                 .map_err(DeconvError::from)?;
+        }
+        // The components' interior directions, stacked block by block,
+        // are an interior direction of the block-diagonal constraint set.
+        if let Some(d) = self.stacked_interior_direction() {
+            qp = qp.with_interior_direction(d);
         }
         let solution = qp.solve().map_err(DeconvError::from)?;
 
@@ -1145,6 +1134,25 @@ impl MixtureDeconvolver {
             residual_rel,
         })
     }
+}
+
+/// `BᵀB` of a weighted stacked design, upper triangle accumulated row by
+/// row and mirrored — the one summation order the joint λ scan and the
+/// joint QP share.
+fn stacked_gram(bw: &Matrix) -> Matrix {
+    let (m, kn) = bw.shape();
+    let mut gram = Matrix::zeros(kn, kn);
+    for p in 0..kn {
+        for q in p..kn {
+            let mut acc = 0.0;
+            for r in 0..m {
+                acc += bw[(r, p)] * bw[(r, q)];
+            }
+            gram[(p, q)] = acc;
+            gram[(q, p)] = acc;
+        }
+    }
+    gram
 }
 
 /// Wraps a component failure with its specification-order index, like

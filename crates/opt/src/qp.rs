@@ -13,6 +13,14 @@ use cellsync_runtime::CancelToken;
 
 use crate::{OptError, Result};
 
+/// Relative margin of the interior start: the push along the interior
+/// direction is stretched by this fraction past the point where the last
+/// inequality row becomes satisfied, so every row starts strictly slack
+/// (by at least this fraction of its own push). The first step back
+/// toward the equality-constrained minimizer then stops exactly on that
+/// last row, so the value only needs to be clearly above roundoff.
+const INTERIOR_MARGIN: f64 = 1e-3;
+
 /// The Hessian backing a [`QpProblem`]: dense, or banded with an
 /// internally densified copy serving the O(n²) iteration kernels while
 /// the factorization itself runs banded (O(n·b²) instead of O(n³)).
@@ -143,6 +151,7 @@ pub struct QpProblem<'a> {
     eq: Option<(&'a Matrix, &'a Vector)>,
     ineq: Option<IneqRef<'a>>,
     start: Option<&'a Vector>,
+    direction: Option<&'a Vector>,
     max_iterations: usize,
     tolerance: f64,
     cancel: Option<CancelToken>,
@@ -194,6 +203,7 @@ impl<'a> QpProblem<'a> {
             eq: None,
             ineq: None,
             start: None,
+            direction: None,
             max_iterations: 100 * (n + 10),
             tolerance: 1e-10,
             cancel: None,
@@ -229,6 +239,7 @@ impl<'a> QpProblem<'a> {
             eq: None,
             ineq: None,
             start: None,
+            direction: None,
             max_iterations: 100 * (n + 10),
             tolerance: 1e-10,
             cancel: None,
@@ -336,6 +347,24 @@ impl<'a> QpProblem<'a> {
         Ok(self)
     }
 
+    /// Supplies an **interior direction** `d` for the start rule: a
+    /// direction along which every inequality row strictly increases
+    /// (`aᵢᵀd > 0`) while the equalities stay put (`E·d = 0`).
+    ///
+    /// When no supplied start or feasible warm hint applies,
+    /// [`QpWorkspace::solve`] takes a base point — the warm hint, or else
+    /// the equality-constrained minimizer — and moves it along `d` just
+    /// far enough that every inequality row holds with a small relative
+    /// margin, so the active-set walk starts strictly inside the feasible
+    /// cone instead of at a degenerate vertex. A direction that fails
+    /// either condition (or has the wrong length) is ignored at solve
+    /// time, exactly like a stale warm hint; it is never an error.
+    #[must_use]
+    pub fn with_interior_direction(mut self, d: &'a Vector) -> Self {
+        self.direction = Some(d);
+        self
+    }
+
     /// Replaces the iteration budget.
     #[must_use]
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
@@ -417,6 +446,31 @@ impl<'a> QpProblem<'a> {
             }
         }
         Ok(true)
+    }
+
+    /// The interior direction when it is usable for this problem: right
+    /// length, finite, `E·d = 0` to roundoff (relative to each row's
+    /// `Σ|eⱼdⱼ|`), and `aᵢᵀd > 0` on every inequality row, whose values
+    /// are left in `ad`. A problem without inequalities has no use for
+    /// one.
+    fn interior_direction(&self, ad: &mut Vector) -> Result<Option<&'a Vector>> {
+        let (Some(d), Some(iq)) = (self.direction, &self.ineq) else {
+            return Ok(None);
+        };
+        if d.len() != self.dim() || !d.is_finite() {
+            return Ok(None);
+        }
+        if let Some((e_mat, _)) = &self.eq {
+            for r in 0..e_mat.rows() {
+                let row = e_mat.row(r);
+                let scale: f64 = row.iter().zip(d.iter()).map(|(e, v)| (e * v).abs()).sum();
+                if dot(row, d.as_slice()).abs() > 1e-9 * scale {
+                    return Ok(None);
+                }
+            }
+        }
+        iq.matvec_into(d, ad)?;
+        Ok(ad.iter().all(|&v| v > 0.0).then_some(d))
     }
 
     /// Finds a default feasible starting point (user-supplied, origin, or
@@ -512,11 +566,19 @@ impl<'a> QpProblem<'a> {
 ///    problem). The next solves start from the hint when it is feasible
 ///    and seed the working set from its still-active rows, each admitted
 ///    through the same guarded incremental append (dependent rows are
-///    dropped); an infeasible or stale hint is ignored, never an error.
+///    dropped); a stale hint is ignored, never an error, and an infeasible
+///    one is at most the base point of the interior start (item 4).
 ///    The hint persists until replaced or cleared, so a family of
 ///    perturbed problems (bootstrap replicates around a point fit) all
 ///    warm-start from the same deterministic hint — results stay
 ///    independent of solve order.
+/// 4. **Interior start** — when no feasible start applies and the
+///    problem carries an interior direction `d`
+///    ([`QpProblem::with_interior_direction`]), the walk starts at the
+///    hint (or the equality-constrained minimizer) moved along `d` until
+///    every inequality row is strictly slack. Zero-right-hand-side rows
+///    are all tight at the origin, a fully degenerate vertex the walk
+///    otherwise leaves only through a long run of zero-length steps.
 #[derive(Debug, Clone, Default)]
 pub struct QpWorkspace {
     hessian_factor: Option<CholeskyDecomposition>,
@@ -666,10 +728,6 @@ impl QpWorkspace {
             .expect("factored above")
             .forward_solve_in_place(&mut self.u0)?;
 
-        // Starting point: user start, warm hint, or default feasible
-        // point. A warm start also seeds the working set below.
-        let seed_from_hint = self.start_point(problem, tol)?;
-
         // Working system: equality rows first (a consistent dependent row
         // is redundant — the retained independent rows already enforce
         // it — and is skipped), then, for warm starts, the hinted active
@@ -684,53 +742,21 @@ impl QpWorkspace {
                 self.eq_keep.push(r);
             }
         }
-        if seed_from_hint {
+
+        // Starting point (see `start_point` for the rule). A feasible
+        // warm hint also seeds the working set.
+        if self.start_point(problem, tol)? {
             self.seed_working_from_hint(problem)?;
         }
 
         for iteration in 0..problem.max_iterations {
             problem.check_cancel()?;
-            let m_w = self.m_rows;
-
-            // Whitened working-set minimizer: u_W = u₀ + Q·g with
-            // g = R⁻ᵀb_W − Qᵀu₀, and multipliers λ = R⁻¹g.
-            self.ut.as_mut_slice().copy_from_slice(self.u0.as_slice());
-            if m_w > 0 {
-                for r in 0..m_w {
-                    self.dvec[r] = self.working_rhs(problem, r);
-                }
-                self.solve_r_transposed(m_w);
-                for j in 0..m_w {
-                    self.gvec[j] =
-                        self.dvec[j] - dot(&self.qmat[j * n..(j + 1) * n], self.u0.as_slice());
-                }
-                for j in 0..m_w {
-                    let gj = self.gvec[j];
-                    if gj != 0.0 {
-                        for (u, &qv) in self
-                            .ut
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(&self.qmat[j * n..(j + 1) * n])
-                        {
-                            *u += gj * qv;
-                        }
-                    }
-                }
-                self.lam[..m_w].copy_from_slice(&self.gvec[..m_w]);
-                self.solve_r(m_w);
-            }
-            // Back to original coordinates: x_W = L⁻ᵀu_W.
-            self.xt.as_mut_slice().copy_from_slice(self.ut.as_slice());
-            self.hessian_factor
-                .as_ref()
-                .expect("factored above")
-                .backward_solve_in_place(&mut self.xt)?;
+            self.working_minimizer(problem)?;
 
             // Step toward the working-set minimizer. With n independent
             // working rows the null space is trivial, so the step is
             // identically zero — forcing it avoids chasing roundoff.
-            if m_w == n {
+            if self.m_rows == n {
                 self.step.as_mut_slice().fill(0.0);
             } else {
                 for ((p, &t), &xv) in self
@@ -884,9 +910,27 @@ impl QpWorkspace {
         }
     }
 
-    /// Initializes the iterate `self.x` (user start, warm hint, or
-    /// default feasible point) and reports whether the warm hint's active
-    /// rows should seed the working set.
+    /// Initializes the iterate `self.x` and reports whether the warm
+    /// hint's active rows should seed the working set.
+    ///
+    /// The start rule, in order:
+    ///
+    /// 1. a supplied start ([`QpProblem::with_start`]), which must be
+    ///    feasible;
+    /// 2. a feasible warm hint, whose active rows then seed the working
+    ///    set;
+    /// 3. with a valid interior direction `d`
+    ///    ([`QpProblem::with_interior_direction`]): the warm hint, or
+    ///    else the equality-constrained minimizer `x_E`, moved along `d`
+    ///    until every inequality row holds with a relative margin;
+    /// 4. the origin, or the minimum-norm equality solution.
+    ///
+    /// Rule 4 starts at a fully degenerate vertex whenever the
+    /// inequalities have a zero right-hand side (every row is tight at
+    /// the origin), which is what rule 3 exists to avoid.
+    ///
+    /// Expects the equality rows already in the working factor (rule 3
+    /// reads `x_E` from it).
     fn start_point(&mut self, problem: &QpProblem<'_>, tol: f64) -> Result<bool> {
         if let Some(x0) = problem.start {
             if !problem.is_feasible(x0, tol)? {
@@ -897,17 +941,98 @@ impl QpWorkspace {
             self.x.as_mut_slice().copy_from_slice(x0.as_slice());
             return Ok(false);
         }
+        let mut hint_base = false;
         if let Some((x0, _)) = &self.warm {
-            if x0.len() == problem.dim()
-                && problem.is_feasible(x0, tol.max(Self::WARM_ACTIVITY_TOL))?
-            {
+            if x0.len() == problem.dim() {
                 self.x.as_mut_slice().copy_from_slice(x0.as_slice());
-                return Ok(true);
+                if problem.is_feasible(x0, tol.max(Self::WARM_ACTIVITY_TOL))? {
+                    return Ok(true);
+                }
+                hint_base = true;
+            }
+        }
+        if let Some(d) = problem.interior_direction(&mut self.ap)? {
+            if hint_base && self.move_inside(problem, d, tol)? {
+                return Ok(false);
+            }
+            self.working_minimizer(problem)?;
+            self.x.as_mut_slice().copy_from_slice(self.xt.as_slice());
+            if self.move_inside(problem, d, tol)? {
+                return Ok(false);
             }
         }
         let x0 = problem.feasible_start(tol)?;
         self.x.as_mut_slice().copy_from_slice(x0.as_slice());
         Ok(false)
+    }
+
+    /// Moves `self.x` along the interior direction `d` (with `A·d`
+    /// already in `self.ap`) to `x + t·d`, the smallest `t ≥ 0` at which
+    /// every inequality row holds, stretched by [`INTERIOR_MARGIN`] so
+    /// that no row is left tight. Reports whether the result is feasible
+    /// (a base point that violates the equalities cannot be repaired
+    /// along `d`).
+    fn move_inside(&mut self, problem: &QpProblem<'_>, d: &Vector, tol: f64) -> Result<bool> {
+        let iq = problem
+            .ineq
+            .as_ref()
+            .expect("a usable interior direction implies inequality rows");
+        iq.matvec_into(&self.x, &mut self.ax)?;
+        let t = iq
+            .rhs()
+            .iter()
+            .zip(self.ax.iter().zip(self.ap.iter()))
+            .map(|(&b, (&ax, &ad))| (b - ax) / ad)
+            .fold(0.0, f64::max);
+        if !t.is_finite() {
+            return Ok(false);
+        }
+        let t = t * (1.0 + INTERIOR_MARGIN);
+        for (xv, &dv) in self.x.as_mut_slice().iter_mut().zip(d.iter()) {
+            *xv += t * dv;
+        }
+        problem.is_feasible(&self.x, tol.max(Self::WARM_ACTIVITY_TOL))
+    }
+
+    /// Minimizer of the objective over the current working rows (as
+    /// equalities) into `self.xt`, with the working system's multipliers
+    /// in `self.lam`. In whitened coordinates `u_W = u₀ + Q·g` with
+    /// `g = R⁻ᵀb_W − Qᵀu₀` and `λ = R⁻¹g`; then `x_W = L⁻ᵀu_W`.
+    fn working_minimizer(&mut self, problem: &QpProblem<'_>) -> Result<()> {
+        let n = problem.dim();
+        let m_w = self.m_rows;
+        self.ut.as_mut_slice().copy_from_slice(self.u0.as_slice());
+        if m_w > 0 {
+            for r in 0..m_w {
+                self.dvec[r] = self.working_rhs(problem, r);
+            }
+            self.solve_r_transposed(m_w);
+            for j in 0..m_w {
+                self.gvec[j] =
+                    self.dvec[j] - dot(&self.qmat[j * n..(j + 1) * n], self.u0.as_slice());
+            }
+            for j in 0..m_w {
+                let gj = self.gvec[j];
+                if gj != 0.0 {
+                    for (u, &qv) in self
+                        .ut
+                        .as_mut_slice()
+                        .iter_mut()
+                        .zip(&self.qmat[j * n..(j + 1) * n])
+                    {
+                        *u += gj * qv;
+                    }
+                }
+            }
+            self.lam[..m_w].copy_from_slice(&self.gvec[..m_w]);
+            self.solve_r(m_w);
+        }
+        self.xt.as_mut_slice().copy_from_slice(self.ut.as_slice());
+        self.hessian_factor
+            .as_ref()
+            .expect("factored in solve")
+            .backward_solve_in_place(&mut self.xt)?;
+        Ok(())
     }
 
     /// Seeds the working set from the warm hint's active rows: every row
@@ -1235,6 +1360,7 @@ pub struct QuadraticProgram {
     eq: Option<(Matrix, Vector)>,
     ineq: Option<(Matrix, Vector)>,
     start: Option<Vector>,
+    direction: Option<Vector>,
     max_iterations: Option<usize>,
 }
 
@@ -1254,6 +1380,7 @@ impl QuadraticProgram {
             eq: None,
             ineq: None,
             start: None,
+            direction: None,
             max_iterations: None,
         })
     }
@@ -1326,6 +1453,14 @@ impl QuadraticProgram {
         Ok(self)
     }
 
+    /// Supplies an interior direction for the start rule (see
+    /// [`QpProblem::with_interior_direction`]; an invalid one is ignored).
+    #[must_use]
+    pub fn with_interior_direction(mut self, d: Vector) -> Self {
+        self.direction = Some(d);
+        self
+    }
+
     /// Replaces the iteration budget.
     #[must_use]
     pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
@@ -1354,6 +1489,9 @@ impl QuadraticProgram {
         }
         if let Some(x0) = &self.start {
             problem = problem.with_start(x0)?;
+        }
+        if let Some(d) = &self.direction {
+            problem = problem.with_interior_direction(d);
         }
         if let Some(max_iterations) = self.max_iterations {
             problem = problem.with_max_iterations(max_iterations);
