@@ -165,16 +165,14 @@ fn main() {
     }
     for m in &mixtures {
         eprintln!(
-            "accuracy: {:<44} comp_nrmse {:.4}  frac_err {:.4}  residual {:.4}  \
-             ({} sweeps{})",
+            "accuracy: {:<44} comp_nrmse {:.4}  frac_err {:.4}  residual {:.4}{}",
             m.name,
             m.max_component_nrmse,
             m.max_fraction_error,
             m.residual_rel,
-            m.sweeps,
             match m.rare_detected {
-                Some(true) => ", rare detected",
-                Some(false) => ", rare MISSED",
+                Some(true) => "  (rare detected)",
+                Some(false) => "  (rare MISSED)",
                 None => "",
             }
         );

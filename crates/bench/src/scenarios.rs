@@ -21,7 +21,6 @@
 //! [`gate_mixtures_against_baseline`] plus the absolute anchors of
 //! [`check_mixture_anchors`].
 
-use cellsync::mixture::MixtureMethod;
 use cellsync::scenario::{
     KernelTreatment, MixtureComposition, MixtureOutcome, MixtureScenarioSpec, NoiseSpec,
     ScenarioOutcome, ScenarioRunConfig, ScenarioSpec, TruthSpec,
@@ -41,12 +40,12 @@ pub const BASE_SEED: u64 = 2011;
 pub const PAPER_SCENARIO_MAX_NRMSE: f64 = 0.02;
 
 /// The component-recovery NRMSE ceiling for the balanced two-type
-/// mixture anchor cell (`mix-balanced2-clean-alt`): both components
+/// mixture anchor cell (`mix-balanced2-clean`): both components
 /// must be recovered to within 5 % range-normalized error.
 pub const MIXTURE_BALANCED_MAX_NRMSE: f64 = 0.05;
 
 /// The fraction-estimation ceiling for the rare-component anchor cell
-/// (`mix-rare5-clean-alt`): the worst absolute mixing-fraction error
+/// (`mix-rare5-clean`): the worst absolute mixing-fraction error
 /// must stay within two percentage points.
 pub const MIXTURE_RARE_MAX_FRACTION_ERROR: f64 = 0.02;
 
@@ -212,34 +211,27 @@ pub fn run_matrix(
         })
 }
 
-/// The CI mixture matrix: every composition once under clean noise with
-/// the alternating solver (the anchor cells), plus the joint solver and
-/// a noisy cell on the balanced composition — 7 cells named
-/// `mix-composition-noise-method`.
+/// The CI mixture matrix: every composition once under clean noise (the
+/// anchor cells), plus a noisy cell on the balanced composition — 6
+/// cells named `mix-composition-noise`.
 pub fn mixture_quick_matrix() -> Vec<MixtureScenarioSpec> {
-    let alt = |composition| MixtureScenarioSpec {
+    let clean = |composition| MixtureScenarioSpec {
         composition,
         noise: NoiseSpec::Clean,
-        method: MixtureMethod::Alternating,
     };
     vec![
         // The anchor cell (gated at MIXTURE_BALANCED_MAX_NRMSE).
-        alt(MixtureComposition::Balanced2),
-        // Solver axis: the joint stacked-design QP on the same cell.
-        MixtureScenarioSpec {
-            method: MixtureMethod::Joint,
-            ..alt(MixtureComposition::Balanced2)
-        },
+        clean(MixtureComposition::Balanced2),
         // Compositional axis: three-type, rare-fraction, and
         // unknown-component cells.
-        alt(MixtureComposition::Three),
-        alt(MixtureComposition::Rare5),
-        alt(MixtureComposition::Rare1),
-        alt(MixtureComposition::Unknown),
+        clean(MixtureComposition::Three),
+        clean(MixtureComposition::Rare5),
+        clean(MixtureComposition::Rare1),
+        clean(MixtureComposition::Unknown),
         // Noise axis: fig3-level heteroscedastic noise on the anchor.
         MixtureScenarioSpec {
             noise: NoiseSpec::Heteroscedastic { fraction: 0.10 },
-            ..alt(MixtureComposition::Balanced2)
+            ..clean(MixtureComposition::Balanced2)
         },
     ]
 }
@@ -317,7 +309,6 @@ pub fn accuracy_document(
                 ("name".into(), Json::Str(m.name.clone())),
                 ("composition".into(), Json::Str(m.composition.into())),
                 ("noise".into(), Json::Str(m.noise.into())),
-                ("method".into(), Json::Str(m.method.into())),
                 ("n_times".into(), Json::Num(m.n_times as f64)),
                 (
                     "max_component_nrmse".into(),
@@ -333,7 +324,6 @@ pub fn accuracy_document(
                     m.rare_detected.map_or(Json::Null, Json::Bool),
                 ),
                 ("residual_rel".into(), Json::Num(m.residual_rel)),
-                ("sweeps".into(), Json::Num(m.sweeps as f64)),
                 ("components".into(), Json::Arr(components)),
             ])
         })
@@ -510,11 +500,11 @@ fn parse_matched_baseline(current: &Json, baseline_text: &str) -> Result<Json, S
 
 /// Checks the absolute mixture anchors on an `ACCURACY.json` document:
 ///
-/// * `mix-balanced2-clean-alt` recovers both components within
+/// * `mix-balanced2-clean` recovers both components within
 ///   [`MIXTURE_BALANCED_MAX_NRMSE`];
-/// * `mix-rare5-clean-alt` detects its rare component and keeps the
+/// * `mix-rare5-clean` detects its rare component and keeps the
 ///   worst fraction error within [`MIXTURE_RARE_MAX_FRACTION_ERROR`];
-/// * `mix-unknown-clean-alt` degrades gracefully — the fit completed
+/// * `mix-unknown-clean` degrades gracefully — the fit completed
 ///   (the cell is present with finite metrics) while its combined
 ///   residual is elevated above the fully-modeled balanced cell's,
 ///   which is how an unmodeled contaminant should read.
@@ -540,7 +530,7 @@ pub fn check_mixture_anchors(doc: &Json) -> Result<(), String> {
             .ok_or_else(|| format!("mixture entry has no {field}"))
     };
 
-    let balanced = cell("mix-balanced2-clean-alt")?;
+    let balanced = cell("mix-balanced2-clean")?;
     let balanced_nrmse = num(balanced, "max_component_nrmse")?;
     // Negated forms throughout so NaN metrics fail the anchor.
     if !(balanced_nrmse <= MIXTURE_BALANCED_MAX_NRMSE) {
@@ -550,7 +540,7 @@ pub fn check_mixture_anchors(doc: &Json) -> Result<(), String> {
         ));
     }
 
-    let rare = cell("mix-rare5-clean-alt")?;
+    let rare = cell("mix-rare5-clean")?;
     if rare.get("rare_detected").and_then(Json::as_bool) != Some(true) {
         return Err("rare mixture anchor failed to detect its 5 % component".into());
     }
@@ -562,7 +552,7 @@ pub fn check_mixture_anchors(doc: &Json) -> Result<(), String> {
         ));
     }
 
-    let unknown = cell("mix-unknown-clean-alt")?;
+    let unknown = cell("mix-unknown-clean")?;
     let unknown_nrmse = num(unknown, "max_component_nrmse")?;
     if !unknown_nrmse.is_finite() {
         return Err(format!(
@@ -749,7 +739,7 @@ mod tests {
         let config = ScenarioRunConfig::quick();
         let doc = accuracy_document(&outcomes, &[], "quick", &config, 0.0, 1);
         let text = doc.render();
-        assert!(text.starts_with("{\"schema\":\"cellsync-accuracy/3\""));
+        assert!(text.starts_with("{\"schema\":\"cellsync-accuracy/4\""));
         assert!(
             doc.get("git_commit").and_then(Json::as_str).is_some(),
             "document must carry the measured commit"
@@ -865,7 +855,7 @@ mod tests {
     #[test]
     fn mixture_quick_matrix_covers_every_composition_uniquely() {
         let specs = mixture_quick_matrix();
-        assert_eq!(specs.len(), 7);
+        assert_eq!(specs.len(), 6);
         let mut names: Vec<String> = specs.iter().map(MixtureScenarioSpec::name).collect();
         names.sort();
         names.dedup();
@@ -879,9 +869,9 @@ mod tests {
         }
         // The three anchor cells are present by name.
         for anchor in [
-            "mix-balanced2-clean-alt",
-            "mix-rare5-clean-alt",
-            "mix-unknown-clean-alt",
+            "mix-balanced2-clean",
+            "mix-rare5-clean",
+            "mix-unknown-clean",
         ] {
             assert!(names.iter().any(|n| n == anchor), "{anchor} missing");
         }
@@ -924,7 +914,6 @@ mod tests {
             name: name.into(),
             composition,
             noise: "clean",
-            method: "alt",
             n_times: 19,
             components: vec![cellsync::scenario::MixtureComponentScore {
                 name: "lv".into(),
@@ -939,16 +928,15 @@ mod tests {
             max_fraction_error: 0.005,
             rare_detected,
             residual_rel,
-            sweeps: 40,
         }
     }
 
     #[test]
     fn mixture_document_anchors_and_gate_round_trip() {
         let mixtures = vec![
-            mix_outcome("mix-balanced2-clean-alt", "balanced2", None, 0.01),
-            mix_outcome("mix-rare5-clean-alt", "rare5", Some(true), 0.012),
-            mix_outcome("mix-unknown-clean-alt", "unknown", Some(true), 0.25),
+            mix_outcome("mix-balanced2-clean", "balanced2", None, 0.01),
+            mix_outcome("mix-rare5-clean", "rare5", Some(true), 0.012),
+            mix_outcome("mix-unknown-clean", "unknown", Some(true), 0.25),
         ];
         let config = ScenarioRunConfig::quick();
         let doc = accuracy_document(&[], &mixtures, "quick", &config, 0.0, 1);
@@ -971,7 +959,7 @@ mod tests {
         let worse_doc = accuracy_document(&[], &worse, "quick", &config, 0.0, 1);
         assert_eq!(
             gate_mixtures_against_baseline(&worse_doc, &text, 25.0).unwrap(),
-            vec!["mix-balanced2-clean-alt".to_string()]
+            vec!["mix-balanced2-clean".to_string()]
         );
 
         // Losing rare-component detection trips the gate even with flat
@@ -981,7 +969,7 @@ mod tests {
         let undet_doc = accuracy_document(&[], &undetected, "quick", &config, 0.0, 1);
         assert_eq!(
             gate_mixtures_against_baseline(&undet_doc, &text, 25.0).unwrap(),
-            vec!["mix-rare5-clean-alt".to_string()]
+            vec!["mix-rare5-clean".to_string()]
         );
 
         // A NaN metric gates as regressed, never as a pass.
@@ -990,14 +978,14 @@ mod tests {
         let nan_doc = accuracy_document(&[], &nan, "quick", &config, 0.0, 1);
         assert_eq!(
             gate_mixtures_against_baseline(&nan_doc, &text, 25.0).unwrap(),
-            vec!["mix-unknown-clean-alt".to_string()]
+            vec!["mix-unknown-clean".to_string()]
         );
 
         // Dropping a baseline cell trips the gate.
         let partial_doc = accuracy_document(&[], &mixtures[..2], "quick", &config, 0.0, 1);
         assert_eq!(
             gate_mixtures_against_baseline(&partial_doc, &text, 25.0).unwrap(),
-            vec!["mix-unknown-clean-alt (missing)".to_string()]
+            vec!["mix-unknown-clean (missing)".to_string()]
         );
 
         // Mode mismatch is a hard error, not a pass.
@@ -1008,9 +996,9 @@ mod tests {
     #[test]
     fn mixture_anchor_check_rejects_violations() {
         let good = vec![
-            mix_outcome("mix-balanced2-clean-alt", "balanced2", None, 0.01),
-            mix_outcome("mix-rare5-clean-alt", "rare5", Some(true), 0.012),
-            mix_outcome("mix-unknown-clean-alt", "unknown", Some(true), 0.25),
+            mix_outcome("mix-balanced2-clean", "balanced2", None, 0.01),
+            mix_outcome("mix-rare5-clean", "rare5", Some(true), 0.012),
+            mix_outcome("mix-unknown-clean", "unknown", Some(true), 0.25),
         ];
         let config = ScenarioRunConfig::quick();
 
@@ -1068,7 +1056,6 @@ mod tests {
         let a = MixtureScenarioSpec {
             composition: MixtureComposition::Balanced2,
             noise: NoiseSpec::Clean,
-            method: MixtureMethod::Alternating,
         };
         let b = MixtureScenarioSpec {
             composition: MixtureComposition::Rare5,

@@ -16,8 +16,10 @@ use crate::json::Json;
 pub const PERF_SCHEMA: &str = "cellsync-perf/2";
 
 /// Schema tag of `ACCURACY.json` (v2 added `git_commit`; v3 added the
-/// `mixtures` array of K-component mixture-cell scores).
-pub const ACCURACY_SCHEMA: &str = "cellsync-accuracy/3";
+/// `mixtures` array of K-component mixture-cell scores; v4 dropped the
+/// mixture entries' `method` and `sweeps` fields when the mixture solver
+/// became the single joint QP).
+pub const ACCURACY_SCHEMA: &str = "cellsync-accuracy/4";
 
 /// Schema tag of the append-only perf history log.
 pub const HISTORY_SCHEMA: &str = "cellsync-perf-history/1";

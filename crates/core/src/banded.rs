@@ -57,9 +57,8 @@
 //! back to the dense active-set QP for that single fit.
 
 use cellsync_linalg::{BandedMatrix, CholeskyDecomposition, Matrix, SparseRowMatrix, Vector};
-use cellsync_runtime::CancelToken;
 
-use crate::{DeconvError, Result};
+use crate::Result;
 
 /// Precomputed banded-path structures, built once per engine alongside
 /// the dense operators (which remain the source of truth for the
@@ -328,74 +327,6 @@ pub(crate) fn gcv_score(sol: &BandedSolution, m: usize) -> f64 {
     }
     let denom = 1.0 - edf_ratio;
     (sol.rss / mf) / (denom * denom)
-}
-
-/// GCV λ selection on the Woodbury path: grid scan plus golden-section
-/// refinement, mirroring the dense engine's selection rule exactly
-/// (largest λ within 5 % of the minimum, interior-only refinement).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gcv_lambda(
-    design: &Matrix,
-    weights: &[f64],
-    g: &[f64],
-    equality: Option<&Matrix>,
-    omega: &BandedMatrix,
-    ridge: f64,
-    lambda_grid: &[f64],
-    cancel: Option<&CancelToken>,
-) -> Result<(f64, Vec<(f64, f64)>)> {
-    let m = design.rows();
-    let mut scores = Vec::with_capacity(lambda_grid.len() + 1);
-    for &l in lambda_grid {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(DeconvError::DeadlineExceeded);
-        }
-        let sol = evaluate(design, weights, g, equality, omega, l, ridge)?;
-        scores.push((l, gcv_score(&sol, m)));
-    }
-    // Same near-tie rule as the dense path: prefer the LARGEST λ whose
-    // score is within 5 % of the minimum (GCV undersmooths).
-    let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-    let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
-    let (best_idx, best) = scores
-        .iter()
-        .cloned()
-        .enumerate()
-        .rfind(|(_, (_, s))| *s <= threshold)
-        .expect("the minimizer itself passes the threshold");
-    let refined = if best_idx > 0 && best_idx + 1 < scores.len() {
-        let lo = scores[best_idx - 1].0.log10();
-        let hi = scores[best_idx + 1].0.log10();
-        match cellsync_opt::golden_section(
-            |log_l| {
-                evaluate(
-                    design,
-                    weights,
-                    g,
-                    equality,
-                    omega,
-                    10f64.powf(log_l),
-                    ridge,
-                )
-                .map(|sol| gcv_score(&sol, m))
-                .unwrap_or(f64::INFINITY)
-            },
-            lo,
-            hi,
-            1e-3,
-            60,
-        ) {
-            Ok((log_l, score)) if score <= best.1 => {
-                let l = 10f64.powf(log_l);
-                scores.push((l, score));
-                l
-            }
-            _ => best.0,
-        }
-    } else {
-        best.0
-    };
-    Ok((refined, scores))
 }
 
 #[cfg(test)]

@@ -130,6 +130,59 @@ fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
         .ok_or(DeconvError::InvalidConfig("λ grid is empty"))
 }
 
+/// The GCV λ-selection rule shared by the spectral and banded paths:
+/// score every grid point (polling `cancel` before each), take the
+/// LARGEST λ whose score is within 5 % of the minimum, then refine by
+/// golden-section search in log₁₀λ between that point's grid neighbours
+/// (interior points only; a boundary pick keeps its grid value). The
+/// refined point is accepted only when it scores no worse than the grid
+/// pick, and is appended to the returned scan.
+///
+/// The near-tie rule exists because GCV is known to undersmooth: when
+/// the basis is rich relative to the measurement count the score can
+/// dip spuriously at the λ → 0 boundary while the genuine minimum sits
+/// in the interior, so among near-ties the most parsimonious fit wins.
+fn gcv_select(
+    grid: &[f64],
+    cancel: Option<&CancelToken>,
+    mut score: impl FnMut(f64) -> Result<f64>,
+) -> Result<(f64, Vec<(f64, f64)>)> {
+    let mut scores = Vec::with_capacity(grid.len() + 1);
+    for &l in grid {
+        check_cancel(cancel)?;
+        scores.push((l, score(l)?));
+    }
+    let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
+    let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
+    let (best_idx, best) = scores
+        .iter()
+        .cloned()
+        .enumerate()
+        .rfind(|(_, (_, s))| *s <= threshold)
+        .ok_or(DeconvError::NumericalBreakdown("GCV scored no grid point"))?;
+    let refined = if best_idx > 0 && best_idx + 1 < scores.len() {
+        let lo = scores[best_idx - 1].0.log10();
+        let hi = scores[best_idx + 1].0.log10();
+        match cellsync_opt::golden_section(
+            |log_l| score(10f64.powf(log_l)).unwrap_or(f64::INFINITY),
+            lo,
+            hi,
+            1e-3,
+            60,
+        ) {
+            Ok((log_l, s)) if s <= best.1 => {
+                let l = 10f64.powf(log_l);
+                scores.push((l, s));
+                l
+            }
+            _ => best.0,
+        }
+    } else {
+        best.0
+    };
+    Ok((refined, scores))
+}
+
 impl Deconvolver {
     /// Builds the engine for a kernel and configuration, using the paper's
     /// Caulobacter parameters for the constraint functionals.
@@ -586,8 +639,8 @@ impl Deconvolver {
         let reduced = self.ops.as_ref().map_or(0, ReducedOperators::reduced_dim);
         workspace.ensure(m, self.basis.len(), reduced);
 
-        if self.banded.is_some() {
-            return self.fit_banded(workspace, g, unit, lambda_override, cancel);
+        if let Some(bops) = &self.banded {
+            return self.fit_banded(workspace, bops, g, unit, lambda_override, cancel);
         }
 
         let (lambda, scores) = match lambda_override {
@@ -614,12 +667,25 @@ impl Deconvolver {
             self.spectral_warm_hint(workspace, unit, lambda)?
         };
         let alpha = self.solve_constrained_full(workspace, g, unit, lambda, hint, cancel)?;
-        let predicted = self.design.matvec(&alpha)?.into_vec();
         let weights: &[f64] = if unit {
             &self.unit_weights
         } else {
             &workspace.weights
         };
+        self.assemble_result(alpha, g, weights, lambda, scores)
+    }
+
+    /// Assembles a fit's result from its coefficients: predictions
+    /// `A·α` and the weighted residual sum of squares against `g`.
+    fn assemble_result(
+        &self,
+        alpha: Vector,
+        g: &[f64],
+        weights: &[f64],
+        lambda: f64,
+        selection_scores: Vec<(f64, f64)>,
+    ) -> Result<DeconvolutionResult> {
+        let predicted = self.design.matvec(&alpha)?.into_vec();
         let weighted_sse: f64 = predicted
             .iter()
             .zip(g)
@@ -632,7 +698,7 @@ impl Deconvolver {
             lambda,
             predicted,
             weighted_sse,
-            selection_scores: scores,
+            selection_scores,
         })
     }
 
@@ -642,12 +708,12 @@ impl Deconvolver {
     fn fit_banded(
         &self,
         workspace: &mut FitWorkspace,
+        bops: &BandedOperators,
         g: &[f64],
         unit: bool,
         lambda_override: Option<f64>,
         cancel: Option<&CancelToken>,
     ) -> Result<DeconvolutionResult> {
-        let bops = self.banded.as_ref().expect("caller checked");
         // Weights are copied out of the workspace because the positivity
         // fallback below needs the workspace mutably; m is tiny.
         let weights: Vec<f64> = if unit {
@@ -661,16 +727,11 @@ impl Deconvolver {
             Some(l) => (l, Vec::new()),
             None => match self.config.lambda() {
                 LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => banded::gcv_lambda(
-                    &self.design,
-                    &weights,
-                    g,
-                    eq,
-                    &bops.omega,
-                    ridge,
-                    &self.lambda_grid,
-                    cancel,
-                )?,
+                LambdaSelection::Gcv { .. } => gcv_select(&self.lambda_grid, cancel, |l| {
+                    let sol =
+                        banded::evaluate(&self.design, &weights, g, eq, &bops.omega, l, ridge)?;
+                    Ok(banded::gcv_score(&sol, self.design.rows()))
+                })?,
                 LambdaSelection::KFold { .. } => {
                     return Err(DeconvError::InvalidConfig(
                         "banded path does not support k-fold selection",
@@ -693,21 +754,7 @@ impl Deconvolver {
                     self.solve_constrained_full(workspace, g, unit, lambda, Some(alpha), cancel)?;
             }
         }
-        let predicted = self.design.matvec(&alpha)?.into_vec();
-        let weighted_sse: f64 = predicted
-            .iter()
-            .zip(g)
-            .zip(&weights)
-            .map(|((p, gv), w)| ((p - gv) * w).powi(2))
-            .sum();
-        Ok(DeconvolutionResult {
-            alpha,
-            basis: self.basis.clone(),
-            lambda,
-            predicted,
-            weighted_sse,
-            selection_scores: scores,
-        })
+        self.assemble_result(alpha, g, &weights, lambda, scores)
     }
 
     /// Fits many series measured on the same protocol — the genome-wide
@@ -987,8 +1034,8 @@ impl Deconvolver {
         Ok(Some(alpha))
     }
 
-    /// GCV λ selection on the spectral path: grid scan plus
-    /// golden-section refinement, every score a diagonal shrinkage.
+    /// GCV λ selection on the spectral path ([`gcv_select`]), every
+    /// score a diagonal shrinkage.
     fn gcv_lambda(
         &self,
         workspace: &mut FitWorkspace,
@@ -1025,53 +1072,9 @@ impl Deconvolver {
             spectral
         };
         path.project_series(ops, weights, g, w2g, rhs_r, zproj)?;
-
-        let mut scores = Vec::with_capacity(self.lambda_grid.len() + 1);
-        for &l in &self.lambda_grid {
-            check_cancel(cancel)?;
-            scores.push((l, path.gcv_score(ops, weights, g, zproj, l, d, beta, u)?));
-        }
-        // GCV is known to undersmooth: when the basis is rich
-        // relative to the measurement count the score can dip
-        // spuriously at the λ → 0 boundary while the genuine
-        // minimum sits in the interior. Standard mitigation: take
-        // the LARGEST λ whose score is within 5 % of the minimum
-        // (prefer the most parsimonious fit among near-ties).
-        let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-        let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
-        let (best_idx, best) = scores
-            .iter()
-            .cloned()
-            .enumerate()
-            .rfind(|(_, (_, s))| *s <= threshold)
-            .expect("the minimizer itself passes the threshold");
-        // Golden-section refinement in log₁₀λ between the grid
-        // neighbours of the coarse minimizer (interior minima
-        // only; boundary minima keep the grid value).
-        let refined = if best_idx > 0 && best_idx + 1 < scores.len() {
-            let lo = scores[best_idx - 1].0.log10();
-            let hi = scores[best_idx + 1].0.log10();
-            match cellsync_opt::golden_section(
-                |log_l| {
-                    path.gcv_score(ops, weights, g, zproj, 10f64.powf(log_l), d, beta, u)
-                        .unwrap_or(f64::INFINITY)
-                },
-                lo,
-                hi,
-                1e-3,
-                60,
-            ) {
-                Ok((log_l, score)) if score <= best.1 => {
-                    let l = 10f64.powf(log_l);
-                    scores.push((l, score));
-                    l
-                }
-                _ => best.0,
-            }
-        } else {
-            best.0
-        };
-        Ok((refined, scores))
+        gcv_select(&self.lambda_grid, cancel, |l| {
+            path.gcv_score(ops, weights, g, zproj, l, d, beta, u)
+        })
     }
 
     /// K-fold cross-validated λ selection: refit (with the full

@@ -51,15 +51,6 @@ pub enum DeconvError {
         /// The failure itself.
         source: Box<DeconvError>,
     },
-    /// The alternating mixture solver exhausted its sweep budget without
-    /// meeting the convergence tolerance
-    /// ([`crate::mixture::MixtureFitOptions`]).
-    MixtureNotConverged {
-        /// Sweeps performed (the configured cap).
-        sweeps: usize,
-        /// The last relative coefficient change observed.
-        delta: f64,
-    },
     /// Linear-algebra substrate failure.
     Linalg(cellsync_linalg::LinalgError),
     /// Numerics substrate failure.
@@ -103,7 +94,6 @@ impl DeconvError {
             DeconvError::InvalidPhase(_) => "invalid_phase",
             DeconvError::Series { source, .. } => source.code(),
             DeconvError::Component { source, .. } => source.code(),
-            DeconvError::MixtureNotConverged { .. } => "mixture_not_converged",
             DeconvError::Linalg(_) => "linalg",
             DeconvError::Numerics(_) => "numerics",
             DeconvError::Stats(_) => "stats",
@@ -146,11 +136,6 @@ impl fmt::Display for DeconvError {
             DeconvError::Component { index, source } => {
                 write!(f, "mixture component {index} failed: {source}")
             }
-            DeconvError::MixtureNotConverged { sweeps, delta } => write!(
-                f,
-                "alternating mixture fit did not converge after {sweeps} sweeps \
-                 (last relative change {delta:.3e}; raise max_sweeps or loosen tol)"
-            ),
             DeconvError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             DeconvError::Numerics(e) => write!(f, "numerics failure: {e}"),
             DeconvError::Stats(e) => write!(f, "statistics failure: {e}"),
@@ -248,20 +233,16 @@ mod tests {
                 index: 2,
                 source: Box::new(DeconvError::InvalidConfig("bad lambda")),
             },
-            DeconvError::MixtureNotConverged {
-                sweeps: 40,
-                delta: 1e-3,
-            },
         ];
         for e in &errs {
             assert!(!e.to_string().is_empty());
         }
         assert!(Error::source(&errs[5]).is_some());
         assert!(Error::source(&errs[0]).is_none());
-        let series = &errs[errs.len() - 3];
+        let series = &errs[errs.len() - 2];
         assert!(series.to_string().contains("batch item 17"));
         assert!(Error::source(series).is_some());
-        let component = &errs[errs.len() - 2];
+        let component = &errs[errs.len() - 1];
         assert!(component.to_string().contains("mixture component 2"));
         assert!(Error::source(component).is_some());
     }
@@ -301,13 +282,6 @@ mod tests {
             (DeconvError::DeadlineExceeded, "deadline_exceeded"),
             (cellsync_ode::OdeError::InvalidStep(0.0).into(), "ode"),
             (
-                DeconvError::MixtureNotConverged {
-                    sweeps: 40,
-                    delta: 1e-3,
-                },
-                "mixture_not_converged",
-            ),
-            (
                 DeconvError::NumericalBreakdown("nan score"),
                 "numerical_breakdown",
             ),
@@ -325,12 +299,9 @@ mod tests {
         assert_eq!(nested.code(), "invalid_phase");
         let comp = DeconvError::Component {
             index: 1,
-            source: Box::new(DeconvError::MixtureNotConverged {
-                sweeps: 8,
-                delta: 0.5,
-            }),
+            source: Box::new(DeconvError::NumericalBreakdown("singular stack")),
         };
-        assert_eq!(comp.code(), "mixture_not_converged");
+        assert_eq!(comp.code(), "numerical_breakdown");
         // A cancelled optimizer solve converts straight to the deadline
         // variant, never hiding behind the generic "opt" code.
         let cancelled: DeconvError = cellsync_opt::OptError::Cancelled.into();

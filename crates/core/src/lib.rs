@@ -57,10 +57,9 @@
 //!   end to end and scored (NRMSE, phase error, band coverage), plus
 //!   the K-component mixture cells (balanced, rare-fraction,
 //!   unknown-component compositions).
-//! * [`mixture`] — K-component mixture fits: alternating per-component
-//!   residual refits or a joint stacked-design QP against K reference
-//!   kernels, returning per-component profiles, estimated mixing
-//!   fractions, and a convergence trace.
+//! * [`mixture`] — K-component mixture fits: one joint stacked-design QP
+//!   against K reference kernels, returning per-component profiles and
+//!   estimated mixing fractions.
 //!
 //! ## Quickstart
 //!

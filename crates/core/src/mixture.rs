@@ -15,36 +15,27 @@
 //! component's share of the total recovered mass,
 //! `π̂ₖ = ∫h_k / Σⱼ∫h_j`.
 //!
-//! Two solvers share one request surface ([`MixtureFitRequest`]):
+//! One solver fits every K ≥ 2: a single stacked QP over the
+//! concatenated coefficient vector `[α₁ … α_K]`, with the concatenated
+//! design `[A₁ … A_K]`, a block-diagonal `λₖΩ` penalty and a
+//! block-diagonal copy of each component's equality/positivity rows —
+//! the joint constrained least-squares problem the forward model
+//! defines, solved exactly at `O((Kn)³)` per factorization. Engines are
+//! prepared once per component through a
+//! [`crate::session::EngineCache`]; K = 1 delegates to the component
+//! engine's [`crate::Deconvolver::fit_request`].
 //!
-//! * **Alternating** ([`MixtureMethod::Alternating`], the default):
-//!   block-coordinate descent. Each sweep refits every component on the
-//!   residual of the others through the existing single-component
-//!   request machinery ([`crate::Deconvolver::fit_request`]); engines
-//!   are prepared once per component through a
-//!   [`crate::session::EngineCache`]. The per-sweep coefficient
-//!   change is returned as a convergence trace; exhausting the sweep
-//!   budget is [`crate::DeconvError::MixtureNotConverged`]. For K ≤ 3
-//!   the sweeps are seeded from the joint solution (whose optimum is a
-//!   fixed point of the sweep map); cold starts are Aitken-accelerated,
-//!   since similar kernels make the mass-split direction a slow
-//!   near-flat mode of the descent.
-//! * **Joint** ([`MixtureMethod::Joint`], K ≤ 3): one stacked QP over
-//!   the concatenated design `[A₁ … A_K]` with a block-diagonal
-//!   `λₖΩ` penalty and block-diagonal constraint set — exact, at K³
-//!   the solve cost.
+//! Every component's λ is resolved *before* the solve — a component
+//! override wins, then a `Fixed` engine selection, and all remaining
+//! components share one joint-GCV choice made on the stacked design
+//! (per-component GCV against the full bulk is badly biased: each
+//! component alone must explain the whole mixture, which rewards
+//! oversmoothing by decades of λ).
 //!
-//! Both solvers resolve every component's λ *before* any solve — a
-//! component override wins, then a `Fixed` engine selection, and all
-//! remaining components share one joint-GCV choice made on the stacked
-//! design (per-component GCV against the full bulk is badly biased:
-//! each component alone must explain the whole mixture, which rewards
-//! oversmoothing by decades of λ). Holding λ fixed across sweeps keeps
-//! the alternating objective convex and the descent monotone.
-//!
-//! Components are *named*, sweeps always run in canonical (sorted-by-
-//! name) order, and responses key results by name, so a mixture fit is
-//! bit-identical under permutation of the component list.
+//! Components are *named*, the stacked blocks are laid out in canonical
+//! (sorted-by-name) order, and responses key results by name, so a
+//! mixture fit is bit-identical under permutation of the component
+//! list.
 //!
 //! # Example
 //!
@@ -82,7 +73,7 @@ use cellsync_popsim::PhaseKernel;
 
 use crate::session::{EngineCache, EngineKey};
 use crate::{
-    DeconvError, DeconvolutionConfig, DeconvolutionResult, Deconvolver, FitRequest, FitWorkspace,
+    DeconvError, DeconvolutionConfig, DeconvolutionResult, Deconvolver, FitRequest,
     LambdaSelection, Result,
 };
 
@@ -90,18 +81,6 @@ use crate::{
 /// estimates (trapezoid rule on a uniform grid; fixed so fractions do
 /// not depend on any caller-tunable resolution).
 const MASS_GRID: usize = 201;
-
-/// Aitken acceleration (see [`MixtureDeconvolver::fit_alternating`]):
-/// minimum sweeps between jumps — doubling as the contraction-ratio
-/// estimation window and the post-jump transient-decay allowance before
-/// a jump is judged — and the starting gain cap. The cap exists because
-/// the gain `ρ/(1−ρ)` diverges as the estimated ratio approaches 1,
-/// exactly where ratio-estimate noise is largest; a rejected jump (see
-/// the safeguard in the sweep loop) quarters the cap for the rest of
-/// the fit, so a problem whose iteration is not cleanly linear degrades
-/// to plain sweeps instead of cycling.
-const ACCEL_COOLDOWN: usize = 8;
-const ACCEL_MAX_GAIN: f64 = 2000.0;
 
 /// One named component of a mixture fit: a reference kernel plus an
 /// optional per-component λ override.
@@ -158,107 +137,14 @@ impl MixtureComponent {
     }
 }
 
-/// Which mixture solver a request runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[non_exhaustive]
-pub enum MixtureMethod {
-    /// Alternating per-component residual refits (block-coordinate
-    /// descent) — any K, each step through the single-component engine.
-    #[default]
-    Alternating,
-    /// One stacked-design QP over all components — exact, K ≤ 3.
-    Joint,
-}
-
-impl MixtureMethod {
-    /// Stable lowercase label used in scenario names and `ACCURACY.json`.
-    pub fn label(self) -> &'static str {
-        match self {
-            MixtureMethod::Alternating => "alt",
-            MixtureMethod::Joint => "joint",
-        }
-    }
-}
-
-/// Solver options riding on a [`MixtureFitRequest`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MixtureFitOptions {
-    method: MixtureMethod,
-    max_sweeps: usize,
-    tol: f64,
-}
-
-impl Default for MixtureFitOptions {
-    /// Alternating solver, 8000-sweep budget, relative coefficient-change
-    /// tolerance `1e-5`. Block-coordinate descent converges linearly at
-    /// a rate set by how correlated the component kernels are — the
-    /// near-collinear direction (how mass *splits* between similar
-    /// components) is the slow mode, ~0.99 per sweep for the scenario
-    /// catalog's cell types, so reaching `1e-5` from an unfit start can
-    /// take several thousand cheap fixed-λ sweeps; unmodeled signal (a
-    /// contaminant the component list cannot represent) slows the tail
-    /// further. The defaults budget for that worst case and stop once
-    /// per-sweep movement is well below the metrics' resolution. Tighten
-    /// `tol` only with a correspondingly larger budget.
-    fn default() -> Self {
-        MixtureFitOptions {
-            method: MixtureMethod::default(),
-            max_sweeps: 8000,
-            tol: 1e-5,
-        }
-    }
-}
-
-impl MixtureFitOptions {
-    /// Selects the solver.
-    #[must_use]
-    pub fn with_method(mut self, method: MixtureMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Caps the alternating solver's sweep count (ignored by the joint
-    /// solver). Validated at fit time: must be ≥ 1.
-    #[must_use]
-    pub fn with_max_sweeps(mut self, max_sweeps: usize) -> Self {
-        self.max_sweeps = max_sweeps;
-        self
-    }
-
-    /// Sets the convergence tolerance on the per-sweep relative
-    /// coefficient change (ignored by the joint solver). Validated at
-    /// fit time: must be finite and non-negative.
-    #[must_use]
-    pub fn with_tol(mut self, tol: f64) -> Self {
-        self.tol = tol;
-        self
-    }
-
-    /// The selected solver.
-    pub fn method(&self) -> MixtureMethod {
-        self.method
-    }
-
-    /// The sweep cap.
-    pub fn max_sweeps(&self) -> usize {
-        self.max_sweeps
-    }
-
-    /// The convergence tolerance.
-    pub fn tol(&self) -> f64 {
-        self.tol
-    }
-}
-
-/// One mixture deconvolution job: the bulk measurements plus per-request
-/// options. The component set (kernels, λ overrides) lives in the
-/// engine ([`MixtureDeconvolver`]), mirroring the single-component
-/// engine/request split.
+/// One mixture deconvolution job: the bulk measurements and their
+/// optional standard deviations. The component set (kernels, λ
+/// overrides) lives in the engine ([`MixtureDeconvolver`]), mirroring
+/// the single-component engine/request split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixtureFitRequest {
     series: Vec<f64>,
     sigmas: Option<Vec<f64>>,
-    options: MixtureFitOptions,
 }
 
 impl MixtureFitRequest {
@@ -267,7 +153,6 @@ impl MixtureFitRequest {
         MixtureFitRequest {
             series,
             sigmas: None,
-            options: MixtureFitOptions::default(),
         }
     }
 
@@ -279,13 +164,6 @@ impl MixtureFitRequest {
         self
     }
 
-    /// Sets the solver options.
-    #[must_use]
-    pub fn with_options(mut self, options: MixtureFitOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// The bulk measurements.
     pub fn series(&self) -> &[f64] {
         &self.series
@@ -294,11 +172,6 @@ impl MixtureFitRequest {
     /// The per-measurement standard deviations, if any.
     pub fn sigmas(&self) -> Option<&[f64]> {
         self.sigmas.as_deref()
-    }
-
-    /// The solver options.
-    pub fn options(&self) -> &MixtureFitOptions {
-        &self.options
     }
 }
 
@@ -330,13 +203,11 @@ impl ComponentFit {
 }
 
 /// The outcome of a mixture fit: per-component contributions and
-/// fractions (in the *request's* component order), the solver's
-/// convergence trace, and the joint residual.
+/// fractions (in the *request's* component order) and the joint
+/// residual.
 #[derive(Debug, Clone)]
 pub struct MixtureFitResponse {
     components: Vec<ComponentFit>,
-    sweeps: usize,
-    trace: Vec<f64>,
     residual_rel: f64,
 }
 
@@ -354,17 +225,10 @@ impl MixtureFitResponse {
         self.components.iter().find(|c| c.name == name)
     }
 
-    /// Sweeps the alternating solver ran (1 for joint and single-
-    /// component fits).
+    /// Solver passes the fit took: always 1 — every fit is one stacked
+    /// solve (or, for K = 1, one single-component fit).
     pub fn sweeps(&self) -> usize {
-        self.sweeps
-    }
-
-    /// The alternating solver's convergence trace: the maximum relative
-    /// coefficient change of each sweep (empty for joint and single-
-    /// component fits).
-    pub fn trace(&self) -> &[f64] {
-        &self.trace
+        1
     }
 
     /// Relative weighted residual of the combined model,
@@ -396,9 +260,9 @@ struct Slot {
 #[derive(Debug)]
 pub struct MixtureDeconvolver {
     slots: Vec<Slot>,
-    /// Slot indices in canonical (sorted-by-name) order: the sweep order
-    /// of the alternating solver and the block order of the joint
-    /// solver, so fits are invariant under component-list permutation.
+    /// Slot indices in canonical (sorted-by-name) order: the block order
+    /// of the stacked QP, so fits are invariant under component-list
+    /// permutation.
     canonical: Vec<usize>,
 }
 
@@ -449,8 +313,7 @@ impl MixtureDeconvolver {
         }
         // Duplicate kernels (same canonical engine key) are rejected:
         // the split of mass between two identical components is
-        // unidentifiable, and the alternating solver would shuttle
-        // signal between them forever.
+        // unidentifiable, so only the penalty would decide it.
         let keys: Vec<EngineKey> = components
             .iter()
             .map(|c| EngineKey::new(&c.kernel, &config))
@@ -489,31 +352,22 @@ impl MixtureDeconvolver {
         self.slots.len()
     }
 
-    /// Fits the mixture to one bulk series.
+    /// Fits the mixture to one bulk series with the stacked joint QP.
     ///
     /// A single-component "mixture" delegates to the component engine's
     /// [`Deconvolver::fit_request`] — the result is bit-identical to the
-    /// plain single-population fit, with fraction 1 and an empty trace.
+    /// plain single-population fit, with fraction 1.
     ///
     /// # Errors
     ///
-    /// * [`DeconvError::Component`] when one component's fit fails —
+    /// * [`DeconvError::Component`] when a component's λ override is
+    ///   invalid (or, for K = 1, when the component's fit fails) —
     ///   `index` is the component's position in the engine's
     ///   specification order.
-    /// * [`DeconvError::MixtureNotConverged`] when the alternating
-    ///   solver exhausts its sweep budget.
     /// * [`DeconvError::InvalidConfig`] / [`DeconvError::LengthMismatch`]
-    ///   for invalid series, sigmas, or options.
+    ///   for invalid series or sigmas.
+    /// * Solver errors from the joint λ scan or the stacked QP.
     pub fn fit(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let opts = request.options();
-        if opts.max_sweeps() == 0 {
-            return Err(DeconvError::InvalidConfig("max_sweeps must be positive"));
-        }
-        if !(opts.tol() >= 0.0) || !opts.tol().is_finite() {
-            return Err(DeconvError::InvalidConfig(
-                "tol must be finite and non-negative",
-            ));
-        }
         let m = self.slots[0].engine.forward().num_measurements();
         if request.series().len() != m {
             return Err(DeconvError::LengthMismatch {
@@ -535,10 +389,7 @@ impl MixtureDeconvolver {
         if self.slots.len() == 1 {
             return self.fit_single(request);
         }
-        match opts.method() {
-            MixtureMethod::Alternating => self.fit_alternating(request),
-            MixtureMethod::Joint => self.fit_joint(request),
-        }
+        self.fit_joint(request)
     }
 
     /// K = 1: the mixture degenerates to a plain single-population fit.
@@ -556,15 +407,13 @@ impl MixtureDeconvolver {
             .fit_request(&req)
             .map_err(|e| component_error(0, e))?
             .into_result();
-        let residual_rel = residual_rel(request, &[result.predicted().to_vec()]);
+        let residual_rel = residual_rel(request, result.predicted());
         Ok(MixtureFitResponse {
             components: vec![ComponentFit {
                 name: slot.name.clone(),
                 fraction: 1.0,
                 result,
             }],
-            sweeps: 1,
-            trace: Vec::new(),
             residual_rel,
         })
     }
@@ -626,14 +475,21 @@ impl MixtureDeconvolver {
     /// H(λ)   = B (BᵀB + λ·blockdiag(Ω) + εI)⁻¹ Bᵀ
     /// ```
     ///
-    /// with `B` the weighted stacked design — the hat-matrix trace
+    /// with `B` the weighted stacked design `bw` and `gram = BᵀB` (built
+    /// once per fit and shared with the QP) — the hat-matrix trace
     /// counts the effective degrees of freedom of the whole K-component
     /// fit, so the score balances joint fidelity against joint
     /// roughness. The grid is the engine config's λ grid; candidates
     /// whose normal matrix fails to factor or whose residual degrees of
     /// freedom `m − tr H` vanish are skipped. Ties keep the smaller λ
     /// (first grid hit), making the choice deterministic.
-    fn select_lambda_joint(&self, g: &[f64], weights: &[f64]) -> Result<f64> {
+    fn select_lambda_joint(
+        &self,
+        g: &[f64],
+        weights: &[f64],
+        bw: &Matrix,
+        gram: &Matrix,
+    ) -> Result<f64> {
         let m = g.len();
         let n = self.slots[0].engine.basis().len();
         let kn = self.slots.len() * n;
@@ -641,12 +497,10 @@ impl MixtureDeconvolver {
         if grid.len() == 1 {
             return Ok(grid[0]);
         }
-        let bw = self.stacked_weighted_design(weights);
         let ridge = self.slots[0].engine.ridge_effective();
         let yw: Vec<f64> = (0..m).map(|r| weights[r] * g[r]).collect();
 
-        // The λ-invariant parts, built once: BᵀB and Bᵀy_w.
-        let gram = stacked_gram(&bw);
+        // The other λ-invariant part, built once: Bᵀy_w.
         let mut bty = Vector::zeros(kn);
         for p in 0..kn {
             let mut acc = 0.0;
@@ -722,7 +576,13 @@ impl MixtureDeconvolver {
     /// remaining components share one joint-GCV choice
     /// ([`Self::select_lambda_joint`]). Override validation reports the
     /// offending component's index like every other per-component error.
-    fn resolve_lambdas(&self, request: &MixtureFitRequest) -> Result<Vec<f64>> {
+    fn resolve_lambdas(
+        &self,
+        g: &[f64],
+        weights: &[f64],
+        bw: &Matrix,
+        gram: &Matrix,
+    ) -> Result<Vec<f64>> {
         let mut lambda = vec![0.0; self.slots.len()];
         let mut shared: Option<f64> = None;
         for (i, slot) in self.slots.iter().enumerate() {
@@ -743,8 +603,7 @@ impl MixtureDeconvolver {
                     _ => match shared {
                         Some(l) => l,
                         None => {
-                            let weights = self.fit_weights(request)?;
-                            let l = self.select_lambda_joint(request.series(), &weights)?;
+                            let l = self.select_lambda_joint(g, weights, bw, gram)?;
                             shared = Some(l);
                             l
                         }
@@ -755,230 +614,15 @@ impl MixtureDeconvolver {
         Ok(lambda)
     }
 
-    /// The joint objective at the current sweep state: weighted RSS of
-    /// the summed predictions plus each component's `λαᵀΩα + ε‖α‖²`
-    /// penalty. Evaluated right after a sweep (where every prediction
-    /// is a real fit of its coefficients) this is exactly the quantity
-    /// block-coordinate descent monotonically decreases, which makes it
-    /// the acceleration safeguard's acceptance test.
-    fn sweep_objective(
-        &self,
-        g: &[f64],
-        weights: &[f64],
-        predicted: &[Vec<f64>],
-        alpha: &[Vec<f64>],
-        lambda: &[f64],
-        ridge: f64,
-    ) -> f64 {
-        let mut rss = 0.0;
-        for (r, &y) in g.iter().enumerate() {
-            let fitted: f64 = predicted.iter().map(|p| p[r]).sum();
-            let e = weights[r] * (y - fitted);
-            rss += e * e;
-        }
-        let mut pen = 0.0;
-        for (i, a) in alpha.iter().enumerate() {
-            if a.is_empty() {
-                continue;
-            }
-            let omega = self.slots[i].engine.omega_ref();
-            let n = a.len();
-            let mut quad = 0.0;
-            for p in 0..n {
-                for q in 0..n {
-                    quad += a[p] * omega[(p, q)] * a[q];
-                }
-            }
-            let norm2: f64 = a.iter().map(|v| v * v).sum();
-            pen += lambda[i] * quad + ridge * norm2;
-        }
-        rss + pen
-    }
-
-    /// Block-coordinate descent: refit each component on the residual of
-    /// the others, in canonical name order, until coefficients stop
-    /// moving.
-    fn fit_alternating(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let opts = request.options();
-        let g = request.series();
-        let m = g.len();
-        let k = self.slots.len();
-
-        let mut ws = FitWorkspace::new();
-        let mut predicted: Vec<Vec<f64>> = vec![vec![0.0; m]; k];
-        let mut results: Vec<Option<DeconvolutionResult>> = vec![None; k];
-        let mut prev_alpha: Vec<Vec<f64>> = vec![Vec::new(); k];
-        // λ per component, resolved before the first sweep (override >
-        // Fixed config > shared joint GCV) and held fixed throughout, so
-        // every sweep descends one fixed convex objective (per-sweep
-        // re-selection can oscillate forever, and per-component GCV
-        // against intermediate residuals picks wildly wrong smoothing —
-        // see [`Self::select_lambda_joint`]).
-        let lambda = self.resolve_lambdas(request)?;
-
-        let mut trace = Vec::new();
-        let mut residual = vec![0.0; m];
-        let mut prev_predicted: Vec<Vec<f64>> = vec![vec![0.0; m]; k];
-        let mut last_accel = 0usize;
-        let mut max_gain = ACCEL_MAX_GAIN;
-        // Pre-jump snapshot for the safeguard: (predictions, objective).
-        let mut saved: Option<(Vec<Vec<f64>>, f64)> = None;
-        let weights = self.fit_weights(request)?;
-        let ridge = self.slots[0].engine.ridge_effective();
-
-        // Seed the sweeps from the joint stacked-design solution where
-        // it is available (K ≤ 3). The joint optimum is a fixed point of
-        // the sweep map — at it, every block already minimizes the
-        // shared objective given the others — so sweeps from this start
-        // converge almost immediately and, crucially, to a
-        // *well-defined* point: when near-collinear kernels leave the
-        // objective with a nearly flat valley along the mass-split
-        // direction, cold-started descent creeps down the valley and
-        // parks wherever its budget runs out, while the joint QP
-        // resolves the valley in one solve. A failed seed (the QP
-        // refusing a pathological problem) falls back to the cold
-        // start, which also keeps this path's error reporting — every
-        // surfaced error still comes from a per-component refit.
-        if (2..=3).contains(&k) {
-            if let Ok(seed) = self.solve_joint(request, &lambda, &weights) {
-                for (i, r) in seed.into_iter().enumerate() {
-                    prev_alpha[i] = r.alpha().to_vec();
-                    predicted[i] = r.predicted().to_vec();
-                }
-            }
-        }
-        for sweep in 1..=opts.max_sweeps() {
-            let mut delta: f64 = 0.0;
-            for &i in &self.canonical {
-                for (t, r) in residual.iter_mut().enumerate() {
-                    let others: f64 = (0..k).filter(|&j| j != i).map(|j| predicted[j][t]).sum();
-                    *r = g[t] - others;
-                }
-                let mut req = FitRequest::new(residual.clone()).with_lambda(lambda[i]);
-                if let Some(s) = request.sigmas() {
-                    req = req.with_sigmas(s.to_vec());
-                }
-                let result = self.slots[i]
-                    .engine
-                    .fit_request_with(&mut ws, &req)
-                    .map_err(|e| component_error(i, e))?
-                    .into_result();
-                let step = alpha_delta(&prev_alpha[i], result.alpha());
-                delta = delta.max(step);
-                prev_alpha[i] = result.alpha().to_vec();
-                std::mem::swap(&mut prev_predicted[i], &mut predicted[i]);
-                predicted[i] = result.predicted().to_vec();
-                results[i] = Some(result);
-            }
-            trace.push(delta);
-            if delta <= opts.tol() {
-                let results: Vec<DeconvolutionResult> =
-                    results.into_iter().map(|r| r.expect("fit ran")).collect();
-                return self.finalize(request, results, sweep, trace);
-            }
-            // Aitken Δ² acceleration. The sweeps contract linearly, and
-            // the dominant (slowest) mode is the near-collinear direction
-            // along which bulk mass splits between similar components —
-            // at ratios ~0.999/sweep that mode alone can demand tens of
-            // thousands of sweeps, with the stopping rule still firing
-            // ~delta·ρ/(1−ρ) short of the optimum. Once the observed
-            // ratio is stable, jump each component's predicted
-            // contribution to that mode's extrapolated limit
-            // (gain ρ/(1−ρ) on the last per-sweep movement). The jump
-            // only relocates the next sweep's residuals; every
-            // coefficient vector the fit returns still comes from a real
-            // constrained refit, and block-coordinate descent on this
-            // convex objective re-descends from any starting point, so a
-            // mis-extrapolation costs sweeps but never correctness. The
-            // safeguard below enforces that bound in practice: the joint
-            // objective is monotone under plain sweeps, so a jump that
-            // has not pushed it below its pre-jump value by the next
-            // checkpoint is rolled back and the gain cap is quartered; a
-            // fit whose iteration is not cleanly linear (active-set
-            // chatter, several comparable modes) degrades to plain
-            // sweeps instead of entering a jump/recover limit cycle.
-            // (Judging on the objective rather than on `delta` matters:
-            // a good jump still excites fast modes whose decay keeps
-            // `delta` elevated past the checkpoint.)
-            if sweep >= last_accel + ACCEL_COOLDOWN {
-                let objective =
-                    self.sweep_objective(g, &weights, &predicted, &prev_alpha, &lambda, ridge);
-                if let Some((snapshot, pre_obj)) = saved.take() {
-                    if !(objective < pre_obj) {
-                        predicted = snapshot;
-                        max_gain *= 0.25;
-                        last_accel = sweep;
-                        continue;
-                    }
-                }
-                let n_tr = trace.len();
-                let w = ACCEL_COOLDOWN;
-                if n_tr > w && max_gain >= 1.0 {
-                    // Geometric-mean contraction ratio over the window —
-                    // far less noisy than a single sweep-to-sweep ratio —
-                    // cross-checked against the half-window estimate.
-                    let rho = (trace[n_tr - 1] / trace[n_tr - 1 - w]).powf(1.0 / w as f64);
-                    let rho_h = (trace[n_tr - 1] / trace[n_tr - 1 - w / 2]).powf(2.0 / w as f64);
-                    let stable = rho.is_finite()
-                        && rho_h.is_finite()
-                        && rho > 0.5
-                        && rho < 1.0
-                        && rho_h < 1.0
-                        && (rho - rho_h).abs() <= 0.5 * (1.0 - rho);
-                    if stable {
-                        let gain = (rho / (1.0 - rho)).min(max_gain);
-                        saved = Some((predicted.clone(), objective));
-                        for i in 0..k {
-                            for t in 0..m {
-                                let d = predicted[i][t] - prev_predicted[i][t];
-                                predicted[i][t] += gain * d;
-                            }
-                        }
-                        last_accel = sweep;
-                    }
-                }
-            }
-        }
-        Err(DeconvError::MixtureNotConverged {
-            sweeps: opts.max_sweeps(),
-            delta: trace.last().copied().unwrap_or(f64::INFINITY),
-        })
-    }
-
-    /// Stacked-design QP: minimize over the concatenated coefficient
+    /// The stacked-design QP: minimize over the concatenated coefficient
     /// vector `[α₁ … α_K]` with block-diagonal penalty and constraints.
     fn fit_joint(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let k = self.slots.len();
-        if k > 3 {
-            return Err(DeconvError::InvalidConfig(
-                "joint mixture fits support at most 3 components",
-            ));
-        }
         let g = request.series();
         let weights = self.fit_weights(request)?;
         if g.iter().any(|v| !v.is_finite()) {
             return Err(DeconvError::InvalidConfig("measurements must be finite"));
         }
-
-        // Per-component λ: override > Fixed config > shared joint GCV
-        // (see [`Self::resolve_lambdas`]).
-        let lambda = self.resolve_lambdas(request)?;
-        let results = self.solve_joint(request, &lambda, &weights)?;
-        self.finalize(request, results, 1, Vec::new())
-    }
-
-    /// Assembles and solves the stacked-design QP behind
-    /// [`Self::fit_joint`], returning per-component results in
-    /// specification order. Also used to seed the alternating sweeps
-    /// (see [`Self::fit_alternating`]).
-    fn solve_joint(
-        &self,
-        request: &MixtureFitRequest,
-        lambda: &[f64],
-        weights: &[f64],
-    ) -> Result<Vec<DeconvolutionResult>> {
         let k = self.slots.len();
-        let g = request.series();
         let m = g.len();
         let n = self.slots[0].engine.basis().len();
         let kn = k * n;
@@ -986,11 +630,16 @@ impl MixtureDeconvolver {
         // Weighted stacked design B[r, b·n + j] = w_r · A_b[r, j], with
         // blocks laid out in canonical order so the assembled QP — and
         // therefore the solution bits — do not depend on specification
-        // order.
-        let bw = self.stacked_weighted_design(weights);
+        // order. BᵀB is shared by the joint λ scan and the QP.
+        let bw = self.stacked_weighted_design(&weights);
+        let gram = stacked_gram(&bw);
+        // Per-component λ: override > Fixed config > shared joint GCV
+        // (see [`Self::resolve_lambdas`]).
+        let lambda = self.resolve_lambdas(g, &weights, &bw, &gram)?;
+
         // H = 2(BᵀB + blockdiag(λₖΩ) + εI), c = −2 Bᵀ(W g).
         let ridge = self.slots[0].engine.ridge_effective();
-        let mut h = stacked_gram(&bw);
+        let mut h = gram;
         for (block, &i) in self.canonical.iter().enumerate() {
             let omega = self.slots[i].engine.omega_ref();
             let l = lambda[i];
@@ -1060,7 +709,6 @@ impl MixtureDeconvolver {
         let solution = qp.solve().map_err(DeconvError::from)?;
 
         // Split the stacked solution back into per-component results.
-        let mut results: Vec<Option<DeconvolutionResult>> = vec![None; k];
         let mut total_pred = vec![0.0; m];
         let mut split = Vec::with_capacity(k);
         for (block, &i) in self.canonical.iter().enumerate() {
@@ -1078,38 +726,40 @@ impl MixtureDeconvolver {
                 r * r
             })
             .sum();
-        for (i, alpha, pred) in split {
-            results[i] = Some(DeconvolutionResult::from_parts(
-                alpha,
-                self.slots[i].engine.basis().clone(),
-                lambda[i],
-                pred.as_slice().to_vec(),
-                weighted_sse,
-            ));
-        }
-        Ok(results
+        // Back from canonical block order to specification order.
+        split.sort_by_key(|&(i, _, _)| i);
+        let results = split
             .into_iter()
-            .map(|r| r.expect("all blocks"))
-            .collect())
+            .map(|(i, alpha, pred)| {
+                DeconvolutionResult::from_parts(
+                    alpha,
+                    self.slots[i].engine.basis().clone(),
+                    lambda[i],
+                    pred.into_vec(),
+                    weighted_sse,
+                )
+            })
+            .collect();
+        self.finalize(request, results, &total_pred)
     }
 
-    /// Shared epilogue: estimate fractions from recovered mass shares
-    /// and assemble the response in specification order.
+    /// The joint fit's epilogue: estimate fractions from recovered mass
+    /// shares and assemble the response in specification order. Sums
+    /// across components (`total_pred`, the total mass) run in canonical
+    /// order, so they too are invariant under component permutation.
     fn finalize(
         &self,
         request: &MixtureFitRequest,
         results: Vec<DeconvolutionResult>,
-        sweeps: usize,
-        trace: Vec<f64>,
+        total_pred: &[f64],
     ) -> Result<MixtureFitResponse> {
         let masses: Vec<f64> = results
             .iter()
             .map(contribution_mass)
             .collect::<Result<_>>()?;
-        let total: f64 = masses.iter().sum();
+        let total: f64 = self.canonical.iter().map(|&i| masses[i]).sum();
         let k = results.len();
-        let predictions: Vec<Vec<f64>> = results.iter().map(|r| r.predicted().to_vec()).collect();
-        let residual_rel = residual_rel(request, &predictions);
+        let residual_rel = residual_rel(request, total_pred);
         let components = results
             .into_iter()
             .zip(masses)
@@ -1129,8 +779,6 @@ impl MixtureDeconvolver {
             .collect();
         Ok(MixtureFitResponse {
             components,
-            sweeps,
-            trace,
             residual_rel,
         })
     }
@@ -1164,16 +812,6 @@ fn component_error(index: usize, source: DeconvError) -> DeconvError {
     }
 }
 
-/// Max relative coefficient change between sweeps:
-/// `max_i |αᵢ − αᵢ'| / (1 + max_i |αᵢ|)`.
-fn alpha_delta(prev: &[f64], next: &[f64]) -> f64 {
-    let scale = 1.0 + next.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-    let diff = next.iter().enumerate().fold(0.0_f64, |m, (i, v)| {
-        m.max((v - prev.get(i).copied().unwrap_or(0.0)).abs())
-    });
-    diff / scale
-}
-
 /// Recovered mass `∫₀¹ h_k(φ) dφ` of one component's contribution,
 /// trapezoid rule on the fixed [`MASS_GRID`]. Positivity keeps the
 /// integrand non-negative up to solver tolerance; tiny negative
@@ -1189,15 +827,15 @@ fn contribution_mass(result: &DeconvolutionResult) -> Result<f64> {
     Ok(acc / (n - 1) as f64)
 }
 
-/// Relative weighted residual `‖W(g − Σ preds)‖ / ‖W g‖`.
-fn residual_rel(request: &MixtureFitRequest, predictions: &[Vec<f64>]) -> f64 {
+/// Relative weighted residual `‖W(g − ĝ)‖ / ‖W g‖` of the summed
+/// prediction `ĝ`.
+fn residual_rel(request: &MixtureFitRequest, predicted: &[f64]) -> f64 {
     let g = request.series();
     let mut num = 0.0;
     let mut den = 0.0;
     for t in 0..g.len() {
         let w = request.sigmas().map_or(1.0, |s| 1.0 / s[t]);
-        let total: f64 = predictions.iter().map(|p| p[t]).sum();
-        let r = w * (g[t] - total);
+        let r = w * (g[t] - predicted[t]);
         num += r * r;
         den += (w * g[t]) * (w * g[t]);
     }

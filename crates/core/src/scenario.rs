@@ -48,9 +48,7 @@ use cellsync_stats::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::mixture::{
-    MixtureComponent, MixtureDeconvolver, MixtureFitOptions, MixtureFitRequest, MixtureMethod,
-};
+use crate::mixture::{MixtureComponent, MixtureDeconvolver, MixtureFitRequest};
 use crate::synthetic::{ftsz_profile, lotka_volterra_truth};
 use crate::{
     DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, PhaseProfile, Result,
@@ -609,8 +607,8 @@ impl MixtureComposition {
     pub const RARE_THRESHOLD: f64 = 0.05;
 }
 
-/// One cell of the mixture scenario matrix: a composition, a noise
-/// model, and which mixture solver fits it.
+/// One cell of the mixture scenario matrix: a composition and a noise
+/// model.
 ///
 /// Sampling is fixed to the paper's uniform 19-point schedule and the
 /// kernel side is always matched (each modeled component is fit with
@@ -623,8 +621,6 @@ pub struct MixtureScenarioSpec {
     pub composition: MixtureComposition,
     /// Measurement-noise model.
     pub noise: NoiseSpec,
-    /// Mixture solver under test.
-    pub method: MixtureMethod,
 }
 
 /// One modeled component's scores within a [`MixtureOutcome`].
@@ -653,14 +649,12 @@ pub struct MixtureComponentScore {
 /// The scored result of running one mixture scenario cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixtureOutcome {
-    /// The cell's stable name (`mix-composition-noise-method`).
+    /// The cell's stable name (`mix-composition-noise`).
     pub name: String,
     /// Composition axis label.
     pub composition: &'static str,
     /// Noise axis label.
     pub noise: &'static str,
-    /// Solver axis label.
-    pub method: &'static str,
     /// Measurement count.
     pub n_times: usize,
     /// Per-component scores, in the composition's modeled order.
@@ -678,19 +672,12 @@ pub struct MixtureOutcome {
     /// Relative weighted residual of the combined model — elevated in
     /// unknown-component cells, where part of the signal has no kernel.
     pub residual_rel: f64,
-    /// Sweeps the solver ran (1 for joint fits).
-    pub sweeps: usize,
 }
 
 impl MixtureScenarioSpec {
-    /// The cell's stable name: `mix-` plus the three axis labels.
+    /// The cell's stable name: `mix-` plus the two axis labels.
     pub fn name(&self) -> String {
-        format!(
-            "mix-{}-{}-{}",
-            self.composition.label(),
-            self.noise.label(),
-            self.method.label()
-        )
+        format!("mix-{}-{}", self.composition.label(), self.noise.label())
     }
 
     /// The cell's RNG seed for a given base seed — name-hashed exactly
@@ -789,10 +776,7 @@ impl MixtureScenarioSpec {
             })
             .collect::<Result<_>>()?;
         let engine = MixtureDeconvolver::new(components, deconv_config)?;
-        let request = MixtureFitRequest::new(noisy)
-            .with_sigmas(sigmas)
-            .with_options(MixtureFitOptions::default().with_method(self.method));
-        let fit = engine.fit(&request)?;
+        let fit = engine.fit(&MixtureFitRequest::new(noisy).with_sigmas(sigmas))?;
 
         // Score: each modeled component against its true contribution,
         // with fractions renormalized over the modeled share.
@@ -834,7 +818,6 @@ impl MixtureScenarioSpec {
             name: self.name(),
             composition: self.composition.label(),
             noise: self.noise.label(),
-            method: self.method.label(),
             n_times: times.len(),
             components: scores,
             max_component_nrmse,
@@ -842,7 +825,6 @@ impl MixtureScenarioSpec {
             max_fraction_error,
             rare_detected,
             residual_rel: fit.residual_rel(),
-            sweeps: fit.sweeps(),
         })
     }
 }
@@ -967,15 +949,14 @@ mod tests {
         let spec = MixtureScenarioSpec {
             composition: MixtureComposition::Balanced2,
             noise: NoiseSpec::Clean,
-            method: MixtureMethod::Alternating,
         };
-        assert_eq!(spec.name(), "mix-balanced2-clean-alt");
-        let joint = MixtureScenarioSpec {
-            method: MixtureMethod::Joint,
+        assert_eq!(spec.name(), "mix-balanced2-clean");
+        let rare = MixtureScenarioSpec {
+            composition: MixtureComposition::Rare5,
             ..spec
         };
-        assert_eq!(joint.name(), "mix-balanced2-clean-joint");
-        assert_ne!(spec.seed(42), joint.seed(42));
+        assert_eq!(rare.name(), "mix-rare5-clean");
+        assert_ne!(spec.seed(42), rare.seed(42));
         assert_eq!(spec.seed(42), spec.seed(42));
         // The mix- prefix keeps mixture cells out of the single-
         // population namespace.
@@ -1013,15 +994,13 @@ mod tests {
         let spec = MixtureScenarioSpec {
             composition: MixtureComposition::Balanced2,
             noise: NoiseSpec::Clean,
-            method: MixtureMethod::Alternating,
         };
         let out = spec.run(&tiny(), 7).unwrap();
-        assert_eq!(out.name, "mix-balanced2-clean-alt");
+        assert_eq!(out.name, "mix-balanced2-clean");
         assert_eq!(out.components.len(), 2);
         assert!(out.max_component_nrmse.is_finite());
         assert!(out.max_fraction_error.is_finite());
         assert!(out.rare_detected.is_none());
-        assert!(out.sweeps >= 1);
         let est_sum: f64 = out.components.iter().map(|c| c.fraction_est).sum();
         assert!((est_sum - 1.0).abs() < 1e-9, "fractions sum to {est_sum}");
         let again = spec.run(&tiny(), 7).unwrap();
@@ -1033,7 +1012,6 @@ mod tests {
         let spec = MixtureScenarioSpec {
             composition: MixtureComposition::Rare5,
             noise: NoiseSpec::Clean,
-            method: MixtureMethod::Alternating,
         };
         let out = spec.run(&tiny(), 3).unwrap();
         assert!(out.rare_detected.is_some());

@@ -16,9 +16,9 @@
 //! the packed layout at O(n·b²) flops and solves at O(n·b) — against
 //! O(n³)/O(n²) dense — which is what makes 500-knot B-spline penalty
 //! blocks routine. The factor's inner loops are contiguous-segment
-//! updates (axpy form, not dot form) so the `simd` feature can chunk
-//! them without changing any per-element accumulation order; see
-//! `kernels.rs` for the bit-identity contract.
+//! updates (axpy form, not dot form), so each element keeps its own
+//! accumulation chain and the loops vectorize across elements (see
+//! `kernels.rs`).
 
 use crate::error::LinalgError;
 use crate::kernels;
@@ -314,8 +314,8 @@ impl BandedMatrix {
 ///
 /// The factorization is right-looking: after computing pivot `i`, the
 /// trailing rows inside the band are updated with contiguous-segment
-/// axpys against a gathered copy of column `i` — the form the `simd`
-/// feature chunks bit-identically (no accumulation chain is ever split).
+/// axpys against a gathered copy of column `i` (no accumulation chain is
+/// ever split across elements).
 #[derive(Debug, Clone)]
 pub struct BandedCholesky {
     n: usize,

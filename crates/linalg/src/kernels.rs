@@ -1,78 +1,25 @@
-//! Chunked inner-loop kernels shared by the dense `syrk` panels and the
-//! banded factor/solve paths.
+//! Inner-loop kernels shared by the dense `syrk` panels and the banded
+//! factor/solve paths.
 //!
-//! Every kernel exists in two variants: a plain scalar loop and an
-//! explicitly 4-lane chunked loop built on fixed-size `[f64; 4]` blocks
-//! (`chunks_exact`), which removes bounds checks and gives the optimizer
-//! straight-line independent lanes to turn into packed SIMD. The crate's
-//! `simd` cargo feature selects the chunked variants; the scalar loops
-//! are the default.
-//!
-//! **Bit-identity contract:** both variants perform, for every output
-//! element, exactly the same floating-point operations in exactly the
-//! same order — the chunking only regroups *independent* output
-//! elements, never an accumulation chain. The dispatched result is
-//! therefore bit-for-bit identical with the feature on or off, which is
-//! what lets `--features simd` ride under the repo's determinism and
-//! golden-fixture suites unchanged (and is pinned by
-//! [`chunked_variants_are_bit_identical`](#) — see the tests below).
-//! Reductions (dot products) are deliberately *not* chunked: splitting
-//! an accumulation chain across lanes changes rounding. The banded
-//! kernels are written update-style (axpy on contiguous segments) so
-//! their hot loops qualify.
+//! Both kernels are update-style loops over contiguous segments: every
+//! output element gets its own independent accumulation chain, so the
+//! optimizer is free to vectorize across elements without changing any
+//! element's rounding. Reductions (dot products) live elsewhere.
 
-/// Lane width of the chunked kernels.
-#[cfg_attr(not(feature = "simd"), allow(dead_code))]
-const LANES: usize = 4;
-
-/// `out[k] += a * x[k]` — scalar reference loop.
-#[cfg_attr(feature = "simd", allow(dead_code))]
-pub(crate) fn axpy_scalar(out: &mut [f64], a: f64, x: &[f64]) {
+/// `out[k] += a * x[k]`.
+#[inline]
+pub(crate) fn axpy(out: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(out.len(), x.len());
     for (o, &xv) in out.iter_mut().zip(x) {
         *o += a * xv;
     }
 }
 
-/// `out[k] += a * x[k]` — 4-lane chunked loop; per-element operations
-/// identical to [`axpy_scalar`].
-#[cfg_attr(not(feature = "simd"), allow(dead_code))]
-pub(crate) fn axpy_chunked(out: &mut [f64], a: f64, x: &[f64]) {
-    debug_assert_eq!(out.len(), x.len());
-    let mut oc = out.chunks_exact_mut(LANES);
-    let mut xc = x.chunks_exact(LANES);
-    for (ob, xb) in oc.by_ref().zip(xc.by_ref()) {
-        let ob: &mut [f64; LANES] = ob.try_into().expect("exact chunk");
-        let xb: &[f64; LANES] = xb.try_into().expect("exact chunk");
-        for l in 0..LANES {
-            ob[l] += a * xb[l];
-        }
-    }
-    for (o, &xv) in oc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *o += a * xv;
-    }
-}
-
-/// `out[k] += a * x[k]`, dispatched on the `simd` feature.
-#[inline]
-pub(crate) fn axpy(out: &mut [f64], a: f64, x: &[f64]) {
-    #[cfg(feature = "simd")]
-    axpy_chunked(out, a, x);
-    #[cfg(not(feature = "simd"))]
-    axpy_scalar(out, a, x);
-}
-
 /// The rank-4 `syrk` panel inner loop:
 /// `out[k] += a0·b0[k] + a1·b1[k] + a2·b2[k] + a3·b3[k]`, accumulated in
-/// ascending-row order inside each element — scalar reference loop.
-pub(crate) fn panel4_scalar(
-    out: &mut [f64],
-    a: [f64; 4],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) {
+/// ascending-row order inside each element.
+#[inline]
+pub(crate) fn panel4(out: &mut [f64], a: [f64; 4], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) {
     for ((((o, &v0), &v1), &v2), &v3) in out.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
         let mut acc = *o;
         acc += a[0] * v0;
@@ -80,104 +27,5 @@ pub(crate) fn panel4_scalar(
         acc += a[2] * v2;
         acc += a[3] * v3;
         *o = acc;
-    }
-}
-
-/// The rank-4 `syrk` panel inner loop — 4-lane chunked variant;
-/// per-element operations identical to [`panel4_scalar`].
-#[cfg_attr(not(feature = "simd"), allow(dead_code))]
-pub(crate) fn panel4_chunked(
-    out: &mut [f64],
-    a: [f64; 4],
-    b0: &[f64],
-    b1: &[f64],
-    b2: &[f64],
-    b3: &[f64],
-) {
-    let n = out.len();
-    let head = n - n % LANES;
-    let mut oc = out[..head].chunks_exact_mut(LANES);
-    let mut c0 = b0[..head].chunks_exact(LANES);
-    let mut c1 = b1[..head].chunks_exact(LANES);
-    let mut c2 = b2[..head].chunks_exact(LANES);
-    let mut c3 = b3[..head].chunks_exact(LANES);
-    while let (Some(ob), Some(v0), Some(v1), Some(v2), Some(v3)) =
-        (oc.next(), c0.next(), c1.next(), c2.next(), c3.next())
-    {
-        let ob: &mut [f64; LANES] = ob.try_into().expect("exact chunk");
-        let v0: &[f64; LANES] = v0.try_into().expect("exact chunk");
-        let v1: &[f64; LANES] = v1.try_into().expect("exact chunk");
-        let v2: &[f64; LANES] = v2.try_into().expect("exact chunk");
-        let v3: &[f64; LANES] = v3.try_into().expect("exact chunk");
-        for l in 0..LANES {
-            let mut acc = ob[l];
-            acc += a[0] * v0[l];
-            acc += a[1] * v1[l];
-            acc += a[2] * v2[l];
-            acc += a[3] * v3[l];
-            ob[l] = acc;
-        }
-    }
-    panel4_scalar(
-        &mut out[head..],
-        a,
-        &b0[head..n],
-        &b1[head..n],
-        &b2[head..n],
-        &b3[head..n],
-    );
-}
-
-/// Rank-4 panel update, dispatched on the `simd` feature.
-#[inline]
-pub(crate) fn panel4(out: &mut [f64], a: [f64; 4], b0: &[f64], b1: &[f64], b2: &[f64], b3: &[f64]) {
-    #[cfg(feature = "simd")]
-    panel4_chunked(out, a, b0, b1, b2, b3);
-    #[cfg(not(feature = "simd"))]
-    panel4_scalar(out, a, b0, b1, b2, b3);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn series(len: usize, seed: f64) -> Vec<f64> {
-        (0..len)
-            .map(|i| ((i as f64 + seed) * 0.7310).sin() * 3.0 + seed)
-            .collect()
-    }
-
-    /// Both variants are compiled regardless of the `simd` feature, so
-    /// this bit-identity pin runs in every CI leg of the feature matrix.
-    #[test]
-    fn chunked_variants_are_bit_identical() {
-        for len in [0usize, 1, 3, 4, 5, 7, 8, 11, 16, 33] {
-            let x = series(len, 0.3);
-            let mut a_out = series(len, 1.7);
-            let mut b_out = a_out.clone();
-            axpy_scalar(&mut a_out, -0.7315, &x);
-            axpy_chunked(&mut b_out, -0.7315, &x);
-            assert_eq!(a_out, b_out, "axpy at len {len}");
-
-            let rows: Vec<Vec<f64>> = (0..4).map(|r| series(len, r as f64 * 0.9)).collect();
-            let coeffs = [1.25, -0.5, 0.033, 7.5];
-            let mut a_out = series(len, 5.5);
-            let mut b_out = a_out.clone();
-            panel4_scalar(&mut a_out, coeffs, &rows[0], &rows[1], &rows[2], &rows[3]);
-            panel4_chunked(&mut b_out, coeffs, &rows[0], &rows[1], &rows[2], &rows[3]);
-            assert_eq!(a_out, b_out, "panel4 at len {len}");
-        }
-    }
-
-    /// The dispatched kernels agree with the scalar reference no matter
-    /// which variant the feature selected.
-    #[test]
-    fn dispatch_matches_scalar_reference() {
-        let x = series(13, 0.1);
-        let mut via_dispatch = series(13, 2.0);
-        let mut via_scalar = via_dispatch.clone();
-        axpy(&mut via_dispatch, 0.417, &x);
-        axpy_scalar(&mut via_scalar, 0.417, &x);
-        assert_eq!(via_dispatch, via_scalar);
     }
 }

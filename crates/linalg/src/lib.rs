@@ -38,9 +38,7 @@
 //!   blocks, with a banded Gram assembly that exploits local support.
 //!
 //! The hot inner loops (rank-4 `syrk` panels, banded factor/solve updates)
-//! run through explicitly 4-lane chunked kernels behind the `simd` cargo
-//! feature; the scalar fallback is the default and the two variants are
-//! bit-identical (see `kernels`).
+//! share two update-style scalar kernels (see `kernels`).
 //!
 //! # Example
 //!

@@ -460,8 +460,7 @@ impl Matrix {
                 let coeffs = [c0 * r0[a], c1 * r1[a], c2 * r2[a], c3 * r3[a]];
                 let orow = &mut out.data[a * n + a..(a + 1) * n];
                 // Ascending-row addition order inside each element — see
-                // the doc comment; the kernel preserves it whether the
-                // `simd` feature selects the chunked variant or not.
+                // the doc comment.
                 kernels::panel4(orow, coeffs, &r0[a..], &r1[a..], &r2[a..], &r3[a..]);
             }
             i += 4;

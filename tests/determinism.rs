@@ -160,12 +160,11 @@ fn scenario_matrix_bit_identical_across_thread_counts_and_order() {
 
 #[test]
 fn mixture_fit_bit_identical_under_component_permutation() {
-    // The mixture engine's sweep/block order is canonical (sorted by
-    // component name), so the *order of the component list* must not
-    // change a single bit of any per-component result. Two distinct
-    // kernels over a shared protocol, fit as [a, b] and as [b, a].
-    let params_a = CellCycleParams::caulobacter().expect("valid defaults");
-    let params_b = CellCycleParams::new(0.25, 0.13, 110.0, 0.12).expect("valid variant");
+    // The stacked QP's block order is canonical (sorted by component
+    // name), so the *order of the component list* must not change a
+    // single bit of any per-component result. Distinct kernels over a
+    // shared protocol, fit at K = 2 as [a, b] and [b, a], and at K = 4
+    // as [a, b, c, d] and [c, a, d, b].
     let times: Vec<f64> = (0..12).map(|i| i as f64 * 150.0 / 11.0).collect();
     let kernel = |params: &CellCycleParams, seed: u64| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -180,22 +179,40 @@ fn mixture_fit_bit_identical_under_component_permutation() {
             .estimate(&pop, &times)
             .expect("valid protocol")
     };
-    let q_a = kernel(&params_a, 11);
-    let q_b = kernel(&params_b, 12);
+    let params = [
+        CellCycleParams::caulobacter().expect("valid defaults"),
+        CellCycleParams::new(0.25, 0.13, 110.0, 0.12).expect("valid variant"),
+        CellCycleParams::new(0.10, 0.20, 140.0, 0.18).expect("valid variant"),
+        CellCycleParams::new(0.18, 0.16, 125.0, 0.15).expect("valid variant"),
+    ];
+    let kernels: Vec<PhaseKernel> = params
+        .iter()
+        .zip(11..)
+        .map(|(p, seed)| kernel(p, seed))
+        .collect();
 
-    // A bulk series with signal for both components.
-    let truth_a = PhaseProfile::from_fn(200, |phi| 1.0 + (2.0 * std::f64::consts::PI * phi).sin())
-        .expect("valid profile");
-    let truth_b =
-        PhaseProfile::from_fn(200, |phi| 0.5 + 2.0 * (-((phi - 0.7) / 0.15).powi(2)).exp())
-            .expect("valid profile");
-    let ga = ForwardModel::new(q_a.clone())
-        .predict(&truth_a)
-        .expect("predicts");
-    let gb = ForwardModel::new(q_b.clone())
-        .predict(&truth_b)
-        .expect("predicts");
-    let bulk: Vec<f64> = ga.iter().zip(&gb).map(|(a, b)| 0.6 * a + 0.4 * b).collect();
+    // Bulk series with signal for every component.
+    let truths = [
+        PhaseProfile::from_fn(200, |phi| 1.0 + (2.0 * std::f64::consts::PI * phi).sin()),
+        PhaseProfile::from_fn(200, |phi| 0.5 + 2.0 * (-((phi - 0.7) / 0.15).powi(2)).exp()),
+        PhaseProfile::from_fn(200, |phi| 0.6 + 1.2 * phi),
+        PhaseProfile::from_fn(200, |phi| {
+            1.0 + 0.7 * (4.0 * std::f64::consts::PI * phi).cos()
+        }),
+    ];
+    let bulk = |fractions: &[f64]| -> Vec<f64> {
+        let mut bulk = vec![0.0; times.len()];
+        for ((q, truth), pi) in kernels.iter().zip(&truths).zip(fractions) {
+            let truth = truth.as_ref().expect("valid profile");
+            let g = ForwardModel::new(q.clone())
+                .predict(truth)
+                .expect("predicts");
+            for (acc, v) in bulk.iter_mut().zip(&g) {
+                *acc += pi * v;
+            }
+        }
+        bulk
+    };
 
     let config = DeconvolutionConfig::builder()
         .basis_size(12)
@@ -207,42 +224,50 @@ fn mixture_fit_bit_identical_under_component_permutation() {
         })
         .build()
         .expect("valid config");
-    let fwd_engine = MixtureDeconvolver::new(
-        vec![
-            MixtureComponent::new("a", q_a.clone()).expect("named"),
-            MixtureComponent::new("b", q_b.clone()).expect("named"),
-        ],
-        config.clone(),
-    )
-    .expect("valid engine");
-    let rev_engine = MixtureDeconvolver::new(
-        vec![
-            MixtureComponent::new("b", q_b).expect("named"),
-            MixtureComponent::new("a", q_a).expect("named"),
-        ],
-        config,
-    )
-    .expect("valid engine");
+    let names = ["a", "b", "c", "d"];
+    let engine = |order: &[usize]| {
+        let components = order
+            .iter()
+            .map(|&i| MixtureComponent::new(names[i], kernels[i].clone()).expect("named"))
+            .collect();
+        MixtureDeconvolver::new(components, config.clone()).expect("valid engine")
+    };
 
-    let request = MixtureFitRequest::new(bulk);
-    let fwd = fwd_engine.fit(&request).expect("fits");
-    let rev = rev_engine.fit(&request).expect("fits");
+    for (fractions, fwd_order, rev_order) in [
+        (&[0.6, 0.4][..], &[0, 1][..], &[1, 0][..]),
+        (
+            &[0.4, 0.25, 0.2, 0.15][..],
+            &[0, 1, 2, 3][..],
+            &[2, 0, 3, 1][..],
+        ),
+    ] {
+        let request = MixtureFitRequest::new(bulk(fractions));
+        let fwd = engine(fwd_order).fit(&request).expect("fits");
+        let rev = engine(rev_order).fit(&request).expect("fits");
 
-    assert_eq!(fwd.sweeps(), rev.sweeps());
-    assert_eq!(fwd.trace(), rev.trace());
-    assert_eq!(fwd.residual_rel(), rev.residual_rel());
-    for name in ["a", "b"] {
-        let f = fwd.component(name).expect("component present");
-        let r = rev.component(name).expect("component present");
-        // Bit-identical per-component results, keyed by name.
-        assert_eq!(f.fraction(), r.fraction(), "component {name}");
-        assert_eq!(f.result().alpha(), r.result().alpha(), "component {name}");
-        assert_eq!(f.result().lambda(), r.result().lambda(), "component {name}");
-        assert_eq!(
-            f.result().predicted(),
-            r.result().predicted(),
-            "component {name}"
-        );
+        let k = fractions.len();
+        assert_eq!(fwd.residual_rel(), rev.residual_rel(), "K = {k}");
+        for name in &names[..k] {
+            let f = fwd.component(name).expect("component present");
+            let r = rev.component(name).expect("component present");
+            // Bit-identical per-component results, keyed by name.
+            assert_eq!(f.fraction(), r.fraction(), "K = {k}, component {name}");
+            assert_eq!(
+                f.result().alpha(),
+                r.result().alpha(),
+                "K = {k}, component {name}"
+            );
+            assert_eq!(
+                f.result().lambda(),
+                r.result().lambda(),
+                "K = {k}, component {name}"
+            );
+            assert_eq!(
+                f.result().predicted(),
+                r.result().predicted(),
+                "K = {k}, component {name}"
+            );
+        }
     }
 }
 
