@@ -1,14 +1,15 @@
 //! `perf` — the machine-readable performance harness.
 //!
-//! Times the workspace's fourteen hot computational kernels (dense Cholesky
+//! Times the workspace's fifteen hot computational kernels (dense Cholesky
 //! solve, spline-basis assembly/evaluation, active-set QP, RK4 ODE
 //! integration, Monte-Carlo kernel estimation, blocked weighted-Gram
 //! assembly, the cold collocation-constrained QP on both the active-set
 //! backend — from the origin and from the interior-direction start — and
 //! the interior-point backend, banded Cholesky factor+solve and sparse
 //! banded Gram assembly at genome-scale basis sizes, the λ-path GCV
-//! fit unit-weighted and σ-weighted, and the warm-started shared-Hessian
-//! QP pattern) plus the end-to-end
+//! fit unit-weighted and σ-weighted, the σ-weighted banded-path GCV fit
+//! at basis 128, and the warm-started shared-Hessian QP pattern) plus
+//! the end-to-end
 //! genome-wide batch deconvolution (wall time, per-gene throughput, and
 //! thread-count scaling at 1/2/4 workers), and writes the results as a
 //! schema-stable `BENCH.json` — the repo's perf trajectory format.
@@ -531,6 +532,31 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
     });
     kernels.push(kernel_entry(
         "lambda_path_gcv_weighted_18x11x4",
+        reps,
+        median,
+        min,
+    ));
+
+    // The banded path at the `genome_fine` shape: 128 B-spline functions
+    // (`Auto` runs banded), 7-point GCV over [1e-6, 1], σ-weighted. Each
+    // λ costs one banded factor and one m×m capacitance; the selected λ
+    // adds the coefficient solve and the positivity check.
+    let banded_config = DeconvolutionConfig::builder()
+        .basis_size(128)
+        .positivity(true)
+        .lambda_selection(LambdaSelection::Gcv {
+            log10_min: -6.0,
+            log10_max: 0.0,
+            points: 7,
+        })
+        .build()
+        .expect("valid config");
+    let banded = Deconvolver::new(kernel.clone(), banded_config).expect("valid engine");
+    let (median, min) = time_reps(reps, || {
+        std::hint::black_box(banded.fit(&g, Some(&sigmas)).expect("fits"));
+    });
+    kernels.push(kernel_entry(
+        "lambda_path_gcv_banded_128x7",
         reps,
         median,
         min,

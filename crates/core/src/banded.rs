@@ -1,357 +1,335 @@
 //! The banded solve path for locally supported (B-spline) bases.
 //!
-//! For genome-scale `basis_size` the dense engine's O(n³) factorizations
-//! dominate. With the clamped B-spline basis the penalty `Ω` is banded
-//! (bandwidth 3), so the normal-equation matrix splits as
+//! With the clamped cubic B-spline basis the penalty `Ω` is banded
+//! (bandwidth 3) and the measurement count m is tiny, so each λ of the
+//! GCV scan is evaluated in the m-dimensional measurement space instead
+//! of factoring the dense n×n normal matrix.
+//!
+//! `Ω` annihilates exactly `span{1, ξ}` (ξ the Greville abscissae: the
+//! linear profiles). Pinning the two end coefficients splits
+//! `α = N·c + (0, β, 0)` with `N = [ℓ₀, ℓ₁]` their linear interpolants
+//! (`ℓ₁ = (ξ − ξ₀)/(ξ_{n−1} − ξ₀)`, `ℓ₀ = 1 − ℓ₁`), so `αᵀΩα = βᵀΩ_rrβ`
+//! and `S = λΩ_rr + εI` on the interior is positive definite without the
+//! ridge. The ridge stays in the problem exactly: its cross terms with
+//! `c` join the border. With `B = W·A`, `d = W·g`, `B_r` the interior
+//! columns, `U = [εN_r, E_rᵀ]` and the border `z = (c, γ)` (null
+//! coordinates and the multipliers of k equality rows `Eα = 0`):
 //!
 //! ```text
-//! K = AᵀW²A + λΩ + εI = S + BᵀB,   S = λΩ + εI (banded),  B = W·A (m×n)
+//! M   = I + B_r S⁻¹ B_rᵀ                                     (m × m)
+//! Ĝ   = [B·N, 0] − B_r S⁻¹ U                                 (m × q, q = 2 + k)
+//! 𝒮   = Ĝᵀ M⁻¹ Ĝ + [[εNᵀN, (EN)ᵀ], [EN, 0]] − Uᵀ S⁻¹ U       (q × q)
+//! z   = 𝒮⁻¹ Ĝᵀ M⁻¹ d,     r = M⁻¹(d − Ĝz)           (r = d − Bα)
+//! edf = m − tr M⁻¹ + tr(𝒮⁻¹ Ĝᵀ M⁻² Ĝ),     β = S⁻¹(B_rᵀr − Uz)
 //! ```
 //!
-//! with m (the measurement count) tiny and n (the basis size) large. The
-//! Woodbury identity turns every K-solve into banded S-solves plus an
-//! m×m dense correction:
-//!
-//! ```text
-//! K⁻¹ = S⁻¹ − S⁻¹Bᵀ·M⁻¹·BS⁻¹,     M = I_m + B·S⁻¹·Bᵀ
-//! ```
-//!
-//! so a fit costs O(m·n·b²) instead of O(n³). The push-through identity
-//! `K⁻¹Bᵀ = S⁻¹Bᵀ·M⁻¹` gives the unconstrained solution, residual, and
-//! smoother trace directly from `M`:
-//!
-//! ```text
-//! α_u = Y·(M⁻¹d)          with Y = S⁻¹Bᵀ, d = W·g
-//! d − B·α_u = M⁻¹·d       (the weighted residual)
-//! tr(B·K⁻¹·Bᵀ) = m − tr(M⁻¹)
-//! ```
-//!
-//! Equality constraints `E·α = 0` (k ≤ 2 rows) are handled in range
-//! space. Writing `T = K⁻¹Eᵀ` and `C = E·K⁻¹·Eᵀ`,
-//!
-//! ```text
-//! α_c  = α_u − T·C⁻¹·(E·α_u)
-//! edf  = (m − tr M⁻¹) − tr(C⁻¹·PᵀP)      with P = B·K⁻¹·Eᵀ = M⁻¹·(B·S⁻¹·Eᵀ)
-//! r_c  = M⁻¹d + P·C⁻¹·(E·α_u)
-//! ```
-//!
-//! which replicates the dense engine's nullspace-reduced GCV exactly: for
-//! any orthonormal nullspace basis `Z` of `E` (`ZᵀZ = I`, as produced by
-//! [`crate::solver::ReducedOperators`]),
-//! `Z(ZᵀKZ)⁻¹Zᵀ = K⁻¹ − K⁻¹Eᵀ(EK⁻¹Eᵀ)⁻¹EK⁻¹`, so the banded edf/RSS are
-//! the same numbers the spectral path computes — the two paths agree to
-//! floating-point accumulation error, pinned at 1e-8 by the differential
-//! suite. `docs/SOLVER.md` §9 derives the algebra and the cost model.
-//!
-//! Numerically, the raw split cancels two ~‖S⁻¹‖-sized intermediates
-//! (the ridge caps ‖S⁻¹‖ at 1/ε, so ~7 digits survive at the default
-//! 1e-9 ridge even though `K` itself is well conditioned — `AᵀW²A`
-//! covers Ω's nullspace). Every KKT solve therefore runs a few passes
-//! of iterative refinement: residuals are formed from O(1)-magnitude
-//! quantities (`Kx = Sx + Bᵀ(Bx)`), and each pass contracts the error
-//! by the same ~ε_mach·‖S⁻¹‖ factor, restoring dense-path accuracy.
+//! With `S = LLᵀ`, one forward solve of the block `L⁻¹[B_rᵀ, U]` and its
+//! Gram give every `S⁻¹` product, so a λ costs one banded factor,
+//! O(n·(m + q)²) and an O(m³) Cholesky, with no coefficient vector and
+//! no subtraction of `‖S⁻¹‖`-sized terms. α is assembled once, at the
+//! selected λ, with one polish pass. This is the exact block elimination
+//! of the dense engine's equality-reduced normal equations, so both paths
+//! agree to rounding (pinned at 1e-8 by the differential suite);
+//! `docs/SOLVER.md` §9 derives it.
 //!
 //! Positivity is resolved by convexity: if the equality-constrained
 //! minimizer already satisfies the positivity grid, it is the constrained
 //! optimum (all inequality multipliers zero); otherwise the engine falls
 //! back to the dense active-set QP for that single fit.
 
-use cellsync_linalg::{BandedMatrix, CholeskyDecomposition, Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{
+    BandedCholesky, BandedMatrix, CholeskyDecomposition, LuDecomposition, Matrix, SparseRowMatrix,
+    Vector,
+};
 
 use crate::Result;
 
-/// Precomputed banded-path structures, built once per engine alongside
-/// the dense operators (which remain the source of truth for the
-/// mixture/bootstrap/fallback paths).
+/// Precomputed banded-path structures, built once per engine.
 #[derive(Debug, Clone)]
 pub(crate) struct BandedOperators {
-    /// Roughness penalty `Ω` in banded storage (bandwidth 3).
-    pub(crate) omega: BandedMatrix,
+    /// `Ω_rr`: the penalty on the interior coefficients `1..n−1`.
+    omega_interior: BandedMatrix,
+    /// Interior rows of the null basis `N = [ℓ₀, ℓ₁]`.
+    null_interior: [Vec<f64>; 2],
     /// Positivity collocation rows in sparse-row storage (≤ 4 nnz per
     /// row) with their zero right-hand side.
     pub(crate) positivity: Option<(SparseRowMatrix, Vector)>,
 }
 
-/// One Woodbury evaluation at a fixed λ: the equality-constrained
-/// (positivity-unconstrained) minimizer plus the GCV ingredients.
-#[derive(Debug, Clone)]
-pub(crate) struct BandedSolution {
-    /// The equality-constrained minimizer of the penalized criterion.
-    pub(crate) alpha: Vector,
-    /// Effective degrees of freedom `tr(B·K̃⁻¹·Bᵀ)` of the
-    /// (equality-reduced) smoother.
-    pub(crate) edf: f64,
-    /// Weighted residual sum of squares `‖W(g − Aα)‖²`.
-    pub(crate) rss: f64,
+impl BandedOperators {
+    /// Splits the banded penalty of a clamped cubic B-spline basis with
+    /// Greville abscissae `greville`.
+    pub(crate) fn new(
+        omega: &BandedMatrix,
+        greville: &[f64],
+        positivity: Option<(SparseRowMatrix, Vector)>,
+    ) -> Result<Self> {
+        let (n, bw) = (omega.dim(), omega.bandwidth());
+        let mut omega_interior = BandedMatrix::zeros(n - 2, bw)?;
+        for i in 1..n - 1 {
+            for j in i.saturating_sub(bw).max(1)..=i {
+                omega_interior.set(i - 1, j - 1, omega.get(i, j))?;
+            }
+        }
+        let (lo, hi) = (greville[0], greville[n - 1]);
+        let l1: Vec<f64> = greville[1..n - 1]
+            .iter()
+            .map(|&x| (x - lo) / (hi - lo))
+            .collect();
+        let l0 = l1.iter().map(|v| 1.0 - v).collect();
+        Ok(BandedOperators {
+            omega_interior,
+            null_interior: [l0, l1],
+            positivity,
+        })
+    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Iterative-refinement passes on every KKT solve. The raw Woodbury
-/// apply loses ~ε_mach·‖S⁻¹‖ absolute accuracy to cancellation (the
-/// ridge caps ‖S⁻¹‖ at 1/ridge, so the contraction factor is ~1e-7 per
-/// pass at the default 1e-9 ridge); two passes reach dense-path
-/// accuracy, the third is margin.
-const REFINE_PASSES: usize = 3;
-
-/// The factored Woodbury machinery for one λ: banded `S = λΩ + εI`,
-/// the whitened design rows, the m×m capacitance factor, and (when
-/// equality rows exist) the range-space blocks `K⁻¹Eᵀ` / `E·K⁻¹·Eᵀ`.
-struct WoodburySolver<'a> {
-    s: BandedMatrix,
-    s_chol: cellsync_linalg::BandedCholesky,
-    /// Rows of `B = W·A`.
-    bt: Vec<Vec<f64>>,
-    /// Rows of `Y = S⁻¹Bᵀ` (`yt[j] = S⁻¹bⱼ`).
-    yt: Vec<Vec<f64>>,
-    m_chol: CholeskyDecomposition,
-    eq: Option<EqBlock<'a>>,
-}
-
-struct EqBlock<'a> {
-    e: &'a Matrix,
-    /// Columns of `T = K⁻¹Eᵀ` via push-through.
-    kinv_et: Vec<Vec<f64>>,
-    /// Factor of `C = E·K⁻¹·Eᵀ`.
-    c_chol: CholeskyDecomposition,
-}
-
-impl<'a> WoodburySolver<'a> {
-    fn build(
-        design: &Matrix,
-        weights: &[f64],
-        equality: Option<&'a Matrix>,
-        omega: &BandedMatrix,
-        lambda: f64,
-        ridge: f64,
-    ) -> Result<Self> {
-        let m = design.rows();
-        let n = design.cols();
-
-        // S = λΩ + εI, factored banded: O(n·b²).
-        let mut s = BandedMatrix::zeros(n, omega.bandwidth())?;
-        s.assign_scaled(lambda, omega)?;
-        s.add_diagonal(ridge);
-        let s_chol = s.cholesky()?;
-
-        // Rows of B = W·A, and Y = S⁻¹Bᵀ row-wise: m banded solves.
-        let bt: Vec<Vec<f64>> = (0..m)
-            .map(|j| design.row(j).iter().map(|&a| weights[j] * a).collect())
-            .collect();
-        let mut yt = bt.clone();
-        for row in &mut yt {
-            s_chol.solve_slice_in_place(row);
-        }
-
-        // M = I + B·S⁻¹·Bᵀ (m×m, SPD). bᵢᵀS⁻¹bⱼ is symmetric exactly;
-        // fill the upper triangle and mirror to keep it so in floating
-        // point.
-        let mut mmat = Matrix::zeros(m, m);
-        for i in 0..m {
-            for j in i..m {
-                let v = dot(&bt[i], &yt[j]) + if i == j { 1.0 } else { 0.0 };
-                mmat[(i, j)] = v;
-                mmat[(j, i)] = v;
-            }
-        }
-        let m_chol = CholeskyDecomposition::new(&mmat)?;
-
-        let mut solver = WoodburySolver {
-            s,
-            s_chol,
-            bt,
-            yt,
-            m_chol,
-            eq: None,
-        };
-        if let Some(e) = equality {
-            let k = e.rows();
-            let mut kinv_et = Vec::with_capacity(k);
-            for l in 0..k {
-                kinv_et.push(solver.kinv_apply(e.row(l))?);
-            }
-            // C = E·K⁻¹·Eᵀ (k×k, SPD), symmetrized against accumulation
-            // error before factoring.
-            let c_raw = Matrix::from_fn(k, k, |a, b| dot(e.row(a), &kinv_et[b]));
-            let c = Matrix::from_fn(k, k, |a, b| 0.5 * (c_raw[(a, b)] + c_raw[(b, a)]));
-            let c_chol = CholeskyDecomposition::new(&c)?;
-            solver.eq = Some(EqBlock { e, kinv_et, c_chol });
-        }
-        Ok(solver)
-    }
-
-    /// `K⁻¹r` through the Woodbury identity: one banded solve plus the
-    /// m×m capacitance correction.
-    fn kinv_apply(&self, r: &[f64]) -> Result<Vec<f64>> {
-        let m = self.bt.len();
-        let mut y = r.to_vec();
-        self.s_chol.solve_slice_in_place(&mut y);
-        let mut u = Vector::from_fn(m, |i| dot(&self.bt[i], &y));
-        self.m_chol.solve_in_place(&mut u)?;
-        for j in 0..m {
-            let w = u[j];
-            for (yi, yv) in y.iter_mut().zip(&self.yt[j]) {
-                *yi -= w * yv;
-            }
-        }
-        Ok(y)
-    }
-
-    /// One pass of the range-space KKT solve `Kα + Eᵀγ = r₁, Eα = r₂`.
-    fn kkt_solve(&self, r1: &[f64], r2: &[f64]) -> Result<(Vec<f64>, Vec<f64>)> {
-        let mut alpha = self.kinv_apply(r1)?;
-        let Some(eq) = &self.eq else {
-            return Ok((alpha, Vec::new()));
-        };
-        let k = eq.e.rows();
-        let mut gamma = Vector::from_fn(k, |l| dot(eq.e.row(l), &alpha) - r2[l]);
-        eq.c_chol.solve_in_place(&mut gamma)?;
-        for l in 0..k {
-            let w = gamma[l];
-            for (a, t) in alpha.iter_mut().zip(&eq.kinv_et[l]) {
-                *a -= w * t;
-            }
-        }
-        Ok((alpha, gamma.into_vec()))
-    }
-
-    /// `K·x` applied directly (`Sx + Bᵀ(Bx)`) — all O(1)-magnitude
-    /// quantities, so the refinement residual is computed accurately.
-    fn apply_k(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let xv = Vector::from_slice(x);
-        let mut out = self.s.matvec(&xv)?.into_vec();
-        for bj in &self.bt {
-            let w = dot(bj, x);
-            for (o, &b) in out.iter_mut().zip(bj) {
-                *o += w * b;
-            }
-        }
-        Ok(out)
-    }
-
-    /// The KKT solution of `Kα + Eᵀγ = b, Eα = 0`, polished by
-    /// [`REFINE_PASSES`] rounds of iterative refinement. The refinement
-    /// is what makes the split accurate: the raw Woodbury apply cancels
-    /// two ~‖S⁻¹‖-sized vectors, but each pass contracts that error by
-    /// the same ~ε_mach·‖S⁻¹‖ factor.
-    fn solve_refined(&self, b: &[f64]) -> Result<(Vec<f64>, Vec<f64>)> {
-        let k = self.eq.as_ref().map_or(0, |eq| eq.e.rows());
-        let (mut alpha, mut gamma) = self.kkt_solve(b, &vec![0.0; k])?;
-        for _ in 0..REFINE_PASSES {
-            let kx = self.apply_k(&alpha)?;
-            let mut r1: Vec<f64> = b.iter().zip(&kx).map(|(bv, kv)| bv - kv).collect();
-            let mut r2 = vec![0.0; k];
-            if let Some(eq) = &self.eq {
-                for l in 0..k {
-                    let gl = gamma[l];
-                    for (r, &ev) in r1.iter_mut().zip(eq.e.row(l)) {
-                        *r -= gl * ev;
-                    }
-                    r2[l] = -dot(eq.e.row(l), &alpha);
-                }
-            }
-            let (da, dg) = self.kkt_solve(&r1, &r2)?;
-            for (a, d) in alpha.iter_mut().zip(&da) {
-                *a += d;
-            }
-            for (g, d) in gamma.iter_mut().zip(&dg) {
-                *g += d;
-            }
-        }
-        Ok((alpha, gamma))
-    }
-}
-
-/// Solves the penalized weighted least-squares problem at one λ through
-/// the Woodbury factorization. `design` is the unweighted m×n design,
-/// `equality` the stacked zero-rhs equality rows (if any).
-pub(crate) fn evaluate(
-    design: &Matrix,
-    weights: &[f64],
-    g: &[f64],
-    equality: Option<&Matrix>,
-    omega: &BandedMatrix,
-    lambda: f64,
+/// One series on the banded path: whitened design and data plus the
+/// λ-independent border blocks.
+pub(crate) struct BandedFit<'a> {
+    ops: &'a BandedOperators,
+    /// `B = W·A` (m × n).
+    b: Matrix,
+    /// `d = W·g`.
+    d: Vector,
+    /// `G = [B·N, 0]` (m × q).
+    g0: Matrix,
+    /// `[B_rᵀ, U]` with `U = [εN_r, E_rᵀ]`, (n − 2) × (m + q).
+    block: Matrix,
+    /// `D₀ = [[εNᵀN, (EN)ᵀ], [EN, 0]]`.
+    d0: Matrix,
     ridge: f64,
-) -> Result<BandedSolution> {
-    let m = design.rows();
-    let solver = WoodburySolver::build(design, weights, equality, omega, lambda, ridge)?;
+}
 
-    // α = P̃·Bᵀd with P̃ the equality-projected inverse and d = W·g.
-    let d: Vec<f64> = (0..m).map(|i| weights[i] * g[i]).collect();
-    let n = design.cols();
-    let mut rhs = vec![0.0; n];
-    for (bj, &dj) in solver.bt.iter().zip(&d) {
-        for (r, &b) in rhs.iter_mut().zip(bj) {
-            *r += dj * b;
-        }
-    }
-    let (alpha, _) = solver.solve_refined(&rhs)?;
+/// The factors, residual and border solution at one λ.
+pub(crate) struct Evaluation {
+    s_chol: BandedCholesky,
+    m_chol: CholeskyDecomposition,
+    schur: LuDecomposition,
+    r: Vector,
+    z: Vector,
+    /// Effective degrees of freedom of the (equality-reduced) smoother.
+    pub(crate) edf: f64,
+    /// Weighted residual sum of squares `‖W(g − Aα)‖²`.
+    pub(crate) rss: f64,
+}
 
-    // Weighted residual directly from the polished coefficients.
-    let rss = solver
-        .bt
-        .iter()
-        .zip(&d)
-        .map(|(bj, &dj)| {
-            let r = dj - dot(bj, &alpha);
-            r * r
-        })
-        .sum();
-
-    // edf = tr(B·P̃·Bᵀ) = Σⱼ bⱼᵀ·(P̃bⱼ): m refined KKT solves, each
-    // O(n·(m + b)) once the factors exist.
-    let mut edf = 0.0;
-    for bj in &solver.bt {
-        let (xj, _) = solver.solve_refined(bj)?;
-        edf += dot(bj, &xj);
-    }
-
-    Ok(BandedSolution {
-        alpha: Vector::from_slice(&alpha),
-        edf,
-        rss,
+/// `(x, −z)` stacked: `block·(x, −z) = B_rᵀx − U·z`.
+fn stack(x: &Vector, z: &Vector) -> Vector {
+    Vector::from_fn(x.len() + z.len(), |i| {
+        x.as_slice()
+            .get(i)
+            .copied()
+            .unwrap_or_else(|| -z[i - x.len()])
     })
 }
 
-/// The GCV score of one Woodbury evaluation — the same statistic (and
-/// the same `edf/m > 0.99` saturation guard) as
-/// [`crate::solver::SpectralPath::gcv_score`].
-pub(crate) fn gcv_score(sol: &BandedSolution, m: usize) -> f64 {
-    let mf = m as f64;
-    let edf_ratio = sol.edf / mf;
-    if edf_ratio > 0.99 {
-        return f64::INFINITY;
+impl<'a> BandedFit<'a> {
+    /// `design` is the unweighted m×n design, `equality` the stacked
+    /// zero-rhs equality rows (if any).
+    pub(crate) fn new(
+        ops: &'a BandedOperators,
+        design: &Matrix,
+        weights: &[f64],
+        g: &[f64],
+        equality: Option<&Matrix>,
+        ridge: f64,
+    ) -> Self {
+        let (m, n) = design.shape();
+        let b = Matrix::from_fn(m, n, |i, j| weights[i] * design[(i, j)]);
+        let eq: Vec<&[f64]> =
+            equality.map_or(Vec::new(), |e| (0..e.rows()).map(|l| e.row(l)).collect());
+        let q = 2 + eq.len();
+        // `v·N` for a full-length row v: N is the identity at the ends.
+        let null = &ops.null_interior;
+        let times_null = |v: &[f64], a: usize| v[a * (n - 1)] + dot(&v[1..n - 1], &null[a]);
+        let block = Matrix::from_fn(n - 2, m + q, |j, c| match c {
+            c if c < m => b[(c, j + 1)],
+            c if c < m + 2 => ridge * null[c - m][j],
+            c => eq[c - m - 2][j + 1],
+        });
+        let d0 = Matrix::from_fn(q, q, |x, y| match (x.min(y), x.max(y)) {
+            (a, c) if c < 2 => ridge * (f64::from(u8::from(a == c)) + dot(&null[a], &null[c])),
+            (a, l) if a < 2 => times_null(eq[l - 2], a),
+            _ => 0.0,
+        });
+        BandedFit {
+            ops,
+            g0: Matrix::from_fn(
+                m,
+                q,
+                |i, a| if a < 2 { times_null(b.row(i), a) } else { 0.0 },
+            ),
+            d: Vector::from_fn(m, |i| weights[i] * g[i]),
+            b,
+            block,
+            d0,
+            ridge,
+        }
     }
-    let denom = 1.0 - edf_ratio;
-    (sol.rss / mf) / (denom * denom)
+
+    /// Factors everything at one λ and solves for the residual, the
+    /// border unknowns and the edf.
+    pub(crate) fn evaluate(&self, lambda: f64) -> Result<Evaluation> {
+        let (m, q) = (self.b.rows(), self.d0.rows());
+        let mut s = BandedMatrix::zeros(self.block.rows(), self.ops.omega_interior.bandwidth())?;
+        s.assign_scaled(lambda, &self.ops.omega_interior)?;
+        s.add_diagonal(self.ridge);
+        let s_chol = s.cholesky()?;
+        // Y = L⁻¹[B_rᵀ, U]; its Gram holds B_rS⁻¹B_rᵀ, B_rS⁻¹U and UᵀS⁻¹U.
+        let mut y = self.block.clone();
+        s_chol.forward_solve_block(y.as_mut_slice(), m + q);
+        let gram = y.gram();
+
+        let mmat = Matrix::from_fn(m, m, |i, j| gram[(i, j)] + f64::from(u8::from(i == j)));
+        let m_chol = CholeskyDecomposition::new(&mmat)?;
+        let ghat = Matrix::from_fn(m, q, |i, a| self.g0[(i, a)] - gram[(i, m + a)]);
+        let v = m_chol.solve_matrix(&ghat)?;
+        let raw = ghat.transpose().matmul(&v)?;
+        let schur = Matrix::from_fn(q, q, |a, c| {
+            0.5 * (raw[(a, c)] + raw[(c, a)]) + self.d0[(a, c)] - gram[(m + a, m + c)]
+        })
+        .lu()?;
+
+        let w = m_chol.solve(&self.d)?;
+        let z = schur.solve(&ghat.tr_matvec(&w)?)?;
+        let r = &w - &v.matvec(&z)?;
+        // tr M⁻¹ = ‖L_M⁻¹‖²_F, one unit forward solve per column.
+        let mut tr_minv = 0.0;
+        for i in 0..m {
+            let mut e = Vector::from_fn(m, |j| f64::from(u8::from(i == j)));
+            m_chol.forward_solve_in_place(&mut e)?;
+            tr_minv += dot(e.as_slice(), e.as_slice());
+        }
+        let vtv = v.transpose().matmul(&v)?;
+        let edf = m as f64 - tr_minv + schur.solve_matrix(&vtv)?.trace()?;
+        Ok(Evaluation {
+            s_chol,
+            m_chol,
+            schur,
+            rss: dot(r.as_slice(), r.as_slice()),
+            r,
+            z,
+            edf,
+        })
+    }
+
+    /// The GCV score at one λ — the same statistic (and the same
+    /// `edf/m > 0.99` saturation guard) as
+    /// [`crate::solver::SpectralPath::gcv_score`].
+    pub(crate) fn gcv_score(&self, lambda: f64) -> Result<f64> {
+        let ev = self.evaluate(lambda)?;
+        let mf = self.b.rows() as f64;
+        let edf_ratio = ev.edf / mf;
+        if edf_ratio > 0.99 {
+            return Ok(f64::INFINITY);
+        }
+        let denom = 1.0 - edf_ratio;
+        Ok((ev.rss / mf) / (denom * denom))
+    }
+
+    /// The equality-constrained (positivity-unconstrained) minimizer at
+    /// `lambda`: `β = S⁻¹(B_rᵀr − Uz)`, one polish pass, then
+    /// `α = N·c + (0, β, 0)`.
+    pub(crate) fn solve(&self, lambda: f64) -> Result<Vector> {
+        let ev = self.evaluate(lambda)?;
+        let mut beta = self.block.matvec(&stack(&ev.r, &ev.z))?;
+        ev.s_chol.solve_in_place(&mut beta)?;
+        let (beta, z) = self.polish(&ev, lambda, beta, ev.z.clone())?;
+        Ok(self.assemble(&beta, &z))
+    }
+
+    fn assemble(&self, beta: &Vector, z: &Vector) -> Vector {
+        let n = beta.len() + 2;
+        let [l0, l1] = &self.ops.null_interior;
+        Vector::from_fn(n, |j| match j {
+            0 => z[0],
+            j if j == n - 1 => z[1],
+            j => beta[j - 1] + z[0] * l0[j - 1] + z[1] * l1[j - 1],
+        })
+    }
+
+    /// One step of iterative refinement on the bordered normal equations
+    /// `[[K_r, W], [Wᵀ, D]]·(β, z) = (B_rᵀd, Gᵀd)`, with `K_r = S + B_rᵀB_r`,
+    /// `W = U + B_rᵀG` and `D = D₀ + GᵀG`. At small λ, `S⁻¹B_rᵀ`
+    /// amplifies the rounding of `r` into β; the residual, formed from
+    /// `e = d − Bα`, is accurate, and the same factors solve for the
+    /// correction.
+    fn polish(
+        &self,
+        ev: &Evaluation,
+        lambda: f64,
+        beta: Vector,
+        z: Vector,
+    ) -> Result<(Vector, Vector)> {
+        let m = self.b.rows();
+        let e = &self.d - &self.b.matvec(&self.assemble(&beta, &z))?;
+        // ρ_β = B_rᵀe − Uz − Sβ and ρ_z = Gᵀe − Uᵀβ − D₀z; then
+        // δz = 𝒮⁻¹(ρ_z − Wᵀ·K_r⁻¹ρ_β) and δβ = K_r⁻¹(ρ_β − W·δz).
+        let s_beta = self.ops.omega_interior.matvec(&beta)?;
+        let rho = &self.block.matvec(&stack(&e, &z))?
+            - &(&s_beta.scaled(lambda) + &beta.scaled(self.ridge));
+        let t = self.kr_solve(ev, &rho)?;
+        // blockᵀ·x = (B_r·x, Uᵀ·x).
+        let (blk_t, blk_beta) = (self.block.tr_matvec(&t)?, self.block.tr_matvec(&beta)?);
+        let e_t = Vector::from_fn(m, |i| e[i] - blk_t[i]);
+        let rho_z = &(&self.g0.tr_matvec(&e_t)? - &self.d0.matvec(&z)?)
+            - &Vector::from_fn(z.len(), |a| blk_beta[m + a] + blk_t[m + a]);
+        let dz = ev.schur.solve(&rho_z)?;
+        let v = &rho + &self.block.matvec(&stack(&-&self.g0.matvec(&dz)?, &dz))?;
+        Ok((&beta + &self.kr_solve(ev, &v)?, &z + &dz))
+    }
+
+    /// `K_r⁻¹v = S⁻¹(v − B_rᵀ·M⁻¹·B_r·S⁻¹v)` (Woodbury). The subtraction
+    /// cancels at small λ, so it only ever solves for a correction.
+    fn kr_solve(&self, ev: &Evaluation, v: &Vector) -> Result<Vector> {
+        let m = self.b.rows();
+        let t = ev.s_chol.solve(v)?;
+        let bt = self.block.tr_matvec(&t)?;
+        let p = ev.m_chol.solve(&Vector::from_fn(m, |i| bt[i]))?;
+        let zeros = Vector::zeros(self.d0.rows());
+        let mut out = v - &self.block.matvec(&stack(&p, &zeros))?;
+        ev.s_chol.solve_in_place(&mut out)?;
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cellsync_spline::BSplineBasis;
 
-    /// A small synthetic instance: random-ish dense design, banded Ω.
-    fn instance(m: usize, n: usize) -> (Matrix, Vec<f64>, Vec<f64>, BandedMatrix, Matrix) {
+    /// A small synthetic instance: random-ish dense design and the
+    /// clamped cubic B-spline penalty with its exact null space.
+    fn instance(m: usize, n: usize) -> (Matrix, Vec<f64>, Vec<f64>, BandedOperators, Matrix) {
         let design = Matrix::from_fn(m, n, |i, j| {
             0.3 + ((i * 7 + j * 13) % 11) as f64 / 11.0 + 0.05 * ((i + 2 * j) as f64).sin()
         });
         let weights: Vec<f64> = (0..m).map(|i| 1.0 + 0.1 * (i % 3) as f64).collect();
         let g: Vec<f64> = (0..m).map(|i| 2.0 + (i as f64 * 0.7).sin()).collect();
-        let mut omega = BandedMatrix::zeros(n, 3).unwrap();
-        for i in 0..n {
-            omega.add_at(i, i, 6.0).unwrap();
-            if i + 1 < n {
-                omega.add_at(i, i + 1, -4.0).unwrap();
-            }
-            if i + 2 < n {
-                omega.add_at(i, i + 2, 1.0).unwrap();
-            }
-        }
-        let omega_dense = omega.to_dense();
-        (design, weights, g, omega, omega_dense)
+        let basis = BSplineBasis::uniform(n, 0.0, 1.0).unwrap();
+        let omega = basis.penalty_banded();
+        let ops = BandedOperators::new(&omega, &basis.greville(), None).unwrap();
+        (design, weights, g, ops, omega.to_dense())
+    }
+
+    /// The equality-constrained minimizer, edf and RSS at one λ.
+    fn evaluate(
+        ops: &BandedOperators,
+        design: &Matrix,
+        weights: &[f64],
+        g: &[f64],
+        equality: Option<&Matrix>,
+        lambda: f64,
+    ) -> (Vector, f64, f64) {
+        let fit = BandedFit::new(ops, design, weights, g, equality, 1e-9);
+        let ev = fit.evaluate(lambda).unwrap();
+        (fit.solve(lambda).unwrap(), ev.edf, ev.rss)
     }
 
     /// Direct dense reference: K = AᵀW²A + λΩ + εI, α = K⁻¹AᵀW²g,
@@ -439,20 +417,13 @@ mod tests {
     fn woodbury_solution_satisfies_normal_equations() {
         // At tiny λ the ridge alone holds K's smallest eigenvalues, so
         // cross-method α comparison is meaningless (cond(K) ~ 1e9) —
-        // but the refined Woodbury solve must still satisfy its own
-        // normal equations to near machine precision.
-        let (design, weights, g, omega, omega_dense) = instance(9, 60);
+        // but the polished solve must still satisfy the normal equations
+        // to near machine precision.
+        let (design, weights, g, ops, omega_dense) = instance(9, 60);
         for &lambda in &[1e-8, 1e-6, 1e-3, 1.0] {
-            let sol = evaluate(&design, &weights, &g, None, &omega, lambda, 1e-9).unwrap();
-            let (resid, scale) = kkt_residual(
-                &design,
-                &weights,
-                &g,
-                &omega_dense,
-                lambda,
-                1e-9,
-                &sol.alpha,
-            );
+            let (alpha, _, _) = evaluate(&ops, &design, &weights, &g, None, lambda);
+            let (resid, scale) =
+                kkt_residual(&design, &weights, &g, &omega_dense, lambda, 1e-9, &alpha);
             assert!(
                 resid <= 1e-10 * (1.0 + scale),
                 "λ={lambda}: KKT residual {resid} vs rhs norm {scale}"
@@ -462,19 +433,19 @@ mod tests {
 
     #[test]
     fn woodbury_matches_dense_unconstrained() {
-        let (design, weights, g, omega, omega_dense) = instance(9, 60);
+        let (design, weights, g, ops, omega_dense) = instance(9, 60);
         for &lambda in &[1e-2, 1e-1, 1.0] {
-            let sol = evaluate(&design, &weights, &g, None, &omega, lambda, 1e-9).unwrap();
+            let (alpha, edf, rss) = evaluate(&ops, &design, &weights, &g, None, lambda);
             let (alpha_d, edf_d, rss_d) =
                 dense_reference(&design, &weights, &g, None, &omega_dense, lambda, 1e-9);
-            for (a, b) in sol.alpha.iter().zip(&alpha_d) {
+            for (a, b) in alpha.iter().zip(&alpha_d) {
                 assert!((a - b).abs() < 1e-8, "λ={lambda}: α {a} vs {b}");
             }
-            assert!((sol.edf - edf_d).abs() < 1e-8, "λ={lambda}: edf");
+            assert!((edf - edf_d).abs() < 1e-8, "λ={lambda}: edf");
             assert!(
-                (sol.rss - rss_d).abs() < 1e-8 * (1.0 + rss_d),
+                (rss - rss_d).abs() < 1e-8 * (1.0 + rss_d),
                 "λ={lambda}: rss {} vs {}",
-                sol.rss,
+                rss,
                 rss_d
             );
         }
@@ -482,26 +453,26 @@ mod tests {
 
     #[test]
     fn woodbury_matches_dense_with_equalities() {
-        let (design, weights, g, omega, omega_dense) = instance(10, 48);
+        let (design, weights, g, ops, omega_dense) = instance(10, 48);
         let n = design.cols();
         let e = Matrix::from_fn(2, n, |r, j| match r {
             0 => 1.0 + 0.01 * j as f64,
             _ => ((j * 5) % 7) as f64 / 7.0 - 0.4,
         });
         for &lambda in &[1e-3, 3e-2, 0.5] {
-            let sol = evaluate(&design, &weights, &g, Some(&e), &omega, lambda, 1e-9).unwrap();
+            let (alpha, edf, rss) = evaluate(&ops, &design, &weights, &g, Some(&e), lambda);
             let (alpha_d, edf_d, rss_d) =
                 dense_reference(&design, &weights, &g, Some(&e), &omega_dense, lambda, 1e-9);
-            for (a, b) in sol.alpha.iter().zip(&alpha_d) {
+            for (a, b) in alpha.iter().zip(&alpha_d) {
                 assert!((a - b).abs() < 1e-7, "λ={lambda}: α {a} vs {b}");
             }
-            assert!((sol.edf - edf_d).abs() < 1e-7, "λ={lambda}: edf");
+            assert!((edf - edf_d).abs() < 1e-7, "λ={lambda}: edf");
             assert!(
-                (sol.rss - rss_d).abs() < 1e-7 * (1.0 + rss_d),
+                (rss - rss_d).abs() < 1e-7 * (1.0 + rss_d),
                 "λ={lambda}: rss"
             );
             // The constraints hold exactly (to solve accuracy).
-            let ea = e.matvec(&sol.alpha).unwrap();
+            let ea = e.matvec(&alpha).unwrap();
             for v in ea.iter() {
                 assert!(v.abs() < 1e-8, "equality residual {v}");
             }

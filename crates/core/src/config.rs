@@ -231,8 +231,12 @@ impl DeconvolutionConfig {
         &self.lambda
     }
 
-    /// Tikhonov ridge `ε` added to the normal matrix for numerical
-    /// definiteness.
+    /// Tikhonov ridge `ε`: the term `ε‖α‖²` in the criterion, i.e. `εI`
+    /// added to the normal matrix (floored at 10⁻¹² when the engine is
+    /// built). Both solve paths keep it exactly. The dense path relies
+    /// on it for definiteness when the data leave directions unseen; the
+    /// banded path factors Ω on the complement of its null space and
+    /// never needs it, so raising it there only changes the problem.
     pub fn ridge(&self) -> f64 {
         self.ridge
     }

@@ -1,6 +1,6 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
-use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
+use cellsync_linalg::{BandedMatrix, CholeskyDecomposition, Matrix, Vector};
 use cellsync_opt::{QpInstance, QpProblem, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
@@ -8,7 +8,7 @@ use cellsync_spline::{BSplineBasis, NaturalSplineBasis, SplineBasis};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::banded::{self, BandedOperators};
+use crate::banded::{BandedFit, BandedOperators};
 use crate::config::{LambdaSelection, SolveStrategy};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::solver::{ReducedOperators, SpectralPath};
@@ -46,9 +46,9 @@ pub struct Deconvolver {
     basis: SplineBasis,
     /// Design matrix `A[m, i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ`.
     design: Matrix,
-    /// Roughness Gram matrix `Ω` (dense; always kept — the mixture,
-    /// bootstrap, k-fold, and positivity-fallback paths assemble dense).
-    omega: Matrix,
+    /// Roughness Gram matrix `Ω`: banded on the banded path, dense
+    /// otherwise.
+    omega: Penalty,
     /// Stacked equality rows (0–2 rows) with their zero right-hand side.
     equality: Option<(Matrix, Vector)>,
     /// Positivity collocation matrix with its zero right-hand side.
@@ -66,9 +66,9 @@ pub struct Deconvolver {
     /// build their own, once per fit, reused across the whole λ path).
     /// Only dense-path GCV engines build (or read) it.
     spectral_unit: Option<SpectralPath>,
-    /// Banded-path operators (banded Ω, sparse positivity rows). `Some`
-    /// exactly when the engine executes fits on the Woodbury banded path
-    /// ([`crate::banded`]).
+    /// Banded-path operators (interior Ω, null-space basis, sparse
+    /// positivity rows). `Some` exactly when the engine executes fits on
+    /// the banded path ([`crate::banded`]).
     banded: Option<BandedOperators>,
     /// The λ grid of the configured selection, computed once.
     lambda_grid: Vec<f64>,
@@ -128,6 +128,40 @@ fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map(|&(l, _)| l)
         .ok_or(DeconvError::InvalidConfig("λ grid is empty"))
+}
+
+/// The roughness penalty `Ω`, stored the way the engine's solve path
+/// reads it. Banded engines never densify it: their only dense consumer
+/// (the positivity-fallback Hessian) adds it band by band.
+#[derive(Debug, Clone)]
+pub(crate) enum Penalty {
+    Dense(Matrix),
+    Banded(BandedMatrix),
+}
+
+impl Penalty {
+    /// `h[o + a][o + b] += scale·Ω[a][b]` over Ω's stored entries (the
+    /// entries outside a band are exact zeros, so skipping them changes
+    /// no bit of `h`).
+    pub(crate) fn add_scaled_into(&self, h: &mut Matrix, offset: usize, scale: f64) {
+        match self {
+            Penalty::Dense(omega) => {
+                for a in 0..omega.rows() {
+                    for b in 0..omega.cols() {
+                        h[(offset + a, offset + b)] += scale * omega[(a, b)];
+                    }
+                }
+            }
+            Penalty::Banded(omega) => {
+                let (n, bw) = (omega.dim(), omega.bandwidth());
+                for a in 0..n {
+                    for b in a.saturating_sub(bw)..(a + bw + 1).min(n) {
+                        h[(offset + a, offset + b)] += scale * omega.get(a, b);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The GCV λ-selection rule shared by the spectral and banded paths:
@@ -227,7 +261,6 @@ impl Deconvolver {
         };
         let forward = ForwardModel::new(kernel);
         let design = forward.design_matrix(&basis)?;
-        let omega = basis.penalty_matrix();
 
         let mut eq_rows: Vec<Vec<f64>> = Vec::new();
         if config.conservation() {
@@ -269,25 +302,27 @@ impl Deconvolver {
             SolveStrategy::Banded => true, // build() validated size + selection
             SolveStrategy::Auto => basis.is_local() && !kfold,
         };
-        let banded = if banded_exec {
-            let omega_banded = basis.penalty_banded().ok_or(DeconvError::InvalidConfig(
-                "banded path needs a local basis",
-            ))?;
-            let positivity_sparse = match (&basis, &positivity) {
-                (SplineBasis::BSpline(b), Some((_, rhs))) => {
-                    let grid: Vec<f64> = (0..config.positivity_grid())
-                        .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
-                        .collect();
-                    Some((b.collocation_sparse(&grid)?, rhs.clone()))
-                }
-                _ => None,
-            };
-            Some(BandedOperators {
-                omega: omega_banded,
-                positivity: positivity_sparse,
-            })
-        } else {
-            None
+        let (omega, banded) = match (banded_exec, &basis) {
+            (true, SplineBasis::BSpline(b)) => {
+                let omega = b.penalty_banded();
+                let positivity_sparse = match &positivity {
+                    Some((_, rhs)) => {
+                        let grid: Vec<f64> = (0..config.positivity_grid())
+                            .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
+                            .collect();
+                        Some((b.collocation_sparse(&grid)?, rhs.clone()))
+                    }
+                    None => None,
+                };
+                let ops = BandedOperators::new(&omega, &b.greville(), positivity_sparse)?;
+                (Penalty::Banded(omega), Some(ops))
+            }
+            (true, _) => {
+                return Err(DeconvError::InvalidConfig(
+                    "banded path needs a local basis",
+                ))
+            }
+            (false, _) => (Penalty::Dense(basis.penalty_matrix()), None),
         };
 
         let ridge = config.ridge().max(1e-12);
@@ -296,12 +331,13 @@ impl Deconvolver {
         // serve the dense GCV scan — skip the O(n³) setup everywhere
         // else (fixed-λ engines, k-fold engines, the banded path).
         let gcv = matches!(config.lambda(), LambdaSelection::Gcv { .. });
-        let (ops, spectral_unit) = if gcv && !banded_exec {
-            let ops = ReducedOperators::new(&design, &omega, equality.as_ref().map(|(e, _)| e))?;
-            let spectral = SpectralPath::new(&ops, &unit_weights, ridge)?;
-            (Some(ops), Some(spectral))
-        } else {
-            (None, None)
+        let (ops, spectral_unit) = match &omega {
+            Penalty::Dense(dense) if gcv => {
+                let ops = ReducedOperators::new(&design, dense, equality.as_ref().map(|(e, _)| e))?;
+                let spectral = SpectralPath::new(&ops, &unit_weights, ridge)?;
+                (Some(ops), Some(spectral))
+            }
+            _ => (None, None),
         };
         let lambda_grid = config.lambda().lambda_grid();
 
@@ -370,7 +406,7 @@ impl Deconvolver {
         &self.design
     }
 
-    pub(crate) fn omega_ref(&self) -> &Matrix {
+    pub(crate) fn omega_ref(&self) -> &Penalty {
         &self.omega
     }
 
@@ -397,9 +433,10 @@ impl Deconvolver {
     fn assemble_hessian(&self, h: &mut Matrix, lambda: f64) -> Result<()> {
         let n = self.basis.len();
         let ridge = self.ridge_eff();
+        self.omega.add_scaled_into(h, 0, lambda);
         for i in 0..n {
             for j in 0..n {
-                h[(i, j)] = 2.0 * (h[(i, j)] + lambda * self.omega[(i, j)]);
+                h[(i, j)] *= 2.0;
             }
             h[(i, i)] += 2.0 * ridge;
         }
@@ -722,16 +759,14 @@ impl Deconvolver {
             workspace.weights.clone()
         };
         let eq = self.equality.as_ref().map(|(e, _)| e);
-        let ridge = self.ridge_eff();
+        let fit = BandedFit::new(bops, &self.design, &weights, g, eq, self.ridge_eff());
         let (lambda, scores) = match lambda_override {
             Some(l) => (l, Vec::new()),
             None => match self.config.lambda() {
                 LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => gcv_select(&self.lambda_grid, cancel, |l| {
-                    let sol =
-                        banded::evaluate(&self.design, &weights, g, eq, &bops.omega, l, ridge)?;
-                    Ok(banded::gcv_score(&sol, self.design.rows()))
-                })?,
+                LambdaSelection::Gcv { .. } => {
+                    gcv_select(&self.lambda_grid, cancel, |l| fit.gcv_score(l))?
+                }
                 LambdaSelection::KFold { .. } => {
                     return Err(DeconvError::InvalidConfig(
                         "banded path does not support k-fold selection",
@@ -739,8 +774,7 @@ impl Deconvolver {
                 }
             },
         };
-        let sol = banded::evaluate(&self.design, &weights, g, eq, &bops.omega, lambda, ridge)?;
-        let mut alpha = sol.alpha;
+        let mut alpha = fit.solve(lambda)?;
         if let Some((p, _)) = &bops.positivity {
             let pa = p.matvec(&alpha)?;
             let tol = 1e-9 * (1.0 + alpha.norm_inf());
@@ -1259,9 +1293,9 @@ impl Deconvolver {
         }
         if let Some((p, rhs)) = &self.positivity {
             // Banded engines hand the QP the sparse-row collocation block
-            // (≤ 4 nnz per row) instead of the dense copy.
+            // (≤ 4 nnz per row) for its matvecs, next to the dense rows.
             problem = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
-                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, srhs)?,
+                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, p, srhs)?,
                 None => problem.with_inequalities(p, rhs)?,
             };
         }

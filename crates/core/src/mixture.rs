@@ -517,12 +517,10 @@ impl MixtureDeconvolver {
         for &l in &grid {
             mmat.as_mut_slice().copy_from_slice(gram.as_slice());
             for (block, &i) in self.canonical.iter().enumerate() {
-                let omega = self.slots[i].engine.omega_ref();
-                for a in 0..n {
-                    for b in 0..n {
-                        mmat[(block * n + a, block * n + b)] += l * omega[(a, b)];
-                    }
-                }
+                self.slots[i]
+                    .engine
+                    .omega_ref()
+                    .add_scaled_into(&mut mmat, block * n, l);
             }
             for p in 0..kn {
                 mmat[(p, p)] += ridge;
@@ -641,13 +639,10 @@ impl MixtureDeconvolver {
         let ridge = self.slots[0].engine.ridge_effective();
         let mut h = gram;
         for (block, &i) in self.canonical.iter().enumerate() {
-            let omega = self.slots[i].engine.omega_ref();
-            let l = lambda[i];
-            for a in 0..n {
-                for b in 0..n {
-                    h[(block * n + a, block * n + b)] += l * omega[(a, b)];
-                }
-            }
+            self.slots[i]
+                .engine
+                .omega_ref()
+                .add_scaled_into(&mut h, block * n, lambda[i]);
         }
         for p in 0..kn {
             for q in 0..kn {

@@ -53,15 +53,16 @@ impl HessianRef<'_> {
 
 /// The inequality block of a [`QpProblem`]: dense rows, or sparse
 /// collocation rows (≤ a handful of nonzeros each). The sparse form
-/// keeps a densified copy for zero-copy row slices in the working-set
-/// factor, but routes the per-iteration matvecs (`A·x`, `A·p` over all
-/// rows) through the sparse storage — O(nnz) instead of O(rows·n).
+/// borrows the caller's dense twin for zero-copy row slices in the
+/// working-set factor, but routes the per-iteration matvecs (`A·x`,
+/// `A·p` over all rows) through the sparse storage — O(nnz) instead of
+/// O(rows·n).
 #[derive(Debug, Clone)]
 enum IneqRef<'a> {
     Dense(&'a Matrix, &'a Vector),
     Sparse {
         src: &'a SparseRowMatrix,
-        dense: Matrix,
+        dense: &'a Matrix,
         rhs: &'a Vector,
     },
 }
@@ -297,7 +298,9 @@ impl<'a> QpProblem<'a> {
     /// Adds inequality constraints `A x ≥ b` from sparse-row storage
     /// (e.g. the collocation rows of a locally supported spline basis,
     /// ≤ 4 nonzeros per row). The per-iteration matvecs run sparse; the
-    /// working-set factor reads a densified copy built here.
+    /// working-set factor reads row slices of `a_dense`, the same rows
+    /// densified, which callers hold anyway and which would otherwise be
+    /// copied per problem.
     ///
     /// # Errors
     ///
@@ -305,8 +308,17 @@ impl<'a> QpProblem<'a> {
     pub fn with_inequalities_sparse(
         mut self,
         a_mat: &'a SparseRowMatrix,
+        a_dense: &'a Matrix,
         b_rhs: &'a Vector,
     ) -> Result<Self> {
+        if a_dense.shape() != (a_mat.rows(), a_mat.cols()) {
+            return Err(OptError::DimensionMismatch {
+                what: "dense twin of the sparse inequality matrix",
+                expected: a_mat.rows() * a_mat.cols(),
+                got: a_dense.rows() * a_dense.cols(),
+            });
+        }
+        debug_assert_eq!(&a_mat.to_dense(), a_dense, "dense twin differs");
         if a_mat.cols() != self.dim() {
             return Err(OptError::DimensionMismatch {
                 what: "inequality matrix columns",
@@ -323,7 +335,7 @@ impl<'a> QpProblem<'a> {
         }
         self.ineq = Some(IneqRef::Sparse {
             src: a_mat,
-            dense: a_mat.to_dense(),
+            dense: a_dense,
             rhs: b_rhs,
         });
         Ok(self)
@@ -594,10 +606,10 @@ pub struct QpWorkspace {
     /// Storage stride / capacity of the factor (`== n`).
     cap: usize,
     /// Column-major orthonormal basis `Q` of the whitened working rows
-    /// (column `j` at `j·n..(j+1)·n`).
+    /// (column `j` at `j·n..(j+1)·n`), sized to the rows pushed so far.
     qmat: Vec<f64>,
     /// Row-major upper-triangular `R` with row stride `cap`:
-    /// `L⁻¹A_Wᵀ = Q·R`.
+    /// `L⁻¹A_Wᵀ = Q·R`, sized like `qmat`.
     rmat: Vec<f64>,
     /// Whitened objective center `u₀ = −L⁻¹c` for the current solve.
     u0: Vector,
@@ -869,8 +881,11 @@ impl QpWorkspace {
             self.step = Vector::zeros(n);
             self.vcol = Vector::zeros(n);
             self.resid = Vector::zeros(n);
-            self.qmat = vec![0.0; n * n];
-            self.rmat = vec![0.0; n * n];
+            // Q and R grow a row at a time in `push_row`: the working set
+            // rarely holds more than a few rows, and an n×n reservation
+            // would make every large-basis solve resident in n² memory.
+            self.qmat.clear();
+            self.rmat.clear();
             self.lam = vec![0.0; n];
             self.dvec = vec![0.0; n];
             self.gvec = vec![0.0; n];
@@ -1133,6 +1148,10 @@ impl QpWorkspace {
             return Ok(false); // dependent row: pivot would vanish
         }
         let inv = 1.0 / rho;
+        if self.qmat.len() < (m + 1) * n {
+            self.qmat.resize((m + 1) * n, 0.0);
+            self.rmat.resize((m + 1) * self.cap, 0.0);
+        }
         for (q, &v) in self.qmat[m * n..(m + 1) * n]
             .iter_mut()
             .zip(self.vcol.iter())
@@ -2071,7 +2090,7 @@ mod tests {
             .solve(
                 &QpProblem::new_banded(&hb, &c)
                     .unwrap()
-                    .with_inequalities_sparse(&a_sparse, &b)
+                    .with_inequalities_sparse(&a_sparse, &a_dense, &b)
                     .unwrap(),
             )
             .unwrap();
@@ -2085,16 +2104,23 @@ mod tests {
         // Length mismatch rejected.
         assert!(QpProblem::new_banded(&hb, &Vector::zeros(7)).is_err());
         // Sparse inequality column mismatch rejected.
-        let wide = SparseRowMatrix::from_dense(&Matrix::identity(9)).unwrap();
+        let wide_dense = Matrix::identity(9);
+        let wide = SparseRowMatrix::from_dense(&wide_dense).unwrap();
         assert!(QpProblem::new_banded(&hb, &c)
             .unwrap()
-            .with_inequalities_sparse(&wide, &Vector::zeros(9))
+            .with_inequalities_sparse(&wide, &wide_dense, &Vector::zeros(9))
             .is_err());
         // Sparse inequality rhs length mismatch rejected.
-        let ok = SparseRowMatrix::from_dense(&Matrix::identity(8)).unwrap();
+        let ok_dense = Matrix::identity(8);
+        let ok = SparseRowMatrix::from_dense(&ok_dense).unwrap();
         assert!(QpProblem::new_banded(&hb, &c)
             .unwrap()
-            .with_inequalities_sparse(&ok, &Vector::zeros(5))
+            .with_inequalities_sparse(&ok, &ok_dense, &Vector::zeros(5))
+            .is_err());
+        // A dense twin of the wrong shape is rejected.
+        assert!(QpProblem::new_banded(&hb, &c)
+            .unwrap()
+            .with_inequalities_sparse(&ok, &wide_dense, &Vector::zeros(8))
             .is_err());
     }
 }

@@ -121,6 +121,18 @@ impl BSplineBasis {
         (self.t[0], self.t[self.t.len() - 1])
     }
 
+    /// The Greville abscissae `ξᵢ = (tᵢ₊₁ + tᵢ₊₂ + tᵢ₊₃)/3`, one per basis
+    /// function. `Σ ξᵢNᵢ(x) = x` exactly, so `span{1, ξ}` is the
+    /// coefficient image of the linear profiles — the null space of the
+    /// roughness penalty ([`BSplineBasis::penalty_banded`]). Clamped
+    /// ends give `ξ₀ = a` and `ξ_{n−1} = b`.
+    pub fn greville(&self) -> Vec<f64> {
+        self.t
+            .windows(DEGREE + 2)
+            .map(|w| (w[1] + w[2] + w[3]) / DEGREE as f64)
+            .collect()
+    }
+
     /// The support interval `[tᵢ, tᵢ₊₄]` of basis function `i`.
     ///
     /// # Panics
@@ -716,10 +728,9 @@ mod tests {
         // ξᵢ = (tᵢ₊₁ + tᵢ₊₂ + tᵢ₊₃)/3 gives Σ ξᵢNᵢ(x) = x exactly; linear
         // functions have zero curvature, so the penalty must annihilate ξ.
         let basis = BSplineBasis::uniform(10, 0.0, 1.0).unwrap();
-        let t = basis.knot_vector();
-        let greville: Vec<f64> = (0..basis.len())
-            .map(|i| (t[i + 1] + t[i + 2] + t[i + 3]) / 3.0)
-            .collect();
+        let greville = basis.greville();
+        assert_eq!(greville.len(), basis.len());
+        assert_eq!((greville[0], greville[9]), (0.0, 1.0));
         for &x in &grid(0.0, 1.0, 41) {
             let v = basis.eval_combination(&greville, x).unwrap();
             assert!((v - x).abs() < 1e-12, "linear reproduction at {x}: {v}");
@@ -737,6 +748,31 @@ mod tests {
         for k in 0..basis.len() {
             assert!(annihilated[k].abs() < 1e-9, "Ω·ξ[{k}] = {}", annihilated[k]);
             assert!(ones[k].abs() < 1e-9, "Ω·1[{k}] = {}", ones[k]);
+        }
+    }
+
+    #[test]
+    fn penalty_annihilates_constants_and_greville_at_fine_bases() {
+        // The banded solver eliminates span{1, ξ} exactly and treats Ω as
+        // positive definite on the rest, so Ω·1 and Ω·ξ must vanish to
+        // assembly rounding (a few ulps of ‖Ω‖) at every basis size it
+        // serves.
+        for n in [128, 256, 512] {
+            let basis = BSplineBasis::uniform(n, 0.0, 1.0).unwrap();
+            let omega = basis.penalty_banded();
+            let norm = (0..n)
+                .map(|i| (0..n).map(|j| omega.get(i, j).abs()).sum::<f64>())
+                .fold(0.0, f64::max);
+            for v in [vec![1.0; n], basis.greville()] {
+                let image = omega
+                    .matvec(&cellsync_linalg::Vector::from_slice(&v))
+                    .unwrap();
+                let worst = image.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                assert!(
+                    worst <= 64.0 * f64::EPSILON * norm,
+                    "n={n}: ‖Ω·v‖∞ = {worst:e} against ‖Ω‖∞ = {norm:e}"
+                );
+            }
         }
     }
 

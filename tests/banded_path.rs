@@ -8,6 +8,11 @@
 //! exact differential testing possible: fixed-λ fits must agree to
 //! 1e-8, GCV selection must land on the same λ, and the positivity
 //! fallback must route through the same QP.
+//!
+//! The range suites cover n ∈ {128, 256, 512} × λ ∈ [1e-8, 1e2]. Where
+//! λ‖Ω‖ is large the dense engine's own answer drifts (its normal matrix
+//! rounds Ω's null space at ε_mach·λ‖Ω‖), so there the banded fit is
+//! held to 1e-8 of a double-double reference solve instead.
 
 use std::sync::OnceLock;
 
@@ -228,4 +233,365 @@ fn banded_positivity_fallback_matches_dense() {
         diff <= 1e-7 * scale,
         "fallback coefficient divergence {diff:e}"
     );
+}
+
+/// The λ grid of the range suites: every two decades over [1e-8, 1e2].
+const LAMBDAS: [f64; 6] = [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2];
+
+/// Double-double numbers (an unevaluated sum `hi + lo`, ~32 digits):
+/// the reference solve forms and refines its normal equations in them,
+/// so its answer is exact to f64 rounding however ill-conditioned the
+/// f64 formulation is.
+#[derive(Clone, Copy, Default)]
+struct Dd(f64, f64);
+
+impl Dd {
+    fn two_sum(a: f64, b: f64) -> Dd {
+        let s = a + b;
+        let bb = s - a;
+        Dd(s, (a - (s - bb)) + (b - bb))
+    }
+
+    fn prod(a: f64, b: f64) -> Dd {
+        let p = a * b;
+        Dd(p, a.mul_add(b, -p))
+    }
+
+    fn add(self, o: Dd) -> Dd {
+        let s = Dd::two_sum(self.0, o.0);
+        Dd::two_sum(s.0, s.1 + self.1 + o.1)
+    }
+
+    fn mul(self, o: Dd) -> Dd {
+        let p = Dd::prod(self.0, o.0);
+        Dd::two_sum(p.0, p.1 + self.0 * o.1 + self.1 * o.0)
+    }
+
+    fn value(self) -> f64 {
+        self.0 + self.1
+    }
+}
+
+/// Reference solver for the unconstrained fixed-λ fit at unit weights:
+/// the dense normal equations `K = AᵀA + λΩ + εI` written in the
+/// coordinates where Ω's null space is exact — `α = N·c + (0, β, 0)`
+/// with `N = [ℓ₀, ℓ₁]` the linear interpolants of the end coefficients at
+/// the Greville abscissae, so `αᵀΩα = βᵀΩ_rrβ` — formed in double-double,
+/// factored dense in f64 and polished by double-double residual
+/// refinement. It shares no code with the banded solver.
+struct ExactReference {
+    n: usize,
+    /// `N`'s two columns, full length.
+    null: [Vec<f64>; 2],
+    omega: cellsync_linalg::BandedMatrix,
+    /// `(AT)ᵀ(AT) + ε·TᵀT` for the coordinate map `T = [interior unit
+    /// vectors, ℓ₀, ℓ₁]`.
+    base: Vec<Vec<Dd>>,
+    rhs: Vec<Dd>,
+}
+
+impl ExactReference {
+    fn new(engine: &Deconvolver, g: &[f64]) -> ExactReference {
+        let basis = engine.basis().as_bspline().expect("B-spline basis");
+        let n = basis.len();
+        let a = engine
+            .forward()
+            .design_matrix(engine.basis())
+            .expect("design");
+        let xi = basis.greville();
+        let l1: Vec<f64> = xi
+            .iter()
+            .map(|x| (x - xi[0]) / (xi[n - 1] - xi[0]))
+            .collect();
+        let l0: Vec<f64> = l1.iter().map(|v| 1.0 - v).collect();
+        let col = |k: usize, i: usize| match k {
+            k if k < n - 2 => f64::from(u8::from(i == k + 1)),
+            k if k == n - 2 => l0[i],
+            _ => l1[i],
+        };
+        // Rows of A·T: interior columns copied, the two null columns summed.
+        let at: Vec<Vec<Dd>> = (0..a.rows())
+            .map(|r| {
+                (0..n)
+                    .map(|k| {
+                        if k < n - 2 {
+                            Dd(a[(r, k + 1)], 0.0)
+                        } else {
+                            (0..n).fold(Dd::default(), |s, i| s.add(Dd::prod(a[(r, i)], col(k, i))))
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let ridge = engine.config().ridge();
+        let base = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let gram = at
+                            .iter()
+                            .fold(Dd::default(), |s, row| s.add(row[i].mul(row[j])));
+                        let tt = if i >= n - 2 && j >= n - 2 {
+                            (0..n).fold(Dd::default(), |s, q| s.add(Dd::prod(col(i, q), col(j, q))))
+                        } else if i >= n - 2 {
+                            Dd(col(i, j + 1), 0.0)
+                        } else if j >= n - 2 {
+                            Dd(col(j, i + 1), 0.0)
+                        } else {
+                            Dd(f64::from(u8::from(i == j)), 0.0)
+                        };
+                        gram.add(tt.mul(Dd(ridge, 0.0)))
+                    })
+                    .collect()
+            })
+            .collect();
+        let rhs = (0..n)
+            .map(|k| {
+                at.iter().zip(g).fold(Dd::default(), |s, (row, &gv)| {
+                    s.add(row[k].mul(Dd(gv, 0.0)))
+                })
+            })
+            .collect();
+        ExactReference {
+            n,
+            null: [l0, l1],
+            omega: basis.penalty_banded(),
+            base,
+            rhs,
+        }
+    }
+
+    fn solve(&self, lambda: f64) -> Vec<f64> {
+        let n = self.n;
+        let mut k = self.base.clone();
+        for (i, row) in k.iter_mut().enumerate().take(n - 2) {
+            for (j, v) in row.iter_mut().enumerate().take(n - 2) {
+                let o = self.omega.get(i + 1, j + 1);
+                if o != 0.0 {
+                    *v = v.add(Dd::prod(lambda, o));
+                }
+            }
+        }
+        let chol = cellsync_linalg::Matrix::from_fn(n, n, |i, j| k[i][j].value())
+            .cholesky()
+            .expect("reference normal matrix is SPD");
+        let mut x = vec![Dd::default(); n];
+        for _ in 0..4 {
+            let r: Vec<f64> = (0..n)
+                .map(|i| {
+                    k[i].iter()
+                        .zip(&x)
+                        .fold(self.rhs[i], |s, (kij, xj)| s.add(kij.mul(Dd(-xj.0, -xj.1))))
+                        .value()
+                })
+                .collect();
+            let dx = chol
+                .solve(&cellsync_linalg::Vector::from_slice(&r))
+                .expect("sizes agree");
+            for (xi, d) in x.iter_mut().zip(dx.iter()) {
+                *xi = xi.add(Dd(*d, 0.0));
+            }
+        }
+        let (c0, c1) = (x[n - 2], x[n - 1]);
+        (0..n)
+            .map(|j| {
+                let null = c0
+                    .mul(Dd(self.null[0][j], 0.0))
+                    .add(c1.mul(Dd(self.null[1][j], 0.0)));
+                if j == 0 || j == n - 1 {
+                    null.value()
+                } else {
+                    x[j - 1].add(null).value()
+                }
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn banded_matches_exact_reference_across_basis_and_lambda_range() {
+    // n ∈ {128, 256, 512} × λ ∈ [1e-8, 1e2] without positivity: the
+    // banded solve must match the double-double reference to 1e-8. The
+    // top of this range is where the old ridge-held factor lost
+    // definiteness (λ·‖Ω‖·ε_mach > ε).
+    let g = positive_series();
+    for n in [128, 256, 512] {
+        let config = |lambda| {
+            DeconvolutionConfig::builder()
+                .basis_size(n)
+                .positivity(false)
+                .lambda(lambda)
+                .strategy(SolveStrategy::Banded)
+                .build()
+                .expect("valid config")
+        };
+        let probe = Deconvolver::new(anchor_kernel().clone(), config(1.0)).expect("engine");
+        let reference = ExactReference::new(&probe, &g);
+        for lambda in LAMBDAS {
+            let engine = Deconvolver::new(anchor_kernel().clone(), config(lambda)).expect("engine");
+            let fit = engine.fit(&g, None).expect("banded fit");
+            let exact = reference.solve(lambda);
+            let scale = 1.0 + exact.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            let diff = max_coef_diff(fit.alpha(), &exact);
+            assert!(
+                diff <= 1e-8 * scale,
+                "n={n} λ={lambda:e}: banded vs exact {diff:e} (scale {scale:e})"
+            );
+        }
+    }
+}
+
+#[test]
+fn banded_matches_dense_across_basis_sizes_at_small_lambda() {
+    // The dense engine against the banded one, at 1e-8, wherever the
+    // dense engine is itself accurate to 1e-8. Above λ‖Ω‖ ≈ 1e5 its
+    // normal matrix rounds Ω's null space at ε_mach·λ‖Ω‖ and the dense
+    // answer drifts from the exact one (1e-5 at n = 512, λ = 1): the
+    // exact-reference test covers that part of the range.
+    let g = positive_series();
+    for n in [128, 256, 512] {
+        for lambda in [1e-8, 1e-6, 1e-4] {
+            let sel = LambdaSelection::Fixed(lambda);
+            let dense = Deconvolver::new(
+                anchor_kernel().clone(),
+                config(n, SolveStrategy::Dense, sel.clone()),
+            )
+            .expect("dense engine");
+            let banded = Deconvolver::new(
+                anchor_kernel().clone(),
+                config(n, SolveStrategy::Banded, sel),
+            )
+            .expect("banded engine");
+            let fd = dense.fit(&g, None).expect("dense fit");
+            let fb = banded.fit(&g, None).expect("banded fit");
+            let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            let diff = max_coef_diff(fd.alpha(), fb.alpha());
+            assert!(
+                diff <= 1e-8 * scale,
+                "n={n} λ={lambda:e}: dense vs banded {diff:e} (scale {scale:e})"
+            );
+        }
+    }
+}
+
+#[test]
+fn banded_gcv_matches_dense_spectral_across_basis_sizes() {
+    // GCV over the whole [1e-8, 1e2] range at every basis size: the
+    // banded scan must land on the dense spectral path's λ and α. The
+    // series carries a deterministic 5 % perturbation so GCV picks an
+    // interior λ (clean data interpolates: a boundary pick at 1e-8).
+    let g: Vec<f64> = positive_series()
+        .iter()
+        .enumerate()
+        .map(|(i, v)| v * (1.0 + 0.05 * (7.3 * i as f64).sin()))
+        .collect();
+    let sel = LambdaSelection::Gcv {
+        log10_min: -8.0,
+        log10_max: 2.0,
+        points: 11,
+    };
+    for n in [128, 256, 512] {
+        let dense = Deconvolver::new(
+            anchor_kernel().clone(),
+            config(n, SolveStrategy::Dense, sel.clone()),
+        )
+        .expect("dense engine");
+        let banded = Deconvolver::new(
+            anchor_kernel().clone(),
+            config(n, SolveStrategy::Banded, sel.clone()),
+        )
+        .expect("banded engine");
+        let fd = dense.fit(&g, None).expect("dense fit");
+        let fb = banded.fit(&g, None).expect("banded fit");
+        let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda();
+        assert!(
+            rel <= 1e-6,
+            "n={n}: GCV λ dense {} vs banded {}",
+            fd.lambda(),
+            fb.lambda()
+        );
+        let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let diff = max_coef_diff(fd.alpha(), fb.alpha());
+        assert!(
+            diff <= 1e-6 * scale,
+            "n={n}: coefficient divergence {diff:e}"
+        );
+    }
+}
+
+/// Replays one configuration of the repository benchmark's known-failure
+/// probe on the same kind of genome (the `genome_fine` protocol: 16
+/// times over one cycle, 8 % noise, σ on every other gene, 24 genes):
+/// every banded fit must succeed, stay finite and agree with the dense
+/// engine to `tol`. Before Ω's null space was handled exactly, all 72
+/// probe fits failed with a non-positive pivot.
+fn replay_probe_configuration(basis: usize, sel: LambdaSelection, tol: f64) {
+    static GENOME: OnceLock<(PhaseKernel, cellsync_bench::experiments::GenomeBatch)> =
+        OnceLock::new();
+    let (kernel, genome) = GENOME.get_or_init(|| {
+        let kernel = cellsync_bench::standard_kernel(150.0, 16, 1).expect("kernel");
+        let genome =
+            cellsync_bench::experiments::synthetic_genome(&kernel, 24, 0.08, 58).expect("genome");
+        (kernel, genome)
+    });
+    let dense = Deconvolver::new(
+        kernel.clone(),
+        config(basis, SolveStrategy::Dense, sel.clone()),
+    )
+    .expect("dense engine");
+    let banded = Deconvolver::new(kernel.clone(), config(basis, SolveStrategy::Auto, sel))
+        .expect("banded engine");
+    for k in 0..genome.len() {
+        let sigmas = (k % 2 == 0).then(|| genome.sigmas[k].as_slice());
+        let fb = banded
+            .fit(&genome.series[k], sigmas)
+            .unwrap_or_else(|e| panic!("basis {basis} gene {k}: {e}"));
+        assert!(
+            fb.lambda().is_finite() && fb.alpha().iter().all(|a| a.is_finite()),
+            "basis {basis} gene {k}: non-finite fit"
+        );
+        let fd = dense.fit(&genome.series[k], sigmas).expect("dense fit");
+        let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda();
+        assert!(
+            rel <= 1e-6,
+            "basis {basis} gene {k}: λ {} vs {}",
+            fd.lambda(),
+            fb.lambda()
+        );
+        let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let diff = max_coef_diff(fd.alpha(), fb.alpha());
+        assert!(
+            diff <= tol * scale,
+            "basis {basis} gene {k}: α divergence {diff:e} (scale {scale:e})"
+        );
+    }
+}
+
+#[test]
+fn probe_gcv_basis_256_fits_every_gene_like_dense() {
+    let sel = LambdaSelection::Gcv {
+        log10_min: -6.0,
+        log10_max: 0.0,
+        points: 7,
+    };
+    replay_probe_configuration(256, sel, 1e-8);
+}
+
+#[test]
+fn probe_wide_gcv_basis_128_fits_every_gene_like_dense() {
+    let sel = LambdaSelection::Gcv {
+        log10_min: -8.0,
+        log10_max: 1.0,
+        points: 11,
+    };
+    replay_probe_configuration(128, sel, 1e-8);
+}
+
+#[test]
+fn probe_fixed_lambda_basis_256_fits_every_gene_like_dense() {
+    // At λ = 1 on 256 functions the dense engine's own rounding of Ω's
+    // null space (ε_mach·λ‖Ω‖) reaches ~1e-7 of α, so agreement with it is
+    // checked at 1e-6; the exact-reference test pins the banded path at
+    // 1e-8 on this (n, λ).
+    replay_probe_configuration(256, LambdaSelection::Fixed(1.0), 1e-6);
 }

@@ -118,6 +118,96 @@ fn fit_many_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn banded_fit_many_bit_identical_across_thread_counts() {
+    // The banded path at basis 128 (B-splines, capacitance GCV scan):
+    // unit and σ-weighted genes, one of them diving to zero so its
+    // equality-only minimizer goes negative and the fit falls back to
+    // the dense active-set QP.
+    let kernel = test_kernel(5);
+    let forward = ForwardModel::new(kernel.clone());
+    let mut truths: Vec<PhaseProfile> = (0..5)
+        .map(|g| {
+            let peak = 0.2 + 0.15 * g as f64;
+            PhaseProfile::from_fn(200, move |phi| {
+                let d = (phi - peak).abs().min(1.0 - (phi - peak).abs());
+                3.0 * (-(d * d) / 0.03).exp() + 0.5
+            })
+            .expect("valid profile")
+        })
+        .collect();
+    truths.push(
+        PhaseProfile::from_fn(200, |phi| {
+            let d = (phi - 0.5).abs();
+            if d < 0.18 {
+                0.0
+            } else {
+                3.0 * (d - 0.18) / 0.32
+            }
+        })
+        .expect("valid profile"),
+    );
+    let series: Vec<Vec<f64>> = truths
+        .iter()
+        .map(|t| forward.predict(t).expect("predicts"))
+        .collect();
+    let sigmas: Vec<Vec<f64>> = series
+        .iter()
+        .map(|g| g.iter().map(|v| 0.05 * v.abs() + 0.01).collect())
+        .collect();
+    let input: Vec<(&[f64], Option<&[f64]>)> = series
+        .iter()
+        .zip(&sigmas)
+        .enumerate()
+        .map(|(i, (g, s))| (g.as_slice(), (i % 2 == 1).then_some(s.as_slice())))
+        .collect();
+    let config = DeconvolutionConfig::builder()
+        .basis_size(128)
+        .positivity(true)
+        .lambda_selection(LambdaSelection::Gcv {
+            log10_min: -8.0,
+            log10_max: 1.0,
+            points: 9,
+        })
+        .build()
+        .expect("valid config");
+    let engine = Deconvolver::new(kernel, config).expect("valid engine");
+    assert!(engine.basis().is_local(), "basis 128 runs banded");
+
+    let reference = engine
+        .clone()
+        .with_threads(1)
+        .fit_many(&input)
+        .expect("fits");
+    // The diving gene's fit sits on the positivity boundary: only the
+    // fallback QP puts it there.
+    let dive = reference.last().expect("six genes");
+    let grid_min = (0..101)
+        .map(|i| dive.eval(i as f64 / 100.0).expect("in domain"))
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        grid_min.abs() <= 1e-9,
+        "no positivity fallback: grid minimum {grid_min:e}"
+    );
+    for threads in THREAD_COUNTS {
+        let results = engine
+            .clone()
+            .with_threads(threads)
+            .fit_many(&input)
+            .expect("fits");
+        assert_eq!(results.len(), reference.len());
+        for (i, (got, want)) in results.iter().zip(&reference).enumerate() {
+            assert_eq!(got.alpha(), want.alpha(), "gene {i}, threads {threads}");
+            assert_eq!(got.lambda(), want.lambda(), "gene {i}, threads {threads}");
+            assert_eq!(
+                got.predicted(),
+                want.predicted(),
+                "gene {i}, threads {threads}"
+            );
+        }
+    }
+}
+
+#[test]
 fn scenario_matrix_bit_identical_across_thread_counts_and_order() {
     // The full quick matrix (the one `accuracy --quick` gates) at a
     // debug-friendly workload size: every outcome — metrics AND the raw
