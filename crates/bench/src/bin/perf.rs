@@ -8,11 +8,12 @@
 //! the interior-point backend, banded Cholesky factor+solve and sparse
 //! banded Gram assembly at genome-scale basis sizes, the λ-path GCV
 //! fit unit-weighted and σ-weighted, the σ-weighted banded-path GCV fit
-//! at basis 128, and the warm-started shared-Hessian QP pattern) plus
-//! the end-to-end
-//! genome-wide batch deconvolution (wall time, per-gene throughput, and
-//! thread-count scaling at 1/2/4 workers), and writes the results as a
-//! schema-stable `BENCH.json` — the repo's perf trajectory format.
+//! at basis 128, and the warm-started shared-Hessian QP pattern), writes
+//! the results as a schema-stable `BENCH.json` — the repo's kernel perf
+//! trajectory format — and gates them against a committed baseline.
+//! End-to-end and per-layer costs (genome-wide `fit_many` throughput,
+//! thread scaling, serving latency) are perfbench's job, not this
+//! harness's.
 //!
 //! ```text
 //! perf [--quick|--full] [--out PATH] [--baseline PATH] [--gate-pct PCT]
@@ -20,8 +21,8 @@
 //! ```
 //!
 //! * `--quick` (default): CI-sized workloads, a few seconds end to end.
-//! * `--full`: paper-sized workloads (20k-cell population, 1000-gene
-//!   batch) for real trajectory points.
+//! * `--full`: a paper-sized 20k-cell population behind the kernel
+//!   estimate and more repetitions, for real trajectory points.
 //! * `--baseline PATH`: compare every kernel's median against a previous
 //!   `BENCH.json` and exit non-zero if any kernel regressed by more than
 //!   `--gate-pct` percent (default 25) — the CI regression gate.
@@ -37,14 +38,11 @@
 //! Timing method: every kernel repetition does enough inner iterations to
 //! run well above timer resolution, repetitions are repeated `reps` times,
 //! and the **median** is compared (robust to one noisy-neighbour outlier
-//! on shared CI runners). The batch section reports minimum-of-reps wall
-//! time per thread count, since scaling ratios want the least-noise
-//! estimate.
+//! on shared CI runners).
 
 use std::time::Instant;
 
 use cellsync::{DeconvolutionConfig, Deconvolver, LambdaSelection};
-use cellsync_bench::experiments::synthetic_genome;
 use cellsync_bench::json::Json;
 use cellsync_bench::stamp;
 use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
@@ -60,9 +58,6 @@ use cellsync_spline::NaturalSplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Thread counts the batch scaling section sweeps.
-const SCALING_THREADS: [usize; 3] = [1, 2, 4];
-
 #[derive(Debug, Clone)]
 struct Config {
     mode: &'static str,
@@ -70,10 +65,6 @@ struct Config {
     reps: usize,
     /// Cells in the simulated population behind the kernel estimate.
     cells: usize,
-    /// Genes in the end-to-end batch.
-    genes: usize,
-    /// Batch timing repetitions per thread count (minimum is reported).
-    batch_reps: usize,
     out: String,
     baseline: Option<String>,
     gate_pct: f64,
@@ -93,8 +84,6 @@ fn parse_args() -> Config {
         mode: "quick",
         reps: 5,
         cells: 3_000,
-        genes: 192,
-        batch_reps: 1,
         out: "BENCH.json".to_string(),
         baseline: None,
         gate_pct: 25.0,
@@ -109,15 +98,11 @@ fn parse_args() -> Config {
                 config.mode = "quick";
                 config.reps = 5;
                 config.cells = 3_000;
-                config.genes = 192;
-                config.batch_reps = 1;
             }
             "--full" => {
                 config.mode = "full";
                 config.reps = 9;
                 config.cells = 20_000;
-                config.genes = 1_000;
-                config.batch_reps = 2;
             }
             "--out" => config.out = args.next().unwrap_or_else(|| usage()),
             "--baseline" => config.baseline = Some(args.next().unwrap_or_else(|| usage())),
@@ -275,9 +260,8 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
     });
     kernels.push(kernel_entry("ode_rk4_lv150x25", reps, median, min));
 
-    // 5. Monte-Carlo kernel estimation (single-threaded: the scaling story
-    // lives in the batch section, kernel timings stay comparable across
-    // machines of different widths).
+    // 5. Monte-Carlo kernel estimation (single-threaded, so kernel
+    // timings stay comparable across machines of different widths).
     let estimator = KernelEstimator::new(100).expect("bins").with_threads(1);
     let (median, min) = time_reps(reps, || {
         for _ in 0..5 {
@@ -317,7 +301,7 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
     });
     kernels.push(kernel_entry("gram_weighted_96x24x50", reps, median, min));
 
-    // 7. Cold constrained QP at the per-gene batch shape: 18 basis
+    // 7. Cold constrained QP at the per-gene `fit_many` shape: 18 basis
     // functions, the engine's 101-row positivity collocation matrix — the
     // QP a `fit_many` gene pays when its warm hint does not apply.
     let basis = NaturalSplineBasis::uniform(18, 0.0, 1.0).expect("n >= 4");
@@ -599,79 +583,6 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
     kernels
 }
 
-fn measure_batch(config: &Config, kernel: &PhaseKernel) -> Json {
-    let batch = synthetic_genome(kernel, config.genes, 0.08, 4242).expect("valid batch");
-    let deconv_config = DeconvolutionConfig::builder()
-        .basis_size(18)
-        .positivity(true)
-        .lambda_selection(LambdaSelection::Gcv {
-            log10_min: -8.0,
-            log10_max: 1.0,
-            points: 11,
-        })
-        .build()
-        .expect("valid config");
-    let engine = Deconvolver::new(kernel.clone(), deconv_config).expect("valid engine");
-    let input = batch.fit_input();
-
-    // Untimed warmup so the first timed run (threads = 1, the scaling
-    // denominator) does not absorb first-touch/allocator costs.
-    std::hint::black_box(engine.fit_many(&input).expect("batch fits"));
-
-    let mut reference: Option<Vec<Vec<f64>>> = None;
-    let mut wall_by_threads: Vec<(usize, f64, bool)> = Vec::new();
-    for &threads in &SCALING_THREADS {
-        let engine_t = engine.clone().with_threads(threads);
-        let mut best = f64::INFINITY;
-        let mut identical = true;
-        for _ in 0..config.batch_reps.max(1) {
-            let start = Instant::now();
-            let results = engine_t.fit_many(&input).expect("batch fits");
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-            let alphas: Vec<Vec<f64>> = results.iter().map(|r| r.alpha().to_vec()).collect();
-            match &reference {
-                None => reference = Some(alphas),
-                Some(expected) => identical &= expected == &alphas,
-            }
-        }
-        wall_by_threads.push((threads, best, identical));
-    }
-
-    let wall_1 = wall_by_threads[0].1;
-    let deterministic = wall_by_threads.iter().all(|&(_, _, ok)| ok);
-    let scaling: Vec<Json> = wall_by_threads
-        .iter()
-        .map(|&(threads, wall_ms, _)| {
-            Json::Obj(vec![
-                ("threads".into(), Json::Num(threads as f64)),
-                ("wall_ms".into(), Json::Num(wall_ms)),
-                (
-                    "genes_per_sec".into(),
-                    Json::Num(config.genes as f64 / (wall_ms / 1e3).max(1e-12)),
-                ),
-                (
-                    "speedup_vs_1".into(),
-                    Json::Num(wall_1 / wall_ms.max(1e-12)),
-                ),
-            ])
-        })
-        .collect();
-
-    Json::Obj(vec![
-        ("genes".into(), Json::Num(config.genes as f64)),
-        (
-            "measurements".into(),
-            Json::Num(kernel.times().len() as f64),
-        ),
-        ("basis_size".into(), Json::Num(18.0)),
-        (
-            "deterministic_across_threads".into(),
-            Json::Bool(deterministic),
-        ),
-        ("scaling".into(), Json::Arr(scaling)),
-    ])
-}
-
 /// Compares current kernel medians against a baseline file. Returns the
 /// regressed kernel names.
 fn gate_against_baseline(
@@ -752,10 +663,9 @@ fn gate_against_baseline(
 fn main() {
     let config = parse_args();
     eprintln!(
-        "perf: mode={} cells={} genes={} ({} available threads)",
+        "perf: mode={} cells={} ({} available threads)",
         config.mode,
         config.cells,
-        config.genes,
         Pool::available_parallelism()
     );
 
@@ -784,23 +694,6 @@ fn main() {
         );
     }
 
-    let batch = measure_batch(&config, &phase_kernel);
-    for entry in batch.get("scaling").and_then(Json::as_array).unwrap_or(&[]) {
-        eprintln!(
-            "perf: batch threads={} wall {:.1} ms ({:.1} genes/s, speedup {:.2}x)",
-            entry.get("threads").and_then(Json::as_f64).unwrap_or(0.0),
-            entry.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
-            entry
-                .get("genes_per_sec")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            entry
-                .get("speedup_vs_1")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-        );
-    }
-
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs() as f64)
@@ -815,18 +708,7 @@ fn main() {
             "threads_available".into(),
             Json::Num(Pool::available_parallelism() as f64),
         ),
-        (
-            "host_note".into(),
-            Json::Str(if Pool::available_parallelism() == 1 {
-                "single-CPU container: batch thread-scaling ratios reflect \
-                 oversubscription overhead, not parallel speedup"
-                    .into()
-            } else {
-                format!("host exposes {} CPUs", Pool::available_parallelism())
-            }),
-        ),
         ("kernels".into(), Json::Arr(kernels)),
-        ("batch".into(), batch),
     ]);
     std::fs::write(&config.out, doc.render() + "\n").expect("writable output path");
     println!("wrote {}", config.out);
@@ -854,14 +736,6 @@ fn main() {
                 ])
             })
             .collect();
-        let batch_1t = doc
-            .get("batch")
-            .and_then(|b| b.get("scaling"))
-            .and_then(Json::as_array)
-            .and_then(|s| s.first())
-            .and_then(|e| e.get("wall_ms"))
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
         let entry = Json::Obj(vec![
             ("git_commit".into(), Json::Str(git_commit)),
             ("unix_time_secs".into(), Json::Num(unix_secs)),
@@ -875,7 +749,6 @@ fn main() {
                 Json::Num(Pool::available_parallelism() as f64),
             ),
             ("kernels".into(), Json::Arr(medians)),
-            ("batch_wall_ms_1t".into(), Json::Num(batch_1t)),
         ]);
         stamp::append_history(std::path::Path::new(history_path), entry)
             .expect("writable history path");
@@ -911,5 +784,57 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `BENCH.json`-shaped document with the given kernel medians.
+    fn doc(mode: &str, kernels: &[(&str, f64)]) -> Json {
+        Json::Obj(vec![
+            ("mode".into(), Json::Str(mode.into())),
+            (
+                "kernels".into(),
+                Json::Arr(
+                    kernels
+                        .iter()
+                        .map(|&(name, ms)| kernel_entry(name, 5, ms, ms))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    #[test]
+    fn gate_flags_a_kernel_at_twice_its_baseline() {
+        let baseline = doc("quick", &[("a", 1.0), ("b", 2.0)]).render();
+        let current = doc("quick", &[("a", 2.0), ("b", 2.0)]);
+        let regressed = gate_against_baseline(&current, &baseline, 25.0).unwrap();
+        assert_eq!(regressed, vec!["a".to_string()]);
+    }
+
+    #[test]
+    fn gate_passes_kernels_within_the_bound() {
+        let baseline = doc("quick", &[("a", 1.0), ("b", 2.0)]).render();
+        let current = doc("quick", &[("a", 1.24), ("b", 1.0)]);
+        let regressed = gate_against_baseline(&current, &baseline, 25.0).unwrap();
+        assert!(regressed.is_empty(), "{regressed:?}");
+    }
+
+    #[test]
+    fn gate_reports_a_baseline_kernel_missing_from_the_run() {
+        let baseline = doc("quick", &[("a", 1.0), ("gone", 1.0)]).render();
+        let current = doc("quick", &[("a", 1.0)]);
+        let regressed = gate_against_baseline(&current, &baseline, 25.0).unwrap();
+        assert_eq!(regressed, vec!["gone (missing)".to_string()]);
+    }
+
+    #[test]
+    fn gate_rejects_a_mode_mismatch() {
+        let baseline = doc("full", &[("a", 1.0)]).render();
+        let current = doc("quick", &[("a", 1.0)]);
+        assert!(gate_against_baseline(&current, &baseline, 25.0).is_err());
     }
 }

@@ -1,5 +1,5 @@
-//! Shared harness for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared harness for the figure-regeneration binaries and the `perf`,
+//! `accuracy` and `loadgen` harnesses.
 //!
 //! Every figure in the paper's evaluation (Figs. 2–5) has a binary in
 //! `src/bin/` that regenerates its data series and prints them as CSV, plus

@@ -12,8 +12,9 @@ use std::process::Command;
 
 use crate::json::Json;
 
-/// Schema tag of `BENCH.json` (v2 added `git_commit`).
-pub const PERF_SCHEMA: &str = "cellsync-perf/2";
+/// Schema tag of `BENCH.json` (v2 added `git_commit`; v3 dropped the
+/// `batch` section and `host_note`, leaving the timed kernels only).
+pub const PERF_SCHEMA: &str = "cellsync-perf/3";
 
 /// Schema tag of `ACCURACY.json` (v2 added `git_commit`; v3 added the
 /// `mixtures` array of K-component mixture-cell scores; v4 dropped the
@@ -126,7 +127,7 @@ mod tests {
         for i in 0..2 {
             let entry = Json::Obj(vec![
                 ("git_commit".into(), Json::Str(format!("c{i}"))),
-                ("batch_wall_ms_1t".into(), Json::Num(100.0 - i as f64)),
+                ("median_ms".into(), Json::Num(100.0 - i as f64)),
             ]);
             append_history(&path, entry).unwrap();
         }

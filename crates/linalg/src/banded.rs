@@ -522,9 +522,7 @@ impl BandedCholesky {
         }
     }
 
-    /// Expands the packed factor to a dense lower-triangular matrix
-    /// (used to hand a banded Hessian factor to dense consumers such as
-    /// the whitened active-set QP).
+    /// Expands the packed factor to a dense lower-triangular matrix.
     pub fn to_dense_factor(&self) -> Matrix {
         Matrix::from_fn(self.n, self.n, |i, j| self.factor_entry(i, j))
     }

@@ -102,18 +102,6 @@ impl CholeskyDecomposition {
         Ok(())
     }
 
-    /// Builds a dense decomposition from a banded factor by expanding
-    /// the packed band into dense lower-triangular storage. This is how
-    /// a banded Hessian enters dense consumers (the whitened active-set
-    /// QP whitens arbitrary constraint rows against `L`): factoring
-    /// costs the banded `O(n·b²)` instead of the dense `O(n³)`, and only
-    /// the expansion pays `O(n²)`.
-    pub fn from_banded(factor: &crate::BandedCholesky) -> Self {
-        CholeskyDecomposition {
-            l: factor.to_dense_factor(),
-        }
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.l.rows()

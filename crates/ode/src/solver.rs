@@ -25,7 +25,7 @@ fn validate_setup<S: OdeSystem>(system: &S, y0: &[f64], t0: f64, t1: f64) -> Res
 }
 
 /// The forward Euler method (first order). Provided as the accuracy
-/// baseline in the integrator-convergence benches.
+/// baseline in the integrator-convergence tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Euler {
     dt: f64,

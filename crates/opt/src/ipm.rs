@@ -186,24 +186,11 @@ impl IpmWorkspace {
 
         // H must be positive definite for the problem to be strictly
         // convex — mirror the active-set backend's contract exactly so
-        // degenerate inputs fail identically on both. A banded Hessian
-        // factors in O(n·b²) and expands to the same triangular factor.
-        if let Some(hb) = problem.hessian_banded() {
-            let f = hb
-                .cholesky()
-                .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?;
-            self.chol_h = Some(CholeskyDecomposition::from_banded(&f));
-        } else {
-            match &mut self.chol_h {
-                Some(f) if f.dim() == n => f
-                    .refactor(h)
-                    .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?,
-                slot => {
-                    *slot = Some(h.cholesky().map_err(|_| {
-                        OptError::NotConvex("hessian is not positive definite".into())
-                    })?)
-                }
-            }
+        // degenerate inputs fail identically on both.
+        let not_pd = |_| OptError::NotConvex("hessian is not positive definite".into());
+        match &mut self.chol_h {
+            Some(f) if f.dim() == n => f.refactor(h).map_err(not_pd)?,
+            slot => *slot = Some(h.cholesky().map_err(not_pd)?),
         }
 
         self.preprocess_equalities(problem)?;

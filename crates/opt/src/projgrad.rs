@@ -10,8 +10,7 @@ use crate::{OptError, Result};
 /// Uses the fixed step `1/λ_max(H)` (computed by symmetric eigendecomposition)
 /// which guarantees monotone convergence for convex problems. Slower than
 /// the active-set method but with trivially verifiable iterations — kept as
-/// an independent implementation to cross-check the QP solver in tests and
-/// benches.
+/// an independent implementation to cross-check the QP solver in tests.
 ///
 /// # Example
 ///

@@ -8,7 +8,7 @@
 //! owned builder ([`QuadraticProgram`]) remains as a thin convenience
 //! wrapper for one-shot solves.
 
-use cellsync_linalg::{BandedMatrix, CholeskyDecomposition, Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{CholeskyDecomposition, Matrix, SparseRowMatrix, Vector};
 use cellsync_runtime::CancelToken;
 
 use crate::{OptError, Result};
@@ -20,36 +20,6 @@ use crate::{OptError, Result};
 /// toward the equality-constrained minimizer then stops exactly on that
 /// last row, so the value only needs to be clearly above roundoff.
 const INTERIOR_MARGIN: f64 = 1e-3;
-
-/// The Hessian backing a [`QpProblem`]: dense, or banded with an
-/// internally densified copy serving the O(n²) iteration kernels while
-/// the factorization itself runs banded (O(n·b²) instead of O(n³)).
-#[derive(Debug, Clone)]
-enum HessianRef<'a> {
-    Dense(&'a Matrix),
-    Banded {
-        src: &'a BandedMatrix,
-        dense: Matrix,
-    },
-}
-
-impl HessianRef<'_> {
-    /// Dense view (borrowed caller matrix, or the densified band copy).
-    fn dense(&self) -> &Matrix {
-        match self {
-            HessianRef::Dense(h) => h,
-            HessianRef::Banded { dense, .. } => dense,
-        }
-    }
-
-    /// The banded source, when the problem was built over one.
-    fn banded(&self) -> Option<&BandedMatrix> {
-        match self {
-            HessianRef::Dense(_) => None,
-            HessianRef::Banded { src, .. } => Some(src),
-        }
-    }
-}
 
 /// The inequality block of a [`QpProblem`]: dense rows, or sparse
 /// collocation rows (≤ a handful of nonzeros each). The sparse form
@@ -147,7 +117,7 @@ impl IneqRef<'_> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct QpProblem<'a> {
-    h: HessianRef<'a>,
+    h: &'a Matrix,
     c: &'a Vector,
     eq: Option<(&'a Matrix, &'a Vector)>,
     ineq: Option<IneqRef<'a>>,
@@ -199,43 +169,7 @@ impl<'a> QpProblem<'a> {
         }
         let n = h.rows();
         Ok(QpProblem {
-            h: HessianRef::Dense(h),
-            c,
-            eq: None,
-            ineq: None,
-            start: None,
-            direction: None,
-            max_iterations: 100 * (n + 10),
-            tolerance: 1e-10,
-            cancel: None,
-        })
-    }
-
-    /// Creates an unconstrained QP view over a **banded** symmetric
-    /// Hessian. The Hessian factorization then runs through the banded
-    /// Cholesky (O(n·b²)); the solver's O(n²) iteration kernels read an
-    /// internally densified copy built here, so construction costs one
-    /// O(n²) expansion.
-    ///
-    /// # Errors
-    ///
-    /// * [`OptError::DimensionMismatch`] when `c.len() != H.dim()`.
-    /// * [`OptError::InvalidArgument`] for non-finite entries.
-    pub fn new_banded(h: &'a BandedMatrix, c: &'a Vector) -> Result<Self> {
-        let dense = h.to_dense();
-        if !dense.is_finite() || !c.is_finite() {
-            return Err(OptError::InvalidArgument("entries must be finite"));
-        }
-        if c.len() != h.dim() {
-            return Err(OptError::DimensionMismatch {
-                what: "linear term",
-                expected: h.dim(),
-                got: c.len(),
-            });
-        }
-        let n = h.dim();
-        Ok(QpProblem {
-            h: HessianRef::Banded { src: h, dense },
+            h,
             c,
             eq: None,
             ineq: None,
@@ -405,19 +339,12 @@ impl<'a> QpProblem<'a> {
 
     /// Problem dimension.
     pub fn dim(&self) -> usize {
-        self.h.dense().rows()
+        self.h.rows()
     }
 
-    /// The Hessian `H` as a dense view (crate-internal: shared with the
-    /// IPM backend; for banded problems this is the densified copy).
-    pub(crate) fn hessian(&self) -> &Matrix {
-        self.h.dense()
-    }
-
-    /// The banded Hessian source, when the problem was built with
-    /// [`QpProblem::new_banded`].
-    pub(crate) fn hessian_banded(&self) -> Option<&BandedMatrix> {
-        self.h.banded()
+    /// The Hessian `H` (crate-internal: shared with the IPM backend).
+    pub(crate) fn hessian(&self) -> &'a Matrix {
+        self.h
     }
 
     /// The linear term `c`.
@@ -708,21 +635,10 @@ impl QpWorkspace {
             self.hessian_factor = None;
         }
         if self.hessian_factor.is_none() {
-            // Banded Hessians factor through the O(n·b²) banded Cholesky
-            // and are re-wrapped as a dense decomposition (whose solves
-            // skip the structural leading zeros); dense Hessians take the
-            // usual O(n³) factorization.
-            let factor = match problem.h.banded() {
-                Some(hb) => hb
-                    .cholesky()
-                    .map(|f| CholeskyDecomposition::from_banded(&f))
-                    .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?,
-                None => {
-                    problem.h.dense().cholesky().map_err(|_| {
-                        OptError::NotConvex("hessian is not positive definite".into())
-                    })?
-                }
-            };
+            let factor = problem
+                .h
+                .cholesky()
+                .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?;
             self.hessian_factor = Some(factor);
         }
         let n_eq = problem.eq.as_ref().map_or(0, |(m, _)| m.rows());
@@ -1256,7 +1172,7 @@ impl QpWorkspace {
         let n = problem.dim();
         let m_w = self.m_rows;
         // r₁ = −(H·x + c) + A_Wᵀλ into `resid`.
-        problem.h.dense().matvec_into(&self.x, &mut self.resid)?;
+        problem.h.matvec_into(&self.x, &mut self.resid)?;
         for (r, &ci) in self.resid.as_mut_slice().iter_mut().zip(problem.c.iter()) {
             *r = -(*r + ci);
         }
@@ -1328,7 +1244,7 @@ impl QpWorkspace {
             }
         }
         // Objective from the refined point, through reused buffers.
-        problem.h.dense().matvec_into(&self.x, &mut self.resid)?;
+        problem.h.matvec_into(&self.x, &mut self.resid)?;
         let objective = 0.5 * dot(self.x.as_slice(), self.resid.as_slice())
             + dot(problem.c.as_slice(), self.x.as_slice());
         Ok(QpSolution {
@@ -1992,95 +1908,28 @@ mod tests {
         assert!((s3.x[0] - 1.0).abs() < 1e-10);
     }
 
-    /// A strictly diagonally dominant banded SPD test Hessian with its
-    /// dense mirror, plus a gradient with mixed signs so positivity binds.
-    fn banded_spd(n: usize, bw: usize) -> (BandedMatrix, Matrix, Vector) {
-        let mut hb = BandedMatrix::zeros(n, bw).unwrap();
-        for i in 0..n {
-            hb.set(i, i, 4.0 + (i as f64 * 0.29).sin().abs()).unwrap();
-            for off in 1..=bw.min(n - 1 - i) {
-                hb.set(i, i + off, 0.8 / off as f64).unwrap();
-            }
-        }
-        let dense = hb.to_dense();
+    /// A strictly diagonally dominant banded SPD test Hessian plus a
+    /// gradient with mixed signs, so positivity binds.
+    fn banded_spd(n: usize, bw: usize) -> (Matrix, Vector) {
+        let h = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
+            0 => 4.0 + (i as f64 * 0.29).sin().abs(),
+            off if off <= bw => 0.8 / off as f64,
+            _ => 0.0,
+        });
         let c = Vector::from_fn(n, |i| ((i * 5 % 7) as f64) - 3.0);
-        (hb, dense, c)
-    }
-
-    #[test]
-    fn banded_hessian_matches_dense_active_set() {
-        let n = 40;
-        let (hb, hd, c) = banded_spd(n, 3);
-        let a = Matrix::identity(n);
-        let b = Vector::zeros(n);
-        let dense_sol = QpWorkspace::new()
-            .solve(&QpProblem::new(&hd, &c).unwrap())
-            .unwrap();
-        let banded_sol = QpWorkspace::new()
-            .solve(&QpProblem::new_banded(&hb, &c).unwrap())
-            .unwrap();
-        assert!((&dense_sol.x - &banded_sol.x).norm2() < 1e-9);
-        // With positivity constraints too.
-        let dense_pos = QpWorkspace::new()
-            .solve(
-                &QpProblem::new(&hd, &c)
-                    .unwrap()
-                    .with_inequalities(&a, &b)
-                    .unwrap(),
-            )
-            .unwrap();
-        let banded_pos = QpWorkspace::new()
-            .solve(
-                &QpProblem::new_banded(&hb, &c)
-                    .unwrap()
-                    .with_inequalities(&a, &b)
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!((&dense_pos.x - &banded_pos.x).norm2() < 1e-9);
-        assert_eq!(dense_pos.active_set, banded_pos.active_set);
-    }
-
-    #[test]
-    fn banded_hessian_matches_dense_ipm() {
-        let n = 32;
-        let (hb, hd, c) = banded_spd(n, 2);
-        let a = Matrix::identity(n);
-        let b = Vector::zeros(n);
-        let dense_sol = crate::IpmWorkspace::new()
-            .solve(
-                &QpProblem::new(&hd, &c)
-                    .unwrap()
-                    .with_inequalities(&a, &b)
-                    .unwrap(),
-            )
-            .unwrap();
-        let banded_sol = crate::IpmWorkspace::new()
-            .solve(
-                &QpProblem::new_banded(&hb, &c)
-                    .unwrap()
-                    .with_inequalities(&a, &b)
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!(
-            (&dense_sol.x - &banded_sol.x).norm2() < 1e-7,
-            "dense {} vs banded {}",
-            dense_sol.x,
-            banded_sol.x
-        );
+        (h, c)
     }
 
     #[test]
     fn sparse_inequalities_match_dense() {
         let n = 24;
-        let (hb, hd, c) = banded_spd(n, 3);
+        let (h, c) = banded_spd(n, 3);
         let a_dense = Matrix::identity(n);
         let a_sparse = SparseRowMatrix::from_dense(&a_dense).unwrap();
         let b = Vector::zeros(n);
         let dense_sol = QpWorkspace::new()
             .solve(
-                &QpProblem::new(&hd, &c)
+                &QpProblem::new(&h, &c)
                     .unwrap()
                     .with_inequalities(&a_dense, &b)
                     .unwrap(),
@@ -2088,7 +1937,7 @@ mod tests {
             .unwrap();
         let sparse_sol = QpWorkspace::new()
             .solve(
-                &QpProblem::new_banded(&hb, &c)
+                &QpProblem::new(&h, &c)
                     .unwrap()
                     .with_inequalities_sparse(&a_sparse, &a_dense, &b)
                     .unwrap(),
@@ -2096,31 +1945,23 @@ mod tests {
             .unwrap();
         assert!((&dense_sol.x - &sparse_sol.x).norm2() < 1e-9);
         assert_eq!(dense_sol.active_set, sparse_sol.active_set);
-    }
 
-    #[test]
-    fn banded_problem_validation() {
-        let (hb, _, c) = banded_spd(8, 2);
-        // Length mismatch rejected.
-        assert!(QpProblem::new_banded(&hb, &Vector::zeros(7)).is_err());
         // Sparse inequality column mismatch rejected.
-        let wide_dense = Matrix::identity(9);
+        let wide_dense = Matrix::identity(n + 1);
         let wide = SparseRowMatrix::from_dense(&wide_dense).unwrap();
-        assert!(QpProblem::new_banded(&hb, &c)
-            .unwrap()
-            .with_inequalities_sparse(&wide, &wide_dense, &Vector::zeros(9))
+        let problem = QpProblem::new(&h, &c).unwrap();
+        assert!(problem
+            .clone()
+            .with_inequalities_sparse(&wide, &wide_dense, &Vector::zeros(n + 1))
             .is_err());
         // Sparse inequality rhs length mismatch rejected.
-        let ok_dense = Matrix::identity(8);
-        let ok = SparseRowMatrix::from_dense(&ok_dense).unwrap();
-        assert!(QpProblem::new_banded(&hb, &c)
-            .unwrap()
-            .with_inequalities_sparse(&ok, &ok_dense, &Vector::zeros(5))
+        assert!(problem
+            .clone()
+            .with_inequalities_sparse(&a_sparse, &a_dense, &Vector::zeros(5))
             .is_err());
         // A dense twin of the wrong shape is rejected.
-        assert!(QpProblem::new_banded(&hb, &c)
-            .unwrap()
-            .with_inequalities_sparse(&ok, &wide_dense, &Vector::zeros(8))
+        assert!(problem
+            .with_inequalities_sparse(&a_sparse, &wide_dense, &b)
             .is_err());
     }
 }

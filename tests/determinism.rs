@@ -10,6 +10,7 @@
 use cellsync::mixture::{MixtureComponent, MixtureDeconvolver, MixtureFitRequest};
 use cellsync::scenario::ScenarioRunConfig;
 use cellsync::{DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, PhaseProfile};
+use cellsync_bench::experiments::synthetic_genome;
 use cellsync_bench::scenarios::{
     mixture_quick_matrix, quick_matrix, run_matrix, run_mixture_matrix,
 };
@@ -37,6 +38,33 @@ fn test_kernel(seed: u64) -> PhaseKernel {
         .expect("bins")
         .estimate(&pop, &times)
         .expect("valid protocol")
+}
+
+/// Fits `input` at every thread count and requires α, λ and the
+/// predictions to match the single-threaded run bit for bit.
+fn assert_fit_many_bit_identical(engine: &Deconvolver, input: &[(&[f64], Option<&[f64]>)]) {
+    let reference = engine
+        .clone()
+        .with_threads(1)
+        .fit_many(input)
+        .expect("fits");
+    for threads in THREAD_COUNTS {
+        let results = engine
+            .clone()
+            .with_threads(threads)
+            .fit_many(input)
+            .expect("fits");
+        assert_eq!(results.len(), reference.len());
+        for (i, (got, want)) in results.iter().zip(&reference).enumerate() {
+            assert_eq!(got.alpha(), want.alpha(), "gene {i}, threads {threads}");
+            assert_eq!(got.lambda(), want.lambda(), "gene {i}, threads {threads}");
+            assert_eq!(
+                got.predicted(),
+                want.predicted(),
+                "gene {i}, threads {threads}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -93,28 +121,29 @@ fn fit_many_bit_identical_across_thread_counts() {
         .expect("valid config");
     let engine = Deconvolver::new(kernel, config).expect("valid engine");
 
-    let reference = engine
-        .clone()
-        .with_threads(1)
-        .fit_many(&input)
-        .expect("fits");
-    for threads in THREAD_COUNTS {
-        let results = engine
-            .clone()
-            .with_threads(threads)
-            .fit_many(&input)
-            .expect("fits");
-        assert_eq!(results.len(), reference.len());
-        for (i, (got, want)) in results.iter().zip(&reference).enumerate() {
-            assert_eq!(got.alpha(), want.alpha(), "gene {i}, threads {threads}");
-            assert_eq!(got.lambda(), want.lambda(), "gene {i}, threads {threads}");
-            assert_eq!(
-                got.predicted(),
-                want.predicted(),
-                "gene {i}, threads {threads}"
-            );
-        }
-    }
+    assert_fit_many_bit_identical(&engine, &input);
+}
+
+#[test]
+fn weighted_genome_fit_many_bit_identical_across_thread_counts() {
+    // The genome workload's shape: σ-weighted genes at basis 18 with an
+    // 11-point GCV scan. A σ-weighted gene cannot reuse the engine's
+    // cached unit-weight decomposition, so every fit rebuilds its own
+    // weighted spectral path in the worker's scratch.
+    let kernel = test_kernel(5);
+    let batch = synthetic_genome(&kernel, 24, 0.08, 4242).expect("valid batch");
+    let config = DeconvolutionConfig::builder()
+        .basis_size(18)
+        .positivity(true)
+        .lambda_selection(LambdaSelection::Gcv {
+            log10_min: -8.0,
+            log10_max: 1.0,
+            points: 11,
+        })
+        .build()
+        .expect("valid config");
+    let engine = Deconvolver::new(kernel, config).expect("valid engine");
+    assert_fit_many_bit_identical(&engine, &batch.fit_input());
 }
 
 #[test]
@@ -188,23 +217,7 @@ fn banded_fit_many_bit_identical_across_thread_counts() {
         grid_min.abs() <= 1e-9,
         "no positivity fallback: grid minimum {grid_min:e}"
     );
-    for threads in THREAD_COUNTS {
-        let results = engine
-            .clone()
-            .with_threads(threads)
-            .fit_many(&input)
-            .expect("fits");
-        assert_eq!(results.len(), reference.len());
-        for (i, (got, want)) in results.iter().zip(&reference).enumerate() {
-            assert_eq!(got.alpha(), want.alpha(), "gene {i}, threads {threads}");
-            assert_eq!(got.lambda(), want.lambda(), "gene {i}, threads {threads}");
-            assert_eq!(
-                got.predicted(),
-                want.predicted(),
-                "gene {i}, threads {threads}"
-            );
-        }
-    }
+    assert_fit_many_bit_identical(&engine, &input);
 }
 
 #[test]
