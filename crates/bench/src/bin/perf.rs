@@ -49,7 +49,7 @@ use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
 use cellsync_ode::models::LotkaVolterra;
 use cellsync_ode::period::rescale_lotka_volterra;
 use cellsync_ode::solver::Rk4;
-use cellsync_opt::{IpmWorkspace, QpProblem, QpWorkspace, QuadraticProgram};
+use cellsync_opt::{IpmWorkspace, QpProblem, QpWorkspace};
 use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, PhaseKernel, Population,
 };
@@ -234,11 +234,13 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
     let (median, min) = time_reps(reps, || {
         for _ in 0..5 {
             std::hint::black_box(
-                QuadraticProgram::new(h.clone(), c.clone())
-                    .expect("valid qp")
-                    .with_inequalities(Matrix::identity(24), Vector::zeros(24))
-                    .expect("shapes agree")
-                    .solve()
+                QpWorkspace::new()
+                    .solve(
+                        &QpProblem::new(&h, &c)
+                            .expect("valid qp")
+                            .with_inequalities(&Matrix::identity(24), &Vector::zeros(24))
+                            .expect("shapes agree"),
+                    )
                     .expect("solvable"),
             );
         }
@@ -561,11 +563,13 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
         .collect();
     let ineq = Matrix::identity(24);
     let zeros = Vector::zeros(24);
-    let base = QuadraticProgram::new(h.clone(), c0)
-        .expect("valid qp")
-        .with_inequalities(ineq.clone(), zeros.clone())
-        .expect("shapes agree")
-        .solve()
+    let base = QpWorkspace::new()
+        .solve(
+            &QpProblem::new(&h, &c0)
+                .expect("valid qp")
+                .with_inequalities(&ineq, &zeros)
+                .expect("shapes agree"),
+        )
         .expect("solvable");
     let (median, min) = time_reps(reps, || {
         let mut workspace = QpWorkspace::new();

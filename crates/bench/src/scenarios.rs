@@ -243,8 +243,7 @@ pub fn mixture_quick_matrix() -> Vec<MixtureScenarioSpec> {
 /// # Errors
 ///
 /// Returns [`DeconvError::Series`] naming the lowest-indexed failing
-/// cell (a failing *component* inside a cell surfaces as
-/// `Series { index: cell, source: Component { index: component, .. } }`).
+/// cell.
 pub fn run_mixture_matrix(
     specs: &[MixtureScenarioSpec],
     config: &ScenarioRunConfig,

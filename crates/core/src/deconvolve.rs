@@ -1,6 +1,6 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
-use cellsync_linalg::{BandedMatrix, CholeskyDecomposition, Matrix, Vector};
+use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
 use cellsync_opt::{QpInstance, QpProblem, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
@@ -10,8 +10,8 @@ use rand::SeedableRng;
 
 use crate::banded::{BandedFit, BandedOperators};
 use crate::config::{LambdaSelection, SolveStrategy};
+use crate::operators::{check_cancel, gcv_select, FitOperators, Penalty};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
-use crate::solver::{ReducedOperators, SpectralPath};
 use crate::{
     constraints, DeconvError, DeconvolutionConfig, FitWorkspace, ForwardModel, PhaseProfile, Result,
 };
@@ -44,36 +44,9 @@ pub struct Deconvolver {
     forward: ForwardModel,
     config: DeconvolutionConfig,
     basis: SplineBasis,
-    /// Design matrix `A[m, i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ`.
-    design: Matrix,
-    /// Roughness Gram matrix `Ω`: banded on the banded path, dense
-    /// otherwise.
-    omega: Penalty,
-    /// Stacked equality rows (0–2 rows) with their zero right-hand side.
-    equality: Option<(Matrix, Vector)>,
-    /// Positivity collocation matrix with its zero right-hand side.
-    positivity: Option<(Matrix, Vector)>,
-    /// Interior direction of the constraint set (`E·d = 0`, `P·d > 0`;
-    /// [`constraints::interior_direction`]), handed to every QP the
-    /// engine builds so cold solves start strictly inside the positivity
-    /// cone. `None` without positivity, or when the equalities admit no
-    /// such direction (the QP then starts at the origin).
-    interior: Option<Vector>,
-    /// Equality-nullspace-reduced design and penalty. Built only by
-    /// dense-path GCV engines — the only consumers of the reduction.
-    ops: Option<ReducedOperators>,
-    /// Factor-once spectral decomposition for unit weights (weighted fits
-    /// build their own, once per fit, reused across the whole λ path).
-    /// Only dense-path GCV engines build (or read) it.
-    spectral_unit: Option<SpectralPath>,
-    /// Banded-path operators (interior Ω, null-space basis, sparse
-    /// positivity rows). `Some` exactly when the engine executes fits on
-    /// the banded path ([`crate::banded`]).
-    banded: Option<BandedOperators>,
-    /// The λ grid of the configured selection, computed once.
-    lambda_grid: Vec<f64>,
-    /// Unit weights, kept so `sigmas: None` fits never allocate them.
-    unit_weights: Vec<f64>,
+    /// Design, penalty, constraint rows and λ-path structures — every
+    /// measurement-independent operator of the fit.
+    ops: FitOperators,
     /// Worker pool for the batch entry points.
     pool: Pool,
 }
@@ -100,121 +73,6 @@ struct BootScratch {
     resampled: Vec<f64>,
     w2g: Vector,
     c: Vector,
-}
-
-/// The engine's cooperative cancellation poll: errors with
-/// [`DeconvError::DeadlineExceeded`] once the request's token has fired.
-/// Call sites sit at outer-loop boundaries (per λ-grid point, per
-/// bootstrap replicate, per constrained solve), so a fired deadline is
-/// noticed within one loop body, never mid-kernel.
-fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
-    match cancel {
-        Some(token) if token.is_cancelled() => Err(DeconvError::DeadlineExceeded),
-        _ => Ok(()),
-    }
-}
-
-/// The λ with the smallest score in a `(λ, score)` scan (the first on
-/// ties). A NaN score means the selection criterion broke down, which is
-/// an error rather than a silently skipped grid point.
-fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
-    if scores.iter().any(|(_, s)| s.is_nan()) {
-        return Err(DeconvError::NumericalBreakdown(
-            "cross-validation score is NaN",
-        ));
-    }
-    scores
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|&(l, _)| l)
-        .ok_or(DeconvError::InvalidConfig("λ grid is empty"))
-}
-
-/// The roughness penalty `Ω`, stored the way the engine's solve path
-/// reads it. Banded engines never densify it: their only dense consumer
-/// (the positivity-fallback Hessian) adds it band by band.
-#[derive(Debug, Clone)]
-pub(crate) enum Penalty {
-    Dense(Matrix),
-    Banded(BandedMatrix),
-}
-
-impl Penalty {
-    /// `h[o + a][o + b] += scale·Ω[a][b]` over Ω's stored entries (the
-    /// entries outside a band are exact zeros, so skipping them changes
-    /// no bit of `h`).
-    pub(crate) fn add_scaled_into(&self, h: &mut Matrix, offset: usize, scale: f64) {
-        match self {
-            Penalty::Dense(omega) => {
-                for a in 0..omega.rows() {
-                    for b in 0..omega.cols() {
-                        h[(offset + a, offset + b)] += scale * omega[(a, b)];
-                    }
-                }
-            }
-            Penalty::Banded(omega) => {
-                let (n, bw) = (omega.dim(), omega.bandwidth());
-                for a in 0..n {
-                    for b in a.saturating_sub(bw)..(a + bw + 1).min(n) {
-                        h[(offset + a, offset + b)] += scale * omega.get(a, b);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The GCV λ-selection rule shared by the spectral and banded paths:
-/// score every grid point (polling `cancel` before each), take the
-/// LARGEST λ whose score is within 5 % of the minimum, then refine by
-/// golden-section search in log₁₀λ between that point's grid neighbours
-/// (interior points only; a boundary pick keeps its grid value). The
-/// refined point is accepted only when it scores no worse than the grid
-/// pick, and is appended to the returned scan.
-///
-/// The near-tie rule exists because GCV is known to undersmooth: when
-/// the basis is rich relative to the measurement count the score can
-/// dip spuriously at the λ → 0 boundary while the genuine minimum sits
-/// in the interior, so among near-ties the most parsimonious fit wins.
-fn gcv_select(
-    grid: &[f64],
-    cancel: Option<&CancelToken>,
-    mut score: impl FnMut(f64) -> Result<f64>,
-) -> Result<(f64, Vec<(f64, f64)>)> {
-    let mut scores = Vec::with_capacity(grid.len() + 1);
-    for &l in grid {
-        check_cancel(cancel)?;
-        scores.push((l, score(l)?));
-    }
-    let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
-    let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
-    let (best_idx, best) = scores
-        .iter()
-        .cloned()
-        .enumerate()
-        .rfind(|(_, (_, s))| *s <= threshold)
-        .ok_or(DeconvError::NumericalBreakdown("GCV scored no grid point"))?;
-    let refined = if best_idx > 0 && best_idx + 1 < scores.len() {
-        let lo = scores[best_idx - 1].0.log10();
-        let hi = scores[best_idx + 1].0.log10();
-        match cellsync_opt::golden_section(
-            |log_l| score(10f64.powf(log_l)).unwrap_or(f64::INFINITY),
-            lo,
-            hi,
-            1e-3,
-            60,
-        ) {
-            Ok((log_l, s)) if s <= best.1 => {
-                let l = 10f64.powf(log_l);
-                scores.push((l, s));
-                l
-            }
-            _ => best.0,
-        }
-    } else {
-        best.0
-    };
-    Ok((refined, scores))
 }
 
 impl Deconvolver {
@@ -325,36 +183,14 @@ impl Deconvolver {
             (false, _) => (Penalty::Dense(basis.penalty_matrix()), None),
         };
 
-        let ridge = config.ridge().max(1e-12);
-        let unit_weights = vec![1.0; forward.num_measurements()];
-        // The nullspace reduction and the spectral decomposition only
-        // serve the dense GCV scan — skip the O(n³) setup everywhere
-        // else (fixed-λ engines, k-fold engines, the banded path).
-        let gcv = matches!(config.lambda(), LambdaSelection::Gcv { .. });
-        let (ops, spectral_unit) = match &omega {
-            Penalty::Dense(dense) if gcv => {
-                let ops = ReducedOperators::new(&design, dense, equality.as_ref().map(|(e, _)| e))?;
-                let spectral = SpectralPath::new(&ops, &unit_weights, ridge)?;
-                (Some(ops), Some(spectral))
-            }
-            _ => (None, None),
-        };
-        let lambda_grid = config.lambda().lambda_grid();
-
+        let ops = FitOperators::new(
+            design, omega, equality, positivity, interior, banded, &config,
+        )?;
         Ok(Deconvolver {
             forward,
             config,
             basis,
-            design,
-            omega,
-            equality,
-            positivity,
-            interior,
             ops,
-            spectral_unit,
-            banded,
-            lambda_grid,
-            unit_weights,
             pool: Pool::default(),
         })
     }
@@ -392,56 +228,10 @@ impl Deconvolver {
         &self.config
     }
 
-    /// The effective Tikhonov ridge (configured value floored at 10⁻¹²
-    /// for numerical definiteness).
-    fn ridge_eff(&self) -> f64 {
-        self.config.ridge().max(1e-12)
-    }
-
-    /// Crate-internal views for the joint mixture solver
-    /// ([`crate::mixture`]), which stacks per-component designs and
-    /// penalty blocks into one QP instead of going through this engine's
-    /// own solve path.
-    pub(crate) fn design_ref(&self) -> &Matrix {
-        &self.design
-    }
-
-    pub(crate) fn omega_ref(&self) -> &Penalty {
-        &self.omega
-    }
-
-    pub(crate) fn equality_ref(&self) -> Option<&(Matrix, Vector)> {
-        self.equality.as_ref()
-    }
-
-    pub(crate) fn positivity_ref(&self) -> Option<&(Matrix, Vector)> {
-        self.positivity.as_ref()
-    }
-
-    pub(crate) fn interior_ref(&self) -> Option<&Vector> {
-        self.interior.as_ref()
-    }
-
-    pub(crate) fn ridge_effective(&self) -> f64 {
-        self.ridge_eff()
-    }
-
-    /// Turns `h` (holding `BᵀB` on entry) into the QP Hessian
-    /// `H = 2(BᵀB + λΩ + εI)`, symmetrized — the single site for the
-    /// scale/ridge convention, shared by the per-fit solve and the
-    /// bootstrap's once-per-band replicate Hessian.
-    fn assemble_hessian(&self, h: &mut Matrix, lambda: f64) -> Result<()> {
-        let n = self.basis.len();
-        let ridge = self.ridge_eff();
-        self.omega.add_scaled_into(h, 0, lambda);
-        for i in 0..n {
-            for j in 0..n {
-                h[(i, j)] *= 2.0;
-            }
-            h[(i, i)] += 2.0 * ridge;
-        }
-        h.symmetrize()?;
-        Ok(())
+    /// The engine's measurement-independent operators (the mixture
+    /// engine stacks its components' into one block problem).
+    pub(crate) fn operators(&self) -> &FitOperators {
+        &self.ops
     }
 
     /// Fits the synchronous profile to population measurements `g`.
@@ -497,13 +287,13 @@ impl Deconvolver {
                 owned_weights = s.iter().map(|s| 1.0 / s).collect();
                 &owned_weights
             }
-            None => &self.unit_weights,
+            None => &self.ops.unit_weights,
         };
         let mut h = Matrix::zeros(n, n);
-        self.design.weighted_gram_into(weights, &mut h)?;
-        self.assemble_hessian(&mut h, lambda)?;
+        self.ops.design.weighted_gram_into(weights, &mut h)?;
+        self.ops.assemble_hessian(&mut h, lambda)?;
         let w2g = Vector::from_fn(m, |i| weights[i] * weights[i] * g[i]);
-        let c = -&self.design.tr_matvec(&w2g)?.scaled(2.0);
+        let c = -&self.ops.design.tr_matvec(&w2g)?.scaled(2.0);
 
         let weighting = if sigmas.is_some() {
             "sigma-weighted"
@@ -512,12 +302,12 @@ impl Deconvolver {
         };
         let mut instance = QpInstance::new(name, h, c)?.with_origin(&format!(
             "harvested deconvolution fit: n={n} m={m} lambda={lambda:e} ridge={:e} {weighting}",
-            self.ridge_eff()
+            self.ops.ridge
         ))?;
-        if let Some((e_mat, e_rhs)) = &self.equality {
+        if let Some((e_mat, e_rhs)) = &self.ops.equality {
             instance = instance.with_equalities(e_mat.clone(), e_rhs.clone())?;
         }
-        if let Some((p_mat, p_rhs)) = &self.positivity {
+        if let Some((p_mat, p_rhs)) = &self.ops.positivity {
             instance = instance.with_inequalities(p_mat.clone(), p_rhs.clone())?;
             let px = p_mat.matvec(&alpha)?;
             let scale = 1.0 + alpha.norm_inf();
@@ -601,7 +391,7 @@ impl Deconvolver {
     /// and finiteness, sigma length and positivity. Every fit entry
     /// point funnels through here (directly or via
     /// [`Deconvolver::validate_request`]).
-    fn validate_series(&self, g: &[f64], sigmas: Option<&[f64]>) -> Result<()> {
+    pub(crate) fn validate_series(&self, g: &[f64], sigmas: Option<&[f64]>) -> Result<()> {
         let m = self.forward.num_measurements();
         if g.len() != m {
             return Err(DeconvError::LengthMismatch {
@@ -667,48 +457,14 @@ impl Deconvolver {
         cancel: Option<&CancelToken>,
     ) -> Result<DeconvolutionResult> {
         check_cancel(cancel)?;
-        let m = self.forward.num_measurements();
-        let unit = sigmas.is_none();
-        if let Some(s) = sigmas {
-            workspace.weights.clear();
-            workspace.weights.extend(s.iter().map(|s| 1.0 / s));
-        }
-        let reduced = self.ops.as_ref().map_or(0, ReducedOperators::reduced_dim);
-        workspace.ensure(m, self.basis.len(), reduced);
-
-        if let Some(bops) = &self.banded {
+        let unit = self.ops.prepare(workspace, sigmas);
+        if let Some(bops) = &self.ops.banded {
             return self.fit_banded(workspace, bops, g, unit, lambda_override, cancel);
         }
-
-        let (lambda, scores) = match lambda_override {
-            Some(l) => (l, Vec::new()),
-            None => match self.config.lambda() {
-                LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => self.gcv_lambda(workspace, g, unit, cancel)?,
-                LambdaSelection::KFold { folds, seed, .. } => {
-                    self.kfold_lambda(workspace, g, unit, *folds, *seed, cancel)?
-                }
-            },
-        };
-
-        // GCV fits get a deterministic warm hint for the constrained
-        // solve: the spectral path's own unconstrained minimizer at the
-        // selected λ. It is a pure function of (engine, data, λ) — never
-        // of workspace history — so batch results stay order- and
-        // thread-invariant. When it violates positivity the QP moves it
-        // inside along the engine's interior direction instead. A λ
-        // override never ran the sweep, so it carries no hint.
-        let hint = if lambda_override.is_some() {
-            None
-        } else {
-            self.spectral_warm_hint(workspace, unit, lambda)?
-        };
-        let alpha = self.solve_constrained_full(workspace, g, unit, lambda, hint, cancel)?;
-        let weights: &[f64] = if unit {
-            &self.unit_weights
-        } else {
-            &workspace.weights
-        };
+        let (alpha, lambda, scores) =
+            self.ops
+                .solve(workspace, g, unit, lambda_override, cancel)?;
+        let weights = self.ops.weights(workspace, unit);
         self.assemble_result(alpha, g, weights, lambda, scores)
     }
 
@@ -722,7 +478,7 @@ impl Deconvolver {
         lambda: f64,
         selection_scores: Vec<(f64, f64)>,
     ) -> Result<DeconvolutionResult> {
-        let predicted = self.design.matvec(&alpha)?.into_vec();
+        let predicted = self.ops.design.matvec(&alpha)?.into_vec();
         let weighted_sse: f64 = predicted
             .iter()
             .zip(g)
@@ -753,19 +509,15 @@ impl Deconvolver {
     ) -> Result<DeconvolutionResult> {
         // Weights are copied out of the workspace because the positivity
         // fallback below needs the workspace mutably; m is tiny.
-        let weights: Vec<f64> = if unit {
-            self.unit_weights.clone()
-        } else {
-            workspace.weights.clone()
-        };
-        let eq = self.equality.as_ref().map(|(e, _)| e);
-        let fit = BandedFit::new(bops, &self.design, &weights, g, eq, self.ridge_eff());
+        let weights = self.ops.weights(workspace, unit).to_vec();
+        let eq = self.ops.equality.as_ref().map(|(e, _)| e);
+        let fit = BandedFit::new(bops, &self.ops.design, &weights, g, eq, self.ops.ridge);
         let (lambda, scores) = match lambda_override {
             Some(l) => (l, Vec::new()),
             None => match self.config.lambda() {
                 LambdaSelection::Fixed(l) => (*l, Vec::new()),
                 LambdaSelection::Gcv { .. } => {
-                    gcv_select(&self.lambda_grid, cancel, |l| fit.gcv_score(l))?
+                    gcv_select(&self.ops.lambda_grid, cancel, |l| fit.gcv_score(l))?
                 }
                 LambdaSelection::KFold { .. } => {
                     return Err(DeconvError::InvalidConfig(
@@ -784,8 +536,14 @@ impl Deconvolver {
                 // active-set QP at the selected λ. (When it is feasible,
                 // convexity makes it the optimum with zero inequality
                 // multipliers, and the QP is skipped entirely.)
-                alpha =
-                    self.solve_constrained_full(workspace, g, unit, lambda, Some(alpha), cancel)?;
+                alpha = self.ops.solve_constrained_full(
+                    workspace,
+                    g,
+                    unit,
+                    lambda,
+                    Some(alpha),
+                    cancel,
+                )?;
             }
         }
         self.assemble_result(alpha, g, &weights, lambda, scores)
@@ -892,15 +650,15 @@ impl Deconvolver {
         // The replicate Hessian H = 2(AᵀW²A + λΩ + εI) is shared by every
         // replicate (same weights, same λ): assemble and symmetrize once.
         let mut h = Matrix::zeros(n, n);
-        self.design.weighted_gram_into(&weights, &mut h)?;
-        self.assemble_hessian(&mut h, lambda)?;
+        self.ops.design.weighted_gram_into(&weights, &mut h)?;
+        self.ops.assemble_hessian(&mut h, lambda)?;
 
         // Deterministic warm hint: the point fit's coefficients and the
         // positivity rows active there. Every worker seeds its workspace
         // with this same hint, so replicate solves are independent of
         // which worker runs them.
         let point_alpha = Vector::from_slice(point.alpha());
-        let hint_active: Vec<usize> = match &self.positivity {
+        let hint_active: Vec<usize> = match &self.ops.positivity {
             Some((p, _)) => {
                 let px = p.matvec(&point_alpha)?;
                 let scale = 1.0 + point_alpha.norm_inf();
@@ -951,10 +709,13 @@ impl Deconvolver {
                         {
                             *w2 = wi * wi * gi;
                         }
-                        self.design.tr_matvec_into(&scratch.w2g, &mut scratch.c)?;
+                        self.ops
+                            .design
+                            .tr_matvec_into(&scratch.w2g, &mut scratch.c)?;
                         scratch.c.scale_in_place(-2.0);
 
-                        let alpha = if self.equality.is_none() && self.positivity.is_none() {
+                        let alpha = if self.ops.equality.is_none() && self.ops.positivity.is_none()
+                        {
                             // Pure smoothing spline: H factored once per
                             // worker, O(n²) per replicate afterwards.
                             if scratch.chol.is_none() {
@@ -972,13 +733,13 @@ impl Deconvolver {
                             if let Some(token) = cancel {
                                 problem = problem.with_cancel(token.clone());
                             }
-                            if let Some((e, rhs)) = &self.equality {
+                            if let Some((e, rhs)) = &self.ops.equality {
                                 problem = problem.with_equalities(e, rhs)?;
                             }
-                            if let Some((p, rhs)) = &self.positivity {
+                            if let Some((p, rhs)) = &self.ops.positivity {
                                 problem = problem.with_inequalities(p, rhs)?;
                             }
-                            if let Some(d) = &self.interior {
+                            if let Some(d) = &self.ops.interior {
                                 problem = problem.with_interior_direction(d);
                             }
                             // H is shared across replicates, so the cached
@@ -1023,287 +784,6 @@ impl Deconvolver {
             replicates: n_boot,
         })
     }
-
-    /// The deterministic warm hint of a GCV fit: the unconstrained
-    /// spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the selected λ
-    /// (`None` for non-GCV selections, whose workspaces hold no spectral
-    /// projection). The QP validates feasibility at solve time: a hint
-    /// that violates positivity becomes the base point of the interior
-    /// start (see [`Deconvolver::solve_assembled`]).
-    fn spectral_warm_hint(
-        &self,
-        workspace: &mut FitWorkspace,
-        unit: bool,
-        lambda: f64,
-    ) -> Result<Option<Vector>> {
-        if !matches!(self.config.lambda(), LambdaSelection::Gcv { .. }) {
-            return Ok(None);
-        }
-        if self.equality.is_none() && self.positivity.is_none() {
-            return Ok(None); // direct SPD solve path: no QP to warm.
-        }
-        let FitWorkspace {
-            spectral,
-            zproj,
-            d,
-            beta,
-            ..
-        } = workspace;
-        let path: &SpectralPath = if unit {
-            self.spectral_unit
-                .as_ref()
-                .expect("GCV engines build the unit-weight decomposition")
-        } else {
-            spectral
-        };
-        path.reduced_solution(zproj, lambda, d, beta)?;
-        let ops = self
-            .ops
-            .as_ref()
-            .expect("dense GCV engines build the reduction");
-        let alpha = match &ops.z {
-            Some(z) => z.matvec(beta)?,
-            None => beta.clone(),
-        };
-        Ok(Some(alpha))
-    }
-
-    /// GCV λ selection on the spectral path ([`gcv_select`]), every
-    /// score a diagonal shrinkage.
-    fn gcv_lambda(
-        &self,
-        workspace: &mut FitWorkspace,
-        g: &[f64],
-        unit: bool,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(f64, Vec<(f64, f64)>)> {
-        let ops = self
-            .ops
-            .as_ref()
-            .expect("dense GCV engines build the reduction");
-        if !unit {
-            workspace
-                .spectral
-                .rebuild(ops, &workspace.weights, self.ridge_eff())?;
-        }
-        let FitWorkspace {
-            spectral,
-            weights,
-            w2g,
-            rhs_r,
-            zproj,
-            d,
-            beta,
-            u,
-            ..
-        } = workspace;
-        let weights: &[f64] = if unit { &self.unit_weights } else { weights };
-        let path: &SpectralPath = if unit {
-            self.spectral_unit
-                .as_ref()
-                .expect("GCV engines build the unit-weight decomposition")
-        } else {
-            spectral
-        };
-        path.project_series(ops, weights, g, w2g, rhs_r, zproj)?;
-        gcv_select(&self.lambda_grid, cancel, |l| {
-            path.gcv_score(ops, weights, g, zproj, l, d, beta, u)
-        })
-    }
-
-    /// K-fold cross-validated λ selection: refit (with the full
-    /// constraint set) on each training fold and score the held-out
-    /// weighted squared error. The fold designs differ per fold, so this
-    /// path stays dense — it reuses the workspace's assembly buffers but
-    /// factors per (fold, λ).
-    #[allow(clippy::too_many_arguments)]
-    fn kfold_lambda(
-        &self,
-        workspace: &mut FitWorkspace,
-        g: &[f64],
-        unit: bool,
-        folds: usize,
-        seed: u64,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(f64, Vec<(f64, f64)>)> {
-        let m = self.forward.num_measurements();
-        // Weighted design and data: B = W·A, y = W·g (cloned out of the
-        // workspace so the per-fold solves below can borrow it mutably).
-        let weights: Vec<f64> = if unit {
-            self.unit_weights.clone()
-        } else {
-            workspace.weights.clone()
-        };
-        let b = Matrix::from_fn(m, self.basis.len(), |r, c| weights[r] * self.design[(r, c)]);
-        let y = Vector::from_fn(m, |i| weights[i] * g[i]);
-
-        let mut scores = Vec::with_capacity(self.lambda_grid.len());
-        for &l in &self.lambda_grid {
-            check_cancel(cancel)?;
-            scores.push((
-                l,
-                self.kfold_score(workspace, &b, &y, l, folds, seed, cancel)?,
-            ));
-        }
-        Ok((argmin_score(&scores)?, scores))
-    }
-
-    /// Mean held-out weighted squared error of the constrained fit at one
-    /// λ.
-    #[allow(clippy::too_many_arguments)]
-    fn kfold_score(
-        &self,
-        workspace: &mut FitWorkspace,
-        b: &Matrix,
-        y: &Vector,
-        lambda: f64,
-        folds: usize,
-        seed: u64,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64> {
-        let m = b.rows();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let folds = cellsync_stats::crossval::k_fold(m, folds.min(m), &mut rng)?;
-        let mut total = 0.0;
-        let mut count = 0usize;
-        for fold in &folds {
-            let bt = Matrix::from_fn(fold.train.len(), self.basis.len(), |r, c| {
-                b[(fold.train[r], c)]
-            });
-            let yt = Vector::from_fn(fold.train.len(), |r| y[fold.train[r]]);
-            let alpha = self.solve_constrained_dense(workspace, &bt, &yt, lambda, cancel)?;
-            for &v in &fold.validation {
-                let pred = Vector::from_slice(b.row(v)).dot(&alpha)?;
-                total += (pred - y[v]).powi(2);
-                count += 1;
-            }
-        }
-        Ok(total / count as f64)
-    }
-
-    /// Solves the constrained QP at `lambda` for the engine's own design
-    /// and the given data, assembling `BᵀB`/`Bᵀy` straight from the
-    /// unweighted design (the weighted design is never materialized).
-    #[allow(clippy::too_many_arguments)]
-    fn solve_constrained_full(
-        &self,
-        workspace: &mut FitWorkspace,
-        g: &[f64],
-        unit: bool,
-        lambda: f64,
-        hint: Option<Vector>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vector> {
-        let n = self.basis.len();
-        if workspace.h.shape() != (n, n) {
-            workspace.h.reset_zeroed(n, n);
-        }
-        {
-            let FitWorkspace {
-                h, c, w2g, weights, ..
-            } = workspace;
-            let weights: &[f64] = if unit { &self.unit_weights } else { weights };
-            self.design.weighted_gram_into(weights, h)?;
-            for (w2, (&wi, &gi)) in w2g
-                .as_mut_slice()
-                .iter_mut()
-                .zip(weights.iter().zip(g.iter()))
-            {
-                *w2 = wi * wi * gi;
-            }
-            self.design.tr_matvec_into(w2g, c)?;
-        }
-        self.solve_assembled(workspace, lambda, hint, cancel)
-    }
-
-    /// Solves the constrained QP at `lambda` for an explicit weighted
-    /// design `b` and data `y` (the k-fold path, where folds subset the
-    /// rows).
-    fn solve_constrained_dense(
-        &self,
-        workspace: &mut FitWorkspace,
-        b: &Matrix,
-        y: &Vector,
-        lambda: f64,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vector> {
-        let n = self.basis.len();
-        if workspace.h.shape() != (n, n) {
-            workspace.h.reset_zeroed(n, n);
-        }
-        b.gram_into(&mut workspace.h)?;
-        b.tr_matvec_into(y, &mut workspace.c)?;
-        self.solve_assembled(workspace, lambda, None, cancel)
-    }
-
-    /// Core constrained solve: expects `workspace.h = BᵀB` and
-    /// `workspace.c = Bᵀy`, turns them into `H = 2(BᵀB + λΩ + εI)` and
-    /// `c = −2Bᵀy` in place, and dispatches to the direct SPD solve or
-    /// the active-set QP. The QP gets the engine's interior direction, so
-    /// it starts at `hint` when that is feasible, else at `hint` (or the
-    /// equality-constrained minimizer when there is no hint) moved
-    /// strictly inside the positivity cone — never at the degenerate
-    /// origin unless the constraints admit no interior direction.
-    fn solve_assembled(
-        &self,
-        workspace: &mut FitWorkspace,
-        lambda: f64,
-        hint: Option<Vector>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vector> {
-        check_cancel(cancel)?;
-        let n = self.basis.len();
-        self.assemble_hessian(&mut workspace.h, lambda)?;
-        for v in workspace.c.as_mut_slice() {
-            *v *= -2.0;
-        }
-
-        if self.equality.is_none() && self.positivity.is_none() {
-            // Pure smoothing spline: direct SPD solve (the workspace's
-            // Cholesky storage is re-factored in place, never reused
-            // stale — H changes with λ and data).
-            match &mut workspace.chol {
-                Some(chol) => chol.refactor(&workspace.h)?,
-                None => workspace.chol = Some(workspace.h.cholesky()?),
-            }
-            let mut x = Vector::from_fn(n, |i| -workspace.c[i]);
-            workspace
-                .chol
-                .as_ref()
-                .expect("just ensured")
-                .solve_in_place(&mut x)?;
-            return Ok(x);
-        }
-
-        let FitWorkspace { h, c, qp, .. } = workspace;
-        // H differs per call in fit context and fits must be independent
-        // of workspace history: drop the cached factor and replace any
-        // warm hint with the (history-free) spectral one, if supplied.
-        qp.invalidate_hessian();
-        match hint {
-            Some(x0) => qp.set_warm_start(x0, Vec::new()),
-            None => qp.clear_warm_start(),
-        }
-        let mut problem = QpProblem::new(&*h, &*c)?;
-        if let Some(token) = cancel {
-            problem = problem.with_cancel(token.clone());
-        }
-        if let Some((e, rhs)) = &self.equality {
-            problem = problem.with_equalities(e, rhs)?;
-        }
-        if let Some((p, rhs)) = &self.positivity {
-            // Banded engines hand the QP the sparse-row collocation block
-            // (≤ 4 nnz per row) for its matvecs, next to the dense rows.
-            problem = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
-                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, p, srhs)?,
-                None => problem.with_inequalities(p, rhs)?,
-            };
-        }
-        if let Some(d) = &self.interior {
-            problem = problem.with_interior_direction(d);
-        }
-        Ok(qp.solve(&problem)?.x)
-    }
 }
 
 /// Bootstrap uncertainty band around a deconvolved profile.
@@ -1340,15 +820,16 @@ impl BootstrapBand {
 
 impl DeconvolutionResult {
     /// Crate-internal constructor for fits assembled outside the engine's
-    /// own solve path (the joint mixture solver stacks K components into
-    /// one QP and splits the solution back into per-component results).
-    /// Such fits carry no λ-selection trace.
+    /// own result builder (the mixture engine solves K components as one
+    /// stacked problem and splits the solution back into per-component
+    /// results, each carrying the shared λ scan).
     pub(crate) fn from_parts(
         alpha: Vector,
         basis: SplineBasis,
         lambda: f64,
         predicted: Vec<f64>,
         weighted_sse: f64,
+        selection_scores: Vec<(f64, f64)>,
     ) -> Self {
         DeconvolutionResult {
             alpha,
@@ -1356,7 +837,7 @@ impl DeconvolutionResult {
             lambda,
             predicted,
             weighted_sse,
-            selection_scores: Vec::new(),
+            selection_scores,
         }
     }
 
@@ -1752,6 +1233,7 @@ mod tests {
 
     #[test]
     fn nan_selection_score_is_a_structured_error() {
+        use crate::operators::argmin_score;
         let scores = [(1e-3, 0.5), (1e-2, f64::NAN), (1e-1, 0.25)];
         let err = argmin_score(&scores).unwrap_err();
         assert_eq!(err.code(), "numerical_breakdown");
@@ -2184,7 +1666,7 @@ mod tests {
     }
 
     /// The constrained solve of a unit-weight fit exactly as
-    /// `solve_assembled` builds it, minus the interior direction: the
+    /// `FitOperators::solve_assembled` builds it, minus the interior direction: the
     /// origin (or minimum-norm) start.
     fn origin_start_alpha(engine: &Deconvolver, g: &[f64]) -> Vector {
         let n = engine.basis.len();
@@ -2194,24 +1676,26 @@ mod tests {
         };
         let mut h = Matrix::zeros(n, n);
         engine
+            .ops
             .design
-            .weighted_gram_into(&engine.unit_weights, &mut h)
+            .weighted_gram_into(&engine.ops.unit_weights, &mut h)
             .unwrap();
-        engine.assemble_hessian(&mut h, lambda).unwrap();
+        engine.ops.assemble_hessian(&mut h, lambda).unwrap();
         let mut c = Vector::zeros(n);
         engine
+            .ops
             .design
             .tr_matvec_into(&Vector::from_slice(g), &mut c)
             .unwrap();
         for v in c.as_mut_slice() {
             *v *= -2.0;
         }
-        let (p, p_rhs) = engine.positivity.as_ref().unwrap();
+        let (p, p_rhs) = engine.ops.positivity.as_ref().unwrap();
         let mut problem = QpProblem::new(&h, &c)
             .unwrap()
             .with_inequalities(p, p_rhs)
             .unwrap();
-        if let Some((e, e_rhs)) = &engine.equality {
+        if let Some((e, e_rhs)) = &engine.ops.equality {
             problem = problem.with_equalities(e, e_rhs).unwrap();
         }
         QpWorkspace::new().solve(&problem).unwrap().x
@@ -2231,18 +1715,18 @@ mod tests {
         for basis in [18, SolveStrategy::BANDED_THRESHOLD] {
             for (conservation, rate) in [(false, false), (true, false), (true, true)] {
                 let engine = fixed_engine(basis, conservation, rate);
-                let d = engine
-                    .interior
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("basis {basis} {conservation}/{rate}: no direction"));
-                let (p, _) = engine.positivity.as_ref().unwrap();
+                let d =
+                    engine.ops.interior.as_ref().unwrap_or_else(|| {
+                        panic!("basis {basis} {conservation}/{rate}: no direction")
+                    });
+                let (p, _) = engine.ops.positivity.as_ref().unwrap();
                 let pd = p.matvec(d).unwrap();
                 let min = pd.iter().cloned().fold(f64::INFINITY, f64::min);
                 assert!(
                     min > 0.0,
                     "basis {basis} {conservation}/{rate}: min P·d {min}"
                 );
-                if let Some((e, _)) = &engine.equality {
+                if let Some((e, _)) = &engine.ops.equality {
                     let ed = e.matvec(d).unwrap();
                     let scale = e.norm_inf() * d.norm_inf();
                     assert!(
@@ -2272,11 +1756,11 @@ mod tests {
         // that equality leaves the first collocation row at zero, so the
         // constraint set admits no interior direction.
         let mut engine = fixed_engine(18, true, false);
-        let (p, _) = engine.positivity.as_ref().unwrap();
+        let (p, _) = engine.ops.positivity.as_ref().unwrap();
         let pin = Matrix::from_rows(&[p.row(0)]).unwrap();
-        engine.interior = constraints::interior_direction(p, Some(&pin)).unwrap();
-        assert!(engine.interior.is_none());
-        engine.equality = Some((pin, Vector::zeros(1)));
+        engine.ops.interior = constraints::interior_direction(p, Some(&pin)).unwrap();
+        assert!(engine.ops.interior.is_none());
+        engine.ops.equality = Some((pin, Vector::zeros(1)));
         let g = dipping_series(&engine);
         let fitted = engine.fit(&g, None).unwrap();
         assert_eq!(

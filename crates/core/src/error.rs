@@ -39,18 +39,6 @@ pub enum DeconvError {
         /// The failure itself.
         source: Box<DeconvError>,
     },
-    /// One component of a mixture fit failed
-    /// ([`crate::mixture::MixtureDeconvolver::fit`]). Mirrors
-    /// [`DeconvError::Series`]: `index` identifies the failing component
-    /// *in the request's component order* so a poisoned component in a
-    /// K-way fit is debuggable without refitting components one at a
-    /// time; the code reported is that of the underlying failure.
-    Component {
-        /// Zero-based index of the failing component within the request.
-        index: usize,
-        /// The failure itself.
-        source: Box<DeconvError>,
-    },
     /// Linear-algebra substrate failure.
     Linalg(cellsync_linalg::LinalgError),
     /// Numerics substrate failure.
@@ -93,7 +81,6 @@ impl DeconvError {
             DeconvError::TooFewMeasurements { .. } => "too_few_measurements",
             DeconvError::InvalidPhase(_) => "invalid_phase",
             DeconvError::Series { source, .. } => source.code(),
-            DeconvError::Component { source, .. } => source.code(),
             DeconvError::Linalg(_) => "linalg",
             DeconvError::Numerics(_) => "numerics",
             DeconvError::Stats(_) => "stats",
@@ -133,9 +120,6 @@ impl fmt::Display for DeconvError {
             DeconvError::Series { index, source } => {
                 write!(f, "batch item {index} failed: {source}")
             }
-            DeconvError::Component { index, source } => {
-                write!(f, "mixture component {index} failed: {source}")
-            }
             DeconvError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             DeconvError::Numerics(e) => write!(f, "numerics failure: {e}"),
             DeconvError::Stats(e) => write!(f, "statistics failure: {e}"),
@@ -162,7 +146,6 @@ impl Error for DeconvError {
             DeconvError::Opt(e) => Some(e),
             DeconvError::Ode(e) => Some(e),
             DeconvError::Series { source, .. } => Some(source.as_ref()),
-            DeconvError::Component { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }
@@ -229,22 +212,15 @@ mod tests {
                 index: 17,
                 source: Box::new(DeconvError::InvalidPhase(2.0)),
             },
-            DeconvError::Component {
-                index: 2,
-                source: Box::new(DeconvError::InvalidConfig("bad lambda")),
-            },
         ];
         for e in &errs {
             assert!(!e.to_string().is_empty());
         }
         assert!(Error::source(&errs[5]).is_some());
         assert!(Error::source(&errs[0]).is_none());
-        let series = &errs[errs.len() - 2];
+        let series = &errs[errs.len() - 1];
         assert!(series.to_string().contains("batch item 17"));
         assert!(Error::source(series).is_some());
-        let component = &errs[errs.len() - 1];
-        assert!(component.to_string().contains("mixture component 2"));
-        assert!(Error::source(component).is_some());
     }
 
     #[test]
@@ -291,17 +267,12 @@ mod tests {
             assert_eq!(e.code(), *expected);
             assert!(seen.insert(*expected), "duplicate code {expected}");
         }
-        // Series and Component errors surface the code of their root cause.
+        // Series errors surface the code of their root cause.
         let nested = DeconvError::Series {
             index: 3,
             source: Box::new(DeconvError::InvalidPhase(2.0)),
         };
         assert_eq!(nested.code(), "invalid_phase");
-        let comp = DeconvError::Component {
-            index: 1,
-            source: Box::new(DeconvError::NumericalBreakdown("singular stack")),
-        };
-        assert_eq!(comp.code(), "numerical_breakdown");
         // A cancelled optimizer solve converts straight to the deadline
         // variant, never hiding behind the generic "opt" code.
         let cancelled: DeconvError = cellsync_opt::OptError::Cancelled.into();

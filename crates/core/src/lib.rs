@@ -57,9 +57,9 @@
 //!   end to end and scored (NRMSE, phase error, band coverage), plus
 //!   the K-component mixture cells (balanced, rare-fraction,
 //!   unknown-component compositions).
-//! * [`mixture`] — K-component mixture fits: one joint stacked-design QP
-//!   against K reference kernels, returning per-component profiles and
-//!   estimated mixing fractions.
+//! * [`mixture`] — K-component mixture fits: the engine's λ rule and
+//!   constrained QP on the stacked design of K reference kernels,
+//!   returning per-component profiles and estimated mixing fractions.
 //!
 //! ## Quickstart
 //!
@@ -105,6 +105,7 @@ mod deconvolve;
 mod error;
 mod forward;
 pub mod mixture;
+mod operators;
 pub mod paramfit;
 mod profile;
 mod request;

@@ -15,22 +15,22 @@
 //! component's share of the total recovered mass,
 //! `π̂ₖ = ∫h_k / Σⱼ∫h_j`.
 //!
-//! One solver fits every K ≥ 2: a single stacked QP over the
-//! concatenated coefficient vector `[α₁ … α_K]`, with the concatenated
-//! design `[A₁ … A_K]`, a block-diagonal `λₖΩ` penalty and a
-//! block-diagonal copy of each component's equality/positivity rows —
-//! the joint constrained least-squares problem the forward model
-//! defines, solved exactly at `O((Kn)³)` per factorization. Engines are
-//! prepared once per component through a
+//! A K-component mixture is paper eq. 5 again, with one λ: the block
+//! design `[A₁ … A_K]` over the concatenated coefficient vector
+//! `[α₁ … α_K]`, a block-diagonal penalty `blockdiag(Ωₖ)` and a
+//! block-diagonal copy of each component's equality/positivity rows.
+//! [`MixtureDeconvolver`] builds these stacked operators once, from its
+//! components' engines, and fits every K ≥ 2 through the
+//! single-population engine's dense fit path: the configured λ rule (a
+//! fixed λ, the spectral GCV scan with its near-tie rule, or k-fold)
+//! and the constrained QP, on the stacked system. GCV therefore scores
+//! the *joint* smoother, whose trace counts the effective degrees of
+//! freedom of the whole K-component fit (per-component GCV against the
+//! full bulk is badly biased: each component alone must explain the
+//! whole mixture, which rewards oversmoothing by decades of λ). Engines
+//! are prepared once per component through a
 //! [`crate::session::EngineCache`]; K = 1 delegates to the component
 //! engine's [`crate::Deconvolver::fit_request`].
-//!
-//! Every component's λ is resolved *before* the solve — a component
-//! override wins, then a `Fixed` engine selection, and all remaining
-//! components share one joint-GCV choice made on the stacked design
-//! (per-component GCV against the full bulk is badly biased: each
-//! component alone must explain the whole mixture, which rewards
-//! oversmoothing by decades of λ).
 //!
 //! Components are *named*, the stacked blocks are laid out in canonical
 //! (sorted-by-name) order, and responses key results by name, so a
@@ -67,14 +67,14 @@
 
 use std::sync::Arc;
 
-use cellsync_linalg::{Matrix, Vector};
-use cellsync_opt::QuadraticProgram;
+use cellsync_linalg::Vector;
 use cellsync_popsim::PhaseKernel;
 
+use crate::operators::FitOperators;
 use crate::session::{EngineCache, EngineKey};
 use crate::{
-    DeconvError, DeconvolutionConfig, DeconvolutionResult, Deconvolver, FitRequest,
-    LambdaSelection, Result,
+    DeconvError, DeconvolutionConfig, DeconvolutionResult, Deconvolver, FitRequest, FitWorkspace,
+    Result,
 };
 
 /// Phase-grid resolution of the mass quadrature behind fraction
@@ -82,13 +82,11 @@ use crate::{
 /// not depend on any caller-tunable resolution).
 const MASS_GRID: usize = 201;
 
-/// One named component of a mixture fit: a reference kernel plus an
-/// optional per-component λ override.
+/// One named component of a mixture fit: a reference kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixtureComponent {
     name: String,
     kernel: PhaseKernel,
-    lambda_override: Option<f64>,
 }
 
 impl MixtureComponent {
@@ -104,21 +102,7 @@ impl MixtureComponent {
                 "mixture component name must be non-empty",
             ));
         }
-        Ok(MixtureComponent {
-            name,
-            kernel,
-            lambda_override: None,
-        })
-    }
-
-    /// Forces this component's smoothing parameter, skipping its λ
-    /// selection. Validated at fit time, exactly like
-    /// [`FitRequest::with_lambda`] — an invalid override surfaces as
-    /// [`DeconvError::Component`] naming this component's index.
-    #[must_use]
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda_override = Some(lambda);
-        self
+        Ok(MixtureComponent { name, kernel })
     }
 
     /// The component's name.
@@ -130,16 +114,11 @@ impl MixtureComponent {
     pub fn kernel(&self) -> &PhaseKernel {
         &self.kernel
     }
-
-    /// The component's λ override, if any.
-    pub fn lambda_override(&self) -> Option<f64> {
-        self.lambda_override
-    }
 }
 
 /// One mixture deconvolution job: the bulk measurements and their
-/// optional standard deviations. The component set (kernels, λ
-/// overrides) lives in the engine ([`MixtureDeconvolver`]), mirroring
+/// optional standard deviations. The component set (names, kernels)
+/// lives in the engine ([`MixtureDeconvolver`]), mirroring
 /// the single-component engine/request split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MixtureFitRequest {
@@ -244,26 +223,30 @@ impl MixtureFitResponse {
 #[derive(Debug, Clone)]
 struct Slot {
     name: String,
-    lambda_override: Option<f64>,
     engine: Arc<Deconvolver>,
 }
 
 /// A prepared K-component mixture engine: one cached [`Deconvolver`] per
-/// component, sharing a config family.
+/// component, sharing a config family, plus the stacked operators of the
+/// joint problem.
 ///
 /// Construction validates the component set once (non-empty, unique
 /// names, shared measurement times, no duplicate kernels — two
-/// identical kernels make the mixture unidentifiable) and prepares each
-/// component's engine through an [`EngineCache`], so a service fitting
-/// many bulk series against one reference set pays the per-kernel
+/// identical kernels make the mixture unidentifiable), prepares each
+/// component's engine through an [`EngineCache`], and stacks the
+/// engines' operators into the block problem (K ≥ 2), so a service
+/// fitting many bulk series against one reference set pays the
 /// preparation cost once.
 #[derive(Debug)]
 pub struct MixtureDeconvolver {
     slots: Vec<Slot>,
     /// Slot indices in canonical (sorted-by-name) order: the block order
-    /// of the stacked QP, so fits are invariant under component-list
-    /// permutation.
+    /// of the stacked problem, so fits are invariant under
+    /// component-list permutation.
     canonical: Vec<usize>,
+    /// The stacked operators, blocks in canonical order; `None` for
+    /// K = 1, which delegates to the component engine.
+    stacked: Option<FitOperators>,
 }
 
 impl MixtureDeconvolver {
@@ -281,7 +264,8 @@ impl MixtureDeconvolver {
 
     /// Builds the engine, preparing each component's [`Deconvolver`]
     /// through `cache` (components whose (kernel, config) family is
-    /// already cached are adopted, not rebuilt).
+    /// already cached are adopted, not rebuilt), then stacking their
+    /// operators into the joint problem.
     ///
     /// # Errors
     ///
@@ -333,13 +317,25 @@ impl MixtureDeconvolver {
             })?;
             slots.push(Slot {
                 name: c.name,
-                lambda_override: c.lambda_override,
                 engine,
             });
         }
         let mut canonical: Vec<usize> = (0..slots.len()).collect();
         canonical.sort_by(|&a, &b| slots[a].name.cmp(&slots[b].name));
-        Ok(MixtureDeconvolver { slots, canonical })
+        let stacked = if slots.len() > 1 {
+            let blocks: Vec<&FitOperators> = canonical
+                .iter()
+                .map(|&i| slots[i].engine.operators())
+                .collect();
+            Some(FitOperators::stacked(&blocks, &config)?)
+        } else {
+            None
+        };
+        Ok(MixtureDeconvolver {
+            slots,
+            canonical,
+            stacked,
+        })
     }
 
     /// The component names, in specification order.
@@ -352,7 +348,10 @@ impl MixtureDeconvolver {
         self.slots.len()
     }
 
-    /// Fits the mixture to one bulk series with the stacked joint QP.
+    /// Fits the mixture to one bulk series: one λ selection and one
+    /// constrained solve on the stacked operators, split back into
+    /// per-component results. Every component's result carries the
+    /// shared λ and its selection scan.
     ///
     /// A single-component "mixture" delegates to the component engine's
     /// [`Deconvolver::fit_request`] — the result is bit-identical to the
@@ -360,362 +359,34 @@ impl MixtureDeconvolver {
     ///
     /// # Errors
     ///
-    /// * [`DeconvError::Component`] when a component's λ override is
-    ///   invalid (or, for K = 1, when the component's fit fails) —
-    ///   `index` is the component's position in the engine's
-    ///   specification order.
     /// * [`DeconvError::InvalidConfig`] / [`DeconvError::LengthMismatch`]
-    ///   for invalid series or sigmas.
-    /// * Solver errors from the joint λ scan or the stacked QP.
+    ///   for invalid series or sigmas, exactly as
+    ///   [`Deconvolver::fit`] reports them.
+    /// * Solver errors from the λ selection or the constrained solve.
     pub fn fit(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let m = self.slots[0].engine.forward().num_measurements();
-        if request.series().len() != m {
-            return Err(DeconvError::LengthMismatch {
-                what: "measurements",
-                expected: m,
-                got: request.series().len(),
-            });
-        }
-        if let Some(s) = request.sigmas() {
-            if s.len() != m {
-                return Err(DeconvError::LengthMismatch {
-                    what: "sigmas",
-                    expected: m,
-                    got: s.len(),
-                });
-            }
-        }
-
-        if self.slots.len() == 1 {
+        let Some(stacked) = &self.stacked else {
             return self.fit_single(request);
-        }
-        self.fit_joint(request)
-    }
-
-    /// K = 1: the mixture degenerates to a plain single-population fit.
-    fn fit_single(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let slot = &self.slots[0];
-        let mut req = FitRequest::new(request.series().to_vec());
-        if let Some(s) = request.sigmas() {
-            req = req.with_sigmas(s.to_vec());
-        }
-        if let Some(l) = slot.lambda_override {
-            req = req.with_lambda(l);
-        }
-        let result = slot
-            .engine
-            .fit_request(&req)
-            .map_err(|e| component_error(0, e))?
-            .into_result();
-        let residual_rel = residual_rel(request, result.predicted());
-        Ok(MixtureFitResponse {
-            components: vec![ComponentFit {
-                name: slot.name.clone(),
-                fraction: 1.0,
-                result,
-            }],
-            residual_rel,
-        })
-    }
-
-    /// Per-measurement fit weights `1/σ` (all-ones without sigmas).
-    fn fit_weights(&self, request: &MixtureFitRequest) -> Result<Vec<f64>> {
-        match request.sigmas() {
-            Some(s) => {
-                if s.iter().any(|v| !(*v > 0.0) || !v.is_finite()) {
-                    return Err(DeconvError::InvalidConfig("sigmas must be positive"));
-                }
-                Ok(s.iter().map(|s| 1.0 / s).collect())
-            }
-            None => Ok(vec![1.0; request.series().len()]),
-        }
-    }
-
-    /// Weighted stacked design `B[r, block·n + j] = w_r · A_block[r, j]`
-    /// with blocks in canonical order, shared by the joint solve and the
-    /// joint GCV selection.
-    fn stacked_weighted_design(&self, weights: &[f64]) -> Matrix {
-        let m = weights.len();
-        let n = self.slots[0].engine.basis().len();
-        let kn = self.slots.len() * n;
-        let mut bw = Matrix::zeros(m, kn);
-        for (block, &i) in self.canonical.iter().enumerate() {
-            let a = self.slots[i].engine.design_ref();
-            for r in 0..m {
-                for j in 0..n {
-                    bw[(r, block * n + j)] = weights[r] * a[(r, j)];
-                }
-            }
-        }
-        bw
-    }
-
-    /// The components' interior directions stacked in canonical block
-    /// order, or `None` when any component has none.
-    fn stacked_interior_direction(&self) -> Option<Vector> {
-        let mut stacked = Vec::new();
-        for &i in &self.canonical {
-            stacked.extend_from_slice(self.slots[i].engine.interior_ref()?.as_slice());
-        }
-        Some(Vector::from_slice(&stacked))
-    }
-
-    /// Selects one shared λ for every component by generalized
-    /// cross-validation on the **stacked** mixture smoother.
-    ///
-    /// Per-component GCV against the full bulk series — the obvious
-    /// reuse of the single-population path — answers the wrong question:
-    /// each component alone must explain the *entire* mixture, so its
-    /// GCV score rewards heavy smoothing and the selected λs land
-    /// decades away from the joint optimum. Here the candidate λ is
-    /// scored on the unconstrained joint smoother instead:
-    ///
-    /// ```text
-    /// GCV(λ) = m · ‖y_w − ŷ_w(λ)‖² / (m − tr H(λ))²,
-    /// H(λ)   = B (BᵀB + λ·blockdiag(Ω) + εI)⁻¹ Bᵀ
-    /// ```
-    ///
-    /// with `B` the weighted stacked design `bw` and `gram = BᵀB` (built
-    /// once per fit and shared with the QP) — the hat-matrix trace
-    /// counts the effective degrees of freedom of the whole K-component
-    /// fit, so the score balances joint fidelity against joint
-    /// roughness. The grid is the engine config's λ grid; candidates
-    /// whose normal matrix fails to factor or whose residual degrees of
-    /// freedom `m − tr H` vanish are skipped. Ties keep the smaller λ
-    /// (first grid hit), making the choice deterministic.
-    fn select_lambda_joint(
-        &self,
-        g: &[f64],
-        weights: &[f64],
-        bw: &Matrix,
-        gram: &Matrix,
-    ) -> Result<f64> {
-        let m = g.len();
-        let n = self.slots[0].engine.basis().len();
-        let kn = self.slots.len() * n;
-        let grid = self.slots[0].engine.config().lambda().lambda_grid();
-        if grid.len() == 1 {
-            return Ok(grid[0]);
-        }
-        let ridge = self.slots[0].engine.ridge_effective();
-        let yw: Vec<f64> = (0..m).map(|r| weights[r] * g[r]).collect();
-
-        // The other λ-invariant part, built once: Bᵀy_w.
-        let mut bty = Vector::zeros(kn);
-        for p in 0..kn {
-            let mut acc = 0.0;
-            for r in 0..m {
-                acc += bw[(r, p)] * yw[r];
-            }
-            bty[p] = acc;
-        }
-
-        let mut best: Option<(f64, f64)> = None;
-        let mut mmat = Matrix::zeros(kn, kn);
-        let mut work = Vector::zeros(kn);
-        let mut rhs = Vector::zeros(kn);
-        for &l in &grid {
-            mmat.as_mut_slice().copy_from_slice(gram.as_slice());
-            for (block, &i) in self.canonical.iter().enumerate() {
-                self.slots[i]
-                    .engine
-                    .omega_ref()
-                    .add_scaled_into(&mut mmat, block * n, l);
-            }
-            for p in 0..kn {
-                mmat[(p, p)] += ridge;
-            }
-            let chol = match mmat.cholesky() {
-                Ok(c) => c,
-                Err(_) => continue,
-            };
-            // tr H = Σᵣ bᵣᵀ M⁻¹ bᵣ, one triangular solve per row.
-            let mut dof = 0.0;
-            for r in 0..m {
-                for p in 0..kn {
-                    work[p] = bw[(r, p)];
-                }
-                chol.solve_in_place(&mut work)?;
-                let mut acc = 0.0;
-                for p in 0..kn {
-                    acc += bw[(r, p)] * work[p];
-                }
-                dof += acc;
-            }
-            let denom = m as f64 - dof;
-            if !(denom > 1e-9) {
-                continue;
-            }
-            rhs.as_mut_slice().copy_from_slice(bty.as_slice());
-            chol.solve_in_place(&mut rhs)?;
-            let mut rss = 0.0;
-            for (r, &y) in yw.iter().enumerate() {
-                let mut fitted = 0.0;
-                for p in 0..kn {
-                    fitted += bw[(r, p)] * rhs[p];
-                }
-                rss += (y - fitted) * (y - fitted);
-            }
-            let score = m as f64 * rss / (denom * denom);
-            if !score.is_finite() {
-                continue;
-            }
-            if best.is_none_or(|(s, _)| score < s) {
-                best = Some((score, l));
-            }
-        }
-        best.map(|(_, l)| l).ok_or(DeconvError::InvalidConfig(
-            "joint GCV found no admissible lambda on the grid",
-        ))
-    }
-
-    /// Resolves every component's λ before any solve: a component
-    /// override wins, a `Fixed` engine selection is taken as-is, and all
-    /// remaining components share one joint-GCV choice
-    /// ([`Self::select_lambda_joint`]). Override validation reports the
-    /// offending component's index like every other per-component error.
-    fn resolve_lambdas(
-        &self,
-        g: &[f64],
-        weights: &[f64],
-        bw: &Matrix,
-        gram: &Matrix,
-    ) -> Result<Vec<f64>> {
-        let mut lambda = vec![0.0; self.slots.len()];
-        let mut shared: Option<f64> = None;
-        for (i, slot) in self.slots.iter().enumerate() {
-            lambda[i] = match slot.lambda_override {
-                Some(l) => {
-                    if !l.is_finite() || l < 0.0 {
-                        return Err(component_error(
-                            i,
-                            DeconvError::InvalidConfig(
-                                "lambda override must be finite and non-negative",
-                            ),
-                        ));
-                    }
-                    l
-                }
-                None => match slot.engine.config().lambda() {
-                    LambdaSelection::Fixed(l) => *l,
-                    _ => match shared {
-                        Some(l) => l,
-                        None => {
-                            let l = self.select_lambda_joint(g, weights, bw, gram)?;
-                            shared = Some(l);
-                            l
-                        }
-                    },
-                },
-            };
-        }
-        Ok(lambda)
-    }
-
-    /// The stacked-design QP: minimize over the concatenated coefficient
-    /// vector `[α₁ … α_K]` with block-diagonal penalty and constraints.
-    fn fit_joint(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
+        };
         let g = request.series();
-        let weights = self.fit_weights(request)?;
-        if g.iter().any(|v| !v.is_finite()) {
-            return Err(DeconvError::InvalidConfig("measurements must be finite"));
-        }
-        let k = self.slots.len();
-        let m = g.len();
-        let n = self.slots[0].engine.basis().len();
-        let kn = k * n;
-
-        // Weighted stacked design B[r, b·n + j] = w_r · A_b[r, j], with
-        // blocks laid out in canonical order so the assembled QP — and
-        // therefore the solution bits — do not depend on specification
-        // order. BᵀB is shared by the joint λ scan and the QP.
-        let bw = self.stacked_weighted_design(&weights);
-        let gram = stacked_gram(&bw);
-        // Per-component λ: override > Fixed config > shared joint GCV
-        // (see [`Self::resolve_lambdas`]).
-        let lambda = self.resolve_lambdas(g, &weights, &bw, &gram)?;
-
-        // H = 2(BᵀB + blockdiag(λₖΩ) + εI), c = −2 Bᵀ(W g).
-        let ridge = self.slots[0].engine.ridge_effective();
-        let mut h = gram;
-        for (block, &i) in self.canonical.iter().enumerate() {
-            self.slots[i]
-                .engine
-                .omega_ref()
-                .add_scaled_into(&mut h, block * n, lambda[i]);
-        }
-        for p in 0..kn {
-            for q in 0..kn {
-                h[(p, q)] *= 2.0;
-            }
-            h[(p, p)] += 2.0 * ridge;
-        }
-        let mut c = Vector::zeros(kn);
-        for p in 0..kn {
-            let mut acc = 0.0;
-            for r in 0..m {
-                acc += bw[(r, p)] * weights[r] * g[r];
-            }
-            c[p] = -2.0 * acc;
-        }
-
-        // Block-diagonal constraint stacks: every component contributes
-        // its own copy of the engine's equality/positivity rows over its
-        // coefficient block.
-        let mut qp = QuadraticProgram::new(h, c).map_err(DeconvError::from)?;
-        let eq0 = self.slots[0].engine.equality_ref();
-        if let Some((e, _)) = eq0 {
-            let rows = e.rows();
-            let mut stacked = Matrix::zeros(k * rows, kn);
-            for (block, &i) in self.canonical.iter().enumerate() {
-                let (e, _) = self.slots[i].engine.equality_ref().expect("same config");
-                for r in 0..rows {
-                    for j in 0..n {
-                        stacked[(block * rows + r, block * n + j)] = e[(r, j)];
-                    }
-                }
-            }
-            let rhs = Vector::zeros(k * rows);
-            qp = qp
-                .with_equalities(stacked, rhs)
-                .map_err(DeconvError::from)?;
-        }
-        if let Some((p0, _)) = self.slots[0].engine.positivity_ref() {
-            let rows = p0.rows();
-            let mut stacked = Matrix::zeros(k * rows, kn);
-            for (block, &i) in self.canonical.iter().enumerate() {
-                let (p, _) = self.slots[i].engine.positivity_ref().expect("same config");
-                for r in 0..rows {
-                    for j in 0..n {
-                        stacked[(block * rows + r, block * n + j)] = p[(r, j)];
-                    }
-                }
-            }
-            let rhs = Vector::zeros(k * rows);
-            qp = qp
-                .with_inequalities(stacked, rhs)
-                .map_err(DeconvError::from)?;
-        }
-        // The components' interior directions, stacked block by block,
-        // are an interior direction of the block-diagonal constraint set.
-        if let Some(d) = self.stacked_interior_direction() {
-            qp = qp.with_interior_direction(d);
-        }
-        let solution = qp.solve().map_err(DeconvError::from)?;
+        self.slots[0].engine.validate_series(g, request.sigmas())?;
+        let mut workspace = FitWorkspace::new();
+        let unit = stacked.prepare(&mut workspace, request.sigmas());
+        let (alpha, lambda, scores) = stacked.solve(&mut workspace, g, unit, None, None)?;
+        let weights = stacked.weights(&workspace, unit);
 
         // Split the stacked solution back into per-component results.
-        let mut total_pred = vec![0.0; m];
-        let mut split = Vec::with_capacity(k);
+        let n = self.slots[0].engine.basis().len();
+        let mut total_pred = vec![0.0; g.len()];
+        let mut split = Vec::with_capacity(self.slots.len());
         for (block, &i) in self.canonical.iter().enumerate() {
-            let alpha: Vec<f64> = (0..n).map(|j| solution.x[block * n + j]).collect();
-            let alpha = Vector::from_slice(&alpha);
-            let pred = self.slots[i].engine.design_ref().matvec(&alpha)?;
+            let alpha = Vector::from_slice(&alpha.as_slice()[block * n..(block + 1) * n]);
+            let pred = self.slots[i].engine.operators().design.matvec(&alpha)?;
             for (t, p) in pred.as_slice().iter().enumerate() {
                 total_pred[t] += p;
             }
             split.push((i, alpha, pred));
         }
-        let weighted_sse: f64 = (0..m)
+        let weighted_sse: f64 = (0..g.len())
             .map(|t| {
                 let r = weights[t] * (g[t] - total_pred[t]);
                 r * r
@@ -729,13 +400,33 @@ impl MixtureDeconvolver {
                 DeconvolutionResult::from_parts(
                     alpha,
                     self.slots[i].engine.basis().clone(),
-                    lambda[i],
+                    lambda,
                     pred.into_vec(),
                     weighted_sse,
+                    scores.clone(),
                 )
             })
             .collect();
         self.finalize(request, results, &total_pred)
+    }
+
+    /// K = 1: the mixture degenerates to a plain single-population fit.
+    fn fit_single(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
+        let slot = &self.slots[0];
+        let mut req = FitRequest::new(request.series().to_vec());
+        if let Some(s) = request.sigmas() {
+            req = req.with_sigmas(s.to_vec());
+        }
+        let result = slot.engine.fit_request(&req)?.into_result();
+        let residual_rel = residual_rel(request, result.predicted());
+        Ok(MixtureFitResponse {
+            components: vec![ComponentFit {
+                name: slot.name.clone(),
+                fraction: 1.0,
+                result,
+            }],
+            residual_rel,
+        })
     }
 
     /// The joint fit's epilogue: estimate fractions from recovered mass
@@ -779,34 +470,6 @@ impl MixtureDeconvolver {
     }
 }
 
-/// `BᵀB` of a weighted stacked design, upper triangle accumulated row by
-/// row and mirrored — the one summation order the joint λ scan and the
-/// joint QP share.
-fn stacked_gram(bw: &Matrix) -> Matrix {
-    let (m, kn) = bw.shape();
-    let mut gram = Matrix::zeros(kn, kn);
-    for p in 0..kn {
-        for q in p..kn {
-            let mut acc = 0.0;
-            for r in 0..m {
-                acc += bw[(r, p)] * bw[(r, q)];
-            }
-            gram[(p, q)] = acc;
-            gram[(q, p)] = acc;
-        }
-    }
-    gram
-}
-
-/// Wraps a component failure with its specification-order index, like
-/// [`DeconvError::Series`] does for batch items.
-fn component_error(index: usize, source: DeconvError) -> DeconvError {
-    DeconvError::Component {
-        index,
-        source: Box::new(source),
-    }
-}
-
 /// Recovered mass `∫₀¹ h_k(φ) dφ` of one component's contribution,
 /// trapezoid rule on the fixed [`MASS_GRID`]. Positivity keeps the
 /// integrand non-negative up to solver tolerance; tiny negative
@@ -835,4 +498,180 @@ fn residual_rel(request: &MixtureFitRequest, predicted: &[f64]) -> f64 {
         den += (w * g[t]) * (w * g[t]);
     }
     (num / den.max(1e-300)).sqrt()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::solver::SpectralPath;
+    use crate::{ForwardModel, LambdaSelection, PhaseProfile};
+    use cellsync_linalg::Matrix;
+    use cellsync_popsim::{CellCycleParams, InitialCondition, KernelEstimator, Population};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// A volume-scaled reference kernel over a 37-point, 180-minute
+    /// protocol for one set of cycle parameters.
+    fn kernel(params: (f64, f64, f64, f64), seed: u64) -> PhaseKernel {
+        let params = CellCycleParams::new(params.0, params.1, params.2, params.3).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pop =
+            Population::synchronized(1_000, &params, InitialCondition::UniformSwarmer, &mut rng)
+                .unwrap()
+                .simulate_until(180.0)
+                .unwrap();
+        let times: Vec<f64> = (0..37).map(|i| 180.0 * i as f64 / 36.0).collect();
+        KernelEstimator::new(40)
+            .unwrap()
+            .with_threads(1)
+            .estimate(&pop, &times)
+            .unwrap()
+            .volume_scaled()
+            .unwrap()
+    }
+
+    /// A K-component GCV engine and a bulk series mixing one smooth
+    /// profile per component, with a deterministic wiggle standing in
+    /// for noise.
+    fn gcv_mixture(k: usize) -> (MixtureDeconvolver, Vec<f64>) {
+        let params = [
+            (0.15, 0.13, 150.0, 0.12),
+            (0.25, 0.13, 110.0, 0.12),
+            (0.10, 0.13, 200.0, 0.12),
+        ];
+        let config = DeconvolutionConfig::builder()
+            .basis_size(10)
+            .positivity(true)
+            .lambda_selection(LambdaSelection::Gcv {
+                log10_min: -8.0,
+                log10_max: 1.0,
+                points: 7,
+            })
+            .build()
+            .unwrap();
+        let kernels: Vec<PhaseKernel> = (0..k).map(|i| kernel(params[i], 11 + i as u64)).collect();
+        let mut bulk = vec![0.0; 37];
+        for (i, q) in kernels.iter().enumerate() {
+            let peak = 0.3 + 0.2 * i as f64;
+            let truth =
+                PhaseProfile::from_fn(200, |phi| 0.5 + (-((phi - peak) / 0.15).powi(2)).exp())
+                    .unwrap();
+            let g = ForwardModel::new(q.clone()).predict(&truth).unwrap();
+            for (acc, v) in bulk.iter_mut().zip(&g) {
+                *acc += v / k as f64;
+            }
+        }
+        for (t, v) in bulk.iter_mut().enumerate() {
+            *v *= 1.0 + 0.03 * (1.7 * t as f64).sin();
+        }
+        let components = kernels
+            .into_iter()
+            .enumerate()
+            .map(|(i, q)| MixtureComponent::new(["a", "b", "c"][i], q).unwrap())
+            .collect();
+        (MixtureDeconvolver::new(components, config).unwrap(), bulk)
+    }
+
+    /// The per-λ hat-matrix GCV scorer the mixture engine ran before it
+    /// moved onto the shared spectral rule: factor the stacked normal
+    /// matrix `M = BᵀB + λ·blockdiag(Ω) + εI` by Cholesky at every λ and
+    /// read the smoother trace off `m` triangular solves,
+    /// `tr H = Σᵣ bᵣᵀM⁻¹bᵣ`, with `B` the weighted stacked design. The
+    /// saturation rule (edf above 99 % of the data scores `+∞`) is the
+    /// spectral scorer's. Returns the score and the condition number of
+    /// `M`.
+    fn cholesky_gcv(ops: &FitOperators, weights: &[f64], g: &[f64], lambda: f64) -> (f64, f64) {
+        let (m, kn) = ops.design.shape();
+        let bw = Matrix::from_fn(m, kn, |r, p| weights[r] * ops.design[(r, p)]);
+        let yw = Vector::from_fn(m, |r| weights[r] * g[r]);
+        let mut normal = bw.gram();
+        ops.omega.add_scaled_into(&mut normal, 0, lambda);
+        for p in 0..kn {
+            normal[(p, p)] += ops.ridge;
+        }
+        let eigen = normal.symmetric_eigen().unwrap();
+        let eigenvalues = eigen.eigenvalues().as_slice();
+        let kappa = eigenvalues.iter().cloned().fold(0.0, f64::max)
+            / eigenvalues.iter().cloned().fold(f64::INFINITY, f64::min);
+        let chol = normal.cholesky().unwrap();
+        let mut dof = 0.0;
+        for r in 0..m {
+            let mut work = Vector::from_slice(bw.row(r));
+            chol.solve_in_place(&mut work).unwrap();
+            dof += bw
+                .row(r)
+                .iter()
+                .zip(work.iter())
+                .map(|(a, b)| a * b)
+                .sum::<f64>();
+        }
+        if dof / m as f64 > 0.99 {
+            return (f64::INFINITY, kappa);
+        }
+        let mut coef = bw.tr_matvec(&yw).unwrap();
+        chol.solve_in_place(&mut coef).unwrap();
+        let fitted = bw.matvec(&coef).unwrap();
+        let rss: f64 = yw
+            .iter()
+            .zip(fitted.iter())
+            .map(|(y, f)| (y - f).powi(2))
+            .sum();
+        let score = m as f64 * rss / ((m as f64 - dof) * (m as f64 - dof));
+        (score, kappa)
+    }
+
+    #[test]
+    fn stacked_spectral_gcv_matches_the_cholesky_hat_matrix_reference() {
+        for k in [2, 3] {
+            let (engine, bulk) = gcv_mixture(k);
+            let ops = engine.stacked.as_ref().expect("K ≥ 2 stacks");
+            let reduced = ops.reduced.as_ref().expect("GCV operators reduce");
+            let m = bulk.len();
+            let sigma_weights: Vec<f64> = (0..m)
+                .map(|t| 1.0 / (0.05 * (1.0 + 0.8 * (0.9 * t as f64).sin())))
+                .collect();
+            for weights in [ops.unit_weights.clone(), sigma_weights] {
+                let unit = weights.iter().all(|&w| w == 1.0);
+                let rebuilt;
+                let path = if unit {
+                    ops.spectral_unit.as_ref().expect("GCV operators decompose")
+                } else {
+                    rebuilt = SpectralPath::new(reduced, &weights, ops.ridge).unwrap();
+                    &rebuilt
+                };
+                let r = reduced.reduced_dim();
+                let (mut w2g, mut rhs_r, mut zproj) =
+                    (Vector::zeros(m), Vector::zeros(r), Vector::zeros(r));
+                path.project_series(reduced, &weights, &bulk, &mut w2g, &mut rhs_r, &mut zproj)
+                    .unwrap();
+                let (mut d, mut beta, mut u) =
+                    (Vector::zeros(r), Vector::zeros(r), Vector::zeros(m));
+                // The tolerance rule of `spectral_gcv_matches_dense_reference`
+                // (ε times the (σ_max/σ_min)² growth of the weighted Gram's
+                // conditioning, floored at 1e-9), plus ε times the
+                // conditioning of the stacked normal matrix itself: near-
+                // collinear component kernels make it ill-conditioned at
+                // the grid ends whatever the weights, and both scorers
+                // inherit that.
+                let ratio = weights.iter().cloned().fold(0.0, f64::max)
+                    / weights.iter().cloned().fold(f64::INFINITY, f64::min);
+                for &lambda in &ops.lambda_grid {
+                    let (dense, kappa) = cholesky_gcv(ops, &weights, &bulk, lambda);
+                    let tol = (f64::EPSILON * ratio * ratio)
+                        .max(f64::EPSILON * kappa)
+                        .max(1e-9);
+                    let spectral = path
+                        .gcv_score(
+                            reduced, &weights, &bulk, &zproj, lambda, &mut d, &mut beta, &mut u,
+                        )
+                        .unwrap();
+                    assert!(
+                        (spectral - dense).abs() <= tol * dense.abs().max(1e-12)
+                            || (spectral.is_infinite() && dense.is_infinite()),
+                        "K = {k}, unit {unit}, λ = {lambda}: spectral {spectral} vs Cholesky {dense}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -20,7 +20,7 @@ use cellsync_linalg::{Matrix, Vector};
 use cellsync_ode::models::LotkaVolterra;
 use cellsync_ode::period::rescale_lotka_volterra;
 use cellsync_ode::solver::DormandPrince;
-use cellsync_opt::QuadraticProgram;
+use cellsync_opt::{QpProblem, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_spline::NaturalSplineBasis;
 use cellsync_stats::noise::NoiseModel;
@@ -145,10 +145,11 @@ pub fn project_onto_constraints(
     let eq_rhs = Vector::from_slice(&[0.0, 0.0, profile.eval(0.0)]);
     let pos = basis.collocation_matrix(&grid)?;
 
-    let solution = QuadraticProgram::new(h, c)?
-        .with_equalities(eq, eq_rhs)?
-        .with_inequalities(pos, Vector::zeros(grid.len()))?
-        .solve()?;
+    let solution = QpWorkspace::new().solve(
+        &QpProblem::new(&h, &c)?
+            .with_equalities(&eq, &eq_rhs)?
+            .with_inequalities(&pos, &Vector::zeros(grid.len()))?,
+    )?;
     let samples: Vec<f64> = (0..profile.len())
         .map(|i| {
             basis.eval_combination(solution.x.as_slice(), i as f64 / (profile.len() - 1) as f64)

@@ -11,9 +11,8 @@
 //!   null-space KKT solves (Nocedal & Wright, §16.5) for convex QPs with
 //!   general linear equality and inequality constraints, split into a
 //!   borrow-based problem view and a reusable workspace (cached Hessian
-//!   factor, warm starts, scratch buffers) for repeated-solve hot paths.
-//! * [`QuadraticProgram`] — the owned one-shot wrapper over the same
-//!   solver.
+//!   factor, warm starts, scratch buffers) for repeated-solve hot paths;
+//!   a one-shot solve is `QpWorkspace::new().solve(&problem)`.
 //! * [`IpmWorkspace`] — Mehrotra predictor–corrector interior-point method
 //!   (Nocedal & Wright, §16.6), an algorithmically independent second QP
 //!   backend; both solvers implement [`QpBackend`] so callers can run the
@@ -33,16 +32,16 @@
 //!
 //! ```
 //! use cellsync_linalg::{Matrix, Vector};
-//! use cellsync_opt::QuadraticProgram;
+//! use cellsync_opt::{QpProblem, QpWorkspace};
 //!
 //! # fn main() -> Result<(), cellsync_opt::OptError> {
 //! // min ½‖x‖² − x·(1,1)  s.t.  x₀ + x₁ = 1  →  x = (0.5, 0.5)
 //! let h = Matrix::identity(2);
 //! let c = Vector::from_slice(&[-1.0, -1.0]);
 //! let eq = Matrix::from_rows(&[&[1.0, 1.0]]).expect("non-empty");
-//! let sol = QuadraticProgram::new(h, c)?
-//!     .with_equalities(eq, Vector::from_slice(&[1.0]))?
-//!     .solve()?;
+//! let rhs = Vector::from_slice(&[1.0]);
+//! let problem = QpProblem::new(&h, &c)?.with_equalities(&eq, &rhs)?;
+//! let sol = QpWorkspace::new().solve(&problem)?;
 //! assert!((sol.x[0] - 0.5).abs() < 1e-10);
 //! # Ok(())
 //! # }
@@ -69,7 +68,7 @@ pub use ipm::IpmWorkspace;
 pub use nelder_mead::{NelderMead, SimplexResult};
 pub use nnls::Nnls;
 pub use projgrad::ProjectedGradient;
-pub use qp::{QpProblem, QpSolution, QpWorkspace, QuadraticProgram};
+pub use qp::{QpProblem, QpSolution, QpWorkspace};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, OptError>;

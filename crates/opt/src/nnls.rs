@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn matches_qp_solver() {
-        use crate::QuadraticProgram;
+        use crate::{QpProblem, QpWorkspace};
         // Distinct per-column frequencies keep AᵀA full rank.
         let a = Matrix::from_fn(10, 4, |i, j| {
             ((i + 1) as f64 * (j + 1) as f64 * 0.41).sin() + 0.1
@@ -197,11 +197,13 @@ mod tests {
         // Equivalent QP: min ½xᵀ(2AᵀA)x − (2Aᵀb)ᵀx s.t. x ≥ 0.
         let h = a.gram().scaled(2.0);
         let c = -&a.tr_matvec(&b).unwrap().scaled(2.0);
-        let x_qp = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_inequalities(Matrix::identity(4), Vector::zeros(4))
-            .unwrap()
-            .solve()
+        let x_qp = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(&Matrix::identity(4), &Vector::zeros(4))
+                    .unwrap(),
+            )
             .unwrap()
             .x;
         assert!(

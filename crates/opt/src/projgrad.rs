@@ -97,7 +97,7 @@ impl ProjectedGradient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuadraticProgram;
+    use crate::{QpProblem, QpWorkspace};
 
     #[test]
     fn matches_active_set_on_bound_constrained_problem() {
@@ -111,11 +111,13 @@ mod tests {
         let pg = ProjectedGradient::new(200_000, 1e-13)
             .solve(&h, &c, &Vector::zeros(n))
             .unwrap();
-        let qp = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_inequalities(Matrix::identity(n), Vector::zeros(n))
-            .unwrap()
-            .solve()
+        let qp = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(&Matrix::identity(n), &Vector::zeros(n))
+                    .unwrap(),
+            )
             .unwrap()
             .x;
         assert!((&pg - &qp).norm2() < 1e-6, "pg {pg} vs qp {qp}");

@@ -4,9 +4,8 @@
 //! ([`QpProblem`]) and a reusable mutable scratch ([`QpWorkspace`]), so
 //! repeated solves — a λ sweep, cross-validation folds, bootstrap
 //! replicates — share buffers, cached Hessian factorizations, and
-//! warm-start information instead of reallocating per solve. The original
-//! owned builder ([`QuadraticProgram`]) remains as a thin convenience
-//! wrapper for one-shot solves.
+//! warm-start information instead of reallocating per solve. A one-shot
+//! solve is `QpWorkspace::new().solve(&problem)`.
 
 use cellsync_linalg::{CholeskyDecomposition, Matrix, SparseRowMatrix, Vector};
 use cellsync_runtime::CancelToken;
@@ -1261,189 +1260,6 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// An owned convex quadratic program — the one-shot convenience wrapper
-/// over [`QpProblem`] / [`QpWorkspace`].
-///
-/// Prefer the borrow-based pair for repeated solves; this type clones
-/// nothing and allocates one workspace per [`QuadraticProgram::solve`]
-/// call, which is fine for isolated problems.
-///
-/// # Example
-///
-/// ```
-/// use cellsync_linalg::{Matrix, Vector};
-/// use cellsync_opt::QuadraticProgram;
-///
-/// # fn main() -> Result<(), cellsync_opt::OptError> {
-/// // min (x−1)² + (y−2.5)² s.t. x ≥ 0, y ≥ 0, y ≤ 2  →  (1, 2)
-/// let h = Matrix::identity(2).scaled(2.0);
-/// let c = Vector::from_slice(&[-2.0, -5.0]);
-/// let a = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.0, -1.0]]).expect("rows");
-/// let b = Vector::from_slice(&[0.0, 0.0, -2.0]);
-/// let sol = QuadraticProgram::new(h, c)?
-///     .with_inequalities(a, b)?
-///     .solve()?;
-/// assert!((sol.x[0] - 1.0).abs() < 1e-9);
-/// assert!((sol.x[1] - 2.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct QuadraticProgram {
-    h: Matrix,
-    c: Vector,
-    eq: Option<(Matrix, Vector)>,
-    ineq: Option<(Matrix, Vector)>,
-    start: Option<Vector>,
-    direction: Option<Vector>,
-    max_iterations: Option<usize>,
-}
-
-impl QuadraticProgram {
-    /// Creates an unconstrained QP `min ½xᵀHx + cᵀx`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpProblem::new`].
-    pub fn new(h: Matrix, c: Vector) -> Result<Self> {
-        // Validate eagerly so construction errors surface here, exactly
-        // like the borrow-based API.
-        QpProblem::new(&h, &c)?;
-        Ok(QuadraticProgram {
-            h,
-            c,
-            eq: None,
-            ineq: None,
-            start: None,
-            direction: None,
-            max_iterations: None,
-        })
-    }
-
-    /// Adds equality constraints `E x = e`.
-    ///
-    /// # Errors
-    ///
-    /// [`OptError::DimensionMismatch`] for inconsistent shapes.
-    pub fn with_equalities(mut self, e_mat: Matrix, e_rhs: Vector) -> Result<Self> {
-        // H/c were validated in `new`; only the constraint shapes need
-        // checking here (re-running the full O(n²) Hessian scans per
-        // builder call would be pure duplication).
-        if e_mat.cols() != self.dim() {
-            return Err(OptError::DimensionMismatch {
-                what: "equality matrix columns",
-                expected: self.dim(),
-                got: e_mat.cols(),
-            });
-        }
-        if e_mat.rows() != e_rhs.len() {
-            return Err(OptError::DimensionMismatch {
-                what: "equality rhs",
-                expected: e_mat.rows(),
-                got: e_rhs.len(),
-            });
-        }
-        self.eq = Some((e_mat, e_rhs));
-        Ok(self)
-    }
-
-    /// Adds inequality constraints `A x ≥ b`.
-    ///
-    /// # Errors
-    ///
-    /// [`OptError::DimensionMismatch`] for inconsistent shapes.
-    pub fn with_inequalities(mut self, a_mat: Matrix, b_rhs: Vector) -> Result<Self> {
-        if a_mat.cols() != self.dim() {
-            return Err(OptError::DimensionMismatch {
-                what: "inequality matrix columns",
-                expected: self.dim(),
-                got: a_mat.cols(),
-            });
-        }
-        if a_mat.rows() != b_rhs.len() {
-            return Err(OptError::DimensionMismatch {
-                what: "inequality rhs",
-                expected: a_mat.rows(),
-                got: b_rhs.len(),
-            });
-        }
-        self.ineq = Some((a_mat, b_rhs));
-        Ok(self)
-    }
-
-    /// Supplies a feasible starting point.
-    ///
-    /// # Errors
-    ///
-    /// [`OptError::DimensionMismatch`] for a wrong-length vector.
-    pub fn with_start(mut self, x0: Vector) -> Result<Self> {
-        if x0.len() != self.dim() {
-            return Err(OptError::DimensionMismatch {
-                what: "starting point",
-                expected: self.dim(),
-                got: x0.len(),
-            });
-        }
-        self.start = Some(x0);
-        Ok(self)
-    }
-
-    /// Supplies an interior direction for the start rule (see
-    /// [`QpProblem::with_interior_direction`]; an invalid one is ignored).
-    #[must_use]
-    pub fn with_interior_direction(mut self, d: Vector) -> Self {
-        self.direction = Some(d);
-        self
-    }
-
-    /// Replaces the iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = Some(max_iterations);
-        self
-    }
-
-    /// Problem dimension.
-    pub fn dim(&self) -> usize {
-        self.h.rows()
-    }
-
-    /// Borrows this program as a [`QpProblem`] view.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the view validation errors (none expected after
-    /// successful construction).
-    pub fn as_problem(&self) -> Result<QpProblem<'_>> {
-        let mut problem = QpProblem::new(&self.h, &self.c)?;
-        if let Some((e_mat, e_rhs)) = &self.eq {
-            problem = problem.with_equalities(e_mat, e_rhs)?;
-        }
-        if let Some((a_mat, b_rhs)) = &self.ineq {
-            problem = problem.with_inequalities(a_mat, b_rhs)?;
-        }
-        if let Some(x0) = &self.start {
-            problem = problem.with_start(x0)?;
-        }
-        if let Some(d) = &self.direction {
-            problem = problem.with_interior_direction(d);
-        }
-        if let Some(max_iterations) = self.max_iterations {
-            problem = problem.with_max_iterations(max_iterations);
-        }
-        Ok(problem)
-    }
-
-    /// Solves the program with a fresh workspace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`QpWorkspace::solve`].
-    pub fn solve(&self) -> Result<QpSolution> {
-        QpWorkspace::new().solve(&self.as_problem()?)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1453,9 +1269,8 @@ mod tests {
         // min ½xᵀHx + cᵀx → Hx = −c.
         let h = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]]).unwrap();
         let c = Vector::from_slice(&[-1.0, -2.0]);
-        let sol = QuadraticProgram::new(h.clone(), c.clone())
-            .unwrap()
-            .solve()
+        let sol = QpWorkspace::new()
+            .solve(&QpProblem::new(&h, &c).unwrap())
             .unwrap();
         let direct = h.lu().unwrap().solve(&(-&c)).unwrap();
         assert!((&sol.x - &direct).norm2() < 1e-10);
@@ -1465,14 +1280,16 @@ mod tests {
     #[test]
     fn equality_constrained_known_solution() {
         // min ½(x² + y²) s.t. x + y = 2 → (1, 1), objective 1.
-        let sol = QuadraticProgram::new(Matrix::identity(2), Vector::zeros(2))
-            .unwrap()
-            .with_equalities(
-                Matrix::from_rows(&[&[1.0, 1.0]]).unwrap(),
-                Vector::from_slice(&[2.0]),
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&Matrix::identity(2), &Vector::zeros(2))
+                    .unwrap()
+                    .with_equalities(
+                        &Matrix::from_rows(&[&[1.0, 1.0]]).unwrap(),
+                        &Vector::from_slice(&[2.0]),
+                    )
+                    .unwrap(),
             )
-            .unwrap()
-            .solve()
             .unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-10);
         assert!((sol.x[1] - 1.0).abs() < 1e-10);
@@ -1495,11 +1312,13 @@ mod tests {
         ])
         .unwrap();
         let b = Vector::from_slice(&[-2.0, -6.0, -2.0, 0.0, 0.0]);
-        let sol = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_inequalities(a, b)
-            .unwrap()
-            .solve()
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(&a, &b)
+                    .unwrap(),
+            )
             .unwrap();
         assert!((sol.x[0] - 1.4).abs() < 1e-8, "x = {}", sol.x);
         assert!((sol.x[1] - 1.7).abs() < 1e-8);
@@ -1510,11 +1329,13 @@ mod tests {
         // Unconstrained optimum (1, 1) already satisfies x ≥ 0.
         let h = Matrix::identity(2).scaled(2.0);
         let c = Vector::from_slice(&[-2.0, -2.0]);
-        let sol = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_inequalities(Matrix::identity(2), Vector::zeros(2))
-            .unwrap()
-            .solve()
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(&Matrix::identity(2), &Vector::zeros(2))
+                    .unwrap(),
+            )
             .unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-9);
         assert!((sol.x[1] - 1.0).abs() < 1e-9);
@@ -1526,11 +1347,13 @@ mod tests {
         // min ½‖x − (−1, 2)‖² s.t. x ≥ 0 → (0, 2) with constraint 0 active.
         let h = Matrix::identity(2);
         let c = Vector::from_slice(&[1.0, -2.0]);
-        let sol = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_inequalities(Matrix::identity(2), Vector::zeros(2))
-            .unwrap()
-            .solve()
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(&Matrix::identity(2), &Vector::zeros(2))
+                    .unwrap(),
+            )
             .unwrap();
         assert!(sol.x[0].abs() < 1e-9);
         assert!((sol.x[1] - 2.0).abs() < 1e-9);
@@ -1551,19 +1374,20 @@ mod tests {
         ])
         .unwrap();
         let b = Vector::from_slice(&[0.0, 0.0, 0.0, 1.5]);
-        let sol = QuadraticProgram::new(h, c)
+        let e_rhs = Vector::from_slice(&[3.0]);
+        // Inhomogeneous constraints: neither the origin nor the
+        // minimum-norm equality solution (1,1,1) is feasible, so a
+        // feasible start must be supplied.
+        let start = Vector::from_slice(&[0.0, 3.0, 0.0]);
+        let problem = QpProblem::new(&h, &c)
             .unwrap()
-            .with_equalities(e, Vector::from_slice(&[3.0]))
+            .with_equalities(&e, &e_rhs)
             .unwrap()
-            .with_inequalities(a, b)
+            .with_inequalities(&a, &b)
             .unwrap()
-            // Inhomogeneous constraints: neither the origin nor the
-            // minimum-norm equality solution (1,1,1) is feasible, so a
-            // feasible start must be supplied.
-            .with_start(Vector::from_slice(&[0.0, 3.0, 0.0]))
-            .unwrap()
-            .solve()
+            .with_start(&start)
             .unwrap();
+        let sol = QpWorkspace::new().solve(&problem).unwrap();
         // With x2 pinned at 1.5, the rest splits evenly: (0.75, 1.5, 0.75).
         assert!((sol.x[0] - 0.75).abs() < 1e-8, "x = {}", sol.x);
         assert!((sol.x[1] - 1.5).abs() < 1e-8);
@@ -1576,13 +1400,15 @@ mod tests {
         let h = Matrix::identity(3).scaled(2.0);
         let c = Vector::from_slice(&[-1.0, -4.0, -2.0]);
         let e = Matrix::from_rows(&[&[1.0, -1.0, 0.0]]).unwrap();
-        let sol = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_equalities(e, Vector::zeros(1))
-            .unwrap()
-            .with_inequalities(Matrix::identity(3), Vector::zeros(3))
-            .unwrap()
-            .solve()
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_equalities(&e, &Vector::zeros(1))
+                    .unwrap()
+                    .with_inequalities(&Matrix::identity(3), &Vector::zeros(3))
+                    .unwrap(),
+            )
             .unwrap();
         // KKT check: equality holds, positivity holds.
         assert!((sol.x[0] - sol.x[1]).abs() < 1e-9);
@@ -1593,32 +1419,37 @@ mod tests {
     fn infeasible_start_rejected() {
         let h = Matrix::identity(1);
         let c = Vector::zeros(1);
-        let qp = QuadraticProgram::new(h, c)
+        let a = Matrix::from_rows(&[&[1.0]]).unwrap();
+        let b = Vector::from_slice(&[5.0]);
+        let start = Vector::zeros(1);
+        let problem = QpProblem::new(&h, &c)
             .unwrap()
-            .with_inequalities(
-                Matrix::from_rows(&[&[1.0]]).unwrap(),
-                Vector::from_slice(&[5.0]),
-            )
+            .with_inequalities(&a, &b)
             .unwrap()
-            .with_start(Vector::zeros(1))
+            .with_start(&start)
             .unwrap();
-        assert!(matches!(qp.solve().unwrap_err(), OptError::Infeasible(_)));
+        assert!(matches!(
+            QpWorkspace::new().solve(&problem).unwrap_err(),
+            OptError::Infeasible(_)
+        ));
     }
 
     #[test]
     fn user_start_used() {
         let h = Matrix::identity(1).scaled(2.0);
         let c = Vector::from_slice(&[-8.0]); // unconstrained min at 4
-        let sol = QuadraticProgram::new(h, c)
-            .unwrap()
-            .with_inequalities(
-                Matrix::from_rows(&[&[1.0]]).unwrap(),
-                Vector::from_slice(&[5.0]),
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(
+                        &Matrix::from_rows(&[&[1.0]]).unwrap(),
+                        &Vector::from_slice(&[5.0]),
+                    )
+                    .unwrap()
+                    .with_start(&Vector::from_slice(&[6.0]))
+                    .unwrap(),
             )
-            .unwrap()
-            .with_start(Vector::from_slice(&[6.0]))
-            .unwrap()
-            .solve()
             .unwrap();
         // Constrained minimum at the bound x = 5.
         assert!((sol.x[0] - 5.0).abs() < 1e-9);
@@ -1626,26 +1457,31 @@ mod tests {
 
     #[test]
     fn validation_errors() {
-        assert!(QuadraticProgram::new(Matrix::zeros(2, 3), Vector::zeros(3)).is_err());
+        assert!(QpProblem::new(&Matrix::zeros(2, 3), &Vector::zeros(3)).is_err());
         let asym = Matrix::from_rows(&[&[1.0, 5.0], &[0.0, 1.0]]).unwrap();
-        assert!(QuadraticProgram::new(asym, Vector::zeros(2)).is_err());
-        let ok = QuadraticProgram::new(Matrix::identity(2), Vector::zeros(2)).unwrap();
+        assert!(QpProblem::new(&asym, &Vector::zeros(2)).is_err());
+        let (h, c) = (Matrix::identity(2), Vector::zeros(2));
+        let ok = QpProblem::new(&h, &c).unwrap();
         assert!(ok
             .clone()
-            .with_equalities(Matrix::identity(3), Vector::zeros(3))
+            .with_equalities(&Matrix::identity(3), &Vector::zeros(3))
             .is_err());
         assert!(ok
             .clone()
-            .with_inequalities(Matrix::identity(2), Vector::zeros(3))
+            .with_inequalities(&Matrix::identity(2), &Vector::zeros(3))
             .is_err());
-        assert!(ok.with_start(Vector::zeros(5)).is_err());
+        assert!(ok.with_start(&Vector::zeros(5)).is_err());
     }
 
     #[test]
     fn indefinite_hessian_detected() {
         let h = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]).unwrap();
-        let qp = QuadraticProgram::new(h, Vector::zeros(2)).unwrap();
-        assert!(matches!(qp.solve().unwrap_err(), OptError::NotConvex(_)));
+        let c = Vector::zeros(2);
+        let problem = QpProblem::new(&h, &c).unwrap();
+        assert!(matches!(
+            QpWorkspace::new().solve(&problem).unwrap_err(),
+            OptError::NotConvex(_)
+        ));
     }
 
     #[test]
@@ -1662,11 +1498,13 @@ mod tests {
             }
         }
         let c = Vector::from_fn(n, |i| ((i * 7 % 5) as f64) - 2.0);
-        let sol = QuadraticProgram::new(h.clone(), c.clone())
-            .unwrap()
-            .with_inequalities(Matrix::identity(n), Vector::zeros(n))
-            .unwrap()
-            .solve()
+        let sol = QpWorkspace::new()
+            .solve(
+                &QpProblem::new(&h, &c)
+                    .unwrap()
+                    .with_inequalities(&Matrix::identity(n), &Vector::zeros(n))
+                    .unwrap(),
+            )
             .unwrap();
         // Primal feasibility.
         assert!(sol.x.iter().all(|&v| v >= -1e-9));
@@ -1701,11 +1539,13 @@ mod tests {
                 .with_inequalities(&ineq, &zero)
                 .unwrap();
             let warm = ws.solve(&problem).unwrap();
-            let fresh = QuadraticProgram::new(h.clone(), c.clone())
-                .unwrap()
-                .with_inequalities(ineq.clone(), zero.clone())
-                .unwrap()
-                .solve()
+            let fresh = QpWorkspace::new()
+                .solve(
+                    &QpProblem::new(&h, &c)
+                        .unwrap()
+                        .with_inequalities(&ineq, &zero)
+                        .unwrap(),
+                )
                 .unwrap();
             assert!(
                 (&warm.x - &fresh.x).norm2() < 1e-9,

@@ -21,7 +21,7 @@
 //! three to 1e-8 in coefficients.
 
 use cellsync_linalg::{Matrix, Vector};
-use cellsync_opt::{IpmWorkspace, QpProblem, QpWorkspace, QuadraticProgram};
+use cellsync_opt::{IpmWorkspace, QpProblem, QpWorkspace};
 use cellsync_spline::{BSplineBasis, NaturalSplineBasis, SplineBasis};
 use proptest::prelude::*;
 
@@ -313,15 +313,6 @@ fn perf_kernel_instance_needs_no_more_iterations_than_the_origin_start() {
         interior.iterations,
         origin.iterations
     );
-    // The owned wrapper forwards the direction.
-    let owned = QuadraticProgram::new(case.h.clone(), case.c.clone())
-        .expect("valid qp")
-        .with_inequalities(case.p.clone(), case.p_rhs.clone())
-        .expect("shapes agree")
-        .with_interior_direction(d)
-        .solve()
-        .expect("solves");
-    assert_eq!(owned, interior);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use cellsync_linalg::{Matrix, Vector};
 use cellsync_opt::{
     golden_section, IpmWorkspace, NelderMead, Nnls, ProjectedGradient, QpBackend, QpInstance,
-    QpWorkspace, QuadraticProgram,
+    QpProblem, QpWorkspace,
 };
 use proptest::prelude::*;
 
@@ -95,11 +95,13 @@ proptest! {
         h in spd_hessian(6),
         c in linear_term(6),
     ) {
-        let sol = QuadraticProgram::new(h.clone(), c.clone())
+        let (ineq, zeros) = (Matrix::identity(6), Vector::zeros(6));
+        let problem = QpProblem::new(&h, &c)
             .expect("valid qp")
-            .with_inequalities(Matrix::identity(6), Vector::zeros(6))
-            .expect("shapes agree")
-            .solve()
+            .with_inequalities(&ineq, &zeros)
+            .expect("shapes agree");
+        let sol = QpWorkspace::new()
+            .solve(&problem)
             .expect("solvable");
         let grad = &h.matvec(&sol.x).expect("shapes") + &c;
         for i in 0..6 {
@@ -148,11 +150,13 @@ proptest! {
         h in spd_hessian(5),
         c in linear_term(5),
     ) {
-        let qp = QuadraticProgram::new(h.clone(), c.clone())
+        let (ineq, zeros) = (Matrix::identity(5), Vector::zeros(5));
+        let problem = QpProblem::new(&h, &c)
             .expect("valid qp")
-            .with_inequalities(Matrix::identity(5), Vector::zeros(5))
-            .expect("shapes agree")
-            .solve()
+            .with_inequalities(&ineq, &zeros)
+            .expect("shapes agree");
+        let qp = QpWorkspace::new()
+            .solve(&problem)
             .expect("solvable");
         let pg = ProjectedGradient::new(500_000, 1e-12)
             .solve(&h, &c, &Vector::zeros(5))

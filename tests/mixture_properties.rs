@@ -7,16 +7,14 @@
 //! point of per-component refits on the residual of the others, and
 //! fits at K = 4 and K = 6 must split mass into valid fractions that
 //! explain the bulk. Degenerate requests — K = 1, duplicate kernels,
-//! invalid component specs, a poisoned component mid-set — must return
-//! structured [`DeconvError`]s (or exact single-fit fallbacks), never
-//! panic.
+//! invalid component specs, a wrong-length series — must return
+//! structured errors (or exact single-fit fallbacks), never panic.
 
 use std::sync::OnceLock;
 
 use cellsync::mixture::{MixtureComponent, MixtureDeconvolver, MixtureFitRequest};
 use cellsync::{
-    DeconvError, DeconvolutionConfig, Deconvolver, FitRequest, ForwardModel, LambdaSelection,
-    PhaseProfile,
+    DeconvolutionConfig, Deconvolver, FitRequest, ForwardModel, LambdaSelection, PhaseProfile,
 };
 use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, MixtureComponentSpec, MixtureSpec,
@@ -372,41 +370,60 @@ fn zero_and_unnormalized_fractions_are_structured_popsim_errors() {
 }
 
 #[test]
-fn poisoned_component_reports_its_request_index() {
-    // A NaN λ override on the *second* component must surface as
-    // Component { index: 1 } (specification order), mirroring how batch
-    // fits report Series { index } — and the wire code must be the
-    // underlying failure's.
-    let qs = kernels();
-    let engine = MixtureDeconvolver::new(
-        vec![
-            MixtureComponent::new("good", qs[0].clone()).expect("named"),
-            MixtureComponent::new("bad", qs[1].clone())
-                .expect("named")
-                .with_lambda(f64::NAN),
-        ],
-        fixed_lambda_config(),
-    )
-    .expect("override validation is deferred to fit time");
-    let err = engine
-        .fit(&MixtureFitRequest::new(mix_bulk(&[0.6, 0.4])))
-        .expect_err("poisoned component must fail the fit");
-    match &err {
-        DeconvError::Component { index, source } => {
-            assert_eq!(*index, 1, "index is the request position");
-            assert_eq!(source.code(), "invalid_config");
-        }
-        other => panic!("unexpected error {other:?}"),
-    }
-    assert_eq!(err.code(), "invalid_config");
-    assert!(err.to_string().contains("mixture component 1"));
-}
-
-#[test]
 fn mismatched_series_length_is_rejected() {
     let engine = engine_for(2);
     let err = engine
         .fit(&MixtureFitRequest::new(vec![1.0; 4]))
         .expect_err("length mismatch must be rejected");
     assert_eq!(err.code(), "length_mismatch");
+}
+
+#[test]
+fn kfold_mixture_scans_the_stacked_system() {
+    // A k-fold engine selects λ by k-fold cross-validation on the
+    // stacked system: one held-out score per grid point, a λ on the
+    // grid, and a fit that does not depend on anything but its inputs.
+    let points = 5;
+    let selection = LambdaSelection::KFold {
+        folds: 4,
+        log10_min: -6.0,
+        log10_max: 0.0,
+        points,
+        seed: 7,
+    };
+    let grid = selection.lambda_grid();
+    let config = DeconvolutionConfig::builder()
+        .basis_size(14)
+        .positivity(true)
+        .lambda_selection(selection)
+        .build()
+        .expect("valid config");
+    let qs = kernels();
+    let engine = MixtureDeconvolver::new(
+        (0..2)
+            .map(|i| MixtureComponent::new(NAMES[i], qs[i].clone()).expect("named"))
+            .collect(),
+        config,
+    )
+    .expect("valid engine");
+    let request = MixtureFitRequest::new(mix_bulk(&[0.6, 0.4]));
+    let first = engine.fit(&request).expect("k-fold mixture fits");
+    let second = engine.fit(&request).expect("k-fold mixture fits");
+    for name in &NAMES[..2] {
+        let fit = first.component(name).expect("component present").result();
+        assert_eq!(
+            fit.selection_scores().len(),
+            points,
+            "{name}: one score per λ"
+        );
+        assert!(
+            grid.contains(&fit.lambda()),
+            "{name}: λ {} off the grid",
+            fit.lambda()
+        );
+        let again = second.component(name).expect("component present").result();
+        assert_eq!(fit.lambda().to_bits(), again.lambda().to_bits());
+        assert_eq!(fit.alpha(), again.alpha(), "{name}: refit drifted");
+        assert_eq!(fit.selection_scores(), again.selection_scores());
+    }
 }

@@ -10,7 +10,6 @@ use cellsync::{DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, 
 use cellsync_linalg::{Matrix, Vector};
 use cellsync_opt::{
     IpmWorkspace, Nnls, OptError, ProjectedGradient, QpBackend, QpInstance, QpProblem, QpWorkspace,
-    QuadraticProgram,
 };
 use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, PhaseKernel, Population,
@@ -68,11 +67,13 @@ fn qp_and_projected_gradient_agree_on_deconvolution() {
     // Coefficient positivity (α ≥ 0) is a box constraint both solvers
     // support. (The production deconvolver constrains f on a grid, which
     // for the cardinal basis contains α ≥ 0 at the knots.)
-    let qp = QuadraticProgram::new(h.clone(), c.clone())
-        .unwrap()
-        .with_inequalities(Matrix::identity(basis.len()), Vector::zeros(basis.len()))
-        .unwrap()
-        .solve()
+    let qp = QpWorkspace::new()
+        .solve(
+            &QpProblem::new(&h, &c)
+                .unwrap()
+                .with_inequalities(&Matrix::identity(basis.len()), &Vector::zeros(basis.len()))
+                .unwrap(),
+        )
         .unwrap()
         .x;
     let pg = ProjectedGradient::new(500_000, 1e-12)
@@ -105,11 +106,13 @@ fn qp_matches_nnls_on_unregularized_problem() {
     }
     h.symmetrize().unwrap();
     let c = -&a.tr_matvec(&y).unwrap().scaled(2.0);
-    let x_qp = QuadraticProgram::new(h, c)
-        .unwrap()
-        .with_inequalities(Matrix::identity(basis.len()), Vector::zeros(basis.len()))
-        .unwrap()
-        .solve()
+    let x_qp = QpWorkspace::new()
+        .solve(
+            &QpProblem::new(&h, &c)
+                .unwrap()
+                .with_inequalities(&Matrix::identity(basis.len()), &Vector::zeros(basis.len()))
+                .unwrap(),
+        )
         .unwrap()
         .x;
     assert!(
