@@ -42,7 +42,7 @@ use cellsync_linalg::{
     Vector,
 };
 
-use crate::Result;
+use crate::{DeconvolutionConfig, Result};
 
 /// Precomputed banded-path structures, built once per engine.
 #[derive(Debug, Clone)]
@@ -103,7 +103,6 @@ pub(crate) struct BandedFit<'a> {
     block: Matrix,
     /// `D₀ = [[εNᵀN, (EN)ᵀ], [EN, 0]]`.
     d0: Matrix,
-    ridge: f64,
 }
 
 /// The factors, residual and border solution at one λ.
@@ -138,8 +137,8 @@ impl<'a> BandedFit<'a> {
         weights: &[f64],
         g: &[f64],
         equality: Option<&Matrix>,
-        ridge: f64,
     ) -> Self {
+        let ridge = DeconvolutionConfig::RIDGE;
         let (m, n) = design.shape();
         let b = Matrix::from_fn(m, n, |i, j| weights[i] * design[(i, j)]);
         let eq: Vec<&[f64]> =
@@ -169,7 +168,6 @@ impl<'a> BandedFit<'a> {
             b,
             block,
             d0,
-            ridge,
         }
     }
 
@@ -179,7 +177,7 @@ impl<'a> BandedFit<'a> {
         let (m, q) = (self.b.rows(), self.d0.rows());
         let mut s = BandedMatrix::zeros(self.block.rows(), self.ops.omega_interior.bandwidth())?;
         s.assign_scaled(lambda, &self.ops.omega_interior)?;
-        s.add_diagonal(self.ridge);
+        s.add_diagonal(DeconvolutionConfig::RIDGE);
         let s_chol = s.cholesky()?;
         // Y = L⁻¹[B_rᵀ, U]; its Gram holds B_rS⁻¹B_rᵀ, B_rS⁻¹U and UᵀS⁻¹U.
         let mut y = self.block.clone();
@@ -273,7 +271,7 @@ impl<'a> BandedFit<'a> {
         // δz = 𝒮⁻¹(ρ_z − Wᵀ·K_r⁻¹ρ_β) and δβ = K_r⁻¹(ρ_β − W·δz).
         let s_beta = self.ops.omega_interior.matvec(&beta)?;
         let rho = &self.block.matvec(&stack(&e, &z))?
-            - &(&s_beta.scaled(lambda) + &beta.scaled(self.ridge));
+            - &(&s_beta.scaled(lambda) + &beta.scaled(DeconvolutionConfig::RIDGE));
         let t = self.kr_solve(ev, &rho)?;
         // blockᵀ·x = (B_r·x, Uᵀ·x).
         let (blk_t, blk_beta) = (self.block.tr_matvec(&t)?, self.block.tr_matvec(&beta)?);
@@ -327,7 +325,7 @@ mod tests {
         equality: Option<&Matrix>,
         lambda: f64,
     ) -> (Vector, f64, f64) {
-        let fit = BandedFit::new(ops, design, weights, g, equality, 1e-9);
+        let fit = BandedFit::new(ops, design, weights, g, equality);
         let ev = fit.evaluate(lambda).unwrap();
         (fit.solve(lambda).unwrap(), ev.edf, ev.rss)
     }

@@ -131,36 +131,6 @@ impl Default for LambdaSelection {
     }
 }
 
-/// Which linear-algebra path the engine solves on.
-///
-/// The dense path is the paper's original formulation (cardinal natural
-/// basis, dense normal equations, O(n³)); the banded path switches to the
-/// locally supported B-spline basis and the O(n·b²) banded/Woodbury
-/// solver — the two agree to solver precision (pinned by the differential
-/// suite), so `Auto` is purely a performance dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum SolveStrategy {
-    /// Pick by `basis_size`: bases of at least
-    /// [`SolveStrategy::BANDED_THRESHOLD`] functions run banded (unless
-    /// the selection requires dense assembly), smaller bases run dense.
-    #[default]
-    Auto,
-    /// Always dense, regardless of size (the paper's cardinal basis).
-    Dense,
-    /// Require the banded B-spline path; configurations the banded path
-    /// cannot serve (small bases, k-fold selection) are rejected at
-    /// build time.
-    Banded,
-}
-
-impl SolveStrategy {
-    /// Basis size at which `Auto` switches to the banded B-spline path.
-    /// Below this the dense O(n³) factor is already cheap and the paper's
-    /// cardinal basis is kept bit-for-bit.
-    pub const BANDED_THRESHOLD: usize = 128;
-}
-
 /// Configuration of the constrained spline deconvolution (paper §2.3, §3).
 ///
 /// Build with [`DeconvolutionConfig::builder`]:
@@ -187,15 +157,20 @@ pub struct DeconvolutionConfig {
     rate_continuity: bool,
     positivity_grid: usize,
     lambda: LambdaSelection,
-    ridge: f64,
-    strategy: SolveStrategy,
 }
 
 impl DeconvolutionConfig {
+    /// Tikhonov ridge `ε`: the term `ε‖α‖²` in the criterion, i.e. `εI`
+    /// added to the normal matrix. Both solve paths keep it exactly. The
+    /// dense path relies on it for definiteness when the data leave
+    /// directions unseen; the banded path factors Ω on the complement of
+    /// its null space and never needs it.
+    pub const RIDGE: f64 = 1e-9;
+
     /// Starts a builder with the defaults: 24 basis functions, positivity
     /// on, division constraints off (they encode Caulobacter-specific
     /// biology; enable them for Caulobacter data), GCV λ selection,
-    /// 101-point positivity grid, ridge 10⁻⁹, automatic solver strategy.
+    /// 101-point positivity grid.
     pub fn builder() -> DeconvolutionConfigBuilder {
         DeconvolutionConfigBuilder::default()
     }
@@ -230,21 +205,6 @@ impl DeconvolutionConfig {
     pub fn lambda(&self) -> &LambdaSelection {
         &self.lambda
     }
-
-    /// Tikhonov ridge `ε`: the term `ε‖α‖²` in the criterion, i.e. `εI`
-    /// added to the normal matrix (floored at 10⁻¹² when the engine is
-    /// built). Both solve paths keep it exactly. The dense path relies
-    /// on it for definiteness when the data leave directions unseen; the
-    /// banded path factors Ω on the complement of its null space and
-    /// never needs it, so raising it there only changes the problem.
-    pub fn ridge(&self) -> f64 {
-        self.ridge
-    }
-
-    /// The solver-path strategy (dense vs. banded dispatch).
-    pub fn strategy(&self) -> SolveStrategy {
-        self.strategy
-    }
 }
 
 impl Default for DeconvolutionConfig {
@@ -264,8 +224,6 @@ pub struct DeconvolutionConfigBuilder {
     rate_continuity: bool,
     positivity_grid: usize,
     lambda: LambdaSelection,
-    ridge: f64,
-    strategy: SolveStrategy,
 }
 
 impl Default for DeconvolutionConfigBuilder {
@@ -277,8 +235,6 @@ impl Default for DeconvolutionConfigBuilder {
             rate_continuity: false,
             positivity_grid: 101,
             lambda: LambdaSelection::default_gcv(),
-            ridge: 1e-9,
-            strategy: SolveStrategy::Auto,
         }
     }
 }
@@ -333,20 +289,6 @@ impl DeconvolutionConfigBuilder {
         self
     }
 
-    /// Sets the numerical ridge `ε ≥ 0`.
-    #[must_use]
-    pub fn ridge(mut self, ridge: f64) -> Self {
-        self.ridge = ridge;
-        self
-    }
-
-    /// Sets the solver-path strategy (see [`SolveStrategy`]).
-    #[must_use]
-    pub fn strategy(mut self, strategy: SolveStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Validates and produces the configuration.
     ///
     /// # Errors
@@ -361,24 +303,7 @@ impl DeconvolutionConfigBuilder {
                 "positivity_grid must be at least 2 when positivity is enabled",
             ));
         }
-        if !(self.ridge >= 0.0) || !self.ridge.is_finite() {
-            return Err(DeconvError::InvalidConfig(
-                "ridge must be finite and non-negative",
-            ));
-        }
         self.lambda.validate()?;
-        if self.strategy == SolveStrategy::Banded {
-            if self.basis_size < SolveStrategy::BANDED_THRESHOLD {
-                return Err(DeconvError::InvalidConfig(
-                    "banded strategy requires basis_size >= 128 (use Auto or Dense below)",
-                ));
-            }
-            if matches!(self.lambda, LambdaSelection::KFold { .. }) {
-                return Err(DeconvError::InvalidConfig(
-                    "banded strategy does not support k-fold selection (fold designs are dense)",
-                ));
-            }
-        }
         Ok(DeconvolutionConfig {
             basis_size: self.basis_size,
             positivity: self.positivity,
@@ -386,8 +311,6 @@ impl DeconvolutionConfigBuilder {
             rate_continuity: self.rate_continuity,
             positivity_grid: self.positivity_grid,
             lambda: self.lambda,
-            ridge: self.ridge,
-            strategy: self.strategy,
         })
     }
 }
@@ -404,55 +327,6 @@ mod tests {
         assert!(!c.conservation());
         assert!(!c.rate_continuity());
         assert!(matches!(c.lambda(), LambdaSelection::Gcv { .. }));
-        assert_eq!(c.strategy(), SolveStrategy::Auto);
-    }
-
-    #[test]
-    fn banded_strategy_requires_large_basis() {
-        // Below the threshold the cardinal natural basis is global —
-        // there is no banded structure to exploit.
-        assert!(DeconvolutionConfig::builder()
-            .basis_size(SolveStrategy::BANDED_THRESHOLD - 1)
-            .strategy(SolveStrategy::Banded)
-            .build()
-            .is_err());
-        assert!(DeconvolutionConfig::builder()
-            .basis_size(SolveStrategy::BANDED_THRESHOLD)
-            .strategy(SolveStrategy::Banded)
-            .build()
-            .is_ok());
-        // Auto and Dense are valid at any size.
-        for strategy in [SolveStrategy::Auto, SolveStrategy::Dense] {
-            assert!(DeconvolutionConfig::builder()
-                .basis_size(12)
-                .strategy(strategy)
-                .build()
-                .is_ok());
-        }
-    }
-
-    #[test]
-    fn banded_strategy_rejects_kfold() {
-        let kfold = LambdaSelection::KFold {
-            folds: 4,
-            log10_min: -4.0,
-            log10_max: 0.0,
-            points: 5,
-            seed: 0,
-        };
-        assert!(DeconvolutionConfig::builder()
-            .basis_size(SolveStrategy::BANDED_THRESHOLD)
-            .strategy(SolveStrategy::Banded)
-            .lambda_selection(kfold.clone())
-            .build()
-            .is_err());
-        // Auto quietly keeps the dense path instead.
-        assert!(DeconvolutionConfig::builder()
-            .basis_size(SolveStrategy::BANDED_THRESHOLD)
-            .strategy(SolveStrategy::Auto)
-            .lambda_selection(kfold)
-            .build()
-            .is_ok());
     }
 
     #[test]
@@ -464,7 +338,6 @@ mod tests {
             .rate_continuity(true)
             .positivity_grid(51)
             .lambda(0.01)
-            .ridge(1e-8)
             .build()
             .unwrap();
         assert_eq!(c.basis_size(), 16);
@@ -472,7 +345,6 @@ mod tests {
         assert!(c.conservation());
         assert!(c.rate_continuity());
         assert_eq!(c.lambda(), &LambdaSelection::Fixed(0.01));
-        assert_eq!(c.ridge(), 1e-8);
     }
 
     #[test]
@@ -485,7 +357,6 @@ mod tests {
             .positivity_grid(1)
             .build()
             .is_err());
-        assert!(DeconvolutionConfig::builder().ridge(-1.0).build().is_err());
         assert!(DeconvolutionConfig::builder()
             .lambda(f64::NAN)
             .build()

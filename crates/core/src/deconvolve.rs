@@ -1,16 +1,16 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
 use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
-use cellsync_opt::{QpInstance, QpProblem, QpWorkspace};
+use cellsync_opt::{QpInstance, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
 use cellsync_spline::{BSplineBasis, NaturalSplineBasis, SplineBasis};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::banded::{BandedFit, BandedOperators};
-use crate::config::{LambdaSelection, SolveStrategy};
-use crate::operators::{check_cancel, gcv_select, FitOperators, Penalty};
+use crate::banded::BandedOperators;
+use crate::config::LambdaSelection;
+use crate::operators::{check_cancel, FitOperators, Penalty};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::{
     constraints, DeconvError, DeconvolutionConfig, FitWorkspace, ForwardModel, PhaseProfile, Result,
@@ -76,6 +76,14 @@ struct BootScratch {
 }
 
 impl Deconvolver {
+    /// Basis size at which the engine switches from the paper's cardinal
+    /// natural basis and the dense spectral path to the locally supported
+    /// B-spline basis and the O(n·b²) banded Woodbury path (k-fold
+    /// selection keeps the dense path: its fold designs are row subsets
+    /// with no Woodbury structure). Below it the dense O(n³) factor is
+    /// already cheap and the cardinal basis is kept bit-for-bit.
+    pub const BANDED_THRESHOLD: usize = 128;
+
     /// Builds the engine for a kernel and configuration, using the paper's
     /// Caulobacter parameters for the constraint functionals.
     ///
@@ -106,13 +114,10 @@ impl Deconvolver {
                 basis: config.basis_size(),
             });
         }
-        // Basis kind is a pure function of size, never of the strategy:
-        // the paper's cardinal natural basis below the banded threshold,
-        // the locally supported B-spline basis at or above it. Strategy
-        // only picks the execution path, so `Dense` and `Banded` engines
-        // at the same size solve the *same* problem (the differential
-        // suite relies on this).
-        let basis: SplineBasis = if config.basis_size() >= SolveStrategy::BANDED_THRESHOLD {
+        // Basis kind is a pure function of size: the paper's cardinal
+        // natural basis below the banded threshold, the locally supported
+        // B-spline basis at or above it.
+        let basis: SplineBasis = if config.basis_size() >= Deconvolver::BANDED_THRESHOLD {
             BSplineBasis::uniform(config.basis_size(), 0.0, 1.0)?.into()
         } else {
             NaturalSplineBasis::uniform(config.basis_size(), 0.0, 1.0)?.into()
@@ -136,51 +141,40 @@ impl Deconvolver {
             Some((e, rhs))
         };
 
-        let positivity = if config.positivity() {
-            let grid: Vec<f64> = (0..config.positivity_grid())
+        let grid: Option<Vec<f64>> = config.positivity().then(|| {
+            (0..config.positivity_grid())
                 .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
-                .collect();
-            let p = basis.collocation_matrix(&grid)?;
-            let rhs = Vector::zeros(p.rows());
-            Some((p, rhs))
-        } else {
-            None
+                .collect()
+        });
+        let positivity = match &grid {
+            Some(grid) => {
+                let p = basis.collocation_matrix(grid)?;
+                let rhs = Vector::zeros(p.rows());
+                Some((p, rhs))
+            }
+            None => None,
         };
         let interior = match &positivity {
             Some((p, _)) => constraints::interior_direction(p, equality.as_ref().map(|(e, _)| e))?,
             None => None,
         };
 
-        // Execution path: banded iff the basis has local support and the
-        // strategy/selection permit it. K-fold stays dense (fold designs
-        // are row subsets with no Woodbury structure).
+        // Solve path: banded iff the basis has local support and the
+        // selection is not k-fold (see `BANDED_THRESHOLD`).
         let kfold = matches!(config.lambda(), LambdaSelection::KFold { .. });
-        let banded_exec = match config.strategy() {
-            SolveStrategy::Dense => false,
-            SolveStrategy::Banded => true, // build() validated size + selection
-            SolveStrategy::Auto => basis.is_local() && !kfold,
-        };
-        let (omega, banded) = match (banded_exec, &basis) {
-            (true, SplineBasis::BSpline(b)) => {
+        let (omega, banded) = match &basis {
+            SplineBasis::BSpline(b) if !kfold => {
                 let omega = b.penalty_banded();
-                let positivity_sparse = match &positivity {
-                    Some((_, rhs)) => {
-                        let grid: Vec<f64> = (0..config.positivity_grid())
-                            .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
-                            .collect();
-                        Some((b.collocation_sparse(&grid)?, rhs.clone()))
+                let positivity_sparse = match (&grid, &positivity) {
+                    (Some(grid), Some((_, rhs))) => {
+                        Some((b.collocation_sparse(grid)?, rhs.clone()))
                     }
-                    None => None,
+                    _ => None,
                 };
                 let ops = BandedOperators::new(&omega, &b.greville(), positivity_sparse)?;
                 (Penalty::Banded(omega), Some(ops))
             }
-            (true, _) => {
-                return Err(DeconvError::InvalidConfig(
-                    "banded path needs a local basis",
-                ))
-            }
-            (false, _) => (Penalty::Dense(basis.penalty_matrix()), None),
+            _ => (Penalty::Dense(basis.penalty_matrix()), None),
         };
 
         let ops = FitOperators::new(
@@ -212,7 +206,7 @@ impl Deconvolver {
 
     /// The spline basis the profile estimate lives in: the paper's
     /// cardinal natural basis below
-    /// [`SolveStrategy::BANDED_THRESHOLD`], the locally supported
+    /// [`Deconvolver::BANDED_THRESHOLD`], the locally supported
     /// B-spline basis at or above it.
     pub fn basis(&self) -> &SplineBasis {
         &self.basis
@@ -290,8 +284,7 @@ impl Deconvolver {
             None => &self.ops.unit_weights,
         };
         let mut h = Matrix::zeros(n, n);
-        self.ops.design.weighted_gram_into(weights, &mut h)?;
-        self.ops.assemble_hessian(&mut h, lambda)?;
+        self.ops.hessian(weights, lambda, &mut h)?;
         let w2g = Vector::from_fn(m, |i| weights[i] * weights[i] * g[i]);
         let c = -&self.ops.design.tr_matvec(&w2g)?.scaled(2.0);
 
@@ -302,19 +295,15 @@ impl Deconvolver {
         };
         let mut instance = QpInstance::new(name, h, c)?.with_origin(&format!(
             "harvested deconvolution fit: n={n} m={m} lambda={lambda:e} ridge={:e} {weighting}",
-            self.ops.ridge
+            DeconvolutionConfig::RIDGE
         ))?;
         if let Some((e_mat, e_rhs)) = &self.ops.equality {
             instance = instance.with_equalities(e_mat.clone(), e_rhs.clone())?;
         }
         if let Some((p_mat, p_rhs)) = &self.ops.positivity {
-            instance = instance.with_inequalities(p_mat.clone(), p_rhs.clone())?;
-            let px = p_mat.matvec(&alpha)?;
-            let scale = 1.0 + alpha.norm_inf();
-            let active: Vec<usize> = (0..px.len())
-                .filter(|&i| px[i].abs() <= QpWorkspace::WARM_ACTIVITY_TOL * scale)
-                .collect();
-            instance = instance.with_active(active)?;
+            instance = instance
+                .with_inequalities(p_mat.clone(), p_rhs.clone())?
+                .with_active(self.ops.warm_active_rows(&alpha)?)?;
         }
         instance = instance.with_start(alpha)?;
         Ok(instance)
@@ -458,9 +447,6 @@ impl Deconvolver {
     ) -> Result<DeconvolutionResult> {
         check_cancel(cancel)?;
         let unit = self.ops.prepare(workspace, sigmas);
-        if let Some(bops) = &self.ops.banded {
-            return self.fit_banded(workspace, bops, g, unit, lambda_override, cancel);
-        }
         let (alpha, lambda, scores) =
             self.ops
                 .solve(workspace, g, unit, lambda_override, cancel)?;
@@ -493,60 +479,6 @@ impl Deconvolver {
             weighted_sse,
             selection_scores,
         })
-    }
-
-    /// The banded-path fit body: Woodbury λ selection and solve
-    /// ([`crate::banded`]), plus a dense active-set fallback for the
-    /// fits where positivity actually binds.
-    fn fit_banded(
-        &self,
-        workspace: &mut FitWorkspace,
-        bops: &BandedOperators,
-        g: &[f64],
-        unit: bool,
-        lambda_override: Option<f64>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<DeconvolutionResult> {
-        // Weights are copied out of the workspace because the positivity
-        // fallback below needs the workspace mutably; m is tiny.
-        let weights = self.ops.weights(workspace, unit).to_vec();
-        let eq = self.ops.equality.as_ref().map(|(e, _)| e);
-        let fit = BandedFit::new(bops, &self.ops.design, &weights, g, eq, self.ops.ridge);
-        let (lambda, scores) = match lambda_override {
-            Some(l) => (l, Vec::new()),
-            None => match self.config.lambda() {
-                LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => {
-                    gcv_select(&self.ops.lambda_grid, cancel, |l| fit.gcv_score(l))?
-                }
-                LambdaSelection::KFold { .. } => {
-                    return Err(DeconvError::InvalidConfig(
-                        "banded path does not support k-fold selection",
-                    ))
-                }
-            },
-        };
-        let mut alpha = fit.solve(lambda)?;
-        if let Some((p, _)) = &bops.positivity {
-            let pa = p.matvec(&alpha)?;
-            let tol = 1e-9 * (1.0 + alpha.norm_inf());
-            if pa.iter().any(|&v| v < -tol) {
-                // Positivity binds: the equality-constrained minimizer is
-                // infeasible, so it is NOT the QP optimum — solve the full
-                // active-set QP at the selected λ. (When it is feasible,
-                // convexity makes it the optimum with zero inequality
-                // multipliers, and the QP is skipped entirely.)
-                alpha = self.ops.solve_constrained_full(
-                    workspace,
-                    g,
-                    unit,
-                    lambda,
-                    Some(alpha),
-                    cancel,
-                )?;
-            }
-        }
-        self.assemble_result(alpha, g, &weights, lambda, scores)
     }
 
     /// Fits many series measured on the same protocol — the genome-wide
@@ -650,24 +582,14 @@ impl Deconvolver {
         // The replicate Hessian H = 2(AᵀW²A + λΩ + εI) is shared by every
         // replicate (same weights, same λ): assemble and symmetrize once.
         let mut h = Matrix::zeros(n, n);
-        self.ops.design.weighted_gram_into(&weights, &mut h)?;
-        self.ops.assemble_hessian(&mut h, lambda)?;
+        self.ops.hessian(&weights, lambda, &mut h)?;
 
         // Deterministic warm hint: the point fit's coefficients and the
         // positivity rows active there. Every worker seeds its workspace
         // with this same hint, so replicate solves are independent of
         // which worker runs them.
         let point_alpha = Vector::from_slice(point.alpha());
-        let hint_active: Vec<usize> = match &self.ops.positivity {
-            Some((p, _)) => {
-                let px = p.matvec(&point_alpha)?;
-                let scale = 1.0 + point_alpha.norm_inf();
-                (0..px.len())
-                    .filter(|&i| px[i].abs() <= QpWorkspace::WARM_ACTIVITY_TOL * scale)
-                    .collect()
-            }
-            None => Vec::new(),
-        };
+        let hint_active = self.ops.warm_active_rows(&point_alpha)?;
 
         let normal = cellsync_stats::dist::Normal::new(0.0, 1.0)?;
         let h = &h;
@@ -729,21 +651,9 @@ impl Deconvolver {
                                 .solve_in_place(&mut x)?;
                             x
                         } else {
-                            let mut problem = QpProblem::new(h, &scratch.c)?;
-                            if let Some(token) = cancel {
-                                problem = problem.with_cancel(token.clone());
-                            }
-                            if let Some((e, rhs)) = &self.ops.equality {
-                                problem = problem.with_equalities(e, rhs)?;
-                            }
-                            if let Some((p, rhs)) = &self.ops.positivity {
-                                problem = problem.with_inequalities(p, rhs)?;
-                            }
-                            if let Some(d) = &self.ops.interior {
-                                problem = problem.with_interior_direction(d);
-                            }
                             // H is shared across replicates, so the cached
                             // Hessian factor in the QP workspace stays valid.
+                            let problem = self.ops.constrained_problem(h, &scratch.c, cancel)?;
                             scratch.qp.solve(&problem)?.x
                         };
 
@@ -783,6 +693,28 @@ impl Deconvolver {
             std,
             replicates: n_boot,
         })
+    }
+}
+
+#[cfg(test)]
+impl Deconvolver {
+    /// This engine with its operators rebuilt on the dense path (dense
+    /// `Penalty`, no banded operators) over the same basis, design and
+    /// constraint rows: the same problem, solved the other way — the
+    /// reference of the banded-path differential suite.
+    pub(crate) fn dense_twin(&self) -> Result<Self> {
+        let ops = &self.ops;
+        let mut twin = self.clone();
+        twin.ops = FitOperators::new(
+            ops.design.clone(),
+            Penalty::Dense(self.basis.penalty_matrix()),
+            ops.equality.clone(),
+            ops.positivity.clone(),
+            ops.interior.clone(),
+            None,
+            &self.config,
+        )?;
+        Ok(twin)
     }
 }
 
@@ -1286,43 +1218,64 @@ mod tests {
     fn bootstrap_replicates_match_full_refits() {
         // The warm-started shared-Hessian replicate path must agree with
         // refitting each replicate from scratch at the fixed λ (to solver
-        // tolerance — the warm path takes a different iterate route).
-        let k = kernel(18, 14);
-        let truth = smooth_truth();
-        let g = ForwardModel::new(k.clone()).predict(&truth).unwrap();
-        let sigmas = vec![0.08; g.len()];
+        // tolerance — the warm path takes a different iterate route). The
+        // second engine is banded: its replicates solve with sparse
+        // positivity rows, and its truth touches zero so positivity binds
+        // (the banded refits then fall back to the QP).
+        let touching = PhaseProfile::from_fn(200, |phi| {
+            (2.0 * (std::f64::consts::PI * (phi - 0.1)).sin()).max(0.0)
+        })
+        .unwrap();
+        let cases = [(12, smooth_truth(), 0.08), (128, touching, 0.3)];
         use cellsync_stats::dist::ContinuousDistribution as _;
         let normal = cellsync_stats::dist::Normal::new(0.0, 1.0).unwrap();
-        let config = DeconvolutionConfig::builder()
-            .basis_size(12)
-            .lambda(1e-4)
-            .build()
-            .unwrap();
-        let d = Deconvolver::new(k, config).unwrap();
-        let n_grid = 40;
-        let seed = 77;
-        let band = d.fit_bootstrap(&g, &sigmas, 6, n_grid, seed).unwrap();
-        // Reconstruct each replicate by hand through the public fit API.
-        let mut sum = vec![0.0; n_grid];
-        for i in 0..6u64 {
-            let mut rng = StdRng::seed_from_u64(seed ^ i);
-            let resampled: Vec<f64> = g
-                .iter()
-                .zip(&sigmas)
-                .map(|(v, s)| v + s * normal.sample(&mut rng))
-                .collect();
-            let refit = d.fit(&resampled, Some(&sigmas)).unwrap();
-            let profile = refit.profile(n_grid).unwrap();
-            for (acc, v) in sum.iter_mut().zip(profile.values()) {
-                *acc += v;
-            }
-        }
-        for (mean, acc) in band.mean.iter().zip(&sum) {
-            assert!(
-                (mean - acc / 6.0).abs() < 1e-7,
-                "replicate mean {mean} vs refit {}",
-                acc / 6.0
+        let k = kernel(18, 14);
+        for (basis, truth, sigma) in cases {
+            let g = ForwardModel::new(k.clone()).predict(&truth).unwrap();
+            let sigmas = vec![sigma; g.len()];
+            let config = DeconvolutionConfig::builder()
+                .basis_size(basis)
+                .lambda(1e-4)
+                .build()
+                .unwrap();
+            let d = Deconvolver::new(k.clone(), config).unwrap();
+            assert_eq!(
+                d.ops.banded.is_some(),
+                basis >= Deconvolver::BANDED_THRESHOLD
             );
+            let n_grid = 40;
+            let seed = 77;
+            let band = d.fit_bootstrap(&g, &sigmas, 6, n_grid, seed).unwrap();
+            // Reconstruct each replicate by hand through the public fit API.
+            let mut sum = vec![0.0; n_grid];
+            let mut binding = 0;
+            for i in 0..6u64 {
+                let mut rng = StdRng::seed_from_u64(seed ^ i);
+                let resampled: Vec<f64> = g
+                    .iter()
+                    .zip(&sigmas)
+                    .map(|(v, s)| v + s * normal.sample(&mut rng))
+                    .collect();
+                let refit = d.fit(&resampled, Some(&sigmas)).unwrap();
+                let alpha = Vector::from_slice(refit.alpha());
+                if !d.ops.warm_active_rows(&alpha).unwrap().is_empty() {
+                    binding += 1;
+                }
+                let profile = refit.profile(n_grid).unwrap();
+                for (acc, v) in sum.iter_mut().zip(profile.values()) {
+                    *acc += v;
+                }
+            }
+            if basis >= Deconvolver::BANDED_THRESHOLD {
+                assert!(binding > 0, "basis {basis}: positivity never binds");
+            }
+            for (mean, acc) in band.mean.iter().zip(&sum) {
+                assert!(
+                    (mean - acc / 6.0).abs() < 1e-7,
+                    "basis {basis}: replicate mean {mean} vs refit {}",
+                    acc / 6.0
+                );
+            }
         }
     }
 
@@ -1666,8 +1619,8 @@ mod tests {
     }
 
     /// The constrained solve of a unit-weight fit exactly as
-    /// `FitOperators::solve_assembled` builds it, minus the interior direction: the
-    /// origin (or minimum-norm) start.
+    /// `FitOperators::constrained_problem` builds it, minus the interior
+    /// direction: the origin (or minimum-norm) start.
     fn origin_start_alpha(engine: &Deconvolver, g: &[f64]) -> Vector {
         let n = engine.basis.len();
         let lambda = match engine.config.lambda() {
@@ -1677,10 +1630,8 @@ mod tests {
         let mut h = Matrix::zeros(n, n);
         engine
             .ops
-            .design
-            .weighted_gram_into(&engine.ops.unit_weights, &mut h)
+            .hessian(&engine.ops.unit_weights, lambda, &mut h)
             .unwrap();
-        engine.ops.assemble_hessian(&mut h, lambda).unwrap();
         let mut c = Vector::zeros(n);
         engine
             .ops
@@ -1691,7 +1642,7 @@ mod tests {
             *v *= -2.0;
         }
         let (p, p_rhs) = engine.ops.positivity.as_ref().unwrap();
-        let mut problem = QpProblem::new(&h, &c)
+        let mut problem = cellsync_opt::QpProblem::new(&h, &c)
             .unwrap()
             .with_inequalities(p, p_rhs)
             .unwrap();
@@ -1712,7 +1663,7 @@ mod tests {
 
     #[test]
     fn interior_direction_is_interior_for_each_constraint_set() {
-        for basis in [18, SolveStrategy::BANDED_THRESHOLD] {
+        for basis in [18, Deconvolver::BANDED_THRESHOLD] {
             for (conservation, rate) in [(false, false), (true, false), (true, true)] {
                 let engine = fixed_engine(basis, conservation, rate);
                 let d =

@@ -2,12 +2,13 @@
 //! reproduce the dense engine on the same problem.
 //!
 //! Basis kind is a pure function of `basis_size` (B-splines at or above
-//! [`SolveStrategy::BANDED_THRESHOLD`]), so a `Dense`-strategy engine
-//! and a `Banded`-strategy engine at the same size solve the *identical*
-//! optimization problem — only the execution path differs. That makes
-//! exact differential testing possible: fixed-λ fits must agree to
-//! 1e-8, GCV selection must land on the same λ, and the positivity
-//! fallback must route through the same QP.
+//! [`Deconvolver::BANDED_THRESHOLD`]), so a production engine at that
+//! size and its dense twin ([`Deconvolver::dense_twin`]: the same
+//! operators with a dense penalty and no banded operators) solve the
+//! *identical* optimization problem — only the execution path differs.
+//! That makes exact differential testing possible: fixed-λ fits must
+//! agree to 1e-8, GCV selection must land on the same λ, and the
+//! positivity fallback must route through the same QP.
 //!
 //! The range suites cover n ∈ {128, 256, 512} × λ ∈ [1e-8, 1e2]. Where
 //! λ‖Ω‖ is large the dense engine's own answer drifts (its normal matrix
@@ -16,12 +17,15 @@
 
 use std::sync::OnceLock;
 
-use cellsync::{DeconvolutionConfig, Deconvolver, LambdaSelection, PhaseProfile, SolveStrategy};
 use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, PhaseKernel, Population,
 };
+use cellsync_stats::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+use crate::operators::Penalty;
+use crate::{DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, PhaseProfile};
 
 /// The paper-protocol anchor kernel: a 2000-cell synchronized culture
 /// observed at 13 uniform times over one 150-minute cycle.
@@ -43,14 +47,29 @@ fn anchor_kernel() -> &'static PhaseKernel {
     })
 }
 
-fn config(basis: usize, strategy: SolveStrategy, lambda: LambdaSelection) -> DeconvolutionConfig {
+fn config(basis: usize, lambda: LambdaSelection) -> DeconvolutionConfig {
     DeconvolutionConfig::builder()
         .basis_size(basis)
         .positivity(true)
         .lambda_selection(lambda)
-        .strategy(strategy)
         .build()
         .expect("valid config")
+}
+
+/// The production engine for `(kernel, basis, lambda)` — which must have
+/// built the banded path — and its dense twin, as `(dense, banded)`.
+fn engines(
+    kernel: &PhaseKernel,
+    basis: usize,
+    lambda: LambdaSelection,
+) -> (Deconvolver, Deconvolver) {
+    let banded = Deconvolver::new(kernel.clone(), config(basis, lambda)).expect("banded engine");
+    assert!(
+        banded.operators().banded.is_some(),
+        "basis {basis}: not banded"
+    );
+    let dense = banded.dense_twin().expect("dense engine");
+    (dense, banded)
 }
 
 /// A strictly positive smooth truth: the unconstrained minimizer stays
@@ -61,7 +80,7 @@ fn positive_series() -> Vec<f64> {
             + 0.3 * (4.0 * std::f64::consts::PI * phi).cos()
     })
     .expect("valid profile");
-    cellsync::ForwardModel::new(anchor_kernel().clone())
+    ForwardModel::new(anchor_kernel().clone())
         .predict(&truth)
         .expect("predicts")
 }
@@ -78,17 +97,7 @@ fn banded_matches_dense_at_500_knots_fixed_lambda() {
     // The acceptance anchor: a genome-scale 500-knot single-gene fit
     // through the banded path must match the dense path to 1e-8.
     let g = positive_series();
-    let sel = LambdaSelection::Fixed(1e-3);
-    let dense = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(500, SolveStrategy::Dense, sel.clone()),
-    )
-    .expect("dense engine");
-    let banded = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(500, SolveStrategy::Banded, sel),
-    )
-    .expect("banded engine");
+    let (dense, banded) = engines(anchor_kernel(), 500, LambdaSelection::Fixed(1e-3));
 
     let fd = dense.fit(&g, None).expect("dense fit");
     let fb = banded.fit(&g, None).expect("banded fit");
@@ -116,16 +125,7 @@ fn banded_gcv_matches_dense_spectral_at_threshold() {
         log10_max: 0.0,
         points: 7,
     };
-    let dense = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Dense, sel.clone()),
-    )
-    .expect("dense engine");
-    let banded = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Banded, sel),
-    )
-    .expect("banded engine");
+    let (dense, banded) = engines(anchor_kernel(), 128, sel);
 
     let fd = dense.fit(&g, None).expect("dense fit");
     let fb = banded.fit(&g, None).expect("banded fit");
@@ -142,36 +142,30 @@ fn banded_gcv_matches_dense_spectral_at_threshold() {
 }
 
 #[test]
-fn auto_strategy_is_banded_above_threshold() {
-    // Auto + GCV at 128 knots takes the banded path — bit-identical to
-    // an explicit Banded-strategy engine.
-    let g = positive_series();
+fn gcv_engine_is_banded_at_threshold() {
+    // GCV at 128 knots builds the banded path: banded operators, a banded
+    // Ω and no spectral reduction. One function fewer keeps the cardinal
+    // basis and the dense path.
     let sel = LambdaSelection::Gcv {
         log10_min: -6.0,
         log10_max: 0.0,
         points: 5,
     };
-    let auto = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Auto, sel.clone()),
-    )
-    .expect("auto engine");
-    let banded = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Banded, sel),
-    )
-    .expect("banded engine");
-    let fa = auto.fit(&g, None).expect("auto fit");
-    let fb = banded.fit(&g, None).expect("banded fit");
-    assert_eq!(fa.lambda(), fb.lambda());
-    assert_eq!(fa.alpha(), fb.alpha());
+    let at = Deconvolver::new(anchor_kernel().clone(), config(128, sel.clone())).expect("engine");
+    let ops = at.operators();
+    assert!(at.basis().is_local());
+    assert!(ops.banded.is_some() && matches!(ops.omega, Penalty::Banded(_)));
+    assert!(ops.reduced.is_none() && ops.spectral_unit.is_none());
+    let below = Deconvolver::new(anchor_kernel().clone(), config(127, sel)).expect("engine");
+    let ops = below.operators();
+    assert!(!below.basis().is_local());
+    assert!(ops.banded.is_none() && matches!(ops.omega, Penalty::Dense(_)));
 }
 
 #[test]
-fn auto_strategy_with_kfold_stays_dense() {
-    // K-fold designs are row subsets with no Woodbury structure: Auto
-    // must quietly keep the dense path (an explicit Banded + KFold
-    // config is rejected at build time, covered by config tests).
+fn kfold_engine_stays_dense_at_threshold() {
+    // K-fold designs are row subsets with no Woodbury structure: at 128
+    // knots the engine keeps the B-spline basis but builds the dense path.
     let g = positive_series();
     let sel = LambdaSelection::KFold {
         folds: 4,
@@ -180,12 +174,11 @@ fn auto_strategy_with_kfold_stays_dense() {
         points: 4,
         seed: 7,
     };
-    let auto = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Auto, sel),
-    )
-    .expect("auto engine");
-    let fit = auto.fit(&g, None).expect("kfold fit stays dense");
+    let engine = Deconvolver::new(anchor_kernel().clone(), config(128, sel)).expect("engine");
+    let ops = engine.operators();
+    assert!(engine.basis().is_local());
+    assert!(ops.banded.is_none() && matches!(ops.omega, Penalty::Dense(_)));
+    let fit = engine.fit(&g, None).expect("kfold fit stays dense");
     assert!(fit.lambda().is_finite() && fit.lambda() > 0.0);
 }
 
@@ -204,20 +197,11 @@ fn banded_positivity_fallback_matches_dense() {
         }
     })
     .expect("valid profile");
-    let g = cellsync::ForwardModel::new(anchor_kernel().clone())
+    let g = ForwardModel::new(anchor_kernel().clone())
         .predict(&truth)
         .expect("predicts");
     let sel = LambdaSelection::Fixed(1e-6);
-    let dense = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Dense, sel.clone()),
-    )
-    .expect("dense engine");
-    let banded = Deconvolver::new(
-        anchor_kernel().clone(),
-        config(128, SolveStrategy::Banded, sel),
-    )
-    .expect("banded engine");
+    let (dense, banded) = engines(anchor_kernel(), 128, sel);
 
     let fd = dense.fit(&g, None).expect("dense fit");
     let fb = banded.fit(&g, None).expect("banded fit");
@@ -323,7 +307,7 @@ impl ExactReference {
                     .collect()
             })
             .collect();
-        let ridge = engine.config().ridge();
+        let ridge = DeconvolutionConfig::RIDGE;
         let base = (0..n)
             .map(|i| {
                 (0..n)
@@ -421,7 +405,6 @@ fn banded_matches_exact_reference_across_basis_and_lambda_range() {
                 .basis_size(n)
                 .positivity(false)
                 .lambda(lambda)
-                .strategy(SolveStrategy::Banded)
                 .build()
                 .expect("valid config")
         };
@@ -429,6 +412,7 @@ fn banded_matches_exact_reference_across_basis_and_lambda_range() {
         let reference = ExactReference::new(&probe, &g);
         for lambda in LAMBDAS {
             let engine = Deconvolver::new(anchor_kernel().clone(), config(lambda)).expect("engine");
+            assert!(engine.operators().banded.is_some(), "n={n}: not banded");
             let fit = engine.fit(&g, None).expect("banded fit");
             let exact = reference.solve(lambda);
             let scale = 1.0 + exact.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
@@ -451,17 +435,7 @@ fn banded_matches_dense_across_basis_sizes_at_small_lambda() {
     let g = positive_series();
     for n in [128, 256, 512] {
         for lambda in [1e-8, 1e-6, 1e-4] {
-            let sel = LambdaSelection::Fixed(lambda);
-            let dense = Deconvolver::new(
-                anchor_kernel().clone(),
-                config(n, SolveStrategy::Dense, sel.clone()),
-            )
-            .expect("dense engine");
-            let banded = Deconvolver::new(
-                anchor_kernel().clone(),
-                config(n, SolveStrategy::Banded, sel),
-            )
-            .expect("banded engine");
+            let (dense, banded) = engines(anchor_kernel(), n, LambdaSelection::Fixed(lambda));
             let fd = dense.fit(&g, None).expect("dense fit");
             let fb = banded.fit(&g, None).expect("banded fit");
             let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
@@ -491,16 +465,7 @@ fn banded_gcv_matches_dense_spectral_across_basis_sizes() {
         points: 11,
     };
     for n in [128, 256, 512] {
-        let dense = Deconvolver::new(
-            anchor_kernel().clone(),
-            config(n, SolveStrategy::Dense, sel.clone()),
-        )
-        .expect("dense engine");
-        let banded = Deconvolver::new(
-            anchor_kernel().clone(),
-            config(n, SolveStrategy::Banded, sel.clone()),
-        )
-        .expect("banded engine");
+        let (dense, banded) = engines(anchor_kernel(), n, sel.clone());
         let fd = dense.fit(&g, None).expect("dense fit");
         let fb = banded.fit(&g, None).expect("banded fit");
         let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda();
@@ -519,38 +484,68 @@ fn banded_gcv_matches_dense_spectral_across_basis_sizes() {
     }
 }
 
-/// Replays one configuration of the repository benchmark's known-failure
-/// probe on the same kind of genome (the `genome_fine` protocol: 16
-/// times over one cycle, 8 % noise, σ on every other gene, 24 genes):
-/// every banded fit must succeed, stay finite and agree with the dense
-/// engine to `tol`. Before Ω's null space was handled exactly, all 72
-/// probe fits failed with a non-positive pivot.
-fn replay_probe_configuration(basis: usize, sel: LambdaSelection, tol: f64) {
-    static GENOME: OnceLock<(PhaseKernel, cellsync_bench::experiments::GenomeBatch)> =
-        OnceLock::new();
-    let (kernel, genome) = GENOME.get_or_init(|| {
-        let kernel = cellsync_bench::standard_kernel(150.0, 16, 1).expect("kernel");
-        let genome =
-            cellsync_bench::experiments::synthetic_genome(&kernel, 24, 0.08, 58).expect("genome");
+/// One probe gene: `(series, sigmas)`.
+type Gene = (Vec<f64>, Vec<f64>);
+
+/// The `genome_fine` protocol's kernel and genome: 16 times over one
+/// 150-minute cycle from a 20 000-cell culture (100 phase bins), and 24
+/// Gaussian-pulse genes with 8 % relative noise, as
+/// `(series, sigmas)` pairs.
+fn probe_genome() -> &'static (PhaseKernel, Vec<Gene>) {
+    static GENOME: OnceLock<(PhaseKernel, Vec<Gene>)> = OnceLock::new();
+    GENOME.get_or_init(|| {
+        let params = CellCycleParams::caulobacter().expect("valid defaults");
+        let mut rng = StdRng::seed_from_u64(1);
+        let pop =
+            Population::synchronized(20_000, &params, InitialCondition::UniformSwarmer, &mut rng)
+                .expect("non-empty")
+                .simulate_until(150.0)
+                .expect("finite horizon");
+        let times: Vec<f64> = (0..16).map(|i| 150.0 * i as f64 / 15.0).collect();
+        let kernel = KernelEstimator::new(100)
+            .expect("bins")
+            .with_threads(4)
+            .estimate(&pop, &times)
+            .expect("valid protocol");
+        let forward = ForwardModel::new(kernel.clone());
+        let noise = NoiseModel::RelativeGaussian { fraction: 0.08 };
+        let mut rng = StdRng::seed_from_u64(58);
+        let genes = 24;
+        let genome = (0..genes)
+            .map(|gene| {
+                let peak = 0.15 + 0.70 * gene as f64 / (genes - 1) as f64;
+                let truth = PhaseProfile::from_fn(300, move |phi| {
+                    let d = (phi - peak).abs().min(1.0 - (phi - peak).abs());
+                    4.0 * (-(d * d) / 0.02).exp() + 0.5
+                })
+                .expect("valid profile");
+                let clean = forward.predict(&truth).expect("predicts");
+                let noisy = noise.apply(&clean, &mut rng).expect("noise");
+                (noisy, noise.sigmas(&clean).expect("sigmas"))
+            })
+            .collect();
         (kernel, genome)
-    });
-    let dense = Deconvolver::new(
-        kernel.clone(),
-        config(basis, SolveStrategy::Dense, sel.clone()),
-    )
-    .expect("dense engine");
-    let banded = Deconvolver::new(kernel.clone(), config(basis, SolveStrategy::Auto, sel))
-        .expect("banded engine");
-    for k in 0..genome.len() {
-        let sigmas = (k % 2 == 0).then(|| genome.sigmas[k].as_slice());
+    })
+}
+
+/// Replays one configuration of the repository benchmark's known-failure
+/// probe on the `genome_fine` genome ([`probe_genome`], σ on every other
+/// gene): every banded fit must succeed, stay finite and agree with the
+/// dense engine to `tol`. Before Ω's null space was handled exactly, all
+/// 72 probe fits failed with a non-positive pivot.
+fn replay_probe_configuration(basis: usize, sel: LambdaSelection, tol: f64) {
+    let (kernel, genome) = probe_genome();
+    let (dense, banded) = engines(kernel, basis, sel);
+    for (k, (series, sigmas)) in genome.iter().enumerate() {
+        let sigmas = (k % 2 == 0).then_some(sigmas.as_slice());
         let fb = banded
-            .fit(&genome.series[k], sigmas)
+            .fit(series, sigmas)
             .unwrap_or_else(|e| panic!("basis {basis} gene {k}: {e}"));
         assert!(
             fb.lambda().is_finite() && fb.alpha().iter().all(|a| a.is_finite()),
             "basis {basis} gene {k}: non-finite fit"
         );
-        let fd = dense.fit(&genome.series[k], sigmas).expect("dense fit");
+        let fd = dense.fit(series, sigmas).expect("dense fit");
         let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda();
         assert!(
             rel <= 1e-6,

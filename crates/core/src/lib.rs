@@ -102,6 +102,8 @@ mod banded;
 mod config;
 pub mod constraints;
 mod deconvolve;
+#[cfg(test)]
+mod differential;
 mod error;
 mod forward;
 pub mod mixture;
@@ -115,7 +117,7 @@ mod solver;
 pub mod synthetic;
 
 pub use cellsync_runtime::CancelToken;
-pub use config::{DeconvolutionConfig, DeconvolutionConfigBuilder, LambdaSelection, SolveStrategy};
+pub use config::{DeconvolutionConfig, DeconvolutionConfigBuilder, LambdaSelection};
 pub use deconvolve::{BootstrapBand, DeconvolutionResult, Deconvolver};
 pub use error::DeconvError;
 pub use forward::ForwardModel;

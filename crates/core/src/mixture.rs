@@ -587,7 +587,7 @@ mod tests {
         let mut normal = bw.gram();
         ops.omega.add_scaled_into(&mut normal, 0, lambda);
         for p in 0..kn {
-            normal[(p, p)] += ops.ridge;
+            normal[(p, p)] += DeconvolutionConfig::RIDGE;
         }
         let eigen = normal.symmetric_eigen().unwrap();
         let eigenvalues = eigen.eigenvalues().as_slice();
@@ -636,7 +636,7 @@ mod tests {
                 let path = if unit {
                     ops.spectral_unit.as_ref().expect("GCV operators decompose")
                 } else {
-                    rebuilt = SpectralPath::new(reduced, &weights, ops.ridge).unwrap();
+                    rebuilt = SpectralPath::new(reduced, &weights).unwrap();
                     &rebuilt
                 };
                 let r = reduced.reduced_dim();

@@ -1,5 +1,7 @@
 //! The measurement-independent operators of one penalized, constrained
-//! least-squares problem (paper eq. 5) and the dense fit path over them.
+//! least-squares problem (paper eq. 5) and the fit over them: the one
+//! place that decides how a fit is solved (dense spectral path or banded
+//! Woodbury path, then the constrained QP) and builds every QP.
 //!
 //! [`crate::Deconvolver`] owns one [`FitOperators`] built from its basis
 //! and kernel. [`crate::mixture::MixtureDeconvolver`] owns a *stacked*
@@ -10,12 +12,12 @@
 //! constrained solve.
 
 use cellsync_linalg::{Matrix, Vector};
-use cellsync_opt::QpProblem;
+use cellsync_opt::{QpProblem, QpWorkspace};
 use cellsync_runtime::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::banded::BandedOperators;
+use crate::banded::{BandedFit, BandedOperators};
 use crate::config::LambdaSelection;
 use crate::solver::{ReducedOperators, SpectralPath};
 use crate::{DeconvError, DeconvolutionConfig, FitWorkspace, Result};
@@ -142,7 +144,8 @@ impl Penalty {
 /// Everything about one fit problem that does not depend on the
 /// measurements: design, penalty, constraint rows, the interior
 /// direction, the equality-reduced operators with their unit-weight
-/// spectral decomposition, the λ grid and the unit weights.
+/// spectral decomposition (dense path) or the banded operators (banded
+/// path), the λ grid and the unit weights.
 #[derive(Debug, Clone)]
 pub(crate) struct FitOperators {
     /// Design matrix `A[m, i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ` (`m × n`).
@@ -173,9 +176,6 @@ pub(crate) struct FitOperators {
     pub(crate) banded: Option<BandedOperators>,
     /// The configured λ selection.
     pub(crate) selection: LambdaSelection,
-    /// The effective Tikhonov ridge (configured value floored at 10⁻¹²
-    /// for numerical definiteness).
-    pub(crate) ridge: f64,
     /// The λ grid of the configured selection, computed once.
     pub(crate) lambda_grid: Vec<f64>,
     /// Unit weights, kept so `sigmas: None` fits never allocate them.
@@ -197,13 +197,12 @@ impl FitOperators {
         banded: Option<BandedOperators>,
         config: &DeconvolutionConfig,
     ) -> Result<Self> {
-        let ridge = config.ridge().max(1e-12);
         let unit_weights = vec![1.0; design.rows()];
         let gcv = matches!(config.lambda(), LambdaSelection::Gcv { .. });
         let (reduced, spectral_unit) = match &omega {
             Penalty::Dense(dense) if gcv => {
                 let ops = ReducedOperators::new(&design, dense, equality.as_ref().map(|(e, _)| e))?;
-                let spectral = SpectralPath::new(&ops, &unit_weights, ridge)?;
+                let spectral = SpectralPath::new(&ops, &unit_weights)?;
                 (Some(ops), Some(spectral))
             }
             _ => (None, None),
@@ -218,7 +217,6 @@ impl FitOperators {
             spectral_unit,
             banded,
             selection: config.lambda().clone(),
-            ridge,
             lambda_grid: config.lambda().lambda_grid(),
             unit_weights,
         })
@@ -309,15 +307,22 @@ impl FitOperators {
         }
     }
 
-    /// The dense-path coefficient solve behind every fit: select λ (a
-    /// `lambda_override` skips the selection; otherwise the configured
-    /// fixed value, GCV on the spectral path, or k-fold), then solve the
-    /// constrained QP at that λ. Returns `(α, λ, selection scores)`.
+    /// The coefficient solve behind every fit, on the path the operators
+    /// were built for: select λ (a `lambda_override` skips the selection;
+    /// otherwise the configured fixed value, GCV on the banded
+    /// capacitance or on the spectral path, or k-fold), then solve the
+    /// constrained problem at that λ. Returns `(α, λ, selection scores)`.
     ///
-    /// GCV fits get a deterministic warm hint for the constrained solve:
-    /// the spectral path's own unconstrained minimizer at the selected
-    /// λ. It is a pure function of (operators, data, λ) — never of
-    /// workspace history — so batch results stay order- and
+    /// Banded operators solve the equality-constrained minimizer by
+    /// Woodbury ([`crate::banded`]). When it is feasible, convexity makes
+    /// it the optimum with zero inequality multipliers and the QP is
+    /// skipped; when positivity binds, it is not the optimum, and the
+    /// active-set QP at the selected λ starts from it.
+    ///
+    /// Dense GCV fits get a deterministic warm hint for the constrained
+    /// solve: the spectral path's own unconstrained minimizer at the
+    /// selected λ. It is a pure function of (operators, data, λ) — never
+    /// of workspace history — so batch results stay order- and
     /// thread-invariant. When it violates positivity the QP moves it
     /// inside along the interior direction instead. A λ override never
     /// ran the sweep, so it carries no hint.
@@ -329,40 +334,117 @@ impl FitOperators {
         lambda_override: Option<f64>,
         cancel: Option<&CancelToken>,
     ) -> Result<(Vector, f64, LambdaScan)> {
-        let (lambda, scores) = match lambda_override {
-            Some(l) => (l, Vec::new()),
-            None => match &self.selection {
-                LambdaSelection::Fixed(l) => (*l, Vec::new()),
-                LambdaSelection::Gcv { .. } => self.gcv_lambda(workspace, g, unit, cancel)?,
-                LambdaSelection::KFold { folds, seed, .. } => {
-                    self.kfold_lambda(workspace, g, unit, *folds, *seed, cancel)?
-                }
+        let banded = self.banded.as_ref().map(|bops| {
+            let eq = self.equality.as_ref().map(|(e, _)| e);
+            let weights = self.weights(workspace, unit);
+            let fit = BandedFit::new(bops, &self.design, weights, g, eq);
+            (bops, fit)
+        });
+        let (lambda, scores) = match (lambda_override, &self.selection) {
+            (Some(l), _) | (None, &LambdaSelection::Fixed(l)) => (l, Vec::new()),
+            (None, LambdaSelection::Gcv { .. }) => match &banded {
+                Some((_, fit)) => gcv_select(&self.lambda_grid, cancel, |l| fit.gcv_score(l))?,
+                None => self.gcv_lambda(workspace, g, unit, cancel)?,
             },
+            (None, &LambdaSelection::KFold { folds, seed, .. }) => {
+                self.kfold_lambda(workspace, g, unit, folds, seed, cancel)?
+            }
         };
-        let hint = if lambda_override.is_some() {
-            None
-        } else {
-            self.spectral_warm_hint(workspace, unit, lambda)?
+        let hint = match &banded {
+            Some((bops, fit)) => {
+                let alpha = fit.solve(lambda)?;
+                let tol = 1e-9 * (1.0 + alpha.norm_inf());
+                let binds = match &bops.positivity {
+                    Some((p, _)) => p.matvec(&alpha)?.iter().any(|&v| v < -tol),
+                    None => false,
+                };
+                if !binds {
+                    return Ok((alpha, lambda, scores));
+                }
+                Some(alpha)
+            }
+            None if lambda_override.is_none() => {
+                self.spectral_warm_hint(workspace, unit, lambda)?
+            }
+            None => None,
         };
         let alpha = self.solve_constrained_full(workspace, g, unit, lambda, hint, cancel)?;
         Ok((alpha, lambda, scores))
     }
 
+    /// The QP Hessian `H = 2(AᵀW²A + λΩ + εI)` for weights `weights`,
+    /// written into `h` (resized when needed): the Hessian of every fit,
+    /// of the bootstrap's once-per-band replicate solves and of a
+    /// harvested QP.
+    pub(crate) fn hessian(&self, weights: &[f64], lambda: f64, h: &mut Matrix) -> Result<()> {
+        let n = self.dim();
+        if h.shape() != (n, n) {
+            h.reset_zeroed(n, n);
+        }
+        self.design.weighted_gram_into(weights, h)?;
+        self.assemble_hessian(h, lambda)
+    }
+
     /// Turns `h` (holding `BᵀB` on entry) into the QP Hessian
     /// `H = 2(BᵀB + λΩ + εI)`, symmetrized — the single site for the
-    /// scale/ridge convention, shared by the per-fit solve and the
-    /// bootstrap's once-per-band replicate Hessian.
-    pub(crate) fn assemble_hessian(&self, h: &mut Matrix, lambda: f64) -> Result<()> {
+    /// scale/ridge convention.
+    fn assemble_hessian(&self, h: &mut Matrix, lambda: f64) -> Result<()> {
         let n = self.dim();
         self.omega.add_scaled_into(h, 0, lambda);
         for i in 0..n {
             for j in 0..n {
                 h[(i, j)] *= 2.0;
             }
-            h[(i, i)] += 2.0 * self.ridge;
+            h[(i, i)] += 2.0 * DeconvolutionConfig::RIDGE;
         }
         h.symmetrize()?;
         Ok(())
+    }
+
+    /// The constrained QP `min ½xᵀHx + cᵀx` over the operators'
+    /// constraint set: the equality rows, the positivity rows (banded
+    /// operators add the sparse-row collocation block, ≤ 4 nnz per row,
+    /// for the QP's matvecs next to the dense rows) and the interior
+    /// direction, so cold solves start strictly inside the positivity
+    /// cone. The one QP builder behind fits and bootstrap replicates.
+    pub(crate) fn constrained_problem<'a>(
+        &'a self,
+        h: &'a Matrix,
+        c: &'a Vector,
+        cancel: Option<&CancelToken>,
+    ) -> Result<QpProblem<'a>> {
+        let mut problem = QpProblem::new(h, c)?;
+        if let Some(token) = cancel {
+            problem = problem.with_cancel(token.clone());
+        }
+        if let Some((e, rhs)) = &self.equality {
+            problem = problem.with_equalities(e, rhs)?;
+        }
+        if let Some((p, rhs)) = &self.positivity {
+            problem = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
+                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, p, srhs)?,
+                None => problem.with_inequalities(p, rhs)?,
+            };
+        }
+        if let Some(d) = &self.interior {
+            problem = problem.with_interior_direction(d);
+        }
+        Ok(problem)
+    }
+
+    /// The positivity rows active at `alpha` — `|P·α|` within the QP's
+    /// warm-activity tolerance, scaled by `1 + ‖α‖∞` — which seed the
+    /// active set of a solve warm-started at `alpha`. Empty without
+    /// positivity.
+    pub(crate) fn warm_active_rows(&self, alpha: &Vector) -> Result<Vec<usize>> {
+        let Some((p, _)) = &self.positivity else {
+            return Ok(Vec::new());
+        };
+        let px = p.matvec(alpha)?;
+        let scale = 1.0 + alpha.norm_inf();
+        Ok((0..px.len())
+            .filter(|&i| px[i].abs() <= QpWorkspace::WARM_ACTIVITY_TOL * scale)
+            .collect())
     }
 
     /// The deterministic warm hint of a GCV fit: the unconstrained
@@ -423,9 +505,7 @@ impl FitOperators {
             .as_ref()
             .expect("dense GCV operators build the reduction");
         if !unit {
-            workspace
-                .spectral
-                .rebuild(ops, &workspace.weights, self.ridge)?;
+            workspace.spectral.rebuild(ops, &workspace.weights)?;
         }
         let FitWorkspace {
             spectral,
@@ -516,9 +596,10 @@ impl FitOperators {
     }
 
     /// Solves the constrained QP at `lambda` for the operators' own
-    /// design and the given data, assembling `BᵀB`/`Bᵀy` straight from
-    /// the unweighted design (the weighted design is never materialized).
-    pub(crate) fn solve_constrained_full(
+    /// design and the given data, assembling `H` and `BᵀW²g` straight
+    /// from the unweighted design (the weighted design is never
+    /// materialized).
+    fn solve_constrained_full(
         &self,
         workspace: &mut FitWorkspace,
         g: &[f64],
@@ -527,16 +608,12 @@ impl FitOperators {
         hint: Option<Vector>,
         cancel: Option<&CancelToken>,
     ) -> Result<Vector> {
-        let n = self.dim();
-        if workspace.h.shape() != (n, n) {
-            workspace.h.reset_zeroed(n, n);
-        }
         {
             let FitWorkspace {
                 h, c, w2g, weights, ..
             } = workspace;
             let weights: &[f64] = if unit { &self.unit_weights } else { weights };
-            self.design.weighted_gram_into(weights, h)?;
+            self.hessian(weights, lambda, h)?;
             for (w2, (&wi, &gi)) in w2g
                 .as_mut_slice()
                 .iter_mut()
@@ -546,7 +623,7 @@ impl FitOperators {
             }
             self.design.tr_matvec_into(w2g, c)?;
         }
-        self.solve_assembled(workspace, lambda, hint, cancel)
+        self.solve_assembled(workspace, hint, cancel)
     }
 
     /// Solves the constrained QP at `lambda` for an explicit weighted
@@ -565,28 +642,27 @@ impl FitOperators {
             workspace.h.reset_zeroed(n, n);
         }
         b.gram_into(&mut workspace.h)?;
+        self.assemble_hessian(&mut workspace.h, lambda)?;
         b.tr_matvec_into(y, &mut workspace.c)?;
-        self.solve_assembled(workspace, lambda, None, cancel)
+        self.solve_assembled(workspace, None, cancel)
     }
 
-    /// Core constrained solve: expects `workspace.h = BᵀB` and
-    /// `workspace.c = Bᵀy`, turns them into `H = 2(BᵀB + λΩ + εI)` and
-    /// `c = −2Bᵀy` in place, and dispatches to the direct SPD solve or
-    /// the active-set QP. The QP gets the interior direction, so it
-    /// starts at `hint` when that is feasible, else at `hint` (or the
-    /// equality-constrained minimizer when there is no hint) moved
-    /// strictly inside the positivity cone — never at the degenerate
-    /// origin unless the constraints admit no interior direction.
+    /// Core constrained solve: expects the Hessian `workspace.h = H` and
+    /// `workspace.c = Bᵀy`, turns `c` into `−2Bᵀy` in place, and
+    /// dispatches to the direct SPD solve or the active-set QP. The QP
+    /// gets the interior direction, so it starts at `hint` when that is
+    /// feasible, else at `hint` (or the equality-constrained minimizer
+    /// when there is no hint) moved strictly inside the positivity cone —
+    /// never at the degenerate origin unless the constraints admit no
+    /// interior direction.
     fn solve_assembled(
         &self,
         workspace: &mut FitWorkspace,
-        lambda: f64,
         hint: Option<Vector>,
         cancel: Option<&CancelToken>,
     ) -> Result<Vector> {
         check_cancel(cancel)?;
         let n = self.dim();
-        self.assemble_hessian(&mut workspace.h, lambda)?;
         for v in workspace.c.as_mut_slice() {
             *v *= -2.0;
         }
@@ -617,25 +693,6 @@ impl FitOperators {
             Some(x0) => qp.set_warm_start(x0, Vec::new()),
             None => qp.clear_warm_start(),
         }
-        let mut problem = QpProblem::new(&*h, &*c)?;
-        if let Some(token) = cancel {
-            problem = problem.with_cancel(token.clone());
-        }
-        if let Some((e, rhs)) = &self.equality {
-            problem = problem.with_equalities(e, rhs)?;
-        }
-        if let Some((p, rhs)) = &self.positivity {
-            // Banded operators hand the QP the sparse-row collocation
-            // block (≤ 4 nnz per row) for its matvecs, next to the dense
-            // rows.
-            problem = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
-                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, p, srhs)?,
-                None => problem.with_inequalities(p, rhs)?,
-            };
-        }
-        if let Some(d) = &self.interior {
-            problem = problem.with_interior_direction(d);
-        }
-        Ok(qp.solve(&problem)?.x)
+        Ok(qp.solve(&self.constrained_problem(h, c, cancel)?)?.x)
     }
 }

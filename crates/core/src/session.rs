@@ -13,8 +13,8 @@
 //!
 //! An [`EngineKey`] is derived from everything that determines the
 //! prepared engine: the full [`DeconvolutionConfig`] (basis size,
-//! constraint toggles, positivity grid, λ-selection strategy, ridge)
-//! and the full kernel contents (φ centers, bin width, times, and the
+//! constraint toggles, positivity grid, λ-selection strategy) and the
+//! full kernel contents (φ centers, bin width, times, and the
 //! `Q(φ, t)` matrix entry by entry). Floats are keyed by IEEE-754 bit
 //! pattern with two normalizations so that semantically equal values
 //! collide: `-0.0` keys as `+0.0`, and every NaN keys as the canonical
@@ -83,7 +83,6 @@ impl EngineKey {
         words.push(u64::from(config.conservation()));
         words.push(u64::from(config.rate_continuity()));
         words.push(config.positivity_grid() as u64);
-        words.push(canon_bits(config.ridge()));
         match config.lambda() {
             LambdaSelection::Fixed(l) => {
                 words.push(0);
@@ -370,24 +369,22 @@ mod tests {
     fn negative_zero_keys_as_positive_zero() {
         let k = kernel(1, 8);
         let a = EngineKey::new(&k, &config(8));
-        let neg_zero_ridge = DeconvolutionConfig::builder()
+        let neg_zero_lambda = DeconvolutionConfig::builder()
             .basis_size(8)
-            .lambda(1e-5)
-            .ridge(-0.0)
+            .lambda(-0.0)
             .build()
             .unwrap();
-        let zero_ridge = DeconvolutionConfig::builder()
+        let zero_lambda = DeconvolutionConfig::builder()
             .basis_size(8)
-            .lambda(1e-5)
-            .ridge(0.0)
+            .lambda(0.0)
             .build()
             .unwrap();
         assert_eq!(
-            EngineKey::new(&k, &neg_zero_ridge),
-            EngineKey::new(&k, &zero_ridge)
+            EngineKey::new(&k, &neg_zero_lambda),
+            EngineKey::new(&k, &zero_lambda)
         );
-        // And the default 1e-9 ridge differs from both.
-        assert_ne!(a, EngineKey::new(&k, &zero_ridge));
+        // And the 1e-5 λ differs from both.
+        assert_ne!(a, EngineKey::new(&k, &zero_lambda));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use cellsync_linalg::{CholeskyDecomposition, GeneralizedSymmetricEigen, Matrix, Vector};
 use cellsync_opt::QpWorkspace;
 
-use crate::{DeconvError, Result};
+use crate::{DeconvError, DeconvolutionConfig, Result};
 
 /// Weight-independent reduced operators, built once per engine.
 #[derive(Debug, Clone)]
@@ -120,10 +120,10 @@ pub(crate) struct SpectralPath {
 
 impl SpectralPath {
     /// Decomposes the pencil for `weights` (`1/σ` per measurement) and
-    /// ridge `ε`.
-    pub(crate) fn new(ops: &ReducedOperators, weights: &[f64], ridge: f64) -> Result<Self> {
+    /// the ridge `ε` ([`DeconvolutionConfig::RIDGE`]).
+    pub(crate) fn new(ops: &ReducedOperators, weights: &[f64]) -> Result<Self> {
         let mut path = SpectralPath::default();
-        path.rebuild(ops, weights, ridge)?;
+        path.rebuild(ops, weights)?;
         Ok(path)
     }
 
@@ -131,12 +131,7 @@ impl SpectralPath {
     /// buffer. The result is bit-identical to [`SpectralPath::new`]
     /// whatever the path held before (another engine's size, another
     /// weight vector, a failed rebuild).
-    pub(crate) fn rebuild(
-        &mut self,
-        ops: &ReducedOperators,
-        weights: &[f64],
-        ridge: f64,
-    ) -> Result<()> {
+    pub(crate) fn rebuild(&mut self, ops: &ReducedOperators, weights: &[f64]) -> Result<()> {
         let r = ops.reduced_dim();
         let g = &mut self.metric;
         if g.shape() != (r, r) {
@@ -144,7 +139,7 @@ impl SpectralPath {
         }
         ops.a_r.weighted_gram_into(weights, g)?;
         for i in 0..r {
-            g[(i, i)] += ridge;
+            g[(i, i)] += DeconvolutionConfig::RIDGE;
         }
         // Scale-free anchor: equal-trace balance of Gram and penalty.
         // A (reduced) penalty with no mass means a λ-independent smoother;
@@ -445,7 +440,7 @@ mod tests {
             let ratio = weights.iter().cloned().fold(0.0, f64::max)
                 / weights.iter().cloned().fold(f64::INFINITY, f64::min);
             let tol = (f64::EPSILON * ratio * ratio).max(1e-9);
-            path.rebuild(&ops, weights, 1e-9).unwrap();
+            path.rebuild(&ops, weights).unwrap();
             path.project_series(&ops, weights, &g, &mut ws.w2g, &mut ws.rhs_r, &mut ws.zproj)
                 .unwrap();
             for &lambda in &[1e-6, 1e-3, 1e-1, 1.0, 10.0] {
@@ -498,7 +493,7 @@ mod tests {
         let (a, omega) = toy_design();
         let ops = ReducedOperators::new(&a, &omega, None).unwrap();
         let weights = vec![1.0; 8];
-        let path = SpectralPath::new(&ops, &weights, 1e-9).unwrap();
+        let path = SpectralPath::new(&ops, &weights).unwrap();
         let trace_at = |lambda: f64| -> f64 {
             (0..path.dim())
                 .map(|i| path.eff[i] * path.shrink(lambda, i))

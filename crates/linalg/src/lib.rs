@@ -72,7 +72,7 @@ mod tridiagonal;
 mod vector;
 
 pub use banded::{BandedCholesky, BandedMatrix};
-pub use cholesky::{CholeskyDecomposition, IncrementalCholesky};
+pub use cholesky::CholeskyDecomposition;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use geigen::GeneralizedSymmetricEigen;

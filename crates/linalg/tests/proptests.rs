@@ -318,52 +318,6 @@ proptest! {
     }
 
     #[test]
-    fn rank_one_update_matches_fresh_factor(a in square_matrix(6), v in vector(6)) {
-        let spd = make_spd(&a);
-        let mut ch = spd.cholesky().expect("spd");
-        ch.rank_one_update(&mut v.clone()).expect("finite vector");
-        let mut modified = spd;
-        for i in 0..6 {
-            for j in 0..6 {
-                modified[(i, j)] += v[i] * v[j];
-            }
-        }
-        let fresh = modified.cholesky().expect("update keeps SPD");
-        for i in 0..6 {
-            for j in 0..=i {
-                prop_assert!(
-                    (ch.factor()[(i, j)] - fresh.factor()[(i, j)]).abs() <= 1e-10,
-                    "L[({}, {})]: {} vs {}", i, j, ch.factor()[(i, j)], fresh.factor()[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_downdate_matches_fresh_factor(a in square_matrix(6), v in vector(6)) {
-        // Downdate something that was first updated, so A − vvᵀ is
-        // guaranteed SPD and the downdate must be accepted.
-        let spd = make_spd(&a);
-        let mut modified = spd.clone();
-        for i in 0..6 {
-            for j in 0..6 {
-                modified[(i, j)] += v[i] * v[j];
-            }
-        }
-        let mut ch = modified.cholesky().expect("spd plus psd");
-        ch.rank_one_downdate(&mut v.clone()).expect("downdate back to SPD base");
-        let fresh = spd.cholesky().expect("spd");
-        for i in 0..6 {
-            for j in 0..=i {
-                prop_assert!(
-                    (ch.factor()[(i, j)] - fresh.factor()[(i, j)]).abs() <= 1e-10,
-                    "L[({}, {})]: {} vs {}", i, j, ch.factor()[(i, j)], fresh.factor()[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
     fn banded_cholesky_matches_dense(sys in banded_spd_system()) {
         // The O(n·b²) banded factor and solve must agree with the dense
         // reference path entry-for-entry and solution-for-solution.
@@ -433,49 +387,5 @@ proptest! {
         let xa = factor.solve(&rhs).expect("shapes");
         let xb = fresh.solve(&rhs).expect("shapes");
         prop_assert!((&xa - &xb).norm_inf() <= 1e-12 * (1.0 + xb.norm_inf()));
-    }
-
-    #[test]
-    fn incremental_cholesky_tracks_constraint_sequences(
-        a in square_matrix(7),
-        ops in prop::collection::vec((0usize..2, 0usize..7), 1..24),
-    ) {
-        // Random enter/leave sequence over the rows of one SPD matrix —
-        // the active-set QP's usage pattern. The incrementally maintained
-        // factor must match a fresh factorization of the selected
-        // principal submatrix after every operation.
-        let spd = make_spd(&a);
-        let mut inc = cellsync_linalg::IncrementalCholesky::with_capacity(7);
-        let mut live: Vec<usize> = Vec::new();
-        for (enter, raw) in ops {
-            if enter == 1 {
-                let candidates: Vec<usize> = (0..7).filter(|i| !live.contains(i)).collect();
-                if candidates.is_empty() { continue; }
-                let row = candidates[raw % candidates.len()];
-                let cross: Vec<f64> = live.iter().map(|&j| spd[(row, j)]).collect();
-                inc.append(&cross, spd[(row, row)]).expect("principal submatrix stays SPD");
-                live.push(row);
-            } else {
-                if live.is_empty() { continue; }
-                let k = raw % live.len();
-                inc.remove(k).expect("valid index");
-                live.remove(k);
-            }
-            prop_assert_eq!(inc.dim(), live.len());
-            if !live.is_empty() {
-                let m = live.len();
-                let sub = Matrix::from_fn(m, m, |i, j| spd[(live[i], live[j])]);
-                let fresh = sub.cholesky().expect("principal submatrix SPD");
-                for i in 0..m {
-                    for j in 0..=i {
-                        prop_assert!(
-                            (inc.factor_entry(i, j) - fresh.factor()[(i, j)]).abs() <= 1e-10,
-                            "live {:?}: L[({}, {})] {} vs {}",
-                            live, i, j, inc.factor_entry(i, j), fresh.factor()[(i, j)]
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -93,7 +93,7 @@ fn dense_gcv_lambda(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> 
         .design_matrix(basis)
         .expect("engine-validated protocol");
     let omega = basis.penalty_matrix();
-    let ridge = engine.config().ridge().max(1e-12);
+    let ridge = DeconvolutionConfig::RIDGE;
     let m = g.len();
     let weights: Vec<f64> = match sigmas {
         None => vec![1.0; m],
