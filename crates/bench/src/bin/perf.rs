@@ -23,9 +23,10 @@
 //! * `--quick` (default): CI-sized workloads, a few seconds end to end.
 //! * `--full`: a paper-sized 20k-cell population behind the kernel
 //!   estimate and more repetitions, for real trajectory points.
-//! * `--baseline PATH`: compare every kernel's median against a previous
-//!   `BENCH.json` and exit non-zero if any kernel regressed by more than
-//!   `--gate-pct` percent (default 25) — the CI regression gate.
+//! * `--baseline PATH`: compare every kernel's fastest repetition
+//!   (`min_ms`) against a previous `BENCH.json` and exit non-zero if any
+//!   kernel regressed by more than `--gate-pct` percent (default 25) —
+//!   the CI regression gate.
 //! * `--append-history PATH`: append this run's medians (stamped with
 //!   the measured git commit) to the `cellsync-perf-history/1` log, so
 //!   the perf trajectory across PRs stays machine-recoverable from one
@@ -37,8 +38,11 @@
 //!
 //! Timing method: every kernel repetition does enough inner iterations to
 //! run well above timer resolution, repetitions are repeated `reps` times,
-//! and the **median** is compared (robust to one noisy-neighbour outlier
-//! on shared CI runners).
+//! and the whole suite runs three times over; each kernel reports the
+//! median and minimum of its fastest pass. The gate compares the
+//! **minimum**: on a shared host, interference only ever adds time, so
+//! the fastest repetition is the statistic least moved by a noisy
+//! neighbour, while a real regression moves it as much as the median.
 
 use std::time::Instant;
 
@@ -61,7 +65,7 @@ use rand::SeedableRng;
 #[derive(Debug, Clone)]
 struct Config {
     mode: &'static str,
-    /// Timed repetitions per kernel (median is reported).
+    /// Timed repetitions per kernel and pass.
     reps: usize,
     /// Cells in the simulated population behind the kernel estimate.
     cells: usize,
@@ -120,6 +124,30 @@ fn parse_args() -> Config {
         }
     }
     config
+}
+
+/// Whole passes over the kernel suite. Each kernel's samples are spread
+/// over the run, so a stretch of interference on a shared host slows one
+/// pass, not the kernel's entry (see [`fastest_pass`]).
+const PASSES: usize = 3;
+
+/// Per kernel, the entry of the pass with the smallest `min_ms`.
+fn fastest_pass(passes: &[Vec<Json>]) -> Vec<Json> {
+    let min_ms = |k: &Json| {
+        k.get("min_ms")
+            .and_then(Json::as_f64)
+            .unwrap_or(f64::INFINITY)
+    };
+    (0..passes[0].len())
+        .map(|i| {
+            passes
+                .iter()
+                .map(|pass| &pass[i])
+                .min_by(|a, b| min_ms(a).total_cmp(&min_ms(b)))
+                .expect("at least one pass")
+                .clone()
+        })
+        .collect()
 }
 
 /// Times `reps` repetitions of `f` and returns `(median_ms, min_ms)`.
@@ -587,8 +615,8 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
     kernels
 }
 
-/// Compares current kernel medians against a baseline file. Returns the
-/// regressed kernel names.
+/// Compares each current kernel's `min_ms` against its baseline
+/// `min_ms`. Returns the regressed kernel names.
 fn gate_against_baseline(
     current: &Json,
     baseline_text: &str,
@@ -620,13 +648,13 @@ fn gate_against_baseline(
             .and_then(Json::as_str)
             .ok_or("kernel entry without name")?;
         let cur_ms = cur
-            .get("median_ms")
+            .get("min_ms")
             .and_then(Json::as_f64)
-            .ok_or("kernel entry without median_ms")?;
+            .ok_or("kernel entry without min_ms")?;
         let base = base_kernels
             .iter()
             .find(|k| k.get("name").and_then(Json::as_str) == Some(name));
-        let Some(base_ms) = base.and_then(|k| k.get("median_ms")).and_then(Json::as_f64) else {
+        let Some(base_ms) = base.and_then(|k| k.get("min_ms")).and_then(Json::as_f64) else {
             println!("gate: {name}: no baseline entry, skipped");
             continue;
         };
@@ -682,12 +710,18 @@ fn main() {
         sim_start.elapsed().as_secs_f64()
     );
 
-    let mut kernels = measure_kernels(&config, &population, &times);
     let phase_kernel = KernelEstimator::new(100)
         .expect("bins")
         .estimate(&population, &times)
         .expect("valid protocol");
-    kernels.extend(measure_solver_kernels(&config, &phase_kernel));
+    let passes: Vec<Vec<Json>> = (0..PASSES)
+        .map(|_| {
+            let mut pass = measure_kernels(&config, &population, &times);
+            pass.extend(measure_solver_kernels(&config, &phase_kernel));
+            pass
+        })
+        .collect();
+    let kernels = fastest_pass(&passes);
     for k in &kernels {
         eprintln!(
             "perf: {} median {:.3} ms",
@@ -795,8 +829,9 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// A `BENCH.json`-shaped document with the given kernel medians.
-    fn doc(mode: &str, kernels: &[(&str, f64)]) -> Json {
+    /// A `BENCH.json`-shaped document whose kernels have the given
+    /// median and minimum.
+    fn doc_with_median(mode: &str, kernels: &[(&str, f64, f64)]) -> Json {
         Json::Obj(vec![
             ("mode".into(), Json::Str(mode.into())),
             (
@@ -804,11 +839,17 @@ mod tests {
                 Json::Arr(
                     kernels
                         .iter()
-                        .map(|&(name, ms)| kernel_entry(name, 5, ms, ms))
+                        .map(|&(name, median, min)| kernel_entry(name, 5, median, min))
                         .collect(),
                 ),
             ),
         ])
+    }
+
+    /// A `BENCH.json`-shaped document whose kernels have median = min.
+    fn doc(mode: &str, kernels: &[(&str, f64)]) -> Json {
+        let kernels: Vec<_> = kernels.iter().map(|&(n, ms)| (n, ms, ms)).collect();
+        doc_with_median(mode, &kernels)
     }
 
     #[test]
@@ -823,6 +864,16 @@ mod tests {
     fn gate_passes_kernels_within_the_bound() {
         let baseline = doc("quick", &[("a", 1.0), ("b", 2.0)]).render();
         let current = doc("quick", &[("a", 1.24), ("b", 1.0)]);
+        let regressed = gate_against_baseline(&current, &baseline, 25.0).unwrap();
+        assert!(regressed.is_empty(), "{regressed:?}");
+    }
+
+    #[test]
+    fn gate_compares_the_minimum_not_the_median() {
+        // A median at 2× with the fastest repetition inside the bound is
+        // interference, not a regression.
+        let baseline = doc("quick", &[("a", 1.0)]).render();
+        let current = doc_with_median("quick", &[("a", 2.0, 1.2)]);
         let regressed = gate_against_baseline(&current, &baseline, 25.0).unwrap();
         assert!(regressed.is_empty(), "{regressed:?}");
     }

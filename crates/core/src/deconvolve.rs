@@ -269,24 +269,19 @@ impl Deconvolver {
     /// Same as [`Deconvolver::fit`], plus [`cellsync_opt::OptError`]
     /// (wrapped in [`DeconvError::Opt`]) for an invalid instance `name`.
     pub fn harvest_qp(&self, g: &[f64], sigmas: Option<&[f64]>, name: &str) -> Result<QpInstance> {
-        let fitted = self.fit(g, sigmas)?;
+        let mut workspace = FitWorkspace::new();
+        let fitted = self.fit_with(&mut workspace, g, sigmas)?;
         let lambda = fitted.lambda();
         let alpha = Vector::from_slice(fitted.alpha());
         let n = self.basis.len();
         let m = self.forward.num_measurements();
 
-        let owned_weights: Vec<f64>;
-        let weights: &[f64] = match sigmas {
-            Some(s) => {
-                owned_weights = s.iter().map(|s| 1.0 / s).collect();
-                &owned_weights
-            }
-            None => &self.ops.unit_weights,
-        };
+        let weights = self.ops.weights(&workspace, sigmas.is_none());
         let mut h = Matrix::zeros(n, n);
         self.ops.hessian(weights, lambda, &mut h)?;
-        let w2g = Vector::from_fn(m, |i| weights[i] * weights[i] * g[i]);
-        let c = -&self.ops.design.tr_matvec(&w2g)?.scaled(2.0);
+        let mut c = Vector::zeros(n);
+        self.ops
+            .linear_term_into(weights, g, &mut Vector::zeros(m), &mut c)?;
 
         let weighting = if sigmas.is_some() {
             "sigma-weighted"
@@ -530,13 +525,10 @@ impl Deconvolver {
     ///
     /// Replicates refit in parallel over the engine's worker pool
     /// ([`Deconvolver::with_threads`]). Replicate `i` draws its noise from
-    /// its own `StdRng::seed_from_u64(seed ^ i)` stream and the replicate
-    /// profiles are accumulated in index order, so the band is
-    /// bit-identical at any thread count. (One consequence of the XOR
-    /// stream derivation: two seeds differing only in bits below `n_boot`
-    /// reuse the same *set* of replicate streams and give identical
-    /// bands — pick seeds farther apart than `n_boot` when comparing
-    /// independent bootstrap runs.)
+    /// its own stream, seeded by [`cellsync_runtime::stream_seed`]`(seed, i)`
+    /// (a hash of the pair, so distinct seeds give distinct replicate
+    /// sets), and the replicate profiles are accumulated in index order,
+    /// so the band is bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -577,12 +569,13 @@ impl Deconvolver {
         let lambda = point.lambda();
         let n = self.basis.len();
         let m = g.len();
-        let weights: Vec<f64> = sigmas.iter().map(|s| 1.0 / s).collect();
+        // The point fit left the weights `1/σ` in the workspace.
+        let weights = self.ops.weights(workspace, false);
 
         // The replicate Hessian H = 2(AᵀW²A + λΩ + εI) is shared by every
         // replicate (same weights, same λ): assemble and symmetrize once.
         let mut h = Matrix::zeros(n, n);
-        self.ops.hessian(&weights, lambda, &mut h)?;
+        self.ops.hessian(weights, lambda, &mut h)?;
 
         // Deterministic warm hint: the point fit's coefficients and the
         // positivity rows active there. Every worker seeds its workspace
@@ -593,12 +586,11 @@ impl Deconvolver {
 
         let normal = cellsync_stats::dist::Normal::new(0.0, 1.0)?;
         let h = &h;
-        let weights = &weights;
         let point_alpha = &point_alpha;
         let hint_active = &hint_active;
-        // Per-replicate RNG streams (`seed ^ i`) decouple the replicates
-        // from each other, which is what lets them refit in parallel while
-        // staying bit-identical at any thread count.
+        // Per-replicate RNG streams (`stream_seed(seed, i)`) decouple the
+        // replicates from each other, which is what lets them refit in
+        // parallel while staying bit-identical at any thread count.
         let profiles: Vec<Vec<f64>> =
             self.pool
                 .try_par_map_with(
@@ -617,24 +609,19 @@ impl Deconvolver {
                     |scratch, i| {
                         use cellsync_stats::dist::ContinuousDistribution as _;
                         check_cancel(cancel)?;
-                        let mut rng = StdRng::seed_from_u64(seed ^ i as u64);
+                        let mut rng =
+                            StdRng::seed_from_u64(cellsync_runtime::stream_seed(seed, i as u64));
                         for ((r, &v), &s) in scratch.resampled.iter_mut().zip(g).zip(sigmas) {
                             *r = v + s * normal.sample(&mut rng);
                         }
                         // c = −2·AᵀW²·g_rep — the only replicate-specific part
                         // of the QP.
-                        for (w2, (&wi, &gi)) in scratch
-                            .w2g
-                            .as_mut_slice()
-                            .iter_mut()
-                            .zip(weights.iter().zip(scratch.resampled.iter()))
-                        {
-                            *w2 = wi * wi * gi;
-                        }
-                        self.ops
-                            .design
-                            .tr_matvec_into(&scratch.w2g, &mut scratch.c)?;
-                        scratch.c.scale_in_place(-2.0);
+                        self.ops.linear_term_into(
+                            weights,
+                            &scratch.resampled,
+                            &mut scratch.w2g,
+                            &mut scratch.c,
+                        )?;
 
                         let alpha = if self.ops.equality.is_none() && self.ops.positivity.is_none()
                         {
@@ -1215,6 +1202,35 @@ mod tests {
     }
 
     #[test]
+    fn distinct_seeds_give_distinct_bootstrap_bands() {
+        // Seeds that differ only in low bits must not share replicate
+        // streams: deriving stream i as `seed ^ i` would hand seeds 0 and
+        // 1 the same set of eight streams, so their bands would agree up
+        // to summation order.
+        let k = kernel(10, 14);
+        let g = ForwardModel::new(k.clone())
+            .predict(&smooth_truth())
+            .unwrap();
+        let sigmas = vec![0.1; g.len()];
+        let config = DeconvolutionConfig::builder()
+            .basis_size(12)
+            .lambda(1e-4)
+            .build()
+            .unwrap();
+        let d = Deconvolver::new(k, config).unwrap();
+        let a = d.fit_bootstrap(&g, &sigmas, 8, 50, 0).unwrap();
+        let b = d.fit_bootstrap(&g, &sigmas, 8, 50, 1).unwrap();
+        let gap = a
+            .mean
+            .iter()
+            .zip(&b.mean)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max);
+        let scale = a.mean.iter().fold(1.0_f64, |m, v| m.max(v.abs()));
+        assert!(gap > 1e-9 * scale, "bands agree to {gap:e}");
+    }
+
+    #[test]
     fn bootstrap_replicates_match_full_refits() {
         // The warm-started shared-Hessian replicate path must agree with
         // refitting each replicate from scratch at the fixed λ (to solver
@@ -1250,7 +1266,7 @@ mod tests {
             let mut sum = vec![0.0; n_grid];
             let mut binding = 0;
             for i in 0..6u64 {
-                let mut rng = StdRng::seed_from_u64(seed ^ i);
+                let mut rng = StdRng::seed_from_u64(cellsync_runtime::stream_seed(seed, i));
                 let resampled: Vec<f64> = g
                     .iter()
                     .zip(&sigmas)

@@ -201,7 +201,7 @@ mod tests {
             DeconvError::InvalidPhase(1.5),
             DeconvError::DeadlineExceeded,
             cellsync_linalg::LinalgError::Singular.into(),
-            cellsync_numerics::NumericsError::InvalidArgument("x").into(),
+            cellsync_numerics::NumericsError::TooFewPoints { got: 0, need: 1 }.into(),
             cellsync_stats::StatsError::EmptySample.into(),
             cellsync_spline::SplineError::InvalidKnots.into(),
             cellsync_popsim::PopsimError::InvalidPhase(2.0).into(),
@@ -245,7 +245,7 @@ mod tests {
             (DeconvError::InvalidPhase(1.5), "invalid_phase"),
             (cellsync_linalg::LinalgError::Singular.into(), "linalg"),
             (
-                cellsync_numerics::NumericsError::InvalidArgument("x").into(),
+                cellsync_numerics::NumericsError::TooFewPoints { got: 0, need: 1 }.into(),
                 "numerics",
             ),
             (cellsync_stats::StatsError::EmptySample.into(), "stats"),

@@ -596,8 +596,8 @@ impl FitOperators {
     }
 
     /// Solves the constrained QP at `lambda` for the operators' own
-    /// design and the given data, assembling `H` and `BᵀW²g` straight
-    /// from the unweighted design (the weighted design is never
+    /// design and the given data, assembling `H` and `c = −2BᵀW²g`
+    /// straight from the unweighted design (the weighted design is never
     /// materialized).
     fn solve_constrained_full(
         &self,
@@ -614,16 +614,32 @@ impl FitOperators {
             } = workspace;
             let weights: &[f64] = if unit { &self.unit_weights } else { weights };
             self.hessian(weights, lambda, h)?;
-            for (w2, (&wi, &gi)) in w2g
-                .as_mut_slice()
-                .iter_mut()
-                .zip(weights.iter().zip(g.iter()))
-            {
-                *w2 = wi * wi * gi;
-            }
-            self.design.tr_matvec_into(w2g, c)?;
+            self.linear_term_into(weights, g, w2g, c)?;
         }
         self.solve_assembled(workspace, hint, cancel)
+    }
+
+    /// The QP linear term `c = −2·AᵀW²g` for weights `weights` and data
+    /// `g`, written into `c` with `w2g` (length m) as scratch: the linear
+    /// term of every fit, of each bootstrap replicate and of a harvested
+    /// QP.
+    pub(crate) fn linear_term_into(
+        &self,
+        weights: &[f64],
+        g: &[f64],
+        w2g: &mut Vector,
+        c: &mut Vector,
+    ) -> Result<()> {
+        for (w2, (&wi, &gi)) in w2g
+            .as_mut_slice()
+            .iter_mut()
+            .zip(weights.iter().zip(g.iter()))
+        {
+            *w2 = wi * wi * gi;
+        }
+        self.design.tr_matvec_into(w2g, c)?;
+        c.scale_in_place(-2.0);
+        Ok(())
     }
 
     /// Solves the constrained QP at `lambda` for an explicit weighted
@@ -644,12 +660,13 @@ impl FitOperators {
         b.gram_into(&mut workspace.h)?;
         self.assemble_hessian(&mut workspace.h, lambda)?;
         b.tr_matvec_into(y, &mut workspace.c)?;
+        workspace.c.scale_in_place(-2.0);
         self.solve_assembled(workspace, None, cancel)
     }
 
     /// Core constrained solve: expects the Hessian `workspace.h = H` and
-    /// `workspace.c = Bᵀy`, turns `c` into `−2Bᵀy` in place, and
-    /// dispatches to the direct SPD solve or the active-set QP. The QP
+    /// the linear term `workspace.c = −2Bᵀy`, and dispatches to the
+    /// direct SPD solve or the active-set QP. The QP
     /// gets the interior direction, so it starts at `hint` when that is
     /// feasible, else at `hint` (or the equality-constrained minimizer
     /// when there is no hint) moved strictly inside the positivity cone —
@@ -663,9 +680,6 @@ impl FitOperators {
     ) -> Result<Vector> {
         check_cancel(cancel)?;
         let n = self.dim();
-        for v in workspace.c.as_mut_slice() {
-            *v *= -2.0;
-        }
 
         if self.equality.is_none() && self.positivity.is_none() {
             // Pure smoothing spline: direct SPD solve (the workspace's

@@ -174,8 +174,8 @@ pub fn fit_lotka_volterra(
 /// Multi-start variant of [`fit_lotka_volterra`]: runs `n_starts`
 /// independent Nelder–Mead descents — the configured guess plus
 /// `n_starts − 1` deterministic log-space perturbations of it (each rate
-/// scaled by a factor in `[½, 2]` drawn from the start's own
-/// `StdRng::seed_from_u64(seed ^ i)` stream) — and returns the fit with
+/// scaled by a factor in `[½, 2]` drawn from the start's own stream,
+/// seeded by [`cellsync_runtime::stream_seed`]`(seed, i)`) — and returns the fit with
 /// the lowest objective.
 ///
 /// Starts fan out over a [`cellsync_runtime::Pool`] sized by
@@ -216,7 +216,7 @@ pub fn fit_lotka_volterra_multistart(
         if i > 0 {
             // Log-uniform scale in [1/2, 2] per rate: wide enough to hop
             // basins, narrow enough to stay in the plausible range.
-            let mut rng = StdRng::seed_from_u64(seed ^ i as u64);
+            let mut rng = StdRng::seed_from_u64(cellsync_runtime::stream_seed(seed, i as u64));
             let mut jitter = || 2f64.powf(rng.gen_range(-1.0..1.0));
             start.initial_guess = (ga * jitter(), gb * jitter(), gc * jitter(), gd * jitter());
         }

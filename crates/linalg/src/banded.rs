@@ -526,15 +526,6 @@ impl BandedCholesky {
     pub fn to_dense_factor(&self) -> Matrix {
         Matrix::from_fn(self.n, self.n, |i, j| self.factor_entry(i, j))
     }
-
-    /// `log|A| = 2·Σ log L[i][i]` of the factored matrix.
-    pub fn log_det(&self) -> f64 {
-        let w = self.w();
-        (0..self.n)
-            .map(|i| self.l[i * w + self.bandwidth].ln())
-            .sum::<f64>()
-            * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -700,14 +691,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn log_det_matches_dense() {
-        let a = spd_banded(10, 3);
-        let banded = a.cholesky().expect("spd").log_det();
-        let dense_f = a.to_dense().cholesky().expect("spd");
-        let dense: f64 = (0..10).map(|i| dense_f.factor()[(i, i)].ln()).sum::<f64>() * 2.0;
-        assert!((banded - dense).abs() < 1e-10);
     }
 }

@@ -106,11 +106,6 @@ impl SymmetricEigen {
             hi / lo
         }
     }
-
-    /// Whether all eigenvalues exceed `tol` (positive definiteness check).
-    pub fn is_positive_definite(&self, tol: f64) -> bool {
-        self.min_eigenvalue() > tol
-    }
 }
 
 /// QL iteration budget per eigenvalue (the LAPACK `dsteqr` convention).
@@ -377,9 +372,9 @@ mod tests {
     #[test]
     fn positive_definite_detection() {
         let spd = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]).unwrap();
-        assert!(spd.symmetric_eigen().unwrap().is_positive_definite(1e-12));
+        assert!(spd.symmetric_eigen().unwrap().min_eigenvalue() > 1e-12);
         let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(!indef.symmetric_eigen().unwrap().is_positive_definite(1e-12));
+        assert!(indef.symmetric_eigen().unwrap().min_eigenvalue() < 0.0);
     }
 
     #[test]

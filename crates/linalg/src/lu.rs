@@ -180,17 +180,6 @@ impl LuDecomposition {
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
     }
-
-    /// Crude reciprocal condition estimate `1/(‖A‖∞·‖A⁻¹‖∞)`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates inverse errors.
-    pub fn rcond_estimate(&self, original: &Matrix) -> Result<f64> {
-        let inv = self.inverse()?;
-        let denom = original.norm_inf() * inv.norm_inf();
-        Ok(if denom == 0.0 { 0.0 } else { 1.0 / denom })
-    }
 }
 
 #[cfg(test)]
@@ -264,16 +253,5 @@ mod tests {
         let inv2 = lu.solve_matrix(&Matrix::identity(2)).unwrap();
         assert_eq!(inv1, inv2);
         assert!(lu.solve_matrix(&Matrix::zeros(3, 1)).is_err());
-    }
-
-    #[test]
-    fn rcond_small_for_near_singular() {
-        let good = Matrix::identity(3);
-        let lu = good.lu().unwrap();
-        assert!(lu.rcond_estimate(&good).unwrap() > 0.3);
-
-        let bad = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0 + 1e-12]]).unwrap();
-        let lub = bad.lu().unwrap();
-        assert!(lub.rcond_estimate(&bad).unwrap() < 1e-10);
     }
 }

@@ -5,8 +5,8 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
 use crate::kernels;
 use crate::{
-    BandedMatrix, CholeskyDecomposition, LinalgError, LuDecomposition, QrDecomposition, Result,
-    SymmetricEigen, Vector,
+    CholeskyDecomposition, LinalgError, LuDecomposition, QrDecomposition, Result, SymmetricEigen,
+    Vector,
 };
 
 /// A dense, row-major matrix of `f64` values.
@@ -169,15 +169,6 @@ impl Matrix {
     pub fn col(&self, j: usize) -> Vector {
         assert!(j < self.cols, "column index out of bounds");
         Vector::from_fn(self.rows, |i| self[(i, j)])
-    }
-
-    /// Copies row `i` into a new [`Vector`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `i >= rows`.
-    pub fn row_vector(&self, i: usize) -> Vector {
-        Vector::from_slice(self.row(i))
     }
 
     /// Replaces row `i` with the contents of `row`.
@@ -343,83 +334,6 @@ impl Matrix {
         out.data.fill(0.0);
         self.syrk_upper(Some(weights), out);
         out.mirror_upper_in_place();
-        Ok(())
-    }
-
-    /// Writes the Gram product `selfᵀ·self` into a banded matrix,
-    /// exploiting row-local support: when every row's nonzeros span at
-    /// most `out.bandwidth() + 1` consecutive columns (a local-support
-    /// spline design evaluated at scattered points), the Gram matrix is
-    /// banded and assembly costs `O(rows·b²)` instead of `O(rows·n²)`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when `out.dim() != cols` or some
-    /// row's support spans more than the band allows — the result would
-    /// silently drop mass, so it is an error, not a truncation.
-    pub fn gram_banded_into(&self, out: &mut BandedMatrix) -> Result<()> {
-        self.banded_syrk(None, out)
-    }
-
-    /// Writes the weighted Gram product `selfᵀ·W²·self` into a banded
-    /// matrix (see [`Matrix::gram_banded_into`] for the support
-    /// contract).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Matrix::gram_banded_into`], plus a weight-length
-    /// mismatch.
-    pub fn weighted_gram_banded_into(&self, weights: &[f64], out: &mut BandedMatrix) -> Result<()> {
-        if weights.len() != self.rows {
-            return Err(LinalgError::ShapeMismatch {
-                left: (self.rows, 1),
-                right: (weights.len(), 1),
-                op: "weighted_gram_banded_into",
-            });
-        }
-        self.banded_syrk(Some(weights), out)
-    }
-
-    /// The shared core of the banded Gram kernels: per row, locate the
-    /// contiguous nonzero support, then fold the `O(b²)` outer product
-    /// of that segment into the band.
-    fn banded_syrk(&self, weights: Option<&[f64]>, out: &mut BandedMatrix) -> Result<()> {
-        if out.dim() != self.cols {
-            return Err(LinalgError::ShapeMismatch {
-                left: (self.cols, self.cols),
-                right: (out.dim(), out.dim()),
-                op: "banded gram",
-            });
-        }
-        out.fill_zero();
-        for i in 0..self.rows {
-            let ci = weights.map_or(1.0, |w| w[i] * w[i]);
-            if ci == 0.0 {
-                continue;
-            }
-            let row = self.row(i);
-            let Some(first) = row.iter().position(|&v| v != 0.0) else {
-                continue;
-            };
-            let last = self.cols - 1 - row.iter().rev().position(|&v| v != 0.0).expect("nonzero");
-            if last - first > out.bandwidth() {
-                return Err(LinalgError::ShapeMismatch {
-                    left: (last - first, 0),
-                    right: (out.bandwidth(), 0),
-                    op: "banded gram row support",
-                });
-            }
-            let seg = &row[first..=last];
-            for (a, &va) in seg.iter().enumerate() {
-                let ra = ci * va;
-                if ra == 0.0 {
-                    continue;
-                }
-                for (b, &vb) in seg.iter().enumerate().skip(a) {
-                    out.add_at(first + a, first + b, ra * vb)?;
-                }
-            }
-        }
         Ok(())
     }
 

@@ -153,20 +153,6 @@ impl SparseRowMatrix {
         cols.iter().zip(vals).map(|(&c, &v)| v * x[c]).sum()
     }
 
-    /// Scatters row `r` into a dense buffer (`out` is zeroed first).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `r` is out of range or `out.len() != cols()`.
-    pub fn row_into_dense(&self, r: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.cols, "dense row buffer length mismatch");
-        out.fill(0.0);
-        let (cols, vals) = self.row(r);
-        for (&c, &v) in cols.iter().zip(vals) {
-            out[c] = v;
-        }
-    }
-
     /// Writes `self · x` into `out` without allocating.
     ///
     /// # Errors
@@ -306,11 +292,9 @@ mod tests {
     }
 
     #[test]
-    fn row_scatter_and_dot() {
+    fn row_entries_and_dot() {
         let s = SparseRowMatrix::from_triplets(1, 5, &[(0, 1, 2.0), (0, 4, -1.0)]).expect("valid");
-        let mut buf = vec![9.0; 5];
-        s.row_into_dense(0, &mut buf);
-        assert_eq!(buf, vec![0.0, 2.0, 0.0, 0.0, -1.0]);
+        assert_eq!(s.row(0), (&[1usize, 4][..], &[2.0, -1.0][..]));
         assert_eq!(s.row_dot(0, &[1.0, 1.0, 1.0, 1.0, 1.0]), 1.0);
     }
 

@@ -1,6 +1,6 @@
 //! Tridiagonal systems via the Thomas algorithm.
 
-use crate::{LinalgError, Matrix, Result, Vector};
+use crate::{LinalgError, Result, Vector};
 
 /// A tridiagonal system solved with the Thomas algorithm in `O(n)`.
 ///
@@ -119,20 +119,6 @@ impl Tridiagonal {
         Ok(x)
     }
 
-    /// Materializes the system as a dense [`Matrix`] (diagnostics / tests).
-    pub fn to_matrix(&self) -> Matrix {
-        let n = self.dim();
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = self.diag[i];
-            if i + 1 < n {
-                m[(i, i + 1)] = self.upper[i];
-                m[(i + 1, i)] = self.lower[i];
-            }
-        }
-        m
-    }
-
     /// Matrix–vector product with the tridiagonal operator.
     ///
     /// # Errors
@@ -163,6 +149,7 @@ impl Tridiagonal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Matrix;
 
     #[test]
     fn solves_known_system() {
@@ -183,7 +170,12 @@ mod tests {
         .unwrap();
         let b = Vector::from_slice(&[1.0, 2.0, 3.0, 4.0]);
         let x_tri = t.solve(&b).unwrap();
-        let x_lu = t.to_matrix().lu().unwrap().solve(&b).unwrap();
+        let dense = Matrix::from_fn(4, 4, |i, j| match i.abs_diff(j) {
+            0 => 4.0,
+            1 => -1.0,
+            _ => 0.0,
+        });
+        let x_lu = dense.lu().unwrap().solve(&b).unwrap();
         assert!((&x_tri - &x_lu).norm2() < 1e-12);
     }
 

@@ -145,11 +145,6 @@ impl Vector {
         maxabs * sum.sqrt()
     }
 
-    /// Sum of absolute values (L1 norm).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Maximum absolute value (infinity norm); `0.0` for the empty vector.
     pub fn norm_inf(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
@@ -378,7 +373,6 @@ mod tests {
     fn norms() {
         let v = Vector::from_slice(&[3.0, -4.0]);
         assert_eq!(v.norm2(), 5.0);
-        assert_eq!(v.norm1(), 7.0);
         assert_eq!(v.norm_inf(), 4.0);
         assert_eq!(Vector::zeros(3).norm2(), 0.0);
     }

@@ -1,9 +1,9 @@
-//! Error type for numerical routines.
+//! Error type for the quadrature rule.
 
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by quadrature, root-finding, and interpolation routines.
+/// Errors produced by the quadrature rule.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum NumericsError {
@@ -21,13 +21,6 @@ pub enum NumericsError {
         /// The minimum the rule requires.
         need: usize,
     },
-    /// The function values do not bracket a root.
-    RootNotBracketed {
-        /// `f(a)` at the left endpoint.
-        fa: f64,
-        /// `f(b)` at the right endpoint.
-        fb: f64,
-    },
     /// An iterative method exhausted its iteration budget.
     ConvergenceFailed {
         /// Iterations performed.
@@ -35,8 +28,6 @@ pub enum NumericsError {
         /// Best residual achieved.
         residual: f64,
     },
-    /// Generic invalid argument (NaN inputs, unsorted abscissae, ...).
-    InvalidArgument(&'static str),
 }
 
 impl fmt::Display for NumericsError {
@@ -48,9 +39,6 @@ impl fmt::Display for NumericsError {
             NumericsError::TooFewPoints { got, need } => {
                 write!(f, "too few points: got {got}, need at least {need}")
             }
-            NumericsError::RootNotBracketed { fa, fb } => {
-                write!(f, "root not bracketed: f(a)={fa}, f(b)={fb}")
-            }
             NumericsError::ConvergenceFailed {
                 iterations,
                 residual,
@@ -58,7 +46,6 @@ impl fmt::Display for NumericsError {
                 f,
                 "failed to converge after {iterations} iterations (residual {residual:e})"
             ),
-            NumericsError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
 }
@@ -74,12 +61,10 @@ mod tests {
         let errs = [
             NumericsError::InvalidInterval { a: 1.0, b: 0.0 },
             NumericsError::TooFewPoints { got: 1, need: 2 },
-            NumericsError::RootNotBracketed { fa: 1.0, fb: 2.0 },
             NumericsError::ConvergenceFailed {
                 iterations: 7,
                 residual: 1e-3,
             },
-            NumericsError::InvalidArgument("x"),
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -1,28 +1,21 @@
-//! Numerical analysis substrate for the `cellsync` workspace.
+//! Gauss–Legendre quadrature for the `cellsync` constraint integrals.
 //!
-//! The deconvolution pipeline repeatedly evaluates integrals of products of
-//! kernel samples, spline basis functions, and probability densities —
-//! e.g. the design matrix entries `A[m,i] = ∫Q(φ,t_m)ψ_i(φ)dφ` and the
-//! constraint functionals `β₀ = ∫β(φ)p(φ)dφ` of Eisenberg et al. (2011),
-//! eqs. 14–16. This crate provides the quadrature rules, root finders,
-//! finite-difference stencils, and interpolation used for those evaluations:
-//!
-//! * [`quadrature`] — trapezoid / Simpson composite rules on uniform grids,
-//!   a trapezoid rule for sampled (tabulated) data, Gauss–Legendre rules with
-//!   computed nodes, and adaptive Simpson integration.
-//! * [`rootfind`] — bisection, Brent's method, and damped Newton.
-//! * [`diff`] — central finite differences for first and second derivatives
-//!   (used to cross-check analytic spline derivatives in tests).
-//! * [`interp`] — piecewise-linear interpolation over sorted abscissae.
+//! The RNA-conservation and rate-continuity constraints of Eisenberg et
+//! al. (2011), eqs. 14–16, are integrals of a spline basis function (or
+//! its derivative) against the Gaussian density of the swarmer-to-stalked
+//! transition phase, e.g. `β₀ = ∫β(φ)p(φ)dφ`. `cellsync_core::constraints`
+//! evaluates them with the panelled [`quadrature::GaussLegendre`] rule
+//! this crate provides.
 //!
 //! # Example
 //!
 //! ```
-//! use cellsync_numerics::quadrature;
+//! use cellsync_numerics::quadrature::GaussLegendre;
 //!
 //! # fn main() -> Result<(), cellsync_numerics::NumericsError> {
-//! let integral = quadrature::simpson(|x| x * x, 0.0, 1.0, 100)?;
-//! assert!((integral - 1.0 / 3.0).abs() < 1e-10);
+//! let rule = GaussLegendre::new(16)?;
+//! let integral = rule.integrate_panels(|x| x * x, 0.0, 1.0, 4)?;
+//! assert!((integral - 1.0 / 3.0).abs() < 1e-14);
 //! # Ok(())
 //! # }
 //! ```
@@ -30,11 +23,8 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod diff;
 mod error;
-pub mod interp;
 pub mod quadrature;
-pub mod rootfind;
 
 pub use error::NumericsError;
 

@@ -1,118 +1,10 @@
 //! Numerical integration rules.
 //!
-//! The phase integrals of the deconvolution method (paper eqs. 1–3 and
-//! 14–16) are evaluated with the composite rules here. Kernel samples live
-//! on a uniform phase grid, so [`trapezoid_sampled`] is the workhorse;
-//! [`GaussLegendre`] covers smooth analytic integrands (Gaussian densities,
-//! spline products) where spectral accuracy is worthwhile.
+//! The constraint integrals of the deconvolution method (paper eqs. 14–16)
+//! have smooth analytic integrands (a Gaussian density times a spline
+//! piece), so a panelled [`GaussLegendre`] rule reaches solver precision.
 
 use crate::{NumericsError, Result};
-
-/// Composite trapezoid rule for `f` over `[a, b]` with `n` subintervals.
-///
-/// # Errors
-///
-/// * [`NumericsError::InvalidInterval`] for `a >= b` or non-finite bounds.
-/// * [`NumericsError::TooFewPoints`] for `n == 0`.
-///
-/// # Example
-///
-/// ```
-/// use cellsync_numerics::quadrature::trapezoid;
-/// let v = trapezoid(|x| x, 0.0, 2.0, 64)?;
-/// assert!((v - 2.0).abs() < 1e-12);
-/// # Ok::<(), cellsync_numerics::NumericsError>(())
-/// ```
-pub fn trapezoid<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> Result<f64> {
-    check_interval(a, b)?;
-    if n == 0 {
-        return Err(NumericsError::TooFewPoints { got: 0, need: 1 });
-    }
-    let h = (b - a) / n as f64;
-    let mut sum = 0.5 * (f(a) + f(b));
-    for i in 1..n {
-        sum += f(a + h * i as f64);
-    }
-    Ok(sum * h)
-}
-
-/// Composite Simpson rule for `f` over `[a, b]` with `n` subintervals
-/// (`n` is rounded up to the next even number).
-///
-/// # Errors
-///
-/// Same as [`trapezoid`].
-///
-/// # Example
-///
-/// ```
-/// use cellsync_numerics::quadrature::simpson;
-/// let v = simpson(|x: f64| x.exp(), 0.0, 1.0, 50)?;
-/// assert!((v - (std::f64::consts::E - 1.0)).abs() < 1e-8);
-/// # Ok::<(), cellsync_numerics::NumericsError>(())
-/// ```
-pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> Result<f64> {
-    check_interval(a, b)?;
-    if n == 0 {
-        return Err(NumericsError::TooFewPoints { got: 0, need: 2 });
-    }
-    let n = if n.is_multiple_of(2) { n } else { n + 1 };
-    let h = (b - a) / n as f64;
-    let mut sum = f(a) + f(b);
-    for i in 1..n {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        sum += w * f(a + h * i as f64);
-    }
-    Ok(sum * h / 3.0)
-}
-
-/// Trapezoid rule over tabulated samples `(x[i], y[i])` with strictly
-/// increasing `x` (not necessarily uniform).
-///
-/// This is how `∫Q(φ,t)f(φ)dφ` is evaluated when `Q` only exists as a
-/// Monte-Carlo histogram on a phase grid.
-///
-/// # Errors
-///
-/// * [`NumericsError::TooFewPoints`] when fewer than two samples are given.
-/// * [`NumericsError::InvalidArgument`] for mismatched lengths, non-finite
-///   values, or non-increasing abscissae.
-///
-/// # Example
-///
-/// ```
-/// use cellsync_numerics::quadrature::trapezoid_sampled;
-/// let x = [0.0, 0.5, 1.0];
-/// let y = [0.0, 0.5, 1.0];
-/// assert!((trapezoid_sampled(&x, &y)? - 0.5).abs() < 1e-15);
-/// # Ok::<(), cellsync_numerics::NumericsError>(())
-/// ```
-pub fn trapezoid_sampled(x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.len() < 2 {
-        return Err(NumericsError::TooFewPoints {
-            got: x.len(),
-            need: 2,
-        });
-    }
-    if x.len() != y.len() {
-        return Err(NumericsError::InvalidArgument(
-            "abscissae and ordinates must have equal length",
-        ));
-    }
-    if x.iter().chain(y.iter()).any(|v| !v.is_finite()) {
-        return Err(NumericsError::InvalidArgument("samples must be finite"));
-    }
-    if x.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(NumericsError::InvalidArgument(
-            "abscissae must be strictly increasing",
-        ));
-    }
-    let mut sum = 0.0;
-    for i in 1..x.len() {
-        sum += 0.5 * (y[i] + y[i - 1]) * (x[i] - x[i - 1]);
-    }
-    Ok(sum)
-}
 
 /// A Gauss–Legendre quadrature rule on `[-1, 1]` with computed nodes and
 /// weights, mappable to arbitrary intervals.
@@ -267,67 +159,6 @@ fn legendre_with_derivative(n: usize, x: f64) -> (f64, f64) {
     (p1, dp)
 }
 
-/// Adaptive Simpson integration with tolerance `tol`.
-///
-/// Recursively bisects intervals until the Richardson error estimate drops
-/// below the tolerance (proportionally allocated to subintervals).
-///
-/// # Errors
-///
-/// * [`NumericsError::InvalidInterval`] for a bad interval.
-/// * [`NumericsError::InvalidArgument`] for non-positive tolerance.
-///
-/// # Example
-///
-/// ```
-/// use cellsync_numerics::quadrature::adaptive_simpson;
-/// // A sharply peaked integrand that defeats coarse uniform rules.
-/// let v = adaptive_simpson(|x: f64| (-(x * 50.0).powi(2)).exp(), -1.0, 1.0, 1e-10)?;
-/// let exact = std::f64::consts::PI.sqrt() / 50.0;
-/// assert!((v - exact).abs() < 1e-8);
-/// # Ok::<(), cellsync_numerics::NumericsError>(())
-/// ```
-pub fn adaptive_simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> Result<f64> {
-    check_interval(a, b)?;
-    if !(tol > 0.0) {
-        return Err(NumericsError::InvalidArgument("tolerance must be positive"));
-    }
-    let fa = f(a);
-    let fb = f(b);
-    let m = 0.5 * (a + b);
-    let fm = f(m);
-    let whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb);
-    Ok(adaptive_simpson_rec(&f, a, b, fa, fb, fm, whole, tol, 50))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn adaptive_simpson_rec<F: Fn(f64) -> f64>(
-    f: &F,
-    a: f64,
-    b: f64,
-    fa: f64,
-    fb: f64,
-    fm: f64,
-    whole: f64,
-    tol: f64,
-    depth: usize,
-) -> f64 {
-    let m = 0.5 * (a + b);
-    let lm = 0.5 * (a + m);
-    let rm = 0.5 * (m + b);
-    let flm = f(lm);
-    let frm = f(rm);
-    let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-    let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-    let delta = left + right - whole;
-    if depth == 0 || delta.abs() <= 15.0 * tol {
-        left + right + delta / 15.0
-    } else {
-        adaptive_simpson_rec(f, a, m, fa, fm, flm, left, tol * 0.5, depth - 1)
-            + adaptive_simpson_rec(f, m, b, fm, fb, frm, right, tol * 0.5, depth - 1)
-    }
-}
-
 fn check_interval(a: f64, b: f64) -> Result<()> {
     if !a.is_finite() || !b.is_finite() || a >= b {
         return Err(NumericsError::InvalidInterval { a, b });
@@ -338,59 +169,6 @@ fn check_interval(a: f64, b: f64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trapezoid_exact_for_linear() {
-        let v = trapezoid(|x| 3.0 * x + 1.0, 0.0, 2.0, 7).unwrap();
-        assert!((v - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trapezoid_converges_quadratically() {
-        let exact = 1.0 / 3.0;
-        let e1 = (trapezoid(|x| x * x, 0.0, 1.0, 10).unwrap() - exact).abs();
-        let e2 = (trapezoid(|x| x * x, 0.0, 1.0, 20).unwrap() - exact).abs();
-        let ratio = e1 / e2;
-        assert!((ratio - 4.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn simpson_exact_for_cubics() {
-        let v = simpson(|x| x * x * x - 2.0 * x, -1.0, 3.0, 2).unwrap();
-        // ∫(x³−2x) over [−1,3] = [x⁴/4 − x²] = (81/4−9) − (1/4−1) = 12
-        assert!((v - 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simpson_rounds_odd_n_up() {
-        let v = simpson(|x| x * x, 0.0, 1.0, 3).unwrap();
-        assert!((v - 1.0 / 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sampled_matches_function_rule() {
-        let n = 100;
-        let x: Vec<f64> = (0..=n).map(|i| i as f64 / n as f64).collect();
-        let y: Vec<f64> = x.iter().map(|&v| v.sin()).collect();
-        let a = trapezoid_sampled(&x, &y).unwrap();
-        let b = trapezoid(|v| v.sin(), 0.0, 1.0, n).unwrap();
-        assert!((a - b).abs() < 1e-14);
-    }
-
-    #[test]
-    fn sampled_handles_nonuniform() {
-        let x = [0.0, 0.1, 0.5, 1.0];
-        let y = [1.0, 1.0, 1.0, 1.0];
-        assert!((trapezoid_sampled(&x, &y).unwrap() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sampled_validation() {
-        assert!(trapezoid_sampled(&[0.0], &[1.0]).is_err());
-        assert!(trapezoid_sampled(&[0.0, 1.0], &[1.0]).is_err());
-        assert!(trapezoid_sampled(&[0.0, 0.0], &[1.0, 1.0]).is_err());
-        assert!(trapezoid_sampled(&[0.0, f64::NAN], &[1.0, 1.0]).is_err());
-    }
 
     #[test]
     fn gauss_legendre_nodes_symmetric() {
@@ -431,18 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_simpson_peaked_integrand() {
-        let v = adaptive_simpson(|x: f64| 1.0 / (1e-4 + x * x), -1.0, 1.0, 1e-10).unwrap();
-        let exact = 2.0 * (1.0 / 1e-2) * (1.0_f64 / 1e-2).atan();
-        assert!((v - exact).abs() / exact < 1e-8);
-    }
-
-    #[test]
     fn interval_validation() {
-        assert!(trapezoid(|x| x, 1.0, 0.0, 4).is_err());
-        assert!(simpson(|x| x, 0.0, f64::NAN, 4).is_err());
-        assert!(adaptive_simpson(|x| x, 0.0, 1.0, 0.0).is_err());
         let rule = GaussLegendre::new(4).unwrap();
+        assert!(rule.integrate(|x| x, 1.0, 0.0).is_err());
+        assert!(rule.integrate(|x| x, 0.0, f64::NAN).is_err());
         assert!(rule.integrate(|x| x, 2.0, 2.0).is_err());
         assert!(rule.integrate_panels(|x| x, 0.0, 1.0, 0).is_err());
     }
@@ -450,7 +220,5 @@ mod tests {
     #[test]
     fn zero_points_rejected() {
         assert!(GaussLegendre::new(0).is_err());
-        assert!(trapezoid(|x| x, 0.0, 1.0, 0).is_err());
-        assert!(simpson(|x| x, 0.0, 1.0, 0).is_err());
     }
 }

@@ -1,8 +1,6 @@
-//! Property-based tests of the numerical-analysis substrate.
+//! Property-based tests of the Gauss–Legendre rule.
 
-use cellsync_numerics::interp::LinearInterpolator;
-use cellsync_numerics::quadrature::{simpson, trapezoid, trapezoid_sampled, GaussLegendre};
-use cellsync_numerics::rootfind::{bisect, brent};
+use cellsync_numerics::quadrature::GaussLegendre;
 use proptest::prelude::*;
 
 proptest! {
@@ -10,20 +8,23 @@ proptest! {
 
     #[test]
     fn quadrature_linear_in_integrand(a in -2.0..2.0f64, b in -2.0..2.0f64, s in 0.5..3.0f64) {
-        // ∫(s·f) = s·∫f for all rules.
-        let f = move |x: f64| a * x * x + b * x + 1.0;
-        let sf = move |x: f64| s * (a * x * x + b * x + 1.0);
-        let t1 = trapezoid(f, 0.0, 1.0, 64).expect("valid interval");
-        let t2 = trapezoid(sf, 0.0, 1.0, 64).expect("valid interval");
+        // ∫(s·f) = s·∫f.
+        let rule = GaussLegendre::new(16).expect("n > 0");
+        let f = move |x: f64| a * (3.0 * x).sin() + b * x + 1.0;
+        let sf = move |x: f64| s * f(x);
+        let t1 = rule.integrate_panels(f, 0.0, 1.0, 4).expect("valid interval");
+        let t2 = rule.integrate_panels(sf, 0.0, 1.0, 4).expect("valid interval");
         prop_assert!((t2 - s * t1).abs() < 1e-12 * (1.0 + t1.abs()));
     }
 
     #[test]
-    fn simpson_exact_on_cubics(c3 in -2.0..2.0f64, c2 in -2.0..2.0f64, c1 in -2.0..2.0f64) {
-        let f = move |x: f64| c3 * x.powi(3) + c2 * x * x + c1 * x + 0.5;
-        let exact = c3 / 4.0 + c2 / 3.0 + c1 / 2.0 + 0.5;
-        let v = simpson(f, 0.0, 1.0, 2).expect("valid interval");
-        prop_assert!((v - exact).abs() < 1e-12, "{v} vs {exact}");
+    fn interval_additivity(split in 0.1..0.9f64) {
+        let rule = GaussLegendre::new(16).expect("n > 0");
+        let f = |x: f64| (3.0 * x).sin() + 2.0;
+        let whole = rule.integrate_panels(f, 0.0, 1.0, 4).expect("valid");
+        let left = rule.integrate_panels(f, 0.0, split, 4).expect("valid");
+        let right = rule.integrate_panels(f, split, 1.0, 4).expect("valid");
+        prop_assert!((whole - left - right).abs() < 1e-12);
     }
 
     #[test]
@@ -36,57 +37,5 @@ proptest! {
         // Odd power integrates to 0; even power 2/(degree).
         let exact = 2.0 / degree as f64;
         prop_assert!((v - exact).abs() < 1e-10, "n={n}: {v} vs {exact}");
-    }
-
-    #[test]
-    fn interval_additivity(split in 0.1..0.9f64) {
-        let f = |x: f64| (3.0 * x).sin() + 2.0;
-        let whole = simpson(f, 0.0, 1.0, 512).expect("valid");
-        let left = simpson(f, 0.0, split, 512).expect("valid");
-        let right = simpson(f, split, 1.0, 512).expect("valid");
-        prop_assert!((whole - left - right).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sampled_trapezoid_matches_functional(n in 8usize..128) {
-        let xs: Vec<f64> = (0..=n).map(|i| i as f64 / n as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| x * x + 1.0).collect();
-        let a = trapezoid_sampled(&xs, &ys).expect("sorted samples");
-        let b = trapezoid(|x| x * x + 1.0, 0.0, 1.0, n).expect("valid");
-        prop_assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn roots_agree_across_methods(offset in -0.9..0.9f64) {
-        let f = move |x: f64| x * x * x - offset;
-        let target = offset.cbrt();
-        let rb = bisect(f, -2.0, 2.0, 1e-12, 200).expect("bracketed");
-        let rr = brent(f, -2.0, 2.0, 1e-13, 200).expect("bracketed");
-        prop_assert!((rb.x - target).abs() < 1e-9);
-        prop_assert!((rr.x - target).abs() < 1e-9);
-    }
-
-    #[test]
-    fn interpolator_within_data_hull(
-        ys in prop::collection::vec(-5.0..5.0f64, 4..12),
-        q in 0.0..1.0f64,
-    ) {
-        let n = ys.len();
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 / (n - 1) as f64).collect();
-        let li = LinearInterpolator::new(xs, ys.clone()).expect("sorted");
-        let v = li.eval(q);
-        let lo = ys.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = ys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
-    }
-
-    #[test]
-    fn interpolator_reproduces_nodes(ys in prop::collection::vec(-5.0..5.0f64, 3..10)) {
-        let n = ys.len();
-        let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let li = LinearInterpolator::new(xs.clone(), ys.clone()).expect("sorted");
-        for (x, y) in xs.iter().zip(&ys) {
-            prop_assert!((li.eval(*x) - y).abs() < 1e-12);
-        }
     }
 }

@@ -10,7 +10,7 @@
 //! * [`OdeSystem`] — the right-hand-side trait implemented by all models.
 //! * [`solver`] — fixed-step Euler / Heun / classic RK4 and the adaptive
 //!   Dormand–Prince 5(4) pair, all producing a dense [`Trajectory`].
-//! * [`models`] — Lotka–Volterra, Goodwin, repressilator, and a damped
+//! * [`models`] — Lotka–Volterra, Goodwin, and a damped
 //!   linear oscillator with a closed-form solution for validation.
 //! * [`period`] — oscillation-period estimation by refined peak detection,
 //!   plus exact time-rescaling of Lotka–Volterra parameters to hit a target

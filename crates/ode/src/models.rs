@@ -10,13 +10,6 @@ fn check_positive(name: &'static str, v: f64) -> Result<f64> {
     Ok(v)
 }
 
-fn check_finite(name: &'static str, v: f64) -> Result<f64> {
-    if !v.is_finite() {
-        return Err(OdeError::InvalidParameter { name, value: v });
-    }
-    Ok(v)
-}
-
 /// The classical Lotka–Volterra oscillator (paper eqs. 20–21):
 ///
 /// ```text
@@ -229,79 +222,6 @@ impl OdeSystem for Goodwin {
     }
 }
 
-/// The Elowitz–Leibler repressilator (symmetric three-gene ring):
-///
-/// ```text
-/// ṁᵢ = −mᵢ + α/(1 + pⱼⁿ) + α₀,   ṗᵢ = −β(pᵢ − mᵢ)
-/// ```
-///
-/// with `j` the upstream repressor of gene `i`. Six state variables
-/// `(m₁, p₁, m₂, p₂, m₃, p₃)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Repressilator {
-    alpha: f64,
-    alpha0: f64,
-    beta: f64,
-    hill: f64,
-}
-
-impl Repressilator {
-    /// Creates a repressilator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::InvalidParameter`] for negative `alpha0` or
-    /// non-positive `alpha`, `beta`, `hill`.
-    pub fn new(alpha: f64, alpha0: f64, beta: f64, hill: f64) -> Result<Self> {
-        check_positive("alpha", alpha)?;
-        check_finite("alpha0", alpha0)?;
-        if alpha0 < 0.0 {
-            return Err(OdeError::InvalidParameter {
-                name: "alpha0",
-                value: alpha0,
-            });
-        }
-        Ok(Repressilator {
-            alpha,
-            alpha0,
-            beta: check_positive("beta", beta)?,
-            hill: check_positive("hill", hill)?,
-        })
-    }
-
-    /// The oscillating parameter set from the original paper
-    /// (`α = 216`, `α₀ = 0.216`, `β = 5`, `n = 2`).
-    ///
-    /// # Errors
-    ///
-    /// Never fails in practice; kept fallible for constructor uniformity.
-    pub fn classic() -> Result<Self> {
-        Repressilator::new(216.0, 0.216, 5.0, 2.0)
-    }
-}
-
-impl OdeSystem for Repressilator {
-    fn dim(&self) -> usize {
-        6
-    }
-
-    fn rhs(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
-        // State layout: (m1, p1, m2, p2, m3, p3); gene i repressed by p_{i-1}.
-        for i in 0..3 {
-            let m = y[2 * i];
-            let p = y[2 * i + 1];
-            let upstream_p = y[(2 * i + 5) % 6]; // p of the previous gene
-            let rep = upstream_p.max(0.0).powf(self.hill);
-            dydt[2 * i] = -m + self.alpha / (1.0 + rep) + self.alpha0;
-            dydt[2 * i + 1] = -self.beta * (p - m);
-        }
-    }
-
-    fn name(&self) -> &str {
-        "repressilator"
-    }
-}
-
 /// Damped linear oscillator `ẍ + 2ζω·ẋ + ω²·x = 0` with closed-form
 /// solution — the ground truth for integrator-accuracy tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -436,28 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn repressilator_oscillates() {
-        let r = Repressilator::classic().unwrap();
-        let y0 = [1.0, 2.0, 0.5, 1.0, 3.0, 0.2];
-        let traj = Rk4::new(0.005)
-            .unwrap()
-            .integrate(&r, &y0, 0.0, 100.0)
-            .unwrap();
-        let p1: Vec<f64> = traj
-            .component(1)
-            .unwrap()
-            .into_iter()
-            .skip(traj.len() / 2)
-            .collect();
-        let mean = p1.iter().sum::<f64>() / p1.len() as f64;
-        let crossings = p1
-            .windows(2)
-            .filter(|w| (w[0] - mean) * (w[1] - mean) < 0.0)
-            .count();
-        assert!(crossings >= 4, "crossings {crossings}");
-    }
-
-    #[test]
     fn damped_oscillator_matches_exact() {
         let d = DampedOscillator::new(2.0, 0.1).unwrap();
         let traj = Rk4::new(0.001)
@@ -474,7 +372,6 @@ mod tests {
     #[test]
     fn constructor_validation() {
         assert!(Goodwin::new(0.7, 1.0, 4.0, 0.0, 1.0, 0.7, 0.35, 1.0, 0.7, 0.35, 1.0).is_err());
-        assert!(Repressilator::new(216.0, -0.1, 5.0, 2.0).is_err());
         assert!(DampedOscillator::new(1.0, 1.0).is_err());
         assert!(DampedOscillator::new(-1.0, 0.5).is_err());
     }

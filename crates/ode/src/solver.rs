@@ -246,8 +246,11 @@ impl Rk4 {
 pub struct DormandPrince {
     rtol: f64,
     atol: f64,
-    max_steps: usize,
 }
+
+/// Step budget of [`DormandPrince::integrate`]; exceeding it reports
+/// [`OdeError::StepSizeUnderflow`].
+const MAX_STEPS: usize = 10_000_000;
 
 impl DormandPrince {
     /// Creates an adaptive integrator with relative tolerance `rtol` and
@@ -260,18 +263,7 @@ impl DormandPrince {
         if !(rtol > 0.0) || !rtol.is_finite() || !(atol > 0.0) || !atol.is_finite() {
             return Err(OdeError::InvalidStep(rtol.min(atol)));
         }
-        Ok(DormandPrince {
-            rtol,
-            atol,
-            max_steps: 10_000_000,
-        })
-    }
-
-    /// Replaces the step budget (default 10⁷).
-    #[must_use]
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
+        Ok(DormandPrince { rtol, atol })
     }
 
     /// Integrates `system` from `y0` over `[t0, t1]`.
@@ -360,7 +352,7 @@ impl DormandPrince {
         system.rhs(t, &y, &mut k[0]);
         let mut steps = 0usize;
         while t < t1 {
-            if steps >= self.max_steps {
+            if steps >= MAX_STEPS {
                 return Err(OdeError::StepSizeUnderflow { t });
             }
             steps += 1;

@@ -122,7 +122,6 @@ pub struct QpProblem<'a> {
     ineq: Option<IneqRef<'a>>,
     start: Option<&'a Vector>,
     direction: Option<&'a Vector>,
-    max_iterations: usize,
     tolerance: f64,
     cancel: Option<CancelToken>,
 }
@@ -166,7 +165,6 @@ impl<'a> QpProblem<'a> {
                 got: c.len(),
             });
         }
-        let n = h.rows();
         Ok(QpProblem {
             h,
             c,
@@ -174,7 +172,6 @@ impl<'a> QpProblem<'a> {
             ineq: None,
             start: None,
             direction: None,
-            max_iterations: 100 * (n + 10),
             tolerance: 1e-10,
             cancel: None,
         })
@@ -310,13 +307,6 @@ impl<'a> QpProblem<'a> {
         self
     }
 
-    /// Replaces the iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
-    }
-
     /// Attaches a cooperative cancellation token. Both backends poll it
     /// once per outer iteration and abandon the solve with
     /// [`OptError::Cancelled`] when it fires; a cancelled solve leaves the
@@ -361,9 +351,9 @@ impl<'a> QpProblem<'a> {
         self.ineq.as_ref().map(|iq| (iq.dense(), iq.rhs()))
     }
 
-    /// The iteration budget.
+    /// The iteration budget, `100·(n + 10)`.
     pub(crate) fn iteration_budget(&self) -> usize {
-        self.max_iterations
+        100 * (self.dim() + 10)
     }
 
     /// Checks feasibility of `x` within tolerance `tol`.
@@ -676,7 +666,7 @@ impl QpWorkspace {
             self.seed_working_from_hint(problem)?;
         }
 
-        for iteration in 0..problem.max_iterations {
+        for iteration in 0..problem.iteration_budget() {
             problem.check_cancel()?;
             self.working_minimizer(problem)?;
 

@@ -108,12 +108,6 @@ impl CancelToken {
             .deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
-
-    /// True when two tokens share the same underlying state.
-    #[must_use]
-    pub fn same_token(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl Default for CancelToken {
@@ -127,7 +121,7 @@ impl Default for CancelToken {
 /// comparable without pretending two unrelated budgets are interchangeable.
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
-        self.same_token(other)
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 

@@ -19,7 +19,8 @@
 //! * **Deterministic result ordering.** Workers steal *indices*, not
 //!   results: slot `i` of the output always holds `f(i)`, so the output is
 //!   bit-identical at any thread count whenever `f` itself is a pure
-//!   function of its index.
+//!   function of its index. Randomized work keeps that property by
+//!   seeding index `i`'s RNG with [`stream_seed`].
 //! * **Panic propagation.** A panic inside a worker is re-raised on the
 //!   calling thread with its original payload (no poisoned state, no
 //!   swallowed errors).
@@ -68,6 +69,31 @@ pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
             "non-string panic payload".to_string()
         }),
     }
+}
+
+/// SplitMix64 finalizer: a cheap, well-mixed hash of one `u64`.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The seed of per-index stream `index` under `seed`, a hash of the pair
+/// `(seed, index)`. Parallel randomized paths (bootstrap replicates,
+/// multi-start perturbations, chaos fault plans) seed stream `i` with
+/// `stream_seed(seed, i)`, so results never depend on which worker ran
+/// `i`. The index is hashed before it meets the seed: unlike `seed ^ i`,
+/// seeds that differ only in low bits do not share their streams.
+///
+/// ```
+/// use cellsync_runtime::stream_seed;
+///
+/// assert_eq!(stream_seed(7, 3), stream_seed(7, 3));
+/// assert_ne!(stream_seed(0, 1), stream_seed(1, 0));
+/// ```
+pub fn stream_seed(seed: u64, index: u64) -> u64 {
+    splitmix64(seed ^ splitmix64(index))
 }
 
 /// A scoped worker pool of a fixed width.
@@ -311,17 +337,6 @@ impl Pool {
             })
             .collect())
     }
-
-    /// Maps `f` over a slice with the pool, preserving order — sugar over
-    /// [`Pool::par_map_indexed`] for slice-shaped inputs.
-    pub fn par_map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        self.par_map_indexed(items.len(), |i| f(&items[i]))
-    }
 }
 
 impl Default for Pool {
@@ -471,13 +486,6 @@ mod tests {
                 "threads {threads}"
             );
         }
-    }
-
-    #[test]
-    fn par_map_over_slice() {
-        let items = vec![1.5, 2.5, 3.5];
-        let doubled = Pool::new(2).par_map(&items, |x| x * 2.0);
-        assert_eq!(doubled, vec![3.0, 5.0, 7.0]);
     }
 
     #[test]

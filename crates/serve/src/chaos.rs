@@ -36,14 +36,6 @@ pub struct FaultPlan {
     rate_pct: u8,
 }
 
-/// SplitMix64 finalizer: a cheap, well-mixed hash of one `u64`.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl FaultPlan {
     /// A plan injecting faults into `rate_pct`% (clamped to 100) of
     /// request indices under `seed`.
@@ -67,7 +59,7 @@ impl FaultPlan {
     /// The fault assigned to request `index`, if any. Pure: the same
     /// `(seed, rate, index)` always answers the same.
     pub fn fault_for(&self, index: u64) -> Option<Fault> {
-        let h = splitmix64(self.seed ^ splitmix64(index));
+        let h = cellsync_runtime::stream_seed(self.seed, index);
         if (h % 100) as u8 >= self.rate_pct {
             return None;
         }

@@ -111,11 +111,6 @@ impl BSplineBasis {
         &self.breaks
     }
 
-    /// The full open knot vector (`n + 4` entries, clamped ends).
-    pub fn knot_vector(&self) -> &[f64] {
-        &self.t
-    }
-
     /// The domain `[a, b]`.
     pub fn domain(&self) -> (f64, f64) {
         (self.t[0], self.t[self.t.len() - 1])
@@ -462,14 +457,6 @@ impl SplineBasis {
         }
     }
 
-    /// The natural-basis payload when this is the cardinal basis.
-    pub fn as_natural(&self) -> Option<&NaturalSplineBasis> {
-        match self {
-            SplineBasis::Natural(b) => Some(b),
-            SplineBasis::BSpline(_) => None,
-        }
-    }
-
     /// Whether every basis function has local (bounded-overlap) support.
     pub fn is_local(&self) -> bool {
         matches!(self, SplineBasis::BSpline(_))
@@ -629,7 +616,6 @@ mod tests {
         assert!(BSplineBasis::uniform(4, 0.0, f64::NAN).is_err());
         let b = BSplineBasis::uniform(9, 0.0, 1.0).unwrap();
         assert_eq!(b.len(), 9);
-        assert_eq!(b.knot_vector().len(), 13);
         assert_eq!(b.knots().len(), 7); // n − 2 breakpoints
         assert_eq!(b.domain(), (0.0, 1.0));
     }
@@ -852,7 +838,6 @@ mod tests {
         let bspline: SplineBasis = BSplineBasis::uniform(8, 0.0, 1.0).unwrap().into();
         assert!(!natural.is_local() && bspline.is_local());
         assert!(natural.as_bspline().is_none() && bspline.as_bspline().is_some());
-        assert!(natural.as_natural().is_some() && bspline.as_natural().is_none());
         assert!(natural.penalty_banded().is_none());
         assert_eq!(
             bspline.penalty_banded().unwrap().to_dense(),

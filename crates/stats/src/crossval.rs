@@ -76,26 +76,6 @@ pub fn k_fold<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> Result<Vec<Fo
     Ok(folds)
 }
 
-/// Leave-one-out folds: `n` folds each holding out a single index.
-///
-/// # Errors
-///
-/// Returns [`StatsError::InvalidFolds`] when `n < 2`.
-pub fn leave_one_out(n: usize) -> Result<Vec<Fold>> {
-    if n < 2 {
-        return Err(StatsError::InvalidFolds {
-            folds: n,
-            samples: n,
-        });
-    }
-    Ok((0..n)
-        .map(|held| Fold {
-            train: (0..n).filter(|&i| i != held).collect(),
-            validation: vec![held],
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,21 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn loo_folds() {
-        let folds = leave_one_out(4).unwrap();
-        assert_eq!(folds.len(), 4);
-        for (i, f) in folds.iter().enumerate() {
-            assert_eq!(f.validation, vec![i]);
-            assert_eq!(f.train.len(), 3);
-            assert!(!f.train.contains(&i));
-        }
-    }
-
-    #[test]
     fn invalid_configurations() {
         let mut rng = StdRng::seed_from_u64(0);
         assert!(k_fold(5, 1, &mut rng).is_err());
         assert!(k_fold(3, 4, &mut rng).is_err());
-        assert!(leave_one_out(1).is_err());
     }
 }

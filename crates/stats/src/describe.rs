@@ -32,46 +32,6 @@ pub fn variance(xs: &[f64]) -> Result<f64> {
     Ok(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64)
 }
 
-/// Sample variance (divides by `n − 1`).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptySample`] for samples with fewer than two
-/// elements.
-pub fn sample_variance(xs: &[f64]) -> Result<f64> {
-    if xs.len() < 2 {
-        return Err(StatsError::EmptySample);
-    }
-    let m = mean(xs)?;
-    Ok(xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (xs.len() - 1) as f64)
-}
-
-/// Population standard deviation.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptySample`] for empty input.
-pub fn std_dev(xs: &[f64]) -> Result<f64> {
-    Ok(variance(xs)?.sqrt())
-}
-
-/// Coefficient of variation `σ/|μ|`.
-///
-/// # Errors
-///
-/// * [`StatsError::EmptySample`] for empty input.
-/// * [`StatsError::InvalidParameter`] when the mean is zero.
-pub fn coefficient_of_variation(xs: &[f64]) -> Result<f64> {
-    let m = mean(xs)?;
-    if m == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "mean",
-            value: 0.0,
-        });
-    }
-    Ok(std_dev(xs)? / m.abs())
-}
-
 /// Empirical quantile by linear interpolation of order statistics
 /// (type-7 / NumPy default).
 ///
@@ -103,58 +63,6 @@ pub fn median(xs: &[f64]) -> Result<f64> {
     quantile(xs, 0.5)
 }
 
-/// Five-number summary plus mean and standard deviation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// First quartile.
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Third quartile.
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std_dev: f64,
-}
-
-/// Computes a [`Summary`] in one pass over sorted data.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptySample`] for empty input.
-///
-/// # Example
-///
-/// ```
-/// use cellsync_stats::describe::summarize;
-/// let s = summarize(&[1.0, 2.0, 3.0, 4.0, 5.0])?;
-/// assert_eq!(s.median, 3.0);
-/// assert_eq!(s.n, 5);
-/// # Ok::<(), cellsync_stats::StatsError>(())
-/// ```
-pub fn summarize(xs: &[f64]) -> Result<Summary> {
-    if xs.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    Ok(Summary {
-        n: xs.len(),
-        min: quantile(xs, 0.0)?,
-        q1: quantile(xs, 0.25)?,
-        median: quantile(xs, 0.5)?,
-        q3: quantile(xs, 0.75)?,
-        max: quantile(xs, 1.0)?,
-        mean: mean(xs)?,
-        std_dev: std_dev(xs)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,15 +72,6 @@ mod tests {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs).unwrap(), 5.0);
         assert_eq!(variance(&xs).unwrap(), 4.0);
-        assert_eq!(std_dev(&xs).unwrap(), 2.0);
-        assert!((sample_variance(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cv_known() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(coefficient_of_variation(&xs).unwrap(), 0.4);
-        assert!(coefficient_of_variation(&[-1.0, 1.0]).is_err());
     }
 
     #[test]
@@ -191,23 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_consistency() {
-        let xs = [3.0, 1.0, 2.0, 5.0, 4.0];
-        let s = summarize(&xs).unwrap();
-        assert_eq!(s.n, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.mean, 3.0);
-    }
-
-    #[test]
     fn empty_inputs_error() {
         assert!(mean(&[]).is_err());
         assert!(variance(&[]).is_err());
-        assert!(sample_variance(&[1.0]).is_err());
         assert!(quantile(&[], 0.5).is_err());
-        assert!(summarize(&[]).is_err());
         assert!(quantile(&[1.0], 1.5).is_err());
     }
 }

@@ -380,82 +380,6 @@ impl ContinuousDistribution for TruncatedNormal {
     }
 }
 
-/// Log-normal distribution: `exp(N(mu, sigma²))`.
-///
-/// Offered as an alternative cycle-time model (strictly positive support,
-/// right-skewed, as observed in single-cell interdivision-time data).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal whose *logarithm* is `N(mu, sigma²)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Normal::new`].
-    pub fn new(mu: f64, sigma: f64) -> Result<Self> {
-        Ok(LogNormal {
-            normal: Normal::new(mu, sigma)?,
-        })
-    }
-
-    /// Creates a log-normal with the given *arithmetic* mean and CV.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::InvalidParameter`] for non-positive mean or CV.
-    pub fn from_mean_cv(mean: f64, cv: f64) -> Result<Self> {
-        if !(mean > 0.0) || !mean.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "mean",
-                value: mean,
-            });
-        }
-        if !(cv > 0.0) || !cv.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "cv",
-                value: cv,
-            });
-        }
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = mean.ln() - 0.5 * sigma2;
-        LogNormal::new(mu, sigma2.sqrt())
-    }
-}
-
-impl ContinuousDistribution for LogNormal {
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            self.normal.pdf(x.ln()) / x
-        }
-    }
-
-    fn cdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            self.normal.cdf(x.ln())
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        (self.normal.mu() + 0.5 * self.normal.variance()).exp()
-    }
-
-    fn variance(&self) -> f64 {
-        let s2 = self.normal.variance();
-        ((s2).exp() - 1.0) * (2.0 * self.normal.mu() + s2).exp()
-    }
-
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-}
-
 /// Continuous uniform distribution on `[lo, hi)`.
 ///
 /// The synchronized swarmer inoculum of the paper places initial phases
@@ -624,25 +548,6 @@ mod tests {
         let base = Normal::new(0.0, 0.01).unwrap();
         assert!(TruncatedNormal::new(base, 10.0, 11.0).is_err());
         assert!(TruncatedNormal::new(base, 1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn lognormal_moments() {
-        let ln = LogNormal::from_mean_cv(150.0, 0.2).unwrap();
-        assert!((ln.mean() - 150.0).abs() < 1e-9);
-        let cv = ln.variance().sqrt() / ln.mean();
-        assert!((cv - 0.2).abs() < 1e-9);
-        assert_eq!(ln.pdf(-1.0), 0.0);
-        assert_eq!(ln.cdf(0.0), 0.0);
-    }
-
-    #[test]
-    fn lognormal_samples_positive() {
-        let ln = LogNormal::from_mean_cv(10.0, 0.5).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..1000 {
-            assert!(ln.sample(&mut rng) > 0.0);
-        }
     }
 
     #[test]

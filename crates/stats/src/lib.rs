@@ -6,12 +6,12 @@
 //! Fig. 3 validation adds Gaussian measurement noise at 10 % of the data
 //! magnitude. This crate supplies those pieces:
 //!
-//! * [`dist`] — analytic distributions (normal, truncated normal, log-normal,
-//!   uniform) with pdf/cdf/quantile and seeded sampling built on Box–Muller
-//!   over the `rand` uniform source.
+//! * [`dist`] — analytic distributions (normal, truncated normal, uniform)
+//!   with pdf/cdf/quantile and seeded sampling built on Box–Muller over the
+//!   `rand` uniform source.
 //! * [`describe`] — descriptive statistics (mean, variance, quantiles).
 //! * [`metrics`] — reconstruction-quality metrics (RMSE, normalized RMSE,
-//!   MAE, Pearson correlation, R²) used by EXPERIMENTS.md comparisons.
+//!   Pearson correlation, relative error) used by EXPERIMENTS.md comparisons.
 //! * [`noise`] — measurement-noise models applied to population series.
 //! * [`crossval`] — deterministic k-fold index splitting for the
 //!   cross-validated choice of the smoothing parameter λ (paper eq. 5).

@@ -2,8 +2,8 @@
 //!
 //! EXPERIMENTS.md reports every figure reproduction as paper-vs-measured;
 //! these metrics quantify how closely a deconvolved profile matches the
-//! known synchronous truth (root-mean-square error, correlation, R², and
-//! feature-level comparisons).
+//! known synchronous truth (root-mean-square error, correlation, and
+//! relative error of recovered parameters).
 
 use crate::{Result, StatsError};
 
@@ -63,35 +63,6 @@ pub fn nrmse(truth: &[f64], estimate: &[f64]) -> Result<f64> {
     Ok(r / range)
 }
 
-/// Mean absolute error.
-///
-/// # Errors
-///
-/// [`StatsError::EmptySample`] / [`StatsError::LengthMismatch`].
-pub fn mae(truth: &[f64], estimate: &[f64]) -> Result<f64> {
-    check_pair(truth, estimate)?;
-    Ok(truth
-        .iter()
-        .zip(estimate)
-        .map(|(t, e)| (t - e).abs())
-        .sum::<f64>()
-        / truth.len() as f64)
-}
-
-/// Maximum absolute error.
-///
-/// # Errors
-///
-/// [`StatsError::EmptySample`] / [`StatsError::LengthMismatch`].
-pub fn max_abs_error(truth: &[f64], estimate: &[f64]) -> Result<f64> {
-    check_pair(truth, estimate)?;
-    Ok(truth
-        .iter()
-        .zip(estimate)
-        .map(|(t, e)| (t - e).abs())
-        .fold(0.0, f64::max))
-}
-
 /// Pearson correlation coefficient.
 ///
 /// # Errors
@@ -129,30 +100,6 @@ pub fn pearson(a: &[f64], b: &[f64]) -> Result<f64> {
     Ok(cov / (va.sqrt() * vb.sqrt()))
 }
 
-/// Coefficient of determination R² of `estimate` against `truth`.
-///
-/// # Errors
-///
-/// [`StatsError::EmptySample`] / [`StatsError::LengthMismatch`];
-/// [`StatsError::InvalidParameter`] when the truth is constant.
-pub fn r_squared(truth: &[f64], estimate: &[f64]) -> Result<f64> {
-    check_pair(truth, estimate)?;
-    let m = truth.iter().sum::<f64>() / truth.len() as f64;
-    let ss_tot: f64 = truth.iter().map(|t| (t - m).powi(2)).sum();
-    if ss_tot == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            name: "truth variance",
-            value: 0.0,
-        });
-    }
-    let ss_res: f64 = truth
-        .iter()
-        .zip(estimate)
-        .map(|(t, e)| (t - e).powi(2))
-        .sum();
-    Ok(1.0 - ss_res / ss_tot)
-}
-
 /// Relative error `|est − truth| / |truth|` of a scalar quantity
 /// (used for parameter-recovery comparisons, paper §5).
 ///
@@ -174,15 +121,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rmse_mae_known() {
+    fn rmse_known() {
         let t = [1.0, 2.0, 3.0];
         let e = [1.0, 2.0, 3.0];
         assert_eq!(rmse(&t, &e).unwrap(), 0.0);
-        assert_eq!(mae(&t, &e).unwrap(), 0.0);
         let e2 = [2.0, 3.0, 4.0];
         assert_eq!(rmse(&t, &e2).unwrap(), 1.0);
-        assert_eq!(mae(&t, &e2).unwrap(), 1.0);
-        assert_eq!(max_abs_error(&t, &e2).unwrap(), 1.0);
     }
 
     #[test]
@@ -197,14 +141,6 @@ mod tests {
     fn pearson_known() {
         assert!((pearson(&[1.0, 2.0, 3.0], &[6.0, 4.0, 2.0]).unwrap() + 1.0).abs() < 1e-12);
         assert!(pearson(&[1.0, 1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn r_squared_perfect_and_mean_predictor() {
-        let t = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(r_squared(&t, &t).unwrap(), 1.0);
-        let mean_pred = [2.5, 2.5, 2.5, 2.5];
-        assert!((r_squared(&t, &mean_pred).unwrap()).abs() < 1e-12);
     }
 
     #[test]
