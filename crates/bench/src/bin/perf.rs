@@ -58,7 +58,7 @@ use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, PhaseKernel, Population,
 };
 use cellsync_runtime::Pool;
-use cellsync_spline::NaturalSplineBasis;
+use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -244,7 +244,7 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
     let coeffs: Vec<f64> = (0..24).map(|i| (i as f64 * 0.3).sin() + 1.5).collect();
     let (median, min) = time_reps(reps, || {
         for _ in 0..10 {
-            let basis = NaturalSplineBasis::uniform(24, 0.0, 1.0).expect("n >= 4");
+            let basis = SplineBasis::uniform(24, 0.0, 1.0).expect("n >= 4");
             std::hint::black_box(basis.penalty_matrix());
             for i in 0..400 {
                 std::hint::black_box(
@@ -334,7 +334,7 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
     // 7. Cold constrained QP at the per-gene `fit_many` shape: 18 basis
     // functions, the engine's 101-row positivity collocation matrix — the
     // QP a `fit_many` gene pays when its warm hint does not apply.
-    let basis = NaturalSplineBasis::uniform(18, 0.0, 1.0).expect("n >= 4");
+    let basis = SplineBasis::uniform(18, 0.0, 1.0).expect("n >= 4");
     let grid: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
     let colloc = basis.collocation_matrix(&grid).expect("finite grid");
     let design_qp = Matrix::from_fn(16, 18, |r, c| {
@@ -375,8 +375,8 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
 
     // 7b. Kernel 7's QP with the engine's start rule: the same H, c and
     // collocation rows plus the constant-profile interior direction
-    // (all ones: the cardinal basis reproduces constants with unit
-    // coefficients), so the walk starts strictly inside the positivity
+    // (all ones: the natural B-spline basis reproduces constants with
+    // unit coefficients), so the walk starts strictly inside the positivity
     // cone instead of at the origin, where all 101 rows are tight. The
     // speed-up over kernel 7 is a documented ratio (docs/SOLVER.md,
     // "QP start"), not a gate.
@@ -551,8 +551,9 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
         min,
     ));
 
-    // The banded path at the `genome_fine` shape: 128 B-spline functions
-    // (`Auto` runs banded), 7-point GCV over [1e-6, 1], σ-weighted. Each
+    // The banded path at the `genome_fine` shape: 128 natural B-spline
+    // functions (`BANDED_THRESHOLD`: the engine runs banded), 7-point GCV
+    // over [1e-6, 1], σ-weighted. Each
     // λ costs one banded factor and one m×m capacitance; the selected λ
     // adds the coefficient solve and the positivity check.
     let banded_config = DeconvolutionConfig::builder()

@@ -177,13 +177,13 @@ where
 /// the QP start rule ([`cellsync_opt::QpProblem::with_interior_direction`]):
 /// the constant profile's coefficients, least-squares fitted over the
 /// equality null space, `d = 1 − Eᵀ(EEᵀ)⁻¹E·1`, so `E·d = 0` by
-/// construction. Kept only when `P·d > 0` on every collocation row;
-/// `None` when the equalities admit no such direction (or are
-/// dependent).
+/// construction. Kept only when `P·d > 0` (beyond rounding) on every
+/// collocation row; `None` when the equalities admit no such direction
+/// (or are dependent).
 ///
-/// Both bases reproduce the constant profile `f ≡ 1` with unit
-/// coefficients (the cardinal basis interpolates knot values, B-splines
-/// partition unity), so without equalities `d = 1` and `P·d = 1`.
+/// The natural B-spline basis partitions unity, so the constant profile
+/// `f ≡ 1` has unit coefficients: without equalities `d = 1` and
+/// `P·d = 1`.
 /// Conservation annihilates constants and leaves `d = 1`; rate
 /// continuity tilts it slightly. Costs O(n·k) for k equality rows and
 /// one pass over `P`, with no n×n temporaries.
@@ -199,8 +199,16 @@ pub(crate) fn interior_direction(
         let w = eet.solve(&e.matvec(&d)?)?;
         d = &d - &e.tr_matvec(&w)?;
     }
-    let pd = positivity.matvec(&d)?;
-    Ok(pd.iter().all(|&v| v > 0.0).then_some(d))
+    // A row counts as interior only when `P·d` clears the rounding of
+    // its own products (relative 1e-9, the QP's equality tolerance): a
+    // row that `E` pins to zero reads ±ε, not a usable margin.
+    let interior = (0..positivity.rows()).all(|r| {
+        let row = positivity.row(r);
+        let scale: f64 = row.iter().zip(d.iter()).map(|(p, v)| (p * v).abs()).sum();
+        let pd: f64 = row.iter().zip(d.iter()).map(|(p, v)| p * v).sum();
+        pd > 1e-9 * scale
+    });
+    Ok(interior.then_some(d))
 }
 
 #[cfg(test)]
@@ -209,9 +217,7 @@ mod tests {
 
     fn setup() -> (SplineBasis, CellCycleParams) {
         (
-            cellsync_spline::NaturalSplineBasis::uniform(12, 0.0, 1.0)
-                .unwrap()
-                .into(),
+            SplineBasis::uniform(12, 0.0, 1.0).unwrap(),
             CellCycleParams::caulobacter().unwrap(),
         )
     }
@@ -297,9 +303,7 @@ mod tests {
 
     #[test]
     fn legacy_mu_sst_shifts_rows() {
-        let basis: SplineBasis = cellsync_spline::NaturalSplineBasis::uniform(12, 0.0, 1.0)
-            .unwrap()
-            .into();
+        let basis = SplineBasis::uniform(12, 0.0, 1.0).unwrap();
         let updated = CellCycleParams::caulobacter().unwrap();
         let legacy = CellCycleParams::caulobacter_legacy().unwrap();
         let r_new = rna_conservation_row(&basis, &updated).unwrap();

@@ -4,13 +4,13 @@ use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
 use cellsync_opt::{QpInstance, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
-use cellsync_spline::{BSplineBasis, NaturalSplineBasis, SplineBasis};
+use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::banded::BandedOperators;
 use crate::config::LambdaSelection;
-use crate::operators::{check_cancel, FitOperators, Penalty};
+use crate::operators::{check_cancel, FitOperators};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::{
     constraints, DeconvError, DeconvolutionConfig, FitWorkspace, ForwardModel, PhaseProfile, Result,
@@ -76,12 +76,11 @@ struct BootScratch {
 }
 
 impl Deconvolver {
-    /// Basis size at which the engine switches from the paper's cardinal
-    /// natural basis and the dense spectral path to the locally supported
-    /// B-spline basis and the O(n·b²) banded Woodbury path (k-fold
-    /// selection keeps the dense path: its fold designs are row subsets
-    /// with no Woodbury structure). Below it the dense O(n³) factor is
-    /// already cheap and the cardinal basis is kept bit-for-bit.
+    /// Basis size at which the engine switches from the dense spectral
+    /// path to the O(n·b²) banded Woodbury path (k-fold selection keeps
+    /// the dense path: its fold designs are row subsets with no Woodbury
+    /// structure). Below it the dense O(n³) factor is already cheap. The
+    /// basis is the same on both sides: it picks only the solve path.
     pub const BANDED_THRESHOLD: usize = 128;
 
     /// Builds the engine for a kernel and configuration, using the paper's
@@ -114,14 +113,7 @@ impl Deconvolver {
                 basis: config.basis_size(),
             });
         }
-        // Basis kind is a pure function of size: the paper's cardinal
-        // natural basis below the banded threshold, the locally supported
-        // B-spline basis at or above it.
-        let basis: SplineBasis = if config.basis_size() >= Deconvolver::BANDED_THRESHOLD {
-            BSplineBasis::uniform(config.basis_size(), 0.0, 1.0)?.into()
-        } else {
-            NaturalSplineBasis::uniform(config.basis_size(), 0.0, 1.0)?.into()
-        };
+        let basis = SplineBasis::uniform(config.basis_size(), 0.0, 1.0)?;
         let forward = ForwardModel::new(kernel);
         let design = forward.design_matrix(&basis)?;
 
@@ -159,22 +151,24 @@ impl Deconvolver {
             None => None,
         };
 
-        // Solve path: banded iff the basis has local support and the
-        // selection is not k-fold (see `BANDED_THRESHOLD`).
+        // Solve path: banded at or above `BANDED_THRESHOLD` unless the
+        // selection is k-fold.
         let kfold = matches!(config.lambda(), LambdaSelection::KFold { .. });
-        let (omega, banded) = match &basis {
-            SplineBasis::BSpline(b) if !kfold => {
-                let omega = b.penalty_banded();
-                let positivity_sparse = match (&grid, &positivity) {
-                    (Some(grid), Some((_, rhs))) => {
-                        Some((b.collocation_sparse(grid)?, rhs.clone()))
-                    }
-                    _ => None,
-                };
-                let ops = BandedOperators::new(&omega, &b.greville(), positivity_sparse)?;
-                (Penalty::Banded(omega), Some(ops))
-            }
-            _ => (Penalty::Dense(basis.penalty_matrix()), None),
+        let omega = basis.penalty();
+        let banded = if config.basis_size() >= Deconvolver::BANDED_THRESHOLD && !kfold {
+            let positivity_sparse = match (&grid, &positivity) {
+                (Some(grid), Some((_, rhs))) => {
+                    Some((basis.collocation_sparse(grid)?, rhs.clone()))
+                }
+                _ => None,
+            };
+            Some(BandedOperators::new(
+                &omega,
+                &basis.greville(),
+                positivity_sparse,
+            )?)
+        } else {
+            None
         };
 
         let ops = FitOperators::new(
@@ -204,10 +198,8 @@ impl Deconvolver {
         self.pool.threads()
     }
 
-    /// The spline basis the profile estimate lives in: the paper's
-    /// cardinal natural basis below
-    /// [`Deconvolver::BANDED_THRESHOLD`], the locally supported
-    /// B-spline basis at or above it.
+    /// The spline basis the profile estimate lives in: the natural cubic
+    /// B-splines on `basis_size` uniform knots, at every size.
     pub fn basis(&self) -> &SplineBasis {
         &self.basis
     }
@@ -685,8 +677,8 @@ impl Deconvolver {
 
 #[cfg(test)]
 impl Deconvolver {
-    /// This engine with its operators rebuilt on the dense path (dense
-    /// `Penalty`, no banded operators) over the same basis, design and
+    /// This engine with its operators rebuilt on the dense path (no
+    /// banded operators) over the same basis, penalty, design and
     /// constraint rows: the same problem, solved the other way — the
     /// reference of the banded-path differential suite.
     pub(crate) fn dense_twin(&self) -> Result<Self> {
@@ -694,7 +686,7 @@ impl Deconvolver {
         let mut twin = self.clone();
         twin.ops = FitOperators::new(
             ops.design.clone(),
-            Penalty::Dense(self.basis.penalty_matrix()),
+            ops.omega.clone(),
             ops.equality.clone(),
             ops.positivity.clone(),
             ops.interior.clone(),
@@ -760,7 +752,10 @@ impl DeconvolutionResult {
         }
     }
 
-    /// The fitted spline coefficients `α` (knot values of the profile).
+    /// The fitted spline coefficients `α`: the profile's coordinates in
+    /// the natural cubic B-spline basis ([`Deconvolver::basis`]), not its
+    /// knot values. Evaluate the profile with
+    /// [`DeconvolutionResult::eval`] or [`DeconvolutionResult::profile`].
     pub fn alpha(&self) -> &[f64] {
         self.alpha.as_slice()
     }

@@ -1,11 +1,12 @@
 //! Banded-path differential suite: the Woodbury banded engine must
 //! reproduce the dense engine on the same problem.
 //!
-//! Basis kind is a pure function of `basis_size` (B-splines at or above
-//! [`Deconvolver::BANDED_THRESHOLD`]), so a production engine at that
-//! size and its dense twin ([`Deconvolver::dense_twin`]: the same
-//! operators with a dense penalty and no banded operators) solve the
-//! *identical* optimization problem — only the execution path differs.
+//! The basis is the same at every size; at or above
+//! [`Deconvolver::BANDED_THRESHOLD`] the engine solves on the banded path,
+//! so a production engine at that size and its dense twin
+//! ([`Deconvolver::dense_twin`]: the same operators without the banded
+//! ones) solve the *identical* optimization problem — only the execution
+//! path differs.
 //! That makes exact differential testing possible: fixed-λ fits must
 //! agree to 1e-8, GCV selection must land on the same λ, and the
 //! positivity fallback must route through the same QP.
@@ -24,7 +25,6 @@ use cellsync_stats::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::operators::Penalty;
 use crate::{DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, PhaseProfile};
 
 /// The paper-protocol anchor kernel: a 2000-cell synchronized culture
@@ -143,9 +143,9 @@ fn banded_gcv_matches_dense_spectral_at_threshold() {
 
 #[test]
 fn gcv_engine_is_banded_at_threshold() {
-    // GCV at 128 knots builds the banded path: banded operators, a banded
-    // Ω and no spectral reduction. One function fewer keeps the cardinal
-    // basis and the dense path.
+    // GCV at 128 knots builds the banded path: banded operators and no
+    // spectral reduction. One function fewer builds the dense path on the
+    // same kind of basis.
     let sel = LambdaSelection::Gcv {
         log10_min: -6.0,
         log10_max: 0.0,
@@ -153,19 +153,18 @@ fn gcv_engine_is_banded_at_threshold() {
     };
     let at = Deconvolver::new(anchor_kernel().clone(), config(128, sel.clone())).expect("engine");
     let ops = at.operators();
-    assert!(at.basis().is_local());
-    assert!(ops.banded.is_some() && matches!(ops.omega, Penalty::Banded(_)));
+    assert!(ops.banded.is_some());
     assert!(ops.reduced.is_none() && ops.spectral_unit.is_none());
     let below = Deconvolver::new(anchor_kernel().clone(), config(127, sel)).expect("engine");
     let ops = below.operators();
-    assert!(!below.basis().is_local());
-    assert!(ops.banded.is_none() && matches!(ops.omega, Penalty::Dense(_)));
+    assert!(ops.banded.is_none());
+    assert!(ops.reduced.is_some() && ops.spectral_unit.is_some());
 }
 
 #[test]
 fn kfold_engine_stays_dense_at_threshold() {
     // K-fold designs are row subsets with no Woodbury structure: at 128
-    // knots the engine keeps the B-spline basis but builds the dense path.
+    // knots the engine builds the dense path.
     let g = positive_series();
     let sel = LambdaSelection::KFold {
         folds: 4,
@@ -176,8 +175,7 @@ fn kfold_engine_stays_dense_at_threshold() {
     };
     let engine = Deconvolver::new(anchor_kernel().clone(), config(128, sel)).expect("engine");
     let ops = engine.operators();
-    assert!(engine.basis().is_local());
-    assert!(ops.banded.is_none() && matches!(ops.omega, Penalty::Dense(_)));
+    assert!(ops.banded.is_none());
     let fit = engine.fit(&g, None).expect("kfold fit stays dense");
     assert!(fit.lambda().is_finite() && fit.lambda() > 0.0);
 }
@@ -276,7 +274,7 @@ struct ExactReference {
 
 impl ExactReference {
     fn new(engine: &Deconvolver, g: &[f64]) -> ExactReference {
-        let basis = engine.basis().as_bspline().expect("B-spline basis");
+        let basis = engine.basis();
         let n = basis.len();
         let a = engine
             .forward()
@@ -339,7 +337,7 @@ impl ExactReference {
         ExactReference {
             n,
             null: [l0, l1],
-            omega: basis.penalty_banded(),
+            omega: basis.penalty(),
             base,
             rhs,
         }

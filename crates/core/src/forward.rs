@@ -96,10 +96,9 @@ impl ForwardModel {
     pub fn design_matrix(&self, basis: &SplineBasis) -> Result<Matrix> {
         let m = self.num_measurements();
         let n = basis.len();
-        let centers = self.kernel.phi_centers();
         let dphi = self.kernel.bin_width();
         // Precompute basis values on the bin centers (shared across rows).
-        let psi = Matrix::from_fn(centers.len(), n, |b, i| basis.eval(i, centers[b]));
+        let psi = basis.collocation_matrix(self.kernel.phi_centers())?;
         let mut a = Matrix::zeros(m, n);
         for row in 0..m {
             let q = self.kernel.row(row)?;
@@ -166,9 +165,7 @@ mod tests {
     fn design_matrix_consistent_with_predict() {
         // A·α must equal predict(f_α) when f_α is the spline combination.
         let fm = forward(3);
-        let basis: SplineBasis = cellsync_spline::NaturalSplineBasis::uniform(10, 0.0, 1.0)
-            .unwrap()
-            .into();
+        let basis = SplineBasis::uniform(10, 0.0, 1.0).unwrap();
         let alpha: Vec<f64> = (0..10).map(|i| 1.0 + (i as f64 * 0.8).sin()).collect();
         let a = fm.design_matrix(&basis).unwrap();
         let g_design = a.matvec(&Vector::from_slice(&alpha)).unwrap();
@@ -189,9 +186,7 @@ mod tests {
     fn design_rows_sum_to_one() {
         // Σᵢ A[m,i] = ∫Q·Σψᵢ = ∫Q·1 = 1 (partition of unity).
         let fm = forward(4);
-        let basis: SplineBasis = cellsync_spline::NaturalSplineBasis::uniform(8, 0.0, 1.0)
-            .unwrap()
-            .into();
+        let basis = SplineBasis::uniform(8, 0.0, 1.0).unwrap();
         let a = fm.design_matrix(&basis).unwrap();
         for m in 0..a.rows() {
             let s: f64 = a.row(m).iter().sum();

@@ -585,7 +585,7 @@ mod tests {
         let bw = Matrix::from_fn(m, kn, |r, p| weights[r] * ops.design[(r, p)]);
         let yw = Vector::from_fn(m, |r| weights[r] * g[r]);
         let mut normal = bw.gram();
-        ops.omega.add_scaled_into(&mut normal, 0, lambda);
+        crate::operators::add_band_into(&ops.omega, &mut normal, lambda);
         for p in 0..kn {
             normal[(p, p)] += DeconvolutionConfig::RIDGE;
         }

@@ -11,7 +11,7 @@
 //! ([`gcv_select`] over the spectral path, or k-fold) and the same
 //! constrained solve.
 
-use cellsync_linalg::{Matrix, Vector};
+use cellsync_linalg::{BandedMatrix, Matrix, Vector};
 use cellsync_opt::{QpProblem, QpWorkspace};
 use cellsync_runtime::CancelToken;
 use rand::rngs::StdRng;
@@ -106,37 +106,15 @@ pub(crate) fn gcv_select(
     Ok((refined, scores))
 }
 
-/// The roughness penalty `Ω`, stored the way the engine's solve path
-/// reads it. Banded engines never densify it: their dense consumers
-/// (the positivity-fallback Hessian, a mixture's stacked penalty) add
-/// it band by band.
-#[derive(Debug, Clone)]
-pub(crate) enum Penalty {
-    Dense(Matrix),
-    Banded(cellsync_linalg::BandedMatrix),
-}
-
-impl Penalty {
-    /// `h[o + a][o + b] += scale·Ω[a][b]` over Ω's stored entries (the
-    /// entries outside a band are exact zeros, so skipping them changes
-    /// no bit of `h`).
-    pub(crate) fn add_scaled_into(&self, h: &mut Matrix, offset: usize, scale: f64) {
-        match self {
-            Penalty::Dense(omega) => {
-                for a in 0..omega.rows() {
-                    for b in 0..omega.cols() {
-                        h[(offset + a, offset + b)] += scale * omega[(a, b)];
-                    }
-                }
-            }
-            Penalty::Banded(omega) => {
-                let (n, bw) = (omega.dim(), omega.bandwidth());
-                for a in 0..n {
-                    for b in a.saturating_sub(bw)..(a + bw + 1).min(n) {
-                        h[(offset + a, offset + b)] += scale * omega.get(a, b);
-                    }
-                }
-            }
+/// `h[a][b] += scale·Ω[a][b]` over the band of `Ω` (the entries outside
+/// it are exact zeros, so skipping them changes no bit of `h`): how every
+/// dense consumer (the QP Hessian, a mixture's normal matrix) reads the
+/// banded penalty.
+pub(crate) fn add_band_into(omega: &BandedMatrix, h: &mut Matrix, scale: f64) {
+    let (n, bw) = (omega.dim(), omega.bandwidth());
+    for a in 0..n {
+        for b in a.saturating_sub(bw)..(a + bw + 1).min(n) {
+            h[(a, b)] += scale * omega.get(a, b);
         }
     }
 }
@@ -150,9 +128,8 @@ impl Penalty {
 pub(crate) struct FitOperators {
     /// Design matrix `A[m, i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ` (`m × n`).
     pub(crate) design: Matrix,
-    /// Roughness Gram matrix `Ω`: banded on the banded path, dense
-    /// otherwise.
-    pub(crate) omega: Penalty,
+    /// Roughness Gram matrix `Ω` (bandwidth 3: the basis is local).
+    pub(crate) omega: BandedMatrix,
     /// Stacked equality rows with their zero right-hand side.
     pub(crate) equality: Option<(Matrix, Vector)>,
     /// Positivity collocation matrix with its zero right-hand side.
@@ -190,7 +167,7 @@ impl FitOperators {
     /// banded path).
     pub(crate) fn new(
         design: Matrix,
-        omega: Penalty,
+        omega: BandedMatrix,
         equality: Option<(Matrix, Vector)>,
         positivity: Option<(Matrix, Vector)>,
         interior: Option<Vector>,
@@ -199,13 +176,16 @@ impl FitOperators {
     ) -> Result<Self> {
         let unit_weights = vec![1.0; design.rows()];
         let gcv = matches!(config.lambda(), LambdaSelection::Gcv { .. });
-        let (reduced, spectral_unit) = match &omega {
-            Penalty::Dense(dense) if gcv => {
-                let ops = ReducedOperators::new(&design, dense, equality.as_ref().map(|(e, _)| e))?;
-                let spectral = SpectralPath::new(&ops, &unit_weights)?;
-                (Some(ops), Some(spectral))
-            }
-            _ => (None, None),
+        let (reduced, spectral_unit) = if gcv && banded.is_none() {
+            let ops = ReducedOperators::new(
+                &design,
+                &omega.to_dense(),
+                equality.as_ref().map(|(e, _)| e),
+            )?;
+            let spectral = SpectralPath::new(&ops, &unit_weights)?;
+            (Some(ops), Some(spectral))
+        } else {
+            (None, None)
         };
         Ok(FitOperators {
             design,
@@ -223,7 +203,7 @@ impl FitOperators {
     }
 
     /// The operators of the block problem over `[α₁ … α_K]`: design
-    /// `[A₁ … A_K]`, penalty `blockdiag(Ωₖ)` (always dense), and
+    /// `[A₁ … A_K]`, penalty `blockdiag(Ωₖ)` (banded like its blocks), and
     /// block-diagonal equality and positivity rows, in the order of
     /// `blocks`. The blocks' interior directions, stacked, are an
     /// interior direction of the block-diagonal constraint set. Every
@@ -248,15 +228,20 @@ impl FitOperators {
             Some((stacked, rhs))
         };
 
+        let bw = blocks[0].omega.bandwidth();
         let mut design = Matrix::zeros(m, kn);
-        let mut omega = Matrix::zeros(kn, kn);
+        let mut omega = BandedMatrix::zeros(kn, bw)?;
         for (b, block) in blocks.iter().enumerate() {
             for r in 0..m {
                 for j in 0..n {
                     design[(r, b * n + j)] = block.design[(r, j)];
                 }
             }
-            block.omega.add_scaled_into(&mut omega, b * n, 1.0);
+            for i in 0..n {
+                for j in i.saturating_sub(bw)..=i {
+                    omega.set(b * n + i, b * n + j, block.omega.get(i, j))?;
+                }
+            }
         }
         let equality = block_diag(|o| o.equality.as_ref().map(|(e, _)| e));
         let positivity = block_diag(|o| o.positivity.as_ref().map(|(p, _)| p));
@@ -265,15 +250,7 @@ impl FitOperators {
             .map(|o| o.interior.as_ref().map(Vector::as_slice))
             .collect::<Option<Vec<_>>>()
             .map(|parts| Vector::from_slice(&parts.concat()));
-        FitOperators::new(
-            design,
-            Penalty::Dense(omega),
-            equality,
-            positivity,
-            interior,
-            None,
-            config,
-        )
+        FitOperators::new(design, omega, equality, positivity, interior, None, config)
     }
 
     /// Number of coefficients `n`.
@@ -390,7 +367,7 @@ impl FitOperators {
     /// scale/ridge convention.
     fn assemble_hessian(&self, h: &mut Matrix, lambda: f64) -> Result<()> {
         let n = self.dim();
-        self.omega.add_scaled_into(h, 0, lambda);
+        add_band_into(&self.omega, h, lambda);
         for i in 0..n {
             for j in 0..n {
                 h[(i, j)] *= 2.0;

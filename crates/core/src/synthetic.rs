@@ -22,7 +22,7 @@ use cellsync_ode::period::rescale_lotka_volterra;
 use cellsync_ode::solver::DormandPrince;
 use cellsync_opt::{QpProblem, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
-use cellsync_spline::NaturalSplineBasis;
+use cellsync_spline::SplineBasis;
 use cellsync_stats::noise::NoiseModel;
 use rand::Rng;
 
@@ -116,7 +116,7 @@ pub fn project_onto_constraints(
     basis_size: usize,
     params: &CellCycleParams,
 ) -> Result<PhaseProfile> {
-    let basis = NaturalSplineBasis::uniform(basis_size, 0.0, 1.0)?;
+    let basis = SplineBasis::uniform(basis_size, 0.0, 1.0)?;
     let n = basis.len();
     // Dense least-squares target: min ‖Bα − y‖² on a 4×basis grid.
     let grid: Vec<f64> = (0..4 * n).map(|i| i as f64 / (4 * n - 1) as f64).collect();
@@ -134,10 +134,9 @@ pub fn project_onto_constraints(
     // satisfy RNA conservation by inventing expression at birth, which
     // would erase delayed-onset features (the whole point of Fig. 5).
     let pin0: Vec<f64> = (0..n).map(|i| basis.eval(i, 0.0)).collect();
-    let sbasis: cellsync_spline::SplineBasis = basis.clone().into();
     let eq_rows = [
-        constraints::rna_conservation_row(&sbasis, params)?,
-        constraints::rate_continuity_row(&sbasis, params)?,
+        constraints::rna_conservation_row(&basis, params)?,
+        constraints::rate_continuity_row(&basis, params)?,
         pin0,
     ];
     let refs: Vec<&[f64]> = eq_rows.iter().map(|r| r.as_slice()).collect();

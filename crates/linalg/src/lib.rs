@@ -29,11 +29,9 @@
 //! [`Matrix::matvec_into`], [`Matrix::tr_matvec_into`]) that write into
 //! caller-provided buffers, so per-λ / per-replicate hot loops run without
 //! allocating.
-//! * [`Tridiagonal`] — Thomas-algorithm solver (used by the natural-spline
-//!   interpolation in `cellsync-spline`).
 //! * [`BandedMatrix`] / [`BandedCholesky`] — symmetric band storage
 //!   (LAPACK-style packed rows) with an O(n·b²) Cholesky factor/solve; the
-//!   genome-scale path for locally supported B-spline bases.
+//!   genome-scale path for the spline penalty at large basis sizes.
 //! * [`SparseRowMatrix`] — compressed sparse rows for collocation constraint
 //!   blocks, with a banded Gram assembly that exploits local support.
 //!
@@ -68,7 +66,6 @@ mod lu;
 mod matrix;
 mod qr;
 mod sparse;
-mod tridiagonal;
 mod vector;
 
 pub use banded::{BandedCholesky, BandedMatrix};
@@ -80,7 +77,6 @@ pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;
 pub use sparse::SparseRowMatrix;
-pub use tridiagonal::Tridiagonal;
 pub use vector::Vector;
 
 /// Convenience alias for results produced by this crate.

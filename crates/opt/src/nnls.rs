@@ -28,25 +28,14 @@ use crate::{OptError, Result};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Nnls {
-    max_iterations: usize,
     tolerance: f64,
 }
 
 impl Nnls {
-    /// Creates a solver with default budget (`10·n` outer iterations) and
-    /// tolerance `1e-12`.
+    /// Creates a solver with tolerance `1e-12`; its outer-iteration
+    /// budget is `10·max(n, 10)` for `n` unknowns.
     pub fn new() -> Self {
-        Nnls {
-            max_iterations: 0, // 0 → derive from problem size
-            tolerance: 1e-12,
-        }
-    }
-
-    /// Replaces the outer-iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, max_iterations: usize) -> Self {
-        self.max_iterations = max_iterations;
-        self
+        Nnls { tolerance: 1e-12 }
     }
 
     /// Solves `min ‖Ax − b‖ s.t. x ≥ 0`.
@@ -65,11 +54,7 @@ impl Nnls {
             });
         }
         let n = a.cols();
-        let budget = if self.max_iterations == 0 {
-            10 * n.max(10)
-        } else {
-            self.max_iterations
-        };
+        let budget = 10 * n.max(10);
 
         let mut passive = vec![false; n];
         let mut x = Vector::zeros(n);

@@ -1,6 +1,6 @@
 //! The interior-direction start rule of the active-set QP on
-//! deconvolution-shaped problems: positivity collocation rows of a
-//! natural-spline or B-spline basis with a zero right-hand side (every
+//! deconvolution-shaped problems: positivity collocation rows of the
+//! natural cubic B-spline basis with a zero right-hand side (every
 //! row tight at the origin), optionally with homogeneous equality rows.
 //!
 //! The start may change the path of the active-set walk, never its
@@ -22,7 +22,7 @@
 
 use cellsync_linalg::{Matrix, Vector};
 use cellsync_opt::{IpmWorkspace, QpProblem, QpWorkspace};
-use cellsync_spline::{BSplineBasis, NaturalSplineBasis, SplineBasis};
+use cellsync_spline::SplineBasis;
 use proptest::prelude::*;
 
 /// One positivity-collocation QP `min ½xᵀHx + cᵀx` s.t. `E x = 0`,
@@ -113,7 +113,6 @@ impl Colloc {
 
 #[allow(clippy::too_many_arguments)]
 fn colloc_instance(
-    bspline: bool,
     n: usize,
     m: usize,
     width: f64,
@@ -122,13 +121,7 @@ fn colloc_instance(
     offset: f64,
     eq_rows: &[Vec<f64>],
 ) -> Colloc {
-    let basis: SplineBasis = if bspline {
-        BSplineBasis::uniform(n, 0.0, 1.0).expect("n ≥ 4").into()
-    } else {
-        NaturalSplineBasis::uniform(n, 0.0, 1.0)
-            .expect("n ≥ 4")
-            .into()
-    };
+    let basis = SplineBasis::uniform(n, 0.0, 1.0).expect("n ≥ 4");
     let grid: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
     let p = basis.collocation_matrix(&grid).expect("finite grid");
     let a = Matrix::from_fn(m, n, |r, j| {
@@ -194,7 +187,7 @@ fn equality_rows(n: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 }
 
 fn colloc_case() -> impl Strategy<Value = Colloc> {
-    (0..2usize, 8..20usize).prop_flat_map(|(kind, n)| {
+    (8..20usize).prop_flat_map(|n| {
         (
             16..17usize,
             0.03..0.05f64,
@@ -204,7 +197,7 @@ fn colloc_case() -> impl Strategy<Value = Colloc> {
             equality_rows(n),
         )
             .prop_map(move |(m, width, log_l, shift, offset, eq)| {
-                colloc_instance(kind == 1, n, m, width, log_l, shift, offset, &eq)
+                colloc_instance(n, m, width, log_l, shift, offset, &eq)
             })
     })
 }
@@ -259,11 +252,11 @@ proptest! {
 }
 
 /// The cold collocation QP of the `perf` harness's
-/// `qp_cold_colloc_18x101x6` kernel: 18 cardinal natural-spline basis
+/// `qp_cold_colloc_18x101x6` kernel: 18 natural B-spline basis
 /// functions, 16 measurements, λ = 10⁻⁴, the engine's 101-row
 /// positivity grid.
 fn perf_kernel_instance() -> Colloc {
-    let basis = NaturalSplineBasis::uniform(18, 0.0, 1.0).expect("n ≥ 4");
+    let basis = SplineBasis::uniform(18, 0.0, 1.0).expect("n ≥ 4");
     let grid: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
     let p = basis.collocation_matrix(&grid).expect("finite grid");
     let design = Matrix::from_fn(16, 18, |r, c| {
@@ -321,7 +314,7 @@ fn direction_violating_the_equalities_is_ignored() {
     // moves off the equality manifold, so it must be ignored.
     let n = 18;
     let row: Vec<f64> = (0..n).map(|j| 1.0 + j as f64 / n as f64).collect();
-    let case = colloc_instance(false, n, 16, 0.03, -4.0, 0.0, -0.3, &[row]);
+    let case = colloc_instance(n, 16, 0.03, -4.0, 0.0, -0.3, &[row]);
     let ones = Vector::from_fn(n, |_| 1.0);
     let origin = QpWorkspace::new().solve(&case.problem()).expect("solves");
     let ignored = QpWorkspace::new()

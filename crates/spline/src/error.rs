@@ -16,13 +16,6 @@ pub enum SplineError {
     },
     /// Knots are not strictly increasing or not finite.
     InvalidKnots,
-    /// Values array does not match the knot count.
-    LengthMismatch {
-        /// Number of knots.
-        knots: usize,
-        /// Number of values supplied.
-        values: usize,
-    },
     /// A coefficient vector has the wrong length for the basis.
     CoefficientMismatch {
         /// Basis dimension.
@@ -30,7 +23,7 @@ pub enum SplineError {
         /// Number of coefficients supplied.
         coefficients: usize,
     },
-    /// The underlying linear solve failed (degenerate knot layout).
+    /// Assembling a linear-algebra structure failed.
     SolveFailed(String),
     /// Generic invalid argument.
     InvalidArgument(&'static str),
@@ -45,9 +38,6 @@ impl fmt::Display for SplineError {
             SplineError::InvalidKnots => {
                 write!(f, "knots must be finite and strictly increasing")
             }
-            SplineError::LengthMismatch { knots, values } => {
-                write!(f, "values length {values} does not match {knots} knots")
-            }
             SplineError::CoefficientMismatch {
                 basis,
                 coefficients,
@@ -57,7 +47,7 @@ impl fmt::Display for SplineError {
                     "coefficient length {coefficients} does not match basis dimension {basis}"
                 )
             }
-            SplineError::SolveFailed(msg) => write!(f, "spline moment solve failed: {msg}"),
+            SplineError::SolveFailed(msg) => write!(f, "spline assembly failed: {msg}"),
             SplineError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -74,10 +64,6 @@ mod tests {
         let errs = [
             SplineError::TooFewKnots { got: 1, need: 3 },
             SplineError::InvalidKnots,
-            SplineError::LengthMismatch {
-                knots: 3,
-                values: 2,
-            },
             SplineError::CoefficientMismatch {
                 basis: 4,
                 coefficients: 2,

@@ -9,7 +9,6 @@
 //! * [`dist`] — analytic distributions (normal, truncated normal, uniform)
 //!   with pdf/cdf/quantile and seeded sampling built on Box–Muller over the
 //!   `rand` uniform source.
-//! * [`describe`] — descriptive statistics (mean, variance, quantiles).
 //! * [`metrics`] — reconstruction-quality metrics (RMSE, normalized RMSE,
 //!   Pearson correlation, relative error) used by EXPERIMENTS.md comparisons.
 //! * [`noise`] — measurement-noise models applied to population series.
@@ -32,7 +31,6 @@
 #![deny(unsafe_code)]
 
 pub mod crossval;
-pub mod describe;
 pub mod dist;
 mod error;
 pub mod metrics;

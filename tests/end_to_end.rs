@@ -196,3 +196,40 @@ fn reproducibility_from_seeds() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn fitted_profiles_have_natural_end_conditions_at_every_basis_size() {
+    // The paper's profile is a natural cubic spline (eq. 4): zero
+    // curvature at both ends, whichever solve path the basis size picks
+    // (dense below `BANDED_THRESHOLD`, banded at and above it).
+    let k = kernel(5, 150.0, 12, 2000);
+    let forward = ForwardModel::new(k.clone());
+    let truths = [
+        PhaseProfile::from_fn(200, |phi| 2.0 + (2.0 * std::f64::consts::PI * phi).sin()).unwrap(),
+        PhaseProfile::from_fn(200, |phi| 0.5 + 3.0 * phi * phi).unwrap(),
+        PhaseProfile::from_fn(200, |phi| (-((phi - 0.4) / 0.1).powi(2)).exp() + 0.2).unwrap(),
+    ];
+    for basis_size in [18, 127, Deconvolver::BANDED_THRESHOLD, 256] {
+        let config = DeconvolutionConfig::builder()
+            .basis_size(basis_size)
+            .build()
+            .unwrap();
+        let engine = Deconvolver::new(k.clone(), config).unwrap();
+        let basis = engine.basis();
+        for (t, truth) in truths.iter().enumerate() {
+            let g = forward.predict(truth).unwrap();
+            let alpha = engine.fit(&g, None).unwrap().alpha().to_vec();
+            for end in [0.0, 1.0] {
+                let terms: Vec<f64> = (0..basis.len())
+                    .map(|i| alpha[i] * basis.deriv2(i, end))
+                    .collect();
+                let curvature: f64 = terms.iter().sum();
+                let scale: f64 = terms.iter().map(|v| v.abs()).sum();
+                assert!(
+                    curvature.abs() <= 1e-12 * scale,
+                    "basis {basis_size}, profile {t}: f''({end}) = {curvature:e} (terms {scale:e})"
+                );
+            }
+        }
+    }
+}

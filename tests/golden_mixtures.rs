@@ -4,7 +4,8 @@
 //! The CI `accuracy --matrix mixtures` job gates component-recovery
 //! NRMSE at release-mode workload sizes; this suite catches numerical
 //! drift at plain `cargo test` time by pinning the *entire mixture fit*
-//! — every component's spline coefficients `α`, its selected λ, its
+//! — every component's profile at the basis knots `f(tₖ)` (the
+//! fixtures' `alpha` arrays), its selected λ, its
 //! estimated mixing fraction, plus the joint residual — for canonical
 //! cells of the mixture matrix (balanced two-type, rare-fraction) at a
 //! debug-friendly workload size.
@@ -27,8 +28,9 @@ use cellsync::scenario::{
 };
 use cellsync_bench::json::Json;
 use cellsync_bench::scenarios::BASE_SEED;
+use cellsync_spline::SplineBasis;
 
-/// Absolute tolerance on each spline coefficient (profile units are O(1)).
+/// Absolute tolerance on each pinned knot value (profile units are O(1)).
 const ALPHA_TOL: f64 = 1e-6;
 /// Absolute tolerance on NRMSE / fraction / residual metrics.
 const METRIC_TOL: f64 = 1e-6;
@@ -70,7 +72,7 @@ fn outcome_to_json(outcome: &MixtureOutcome) -> Json {
                 ("lambda".into(), Json::Num(c.lambda)),
                 (
                     "alpha".into(),
-                    Json::Arr(c.alpha.iter().map(|&a| Json::Num(a)).collect()),
+                    Json::Arr(knot_values(&c.alpha).into_iter().map(Json::Num).collect()),
                 ),
             ])
         })
@@ -86,6 +88,19 @@ fn outcome_to_json(outcome: &MixtureOutcome) -> Json {
         ),
         ("components".into(), Json::Arr(components)),
     ])
+}
+
+/// The fitted profile at the basis's knots, `f(tₖ)`: the quantity the
+/// fixtures' `alpha` arrays pin. It does not depend on how the spline
+/// space is parameterized (they were written as the coordinates of a
+/// cardinal basis, which are exactly these values).
+fn knot_values(alpha: &[f64]) -> Vec<f64> {
+    let basis = SplineBasis::uniform(alpha.len(), 0.0, 1.0).expect("basis size ≥ 4");
+    basis
+        .knots()
+        .iter()
+        .map(|&t| basis.eval_combination(alpha, t).expect("lengths match"))
+        .collect()
 }
 
 fn require_f64(doc: &Json, key: &str, stem: &str) -> f64 {
@@ -183,9 +198,8 @@ fn check_golden(spec: MixtureScenarioSpec, stem: &str) {
             got.alpha.len(),
             "{stem}/{cname}: basis size drifted"
         );
-        for (i, (got_a, want_a)) in got
-            .alpha
-            .iter()
+        for (i, (got_a, want_a)) in knot_values(&got.alpha)
+            .into_iter()
             .zip(
                 alpha_fixture
                     .iter()
@@ -195,7 +209,7 @@ fn check_golden(spec: MixtureScenarioSpec, stem: &str) {
         {
             assert!(
                 (got_a - want_a).abs() <= ALPHA_TOL,
-                "{stem}/{cname}: alpha[{i}] drifted: got {got_a:.12}, pinned {want_a:.12} \
+                "{stem}/{cname}: f(t[{i}]) drifted: got {got_a:.12}, pinned {want_a:.12} \
                  (tol {ALPHA_TOL:e})"
             );
         }

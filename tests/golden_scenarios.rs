@@ -3,10 +3,10 @@
 //!
 //! The CI `accuracy` job gates NRMSE at release-mode workload sizes; this
 //! suite catches numerical drift at plain `cargo test` time by pinning the
-//! *entire fit* — the `Deconvolver::fit` spline coefficients `α`, the
-//! GCV-selected λ, and the derived metrics — for the three canonical
-//! scenarios (paper-noise anchor, heteroscedastic, sparse-sampling) at a
-//! debug-friendly workload size.
+//! *entire fit* — the fitted profile at the basis knots `f(tₖ)` (the
+//! fixtures' `alpha` arrays), the GCV-selected λ, and the derived
+//! metrics — for the three canonical scenarios (paper-noise anchor,
+//! heteroscedastic, sparse-sampling) at a debug-friendly workload size.
 //!
 //! Tolerances are explicit and deliberately tight: the pipeline is
 //! deterministic, so on one platform any drift beyond them is a real
@@ -24,8 +24,9 @@ use std::path::PathBuf;
 use cellsync::scenario::{ScenarioOutcome, ScenarioRunConfig, ScenarioSpec};
 use cellsync_bench::json::Json;
 use cellsync_bench::scenarios::BASE_SEED;
+use cellsync_spline::SplineBasis;
 
-/// Absolute tolerance on each spline coefficient (profile units are O(1)).
+/// Absolute tolerance on each pinned knot value (profile units are O(1)).
 const ALPHA_TOL: f64 = 1e-6;
 /// Absolute tolerance on NRMSE / phase error / coverage. Loose enough to
 /// absorb a few ulps of cross-platform libm drift (the pipeline draws
@@ -67,9 +68,27 @@ fn outcome_to_json(outcome: &ScenarioOutcome) -> Json {
         ("lambda".into(), Json::Num(outcome.lambda)),
         (
             "alpha".into(),
-            Json::Arr(outcome.alpha.iter().map(|&a| Json::Num(a)).collect()),
+            Json::Arr(
+                knot_values(&outcome.alpha)
+                    .into_iter()
+                    .map(Json::Num)
+                    .collect(),
+            ),
         ),
     ])
+}
+
+/// The fitted profile at the basis's knots, `f(tₖ)`: the quantity the
+/// fixtures' `alpha` arrays pin. It does not depend on how the spline
+/// space is parameterized (they were written as the coordinates of a
+/// cardinal basis, which are exactly these values).
+fn knot_values(alpha: &[f64]) -> Vec<f64> {
+    let basis = SplineBasis::uniform(alpha.len(), 0.0, 1.0).expect("basis size ≥ 4");
+    basis
+        .knots()
+        .iter()
+        .map(|&t| basis.eval_combination(alpha, t).expect("lengths match"))
+        .collect()
 }
 
 fn require_f64(doc: &Json, key: &str, stem: &str) -> f64 {
@@ -140,9 +159,8 @@ fn check_golden(spec: ScenarioSpec, stem: &str) {
         outcome.alpha.len(),
         "{stem}: basis size drifted"
     );
-    for (i, (got, want)) in outcome
-        .alpha
-        .iter()
+    for (i, (got, want)) in knot_values(&outcome.alpha)
+        .into_iter()
         .zip(
             alpha_fixture
                 .iter()
@@ -152,7 +170,7 @@ fn check_golden(spec: ScenarioSpec, stem: &str) {
     {
         assert!(
             (got - want).abs() <= ALPHA_TOL,
-            "{stem}: alpha[{i}] drifted: got {got:.12}, pinned {want:.12} (tol {ALPHA_TOL:e})"
+            "{stem}: f(t[{i}]) drifted: got {got:.12}, pinned {want:.12} (tol {ALPHA_TOL:e})"
         );
     }
 }

@@ -14,7 +14,7 @@ use cellsync_opt::{
 use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, PhaseKernel, Population,
 };
-use cellsync_spline::NaturalSplineBasis;
+use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,15 +33,9 @@ fn kernel(seed: u64) -> PhaseKernel {
 }
 
 /// Assembles the positivity-only deconvolution QP pieces for cross-checks.
-fn deconv_qp_pieces(
-    k: &PhaseKernel,
-    g: &[f64],
-    lambda: f64,
-) -> (Matrix, Vector, NaturalSplineBasis) {
-    let basis = NaturalSplineBasis::uniform(12, 0.0, 1.0).unwrap();
-    let a = ForwardModel::new(k.clone())
-        .design_matrix(&basis.clone().into())
-        .unwrap();
+fn deconv_qp_pieces(k: &PhaseKernel, g: &[f64], lambda: f64) -> (Matrix, Vector, SplineBasis) {
+    let basis = SplineBasis::uniform(12, 0.0, 1.0).unwrap();
+    let a = ForwardModel::new(k.clone()).design_matrix(&basis).unwrap();
     let omega = basis.penalty_matrix();
     let mut h = a.gram();
     for i in 0..basis.len() {
@@ -65,8 +59,8 @@ fn qp_and_projected_gradient_agree_on_deconvolution() {
     let (h, c, basis) = deconv_qp_pieces(&k, &g, 1e-4);
 
     // Coefficient positivity (α ≥ 0) is a box constraint both solvers
-    // support. (The production deconvolver constrains f on a grid, which
-    // for the cardinal basis contains α ≥ 0 at the knots.)
+    // support. (The production deconvolver constrains f on a grid
+    // instead; α ≥ 0 is a stand-in with the same QP shape.)
     let qp = QpWorkspace::new()
         .solve(
             &QpProblem::new(&h, &c)
@@ -92,10 +86,8 @@ fn qp_matches_nnls_on_unregularized_problem() {
     let k = kernel(2);
     let truth = PhaseProfile::from_fn(200, |phi| (1.0 - phi) * 2.0 + 0.5).unwrap();
     let g = ForwardModel::new(k.clone()).predict(&truth).unwrap();
-    let basis = NaturalSplineBasis::uniform(10, 0.0, 1.0).unwrap();
-    let a = ForwardModel::new(k)
-        .design_matrix(&basis.clone().into())
-        .unwrap();
+    let basis = SplineBasis::uniform(10, 0.0, 1.0).unwrap();
+    let a = ForwardModel::new(k).design_matrix(&basis).unwrap();
     let y = Vector::from_slice(&g);
 
     let x_nnls = Nnls::new().solve(&a, &y).unwrap();
