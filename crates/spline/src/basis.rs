@@ -71,10 +71,7 @@ impl SplineBasis {
                 need: 4,
             });
         }
-        if knots.iter().any(|x| !x.is_finite()) || knots.windows(2).any(|w| w[1] <= w[0]) {
-            return Err(SplineError::InvalidKnots);
-        }
-        let clamped = ClampedBasis::new(&knots);
+        let clamped = ClampedBasis::new(&knots)?;
         let (a, b) = (knots[0], knots[knots.len() - 1]);
         let last = clamped.len() - 1;
         // Curvatures of B₀‥B₃ at a and of B_{n−2}‥B_{n+1} at b.
@@ -619,6 +616,39 @@ mod tests {
             let fast_d = b.deriv_combination(&coeffs, phi).unwrap();
             assert!((fast_v - v).abs() < 1e-12, "phi {phi}: {fast_v} vs {v}");
             assert!((fast_d - d).abs() < 1e-11, "phi {phi}: {fast_d}' vs {d}'");
+        }
+    }
+
+    #[test]
+    fn combination_fast_path_matches_cardinal_sum() {
+        // The cardinal functions ψⱼ of the natural spline space (ψⱼ(xₖ) =
+        // δⱼₖ at the knots) have B-spline coordinates column j of C⁻¹, C
+        // the collocation at the knots. The fast path on α = C⁻¹y must
+        // agree with the cardinal sum Σ yⱼψⱼ(φ) built function by
+        // function, and interpolate y at the knots.
+        let b = SplineBasis::uniform(9, 0.0, 1.0).unwrap();
+        let y: Vec<f64> = (0..9).map(|i| (i as f64 * 0.83).sin() + 2.0).collect();
+        let c_inv = b.collocation_matrix(b.knots()).unwrap().inverse().unwrap();
+        let alpha: Vec<f64> = (0..9)
+            .map(|i| (0..9).map(|j| c_inv[(i, j)] * y[j]).sum())
+            .collect();
+        let cardinal = |j: usize, phi: f64, order: usize| -> f64 {
+            let psi: Vec<f64> = (0..9).map(|i| c_inv[(i, j)]).collect();
+            naive(&b, &psi, phi, order)
+        };
+        let mut phis = grid(200);
+        phis.extend([-0.25, 1.4]);
+        for &phi in &phis {
+            let v: f64 = (0..9).map(|j| y[j] * cardinal(j, phi, 0)).sum();
+            let d: f64 = (0..9).map(|j| y[j] * cardinal(j, phi, 1)).sum();
+            let fast_v = b.eval_combination(&alpha, phi).unwrap();
+            let fast_d = b.deriv_combination(&alpha, phi).unwrap();
+            assert!((fast_v - v).abs() < 1e-11, "phi {phi}: {fast_v} vs {v}");
+            assert!((fast_d - d).abs() < 1e-9, "phi {phi}: {fast_d}' vs {d}'");
+        }
+        for (k, &x) in b.knots().iter().enumerate() {
+            let got = b.eval_combination(&alpha, x).unwrap();
+            assert!((got - y[k]).abs() < 1e-12, "knot {k}: {got} vs {}", y[k]);
         }
     }
 

@@ -9,6 +9,8 @@
 //! are alive; the last span is closed on the right so `x = b` belongs to
 //! it.
 
+use crate::{Result, SplineError};
+
 /// Spline degree (cubic).
 pub(crate) const DEGREE: usize = 3;
 
@@ -20,15 +22,28 @@ pub(crate) struct ClampedBasis {
 }
 
 impl ClampedBasis {
-    /// The clamped basis on `breaks` (finite, strictly increasing, at
-    /// least two entries; the caller validates).
-    pub(crate) fn new(breaks: &[f64]) -> Self {
+    /// The clamped basis on `breaks`.
+    ///
+    /// # Errors
+    ///
+    /// * [`SplineError::TooFewKnots`] for fewer than two breakpoints.
+    /// * [`SplineError::InvalidKnots`] for unsorted/non-finite ones.
+    pub(crate) fn new(breaks: &[f64]) -> Result<Self> {
+        if breaks.len() < 2 {
+            return Err(SplineError::TooFewKnots {
+                got: breaks.len(),
+                need: 2,
+            });
+        }
+        if breaks.iter().any(|x| !x.is_finite()) || breaks.windows(2).any(|w| w[1] <= w[0]) {
+            return Err(SplineError::InvalidKnots);
+        }
         let (a, b) = (breaks[0], breaks[breaks.len() - 1]);
         let mut t = Vec::with_capacity(breaks.len() + 2 * DEGREE);
         t.extend(std::iter::repeat_n(a, DEGREE));
         t.extend_from_slice(breaks);
         t.extend(std::iter::repeat_n(b, DEGREE));
-        ClampedBasis { t }
+        Ok(ClampedBasis { t })
     }
 
     /// Number of B-splines (`n + 2`).
@@ -105,7 +120,7 @@ mod tests {
 
     fn uniform(n: usize) -> ClampedBasis {
         let breaks: Vec<f64> = (0..n).map(|k| k as f64 / (n - 1) as f64).collect();
-        ClampedBasis::new(&breaks)
+        ClampedBasis::new(&breaks).unwrap()
     }
 
     fn grid(m: usize) -> Vec<f64> {
@@ -119,6 +134,89 @@ mod tests {
             return 0.0;
         }
         basis.local(j, x, order)[i + DEGREE - j]
+    }
+
+    /// `B_{i,p}^{(order)}(x)` from the textbook Cox–de Boor recursion,
+    /// function by function (half-open spans, the last one closed).
+    fn cox_de_boor(t: &[f64], i: usize, p: usize, x: f64, order: usize) -> f64 {
+        let ratio = |num: f64, den: f64| if den == 0.0 { 0.0 } else { num / den };
+        if order > 0 {
+            let lo = ratio(cox_de_boor(t, i, p - 1, x, order - 1), t[i + p] - t[i]);
+            let hi = ratio(
+                cox_de_boor(t, i + 1, p - 1, x, order - 1),
+                t[i + p + 1] - t[i + 1],
+            );
+            return p as f64 * (lo - hi);
+        }
+        if p == 0 {
+            let last = t[t.len() - 1];
+            let closed = x == last && t[i + 1] == last && t[i] < last;
+            return if (t[i] <= x && x < t[i + 1]) || closed {
+                1.0
+            } else {
+                0.0
+            };
+        }
+        ratio((x - t[i]) * cox_de_boor(t, i, p - 1, x, 0), t[i + p] - t[i])
+            + ratio(
+                (t[i + p + 1] - x) * cox_de_boor(t, i + 1, p - 1, x, 0),
+                t[i + p + 1] - t[i + 1],
+            )
+    }
+
+    #[test]
+    fn constructor_validates() {
+        assert!(matches!(
+            ClampedBasis::new(&[0.0]),
+            Err(SplineError::TooFewKnots { got: 1, need: 2 })
+        ));
+        assert!(matches!(
+            ClampedBasis::new(&[0.0, 0.5, 0.5, 1.0]),
+            Err(SplineError::InvalidKnots)
+        ));
+        assert!(matches!(
+            ClampedBasis::new(&[1.0, 0.0]),
+            Err(SplineError::InvalidKnots)
+        ));
+        assert!(ClampedBasis::new(&[0.0, f64::NAN, 1.0]).is_err());
+        assert!(ClampedBasis::new(&[0.0, f64::INFINITY]).is_err());
+        let basis = ClampedBasis::new(&[0.0, 0.25, 1.0]).unwrap();
+        assert_eq!(basis.len(), 5);
+        assert_eq!(basis.t, [0.0, 0.0, 0.0, 0.0, 0.25, 1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn eval_all_matches_per_function_and_combination() {
+        // `local` evaluates all four alive functions at once through the
+        // de Boor triangle; each entry must match the per-function
+        // recursion, and so must any combination Σ cᵢBᵢ.
+        let breaks = [0.0, 0.3, 0.45, 1.1, 1.2, 2.0];
+        let basis = ClampedBasis::new(&breaks).unwrap();
+        let coeffs: Vec<f64> = (0..basis.len())
+            .map(|i| (i as f64 * 0.83).sin() + 2.0)
+            .collect();
+        for k in 0..=37 {
+            let x = 2.0 * k as f64 / 37.0;
+            let j = basis.span(x);
+            for order in 0..=DEGREE {
+                let all = basis.local(j, x, order);
+                let mut full = 0.0;
+                for (i, c) in coeffs.iter().enumerate() {
+                    let want = cox_de_boor(&basis.t, i, DEGREE, x, order);
+                    let got = value(&basis, i, x, order);
+                    assert!(
+                        (got - want).abs() < 1e-10 * (1.0 + want.abs()),
+                        "B_{i}^({order}) at {x}: {got} vs {want}"
+                    );
+                    full += c * want;
+                }
+                let fast: f64 = (0..4).map(|r| coeffs[j - DEGREE + r] * all[r]).sum();
+                assert!(
+                    (fast - full).abs() < 1e-10 * (1.0 + full.abs()),
+                    "order {order} at {x}: {fast} vs {full}"
+                );
+            }
+        }
     }
 
     #[test]
