@@ -46,10 +46,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cellsync::{Deconvolver, FitRequest};
-use cellsync_bench::json::Json;
 use cellsync_bench::stamp;
 use cellsync_serve::{Client, FamilyRegistry, Fault, FaultPlan, Server, ServerConfig};
-use cellsync_wire::{ErrorWire, FitRequestWire, FitResponseWire, StatsWire};
+use cellsync_wire::{ErrorWire, FitRequestWire, FitResponseWire, Json, StatsWire};
 
 /// Schema tag of the serving benchmark document.
 const SCHEMA: &str = "cellsync-serve-bench/2";

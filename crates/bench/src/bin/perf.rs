@@ -47,7 +47,6 @@
 use std::time::Instant;
 
 use cellsync::{DeconvolutionConfig, Deconvolver, LambdaSelection};
-use cellsync_bench::json::Json;
 use cellsync_bench::stamp;
 use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
 use cellsync_ode::models::LotkaVolterra;
@@ -59,6 +58,7 @@ use cellsync_popsim::{
 };
 use cellsync_runtime::Pool;
 use cellsync_spline::SplineBasis;
+use cellsync_wire::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -144,6 +144,5 @@ mod tests {
     }
 }
 pub mod experiments;
-pub mod json;
 pub mod scenarios;
 pub mod stamp;

@@ -29,7 +29,7 @@ use cellsync::DeconvError;
 use cellsync_popsim::{DesyncLevel, SamplingSchedule};
 use cellsync_runtime::Pool;
 
-use crate::json::Json;
+use cellsync_wire::Json;
 
 /// The base seed every accuracy run uses: outcomes are comparable across
 /// commits only when the underlying draws are too.

@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::process::Command;
 
-use crate::json::Json;
+use cellsync_wire::Json;
 
 /// Schema tag of `BENCH.json` (v2 added `git_commit`; v3 dropped the
 /// `batch` section and `host_note`, leaving the timed kernels only).

@@ -86,7 +86,8 @@ impl BandedOperators {
     }
 }
 
-fn dot(a: &[f64], b: &[f64]) -> f64 {
+/// `aᵀb`, summed in index order.
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 

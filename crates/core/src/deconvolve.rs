@@ -1,6 +1,6 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
-use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
+use cellsync_linalg::{Matrix, Vector};
 use cellsync_opt::{QpInstance, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
@@ -9,7 +9,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::banded::BandedOperators;
-use crate::config::LambdaSelection;
 use crate::operators::{check_cancel, FitOperators};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::{
@@ -64,12 +63,12 @@ pub struct DeconvolutionResult {
 }
 
 /// Per-worker scratch for bootstrap replicates: the QP workspace carries
-/// the shared warm hint (the point fit), and the buffers hold the
-/// replicate's resampled data and assembled linear term.
+/// the shared warm hint (the point fit) and the once-factored shared
+/// Hessian, and the buffers hold the replicate's resampled data and
+/// assembled linear term.
 #[derive(Debug)]
 struct BootScratch {
     qp: QpWorkspace,
-    chol: Option<CholeskyDecomposition>,
     resampled: Vec<f64>,
     w2g: Vector,
     c: Vector,
@@ -77,10 +76,11 @@ struct BootScratch {
 
 impl Deconvolver {
     /// Basis size at which the engine switches from the dense spectral
-    /// path to the O(n·b²) banded Woodbury path (k-fold selection keeps
-    /// the dense path: its fold designs are row subsets with no Woodbury
-    /// structure). Below it the dense O(n³) factor is already cheap. The
-    /// basis is the same on both sides: it picks only the solve path.
+    /// path to the O(n·b²) banded Woodbury path, whatever the λ selection
+    /// (a k-fold training fold is the fit with zero weight on its held-out
+    /// rows, so it solves on the same path). Below it the dense O(n³)
+    /// factor is already cheap. The basis is the same on both sides: it
+    /// picks only the solve path.
     pub const BANDED_THRESHOLD: usize = 128;
 
     /// Builds the engine for a kernel and configuration, using the paper's
@@ -151,11 +151,9 @@ impl Deconvolver {
             None => None,
         };
 
-        // Solve path: banded at or above `BANDED_THRESHOLD` unless the
-        // selection is k-fold.
-        let kfold = matches!(config.lambda(), LambdaSelection::KFold { .. });
+        // Solve path: banded at or above `BANDED_THRESHOLD`.
         let omega = basis.penalty();
-        let banded = if config.basis_size() >= Deconvolver::BANDED_THRESHOLD && !kfold {
+        let banded = if config.basis_size() >= Deconvolver::BANDED_THRESHOLD {
             let positivity_sparse = match (&grid, &positivity) {
                 (Some(grid), Some((_, rhs))) => {
                     Some((basis.collocation_sparse(grid)?, rhs.clone()))
@@ -592,7 +590,6 @@ impl Deconvolver {
                         qp.set_warm_start(point_alpha.clone(), hint_active.clone());
                         BootScratch {
                             qp,
-                            chol: None,
                             resampled: vec![0.0; m],
                             w2g: Vector::zeros(m),
                             c: Vector::zeros(n),
@@ -614,27 +611,10 @@ impl Deconvolver {
                             &mut scratch.w2g,
                             &mut scratch.c,
                         )?;
-
-                        let alpha = if self.ops.equality.is_none() && self.ops.positivity.is_none()
-                        {
-                            // Pure smoothing spline: H factored once per
-                            // worker, O(n²) per replicate afterwards.
-                            if scratch.chol.is_none() {
-                                scratch.chol = Some(h.cholesky()?);
-                            }
-                            let mut x = Vector::from_fn(n, |k| -scratch.c[k]);
-                            scratch
-                                .chol
-                                .as_ref()
-                                .expect("just ensured")
-                                .solve_in_place(&mut x)?;
-                            x
-                        } else {
-                            // H is shared across replicates, so the cached
-                            // Hessian factor in the QP workspace stays valid.
-                            let problem = self.ops.constrained_problem(h, &scratch.c, cancel)?;
-                            scratch.qp.solve(&problem)?.x
-                        };
+                        // H is shared across replicates, so the Hessian factor the QP
+                        // workspace caches on its first solve stays valid.
+                        let problem = self.ops.constrained_problem(h, &scratch.c, cancel)?;
+                        let alpha = scratch.qp.solve(&problem)?.x;
 
                         let mut values = Vec::with_capacity(n_grid);
                         for k in 0..n_grid {
@@ -814,6 +794,7 @@ impl DeconvolutionResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LambdaSelection;
     use cellsync_popsim::{InitialCondition, KernelEstimator, Population};
 
     fn kernel(seed: u64, n_times: usize) -> PhaseKernel {

@@ -162,9 +162,10 @@ fn gcv_engine_is_banded_at_threshold() {
 }
 
 #[test]
-fn kfold_engine_stays_dense_at_threshold() {
-    // K-fold designs are row subsets with no Woodbury structure: at 128
-    // knots the engine builds the dense path.
+fn kfold_engine_is_banded_at_threshold() {
+    // A k-fold training fold is the fit with zero weight on its held-out
+    // rows, so k-fold engines dispatch on basis size alone: banded at 128
+    // knots, dense at 127.
     let g = positive_series();
     let sel = LambdaSelection::KFold {
         folds: 4,
@@ -173,19 +174,17 @@ fn kfold_engine_stays_dense_at_threshold() {
         points: 4,
         seed: 7,
     };
-    let engine = Deconvolver::new(anchor_kernel().clone(), config(128, sel)).expect("engine");
-    let ops = engine.operators();
-    assert!(ops.banded.is_none());
-    let fit = engine.fit(&g, None).expect("kfold fit stays dense");
+    let at = Deconvolver::new(anchor_kernel().clone(), config(128, sel.clone())).expect("engine");
+    assert!(at.operators().banded.is_some());
+    let fit = at.fit(&g, None).expect("banded kfold fit");
     assert!(fit.lambda().is_finite() && fit.lambda() > 0.0);
+    let below = Deconvolver::new(anchor_kernel().clone(), config(127, sel)).expect("engine");
+    assert!(below.operators().banded.is_none());
 }
 
-#[test]
-fn banded_positivity_fallback_matches_dense() {
-    // A truth that dives to zero with an undersmoothing λ forces the
-    // unconstrained minimizer negative: the banded path must detect the
-    // violation and fall back to the same constrained QP the dense path
-    // solves.
+/// A truth that dives to zero over the middle of the cycle: with a small
+/// λ the unconstrained minimizer goes negative, so positivity binds.
+fn binding_series() -> Vec<f64> {
     let truth = PhaseProfile::from_fn(200, |phi| {
         let d = (phi - 0.5).abs();
         if d < 0.18 {
@@ -195,9 +194,72 @@ fn banded_positivity_fallback_matches_dense() {
         }
     })
     .expect("valid profile");
-    let g = ForwardModel::new(anchor_kernel().clone())
+    ForwardModel::new(anchor_kernel().clone())
         .predict(&truth)
-        .expect("predicts");
+        .expect("predicts")
+}
+
+#[test]
+fn banded_kfold_matches_dense_twin() {
+    // K-fold on the banded engine against its dense twin: a unit-weight
+    // fit, and a σ-weighted one with both equality constraints, on a
+    // positive series and on one whose positivity binds. Every fold solve
+    // is the same problem on both paths, so the scans select the same λ.
+    let sel = LambdaSelection::KFold {
+        folds: 4,
+        log10_min: -6.0,
+        log10_max: 0.0,
+        points: 4,
+        seed: 9,
+    };
+    let series = [
+        (positive_series(), "positive"),
+        (binding_series(), "binding"),
+    ];
+    let sigmas: Vec<f64> = (0..series[0].0.len())
+        .map(|i| 0.05 + 0.02 * (i % 3) as f64)
+        .collect();
+    for basis in [128, 256] {
+        for weighted in [false, true] {
+            let config = DeconvolutionConfig::builder()
+                .basis_size(basis)
+                .positivity(true)
+                .conservation(weighted)
+                .rate_continuity(weighted)
+                .lambda_selection(sel.clone())
+                .build()
+                .expect("valid config");
+            let banded = Deconvolver::new(anchor_kernel().clone(), config).expect("engine");
+            assert!(banded.operators().banded.is_some(), "basis {basis}");
+            let dense = banded.dense_twin().expect("dense engine");
+            let sigmas = weighted.then_some(sigmas.as_slice());
+            for (g, name) in &series {
+                let case = format!("basis {basis}, {name}, weighted {weighted}");
+                let fb = banded.fit(g, sigmas).expect("banded fit");
+                let fd = dense.fit(g, sigmas).expect("dense fit");
+                assert_eq!(fb.lambda(), fd.lambda(), "{case}: selected λ");
+                for (&(l, sb), &(_, sd)) in fb.selection_scores().iter().zip(fd.selection_scores())
+                {
+                    assert!(
+                        (sb - sd).abs() <= 1e-7 * sd.abs(),
+                        "{case}, λ = {l:e}: score {sb:e} vs {sd:e}"
+                    );
+                }
+                let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+                let diff = max_coef_diff(fd.alpha(), fb.alpha());
+                assert!(diff <= 1e-7 * scale, "{case}: α divergence {diff:e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn banded_positivity_fallback_matches_dense() {
+    // A truth that dives to zero with an undersmoothing λ forces the
+    // unconstrained minimizer negative: the banded path must detect the
+    // violation and fall back to the same constrained QP the dense path
+    // solves.
+    let g = binding_series();
     let sel = LambdaSelection::Fixed(1e-6);
     let (dense, banded) = engines(anchor_kernel(), 128, sel);
 
@@ -418,6 +480,41 @@ fn banded_matches_exact_reference_across_basis_and_lambda_range() {
             assert!(
                 diff <= 1e-8 * scale,
                 "n={n} λ={lambda:e}: banded vs exact {diff:e} (scale {scale:e})"
+            );
+        }
+    }
+}
+
+#[test]
+fn unconstrained_dense_fit_matches_exact_reference() {
+    // With no positivity and no equalities the dense fit is the QP with no
+    // constraint rows: one Cholesky solve plus one refinement step. Below
+    // λ‖Ω‖ ≈ 1e5 it must match the double-double reference to 1e-8; above
+    // it the normal matrix rounds Ω's null space at ε_mach·λ‖Ω‖, and the
+    // bound is 1e-6.
+    let g = positive_series();
+    for n in [18, 64, 127] {
+        let config = |lambda| {
+            DeconvolutionConfig::builder()
+                .basis_size(n)
+                .positivity(false)
+                .lambda(lambda)
+                .build()
+                .expect("valid config")
+        };
+        let probe = Deconvolver::new(anchor_kernel().clone(), config(1.0)).expect("engine");
+        let reference = ExactReference::new(&probe, &g);
+        for lambda in LAMBDAS {
+            let engine = Deconvolver::new(anchor_kernel().clone(), config(lambda)).expect("engine");
+            assert!(engine.operators().banded.is_none(), "n={n}: not dense");
+            let fit = engine.fit(&g, None).expect("dense fit");
+            let exact = reference.solve(lambda);
+            let scale = 1.0 + exact.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            let tol = if lambda <= 1e-2 { 1e-8 } else { 1e-6 };
+            let diff = max_coef_diff(fit.alpha(), &exact);
+            assert!(
+                diff <= tol * scale,
+                "n={n} λ={lambda:e}: dense vs exact {diff:e} (scale {scale:e})"
             );
         }
     }

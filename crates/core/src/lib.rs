@@ -43,8 +43,8 @@
 //!   eigendecomposition of the (penalty, Gram) pencil, so each λ of the
 //!   GCV path costs a diagonal shrinkage instead of a factorization
 //!   (`docs/SOLVER.md` derives the trick).
-//! * [`FitWorkspace`] — reusable per-thread fit scratch: buffers,
-//!   factorization storage, and the QP workspace that
+//! * [`FitWorkspace`] — reusable per-thread fit scratch: buffers, the
+//!   weighted spectral decomposition, and the QP workspace that
 //!   [`Deconvolver::fit_many`] / [`Deconvolver::fit_bootstrap`] hand to
 //!   each pool worker.
 //! * [`synthetic`] — ground-truth generators (ftsZ-like profile, LV

@@ -27,10 +27,9 @@
 //! the *joint* smoother, whose trace counts the effective degrees of
 //! freedom of the whole K-component fit (per-component GCV against the
 //! full bulk is badly biased: each component alone must explain the
-//! whole mixture, which rewards oversmoothing by decades of λ). Engines
-//! are prepared once per component through a
-//! [`crate::session::EngineCache`]; K = 1 delegates to the component
-//! engine's [`crate::Deconvolver::fit_request`].
+//! whole mixture, which rewards oversmoothing by decades of λ). Each
+//! component's engine is built once, at construction; K = 1 delegates to
+//! the component engine's [`crate::Deconvolver::fit_request`].
 //!
 //! Components are *named*, the stacked blocks are laid out in canonical
 //! (sorted-by-name) order, and responses key results by name, so a
@@ -65,13 +64,11 @@
 //! # }
 //! ```
 
-use std::sync::Arc;
-
 use cellsync_linalg::Vector;
 use cellsync_popsim::PhaseKernel;
 
 use crate::operators::FitOperators;
-use crate::session::{EngineCache, EngineKey};
+use crate::session::EngineKey;
 use crate::{
     DeconvError, DeconvolutionConfig, DeconvolutionResult, Deconvolver, FitRequest, FitWorkspace,
     Result,
@@ -223,20 +220,19 @@ impl MixtureFitResponse {
 #[derive(Debug, Clone)]
 struct Slot {
     name: String,
-    engine: Arc<Deconvolver>,
+    engine: Deconvolver,
 }
 
-/// A prepared K-component mixture engine: one cached [`Deconvolver`] per
-/// component, sharing a config family, plus the stacked operators of the
-/// joint problem.
+/// A prepared K-component mixture engine: one [`Deconvolver`] per
+/// component, sharing one configuration, plus the stacked operators of
+/// the joint problem.
 ///
 /// Construction validates the component set once (non-empty, unique
 /// names, shared measurement times, no duplicate kernels — two
-/// identical kernels make the mixture unidentifiable), prepares each
-/// component's engine through an [`EngineCache`], and stacks the
-/// engines' operators into the block problem (K ≥ 2), so a service
-/// fitting many bulk series against one reference set pays the
-/// preparation cost once.
+/// identical kernels make the mixture unidentifiable), builds each
+/// component's engine, and stacks the engines' operators into the block
+/// problem (K ≥ 2), so a service fitting many bulk series against one
+/// reference set pays the preparation cost once.
 #[derive(Debug)]
 pub struct MixtureDeconvolver {
     slots: Vec<Slot>,
@@ -250,22 +246,8 @@ pub struct MixtureDeconvolver {
 }
 
 impl MixtureDeconvolver {
-    /// Builds the engine with a private, fit-for-purpose cache. Use
-    /// [`MixtureDeconvolver::with_cache`] to share prepared engines
-    /// with other mixtures or single-component sessions.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MixtureDeconvolver::with_cache`].
-    pub fn new(components: Vec<MixtureComponent>, config: DeconvolutionConfig) -> Result<Self> {
-        let cache = EngineCache::new(components.len().max(1));
-        MixtureDeconvolver::with_cache(components, config, &cache)
-    }
-
-    /// Builds the engine, preparing each component's [`Deconvolver`]
-    /// through `cache` (components whose (kernel, config) family is
-    /// already cached are adopted, not rebuilt), then stacking their
-    /// operators into the joint problem.
+    /// Builds the engine: one [`Deconvolver`] per component, then their
+    /// operators stacked into the joint problem.
     ///
     /// # Errors
     ///
@@ -273,11 +255,7 @@ impl MixtureDeconvolver {
     /// duplicate component names, kernels that disagree on measurement
     /// times, or bit-identical duplicate kernels (unidentifiable);
     /// otherwise propagates engine-construction errors.
-    pub fn with_cache(
-        components: Vec<MixtureComponent>,
-        config: DeconvolutionConfig,
-        cache: &EngineCache,
-    ) -> Result<Self> {
+    pub fn new(components: Vec<MixtureComponent>, config: DeconvolutionConfig) -> Result<Self> {
         if components.is_empty() {
             return Err(DeconvError::InvalidConfig(
                 "mixture needs at least one component",
@@ -310,16 +288,16 @@ impl MixtureDeconvolver {
             }
         }
 
-        let mut slots = Vec::with_capacity(components.len());
-        for (c, key) in components.into_iter().zip(keys.iter()) {
-            let engine = cache.get_or_build(key, || {
-                Ok(Deconvolver::new(c.kernel.clone(), config.clone())?.with_threads(1))
-            })?;
-            slots.push(Slot {
-                name: c.name,
-                engine,
-            });
-        }
+        let slots = components
+            .into_iter()
+            .map(|c| {
+                let engine = Deconvolver::new(c.kernel, config.clone())?.with_threads(1);
+                Ok(Slot {
+                    name: c.name,
+                    engine,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
         let mut canonical: Vec<usize> = (0..slots.len()).collect();
         canonical.sort_by(|&a, &b| slots[a].name.cmp(&slots[b].name));
         let stacked = if slots.len() > 1 {

@@ -17,9 +17,9 @@ use cellsync_runtime::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::banded::{BandedFit, BandedOperators};
+use crate::banded::{dot, BandedFit, BandedOperators};
 use crate::config::LambdaSelection;
-use crate::solver::{ReducedOperators, SpectralPath};
+use crate::solver::{ReducedOperators, SolveScratch, SpectralPath};
 use crate::{DeconvError, DeconvolutionConfig, FitWorkspace, Result};
 
 /// The `(λ, score)` pairs of a λ-selection scan, in scan order.
@@ -284,25 +284,30 @@ impl FitOperators {
         }
     }
 
-    /// The coefficient solve behind every fit, on the path the operators
-    /// were built for: select λ (a `lambda_override` skips the selection;
-    /// otherwise the configured fixed value, GCV on the banded
-    /// capacitance or on the spectral path, or k-fold), then solve the
-    /// constrained problem at that λ. Returns `(α, λ, selection scores)`.
+    /// One series on these operators: its weights and measurements, with
+    /// the banded path's whitened design and border blocks when the
+    /// operators are banded.
+    pub(crate) fn series<'a>(&'a self, weights: &'a [f64], g: &'a [f64]) -> Series<'a> {
+        let banded = self.banded.as_ref().map(|bops| {
+            let eq = self.equality.as_ref().map(|(e, _)| e);
+            BandedFit::new(bops, &self.design, weights, g, eq)
+        });
+        Series { weights, g, banded }
+    }
+
+    /// The coefficient solve behind every fit: select λ (a
+    /// `lambda_override` skips the selection; otherwise the configured
+    /// fixed value, GCV on the banded capacitance or on the spectral path,
+    /// or k-fold), then run the fixed-λ solve ([`FitOperators::solve_at`])
+    /// at that λ. Returns `(α, λ, selection scores)`.
     ///
-    /// Banded operators solve the equality-constrained minimizer by
-    /// Woodbury ([`crate::banded`]). When it is feasible, convexity makes
-    /// it the optimum with zero inequality multipliers and the QP is
-    /// skipped; when positivity binds, it is not the optimum, and the
-    /// active-set QP at the selected λ starts from it.
-    ///
-    /// Dense GCV fits get a deterministic warm hint for the constrained
-    /// solve: the spectral path's own unconstrained minimizer at the
-    /// selected λ. It is a pure function of (operators, data, λ) — never
-    /// of workspace history — so batch results stay order- and
-    /// thread-invariant. When it violates positivity the QP moves it
-    /// inside along the interior direction instead. A λ override never
-    /// ran the sweep, so it carries no hint.
+    /// Dense GCV fits hand the fixed-λ solve a deterministic warm hint:
+    /// the spectral path's own unconstrained minimizer at the selected λ.
+    /// It is a pure function of (operators, data, λ) — never of workspace
+    /// history — so batch results stay order- and thread-invariant. When
+    /// it violates positivity the QP moves it inside along the interior
+    /// direction instead. A λ override never ran the sweep, so it carries
+    /// no hint.
     pub(crate) fn solve(
         &self,
         workspace: &mut FitWorkspace,
@@ -311,62 +316,103 @@ impl FitOperators {
         lambda_override: Option<f64>,
         cancel: Option<&CancelToken>,
     ) -> Result<(Vector, f64, LambdaScan)> {
-        let banded = self.banded.as_ref().map(|bops| {
-            let eq = self.equality.as_ref().map(|(e, _)| e);
-            let weights = self.weights(workspace, unit);
-            let fit = BandedFit::new(bops, &self.design, weights, g, eq);
-            (bops, fit)
-        });
-        let (lambda, scores) = match (lambda_override, &self.selection) {
-            (Some(l), _) | (None, &LambdaSelection::Fixed(l)) => (l, Vec::new()),
-            (None, LambdaSelection::Gcv { .. }) => match &banded {
-                Some((_, fit)) => gcv_select(&self.lambda_grid, cancel, |l| fit.gcv_score(l))?,
-                None => self.gcv_lambda(workspace, g, unit, cancel)?,
-            },
-            (None, &LambdaSelection::KFold { folds, seed, .. }) => {
-                self.kfold_lambda(workspace, g, unit, folds, seed, cancel)?
+        // Dense GCV (the only operators with a spectral reduction) scans
+        // the spectral path. The scan needs the whole workspace, so it
+        // runs before the series borrows the weights.
+        let spectral = match (lambda_override, &self.reduced) {
+            (None, Some(_)) => {
+                let (lambda, scores) = self.gcv_lambda(workspace, g, unit, cancel)?;
+                let hint = self.spectral_warm_hint(workspace, unit, lambda)?;
+                Some((lambda, scores, Some(hint)))
+            }
+            _ => None,
+        };
+        let weights: &[f64] = if unit {
+            &self.unit_weights
+        } else {
+            &workspace.weights
+        };
+        let series = self.series(weights, g);
+        let (lambda, scores, hint) = match (spectral, lambda_override, &self.selection) {
+            (Some(selected), ..) => selected,
+            (None, Some(l), _) | (None, None, &LambdaSelection::Fixed(l)) => (l, Vec::new(), None),
+            (None, None, LambdaSelection::Gcv { .. }) => {
+                let fit = series
+                    .banded
+                    .as_ref()
+                    .expect("GCV operators without the spectral path are banded");
+                let (l, scores) = gcv_select(&self.lambda_grid, cancel, |l| fit.gcv_score(l))?;
+                (l, scores, None)
+            }
+            (None, None, &LambdaSelection::KFold { folds, seed, .. }) => {
+                let (l, scores) =
+                    self.kfold_lambda(&mut workspace.solve, &series, folds, seed, cancel)?;
+                (l, scores, None)
             }
         };
-        let hint = match &banded {
-            Some((bops, fit)) => {
+        let alpha = self.solve_at(&mut workspace.solve, &series, lambda, hint, cancel)?;
+        Ok((alpha, lambda, scores))
+    }
+
+    /// The one fixed-λ solve behind every fit and every k-fold fold.
+    ///
+    /// On the banded path it solves the equality-constrained minimizer by
+    /// Woodbury ([`crate::banded`]). When that is feasible, convexity makes
+    /// it the optimum with zero inequality multipliers and the QP is
+    /// skipped; when positivity binds, it is not the optimum, and it warms
+    /// the active-set QP. On the dense path `hint` warms the QP. The QP
+    /// gets the interior direction, so it starts at the hint when that is
+    /// feasible, else at the hint (or the equality-constrained minimizer)
+    /// moved strictly inside the positivity cone. Without constraint rows
+    /// the QP is one Cholesky solve and one refinement step.
+    pub(crate) fn solve_at(
+        &self,
+        scratch: &mut SolveScratch,
+        series: &Series<'_>,
+        lambda: f64,
+        hint: Option<Vector>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vector> {
+        let hint = match &series.banded {
+            Some(fit) => {
                 let alpha = fit.solve(lambda)?;
                 let tol = 1e-9 * (1.0 + alpha.norm_inf());
-                let binds = match &bops.positivity {
+                let binds = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
                     Some((p, _)) => p.matvec(&alpha)?.iter().any(|&v| v < -tol),
                     None => false,
                 };
                 if !binds {
-                    return Ok((alpha, lambda, scores));
+                    return Ok(alpha);
                 }
                 Some(alpha)
             }
-            None if lambda_override.is_none() => {
-                self.spectral_warm_hint(workspace, unit, lambda)?
-            }
-            None => None,
+            None => hint,
         };
-        let alpha = self.solve_constrained_full(workspace, g, unit, lambda, hint, cancel)?;
-        Ok((alpha, lambda, scores))
+        check_cancel(cancel)?;
+        let SolveScratch { qp, h, c, w2g } = scratch;
+        self.hessian(series.weights, lambda, h)?;
+        self.linear_term_into(series.weights, series.g, w2g, c)?;
+        // H differs per call in fit context and fits must be independent
+        // of workspace history: drop the cached factor and replace any
+        // warm hint with this solve's own.
+        qp.invalidate_hessian();
+        match hint {
+            Some(x0) => qp.set_warm_start(x0, Vec::new()),
+            None => qp.clear_warm_start(),
+        }
+        Ok(qp.solve(&self.constrained_problem(h, c, cancel)?)?.x)
     }
 
     /// The QP Hessian `H = 2(AᵀW²A + λΩ + εI)` for weights `weights`,
-    /// written into `h` (resized when needed): the Hessian of every fit,
-    /// of the bootstrap's once-per-band replicate solves and of a
-    /// harvested QP.
+    /// symmetrized, written into `h` (resized when needed): the Hessian of
+    /// every fit, of the bootstrap's once-per-band replicate solves and of
+    /// a harvested QP — the single site for the scale/ridge convention.
     pub(crate) fn hessian(&self, weights: &[f64], lambda: f64, h: &mut Matrix) -> Result<()> {
         let n = self.dim();
         if h.shape() != (n, n) {
             h.reset_zeroed(n, n);
         }
         self.design.weighted_gram_into(weights, h)?;
-        self.assemble_hessian(h, lambda)
-    }
-
-    /// Turns `h` (holding `BᵀB` on entry) into the QP Hessian
-    /// `H = 2(BᵀB + λΩ + εI)`, symmetrized — the single site for the
-    /// scale/ridge convention.
-    fn assemble_hessian(&self, h: &mut Matrix, lambda: f64) -> Result<()> {
-        let n = self.dim();
         add_band_into(&self.omega, h, lambda);
         for i in 0..n {
             for j in 0..n {
@@ -424,24 +470,17 @@ impl FitOperators {
             .collect())
     }
 
-    /// The deterministic warm hint of a GCV fit: the unconstrained
-    /// spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the selected λ
-    /// (`None` for non-GCV selections, whose workspaces hold no spectral
-    /// projection). The QP validates feasibility at solve time: a hint
-    /// that violates positivity becomes the base point of the interior
-    /// start (see [`FitOperators::solve_assembled`]).
+    /// The deterministic warm hint of a dense GCV fit: the unconstrained
+    /// spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the selected λ. The
+    /// QP validates feasibility at solve time: a hint that violates
+    /// positivity becomes the base point of the interior start (see
+    /// [`FitOperators::solve_at`]).
     fn spectral_warm_hint(
         &self,
         workspace: &mut FitWorkspace,
         unit: bool,
         lambda: f64,
-    ) -> Result<Option<Vector>> {
-        if !matches!(self.selection, LambdaSelection::Gcv { .. }) {
-            return Ok(None);
-        }
-        if self.equality.is_none() && self.positivity.is_none() {
-            return Ok(None); // direct SPD solve path: no QP to warm.
-        }
+    ) -> Result<Vector> {
         let FitWorkspace {
             spectral,
             zproj,
@@ -461,11 +500,10 @@ impl FitOperators {
             .reduced
             .as_ref()
             .expect("dense GCV operators build the reduction");
-        let alpha = match &ops.z {
+        Ok(match &ops.z {
             Some(z) => z.matvec(beta)?,
             None => beta.clone(),
-        };
-        Ok(Some(alpha))
+        })
     }
 
     /// GCV λ selection on the spectral path ([`gcv_select`]), every
@@ -509,91 +547,50 @@ impl FitOperators {
         })
     }
 
-    /// K-fold cross-validated λ selection: refit (with the full
-    /// constraint set) on each training fold and score the held-out
-    /// weighted squared error. The fold designs differ per fold, so this
-    /// path stays dense — it reuses the workspace's assembly buffers but
-    /// factors per (fold, λ).
+    /// K-fold cross-validated λ selection. The folds are drawn once; a
+    /// training fold is the series with zero weight on its held-out rows,
+    /// so every (λ, fold) pair is one fixed-λ solve
+    /// ([`FitOperators::solve_at`]) on the operators' own path, with the
+    /// full constraint set. A λ scores the mean held-out weighted squared
+    /// error `(wᵥ·(Aᵥ·α − gᵥ))²` over all folds.
     fn kfold_lambda(
         &self,
-        workspace: &mut FitWorkspace,
-        g: &[f64],
-        unit: bool,
+        scratch: &mut SolveScratch,
+        series: &Series<'_>,
         folds: usize,
         seed: u64,
         cancel: Option<&CancelToken>,
     ) -> Result<(f64, LambdaScan)> {
         let m = self.design.rows();
-        // Weighted design and data: B = W·A, y = W·g (cloned out of the
-        // workspace so the per-fold solves below can borrow it mutably).
-        let weights = self.weights(workspace, unit).to_vec();
-        let b = Matrix::from_fn(m, self.dim(), |r, c| weights[r] * self.design[(r, c)]);
-        let y = Vector::from_fn(m, |i| weights[i] * g[i]);
-
-        let mut scores = Vec::with_capacity(self.lambda_grid.len());
-        for &l in &self.lambda_grid {
-            check_cancel(cancel)?;
-            scores.push((
-                l,
-                self.kfold_score(workspace, &b, &y, l, folds, seed, cancel)?,
-            ));
-        }
-        Ok((argmin_score(&scores)?, scores))
-    }
-
-    /// Mean held-out weighted squared error of the constrained fit at one
-    /// λ.
-    #[allow(clippy::too_many_arguments)]
-    fn kfold_score(
-        &self,
-        workspace: &mut FitWorkspace,
-        b: &Matrix,
-        y: &Vector,
-        lambda: f64,
-        folds: usize,
-        seed: u64,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64> {
-        let m = b.rows();
         let mut rng = StdRng::seed_from_u64(seed);
         let folds = cellsync_stats::crossval::k_fold(m, folds.min(m), &mut rng)?;
-        let mut total = 0.0;
+        let mut masked = series.weights.to_vec();
+        let mut totals = vec![0.0; self.lambda_grid.len()];
         let mut count = 0usize;
         for fold in &folds {
-            let bt = Matrix::from_fn(fold.train.len(), self.dim(), |r, c| b[(fold.train[r], c)]);
-            let yt = Vector::from_fn(fold.train.len(), |r| y[fold.train[r]]);
-            let alpha = self.solve_constrained_dense(workspace, &bt, &yt, lambda, cancel)?;
+            masked.copy_from_slice(series.weights);
             for &v in &fold.validation {
-                let pred = Vector::from_slice(b.row(v)).dot(&alpha)?;
-                total += (pred - y[v]).powi(2);
-                count += 1;
+                masked[v] = 0.0;
             }
+            let train = self.series(&masked, series.g);
+            for (total, &l) in totals.iter_mut().zip(&self.lambda_grid) {
+                check_cancel(cancel)?;
+                let alpha = self.solve_at(scratch, &train, l, None, cancel)?;
+                for &v in &fold.validation {
+                    let pred = dot(self.design.row(v), alpha.as_slice());
+                    let r = series.weights[v] * (pred - series.g[v]);
+                    *total += r * r;
+                }
+            }
+            count += fold.validation.len();
         }
-        Ok(total / count as f64)
-    }
-
-    /// Solves the constrained QP at `lambda` for the operators' own
-    /// design and the given data, assembling `H` and `c = −2BᵀW²g`
-    /// straight from the unweighted design (the weighted design is never
-    /// materialized).
-    fn solve_constrained_full(
-        &self,
-        workspace: &mut FitWorkspace,
-        g: &[f64],
-        unit: bool,
-        lambda: f64,
-        hint: Option<Vector>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vector> {
-        {
-            let FitWorkspace {
-                h, c, w2g, weights, ..
-            } = workspace;
-            let weights: &[f64] = if unit { &self.unit_weights } else { weights };
-            self.hessian(weights, lambda, h)?;
-            self.linear_term_into(weights, g, w2g, c)?;
-        }
-        self.solve_assembled(workspace, hint, cancel)
+        let scores: LambdaScan = self
+            .lambda_grid
+            .iter()
+            .zip(totals)
+            .map(|(&l, total)| (l, total / count as f64))
+            .collect();
+        Ok((argmin_score(&scores)?, scores))
     }
 
     /// The QP linear term `c = −2·AᵀW²g` for weights `weights` and data
@@ -618,72 +615,108 @@ impl FitOperators {
         c.scale_in_place(-2.0);
         Ok(())
     }
+}
 
-    /// Solves the constrained QP at `lambda` for an explicit weighted
-    /// design `b` and data `y` (the k-fold path, where folds subset the
-    /// rows).
-    fn solve_constrained_dense(
-        &self,
-        workspace: &mut FitWorkspace,
-        b: &Matrix,
-        y: &Vector,
-        lambda: f64,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vector> {
-        let n = self.dim();
-        if workspace.h.shape() != (n, n) {
-            workspace.h.reset_zeroed(n, n);
-        }
-        b.gram_into(&mut workspace.h)?;
-        self.assemble_hessian(&mut workspace.h, lambda)?;
-        b.tr_matvec_into(y, &mut workspace.c)?;
-        workspace.c.scale_in_place(-2.0);
-        self.solve_assembled(workspace, None, cancel)
-    }
+/// One series on a [`FitOperators`]: the weights and measurements of a
+/// fit (or of a k-fold training fold: the fit's weights with the held-out
+/// rows zeroed) and, on the banded path, their [`BandedFit`].
+pub(crate) struct Series<'a> {
+    weights: &'a [f64],
+    g: &'a [f64],
+    banded: Option<BandedFit<'a>>,
+}
 
-    /// Core constrained solve: expects the Hessian `workspace.h = H` and
-    /// the linear term `workspace.c = −2Bᵀy`, and dispatches to the
-    /// direct SPD solve or the active-set QP. The QP
-    /// gets the interior direction, so it starts at `hint` when that is
-    /// feasible, else at `hint` (or the equality-constrained minimizer
-    /// when there is no hint) moved strictly inside the positivity cone —
-    /// never at the degenerate origin unless the constraints admit no
-    /// interior direction.
-    fn solve_assembled(
-        &self,
-        workspace: &mut FitWorkspace,
-        hint: Option<Vector>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vector> {
-        check_cancel(cancel)?;
-        let n = self.dim();
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Deconvolver, ForwardModel, PhaseProfile};
+    use cellsync_popsim::{CellCycleParams, InitialCondition, KernelEstimator, Population};
 
-        if self.equality.is_none() && self.positivity.is_none() {
-            // Pure smoothing spline: direct SPD solve (the workspace's
-            // Cholesky storage is re-factored in place, never reused
-            // stale — H changes with λ and data).
-            match &mut workspace.chol {
-                Some(chol) => chol.refactor(&workspace.h)?,
-                None => workspace.chol = Some(workspace.h.cholesky()?),
+    #[test]
+    fn fold_solve_matches_the_training_rows_problem() {
+        // A k-fold training fold is the fit with zero weight on its
+        // held-out rows: its fixed-λ solve must be the fit of the
+        // operators built from the training rows alone, on both paths,
+        // with and without binding positivity.
+        let params = CellCycleParams::caulobacter().unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let pop =
+            Population::synchronized(2_000, &params, InitialCondition::UniformSwarmer, &mut rng)
+                .unwrap()
+                .simulate_until(150.0)
+                .unwrap();
+        let times: Vec<f64> = (0..14).map(|i| 150.0 * i as f64 / 13.0).collect();
+        let kernel = KernelEstimator::new(64)
+            .unwrap()
+            .estimate(&pop, &times)
+            .unwrap();
+        let truths = [
+            PhaseProfile::from_fn(200, |phi| 2.0 + (2.0 * std::f64::consts::PI * phi).sin())
+                .unwrap(),
+            PhaseProfile::from_fn(200, |phi| {
+                (2.0 * std::f64::consts::PI * phi).sin() * 1.5 - 0.3
+            })
+            .unwrap(),
+        ];
+        let held_out = [1, 6, 10];
+        let lambda = 1e-4;
+        for basis in [24, Deconvolver::BANDED_THRESHOLD] {
+            let config = DeconvolutionConfig::builder()
+                .basis_size(basis)
+                .conservation(true)
+                .rate_continuity(true)
+                .lambda(lambda)
+                .build()
+                .unwrap();
+            let engine = Deconvolver::new(kernel.clone(), config.clone()).unwrap();
+            let ops = engine.operators();
+            assert_eq!(ops.banded.is_some(), basis >= Deconvolver::BANDED_THRESHOLD);
+            let (m, n) = ops.design.shape();
+            let train: Vec<usize> = (0..m).filter(|i| !held_out.contains(i)).collect();
+            let train_ops = FitOperators::new(
+                Matrix::from_fn(train.len(), n, |r, j| ops.design[(train[r], j)]),
+                ops.omega.clone(),
+                ops.equality.clone(),
+                ops.positivity.clone(),
+                ops.interior.clone(),
+                ops.banded.clone(),
+                &config,
+            )
+            .unwrap();
+            let sigmas: Vec<f64> = (0..m).map(|i| 0.05 + 0.01 * (i % 4) as f64).collect();
+            let weights: Vec<f64> = sigmas.iter().map(|s| 1.0 / s).collect();
+            let mut masked = weights.clone();
+            for &v in &held_out {
+                masked[v] = 0.0;
             }
-            let mut x = Vector::from_fn(n, |i| -workspace.c[i]);
-            workspace
-                .chol
-                .as_ref()
-                .expect("just ensured")
-                .solve_in_place(&mut x)?;
-            return Ok(x);
-        }
+            for truth in &truths {
+                let g = ForwardModel::new(kernel.clone()).predict(truth).unwrap();
+                let mut workspace = FitWorkspace::new();
+                ops.prepare(&mut workspace, None);
+                let fold = ops
+                    .solve_at(
+                        &mut workspace.solve,
+                        &ops.series(&masked, &g),
+                        lambda,
+                        None,
+                        None,
+                    )
+                    .unwrap();
 
-        let FitWorkspace { h, c, qp, .. } = workspace;
-        // H differs per call in fit context and fits must be independent
-        // of workspace history: drop the cached factor and replace any
-        // warm hint with the (history-free) spectral one, if supplied.
-        qp.invalidate_hessian();
-        match hint {
-            Some(x0) => qp.set_warm_start(x0, Vec::new()),
-            None => qp.clear_warm_start(),
+                let g_train: Vec<f64> = train.iter().map(|&i| g[i]).collect();
+                let s_train: Vec<f64> = train.iter().map(|&i| sigmas[i]).collect();
+                let mut workspace = FitWorkspace::new();
+                let unit = train_ops.prepare(&mut workspace, Some(&s_train));
+                let (direct, _, _) = train_ops
+                    .solve(&mut workspace, &g_train, unit, None, None)
+                    .unwrap();
+                let scale = 1.0 + direct.norm_inf();
+                let diff = (&fold - &direct).norm_inf();
+                assert!(
+                    diff <= 1e-10 * scale,
+                    "basis {basis}: fold vs training-rows solve {diff:e} (scale {scale:e})"
+                );
+            }
         }
-        Ok(qp.solve(&self.constrained_problem(h, c, cancel)?)?.x)
     }
 }

@@ -27,7 +27,7 @@
 //! [`cellsync_runtime::Pool::par_map_with`]. See `docs/SOLVER.md` for the
 //! full derivation.
 
-use cellsync_linalg::{CholeskyDecomposition, GeneralizedSymmetricEigen, Matrix, Vector};
+use cellsync_linalg::{GeneralizedSymmetricEigen, Matrix, Vector};
 use cellsync_opt::QpWorkspace;
 
 use crate::{DeconvError, DeconvolutionConfig, Result};
@@ -290,17 +290,13 @@ impl SpectralPath {
 /// what keeps batch results bit-identical at any thread count.
 #[derive(Debug, Clone, Default)]
 pub struct FitWorkspace {
-    /// Active-set QP scratch (cached Hessian factor, warm hints).
-    pub(crate) qp: QpWorkspace,
-    /// Cholesky storage for the unconstrained solve path.
-    pub(crate) chol: Option<CholeskyDecomposition>,
     /// Per-fit spectral decomposition for weighted fits, rebuilt in place
     /// for every weighted GCV fit (unit-weight fits use the engine's
     /// cached decomposition instead).
     pub(crate) spectral: SpectralPath,
     /// Per-measurement weights `1/σ`.
     pub(crate) weights: Vec<f64>,
-    /// `W²·g` (m).
+    /// `W²·g` (m) of the spectral projection.
     pub(crate) w2g: Vector,
     /// `A_rᵀW²g` (r).
     pub(crate) rhs_r: Vector,
@@ -312,10 +308,24 @@ pub struct FitWorkspace {
     pub(crate) beta: Vector,
     /// Unweighted prediction `A_r·β` (m).
     pub(crate) u: Vector,
+    /// Scratch of the fixed-λ solve, shared by the fit and every k-fold
+    /// fold.
+    pub(crate) solve: SolveScratch,
+}
+
+/// Scratch of the engine's one fixed-λ solve: the QP workspace and the
+/// QP it assembles. A separate struct so a solve can borrow it next to
+/// the workspace's weights.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SolveScratch {
+    /// Active-set QP scratch (cached Hessian factor, warm hints).
+    pub(crate) qp: QpWorkspace,
     /// Assembled QP Hessian (n × n).
     pub(crate) h: Matrix,
     /// Assembled QP linear term (n).
     pub(crate) c: Vector,
+    /// `W²·g` (m) of the linear term.
+    pub(crate) w2g: Vector,
 }
 
 impl FitWorkspace {
@@ -330,6 +340,7 @@ impl FitWorkspace {
         if self.w2g.len() != m {
             self.w2g = Vector::zeros(m);
             self.u = Vector::zeros(m);
+            self.solve.w2g = Vector::zeros(m);
         }
         if self.rhs_r.len() != r {
             self.rhs_r = Vector::zeros(r);
@@ -337,8 +348,8 @@ impl FitWorkspace {
             self.d = Vector::zeros(r);
             self.beta = Vector::zeros(r);
         }
-        if self.c.len() != n {
-            self.c = Vector::zeros(n);
+        if self.solve.c.len() != n {
+            self.solve.c = Vector::zeros(n);
         }
     }
 }

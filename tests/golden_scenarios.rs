@@ -22,9 +22,9 @@
 use std::path::PathBuf;
 
 use cellsync::scenario::{ScenarioOutcome, ScenarioRunConfig, ScenarioSpec};
-use cellsync_bench::json::Json;
 use cellsync_bench::scenarios::BASE_SEED;
 use cellsync_spline::SplineBasis;
+use cellsync_wire::Json;
 
 /// Absolute tolerance on each pinned knot value (profile units are O(1)).
 const ALPHA_TOL: f64 = 1e-6;
