@@ -1,5 +1,8 @@
 //! Runs every figure/experiment reproduction in sequence and prints the
 //! combined paper-vs-measured report (the source of EXPERIMENTS.md).
+//!
+//! Exits non-zero when an experiment fails or any report line is
+//! `[DEVIATES]`, so the paper's figure claims gate CI.
 
 use cellsync_bench::experiments;
 
@@ -17,11 +20,13 @@ fn main() {
         ("genome_wide", experiments::run_genome_wide),
     ];
     let mut failed = false;
+    let mut deviations = 0usize;
     for (name, job) in jobs {
         println!("=== {name} ===");
         match job(42) {
             Ok(lines) => {
                 for line in lines {
+                    deviations += usize::from(line.contains("[DEVIATES]"));
                     println!("{line}");
                 }
             }
@@ -32,7 +37,10 @@ fn main() {
         }
         println!();
     }
-    if failed {
+    if deviations > 0 {
+        eprintln!("{deviations} report line(s) DEVIATE from the paper");
+    }
+    if failed || deviations > 0 {
         std::process::exit(1);
     }
 }

@@ -416,8 +416,8 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
     });
     kernels.push(kernel_entry("qp_ipm_cold_18x101x6", reps, median, min));
 
-    // 9. Banded Cholesky factor+solve at the genome-scale basis size the
-    // Woodbury path pays per λ evaluation: n = 512, bandwidth 4. The
+    // 9. Banded Cholesky factor+solve at the genome-scale basis size an
+    // engine pays once at build: n = 512, bandwidth 4. The
     // gate baseline is this banded kernel's own median; the O(n³) →
     // O(n·b²) win over a dense 512×512 Cholesky is a documented ratio
     // (docs/SOLVER.md §9), not a baseline.
@@ -533,9 +533,8 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
 
     // The same fit with per-measurement σ: a σ-weighted series cannot use
     // the engine's cached unit-weight decomposition, so every fit pays
-    // the Gram assembly, the pencil eigendecomposition and the
-    // back-transform of its own spectral path — the per-gene cost of
-    // the σ-carrying half of a genome.
+    // its own m×m measurement-space eigendecomposition and projection —
+    // the per-gene cost of the σ-carrying half of a genome.
     let sigmas: Vec<f64> = (0..g.len())
         .map(|i| 0.05 * (1.0 + 0.5 * (i as f64 * 0.9).sin()))
         .collect();
@@ -551,11 +550,11 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
         min,
     ));
 
-    // The banded path at the `genome_fine` shape: 128 natural B-spline
-    // functions (`BANDED_THRESHOLD`: the engine runs banded), 7-point GCV
-    // over [1e-6, 1], σ-weighted. Each
-    // λ costs one banded factor and one m×m capacitance; the selected λ
-    // adds the coefficient solve and the positivity check.
+    // The `genome_fine` shape: 128 natural B-spline functions, 7-point
+    // GCV over [1e-6, 1], σ-weighted. The series decomposes its m×m
+    // measurement-space matrix once and each λ costs a shrinkage of its
+    // m eigenvalues; the selected λ adds the coefficient solve and the
+    // positivity check.
     let banded_config = DeconvolutionConfig::builder()
         .basis_size(128)
         .positivity(true)

@@ -1,361 +1,1308 @@
-//! The banded solve path for large basis sizes.
-//!
-//! In the natural cubic B-spline basis the penalty `Ω` is banded
-//! (bandwidth 3) and the measurement count m is tiny, so each λ of the
-//! GCV scan is evaluated in the m-dimensional measurement space instead
-//! of factoring the dense n×n normal matrix.
+//! The one λ scan and the one fixed-λ minimizer of paper eq. 5, at every
+//! basis size and for mixtures.
 //!
 //! `Ω` annihilates exactly `span{1, ξ}` (ξ the Greville coordinates of
 //! the linear profile, [`cellsync_spline::SplineBasis::greville`]).
-//! Pinning the two end coefficients splits
+//! Pinning each block's two end coefficients splits
 //! `α = N·c + (0, β, 0)` with `N = [ℓ₀, ℓ₁]` their linear interpolants
 //! (`ℓ₁ = (ξ − ξ₀)/(ξ_{n−1} − ξ₀)`, `ℓ₀ = 1 − ℓ₁`), so `αᵀΩα = βᵀΩ_rrβ`
-//! and `S = λΩ_rr + εI` on the interior is positive definite without the
-//! ridge. The ridge stays in the problem exactly: its cross terms with
-//! `c` join the border. With `B = W·A`, `d = W·g`, `B_r` the interior
-//! columns, `U = [εN_r, E_rᵀ]` and the border `z = (c, γ)` (null
-//! coordinates and the multipliers of k equality rows `Eα = 0`):
+//! with `Ω_rr` the positive definite interior block. A K-component
+//! mixture stacks K such blocks: `Ω_rr = blockdiag(Ω_rrᵏ)` and `c` holds
+//! 2K end coefficients. The criterion is
 //!
 //! ```text
-//! M   = I + B_r S⁻¹ B_rᵀ                                     (m × m)
-//! Ĝ   = [B·N, 0] − B_r S⁻¹ U                                 (m × q, q = 2 + k)
-//! 𝒮   = Ĝᵀ M⁻¹ Ĝ + [[εNᵀN, (EN)ᵀ], [EN, 0]] − Uᵀ S⁻¹ U       (q × q)
+//! ‖W(g − Aα)‖² + λ̄·βᵀΩ_rrβ + ε·cᵀ(NᵀN)c,   λ̄ = max(λ, ε),  Eα = 0
+//! ```
+//!
+//! The ridge ε ([`DeconvolutionConfig::RIDGE`]) acts on the null
+//! coordinates only, so `S = λ̄Ω_rr` and λ factors out of every interior
+//! product. With `B = W·A`, `d = W·g`, `B_r` the interior columns, the
+//! border `z = (c, γ)` (null coordinates and the multipliers of k
+//! equality rows) and `U = [0, E_rᵀ]`, block elimination gives
+//!
+//! ```text
+//! M   = I + B_r S⁻¹ B_rᵀ = V·diag(1/s)·Vᵀ,   s = λ̄/(λ̄ + γ)      (m × m)
+//! Ĝ   = [B·N, 0] − B_r S⁻¹ U                                    (m × q)
+//! 𝒮   = Ĝᵀ M⁻¹ Ĝ + [[εNᵀN, (EN)ᵀ], [EN, 0]] − Uᵀ S⁻¹ U          (q × q)
 //! z   = 𝒮⁻¹ Ĝᵀ M⁻¹ d,     r = M⁻¹(d − Ĝz)           (r = d − Bα)
 //! edf = m − tr M⁻¹ + tr(𝒮⁻¹ Ĝᵀ M⁻² Ĝ),     β = S⁻¹(B_rᵀr − Uz)
 //! ```
 //!
-//! With `S = LLᵀ`, one forward solve of the block `L⁻¹[B_rᵀ, U]` and its
-//! Gram give every `S⁻¹` product, so a λ costs one banded factor,
-//! O(n·(m + q)²) and an O(m³) Cholesky, with no coefficient vector and
-//! no subtraction of `‖S⁻¹‖`-sized terms. α is assembled once, at the
-//! selected λ, then polished by iterative refinement. This is the exact
-//! block elimination of the dense engine's equality-reduced normal
-//! equations, so both paths agree to rounding (pinned at 1e-8 by the
-//! differential suite); `docs/SOLVER.md` §9 derives it.
-//!
-//! Positivity is resolved by convexity: if the equality-constrained
-//! minimizer already satisfies the positivity grid, it is the constrained
-//! optimum (all inequality multipliers zero); otherwise the engine falls
-//! back to the dense active-set QP for that single fit.
+//! where `VΓVᵀ = W·K₀·W` and `K₀ = A_rΩ_rr⁻¹A_rᵀ = RᵀR` (`L⁻¹A_rᵀ = QR`,
+//! `Ω_rr = LLᵀ`). Scaling the multiplier columns by `−λ̄` turns `Ĝ` into
+//! `W·C₀` with the λ-independent border `C₀ = [A·N, A_rΩ_rr⁻¹E_rᵀ]`, and
+//! `Uᵀ S⁻¹ U` into `λ̄·J₀` with `J₀ = E_rΩ_rr⁻¹E_rᵀ`. So the engine
+//! factors `Ω_rr` (banded) once and forms `R`, `C₀` and `J₀` once
+//! ([`Frame`]); a series eigendecomposes its `m × m` matrix `W·K₀·W`
+//! once (on its small side: a symmetric eigendecomposition of
+//! `R·W²·Rᵀ` refined by one-sided Jacobi on the rows of `R·W`, so the
+//! small eigenvalues do not inherit the squared conditioning of the
+//! formed product) and projects its data and border onto `V`
+//! ([`Spectrum`], the engine's own for unit weights); and every
+//! λ then costs O(m·q² + q³) ([`Frame::gcv_score`]). The minimizer at the
+//! selected λ is assembled from the same `r` and `z`
+//! ([`Frame::minimizer`]), then polished by iterative refinement
+//! ([`Frame::polish`]); `docs/SOLVER.md` derives all of it.
 
-use cellsync_linalg::{
-    BandedCholesky, BandedMatrix, CholeskyDecomposition, LuDecomposition, Matrix, SparseRowMatrix,
-    Vector,
-};
+use cellsync_linalg::{BandedCholesky, BandedMatrix, Matrix, SymmetricEigen, Vector};
 
-use crate::{DeconvolutionConfig, Result};
-
-/// Precomputed banded-path structures, built once per engine.
-#[derive(Debug, Clone)]
-pub(crate) struct BandedOperators {
-    /// `Ω_rr`: the penalty on the interior coefficients `1..n−1`.
-    omega_interior: BandedMatrix,
-    /// Interior rows of the null basis `N = [ℓ₀, ℓ₁]`.
-    null_interior: [Vec<f64>; 2],
-    /// Positivity collocation rows in sparse-row storage (≤ 4 nnz per
-    /// row) with their zero right-hand side.
-    pub(crate) positivity: Option<(SparseRowMatrix, Vector)>,
-}
-
-impl BandedOperators {
-    /// Splits the banded penalty of a natural B-spline basis with
-    /// Greville coordinates `greville`.
-    pub(crate) fn new(
-        omega: &BandedMatrix,
-        greville: &[f64],
-        positivity: Option<(SparseRowMatrix, Vector)>,
-    ) -> Result<Self> {
-        let (n, bw) = (omega.dim(), omega.bandwidth());
-        let mut omega_interior = BandedMatrix::zeros(n - 2, bw)?;
-        for i in 1..n - 1 {
-            for j in i.saturating_sub(bw).max(1)..=i {
-                omega_interior.set(i - 1, j - 1, omega.get(i, j))?;
-            }
-        }
-        let (lo, hi) = (greville[0], greville[n - 1]);
-        let l1: Vec<f64> = greville[1..n - 1]
-            .iter()
-            .map(|&x| (x - lo) / (hi - lo))
-            .collect();
-        let l0 = l1.iter().map(|v| 1.0 - v).collect();
-        Ok(BandedOperators {
-            omega_interior,
-            null_interior: [l0, l1],
-            positivity,
-        })
-    }
-}
+use crate::{DeconvError, DeconvolutionConfig, Result};
 
 /// `aᵀb`, summed in index order.
 pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// One series on the banded path: whitened design and data plus the
-/// λ-independent border blocks.
-pub(crate) struct BandedFit<'a> {
-    ops: &'a BandedOperators,
-    /// `B = W·A` (m × n).
-    b: Matrix,
-    /// `d = W·g`.
-    d: Vector,
-    /// `G = [B·N, 0]` (m × q).
-    g0: Matrix,
-    /// `[B_rᵀ, U]` with `U = [εN_r, E_rᵀ]`, (n − 2) × (m + q).
-    block: Matrix,
-    /// `D₀ = [[εNᵀN, (EN)ᵀ], [EN, 0]]`.
-    d0: Matrix,
+/// The smoothing weight the criterion applies: `λ̄ = max(λ, ε)`, which
+/// keeps `Fixed(0)` and a λ = 0 override well posed.
+pub(crate) fn floored(lambda: f64) -> f64 {
+    lambda.max(DeconvolutionConfig::RIDGE)
 }
 
-/// Iterative-refinement corrections [`BandedFit::solve`] may spend on
-/// one α.
+/// The engine's λ-independent frame: the interior penalty and its factor,
+/// the null basis, and the measurement-space operators `K₀`, `C₀`, `E·N`
+/// and `J₀`, built once per engine.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame {
+    /// Coefficients per block.
+    n: usize,
+    /// Number of blocks K (1 for a single population).
+    blocks: usize,
+    /// Number of equality rows k.
+    k: usize,
+    /// `Ω_rr = blockdiag(Ω_rrᵏ)` over the `K(n − 2)` interior coefficients.
+    omega_rr: BandedMatrix,
+    /// Banded Cholesky factor of `Ω_rr`.
+    omega_chol: BandedCholesky,
+    /// `ℓ₀`, `ℓ₁` over one block's interior.
+    null_interior: [Vec<f64>; 2],
+    /// `NᵀN` of one block.
+    null_gram: [[f64; 2]; 2],
+    /// `R` (`rows × m` row-major, `rows = min(K(n − 2), m)`), the
+    /// triangular factor of `L⁻¹A_rᵀ = QR` (`Ω_rr = LLᵀ`), so that
+    /// `K₀ = A_rΩ_rr⁻¹A_rᵀ = RᵀR` without ever forming `K₀`.
+    root: Vec<f64>,
+    /// Rows of `R`.
+    rows: usize,
+    /// `C₀ = [A·N, A_rΩ_rr⁻¹E_rᵀ]`, `m × q` row-major.
+    border: Vec<f64>,
+    /// `E·N`, `k × 2K` row-major.
+    en: Vec<f64>,
+    /// `J₀ = E_rΩ_rr⁻¹E_rᵀ`, `k × k` row-major.
+    j0: Vec<f64>,
+    /// The spectrum of unit weights, shared by every unit-weight series.
+    pub(crate) unit: Spectrum,
+}
+
+/// The eigenbasis of one weight vector. `W·K₀·W = BᵀB` with `B = R·W`
+/// has rank `r ≤ min(K(n − 2), m)`: `W·K₀·W = Vᵀdiag(γ)V` over the `r`
+/// rows of `V` (eigenvectors with `γ > 0`), completed to an orthonormal
+/// basis of ℝᵐ by `m − r` null vectors (`γ = 0`, `s = 1`): the trailing
+/// columns of the Householder `Q` of `Vᵀ = QR`, kept as its reflectors.
+/// Every vector `x` the scan reads is held in that basis. A σ-weighted
+/// series rebuilds it in place ([`Spectrum::rebuild`]), so a genome of
+/// weighted series allocates nothing per gene for it; the [`Default`]
+/// value is empty.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Spectrum {
+    /// Measurement count m and border size q.
+    m: usize,
+    q: usize,
+    /// `γ` per basis vector: the `r` eigenvalues, then `m − r` zeros.
+    gamma: Vec<f64>,
+    /// `V`, `r × m` row-major.
+    vt: Vec<f64>,
+    /// The Householder vectors of `Vᵀ = QR`, `r × m` row-major, each
+    /// scaled so that its reflector is `I − uuᵀ`.
+    reflectors: Vec<f64>,
+    /// The projected border `C₀` in the basis, `m × q` row-major,
+    /// followed by `Σ C̃ᵢC̃ᵢᵀ` over the null rows (where `s = 1` at every
+    /// λ) as a packed lower triangle.
+    border: Vec<f64>,
+    /// Rank r: the eigen rows before the null rows.
+    rank: usize,
+    /// `B = R·W`, then `U₀ᵀB` orthogonalized in place (`rows × m`).
+    b: Vec<f64>,
+    /// `BBᵀ`, then its eigenvectors (`rows × rows`).
+    gram: Vec<f64>,
+    /// Eigensolver and Jacobi scratch (`rows`).
+    work: Vec<f64>,
+}
+
+/// Sweep budget of the one-sided Jacobi iteration ([`jacobi`]); it
+/// converges quadratically, in a handful of sweeps.
+const MAX_SWEEPS: usize = 60;
+
+/// Per-λ scratch of the scan: shrink factors, the residual in the
+/// eigenbasis and the factored `q × q` border system.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ScanScratch {
+    /// `s = λ̄/(λ̄ + γ)`.
+    s: Vec<f64>,
+    /// `Vᵀr = s ⊙ (Vᵀd − Vᵀ·W·C₀·z′)`.
+    resid: Vec<f64>,
+    /// LU factors of the scaled border system `𝒮′`.
+    schur: Vec<f64>,
+    /// Row pivots of `schur`.
+    pivots: Vec<usize>,
+    /// `C₀ᵀW·M⁻²·W·C₀`.
+    q2: Vec<f64>,
+    /// The scaled border solution `z′` (multipliers times `−1/λ̄`).
+    z: Vec<f64>,
+    /// Column scratch of the edf trace.
+    x: Vec<f64>,
+}
+
+/// One series on a [`Frame`]: the problem's design and equality rows, the
+/// fit's weights and data, and its spectrum with the projected data
+/// `Vᵀ·W·g`. A k-fold training fold is the fit with zero weight on its
+/// held-out rows.
+pub(crate) struct Series<'a> {
+    pub(crate) design: &'a Matrix,
+    pub(crate) equality: Option<&'a Matrix>,
+    pub(crate) weights: &'a [f64],
+    pub(crate) g: &'a [f64],
+    pub(crate) spectrum: &'a Spectrum,
+    pub(crate) proj: &'a [f64],
+}
+
+/// The frame's minimizer at one λ, before refinement: the interior
+/// `β`, the border `z = (c, γ)` and `α = N·c + (0, β, 0)`.
+pub(crate) struct Minimizer {
+    beta: Vec<f64>,
+    z: Vec<f64>,
+    pub(crate) alpha: Vector,
+}
+
+/// Iterative-refinement corrections [`Frame::polish`] may spend on one α.
 const MAX_POLISH: usize = 4;
 
-/// The residual of the bordered normal equations at one `(β, z)`, with
-/// the pieces a correction reuses.
+/// The residual of the bordered normal equations at one `(β, z)`.
 struct Residual {
     /// `e = d − Bα`.
     e: Vector,
-    rho_beta: Vector,
-    /// `Uᵀβ`.
-    u_beta: Vector,
+    rho_beta: Vec<f64>,
     /// `‖(ρ_β, ρ_z)‖₂`.
     norm: f64,
 }
 
-/// The factors, residual and border solution at one λ.
-pub(crate) struct Evaluation {
-    s_chol: BandedCholesky,
-    m_chol: CholeskyDecomposition,
-    schur: LuDecomposition,
-    r: Vector,
-    z: Vector,
-    /// Effective degrees of freedom of the (equality-reduced) smoother.
-    pub(crate) edf: f64,
-    /// Weighted residual sum of squares `‖W(g − Aα)‖²`.
-    pub(crate) rss: f64,
-}
-
-/// `(x, −z)` stacked: `block·(x, −z) = B_rᵀx − U·z`.
-fn stack(x: &Vector, z: &Vector) -> Vector {
-    Vector::from_fn(x.len() + z.len(), |i| {
-        x.as_slice()
-            .get(i)
-            .copied()
-            .unwrap_or_else(|| -z[i - x.len()])
-    })
-}
-
-impl<'a> BandedFit<'a> {
-    /// `design` is the unweighted m×n design, `equality` the stacked
-    /// zero-rhs equality rows (if any).
+impl Frame {
+    /// Builds the frame of `design` (`m × Kn`, K blocks of the basis with
+    /// Greville abscissae `greville`), the banded penalty `omega`
+    /// (`blockdiag(Ωₖ)`) and the stacked equality rows.
     pub(crate) fn new(
-        ops: &'a BandedOperators,
         design: &Matrix,
-        weights: &[f64],
-        g: &[f64],
+        omega: &BandedMatrix,
         equality: Option<&Matrix>,
-    ) -> Self {
-        let ridge = DeconvolutionConfig::RIDGE;
-        let (m, n) = design.shape();
-        let b = Matrix::from_fn(m, n, |i, j| weights[i] * design[(i, j)]);
+        greville: &[f64],
+    ) -> Result<Self> {
+        let (m, total) = design.shape();
+        let n = greville.len();
+        let (blocks, nr) = (total / n, n - 2);
+        let bw = omega.bandwidth().min(blocks * nr - 1);
+        let coef = |p: usize| (p / nr) * n + 1 + p % nr;
+        let mut omega_rr = BandedMatrix::zeros(blocks * nr, bw)?;
+        for p in 0..blocks * nr {
+            for p2 in p.saturating_sub(bw)..=p {
+                let v = omega.get(coef(p), coef(p2));
+                if v != 0.0 {
+                    omega_rr.set(p, p2, v)?;
+                }
+            }
+        }
+        let omega_chol = omega_rr.cholesky()?;
+        let (lo, hi) = (greville[0], greville[n - 1]);
+        let l1: Vec<f64> = greville[1..n - 1]
+            .iter()
+            .map(|&x| (x - lo) / (hi - lo))
+            .collect();
+        let l0: Vec<f64> = l1.iter().map(|v| 1.0 - v).collect();
+        let off = dot(&l0, &l1);
+        let null_gram = [[1.0 + dot(&l0, &l0), off], [off, 1.0 + dot(&l1, &l1)]];
+
+        // L⁻¹[A_rᵀ, E_rᵀ]; its Gram holds K₀, A_rΩ_rr⁻¹E_rᵀ and J₀.
         let eq: Vec<&[f64]> =
             equality.map_or(Vec::new(), |e| (0..e.rows()).map(|l| e.row(l)).collect());
-        let q = 2 + eq.len();
-        // `v·N` for a full-length row v: N is the identity at the ends.
-        let null = &ops.null_interior;
-        let times_null = |v: &[f64], a: usize| v[a * (n - 1)] + dot(&v[1..n - 1], &null[a]);
-        let block = Matrix::from_fn(n - 2, m + q, |j, c| match c {
-            c if c < m => b[(c, j + 1)],
-            c if c < m + 2 => ridge * null[c - m][j],
-            c => eq[c - m - 2][j + 1],
-        });
-        let d0 = Matrix::from_fn(q, q, |x, y| match (x.min(y), x.max(y)) {
-            (a, c) if c < 2 => ridge * (f64::from(u8::from(a == c)) + dot(&null[a], &null[c])),
-            (a, l) if a < 2 => times_null(eq[l - 2], a),
-            _ => 0.0,
-        });
-        BandedFit {
-            ops,
-            g0: Matrix::from_fn(
-                m,
-                q,
-                |i, a| if a < 2 { times_null(b.row(i), a) } else { 0.0 },
-            ),
-            d: Vector::from_fn(m, |i| weights[i] * g[i]),
-            b,
-            block,
-            d0,
+        let k = eq.len();
+        let cols = m + k;
+        let mut y = vec![0.0; blocks * nr * cols];
+        for (p, row) in y.chunks_exact_mut(cols).enumerate() {
+            let j = coef(p);
+            for (i, v) in row[..m].iter_mut().enumerate() {
+                *v = design[(i, j)];
+            }
+            for (v, e) in row[m..].iter_mut().zip(&eq) {
+                *v = e[j];
+            }
         }
-    }
+        omega_chol.forward_solve_block(&mut y, cols);
+        // A_rΩ_rr⁻¹E_rᵀ and J₀ from the Gram of the whitened block, then
+        // R from a Householder QR of its first m columns, in place (no Q).
+        let column = |c: usize| y.iter().skip(c).step_by(cols);
+        let cross = |a: usize, b: usize| column(a).zip(column(b)).map(|(x, y)| x * y).sum::<f64>();
+        let f: Vec<f64> = (0..m * k).map(|x| cross(x / k, m + x % k)).collect();
+        let j0 = (0..k * k).map(|x| cross(m + x / k, m + x % k)).collect();
+        let rows = (blocks * nr).min(m);
+        let root = householder_r(&mut y, blocks * nr, cols, m, rows);
 
-    /// Factors everything at one λ and solves for the residual, the
-    /// border unknowns and the edf.
-    pub(crate) fn evaluate(&self, lambda: f64) -> Result<Evaluation> {
-        let (m, q) = (self.b.rows(), self.d0.rows());
-        let mut s = BandedMatrix::zeros(self.block.rows(), self.ops.omega_interior.bandwidth())?;
-        s.assign_scaled(lambda, &self.ops.omega_interior)?;
-        s.add_diagonal(DeconvolutionConfig::RIDGE);
-        let s_chol = s.cholesky()?;
-        // Y = L⁻¹[B_rᵀ, U]; its Gram holds B_rS⁻¹B_rᵀ, B_rS⁻¹U and UᵀS⁻¹U.
-        let mut y = self.block.clone();
-        s_chol.forward_solve_block(y.as_mut_slice(), m + q);
-        let gram = y.gram();
-
-        let mmat = Matrix::from_fn(m, m, |i, j| gram[(i, j)] + f64::from(u8::from(i == j)));
-        let m_chol = CholeskyDecomposition::new(&mmat)?;
-        let ghat = Matrix::from_fn(m, q, |i, a| self.g0[(i, a)] - gram[(i, m + a)]);
-        let v = m_chol.solve_matrix(&ghat)?;
-        let raw = ghat.transpose().matmul(&v)?;
-        let schur = Matrix::from_fn(q, q, |a, c| {
-            0.5 * (raw[(a, c)] + raw[(c, a)]) + self.d0[(a, c)] - gram[(m + a, m + c)]
-        })
-        .lu()?;
-
-        let w = m_chol.solve(&self.d)?;
-        let z = schur.solve(&ghat.tr_matvec(&w)?)?;
-        let r = &w - &v.matvec(&z)?;
-        // tr M⁻¹ = ‖L_M⁻¹‖²_F, one unit forward solve per column.
-        let mut tr_minv = 0.0;
+        let null_interior = [l0, l1];
+        let mut border = Vec::with_capacity(m * (2 * blocks + k));
         for i in 0..m {
-            let mut e = Vector::from_fn(m, |j| f64::from(u8::from(i == j)));
-            m_chol.forward_solve_in_place(&mut e)?;
-            tr_minv += dot(e.as_slice(), e.as_slice());
+            push_null_t(&null_interior, design.row(i), &mut border);
+            border.extend_from_slice(&f[i * k..(i + 1) * k]);
         }
-        let vtv = v.transpose().matmul(&v)?;
-        let edf = m as f64 - tr_minv + schur.solve_matrix(&vtv)?.trace()?;
-        Ok(Evaluation {
-            s_chol,
-            m_chol,
-            schur,
-            rss: dot(r.as_slice(), r.as_slice()),
-            r,
-            z,
-            edf,
-        })
+        let mut en = Vec::with_capacity(k * 2 * blocks);
+        for e in &eq {
+            push_null_t(&null_interior, e, &mut en);
+        }
+        let mut frame = Frame {
+            n,
+            blocks,
+            k,
+            omega_rr,
+            omega_chol,
+            null_interior,
+            null_gram,
+            root,
+            rows,
+            border,
+            en,
+            j0,
+            unit: Spectrum::default(),
+        };
+        let mut unit = Spectrum::default();
+        unit.rebuild(&frame, &vec![1.0; m])?;
+        // The engine keeps the basis, not the decomposition's scratch.
+        unit.b = Vec::new();
+        unit.gram = Vec::new();
+        unit.work = Vec::new();
+        frame.unit = unit;
+        Ok(frame)
     }
 
-    /// The GCV score at one λ — the same statistic (and the same
-    /// `edf/m > 0.99` saturation guard) as
-    /// [`crate::solver::SpectralPath::gcv_score`].
-    pub(crate) fn gcv_score(&self, lambda: f64) -> Result<f64> {
-        let ev = self.evaluate(lambda)?;
-        let mf = self.b.rows() as f64;
-        let edf_ratio = ev.edf / mf;
+    /// Border size `q = 2K + k`.
+    fn q(&self) -> usize {
+        2 * self.blocks + self.k
+    }
+
+    /// Coefficient index of interior position `p`.
+    fn coef(&self, p: usize) -> usize {
+        let nr = self.n - 2;
+        (p / nr) * self.n + 1 + p % nr
+    }
+
+    /// `α = N·c + (0, β, 0)`, block by block.
+    fn assemble(&self, beta: &[f64], c: &[f64]) -> Vector {
+        let (n, nr) = (self.n, self.n - 2);
+        let [l0, l1] = &self.null_interior;
+        let mut alpha = Vector::zeros(n * self.blocks);
+        for (b, block) in alpha.as_mut_slice().chunks_exact_mut(n).enumerate() {
+            let (c0, c1) = (c[2 * b], c[2 * b + 1]);
+            block[0] = c0;
+            block[n - 1] = c1;
+            for j in 0..nr {
+                let interior = beta.get(b * nr + j).copied().unwrap_or(0.0);
+                block[1 + j] = interior + c0 * l0[j] + c1 * l1[j];
+            }
+        }
+        alpha
+    }
+
+    /// `Nᵀh` for a full-length `h` (`N` is the identity at the ends).
+    fn null_t(&self, h: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(2 * self.blocks);
+        push_null_t(&self.null_interior, h, &mut out);
+        out
+    }
+
+    /// The interior entries of a full-length `h`.
+    fn interior_of(&self, h: &[f64]) -> Vec<f64> {
+        (0..self.omega_rr.dim()).map(|p| h[self.coef(p)]).collect()
+    }
+
+    /// `Aᵀ·W·x` (full length).
+    fn design_t(&self, series: &Series<'_>, x: &[f64]) -> Result<Vector> {
+        let wx = Vector::from_fn(x.len(), |i| series.weights[i] * x[i]);
+        Ok(series.design.tr_matvec(&wx)?)
+    }
+
+    /// `W·A·α`.
+    fn design_w(&self, series: &Series<'_>, alpha: &Vector) -> Result<Vector> {
+        let mut out = series.design.matvec(alpha)?;
+        for (v, w) in out.as_mut_slice().iter_mut().zip(series.weights) {
+            *v *= w;
+        }
+        Ok(out)
+    }
+
+    /// `Eᵀγ` (full length; zero without equality rows).
+    fn equality_t(&self, series: &Series<'_>, gamma: &[f64]) -> Result<Vector> {
+        match series.equality {
+            Some(e) => Ok(e.tr_matvec(&Vector::from_slice(gamma))?),
+            None => Ok(Vector::zeros(self.n * self.blocks)),
+        }
+    }
+
+    /// `h[a][b] += scale·εNᵀN` on every block's end coefficients: the
+    /// null-coordinate ridge of the dense Hessian.
+    pub(crate) fn add_null_ridge(&self, h: &mut Matrix, scale: f64) {
+        let (n, eps) = (self.n, DeconvolutionConfig::RIDGE);
+        for b in 0..self.blocks {
+            let ends = [b * n, b * n + n - 1];
+            for (x, &i) in ends.iter().enumerate() {
+                for (y, &j) in ends.iter().enumerate() {
+                    h[(i, j)] += scale * eps * self.null_gram[x][y];
+                }
+            }
+        }
+    }
+
+    /// Evaluates the scan at one λ: leaves the shrink factors, the
+    /// residual in the eigenbasis and the factored border system in
+    /// `scan`, and returns `(RSS, edf)` of the equality-constrained
+    /// smoother.
+    pub(crate) fn evaluate(
+        &self,
+        series: &Series<'_>,
+        lambda: f64,
+        scan: &mut ScanScratch,
+    ) -> Result<(f64, f64)> {
+        let lb = floored(lambda);
+        let sp = series.spectrum;
+        let (m, q, nk) = (sp.gamma.len(), self.q(), 2 * self.blocks);
+        let ScanScratch {
+            s,
+            resid,
+            schur,
+            pivots,
+            q2,
+            z,
+            x,
+        } = scan;
+        s.resize(m, 0.0);
+        resid.resize(m, 0.0);
+        x.resize(q, 0.0);
+        pivots.resize(q, 0);
+        // Lower triangles, packed: the null rows' λ-independent sums
+        // (s = 1) to start from, then the eigen rows s-weighted.
+        let (rows_part, null_sums) = sp.border.split_at(m * q);
+        schur.clear();
+        schur.extend_from_slice(null_sums);
+        q2.clear();
+        q2.extend_from_slice(null_sums);
+        z.clear();
+        z.extend_from_slice(&series.proj[m..]);
+
+        let rank = sp.rank;
+        let mut trace_s = (m - rank) as f64;
+        s[rank..].fill(1.0);
+        for (si, &g) in s.iter_mut().zip(&sp.gamma).take(rank) {
+            *si = lb / (lb + g);
+        }
+        for ((row, &si), &di) in rows_part
+            .chunks_exact(q)
+            .zip(s.iter())
+            .zip(series.proj)
+            .take(rank)
+        {
+            trace_s += si;
+            let s2 = si * si;
+            let mut packed = schur.iter_mut().zip(q2.iter_mut());
+            for (a, &ra) in row.iter().enumerate() {
+                let (sa, s2a) = (si * ra, s2 * ra);
+                z[a] += sa * di;
+                for (&rb, (sv, qv)) in row[..=a].iter().zip(packed.by_ref()) {
+                    *sv += sa * rb;
+                    *qv += s2a * rb;
+                }
+            }
+        }
+        unpack(schur, q);
+        unpack(q2, q);
+        // The λ-dependent border block: εNᵀN per block, −λ̄(EN) and −λ̄J₀.
+        for b in 0..self.blocks {
+            for xi in 0..2 {
+                for yi in 0..2 {
+                    schur[(2 * b + xi) * q + 2 * b + yi] +=
+                        DeconvolutionConfig::RIDGE * self.null_gram[xi][yi];
+                }
+            }
+        }
+        for l in 0..self.k {
+            for a in 0..nk {
+                let v = lb * self.en[l * nk + a];
+                schur[(nk + l) * q + a] -= v;
+                schur[a * q + nk + l] -= v;
+            }
+            for l2 in 0..self.k {
+                schur[(nk + l) * q + nk + l2] -= lb * self.j0[l * self.k + l2];
+            }
+        }
+        lu_factor(schur, pivots, q)?;
+        lu_solve(schur, pivots, q, z);
+
+        let mut rss = 0.0;
+        for (i, row) in rows_part.chunks_exact(q).enumerate() {
+            let r = s[i] * (series.proj[i] - dot(row, z));
+            resid[i] = r;
+            rss += r * r;
+        }
+        let mut trace = 0.0;
+        for a in 0..q {
+            for (b, xb) in x.iter_mut().enumerate() {
+                *xb = q2[b * q + a];
+            }
+            lu_solve(schur, pivots, q, x);
+            trace += x[a];
+        }
+        Ok((rss, m as f64 - trace_s + trace))
+    }
+
+    /// The GCV score at one λ,
+    /// `GCV(λ) = (RSS/m) / (1 − edf/m)²`. λ values whose effective
+    /// degrees of freedom exceed 99 % of the data score `+∞` (GCV is
+    /// degenerate once the smoother saturates), so the scan picks the best
+    /// non-interpolating fit.
+    pub(crate) fn gcv_score(
+        &self,
+        series: &Series<'_>,
+        lambda: f64,
+        scan: &mut ScanScratch,
+    ) -> Result<f64> {
+        let (rss, edf) = self.evaluate(series, lambda, scan)?;
+        let mf = series.weights.len() as f64;
+        let edf_ratio = edf / mf;
         if edf_ratio > 0.99 {
             return Ok(f64::INFINITY);
         }
         let denom = 1.0 - edf_ratio;
-        Ok((ev.rss / mf) / (denom * denom))
+        Ok((rss / mf) / (denom * denom))
     }
 
     /// The equality-constrained (positivity-unconstrained) minimizer at
-    /// `lambda`: `β = S⁻¹(B_rᵀr − Uz)`, polished by iterative refinement,
-    /// then `α = N·c + (0, β, 0)`.
+    /// `lambda`, from the scan's `r` and `z`: `β = S⁻¹(B_rᵀr − Uz)` and
+    /// `α = N·c + (0, β, 0)`, unpolished ([`Frame::polish`]). Leaves the
+    /// scan's factors at `lambda` in `scan`.
+    pub(crate) fn minimizer(
+        &self,
+        series: &Series<'_>,
+        lambda: f64,
+        scan: &mut ScanScratch,
+    ) -> Result<Minimizer> {
+        self.evaluate(series, lambda, scan)?;
+        let lb = floored(lambda);
+        let nk = 2 * self.blocks;
+        let r = series.spectrum.rotate(&scan.resid);
+        let z: Vec<f64> = scan
+            .z
+            .iter()
+            .enumerate()
+            .map(|(a, &v)| if a < nk { v } else { -lb * v })
+            .collect();
+        let zeros = vec![0.0; self.omega_rr.dim()];
+        let mut beta = self.rho_beta(series, lb, r.as_slice(), &zeros, &z)?;
+        self.interior_solve(&mut beta, lb);
+        let alpha = self.assemble(&beta, &z[..nk]);
+        Ok(Minimizer { beta, z, alpha })
+    }
+
+    /// Polishes a [`Frame::minimizer`] by iterative refinement; `scan`
+    /// must still hold that minimizer's factors.
     ///
-    /// One correction reaches rounding level unless λ is tiny against
-    /// the ridge. There the Woodbury correction is itself only a few
-    /// digits accurate and the refinement contracts slowly and not
-    /// monotonically, so up to [`MAX_POLISH`] corrections run (stopping
-    /// once the residual is at rounding level) and the iterate with the
-    /// smallest residual is kept.
-    pub(crate) fn solve(&self, lambda: f64) -> Result<Vector> {
-        let ev = self.evaluate(lambda)?;
-        let mut beta = self.block.matvec(&stack(&ev.r, &ev.z))?;
-        ev.s_chol.solve_in_place(&mut beta)?;
-        let mut z = ev.z.clone();
-        let mut res = self.residual(lambda, &beta, &z)?;
-        let floor = 1e-14
-            * (self
-                .block
-                .matvec(&stack(&self.d, &Vector::zeros(z.len())))?
-                .norm2()
-                + self.g0.tr_matvec(&self.d)?.norm2());
-        let mut best = (res.norm, self.assemble(&beta, &z));
+    /// One correction reaches rounding level unless λ̄ is tiny: there
+    /// `S⁻¹B_rᵀ` amplifies the rounding of `r`, the Woodbury correction
+    /// is itself only a few digits accurate and the refinement contracts
+    /// slowly and not monotonically, so up to [`MAX_POLISH`] corrections
+    /// run (stopping once the residual is at rounding level) and the
+    /// iterate with the smallest residual is kept.
+    pub(crate) fn polish(
+        &self,
+        series: &Series<'_>,
+        lambda: f64,
+        scan: &ScanScratch,
+        start: Minimizer,
+    ) -> Result<Vector> {
+        let (lb, nk) = (floored(lambda), 2 * self.blocks);
+        let Minimizer {
+            mut beta, mut z, ..
+        } = start;
+        let wg: Vec<f64> = series
+            .weights
+            .iter()
+            .zip(series.g)
+            .map(|(w, g)| w * g)
+            .collect();
+        let h = self.design_t(series, &wg)?;
+        let norm = |v: Vec<f64>| dot(&v, &v).sqrt();
+        let floor =
+            1e-14 * (norm(self.interior_of(h.as_slice())) + norm(self.null_t(h.as_slice())));
+        let mut res = self.residual(series, lb, &beta, &z)?;
+        let mut best = (res.norm, self.assemble(&beta, &z[..nk]));
         for _ in 0..MAX_POLISH {
             if res.norm <= floor {
                 break;
             }
-            (beta, z) = self.correct(&ev, &res, &beta, &z)?;
-            res = self.residual(lambda, &beta, &z)?;
+            (beta, z) = self.correct(series, lb, scan, &res, &beta, &z)?;
+            res = self.residual(series, lb, &beta, &z)?;
             if res.norm < best.0 {
-                best = (res.norm, self.assemble(&beta, &z));
+                best = (res.norm, self.assemble(&beta, &z[..nk]));
             }
         }
         Ok(best.1)
     }
 
-    fn assemble(&self, beta: &Vector, z: &Vector) -> Vector {
-        let n = beta.len() + 2;
-        let [l0, l1] = &self.ops.null_interior;
-        Vector::from_fn(n, |j| match j {
-            0 => z[0],
-            j if j == n - 1 => z[1],
-            j => beta[j - 1] + z[0] * l0[j - 1] + z[1] * l1[j - 1],
-        })
+    /// `v ← S⁻¹v = Ω_rr⁻¹v/λ̄`.
+    fn interior_solve(&self, v: &mut [f64], lb: f64) {
+        self.omega_chol.solve_slice_in_place(v);
+        for x in v.iter_mut() {
+            *x /= lb;
+        }
+    }
+
+    /// `ρ_β = B_rᵀx − E_rᵀγ − Sβ` for the m-vector `x`.
+    fn rho_beta(
+        &self,
+        series: &Series<'_>,
+        lb: f64,
+        x: &[f64],
+        beta: &[f64],
+        z: &[f64],
+    ) -> Result<Vec<f64>> {
+        let h = self.design_t(series, x)?;
+        let eg = self.equality_t(series, &z[2 * self.blocks..])?;
+        let s_beta = self.omega_rr.matvec(&Vector::from_slice(beta))?;
+        Ok((0..beta.len())
+            .map(|p| {
+                let j = self.coef(p);
+                h[j] - eg[j] - lb * s_beta[p]
+            })
+            .collect())
+    }
+
+    /// `ρ_z = (Nᵀ(B ᵀx − Eᵀγ) − εNᵀN·c, −E·α(β, c))` for the m-vector
+    /// `x`: the border rows of the normal equations.
+    fn rho_z(&self, series: &Series<'_>, x: &[f64], beta: &[f64], z: &[f64]) -> Result<Vec<f64>> {
+        let nk = 2 * self.blocks;
+        let h = self.design_t(series, x)?;
+        let eg = self.equality_t(series, &z[nk..])?;
+        let mut out: Vec<f64> = self
+            .null_t(h.as_slice())
+            .iter()
+            .zip(self.null_t(eg.as_slice()))
+            .map(|(a, b)| a - b)
+            .collect();
+        for b in 0..self.blocks {
+            for xi in 0..2 {
+                out[2 * b + xi] -= DeconvolutionConfig::RIDGE
+                    * (self.null_gram[xi][0] * z[2 * b] + self.null_gram[xi][1] * z[2 * b + 1]);
+            }
+        }
+        if let Some(e) = series.equality {
+            let ea = e.matvec(&self.assemble(beta, &z[..nk]))?;
+            out.extend(ea.iter().map(|v| -v));
+        }
+        Ok(out)
     }
 
     /// The residual of the bordered normal equations
     /// `[[K_r, W], [Wᵀ, D]]·(β, z) = (B_rᵀd, Gᵀd)` at `(β, z)`, with
-    /// `K_r = S + B_rᵀB_r`, `W = U + B_rᵀG` and `D = D₀ + GᵀG`:
-    /// `ρ_β = B_rᵀe − Uz − Sβ` and `ρ_z = Gᵀe − Uᵀβ − D₀z`, formed from
-    /// `e = d − Bα`. At small λ, `S⁻¹B_rᵀ` amplifies the rounding of `r`
-    /// into β; this residual is accurate, and the same factors solve for
-    /// the correction ([`BandedFit::correct`]).
-    fn residual(&self, lambda: f64, beta: &Vector, z: &Vector) -> Result<Residual> {
-        let m = self.b.rows();
-        let e = &self.d - &self.b.matvec(&self.assemble(beta, z))?;
-        let s_beta = self.ops.omega_interior.matvec(beta)?;
-        let rho_beta = &self.block.matvec(&stack(&e, z))?
-            - &(&s_beta.scaled(lambda) + &beta.scaled(DeconvolutionConfig::RIDGE));
-        // blockᵀ·β = (B_r·β, Uᵀ·β).
-        let blk_beta = self.block.tr_matvec(beta)?;
-        let u_beta = Vector::from_fn(z.len(), |a| blk_beta[m + a]);
-        let rho_z = &(&self.g0.tr_matvec(&e)? - &self.d0.matvec(z)?) - &u_beta;
-        let norm = (dot(rho_beta.as_slice(), rho_beta.as_slice())
-            + dot(rho_z.as_slice(), rho_z.as_slice()))
-        .sqrt();
-        Ok(Residual {
-            e,
-            rho_beta,
-            u_beta,
-            norm,
-        })
+    /// `K_r = S + B_rᵀB_r`, `G = [B·N, 0]`, `W = U + B_rᵀG` and
+    /// `D = D₀ + GᵀG`, formed from `e = d − Bα`. At small λ̄, `S⁻¹B_rᵀ`
+    /// amplifies the rounding of `r` into β; this residual is accurate,
+    /// and the same factors solve for the correction
+    /// ([`Frame::correct`]).
+    fn residual(&self, series: &Series<'_>, lb: f64, beta: &[f64], z: &[f64]) -> Result<Residual> {
+        let alpha = self.assemble(beta, &z[..2 * self.blocks]);
+        let mut e = self.design_w(series, &alpha)?;
+        for (v, (&w, &g)) in e
+            .as_mut_slice()
+            .iter_mut()
+            .zip(series.weights.iter().zip(series.g))
+        {
+            *v = w * g - *v;
+        }
+        let rho_beta = self.rho_beta(series, lb, e.as_slice(), beta, z)?;
+        let rho_z = self.rho_z(series, e.as_slice(), beta, z)?;
+        let norm = (dot(&rho_beta, &rho_beta) + dot(&rho_z, &rho_z)).sqrt();
+        Ok(Residual { e, rho_beta, norm })
     }
 
     /// One step of iterative refinement: `δz = 𝒮⁻¹(ρ_z − Wᵀ·K_r⁻¹ρ_β)`
     /// and `δβ = K_r⁻¹(ρ_β − W·δz)`, returning `(β + δβ, z + δz)`.
     fn correct(
         &self,
-        ev: &Evaluation,
+        series: &Series<'_>,
+        lb: f64,
+        scan: &ScanScratch,
         res: &Residual,
-        beta: &Vector,
-        z: &Vector,
-    ) -> Result<(Vector, Vector)> {
-        let m = self.b.rows();
-        let t = self.kr_solve(ev, &res.rho_beta)?;
-        // blockᵀ·t = (B_r·t, Uᵀ·t); ρ_z − Wᵀt is formed from e − B_r·t,
-        // which keeps the cancellation inside one residual.
-        let blk_t = self.block.tr_matvec(&t)?;
-        let e_t = Vector::from_fn(m, |i| res.e[i] - blk_t[i]);
-        let rho_z = &(&self.g0.tr_matvec(&e_t)? - &self.d0.matvec(z)?)
-            - &Vector::from_fn(z.len(), |a| res.u_beta[a] + blk_t[m + a]);
-        let dz = ev.schur.solve(&rho_z)?;
-        let v = &res.rho_beta + &self.block.matvec(&stack(&-&self.g0.matvec(&dz)?, &dz))?;
-        Ok((beta + &self.kr_solve(ev, &v)?, z + &dz))
+        beta: &[f64],
+        z: &[f64],
+    ) -> Result<(Vec<f64>, Vec<f64>)> {
+        let nk = 2 * self.blocks;
+        let t = self.kr_solve(series, lb, scan, &res.rho_beta)?;
+        // ρ_z − Wᵀt is formed from e − B_r·t, which keeps the
+        // cancellation inside one residual.
+        let bt = self.design_w(series, &self.assemble(&t, &vec![0.0; nk]))?;
+        let e_t: Vec<f64> = res.e.iter().zip(bt.iter()).map(|(e, b)| e - b).collect();
+        let beta_t: Vec<f64> = beta.iter().zip(&t).map(|(b, t)| b + t).collect();
+        let rz = self.rho_z(series, &e_t, &beta_t, z)?;
+        // 𝒮⁻¹ = T·𝒮′⁻¹·T with T = diag(1, …, 1, −λ̄, …, −λ̄).
+        let scale = |v: &mut [f64]| {
+            for x in &mut v[nk..] {
+                *x *= -lb;
+            }
+        };
+        let mut dz = rz;
+        scale(&mut dz);
+        lu_solve(&scan.schur, &scan.pivots, dz.len(), &mut dz);
+        scale(&mut dz);
+        // ρ_β − W·δz = ρ_β − B_rᵀ·B·N·δc − E_rᵀ·δγ.
+        let bn = self.design_w(series, &self.assemble(&[], &dz[..nk]))?;
+        let minus_bn: Vec<f64> = bn.iter().map(|v| -v).collect();
+        let v: Vec<f64> = self
+            .rho_beta(series, lb, &minus_bn, &vec![0.0; beta.len()], &dz)?
+            .iter()
+            .zip(&res.rho_beta)
+            .map(|(a, b)| a + b)
+            .collect();
+        let db = self.kr_solve(series, lb, scan, &v)?;
+        Ok((
+            beta.iter().zip(&db).map(|(b, d)| b + d).collect(),
+            z.iter().zip(&dz).map(|(z, d)| z + d).collect(),
+        ))
     }
 
     /// `K_r⁻¹v = S⁻¹(v − B_rᵀ·M⁻¹·B_r·S⁻¹v)` (Woodbury). The subtraction
-    /// cancels at small λ, so it only ever solves for a correction.
-    fn kr_solve(&self, ev: &Evaluation, v: &Vector) -> Result<Vector> {
-        let m = self.b.rows();
-        let t = ev.s_chol.solve(v)?;
-        let bt = self.block.tr_matvec(&t)?;
-        let p = ev.m_chol.solve(&Vector::from_fn(m, |i| bt[i]))?;
-        let zeros = Vector::zeros(self.d0.rows());
-        let mut out = v - &self.block.matvec(&stack(&p, &zeros))?;
-        ev.s_chol.solve_in_place(&mut out)?;
+    /// cancels at small λ̄, so it only ever solves for a correction.
+    fn kr_solve(
+        &self,
+        series: &Series<'_>,
+        lb: f64,
+        scan: &ScanScratch,
+        v: &[f64],
+    ) -> Result<Vec<f64>> {
+        let mut t = v.to_vec();
+        self.interior_solve(&mut t, lb);
+        let y = self.design_w(series, &self.assemble(&t, &vec![0.0; 2 * self.blocks]))?;
+        let sp = series.spectrum;
+        let mut p = sp.project_raw(y.as_slice());
+        for (x, s) in p.iter_mut().zip(&scan.s) {
+            *x *= s;
+        }
+        let h = self.design_t(series, sp.rotate(&p).as_slice())?;
+        let mut out: Vec<f64> = v
+            .iter()
+            .enumerate()
+            .map(|(q, &x)| x - h[self.coef(q)])
+            .collect();
+        self.interior_solve(&mut out, lb);
         Ok(out)
+    }
+}
+
+impl Spectrum {
+    /// Decomposes `W·K₀·W = BᵀB`, `B = R·W`, on its small side and
+    /// projects the frame's border onto the eigenbasis, reusing every
+    /// buffer. A symmetric eigendecomposition of `BBᵀ` (`U₀`) makes the
+    /// rows of `U₀ᵀB` orthogonal to `ε_mach·‖B‖²`; one-sided Jacobi on
+    /// them ([`jacobi`]) finishes in a sweep or two, and the rows become
+    /// `σᵢ·vᵢ`, so each eigenvalue `γᵢ = σᵢ²` is accurate to
+    /// `ε_mach·σ_max·σᵢ` rather than the `ε_mach·σ_max²` of a decomposition
+    /// of the formed product. Rows at rounding level are null space. The
+    /// result is bit-identical whatever the spectrum held before.
+    pub(crate) fn rebuild(&mut self, frame: &Frame, weights: &[f64]) -> Result<()> {
+        let (m, q, rows) = (weights.len(), frame.q(), frame.rows);
+        (self.m, self.q) = (m, q);
+        self.b.clear();
+        self.b.reserve(rows * m);
+        self.b.extend(
+            frame
+                .root
+                .chunks_exact(m)
+                .flat_map(|r| r.iter().zip(weights).map(|(x, w)| x * w)),
+        );
+        self.gram.clear();
+        self.gram.reserve(rows * rows);
+        for bi in self.b.chunks_exact(m) {
+            self.gram
+                .extend(self.b.chunks_exact(m).map(|bj| dot(bi, bj)));
+        }
+        self.gamma.resize(rows, 0.0);
+        self.work.resize(rows, 0.0);
+        SymmetricEigen::decompose_in_place(rows, &mut self.gram, &mut self.gamma, &mut self.work)?;
+        // U₀ᵀB: row i combines B's rows by eigenvector i.
+        self.vt.clear();
+        self.vt.resize(rows * m, 0.0);
+        for (i, out) in self.vt.chunks_exact_mut(m).enumerate() {
+            for (r, b) in self.b.chunks_exact(m).enumerate() {
+                let u = self.gram[r * rows + i];
+                for (o, &x) in out.iter_mut().zip(b) {
+                    *o += u * x;
+                }
+            }
+        }
+        std::mem::swap(&mut self.b, &mut self.vt);
+        let negligible = (f64::EPSILON * f64::EPSILON) * dot(&self.b, &self.b);
+        jacobi(rows, m, &mut self.b, &mut self.work, negligible)?;
+        self.gamma.clear();
+        self.gamma.reserve(m);
+        self.vt.clear();
+        self.vt.reserve(rows * m);
+        for row in self.b.chunks_exact(m) {
+            let g = dot(row, row);
+            if g > negligible {
+                self.gamma.push(g);
+                let sigma = g.sqrt();
+                self.vt.extend(row.iter().map(|x| x / sigma));
+            }
+        }
+        // Householder reflectors of Vᵀ = QR: Q's trailing m − r columns
+        // are the null vectors.
+        self.reflectors.clear();
+        let rank = self.gamma.len();
+        if rank < m {
+            self.reflectors.extend_from_slice(&self.vt);
+        }
+        for k in 0..self.reflectors.len() / m {
+            let (done, rest) = self.reflectors.split_at_mut(k * m);
+            let u = &mut rest[..m];
+            for h in done.chunks_exact(m) {
+                let f = dot(h, u);
+                for (x, &y) in u.iter_mut().zip(h) {
+                    *x -= f * y;
+                }
+            }
+            u[..k].fill(0.0);
+            let norm = dot(&u[k..], &u[k..]).sqrt();
+            let alpha = if u[k] > 0.0 { -norm } else { norm };
+            u[k] -= alpha;
+            let scale = dot(&u[k..], &u[k..]).sqrt();
+            if scale > 0.0 {
+                for x in &mut u[k..] {
+                    *x *= std::f64::consts::SQRT_2 / scale;
+                }
+            }
+        }
+        self.gamma.resize(m, 0.0);
+        self.border.clear();
+        self.border.resize(m * q + q * (q + 1) / 2, 0.0);
+        let mut column = vec![0.0; m];
+        let mut held = Vec::new();
+        for a in 0..q {
+            for (c, (w, crow)) in column
+                .iter_mut()
+                .zip(weights.iter().zip(frame.border.chunks_exact(q)))
+            {
+                *c = w * crow[a];
+            }
+            self.hold(&column, &mut held);
+            for (out, &h) in self.border.chunks_exact_mut(q).zip(&held) {
+                out[a] = h;
+            }
+        }
+        self.rank = rank;
+        let (rows_part, sums) = self.border.split_at_mut(m * q);
+        for row in rows_part.chunks_exact(q).skip(rank) {
+            let mut packed = sums.iter_mut();
+            for (a, &ra) in row.iter().enumerate() {
+                for (&rb, v) in row[..=a].iter().zip(packed.by_ref()) {
+                    *v += ra * rb;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the coordinates of `x` (length m) in the basis into `out`:
+    /// `V·x`, then the trailing `m − r` entries of `Qᵀx`.
+    fn hold(&self, x: &[f64], out: &mut Vec<f64>) {
+        let m = self.m;
+        out.clear();
+        out.extend(self.vt.chunks_exact(m).map(|v| dot(v, x)));
+        let rank = out.len();
+        if rank < m {
+            let mut y = x.to_vec();
+            for u in self.reflectors.chunks_exact(m) {
+                let f = dot(u, &y);
+                for (a, &b) in y.iter_mut().zip(u) {
+                    *a -= f * b;
+                }
+            }
+            out.extend_from_slice(&y[rank..]);
+        }
+    }
+
+    /// The once-per-series projection of the data: `W·g` in the basis,
+    /// followed by its λ-independent null-row sums `Σ C̃ᵢ·d̃ᵢ` (q).
+    pub(crate) fn project(&self, weights: &[f64], g: &[f64], proj: &mut Vec<f64>) {
+        let wg: Vec<f64> = weights.iter().zip(g).map(|(w, g)| w * g).collect();
+        self.hold(&wg, proj);
+        let q = self.q;
+        let mut rhs = vec![0.0; q];
+        for (row, &d) in self.border.chunks_exact(q).zip(proj.iter()).skip(self.rank) {
+            for (r, &c) in rhs.iter_mut().zip(row) {
+                *r += c * d;
+            }
+        }
+        proj.extend_from_slice(&rhs);
+    }
+
+    /// The coordinates of `x` in the basis.
+    fn project_raw(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.hold(x, &mut out);
+        out
+    }
+
+    /// The m-vector with coordinates `y` in the basis.
+    fn rotate(&self, y: &[f64]) -> Vec<f64> {
+        let m = self.m;
+        let rank = self.vt.len() / m;
+        let mut out = vec![0.0; m];
+        if rank < m {
+            out[rank..].copy_from_slice(&y[rank..]);
+            for u in self.reflectors.chunks_exact(m).rev() {
+                let f = dot(u, &out);
+                for (a, &b) in out.iter_mut().zip(u) {
+                    *a -= f * b;
+                }
+            }
+        }
+        for (v, &yi) in self.vt.chunks_exact(m).zip(y) {
+            for (o, &vr) in out.iter_mut().zip(v) {
+                *o += yi * vr;
+            }
+        }
+        out
+    }
+}
+
+/// One-sided Jacobi (Hestenes) on the `k` rows of `rows` (each of
+/// length `len`): rotates pairs of them until all are mutually
+/// orthogonal. Rows whose squared norm is at most `negligible` are left
+/// as they are (the rank deficiency of a k-fold fold or of `K(n−2) < m`).
+/// Cyclic Jacobi converges quadratically, so a sweep whose largest
+/// relative inner product was below `√tol` leaves them orthogonal to
+/// `tol` and ends the iteration without a checking sweep. `norms`
+/// (length `k`) is scratch for the squared row norms, recomputed every
+/// sweep and updated through each rotation.
+fn jacobi(
+    k: usize,
+    len: usize,
+    rows: &mut [f64],
+    norms: &mut [f64],
+    negligible: f64,
+) -> Result<()> {
+    let tol = k.max(len) as f64 * f64::EPSILON;
+    for _ in 0..MAX_SWEEPS {
+        for (n, b) in norms.iter_mut().zip(rows.chunks_exact(len)) {
+            *n = dot(b, b);
+        }
+        let mut largest: f64 = 0.0;
+        for p in 0..k {
+            for q in p + 1..k {
+                let (a, b) = (norms[p], norms[q]);
+                if a <= negligible || b <= negligible {
+                    continue;
+                }
+                let (head, tail) = rows.split_at_mut(q * len);
+                let (bp, bq) = (&mut head[p * len..(p + 1) * len], &mut tail[..len]);
+                let c = dot(bp, bq);
+                let relative = c.abs() / (a * b).sqrt();
+                if relative <= tol {
+                    continue;
+                }
+                largest = largest.max(relative);
+                let zeta = (b - a) / (2.0 * c);
+                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
+                let cs = 1.0 / (1.0 + t * t).sqrt();
+                let sn = cs * t;
+                for (u, v) in bp.iter_mut().zip(bq.iter_mut()) {
+                    let (x, y) = (*u, *v);
+                    *u = cs * x - sn * y;
+                    *v = sn * x + cs * y;
+                }
+                norms[p] = a - t * c;
+                norms[q] = b + t * c;
+            }
+        }
+        if largest <= tol.sqrt() {
+            return Ok(());
+        }
+    }
+    Err(DeconvError::NumericalBreakdown(
+        "Jacobi eigendecomposition of the λ scan did not converge",
+    ))
+}
+
+/// Expands the packed lower triangle at the front of `a` into the full
+/// symmetric row-major `q × q` matrix, in place.
+fn unpack(a: &mut Vec<f64>, q: usize) {
+    a.resize(q * q, 0.0);
+    for i in (0..q).rev() {
+        let start = i * (i + 1) / 2;
+        for j in (0..=i).rev() {
+            a[i * q + j] = a[start + j];
+        }
+    }
+    for i in 0..q {
+        for j in 0..i {
+            a[j * q + i] = a[i * q + j];
+        }
+    }
+}
+
+/// Appends `Nᵀh` for a full-length `h` (the blocks' `N = [ℓ₀, ℓ₁]`,
+/// the identity at each block's ends) to `out`.
+fn push_null_t(null_interior: &[Vec<f64>; 2], h: &[f64], out: &mut Vec<f64>) {
+    let n = null_interior[0].len() + 2;
+    for block in h.chunks_exact(n) {
+        for (a, l) in null_interior.iter().enumerate() {
+            out.push(block[a * (n - 1)] + dot(l, &block[1..n - 1]));
+        }
+    }
+}
+
+/// The upper triangle `R` (`rows × cols_r` row-major) of the Householder
+/// QR of the first `cols_r` columns of the row-major `n × width` matrix
+/// `a`, computed in place (those columns are overwritten).
+fn householder_r(a: &mut [f64], n: usize, width: usize, cols_r: usize, rows: usize) -> Vec<f64> {
+    let at = |i: usize, j: usize| i * width + j;
+    for k in 0..cols_r.min(n) {
+        let norm = (k..n)
+            .map(|i| a[at(i, k)] * a[at(i, k)])
+            .sum::<f64>()
+            .sqrt();
+        if norm == 0.0 {
+            continue;
+        }
+        let alpha = if a[at(k, k)] > 0.0 { -norm } else { norm };
+        let vk = a[at(k, k)] - alpha;
+        // v = (vk, a[k+1.., k]) and H = I − 2vvᵀ/(vᵀv) with vᵀv = −2α·vk.
+        for j in k + 1..cols_r {
+            let dot = vk * a[at(k, j)] + (k + 1..n).map(|i| a[at(i, k)] * a[at(i, j)]).sum::<f64>();
+            let f = dot / (-alpha * vk);
+            a[at(k, j)] -= f * vk;
+            for i in k + 1..n {
+                a[at(i, j)] -= f * a[at(i, k)];
+            }
+        }
+        a[at(k, k)] = alpha;
+    }
+    (0..rows * cols_r)
+        .map(|x| {
+            if x % cols_r >= x / cols_r {
+                a[at(x / cols_r, x % cols_r)]
+            } else {
+                0.0
+            }
+        })
+        .collect()
+}
+
+/// In-place LU factorization with partial pivoting of the row-major
+/// `q × q` matrix `a` (the border system, q = 2K + k).
+fn lu_factor(a: &mut [f64], pivots: &mut [usize], q: usize) -> Result<()> {
+    for k in 0..q {
+        let mut p = k;
+        for i in k + 1..q {
+            if a[i * q + k].abs() > a[p * q + k].abs() {
+                p = i;
+            }
+        }
+        let pivot = a[p * q + k];
+        if pivot == 0.0 || !pivot.is_finite() {
+            return Err(DeconvError::NumericalBreakdown(
+                "border system of the λ scan is singular",
+            ));
+        }
+        pivots[k] = p;
+        if p != k {
+            for j in 0..q {
+                a.swap(k * q + j, p * q + j);
+            }
+        }
+        for i in k + 1..q {
+            let f = a[i * q + k] / pivot;
+            a[i * q + k] = f;
+            for j in k + 1..q {
+                a[i * q + j] -= f * a[k * q + j];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Solves `A·x = b` in place from [`lu_factor`]'s factors.
+fn lu_solve(a: &[f64], pivots: &[usize], q: usize, x: &mut [f64]) {
+    for (k, &p) in pivots.iter().enumerate().take(q) {
+        x.swap(k, p);
+    }
+    for i in 0..q {
+        for j in 0..i {
+            x[i] -= a[i * q + j] * x[j];
+        }
+    }
+    for i in (0..q).rev() {
+        for j in i + 1..q {
+            x[i] -= a[i * q + j] * x[j];
+        }
+        x[i] /= a[i * q + i];
+    }
+}
+
+/// Test-only references of the criterion: a synthetic problem family and
+/// the dense hat-matrix GCV scorer, which share no code with the scan.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+    use crate::operators::FitOperators;
+    use cellsync_spline::SplineBasis;
+
+    /// `K` stacked blocks of a `basis`-function problem measured at `m`
+    /// times: a smooth synthetic kernel integrated against the natural
+    /// B-splines (a different width per block), `k` equality rows per
+    /// block, and data from a smooth truth with a deterministic 5 %
+    /// perturbation. Returns the operators (GCV selection) and the data.
+    pub(crate) fn synthetic_operators(
+        m: usize,
+        basis: usize,
+        blocks: usize,
+        k: usize,
+    ) -> (FitOperators, Vec<f64>) {
+        let spline = SplineBasis::uniform(basis, 0.0, 1.0).unwrap();
+        let config = DeconvolutionConfig::builder()
+            .basis_size(basis)
+            .build()
+            .unwrap();
+        let grid: Vec<f64> = (0..240).map(|p| (p as f64 + 0.5) / 240.0).collect();
+        let psi = spline.collocation_matrix(&grid).unwrap();
+        let ops: Vec<FitOperators> = (0..blocks)
+            .map(|b| {
+                let width = 0.08 + 0.03 * b as f64;
+                let design = Matrix::from_fn(m, basis, |i, j| {
+                    let t = 0.05 + 0.9 * i as f64 / (m - 1) as f64;
+                    grid.iter()
+                        .enumerate()
+                        .map(|(p, &phi)| {
+                            (-(phi - t).powi(2) / (2.0 * width * width)).exp() * psi[(p, j)]
+                        })
+                        .sum::<f64>()
+                        / grid.len() as f64
+                });
+                let equality = (k > 0).then(|| {
+                    let e = Matrix::from_fn(k, basis, |l, j| match l {
+                        0 => 1.0 + 0.3 * (j as f64 / basis as f64),
+                        _ => ((j * 5 + b) % 7) as f64 / 7.0 - 0.4,
+                    });
+                    (e, Vector::zeros(k))
+                });
+                FitOperators::new(
+                    design,
+                    spline.penalty(),
+                    &spline.greville(),
+                    equality,
+                    None,
+                    None,
+                    &config,
+                )
+                .unwrap()
+            })
+            .collect();
+        let ops = if blocks == 1 {
+            ops.into_iter().next().unwrap()
+        } else {
+            let refs: Vec<&FitOperators> = ops.iter().collect();
+            FitOperators::stacked(&refs, &spline.greville(), &config).unwrap()
+        };
+        let xi = spline.greville();
+        let alpha = Vector::from_fn(ops.dim(), |j| {
+            let x = xi[j % basis];
+            2.0 + (2.0 * std::f64::consts::PI * (x + 0.2 * (j / basis) as f64)).sin()
+        });
+        let g = ops
+            .design
+            .matvec(&alpha)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * (1.0 + 0.05 * (7.3 * i as f64).sin()))
+            .collect();
+        (ops, g)
+    }
+
+    /// The frame coordinates `α = T·(β, c)`: interior unit vectors, then
+    /// each block's two null columns.
+    fn coordinates(frame: &Frame) -> Matrix {
+        let (n, nr, kn) = (frame.n, frame.n - 2, frame.n * frame.blocks);
+        let interior = frame.blocks * nr;
+        Matrix::from_fn(kn, kn, |row, col| {
+            if col < interior {
+                return f64::from(u8::from(row == frame.coef(col)));
+            }
+            let (b, a) = ((col - interior) / 2, (col - interior) % 2);
+            if row / n != b {
+                return 0.0;
+            }
+            match row % n {
+                0 => f64::from(u8::from(a == 0)),
+                j if j == n - 1 => f64::from(u8::from(a == 1)),
+                j => frame.null_interior[a][j - 1],
+            }
+        })
+    }
+
+    /// The dense GCV score of the criterion at `lambda`, from the
+    /// Householder QR of a stacked least-squares system — the normal
+    /// equations are never formed, so wide σ ratios do not square its
+    /// conditioning. With equality rows, the primal system
+    /// `[W·A·T; √λ̄·[Lᵀ, 0]; √ε·[0, L_Gᵀ]]·Z` (`Ω_rr = LLᵀ`,
+    /// `NᵀN = L_GL_Gᵀ`, `Z` an orthonormal basis of `null(E·T)`), whose
+    /// hat matrix's trace is `‖Q₁‖²_F` over the data rows. Without them,
+    /// the `(Kn + m) × m` dual system `[Yᵀ; I]` with `Y = W·A·T·L_P⁻ᵀ`
+    /// (`L_P = blockdiag(√λ̄·L, √ε·L_G)` per block): its `R` gives
+    /// `I + YYᵀ = RᵀR`, the hat matrix is `I − R⁻¹R⁻ᵀ`, and the cost stays
+    /// O(n·m²) per λ at genome-scale n.
+    pub(crate) fn dense_gcv(ops: &FitOperators, weights: &[f64], g: &[f64], lambda: f64) -> f64 {
+        let m = ops.design.rows();
+        let (rss, edf) = match &ops.equality {
+            Some((e, _)) => primal(ops, e, weights, g, lambda),
+            None => dual(ops, weights, g, lambda),
+        };
+        let edf_ratio = edf / m as f64;
+        if edf_ratio > 0.99 {
+            return f64::INFINITY;
+        }
+        let denom = 1.0 - edf_ratio;
+        (rss / m as f64) / (denom * denom)
+    }
+
+    /// `L_G` of one block's `NᵀN`, as `[l₀₀, l₁₀, l₁₁]`.
+    fn null_factor(frame: &Frame) -> [f64; 3] {
+        let [[g00, g01], [_, g11]] = frame.null_gram;
+        [g00.sqrt(), g01 / g00.sqrt(), (g11 - g01 * g01 / g00).sqrt()]
+    }
+
+    /// `(RSS, edf)` from the dual system (no equality rows).
+    fn dual(ops: &FitOperators, weights: &[f64], g: &[f64], lambda: f64) -> (f64, f64) {
+        let frame = &ops.frame;
+        let (m, kn) = ops.design.shape();
+        let interior = frame.omega_rr.dim();
+        let at = ops.design.matmul(&coordinates(frame)).unwrap();
+        let mut yt = vec![0.0; kn * m];
+        for (p, row) in yt.chunks_exact_mut(m).enumerate() {
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = weights[i] * at[(i, p)];
+            }
+        }
+        let (interior_rows, null_rows) = yt.split_at_mut(interior * m);
+        frame
+            .omega_rr
+            .cholesky()
+            .unwrap()
+            .forward_solve_block(interior_rows, m);
+        let root_l = floored(lambda).sqrt();
+        for v in interior_rows.iter_mut() {
+            *v /= root_l;
+        }
+        let lg = null_factor(frame);
+        let root_e = DeconvolutionConfig::RIDGE.sqrt();
+        for pair in null_rows.chunks_exact_mut(2 * m) {
+            let (r0, r1) = pair.split_at_mut(m);
+            for (a, b) in r0.iter_mut().zip(r1.iter_mut()) {
+                *a /= lg[0];
+                *b = (*b - lg[1] * *a) / lg[2];
+                *a /= root_e;
+                *b /= root_e;
+            }
+        }
+        let stack = Matrix::from_fn(kn + m, m, |r, c| {
+            if r < kn {
+                yt[r * m + c]
+            } else {
+                f64::from(u8::from(r - kn == c))
+            }
+        });
+        let qr = stack.qr().unwrap();
+        let r = Matrix::from_fn(m, m, |i, j| qr.r()[(i, j)]);
+        // R⁻¹ by back substitution, column by column.
+        let back = |x: &mut [f64]| {
+            for i in (0..m).rev() {
+                let s: f64 = (i + 1..m).map(|j| r[(i, j)] * x[j]).sum();
+                x[i] = (x[i] - s) / r[(i, i)];
+            }
+        };
+        let mut trace_inv = 0.0;
+        for c in 0..m {
+            let mut x: Vec<f64> = (0..m).map(|i| f64::from(u8::from(i == c))).collect();
+            back(&mut x);
+            trace_inv += dot(&x, &x);
+        }
+        // Residual (I + YYᵀ)⁻¹·W·g = R⁻¹R⁻ᵀ·W·g.
+        let mut u: Vec<f64> = (0..m).map(|i| weights[i] * g[i]).collect();
+        for i in 0..m {
+            let s: f64 = (0..i).map(|j| r[(j, i)] * u[j]).sum();
+            u[i] = (u[i] - s) / r[(i, i)];
+        }
+        back(&mut u);
+        (dot(&u, &u), m as f64 - trace_inv)
+    }
+
+    /// `(RSS, edf)` from the primal system with equality rows `e`.
+    fn primal(
+        ops: &FitOperators,
+        e: &Matrix,
+        weights: &[f64],
+        g: &[f64],
+        lambda: f64,
+    ) -> (f64, f64) {
+        let frame = &ops.frame;
+        let (m, kn) = ops.design.shape();
+        let interior = frame.omega_rr.dim();
+        let t = coordinates(frame);
+        let at = ops.design.matmul(&t).unwrap();
+        let l = frame.omega_rr.to_dense().cholesky().unwrap();
+        let lg = null_factor(frame);
+        let (root_l, root_e) = (floored(lambda).sqrt(), DeconvolutionConfig::RIDGE.sqrt());
+        let x = Matrix::from_fn(m + kn, kn, |row, col| match row {
+            r if r < m => weights[r] * at[(r, col)],
+            r if r < m + interior => {
+                let p = r - m;
+                if col < interior {
+                    root_l * l.factor()[(col, p)]
+                } else {
+                    0.0
+                }
+            }
+            r => {
+                let (b, a) = ((r - m - interior) / 2, (r - m - interior) % 2);
+                let (c0, c1) = (interior + 2 * b, interior + 2 * b + 1);
+                // Rows of L_Gᵀ = [[l₀₀, l₁₀], [0, l₁₁]].
+                match (a, col) {
+                    (0, c) if c == c0 => root_e * lg[0],
+                    (0, c) if c == c1 => root_e * lg[1],
+                    (1, c) if c == c1 => root_e * lg[2],
+                    _ => 0.0,
+                }
+            }
+        });
+        let et = e.matmul(&t).unwrap();
+        let k = e.rows();
+        let q_e = et.transpose().qr().unwrap();
+        let z = Matrix::from_fn(kn, kn - k, |i, j| q_e.q()[(i, k + j)]);
+        let stacked = x.matmul(&z).unwrap();
+        let rhs = Vector::from_fn(m + kn, |i| if i < m { weights[i] * g[i] } else { 0.0 });
+        let qr = stacked.qr().unwrap();
+        let y = qr.solve_least_squares(&rhs).unwrap();
+        let pred = at.matvec(&z.matvec(&y).unwrap()).unwrap();
+        let rss: f64 = (0..m)
+            .map(|i| (weights[i] * (g[i] - pred[i])).powi(2))
+            .sum();
+        let q = qr.q();
+        let trace: f64 = (0..m)
+            .flat_map(|i| (0..z.cols()).map(move |j| q[(i, j)] * q[(i, j)]))
+            .sum();
+        (rss, trace)
     }
 }
 
@@ -364,57 +1311,101 @@ mod tests {
     use super::*;
     use cellsync_spline::SplineBasis;
 
-    /// A small synthetic instance: random-ish dense design and the
-    /// natural B-spline penalty with its exact null space.
-    fn instance(m: usize, n: usize) -> (Matrix, Vec<f64>, Vec<f64>, BandedOperators, Matrix) {
+    /// A small synthetic instance: random-ish dense design, the natural
+    /// B-spline penalty and its Greville abscissae.
+    fn instance(m: usize, n: usize) -> (Matrix, Vec<f64>, Vec<f64>, SplineBasis) {
         let design = Matrix::from_fn(m, n, |i, j| {
             0.3 + ((i * 7 + j * 13) % 11) as f64 / 11.0 + 0.05 * ((i + 2 * j) as f64).sin()
         });
         let weights: Vec<f64> = (0..m).map(|i| 1.0 + 0.1 * (i % 3) as f64).collect();
         let g: Vec<f64> = (0..m).map(|i| 2.0 + (i as f64 * 0.7).sin()).collect();
-        let basis = SplineBasis::uniform(n, 0.0, 1.0).unwrap();
-        let omega = basis.penalty();
-        let ops = BandedOperators::new(&omega, &basis.greville(), None).unwrap();
-        (design, weights, g, ops, omega.to_dense())
+        (
+            design,
+            weights,
+            g,
+            SplineBasis::uniform(n, 0.0, 1.0).unwrap(),
+        )
     }
 
-    /// The equality-constrained minimizer, edf and RSS at one λ.
+    /// The frame's equality-constrained minimizer, edf and RSS at one λ.
     fn evaluate(
-        ops: &BandedOperators,
+        basis: &SplineBasis,
         design: &Matrix,
         weights: &[f64],
         g: &[f64],
         equality: Option<&Matrix>,
         lambda: f64,
     ) -> (Vector, f64, f64) {
-        let fit = BandedFit::new(ops, design, weights, g, equality);
-        let ev = fit.evaluate(lambda).unwrap();
-        (fit.solve(lambda).unwrap(), ev.edf, ev.rss)
+        let frame = Frame::new(design, &basis.penalty(), equality, &basis.greville()).unwrap();
+        let mut spectrum = Spectrum::default();
+        spectrum.rebuild(&frame, weights).unwrap();
+        let mut proj = Vec::new();
+        spectrum.project(weights, g, &mut proj);
+        let series = Series {
+            design,
+            equality,
+            weights,
+            g,
+            spectrum: &spectrum,
+            proj: &proj,
+        };
+        let mut scan = ScanScratch::default();
+        let (rss, edf) = frame.evaluate(&series, lambda, &mut scan).unwrap();
+        let start = frame.minimizer(&series, lambda, &mut scan).unwrap();
+        (
+            frame.polish(&series, lambda, &scan, start).unwrap(),
+            edf,
+            rss,
+        )
     }
 
-    /// Direct dense reference: K = AᵀW²A + λΩ + εI, α = K⁻¹AᵀW²g,
-    /// edf = tr(W·A·K̃⁻¹·Aᵀ·W) on the equality-reduced operator.
-    fn dense_reference(
+    /// The dense normal matrix of the criterion,
+    /// `K = AᵀW²A + λ̄Ω + ε·R` with `R` holding `NᵀN` on the two end
+    /// coefficients, and its right-hand side `AᵀW²g`.
+    fn normal_equations(
+        basis: &SplineBasis,
         design: &Matrix,
         weights: &[f64],
         g: &[f64],
-        equality: Option<&Matrix>,
-        omega_dense: &Matrix,
         lambda: f64,
-        ridge: f64,
-    ) -> (Vec<f64>, f64, f64) {
-        let m = design.rows();
-        let n = design.cols();
+    ) -> (Matrix, Vector) {
+        let (m, n) = design.shape();
+        let omega = basis.penalty_matrix();
         let mut k = Matrix::zeros(n, n);
         design.weighted_gram_into(weights, &mut k).unwrap();
         for i in 0..n {
             for j in 0..n {
-                k[(i, j)] += lambda * omega_dense[(i, j)];
+                k[(i, j)] += lambda.max(1e-9) * omega[(i, j)];
             }
-            k[(i, i)] += ridge;
+        }
+        let xi = basis.greville();
+        let l1: Vec<f64> = xi
+            .iter()
+            .map(|x| (x - xi[0]) / (xi[n - 1] - xi[0]))
+            .collect();
+        let l0: Vec<f64> = l1.iter().map(|v| 1.0 - v).collect();
+        let ends = [0, n - 1];
+        for (a, la) in [&l0, &l1].into_iter().enumerate() {
+            for (b, lb) in [&l0, &l1].into_iter().enumerate() {
+                k[(ends[a], ends[b])] += 1e-9 * dot(la, lb);
+            }
         }
         let w2g = Vector::from_fn(m, |i| weights[i] * weights[i] * g[i]);
-        let rhs = design.tr_matvec(&w2g).unwrap();
+        (k, design.tr_matvec(&w2g).unwrap())
+    }
+
+    /// Direct dense reference: `α = K⁻¹AᵀW²g` and
+    /// `edf = tr(W·A·K⁻¹·Aᵀ·W)`, both corrected onto `Eα = 0`.
+    fn dense_reference(
+        basis: &SplineBasis,
+        design: &Matrix,
+        weights: &[f64],
+        g: &[f64],
+        equality: Option<&Matrix>,
+        lambda: f64,
+    ) -> (Vec<f64>, f64, f64) {
+        let (m, n) = design.shape();
+        let (k, rhs) = normal_equations(basis, design, weights, g, lambda);
         let chol = k.cholesky().unwrap();
         let b = Matrix::from_fn(m, n, |i, j| weights[i] * design[(i, j)]);
         // Factored solves throughout (an explicit inverse would cost an
@@ -445,45 +1436,18 @@ mod tests {
         (alpha.into_vec(), edf, rss)
     }
 
-    /// `‖Kα − b‖` for the dense mirror of K — the self-consistency
-    /// check used where K is too ill-conditioned for cross-method
-    /// α agreement.
-    fn kkt_residual(
-        design: &Matrix,
-        weights: &[f64],
-        g: &[f64],
-        omega_dense: &Matrix,
-        lambda: f64,
-        ridge: f64,
-        alpha: &Vector,
-    ) -> (f64, f64) {
-        let m = design.rows();
-        let n = design.cols();
-        let mut k = Matrix::zeros(n, n);
-        design.weighted_gram_into(weights, &mut k).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                k[(i, j)] += lambda * omega_dense[(i, j)];
-            }
-            k[(i, i)] += ridge;
-        }
-        let w2g = Vector::from_fn(m, |i| weights[i] * weights[i] * g[i]);
-        let rhs = design.tr_matvec(&w2g).unwrap();
-        let ka = k.matvec(alpha).unwrap();
-        ((&ka - &rhs).norm2(), rhs.norm2())
-    }
-
     #[test]
     fn woodbury_solution_satisfies_normal_equations() {
-        // At tiny λ the ridge alone holds K's smallest eigenvalues, so
-        // cross-method α comparison is meaningless (cond(K) ~ 1e9) —
-        // but the polished solve must still satisfy the normal equations
-        // to near machine precision.
-        let (design, weights, g, ops, omega_dense) = instance(9, 60);
+        // At tiny λ the normal matrix is ill-conditioned (cond(K) ~ 1e9),
+        // so cross-method α comparison is meaningless — but the polished
+        // solve must still satisfy the normal equations to near machine
+        // precision.
+        let (design, weights, g, basis) = instance(9, 60);
         for &lambda in &[1e-8, 1e-6, 1e-3, 1.0] {
-            let (alpha, _, _) = evaluate(&ops, &design, &weights, &g, None, lambda);
-            let (resid, scale) =
-                kkt_residual(&design, &weights, &g, &omega_dense, lambda, 1e-9, &alpha);
+            let (alpha, _, _) = evaluate(&basis, &design, &weights, &g, None, lambda);
+            let (k, rhs) = normal_equations(&basis, &design, &weights, &g, lambda);
+            let resid = (&k.matvec(&alpha).unwrap() - &rhs).norm2();
+            let scale = rhs.norm2();
             assert!(
                 resid <= 1e-10 * (1.0 + scale),
                 "λ={lambda}: KKT residual {resid} vs rhs norm {scale}"
@@ -493,15 +1457,18 @@ mod tests {
 
     #[test]
     fn woodbury_matches_dense_unconstrained() {
-        let (design, weights, g, ops, omega_dense) = instance(9, 60);
+        let (design, weights, g, basis) = instance(9, 60);
         for &lambda in &[1e-2, 1e-1, 1.0] {
-            let (alpha, edf, rss) = evaluate(&ops, &design, &weights, &g, None, lambda);
+            let (alpha, edf, rss) = evaluate(&basis, &design, &weights, &g, None, lambda);
             let (alpha_d, edf_d, rss_d) =
-                dense_reference(&design, &weights, &g, None, &omega_dense, lambda, 1e-9);
+                dense_reference(&basis, &design, &weights, &g, None, lambda);
             for (a, b) in alpha.iter().zip(&alpha_d) {
                 assert!((a - b).abs() < 1e-8, "λ={lambda}: α {a} vs {b}");
             }
-            assert!((edf - edf_d).abs() < 1e-8, "λ={lambda}: edf");
+            assert!(
+                (edf - edf_d).abs() < 1e-8,
+                "λ={lambda}: edf {edf} vs {edf_d}"
+            );
             assert!(
                 (rss - rss_d).abs() < 1e-8 * (1.0 + rss_d),
                 "λ={lambda}: rss {} vs {}",
@@ -513,16 +1480,16 @@ mod tests {
 
     #[test]
     fn woodbury_matches_dense_with_equalities() {
-        let (design, weights, g, ops, omega_dense) = instance(10, 48);
+        let (design, weights, g, basis) = instance(10, 48);
         let n = design.cols();
         let e = Matrix::from_fn(2, n, |r, j| match r {
             0 => 1.0 + 0.01 * j as f64,
             _ => ((j * 5) % 7) as f64 / 7.0 - 0.4,
         });
         for &lambda in &[1e-3, 3e-2, 0.5] {
-            let (alpha, edf, rss) = evaluate(&ops, &design, &weights, &g, Some(&e), lambda);
+            let (alpha, edf, rss) = evaluate(&basis, &design, &weights, &g, Some(&e), lambda);
             let (alpha_d, edf_d, rss_d) =
-                dense_reference(&design, &weights, &g, Some(&e), &omega_dense, lambda, 1e-9);
+                dense_reference(&basis, &design, &weights, &g, Some(&e), lambda);
             for (a, b) in alpha.iter().zip(&alpha_d) {
                 assert!((a - b).abs() < 1e-7, "λ={lambda}: α {a} vs {b}");
             }

@@ -6,7 +6,9 @@ use crate::{DeconvError, Result};
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum LambdaSelection {
-    /// Use the given λ directly.
+    /// Use the given λ directly. The criterion applies
+    /// `max(λ, DeconvolutionConfig::RIDGE)`, so `Fixed(0.0)` is well
+    /// posed; the result reports λ as given.
     Fixed(f64),
     /// Generalized cross validation (Craven & Wahba 1978): scan a
     /// log-spaced grid of λ values and pick the GCV minimizer. The GCV
@@ -160,11 +162,12 @@ pub struct DeconvolutionConfig {
 }
 
 impl DeconvolutionConfig {
-    /// Tikhonov ridge `ε`: the term `ε‖α‖²` in the criterion, i.e. `εI`
-    /// added to the normal matrix. Both solve paths keep it exactly. The
-    /// dense path relies on it for definiteness when the data leave
-    /// directions unseen; the banded path factors Ω on the complement of
-    /// its null space and never needs it.
+    /// The ridge `ε` of the criterion, in two places: the term
+    /// `ε·cᵀ(NᵀN)c` on the end coefficients `c = (α₀, α_{n−1})` (the
+    /// coordinates of Ω's null space), which makes the normal matrix
+    /// positive definite whatever the data, and the floor of the
+    /// smoothing weight, `λ̄ = max(λ, ε)`, which keeps λ = 0 well posed.
+    /// The interior coefficients carry no ridge (`docs/SOLVER.md` §1).
     pub const RIDGE: f64 = 1e-9;
 
     /// Starts a builder with the defaults: 24 basis functions, positivity

@@ -8,7 +8,6 @@ use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::banded::BandedOperators;
 use crate::operators::{check_cancel, FitOperators};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::{
@@ -20,13 +19,13 @@ use crate::{
 /// least-squares problem of paper eq. 5.
 ///
 /// Construction precomputes everything independent of the measurements —
-/// design matrix, roughness penalty, constraint rows, the
-/// equality-nullspace-reduced operators, and the generalized
-/// eigendecomposition of the (penalty, Gram) pencil for unit weights — so
-/// a single engine can cheaply fit many series measured on the same
-/// protocol, exactly the genome-wide use case of the original work. The
-/// spectral decomposition turns every λ candidate of the GCV scan into a
-/// diagonal shrinkage (no per-λ factorization; see `docs/SOLVER.md`).
+/// design matrix, roughness penalty, constraint rows, the banded factor
+/// of the penalty's interior block, the measurement-space operators of
+/// the λ scan and their eigenbasis for unit weights — so a single engine
+/// can cheaply fit many series measured on the same protocol, exactly the
+/// genome-wide use case of the original work. Every λ candidate of the
+/// GCV scan then costs a shrinkage of the m measurement-space
+/// eigenvalues (no per-λ factorization; see `docs/SOLVER.md`).
 ///
 /// Batch entry points ([`Deconvolver::fit_many`],
 /// [`Deconvolver::fit_bootstrap`]) fan out over a
@@ -75,14 +74,6 @@ struct BootScratch {
 }
 
 impl Deconvolver {
-    /// Basis size at which the engine switches from the dense spectral
-    /// path to the O(n·b²) banded Woodbury path, whatever the λ selection
-    /// (a k-fold training fold is the fit with zero weight on its held-out
-    /// rows, so it solves on the same path). Below it the dense O(n³)
-    /// factor is already cheap. The basis is the same on both sides: it
-    /// picks only the solve path.
-    pub const BANDED_THRESHOLD: usize = 128;
-
     /// Builds the engine for a kernel and configuration, using the paper's
     /// Caulobacter parameters for the constraint functionals.
     ///
@@ -133,44 +124,29 @@ impl Deconvolver {
             Some((e, rhs))
         };
 
-        let grid: Option<Vec<f64>> = config.positivity().then(|| {
-            (0..config.positivity_grid())
+        let positivity = if config.positivity() {
+            let grid: Vec<f64> = (0..config.positivity_grid())
                 .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
-                .collect()
-        });
-        let positivity = match &grid {
-            Some(grid) => {
-                let p = basis.collocation_matrix(grid)?;
-                let rhs = Vector::zeros(p.rows());
-                Some((p, rhs))
-            }
-            None => None,
+                .collect();
+            let p = basis.collocation_matrix(&grid)?;
+            let rhs = Vector::zeros(p.rows());
+            Some((p, rhs))
+        } else {
+            None
         };
         let interior = match &positivity {
             Some((p, _)) => constraints::interior_direction(p, equality.as_ref().map(|(e, _)| e))?,
             None => None,
         };
 
-        // Solve path: banded at or above `BANDED_THRESHOLD`.
-        let omega = basis.penalty();
-        let banded = if config.basis_size() >= Deconvolver::BANDED_THRESHOLD {
-            let positivity_sparse = match (&grid, &positivity) {
-                (Some(grid), Some((_, rhs))) => {
-                    Some((basis.collocation_sparse(grid)?, rhs.clone()))
-                }
-                _ => None,
-            };
-            Some(BandedOperators::new(
-                &omega,
-                &basis.greville(),
-                positivity_sparse,
-            )?)
-        } else {
-            None
-        };
-
         let ops = FitOperators::new(
-            design, omega, equality, positivity, interior, banded, &config,
+            design,
+            basis.penalty(),
+            &basis.greville(),
+            equality,
+            positivity,
+            interior,
+            &config,
         )?;
         Ok(Deconvolver {
             forward,
@@ -242,7 +218,7 @@ impl Deconvolver {
     /// portable [`QpInstance`] in the corpus text format.
     ///
     /// Runs the full fit (λ selection included), then re-assembles the
-    /// Hessian `H = 2(BᵀW²B + λΩ + εI)` and linear term `c = −2BᵀW²g`
+    /// Hessian `H = 2(BᵀW²B + λ̄Ω + εR)` and linear term `c = −2BᵀW²g`
     /// at the selected λ — exactly what the production solve saw — along
     /// with the engine's equality and positivity blocks. The fitted
     /// coefficients become the instance's warm start, and the positivity
@@ -420,8 +396,7 @@ impl Deconvolver {
 
     /// The post-validation fit body shared by every entry point. A
     /// `lambda_override` skips the engine's λ-selection entirely (empty
-    /// selection scores, no spectral warm hint — the hint is only built
-    /// by the GCV sweep).
+    /// selection scores).
     fn fit_validated(
         &self,
         workspace: &mut FitWorkspace,
@@ -471,8 +446,8 @@ impl Deconvolver {
     /// share one kernel and one design matrix.
     ///
     /// Each entry of `series` is `(measurements, optional sigmas)`. The
-    /// engine's precomputed design/penalty/constraint/spectral structures
-    /// are reused; only the per-gene shrinkage and QP differ. The
+    /// engine's precomputed design/penalty/constraint/scan structures
+    /// are reused; only the per-gene scan and solve differ. The
     /// per-gene fits fan out over the engine's worker pool
     /// ([`Deconvolver::with_threads`]), each worker carrying one
     /// thread-local [`FitWorkspace`]
@@ -562,7 +537,7 @@ impl Deconvolver {
         // The point fit left the weights `1/σ` in the workspace.
         let weights = self.ops.weights(workspace, false);
 
-        // The replicate Hessian H = 2(AᵀW²A + λΩ + εI) is shared by every
+        // The replicate Hessian H = 2(AᵀW²A + λ̄Ω + εR) is shared by every
         // replicate (same weights, same λ): assemble and symmetrize once.
         let mut h = Matrix::zeros(n, n);
         self.ops.hessian(weights, lambda, &mut h)?;
@@ -652,28 +627,6 @@ impl Deconvolver {
             std,
             replicates: n_boot,
         })
-    }
-}
-
-#[cfg(test)]
-impl Deconvolver {
-    /// This engine with its operators rebuilt on the dense path (no
-    /// banded operators) over the same basis, penalty, design and
-    /// constraint rows: the same problem, solved the other way — the
-    /// reference of the banded-path differential suite.
-    pub(crate) fn dense_twin(&self) -> Result<Self> {
-        let ops = &self.ops;
-        let mut twin = self.clone();
-        twin.ops = FitOperators::new(
-            ops.design.clone(),
-            ops.omega.clone(),
-            ops.equality.clone(),
-            ops.positivity.clone(),
-            ops.interior.clone(),
-            None,
-            &self.config,
-        )?;
-        Ok(twin)
     }
 }
 
@@ -953,8 +906,8 @@ mod tests {
     #[test]
     fn gcv_with_equality_constraints_scans_the_reduced_smoother() {
         // GCV + equality constraints: the score is computed on the
-        // nullspace-reduced smoother, and the selected fit still honors
-        // the constraints exactly.
+        // equality-constrained smoother, and the selected fit still
+        // honors the constraints exactly.
         let k = kernel(5, 16);
         let truth =
             PhaseProfile::from_fn(200, |phi| 3.0 + 2.0 * (std::f64::consts::PI * phi).sin())
@@ -1090,14 +1043,16 @@ mod tests {
 
     #[test]
     fn weighted_spectral_rebuild_ignores_workspace_history() {
-        // The weighted spectral path is rebuilt inside the workspace's
+        // A weighted series' spectrum is rebuilt inside the workspace's
         // buffers. After the workspace has served a weighted fit on a
-        // larger engine and then a unit-weight fit, a weighted GCV fit
-        // must match a fresh workspace bit for bit.
-        let gcv = |basis: usize| {
+        // larger engine (with equality rows: a larger border) and then a
+        // unit-weight fit, a weighted GCV scan must match a fresh
+        // workspace bit for bit.
+        let gcv = |basis: usize, conservation: bool| {
             DeconvolutionConfig::builder()
                 .basis_size(basis)
                 .positivity(true)
+                .conservation(conservation)
                 .lambda_selection(LambdaSelection::Gcv {
                     log10_min: -8.0,
                     log10_max: 1.0,
@@ -1107,8 +1062,8 @@ mod tests {
                 .unwrap()
         };
         let k = kernel(23, 14);
-        let big = Deconvolver::new(k.clone(), gcv(14)).unwrap();
-        let small = Deconvolver::new(k.clone(), gcv(9)).unwrap();
+        let big = Deconvolver::new(k.clone(), gcv(14, true)).unwrap();
+        let small = Deconvolver::new(k.clone(), gcv(9, false)).unwrap();
         let g = ForwardModel::new(k).predict(&smooth_truth()).unwrap();
         let sigmas_a: Vec<f64> = (0..g.len()).map(|i| 0.02 + 0.03 * i as f64).collect();
         let sigmas_b: Vec<f64> = (0..g.len()).map(|i| 10f64.powi(i as i32 % 5 - 3)).collect();
@@ -1124,6 +1079,40 @@ mod tests {
         assert_eq!(reused.lambda().to_bits(), fresh.lambda().to_bits());
         assert_eq!(reused.selection_scores(), fresh.selection_scores());
         assert_eq!(reused.predicted(), fresh.predicted());
+    }
+
+    #[test]
+    fn zero_lambda_fits_are_finite() {
+        // The criterion floors the smoothing weight at the ridge,
+        // λ̄ = max(λ, ε), so Fixed(0) and a λ = 0 override are well posed
+        // at every basis size, with and without equality rows.
+        let k = kernel(19, 16);
+        let g = ForwardModel::new(k.clone())
+            .predict(&smooth_truth())
+            .unwrap();
+        for basis in [18, 128] {
+            for equalities in [false, true] {
+                let config = DeconvolutionConfig::builder()
+                    .basis_size(basis)
+                    .conservation(equalities)
+                    .rate_continuity(equalities)
+                    .lambda(0.0)
+                    .build()
+                    .unwrap();
+                let engine = Deconvolver::new(k.clone(), config).unwrap();
+                let fixed = engine.fit(&g, None).unwrap();
+                let overridden = engine
+                    .fit_request(&FitRequest::new(g.clone()).with_lambda(0.0))
+                    .unwrap();
+                let case = format!("basis {basis}, equalities {equalities}");
+                assert_eq!(fixed.lambda(), 0.0, "{case}");
+                assert!(
+                    fixed.alpha().iter().all(|a| a.is_finite()),
+                    "{case}: non-finite α"
+                );
+                assert_eq!(overridden.result().alpha(), fixed.alpha(), "{case}");
+            }
+        }
     }
 
     #[test]
@@ -1211,9 +1200,8 @@ mod tests {
         // The warm-started shared-Hessian replicate path must agree with
         // refitting each replicate from scratch at the fixed λ (to solver
         // tolerance — the warm path takes a different iterate route). The
-        // second engine is banded: its replicates solve with sparse
-        // positivity rows, and its truth touches zero so positivity binds
-        // (the banded refits then fall back to the QP).
+        // second engine's truth touches zero, so positivity binds and its
+        // refits fall back to the QP.
         let touching = PhaseProfile::from_fn(200, |phi| {
             (2.0 * (std::f64::consts::PI * (phi - 0.1)).sin()).max(0.0)
         })
@@ -1231,10 +1219,6 @@ mod tests {
                 .build()
                 .unwrap();
             let d = Deconvolver::new(k.clone(), config).unwrap();
-            assert_eq!(
-                d.ops.banded.is_some(),
-                basis >= Deconvolver::BANDED_THRESHOLD
-            );
             let n_grid = 40;
             let seed = 77;
             let band = d.fit_bootstrap(&g, &sigmas, 6, n_grid, seed).unwrap();
@@ -1258,7 +1242,7 @@ mod tests {
                     *acc += v;
                 }
             }
-            if basis >= Deconvolver::BANDED_THRESHOLD {
+            if basis >= 128 {
                 assert!(binding > 0, "basis {basis}: positivity never binds");
             }
             for (mean, acc) in band.mean.iter().zip(&sum) {
@@ -1655,7 +1639,7 @@ mod tests {
 
     #[test]
     fn interior_direction_is_interior_for_each_constraint_set() {
-        for basis in [18, Deconvolver::BANDED_THRESHOLD] {
+        for basis in [18, 128] {
             for (conservation, rate) in [(false, false), (true, false), (true, true)] {
                 let engine = fixed_engine(basis, conservation, rate);
                 let d =
@@ -1699,11 +1683,22 @@ mod tests {
         // that equality leaves the first collocation row at zero, so the
         // constraint set admits no interior direction.
         let mut engine = fixed_engine(18, true, false);
-        let (p, _) = engine.ops.positivity.as_ref().unwrap();
+        let ops = &engine.ops;
+        let (p, _) = ops.positivity.as_ref().unwrap();
         let pin = Matrix::from_rows(&[p.row(0)]).unwrap();
-        engine.ops.interior = constraints::interior_direction(p, Some(&pin)).unwrap();
-        assert!(engine.ops.interior.is_none());
-        engine.ops.equality = Some((pin, Vector::zeros(1)));
+        assert!(constraints::interior_direction(p, Some(&pin))
+            .unwrap()
+            .is_none());
+        engine.ops = FitOperators::new(
+            ops.design.clone(),
+            ops.omega.clone(),
+            &engine.basis.greville(),
+            Some((pin, Vector::zeros(1))),
+            ops.positivity.clone(),
+            None,
+            &engine.config,
+        )
+        .unwrap();
         let g = dipping_series(&engine);
         let fitted = engine.fit(&g, None).unwrap();
         assert_eq!(

@@ -1,20 +1,17 @@
-//! Banded-path differential suite: the Woodbury banded engine must
-//! reproduce the dense engine on the same problem.
+//! Differential suite of the one scan and the one solve: every engine's
+//! fit must reproduce test-only dense references of the same criterion.
 //!
-//! The basis is the same at every size; at or above
-//! [`Deconvolver::BANDED_THRESHOLD`] the engine solves on the banded path,
-//! so a production engine at that size and its dense twin
-//! ([`Deconvolver::dense_twin`]: the same operators without the banded
-//! ones) solve the *identical* optimization problem — only the execution
-//! path differs.
-//! That makes exact differential testing possible: fixed-λ fits must
-//! agree to 1e-8, GCV selection must land on the same λ, and the
-//! positivity fallback must route through the same QP.
-//!
-//! The range suites cover n ∈ {128, 256, 512} × λ ∈ [1e-8, 1e2]. Where
-//! λ‖Ω‖ is large the dense engine's own answer drifts (its normal matrix
-//! rounds Ω's null space at ε_mach·λ‖Ω‖), so there the banded fit is
-//! held to 1e-8 of a double-double reference solve instead.
+//! The references share no code with the frame ([`crate::banded`]): a
+//! fixed-λ fit is checked against the engine's constrained QP solved cold
+//! at the same λ (Hessian, linear term and constraint rows, no frame
+//! minimizer and no warm hint), GCV selection against the same rule over
+//! the dense hat-matrix scorer ([`crate::banded::reference::dense_gcv`]),
+//! and k-fold against the same folds solved by that QP. Fixed-λ fits must
+//! agree to 1e-8 and GCV selection must land on the same λ. The range
+//! suites cover n ∈ {18, 128, 256, 512} × λ ∈ [1e-8, 1e2]. Where λ‖Ω‖ is
+//! large the dense QP's own answer drifts (its Hessian rounds Ω's null
+//! space at ε_mach·λ‖Ω‖), so there the fit is held to 1e-8 of a
+//! double-double reference solve instead.
 
 use std::sync::OnceLock;
 
@@ -25,6 +22,11 @@ use cellsync_stats::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use cellsync_linalg::{Matrix, Vector};
+use cellsync_opt::QpWorkspace;
+
+use crate::banded::reference::dense_gcv;
+use crate::operators::{argmin_score, gcv_select};
 use crate::{DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, PhaseProfile};
 
 /// The paper-protocol anchor kernel: a 2000-cell synchronized culture
@@ -56,20 +58,87 @@ fn config(basis: usize, lambda: LambdaSelection) -> DeconvolutionConfig {
         .expect("valid config")
 }
 
-/// The production engine for `(kernel, basis, lambda)` — which must have
-/// built the banded path — and its dense twin, as `(dense, banded)`.
-fn engines(
-    kernel: &PhaseKernel,
-    basis: usize,
-    lambda: LambdaSelection,
-) -> (Deconvolver, Deconvolver) {
-    let banded = Deconvolver::new(kernel.clone(), config(basis, lambda)).expect("banded engine");
-    assert!(
-        banded.operators().banded.is_some(),
-        "basis {basis}: not banded"
-    );
-    let dense = banded.dense_twin().expect("dense engine");
-    (dense, banded)
+/// The production engine for `(kernel, basis, lambda)`.
+fn engine(kernel: &PhaseKernel, basis: usize, lambda: LambdaSelection) -> Deconvolver {
+    Deconvolver::new(kernel.clone(), config(basis, lambda)).expect("engine")
+}
+
+/// The fit's weights `1/σ` (unit without sigmas).
+fn weights_of(engine: &Deconvolver, sigmas: Option<&[f64]>) -> Vec<f64> {
+    match sigmas {
+        Some(s) => s.iter().map(|v| 1.0 / v).collect(),
+        None => engine.operators().unit_weights.clone(),
+    }
+}
+
+/// The dense reference solve at `lambda`: the engine's constrained QP
+/// for `weights`, solved cold.
+fn dense_alpha(engine: &Deconvolver, weights: &[f64], g: &[f64], lambda: f64) -> Vec<f64> {
+    let ops = engine.operators();
+    let (m, n) = ops.design.shape();
+    let mut h = Matrix::zeros(n, n);
+    ops.hessian(weights, lambda, &mut h).expect("hessian");
+    let mut c = Vector::zeros(n);
+    ops.linear_term_into(weights, g, &mut Vector::zeros(m), &mut c)
+        .expect("linear term");
+    let problem = ops.constrained_problem(&h, &c, None).expect("problem");
+    QpWorkspace::new()
+        .solve(&problem)
+        .expect("dense QP")
+        .x
+        .into_vec()
+}
+
+/// The dense reference λ of a GCV engine: the engine's rule over the
+/// dense hat-matrix scorer.
+fn dense_gcv_lambda(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> f64 {
+    let ops = engine.operators();
+    let weights = weights_of(engine, sigmas);
+    gcv_select(&ops.lambda_grid, None, |l| {
+        Ok(dense_gcv(ops, &weights, g, l))
+    })
+    .expect("dense GCV")
+    .0
+}
+
+/// The dense reference k-fold scan of a k-fold engine: the engine's
+/// folds, each (fold, λ) the dense QP with zero weight on the held-out
+/// rows. Returns the selected λ and the scores.
+fn dense_kfold(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> (f64, Vec<(f64, f64)>) {
+    let ops = engine.operators();
+    let LambdaSelection::KFold { folds, seed, .. } = *engine.config().lambda() else {
+        panic!("k-fold engines only");
+    };
+    let weights = weights_of(engine, sigmas);
+    let m = g.len();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let folds = cellsync_stats::crossval::k_fold(m, folds.min(m), &mut rng).expect("folds");
+    let scores: Vec<(f64, f64)> = ops
+        .lambda_grid
+        .iter()
+        .map(|&l| {
+            let mut total = 0.0;
+            for fold in &folds {
+                let mut masked = weights.clone();
+                for &v in &fold.validation {
+                    masked[v] = 0.0;
+                }
+                let alpha = dense_alpha(engine, &masked, g, l);
+                for &v in &fold.validation {
+                    let pred: f64 = ops
+                        .design
+                        .row(v)
+                        .iter()
+                        .zip(&alpha)
+                        .map(|(a, b)| a * b)
+                        .sum();
+                    total += (weights[v] * (pred - g[v])).powi(2);
+                }
+            }
+            (l, total / m as f64)
+        })
+        .collect();
+    (argmin_score(&scores).expect("scores"), scores)
 }
 
 /// A strictly positive smooth truth: the unconstrained minimizer stays
@@ -95,77 +164,72 @@ fn max_coef_diff(a: &[f64], b: &[f64]) -> f64 {
 #[test]
 fn banded_matches_dense_at_500_knots_fixed_lambda() {
     // The acceptance anchor: a genome-scale 500-knot single-gene fit
-    // through the banded path must match the dense path to 1e-8.
+    // must match the dense QP at the same λ to 1e-8.
     let g = positive_series();
-    let (dense, banded) = engines(anchor_kernel(), 500, LambdaSelection::Fixed(1e-3));
-
-    let fd = dense.fit(&g, None).expect("dense fit");
-    let fb = banded.fit(&g, None).expect("banded fit");
-    assert_eq!(fd.lambda(), fb.lambda());
-    let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    let diff = max_coef_diff(fd.alpha(), fb.alpha());
+    let engine = engine(anchor_kernel(), 500, LambdaSelection::Fixed(1e-3));
+    let fit = engine.fit(&g, None).expect("fit");
+    let dense = dense_alpha(&engine, &weights_of(&engine, None), &g, 1e-3);
+    let scale = 1.0 + dense.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let diff = max_coef_diff(&dense, fit.alpha());
     assert!(
         diff <= 1e-8 * scale,
         "500-knot coefficient divergence {diff:e} (scale {scale:e})"
     );
-    // The fitted profiles agree pointwise too.
-    let pd = fd.profile(300).expect("profile");
-    let pb = fb.profile(300).expect("profile");
-    assert!(pd.rmse(&pb).expect("same length") <= 1e-8 * scale);
 }
 
 #[test]
 fn banded_gcv_matches_dense_spectral_at_threshold() {
-    // At the 128-knot threshold both engines run full GCV selection:
-    // the banded grid/refinement must land on the dense spectral path's
-    // λ and coefficients.
+    // At 128 knots, full GCV selection must land on the dense reference
+    // rule's λ, and the fit on the dense QP at that λ.
     let g = positive_series();
     let sel = LambdaSelection::Gcv {
         log10_min: -6.0,
         log10_max: 0.0,
         points: 7,
     };
-    let (dense, banded) = engines(anchor_kernel(), 128, sel);
-
-    let fd = dense.fit(&g, None).expect("dense fit");
-    let fb = banded.fit(&g, None).expect("banded fit");
-    let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda().abs().max(f64::MIN_POSITIVE);
+    let engine = engine(anchor_kernel(), 128, sel);
+    let fit = engine.fit(&g, None).expect("fit");
+    let dense = dense_gcv_lambda(&engine, &g, None);
+    let rel = (dense - fit.lambda()).abs() / dense.abs().max(f64::MIN_POSITIVE);
     assert!(
         rel <= 1e-6,
-        "GCV λ divergence: dense {} vs banded {} (rel {rel:e})",
-        fd.lambda(),
-        fb.lambda()
+        "GCV λ divergence: dense {dense} vs scan {} (rel {rel:e})",
+        fit.lambda()
     );
-    let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    let diff = max_coef_diff(fd.alpha(), fb.alpha());
+    let alpha = dense_alpha(&engine, &weights_of(&engine, None), &g, fit.lambda());
+    let scale = 1.0 + alpha.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let diff = max_coef_diff(&alpha, fit.alpha());
     assert!(diff <= 1e-6 * scale, "coefficient divergence {diff:e}");
 }
 
 #[test]
 fn gcv_engine_is_banded_at_threshold() {
-    // GCV at 128 knots builds the banded path: banded operators and no
-    // spectral reduction. One function fewer builds the dense path on the
-    // same kind of basis.
+    // One scan at every size: on both sides of 128 knots the GCV
+    // engine's grid scores match the dense hat-matrix scorer.
+    let g = positive_series();
     let sel = LambdaSelection::Gcv {
         log10_min: -6.0,
         log10_max: 0.0,
         points: 5,
     };
-    let at = Deconvolver::new(anchor_kernel().clone(), config(128, sel.clone())).expect("engine");
-    let ops = at.operators();
-    assert!(ops.banded.is_some());
-    assert!(ops.reduced.is_none() && ops.spectral_unit.is_none());
-    let below = Deconvolver::new(anchor_kernel().clone(), config(127, sel)).expect("engine");
-    let ops = below.operators();
-    assert!(ops.banded.is_none());
-    assert!(ops.reduced.is_some() && ops.spectral_unit.is_some());
+    for basis in [127, 128] {
+        let engine = engine(anchor_kernel(), basis, sel.clone());
+        let fit = engine.fit(&g, None).expect("fit");
+        let weights = weights_of(&engine, None);
+        for &(l, score) in &fit.selection_scores()[..5] {
+            let dense = dense_gcv(engine.operators(), &weights, &g, l);
+            assert!(
+                (score - dense).abs() <= 1e-7 * dense,
+                "basis {basis}, λ = {l:e}: scan {score:e} vs dense {dense:e}"
+            );
+        }
+    }
 }
 
 #[test]
 fn kfold_engine_is_banded_at_threshold() {
-    // A k-fold training fold is the fit with zero weight on its held-out
-    // rows, so k-fold engines dispatch on basis size alone: banded at 128
-    // knots, dense at 127.
+    // One fold solve at every size: on both sides of 128 knots the
+    // k-fold engine's scores match the dense QP's folds.
     let g = positive_series();
     let sel = LambdaSelection::KFold {
         folds: 4,
@@ -174,12 +238,19 @@ fn kfold_engine_is_banded_at_threshold() {
         points: 4,
         seed: 7,
     };
-    let at = Deconvolver::new(anchor_kernel().clone(), config(128, sel.clone())).expect("engine");
-    assert!(at.operators().banded.is_some());
-    let fit = at.fit(&g, None).expect("banded kfold fit");
-    assert!(fit.lambda().is_finite() && fit.lambda() > 0.0);
-    let below = Deconvolver::new(anchor_kernel().clone(), config(127, sel)).expect("engine");
-    assert!(below.operators().banded.is_none());
+    for basis in [127, 128] {
+        let engine = engine(anchor_kernel(), basis, sel.clone());
+        let fit = engine.fit(&g, None).expect("k-fold fit");
+        assert!(fit.lambda().is_finite() && fit.lambda() > 0.0);
+        let (lambda, scores) = dense_kfold(&engine, &g, None);
+        assert_eq!(fit.lambda(), lambda, "basis {basis}: selected λ");
+        for (&(l, s), &(_, d)) in fit.selection_scores().iter().zip(&scores) {
+            assert!(
+                (s - d).abs() <= 1e-7 * d.abs(),
+                "basis {basis}, λ = {l:e}: score {s:e} vs {d:e}"
+            );
+        }
+    }
 }
 
 /// A truth that dives to zero over the middle of the cycle: with a small
@@ -201,10 +272,10 @@ fn binding_series() -> Vec<f64> {
 
 #[test]
 fn banded_kfold_matches_dense_twin() {
-    // K-fold on the banded engine against its dense twin: a unit-weight
-    // fit, and a σ-weighted one with both equality constraints, on a
-    // positive series and on one whose positivity binds. Every fold solve
-    // is the same problem on both paths, so the scans select the same λ.
+    // K-fold against the dense QP's folds: a unit-weight fit, and a
+    // σ-weighted one with both equality constraints, on a positive series
+    // and on one whose positivity binds. Every fold solve is the same
+    // problem, so the scans select the same λ.
     let sel = LambdaSelection::KFold {
         folds: 4,
         log10_min: -6.0,
@@ -229,24 +300,22 @@ fn banded_kfold_matches_dense_twin() {
                 .lambda_selection(sel.clone())
                 .build()
                 .expect("valid config");
-            let banded = Deconvolver::new(anchor_kernel().clone(), config).expect("engine");
-            assert!(banded.operators().banded.is_some(), "basis {basis}");
-            let dense = banded.dense_twin().expect("dense engine");
+            let engine = Deconvolver::new(anchor_kernel().clone(), config).expect("engine");
             let sigmas = weighted.then_some(sigmas.as_slice());
             for (g, name) in &series {
                 let case = format!("basis {basis}, {name}, weighted {weighted}");
-                let fb = banded.fit(g, sigmas).expect("banded fit");
-                let fd = dense.fit(g, sigmas).expect("dense fit");
-                assert_eq!(fb.lambda(), fd.lambda(), "{case}: selected λ");
-                for (&(l, sb), &(_, sd)) in fb.selection_scores().iter().zip(fd.selection_scores())
-                {
+                let fit = engine.fit(g, sigmas).expect("fit");
+                let (lambda, scores) = dense_kfold(&engine, g, sigmas);
+                assert_eq!(fit.lambda(), lambda, "{case}: selected λ");
+                for (&(l, s), &(_, d)) in fit.selection_scores().iter().zip(&scores) {
                     assert!(
-                        (sb - sd).abs() <= 1e-7 * sd.abs(),
-                        "{case}, λ = {l:e}: score {sb:e} vs {sd:e}"
+                        (s - d).abs() <= 1e-7 * d.abs(),
+                        "{case}, λ = {l:e}: score {s:e} vs {d:e}"
                     );
                 }
-                let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-                let diff = max_coef_diff(fd.alpha(), fb.alpha());
+                let alpha = dense_alpha(&engine, &weights_of(&engine, sigmas), g, lambda);
+                let scale = 1.0 + alpha.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+                let diff = max_coef_diff(&alpha, fit.alpha());
                 assert!(diff <= 1e-7 * scale, "{case}: α divergence {diff:e}");
             }
         }
@@ -256,23 +325,20 @@ fn banded_kfold_matches_dense_twin() {
 #[test]
 fn banded_positivity_fallback_matches_dense() {
     // A truth that dives to zero with an undersmoothing λ forces the
-    // unconstrained minimizer negative: the banded path must detect the
-    // violation and fall back to the same constrained QP the dense path
-    // solves.
+    // minimizer negative: the engine must detect the violation and fall
+    // back to the constrained QP.
     let g = binding_series();
-    let sel = LambdaSelection::Fixed(1e-6);
-    let (dense, banded) = engines(anchor_kernel(), 128, sel);
-
-    let fd = dense.fit(&g, None).expect("dense fit");
-    let fb = banded.fit(&g, None).expect("banded fit");
-    // Both enforce positivity on the collocation grid.
+    let engine = engine(anchor_kernel(), 128, LambdaSelection::Fixed(1e-6));
+    let fit = engine.fit(&g, None).expect("fit");
+    // Positivity holds on the collocation grid.
     let grid: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
-    let pb = fb.profile(grid.len()).expect("profile");
+    let profile = fit.profile(grid.len()).expect("profile");
     for i in 0..grid.len() {
-        assert!(pb.values()[i] >= -1e-7, "positivity violated at {i}");
+        assert!(profile.values()[i] >= -1e-7, "positivity violated at {i}");
     }
-    let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    let diff = max_coef_diff(fd.alpha(), fb.alpha());
+    let dense = dense_alpha(&engine, &weights_of(&engine, None), &g, 1e-6);
+    let scale = 1.0 + dense.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    let diff = max_coef_diff(&dense, fit.alpha());
     assert!(
         diff <= 1e-7 * scale,
         "fallback coefficient divergence {diff:e}"
@@ -317,19 +383,20 @@ impl Dd {
 }
 
 /// Reference solver for the unconstrained fixed-λ fit at unit weights:
-/// the dense normal equations `K = AᵀA + λΩ + εI` written in the
-/// coordinates where Ω's null space is exact — `α = N·c + (0, β, 0)`
-/// with `N = [ℓ₀, ℓ₁]` the linear interpolants of the end coefficients at
-/// the Greville abscissae, so `αᵀΩα = βᵀΩ_rrβ` — formed in double-double,
-/// factored dense in f64 and polished by double-double residual
-/// refinement. It shares no code with the banded solver.
+/// the dense normal equations `K = AᵀA + λ̄Ω + ε·R` of the criterion
+/// written in the coordinates where Ω's null space is exact —
+/// `α = N·c + (0, β, 0)` with `N = [ℓ₀, ℓ₁]` the linear interpolants of
+/// the end coefficients at the Greville abscissae, so `αᵀΩα = βᵀΩ_rrβ`
+/// and the ridge is `ε·cᵀNᵀNc` — formed in double-double, factored dense
+/// in f64 and polished by double-double residual refinement. It shares no
+/// code with the engine's solver.
 struct ExactReference {
     n: usize,
     /// `N`'s two columns, full length.
     null: [Vec<f64>; 2],
     omega: cellsync_linalg::BandedMatrix,
-    /// `(AT)ᵀ(AT) + ε·TᵀT` for the coordinate map `T = [interior unit
-    /// vectors, ℓ₀, ℓ₁]`.
+    /// `(AT)ᵀ(AT) + ε·NᵀN` (on the null block) for the coordinate map
+    /// `T = [interior unit vectors, ℓ₀, ℓ₁]`.
     base: Vec<Vec<Dd>>,
     rhs: Vec<Dd>,
 }
@@ -375,16 +442,13 @@ impl ExactReference {
                         let gram = at
                             .iter()
                             .fold(Dd::default(), |s, row| s.add(row[i].mul(row[j])));
-                        let tt = if i >= n - 2 && j >= n - 2 {
-                            (0..n).fold(Dd::default(), |s, q| s.add(Dd::prod(col(i, q), col(j, q))))
-                        } else if i >= n - 2 {
-                            Dd(col(i, j + 1), 0.0)
-                        } else if j >= n - 2 {
-                            Dd(col(j, i + 1), 0.0)
+                        if i >= n - 2 && j >= n - 2 {
+                            let ntn = (0..n)
+                                .fold(Dd::default(), |s, q| s.add(Dd::prod(col(i, q), col(j, q))));
+                            gram.add(ntn.mul(Dd(ridge, 0.0)))
                         } else {
-                            Dd(f64::from(u8::from(i == j)), 0.0)
-                        };
-                        gram.add(tt.mul(Dd(ridge, 0.0)))
+                            gram
+                        }
                     })
                     .collect()
             })
@@ -412,7 +476,7 @@ impl ExactReference {
             for (j, v) in row.iter_mut().enumerate().take(n - 2) {
                 let o = self.omega.get(i + 1, j + 1);
                 if o != 0.0 {
-                    *v = v.add(Dd::prod(lambda, o));
+                    *v = v.add(Dd::prod(lambda.max(DeconvolutionConfig::RIDGE), o));
                 }
             }
         }
@@ -454,12 +518,12 @@ impl ExactReference {
 
 #[test]
 fn banded_matches_exact_reference_across_basis_and_lambda_range() {
-    // n ∈ {128, 256, 512} × λ ∈ [1e-8, 1e2] without positivity: the
-    // banded solve must match the double-double reference to 1e-8. The
-    // top of this range is where the old ridge-held factor lost
-    // definiteness (λ·‖Ω‖·ε_mach > ε).
+    // n ∈ {18, 128, 256, 512} × λ ∈ [1e-8, 1e2] without positivity: the
+    // frame's minimizer must match the double-double reference to 1e-8.
+    // The top of this range is where a ridge-held factor of λΩ + εI
+    // loses definiteness (λ·‖Ω‖·ε_mach > ε).
     let g = positive_series();
-    for n in [128, 256, 512] {
+    for n in [18, 128, 256, 512] {
         let config = |lambda| {
             DeconvolutionConfig::builder()
                 .basis_size(n)
@@ -472,14 +536,13 @@ fn banded_matches_exact_reference_across_basis_and_lambda_range() {
         let reference = ExactReference::new(&probe, &g);
         for lambda in LAMBDAS {
             let engine = Deconvolver::new(anchor_kernel().clone(), config(lambda)).expect("engine");
-            assert!(engine.operators().banded.is_some(), "n={n}: not banded");
-            let fit = engine.fit(&g, None).expect("banded fit");
+            let fit = engine.fit(&g, None).expect("fit");
             let exact = reference.solve(lambda);
             let scale = 1.0 + exact.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
             let diff = max_coef_diff(fit.alpha(), &exact);
             assert!(
                 diff <= 1e-8 * scale,
-                "n={n} λ={lambda:e}: banded vs exact {diff:e} (scale {scale:e})"
+                "n={n} λ={lambda:e}: fit vs exact {diff:e} (scale {scale:e})"
             );
         }
     }
@@ -487,11 +550,10 @@ fn banded_matches_exact_reference_across_basis_and_lambda_range() {
 
 #[test]
 fn unconstrained_dense_fit_matches_exact_reference() {
-    // With no positivity and no equalities the dense fit is the QP with no
-    // constraint rows: one Cholesky solve plus one refinement step. Below
-    // λ‖Ω‖ ≈ 1e5 it must match the double-double reference to 1e-8; above
-    // it the normal matrix rounds Ω's null space at ε_mach·λ‖Ω‖, and the
-    // bound is 1e-6.
+    // With no positivity and no equalities the fit is the frame's
+    // minimizer alone. Below λ‖Ω‖ ≈ 1e5 it must match the double-double
+    // reference to 1e-8, and to 1e-6 above it (the bound of a dense
+    // normal matrix, which rounds Ω's null space at ε_mach·λ‖Ω‖).
     let g = positive_series();
     for n in [18, 64, 127] {
         let config = |lambda| {
@@ -506,15 +568,14 @@ fn unconstrained_dense_fit_matches_exact_reference() {
         let reference = ExactReference::new(&probe, &g);
         for lambda in LAMBDAS {
             let engine = Deconvolver::new(anchor_kernel().clone(), config(lambda)).expect("engine");
-            assert!(engine.operators().banded.is_none(), "n={n}: not dense");
-            let fit = engine.fit(&g, None).expect("dense fit");
+            let fit = engine.fit(&g, None).expect("fit");
             let exact = reference.solve(lambda);
             let scale = 1.0 + exact.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
             let tol = if lambda <= 1e-2 { 1e-8 } else { 1e-6 };
             let diff = max_coef_diff(fit.alpha(), &exact);
             assert!(
                 diff <= tol * scale,
-                "n={n} λ={lambda:e}: dense vs exact {diff:e} (scale {scale:e})"
+                "n={n} λ={lambda:e}: fit vs exact {diff:e} (scale {scale:e})"
             );
         }
     }
@@ -522,22 +583,21 @@ fn unconstrained_dense_fit_matches_exact_reference() {
 
 #[test]
 fn banded_matches_dense_across_basis_sizes_at_small_lambda() {
-    // The dense engine against the banded one, at 1e-8, wherever the
-    // dense engine is itself accurate to 1e-8. Above λ‖Ω‖ ≈ 1e5 its
-    // normal matrix rounds Ω's null space at ε_mach·λ‖Ω‖ and the dense
-    // answer drifts from the exact one (1e-5 at n = 512, λ = 1): the
-    // exact-reference test covers that part of the range.
+    // The dense QP against the engine, at 1e-8, wherever the dense QP is
+    // itself accurate to 1e-8. Above λ‖Ω‖ ≈ 1e5 its Hessian rounds Ω's
+    // null space at ε_mach·λ‖Ω‖ and the dense answer drifts from the
+    // exact one: the exact-reference test covers that part of the range.
     let g = positive_series();
     for n in [128, 256, 512] {
         for lambda in [1e-8, 1e-6, 1e-4] {
-            let (dense, banded) = engines(anchor_kernel(), n, LambdaSelection::Fixed(lambda));
-            let fd = dense.fit(&g, None).expect("dense fit");
-            let fb = banded.fit(&g, None).expect("banded fit");
-            let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-            let diff = max_coef_diff(fd.alpha(), fb.alpha());
+            let engine = engine(anchor_kernel(), n, LambdaSelection::Fixed(lambda));
+            let fit = engine.fit(&g, None).expect("fit");
+            let dense = dense_alpha(&engine, &weights_of(&engine, None), &g, lambda);
+            let scale = 1.0 + dense.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+            let diff = max_coef_diff(&dense, fit.alpha());
             assert!(
                 diff <= 1e-8 * scale,
-                "n={n} λ={lambda:e}: dense vs banded {diff:e} (scale {scale:e})"
+                "n={n} λ={lambda:e}: dense vs fit {diff:e} (scale {scale:e})"
             );
         }
     }
@@ -545,10 +605,11 @@ fn banded_matches_dense_across_basis_sizes_at_small_lambda() {
 
 #[test]
 fn banded_gcv_matches_dense_spectral_across_basis_sizes() {
-    // GCV over the whole [1e-8, 1e2] range at every basis size: the
-    // banded scan must land on the dense spectral path's λ and α. The
-    // series carries a deterministic 5 % perturbation so GCV picks an
-    // interior λ (clean data interpolates: a boundary pick at 1e-8).
+    // GCV over the whole [1e-8, 1e2] range at every basis size: the scan
+    // must land on the dense reference rule's λ, and the fit on the dense
+    // QP at that λ. The series carries a deterministic 5 % perturbation
+    // so GCV picks an interior λ (clean data interpolates: a boundary
+    // pick at 1e-8).
     let g: Vec<f64> = positive_series()
         .iter()
         .enumerate()
@@ -559,19 +620,19 @@ fn banded_gcv_matches_dense_spectral_across_basis_sizes() {
         log10_max: 2.0,
         points: 11,
     };
-    for n in [128, 256, 512] {
-        let (dense, banded) = engines(anchor_kernel(), n, sel.clone());
-        let fd = dense.fit(&g, None).expect("dense fit");
-        let fb = banded.fit(&g, None).expect("banded fit");
-        let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda();
+    for n in [18, 128, 256, 512] {
+        let engine = engine(anchor_kernel(), n, sel.clone());
+        let fit = engine.fit(&g, None).expect("fit");
+        let dense = dense_gcv_lambda(&engine, &g, None);
+        let rel = (dense - fit.lambda()).abs() / dense;
         assert!(
             rel <= 1e-6,
-            "n={n}: GCV λ dense {} vs banded {}",
-            fd.lambda(),
-            fb.lambda()
+            "n={n}: GCV λ dense {dense} vs scan {}",
+            fit.lambda()
         );
-        let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let diff = max_coef_diff(fd.alpha(), fb.alpha());
+        let alpha = dense_alpha(&engine, &weights_of(&engine, None), &g, fit.lambda());
+        let scale = 1.0 + alpha.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let diff = max_coef_diff(&alpha, fit.alpha());
         assert!(
             diff <= 1e-6 * scale,
             "n={n}: coefficient divergence {diff:e}"
@@ -625,31 +686,35 @@ fn probe_genome() -> &'static (PhaseKernel, Vec<Gene>) {
 
 /// Replays one configuration of the repository benchmark's known-failure
 /// probe on the `genome_fine` genome ([`probe_genome`], σ on every other
-/// gene): every banded fit must succeed, stay finite and agree with the
-/// dense engine to `tol`. Before Ω's null space was handled exactly, all
-/// 72 probe fits failed with a non-positive pivot.
+/// gene): every fit must succeed, stay finite, select the dense reference
+/// rule's λ and agree with the dense QP at it to `tol`. Before Ω's null
+/// space was handled exactly, all 72 probe fits failed with a
+/// non-positive pivot.
 fn replay_probe_configuration(basis: usize, sel: LambdaSelection, tol: f64) {
     let (kernel, genome) = probe_genome();
-    let (dense, banded) = engines(kernel, basis, sel);
+    let engine = engine(kernel, basis, sel);
     for (k, (series, sigmas)) in genome.iter().enumerate() {
         let sigmas = (k % 2 == 0).then_some(sigmas.as_slice());
-        let fb = banded
+        let fit = engine
             .fit(series, sigmas)
             .unwrap_or_else(|e| panic!("basis {basis} gene {k}: {e}"));
         assert!(
-            fb.lambda().is_finite() && fb.alpha().iter().all(|a| a.is_finite()),
+            fit.lambda().is_finite() && fit.alpha().iter().all(|a| a.is_finite()),
             "basis {basis} gene {k}: non-finite fit"
         );
-        let fd = dense.fit(series, sigmas).expect("dense fit");
-        let rel = (fd.lambda() - fb.lambda()).abs() / fd.lambda();
+        let lambda = match engine.config().lambda() {
+            LambdaSelection::Fixed(l) => *l,
+            _ => dense_gcv_lambda(&engine, series, sigmas),
+        };
+        let rel = (lambda - fit.lambda()).abs() / lambda;
         assert!(
             rel <= 1e-6,
-            "basis {basis} gene {k}: λ {} vs {}",
-            fd.lambda(),
-            fb.lambda()
+            "basis {basis} gene {k}: λ {lambda} vs {}",
+            fit.lambda()
         );
-        let scale = 1.0 + fd.alpha().iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-        let diff = max_coef_diff(fd.alpha(), fb.alpha());
+        let alpha = dense_alpha(&engine, &weights_of(&engine, sigmas), series, fit.lambda());
+        let scale = 1.0 + alpha.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+        let diff = max_coef_diff(&alpha, fit.alpha());
         assert!(
             diff <= tol * scale,
             "basis {basis} gene {k}: α divergence {diff:e} (scale {scale:e})"

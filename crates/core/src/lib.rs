@@ -38,13 +38,13 @@
 //!   builds the spline design matrix `A[m,i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ`.
 //! * [`constraints`] — the equality-constraint functionals of §2.3 / §3.2.
 //! * [`DeconvolutionConfig`] / [`Deconvolver`] — the constrained QP fit
-//!   with GCV or k-fold cross-validated λ. The engine precomputes the
-//!   equality-nullspace-reduced operators and a generalized
-//!   eigendecomposition of the (penalty, Gram) pencil, so each λ of the
-//!   GCV path costs a diagonal shrinkage instead of a factorization
+//!   with GCV or k-fold cross-validated λ. The engine factors the
+//!   penalty's interior block once (banded) and moves the λ scan into
+//!   measurement space, so each λ of the GCV path costs a shrinkage of
+//!   the m eigenvalues of one series instead of a factorization
 //!   (`docs/SOLVER.md` derives the trick).
-//! * [`FitWorkspace`] — reusable per-thread fit scratch: buffers, the
-//!   weighted spectral decomposition, and the QP workspace that
+//! * [`FitWorkspace`] — reusable per-thread fit scratch: buffers, a
+//!   weighted series' eigenbasis, and the QP workspace that
 //!   [`Deconvolver::fit_many`] / [`Deconvolver::fit_bootstrap`] hand to
 //!   each pool worker.
 //! * [`synthetic`] — ground-truth generators (ftsZ-like profile, LV

@@ -21,9 +21,9 @@
 //! block-diagonal copy of each component's equality/positivity rows.
 //! [`MixtureDeconvolver`] builds these stacked operators once, from its
 //! components' engines, and fits every K ≥ 2 through the
-//! single-population engine's dense fit path: the configured λ rule (a
-//! fixed λ, the spectral GCV scan with its near-tie rule, or k-fold)
-//! and the constrained QP, on the stacked system. GCV therefore scores
+//! single-population engine's fit path: the configured λ rule (a fixed
+//! λ, the measurement-space GCV scan with its near-tie rule, or k-fold)
+//! and the one fixed-λ solve, on the stacked system. GCV therefore scores
 //! the *joint* smoother, whose trace counts the effective degrees of
 //! freedom of the whole K-component fit (per-component GCV against the
 //! full bulk is badly biased: each component alone must explain the
@@ -305,7 +305,8 @@ impl MixtureDeconvolver {
                 .iter()
                 .map(|&i| slots[i].engine.operators())
                 .collect();
-            Some(FitOperators::stacked(&blocks, &config)?)
+            let greville = slots[0].engine.basis().greville();
+            Some(FitOperators::stacked(&blocks, &greville, &config)?)
         } else {
             None
         };
@@ -481,7 +482,6 @@ fn residual_rel(request: &MixtureFitRequest, predicted: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::SpectralPath;
     use crate::{ForwardModel, LambdaSelection, PhaseProfile};
     use cellsync_linalg::Matrix;
     use cellsync_popsim::{CellCycleParams, InitialCondition, KernelEstimator, Population};
@@ -550,23 +550,20 @@ mod tests {
         (MixtureDeconvolver::new(components, config).unwrap(), bulk)
     }
 
-    /// The per-λ hat-matrix GCV scorer the mixture engine ran before it
-    /// moved onto the shared spectral rule: factor the stacked normal
-    /// matrix `M = BᵀB + λ·blockdiag(Ω) + εI` by Cholesky at every λ and
-    /// read the smoother trace off `m` triangular solves,
-    /// `tr H = Σᵣ bᵣᵀM⁻¹bᵣ`, with `B` the weighted stacked design. The
-    /// saturation rule (edf above 99 % of the data scores `+∞`) is the
-    /// spectral scorer's. Returns the score and the condition number of
-    /// `M`.
+    /// The per-λ hat-matrix GCV scorer of the stacked criterion: factor
+    /// the normal matrix `M = H/2 = BᵀB + λ̄·blockdiag(Ω) + εR` of the
+    /// engine's own QP Hessian by Cholesky at every λ and read the
+    /// smoother trace off `m` triangular solves, `tr H = Σᵣ bᵣᵀM⁻¹bᵣ`,
+    /// with `B` the weighted stacked design. The saturation rule (edf above
+    /// 99 % of the data scores `+∞`) is the scan's. Returns the score and
+    /// the condition number of `M`.
     fn cholesky_gcv(ops: &FitOperators, weights: &[f64], g: &[f64], lambda: f64) -> (f64, f64) {
         let (m, kn) = ops.design.shape();
         let bw = Matrix::from_fn(m, kn, |r, p| weights[r] * ops.design[(r, p)]);
         let yw = Vector::from_fn(m, |r| weights[r] * g[r]);
-        let mut normal = bw.gram();
-        crate::operators::add_band_into(&ops.omega, &mut normal, lambda);
-        for p in 0..kn {
-            normal[(p, p)] += DeconvolutionConfig::RIDGE;
-        }
+        let mut normal = Matrix::zeros(kn, kn);
+        ops.hessian(weights, lambda, &mut normal).unwrap();
+        let normal = normal.scaled(0.5);
         let eigen = normal.symmetric_eigen().unwrap();
         let eigenvalues = eigen.eigenvalues().as_slice();
         let kappa = eigenvalues.iter().cloned().fold(0.0, f64::max)
@@ -603,27 +600,15 @@ mod tests {
         for k in [2, 3] {
             let (engine, bulk) = gcv_mixture(k);
             let ops = engine.stacked.as_ref().expect("K ≥ 2 stacks");
-            let reduced = ops.reduced.as_ref().expect("GCV operators reduce");
             let m = bulk.len();
             let sigma_weights: Vec<f64> = (0..m)
                 .map(|t| 1.0 / (0.05 * (1.0 + 0.8 * (0.9 * t as f64).sin())))
                 .collect();
             for weights in [ops.unit_weights.clone(), sigma_weights] {
                 let unit = weights.iter().all(|&w| w == 1.0);
-                let rebuilt;
-                let path = if unit {
-                    ops.spectral_unit.as_ref().expect("GCV operators decompose")
-                } else {
-                    rebuilt = SpectralPath::new(reduced, &weights).unwrap();
-                    &rebuilt
-                };
-                let r = reduced.reduced_dim();
-                let (mut w2g, mut rhs_r, mut zproj) =
-                    (Vector::zeros(m), Vector::zeros(r), Vector::zeros(r));
-                path.project_series(reduced, &weights, &bulk, &mut w2g, &mut rhs_r, &mut zproj)
-                    .unwrap();
-                let (mut d, mut beta, mut u) =
-                    (Vector::zeros(r), Vector::zeros(r), Vector::zeros(m));
+                let mut ws = FitWorkspace::new();
+                let own = (!unit).then_some(&mut ws.spectrum);
+                let series = ops.series(&weights, &bulk, own, &mut ws.proj).unwrap();
                 // The tolerance rule of `spectral_gcv_matches_dense_reference`
                 // (ε times the (σ_max/σ_min)² growth of the weighted Gram's
                 // conditioning, floored at 1e-9), plus ε times the
@@ -638,15 +623,11 @@ mod tests {
                     let tol = (f64::EPSILON * ratio * ratio)
                         .max(f64::EPSILON * kappa)
                         .max(1e-9);
-                    let spectral = path
-                        .gcv_score(
-                            reduced, &weights, &bulk, &zproj, lambda, &mut d, &mut beta, &mut u,
-                        )
-                        .unwrap();
+                    let scan = ops.frame.gcv_score(&series, lambda, &mut ws.scan).unwrap();
                     assert!(
-                        (spectral - dense).abs() <= tol * dense.abs().max(1e-12)
-                            || (spectral.is_infinite() && dense.is_infinite()),
-                        "K = {k}, unit {unit}, λ = {lambda}: spectral {spectral} vs Cholesky {dense}"
+                        (scan - dense).abs() <= tol * dense.abs().max(1e-12)
+                            || (scan.is_infinite() && dense.is_infinite()),
+                        "K = {k}, unit {unit}, λ = {lambda}: scan {scan} vs Cholesky {dense}"
                     );
                 }
             }

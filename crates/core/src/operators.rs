@@ -1,25 +1,25 @@
 //! The measurement-independent operators of one penalized, constrained
 //! least-squares problem (paper eq. 5) and the fit over them: the one
-//! place that decides how a fit is solved (dense spectral path or banded
-//! Woodbury path, then the constrained QP) and builds every QP.
+//! place that selects λ, solves at it (the frame's minimizer, then the
+//! constrained QP when positivity binds) and builds every QP.
 //!
 //! [`crate::Deconvolver`] owns one [`FitOperators`] built from its basis
 //! and kernel. [`crate::mixture::MixtureDeconvolver`] owns a *stacked*
 //! one: the K-component mixture is the same problem with the block
 //! design `[A₁ … A_K]`, a block-diagonal penalty and block-diagonal
 //! constraint rows, so it is fitted by the very same λ rule
-//! ([`gcv_select`] over the spectral path, or k-fold) and the same
-//! constrained solve.
+//! ([`gcv_select`] over the measurement-space scan, or k-fold) and the
+//! same constrained solve.
 
-use cellsync_linalg::{BandedMatrix, Matrix, Vector};
+use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
 use cellsync_opt::{QpProblem, QpWorkspace};
 use cellsync_runtime::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::banded::{dot, BandedFit, BandedOperators};
+use crate::banded::{dot, floored, Frame, ScanScratch, Series, Spectrum};
 use crate::config::LambdaSelection;
-use crate::solver::{ReducedOperators, SolveScratch, SpectralPath};
+use crate::solver::SolveScratch;
 use crate::{DeconvError, DeconvolutionConfig, FitWorkspace, Result};
 
 /// The `(λ, score)` pairs of a λ-selection scan, in scan order.
@@ -53,7 +53,7 @@ pub(crate) fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
         .ok_or(DeconvError::InvalidConfig("λ grid is empty"))
 }
 
-/// The GCV λ-selection rule shared by the spectral and banded paths:
+/// The GCV λ-selection rule of every engine:
 /// score every grid point (polling `cancel` before each), take the
 /// LARGEST λ whose score is within 5 % of the minimum, then refine by
 /// golden-section search in log₁₀λ between that point's grid neighbours
@@ -121,9 +121,8 @@ pub(crate) fn add_band_into(omega: &BandedMatrix, h: &mut Matrix, scale: f64) {
 
 /// Everything about one fit problem that does not depend on the
 /// measurements: design, penalty, constraint rows, the interior
-/// direction, the equality-reduced operators with their unit-weight
-/// spectral decomposition (dense path) or the banded operators (banded
-/// path), the λ grid and the unit weights.
+/// direction, the frame of the λ scan and the fixed-λ minimizer
+/// ([`Frame`]), the λ grid and the unit weights.
 #[derive(Debug, Clone)]
 pub(crate) struct FitOperators {
     /// Design matrix `A[m, i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ` (`m × n`).
@@ -134,23 +133,17 @@ pub(crate) struct FitOperators {
     pub(crate) equality: Option<(Matrix, Vector)>,
     /// Positivity collocation matrix with its zero right-hand side.
     pub(crate) positivity: Option<(Matrix, Vector)>,
+    /// The positivity rows in sparse-row storage (≤ 4 nnz per row): the
+    /// O(rows) feasibility check of the frame's minimizer.
+    sparse_positivity: Option<SparseRowMatrix>,
     /// Interior direction of the constraint set (`E·d = 0`, `P·d > 0`;
     /// [`crate::constraints::interior_direction`]), handed to every QP
     /// so cold solves start strictly inside the positivity cone. `None`
     /// without positivity, or when the equalities admit no such
     /// direction (the QP then starts at the origin).
     pub(crate) interior: Option<Vector>,
-    /// Equality-nullspace-reduced design and penalty. Built only for
-    /// dense-path GCV selection — the only consumer of the reduction.
-    pub(crate) reduced: Option<ReducedOperators>,
-    /// Factor-once spectral decomposition for unit weights (weighted fits
-    /// build their own, once per fit, reused across the whole λ path).
-    /// Built exactly when `reduced` is.
-    pub(crate) spectral_unit: Option<SpectralPath>,
-    /// Banded-path operators (interior Ω, null-space basis, sparse
-    /// positivity rows). `Some` exactly when fits execute on the banded
-    /// path ([`crate::banded`]).
-    pub(crate) banded: Option<BandedOperators>,
+    /// The λ-independent frame of the scan and the minimizer.
+    pub(crate) frame: Frame,
     /// The configured λ selection.
     pub(crate) selection: LambdaSelection,
     /// The λ grid of the configured selection, computed once.
@@ -160,45 +153,34 @@ pub(crate) struct FitOperators {
 }
 
 impl FitOperators {
-    /// Assembles the operators and builds the λ-path structures the
-    /// configured selection reads. The nullspace reduction and the
-    /// spectral decomposition only serve the dense GCV scan, so the
-    /// `O(n³)` setup is skipped everywhere else (fixed-λ, k-fold, the
-    /// banded path).
+    /// Assembles the operators and builds the frame: `design` holds one
+    /// or more blocks of the basis whose Greville abscissae are
+    /// `greville`, `omega` is their (block-diagonal) banded penalty.
     pub(crate) fn new(
         design: Matrix,
         omega: BandedMatrix,
+        greville: &[f64],
         equality: Option<(Matrix, Vector)>,
         positivity: Option<(Matrix, Vector)>,
         interior: Option<Vector>,
-        banded: Option<BandedOperators>,
         config: &DeconvolutionConfig,
     ) -> Result<Self> {
-        let unit_weights = vec![1.0; design.rows()];
-        let gcv = matches!(config.lambda(), LambdaSelection::Gcv { .. });
-        let (reduced, spectral_unit) = if gcv && banded.is_none() {
-            let ops = ReducedOperators::new(
-                &design,
-                &omega.to_dense(),
-                equality.as_ref().map(|(e, _)| e),
-            )?;
-            let spectral = SpectralPath::new(&ops, &unit_weights)?;
-            (Some(ops), Some(spectral))
-        } else {
-            (None, None)
+        let frame = Frame::new(&design, &omega, equality.as_ref().map(|(e, _)| e), greville)?;
+        let sparse_positivity = match &positivity {
+            Some((p, _)) => Some(SparseRowMatrix::from_dense(p)?),
+            None => None,
         };
         Ok(FitOperators {
+            unit_weights: vec![1.0; design.rows()],
             design,
             omega,
             equality,
             positivity,
+            sparse_positivity,
             interior,
-            reduced,
-            spectral_unit,
-            banded,
+            frame,
             selection: config.lambda().clone(),
             lambda_grid: config.lambda().lambda_grid(),
-            unit_weights,
         })
     }
 
@@ -207,9 +189,14 @@ impl FitOperators {
     /// block-diagonal equality and positivity rows, in the order of
     /// `blocks`. The blocks' interior directions, stacked, are an
     /// interior direction of the block-diagonal constraint set. Every
-    /// block must share one configuration (`config`), so they agree on
-    /// the measurement count, basis size and constraint rows.
-    pub(crate) fn stacked(blocks: &[&FitOperators], config: &DeconvolutionConfig) -> Result<Self> {
+    /// block must share one configuration (`config`) and one basis (with
+    /// Greville abscissae `greville`), so they agree on the measurement
+    /// count, basis size and constraint rows.
+    pub(crate) fn stacked(
+        blocks: &[&FitOperators],
+        greville: &[f64],
+        config: &DeconvolutionConfig,
+    ) -> Result<Self> {
         let m = blocks[0].design.rows();
         let n = blocks[0].design.cols();
         let kn = blocks.len() * n;
@@ -250,7 +237,9 @@ impl FitOperators {
             .map(|o| o.interior.as_ref().map(Vector::as_slice))
             .collect::<Option<Vec<_>>>()
             .map(|parts| Vector::from_slice(&parts.concat()));
-        FitOperators::new(design, omega, equality, positivity, interior, None, config)
+        FitOperators::new(
+            design, omega, greville, equality, positivity, interior, config,
+        )
     }
 
     /// Number of coefficients `n`.
@@ -259,18 +248,12 @@ impl FitOperators {
     }
 
     /// Readies `workspace` for one fit: stores the weights `1/σ` (when
-    /// `sigmas` are given) and sizes every buffer. Returns whether the
-    /// fit is unit-weighted.
+    /// `sigmas` are given). Returns whether the fit is unit-weighted.
     pub(crate) fn prepare(&self, workspace: &mut FitWorkspace, sigmas: Option<&[f64]>) -> bool {
         if let Some(s) = sigmas {
             workspace.weights.clear();
             workspace.weights.extend(s.iter().map(|s| 1.0 / s));
         }
-        let reduced = self
-            .reduced
-            .as_ref()
-            .map_or(0, ReducedOperators::reduced_dim);
-        workspace.ensure(self.design.rows(), self.dim(), reduced);
         sigmas.is_none()
     }
 
@@ -284,30 +267,40 @@ impl FitOperators {
         }
     }
 
-    /// One series on these operators: its weights and measurements, with
-    /// the banded path's whitened design and border blocks when the
-    /// operators are banded.
-    pub(crate) fn series<'a>(&'a self, weights: &'a [f64], g: &'a [f64]) -> Series<'a> {
-        let banded = self.banded.as_ref().map(|bops| {
-            let eq = self.equality.as_ref().map(|(e, _)| e);
-            BandedFit::new(bops, &self.design, weights, g, eq)
-        });
-        Series { weights, g, banded }
+    /// One series on these operators: its weights and data, with its
+    /// spectrum — the engine's unit-weight one when `own` is `None`,
+    /// else `own` rebuilt for `weights` — and the data projected onto it
+    /// (into `proj`).
+    pub(crate) fn series<'a>(
+        &'a self,
+        weights: &'a [f64],
+        g: &'a [f64],
+        own: Option<&'a mut Spectrum>,
+        proj: &'a mut Vec<f64>,
+    ) -> Result<Series<'a>> {
+        let spectrum: &Spectrum = match own {
+            Some(spectrum) => {
+                spectrum.rebuild(&self.frame, weights)?;
+                spectrum
+            }
+            None => &self.frame.unit,
+        };
+        spectrum.project(weights, g, proj);
+        Ok(Series {
+            design: &self.design,
+            equality: self.equality.as_ref().map(|(e, _)| e),
+            weights,
+            g,
+            spectrum,
+            proj,
+        })
     }
 
     /// The coefficient solve behind every fit: select λ (a
     /// `lambda_override` skips the selection; otherwise the configured
-    /// fixed value, GCV on the banded capacitance or on the spectral path,
-    /// or k-fold), then run the fixed-λ solve ([`FitOperators::solve_at`])
-    /// at that λ. Returns `(α, λ, selection scores)`.
-    ///
-    /// Dense GCV fits hand the fixed-λ solve a deterministic warm hint:
-    /// the spectral path's own unconstrained minimizer at the selected λ.
-    /// It is a pure function of (operators, data, λ) — never of workspace
-    /// history — so batch results stay order- and thread-invariant. When
-    /// it violates positivity the QP moves it inside along the interior
-    /// direction instead. A λ override never ran the sweep, so it carries
-    /// no hint.
+    /// fixed value, GCV over the measurement-space scan, or k-fold), then
+    /// run the fixed-λ solve ([`FitOperators::solve_at`]) at that λ.
+    /// Returns `(α, λ, selection scores)`.
     pub(crate) fn solve(
         &self,
         workspace: &mut FitWorkspace,
@@ -316,77 +309,57 @@ impl FitOperators {
         lambda_override: Option<f64>,
         cancel: Option<&CancelToken>,
     ) -> Result<(Vector, f64, LambdaScan)> {
-        // Dense GCV (the only operators with a spectral reduction) scans
-        // the spectral path. The scan needs the whole workspace, so it
-        // runs before the series borrows the weights.
-        let spectral = match (lambda_override, &self.reduced) {
-            (None, Some(_)) => {
-                let (lambda, scores) = self.gcv_lambda(workspace, g, unit, cancel)?;
-                let hint = self.spectral_warm_hint(workspace, unit, lambda)?;
-                Some((lambda, scores, Some(hint)))
-            }
-            _ => None,
-        };
-        let weights: &[f64] = if unit {
-            &self.unit_weights
+        let FitWorkspace {
+            weights,
+            spectrum,
+            proj,
+            scan,
+            solve,
+        } = workspace;
+        let series = if unit {
+            self.series(&self.unit_weights, g, None, proj)?
         } else {
-            &workspace.weights
+            self.series(weights, g, Some(spectrum), proj)?
         };
-        let series = self.series(weights, g);
-        let (lambda, scores, hint) = match (spectral, lambda_override, &self.selection) {
-            (Some(selected), ..) => selected,
-            (None, Some(l), _) | (None, None, &LambdaSelection::Fixed(l)) => (l, Vec::new(), None),
-            (None, None, LambdaSelection::Gcv { .. }) => {
-                let fit = series
-                    .banded
-                    .as_ref()
-                    .expect("GCV operators without the spectral path are banded");
-                let (l, scores) = gcv_select(&self.lambda_grid, cancel, |l| fit.gcv_score(l))?;
-                (l, scores, None)
-            }
-            (None, None, &LambdaSelection::KFold { folds, seed, .. }) => {
-                let (l, scores) =
-                    self.kfold_lambda(&mut workspace.solve, &series, folds, seed, cancel)?;
-                (l, scores, None)
+        let (lambda, scores) = match (lambda_override, &self.selection) {
+            (Some(l), _) | (None, &LambdaSelection::Fixed(l)) => (l, Vec::new()),
+            (None, LambdaSelection::Gcv { .. }) => gcv_select(&self.lambda_grid, cancel, |l| {
+                self.frame.gcv_score(&series, l, scan)
+            })?,
+            (None, &LambdaSelection::KFold { folds, seed, .. }) => {
+                self.kfold_lambda(scan, solve, &series, folds, seed, cancel)?
             }
         };
-        let alpha = self.solve_at(&mut workspace.solve, &series, lambda, hint, cancel)?;
+        let alpha = self.solve_at(scan, solve, &series, lambda, cancel)?;
         Ok((alpha, lambda, scores))
     }
 
     /// The one fixed-λ solve behind every fit and every k-fold fold.
     ///
-    /// On the banded path it solves the equality-constrained minimizer by
-    /// Woodbury ([`crate::banded`]). When that is feasible, convexity makes
-    /// it the optimum with zero inequality multipliers and the QP is
-    /// skipped; when positivity binds, it is not the optimum, and it warms
-    /// the active-set QP. On the dense path `hint` warms the QP. The QP
-    /// gets the interior direction, so it starts at the hint when that is
-    /// feasible, else at the hint (or the equality-constrained minimizer)
-    /// moved strictly inside the positivity cone. Without constraint rows
-    /// the QP is one Cholesky solve and one refinement step.
+    /// It builds the equality-constrained minimizer in the frame
+    /// ([`Frame::minimizer`]). When that satisfies positivity, convexity
+    /// makes it the optimum with zero inequality multipliers: it is
+    /// polished ([`Frame::polish`]) and the QP is skipped. When positivity
+    /// binds, it only warms the dense active-set QP (unpolished), which
+    /// gets the interior direction too, so it starts at the minimizer
+    /// moved strictly inside the positivity cone.
     pub(crate) fn solve_at(
         &self,
+        scan: &mut ScanScratch,
         scratch: &mut SolveScratch,
         series: &Series<'_>,
         lambda: f64,
-        hint: Option<Vector>,
         cancel: Option<&CancelToken>,
     ) -> Result<Vector> {
-        let hint = match &series.banded {
-            Some(fit) => {
-                let alpha = fit.solve(lambda)?;
-                let tol = 1e-9 * (1.0 + alpha.norm_inf());
-                let binds = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
-                    Some((p, _)) => p.matvec(&alpha)?.iter().any(|&v| v < -tol),
-                    None => false,
-                };
-                if !binds {
-                    return Ok(alpha);
-                }
-                Some(alpha)
+        let start = self.frame.minimizer(series, lambda, scan)?;
+        let hint = if self.binds(&start.alpha)? {
+            start.alpha
+        } else {
+            let alpha = self.frame.polish(series, lambda, scan, start)?;
+            if !self.binds(&alpha)? {
+                return Ok(alpha);
             }
-            None => hint,
+            alpha
         };
         check_cancel(cancel)?;
         let SolveScratch { qp, h, c, w2g } = scratch;
@@ -396,40 +369,48 @@ impl FitOperators {
         // of workspace history: drop the cached factor and replace any
         // warm hint with this solve's own.
         qp.invalidate_hessian();
-        match hint {
-            Some(x0) => qp.set_warm_start(x0, Vec::new()),
-            None => qp.clear_warm_start(),
-        }
+        qp.set_warm_start(hint, Vec::new());
         Ok(qp.solve(&self.constrained_problem(h, c, cancel)?)?.x)
     }
 
-    /// The QP Hessian `H = 2(AᵀW²A + λΩ + εI)` for weights `weights`,
-    /// symmetrized, written into `h` (resized when needed): the Hessian of
-    /// every fit, of the bootstrap's once-per-band replicate solves and of
-    /// a harvested QP — the single site for the scale/ridge convention.
+    /// Whether `alpha` violates a positivity row by more than
+    /// `1e-9·(1 + ‖α‖∞)`.
+    fn binds(&self, alpha: &Vector) -> Result<bool> {
+        let tol = 1e-9 * (1.0 + alpha.norm_inf());
+        Ok(match &self.sparse_positivity {
+            Some(p) => p.matvec(alpha)?.iter().any(|&v| v < -tol),
+            None => false,
+        })
+    }
+
+    /// The QP Hessian `H = 2(AᵀW²A + λ̄Ω + ε·R)` for weights `weights`,
+    /// with `λ̄ = max(λ, ε)` and `R` holding `NᵀN` on each block's end
+    /// coefficients, symmetrized, written into `h` (resized when needed):
+    /// the Hessian of every fit, of the bootstrap's once-per-band
+    /// replicate solves and of a harvested QP — the single site for the
+    /// scale/ridge convention. It is positive definite for any data.
     pub(crate) fn hessian(&self, weights: &[f64], lambda: f64, h: &mut Matrix) -> Result<()> {
         let n = self.dim();
         if h.shape() != (n, n) {
             h.reset_zeroed(n, n);
         }
         self.design.weighted_gram_into(weights, h)?;
-        add_band_into(&self.omega, h, lambda);
-        for i in 0..n {
-            for j in 0..n {
-                h[(i, j)] *= 2.0;
-            }
-            h[(i, i)] += 2.0 * DeconvolutionConfig::RIDGE;
+        add_band_into(&self.omega, h, floored(lambda));
+        self.frame.add_null_ridge(h, 1.0);
+        for v in h.as_mut_slice() {
+            *v *= 2.0;
         }
         h.symmetrize()?;
         Ok(())
     }
 
     /// The constrained QP `min ½xᵀHx + cᵀx` over the operators'
-    /// constraint set: the equality rows, the positivity rows (banded
-    /// operators add the sparse-row collocation block, ≤ 4 nnz per row,
-    /// for the QP's matvecs next to the dense rows) and the interior
-    /// direction, so cold solves start strictly inside the positivity
-    /// cone. The one QP builder behind fits and bootstrap replicates.
+    /// constraint set: the equality rows, the positivity rows and the
+    /// interior direction, so cold solves start strictly inside the
+    /// positivity cone. The one QP builder behind fits and bootstrap
+    /// replicates. (The dense rows cost the QP nothing measurable next
+    /// to its `n × n` Hessian factor: traced `genome_fine` fits read the
+    /// same p50 with the sparse-row form.)
     pub(crate) fn constrained_problem<'a>(
         &'a self,
         h: &'a Matrix,
@@ -444,10 +425,7 @@ impl FitOperators {
             problem = problem.with_equalities(e, rhs)?;
         }
         if let Some((p, rhs)) = &self.positivity {
-            problem = match self.banded.as_ref().and_then(|b| b.positivity.as_ref()) {
-                Some((sp, srhs)) => problem.with_inequalities_sparse(sp, p, srhs)?,
-                None => problem.with_inequalities(p, rhs)?,
-            };
+            problem = problem.with_inequalities(p, rhs)?;
         }
         if let Some(d) = &self.interior {
             problem = problem.with_interior_direction(d);
@@ -470,91 +448,15 @@ impl FitOperators {
             .collect())
     }
 
-    /// The deterministic warm hint of a dense GCV fit: the unconstrained
-    /// spectral solution `α = Z·T·(zproj ⊙ s(λ))` at the selected λ. The
-    /// QP validates feasibility at solve time: a hint that violates
-    /// positivity becomes the base point of the interior start (see
-    /// [`FitOperators::solve_at`]).
-    fn spectral_warm_hint(
-        &self,
-        workspace: &mut FitWorkspace,
-        unit: bool,
-        lambda: f64,
-    ) -> Result<Vector> {
-        let FitWorkspace {
-            spectral,
-            zproj,
-            d,
-            beta,
-            ..
-        } = workspace;
-        let path: &SpectralPath = if unit {
-            self.spectral_unit
-                .as_ref()
-                .expect("GCV operators build the unit-weight decomposition")
-        } else {
-            spectral
-        };
-        path.reduced_solution(zproj, lambda, d, beta)?;
-        let ops = self
-            .reduced
-            .as_ref()
-            .expect("dense GCV operators build the reduction");
-        Ok(match &ops.z {
-            Some(z) => z.matvec(beta)?,
-            None => beta.clone(),
-        })
-    }
-
-    /// GCV λ selection on the spectral path ([`gcv_select`]), every
-    /// score a diagonal shrinkage.
-    fn gcv_lambda(
-        &self,
-        workspace: &mut FitWorkspace,
-        g: &[f64],
-        unit: bool,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(f64, LambdaScan)> {
-        let ops = self
-            .reduced
-            .as_ref()
-            .expect("dense GCV operators build the reduction");
-        if !unit {
-            workspace.spectral.rebuild(ops, &workspace.weights)?;
-        }
-        let FitWorkspace {
-            spectral,
-            weights,
-            w2g,
-            rhs_r,
-            zproj,
-            d,
-            beta,
-            u,
-            ..
-        } = workspace;
-        let weights: &[f64] = if unit { &self.unit_weights } else { weights };
-        let path: &SpectralPath = if unit {
-            self.spectral_unit
-                .as_ref()
-                .expect("GCV operators build the unit-weight decomposition")
-        } else {
-            spectral
-        };
-        path.project_series(ops, weights, g, w2g, rhs_r, zproj)?;
-        gcv_select(&self.lambda_grid, cancel, |l| {
-            path.gcv_score(ops, weights, g, zproj, l, d, beta, u)
-        })
-    }
-
     /// K-fold cross-validated λ selection. The folds are drawn once; a
     /// training fold is the series with zero weight on its held-out rows,
-    /// so every (λ, fold) pair is one fixed-λ solve
-    /// ([`FitOperators::solve_at`]) on the operators' own path, with the
-    /// full constraint set. A λ scores the mean held-out weighted squared
-    /// error `(wᵥ·(Aᵥ·α − gᵥ))²` over all folds.
+    /// with its own spectrum (decomposed once per fold), so every
+    /// (λ, fold) pair is one fixed-λ solve ([`FitOperators::solve_at`])
+    /// with the full constraint set. A λ scores the mean held-out
+    /// weighted squared error `(wᵥ·(Aᵥ·α − gᵥ))²` over all folds.
     fn kfold_lambda(
         &self,
+        scan: &mut ScanScratch,
         scratch: &mut SolveScratch,
         series: &Series<'_>,
         folds: usize,
@@ -565,6 +467,7 @@ impl FitOperators {
         let mut rng = StdRng::seed_from_u64(seed);
         let folds = cellsync_stats::crossval::k_fold(m, folds.min(m), &mut rng)?;
         let mut masked = series.weights.to_vec();
+        let (mut spectrum, mut proj) = (Spectrum::default(), Vec::new());
         let mut totals = vec![0.0; self.lambda_grid.len()];
         let mut count = 0usize;
         for fold in &folds {
@@ -572,10 +475,10 @@ impl FitOperators {
             for &v in &fold.validation {
                 masked[v] = 0.0;
             }
-            let train = self.series(&masked, series.g);
+            let train = self.series(&masked, series.g, Some(&mut spectrum), &mut proj)?;
             for (total, &l) in totals.iter_mut().zip(&self.lambda_grid) {
                 check_cancel(cancel)?;
-                let alpha = self.solve_at(scratch, &train, l, None, cancel)?;
+                let alpha = self.solve_at(scan, scratch, &train, l, cancel)?;
                 for &v in &fold.validation {
                     let pred = dot(self.design.row(v), alpha.as_slice());
                     let r = series.weights[v] * (pred - series.g[v]);
@@ -594,9 +497,9 @@ impl FitOperators {
     }
 
     /// The QP linear term `c = −2·AᵀW²g` for weights `weights` and data
-    /// `g`, written into `c` with `w2g` (length m) as scratch: the linear
-    /// term of every fit, of each bootstrap replicate and of a harvested
-    /// QP.
+    /// `g`, written into `c` with `w2g` as scratch (both resized when
+    /// needed): the linear term of every fit, of each bootstrap replicate
+    /// and of a harvested QP.
     pub(crate) fn linear_term_into(
         &self,
         weights: &[f64],
@@ -604,6 +507,10 @@ impl FitOperators {
         w2g: &mut Vector,
         c: &mut Vector,
     ) -> Result<()> {
+        let (m, n) = self.design.shape();
+        if (w2g.len(), c.len()) != (m, n) {
+            (*w2g, *c) = (Vector::zeros(m), Vector::zeros(n));
+        }
         for (w2, (&wi, &gi)) in w2g
             .as_mut_slice()
             .iter_mut()
@@ -617,15 +524,6 @@ impl FitOperators {
     }
 }
 
-/// One series on a [`FitOperators`]: the weights and measurements of a
-/// fit (or of a k-fold training fold: the fit's weights with the held-out
-/// rows zeroed) and, on the banded path, their [`BandedFit`].
-pub(crate) struct Series<'a> {
-    weights: &'a [f64],
-    g: &'a [f64],
-    banded: Option<BandedFit<'a>>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,8 +534,8 @@ mod tests {
     fn fold_solve_matches_the_training_rows_problem() {
         // A k-fold training fold is the fit with zero weight on its
         // held-out rows: its fixed-λ solve must be the fit of the
-        // operators built from the training rows alone, on both paths,
-        // with and without binding positivity.
+        // operators built from the training rows alone, at a small and a
+        // large basis, with and without binding positivity.
         let params = CellCycleParams::caulobacter().unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let pop =
@@ -660,7 +558,7 @@ mod tests {
         ];
         let held_out = [1, 6, 10];
         let lambda = 1e-4;
-        for basis in [24, Deconvolver::BANDED_THRESHOLD] {
+        for basis in [24, 128] {
             let config = DeconvolutionConfig::builder()
                 .basis_size(basis)
                 .conservation(true)
@@ -670,16 +568,15 @@ mod tests {
                 .unwrap();
             let engine = Deconvolver::new(kernel.clone(), config.clone()).unwrap();
             let ops = engine.operators();
-            assert_eq!(ops.banded.is_some(), basis >= Deconvolver::BANDED_THRESHOLD);
             let (m, n) = ops.design.shape();
             let train: Vec<usize> = (0..m).filter(|i| !held_out.contains(i)).collect();
             let train_ops = FitOperators::new(
                 Matrix::from_fn(train.len(), n, |r, j| ops.design[(train[r], j)]),
                 ops.omega.clone(),
+                &engine.basis().greville(),
                 ops.equality.clone(),
                 ops.positivity.clone(),
                 ops.interior.clone(),
-                ops.banded.clone(),
                 &config,
             )
             .unwrap();
@@ -693,15 +590,15 @@ mod tests {
                 let g = ForwardModel::new(kernel.clone()).predict(truth).unwrap();
                 let mut workspace = FitWorkspace::new();
                 ops.prepare(&mut workspace, None);
-                let fold = ops
-                    .solve_at(
-                        &mut workspace.solve,
-                        &ops.series(&masked, &g),
-                        lambda,
-                        None,
-                        None,
-                    )
-                    .unwrap();
+                let FitWorkspace {
+                    spectrum,
+                    proj,
+                    scan,
+                    solve,
+                    ..
+                } = &mut workspace;
+                let series = ops.series(&masked, &g, Some(spectrum), proj).unwrap();
+                let fold = ops.solve_at(scan, solve, &series, lambda, None).unwrap();
 
                 let g_train: Vec<f64> = train.iter().map(|&i| g[i]).collect();
                 let s_train: Vec<f64> = train.iter().map(|&i| sigmas[i]).collect();

@@ -1,9 +1,10 @@
 //! Engine sessions: a keyed LRU cache of prepared [`Deconvolver`] engines.
 //!
 //! Building a [`Deconvolver`] is the expensive half of a fit — design
-//! matrix assembly, the equality-nullspace reduction, and the spectral
-//! decomposition all happen once per (kernel, config) *family*, after
-//! which each series costs only shrinkage and a QP. A long-running
+//! matrix assembly, the constraint rows, the banded penalty factor and
+//! the unit-weight eigenbasis of the λ scan all happen once per
+//! (kernel, config) *family*, after which each series costs only its
+//! scan and solve. A long-running
 //! service therefore wants to build each family once and share the
 //! engine across requests. [`EngineCache`] does exactly that: a
 //! bounded, thread-safe, least-recently-used map from canonical

@@ -223,17 +223,6 @@ impl BandedMatrix {
         Ok(())
     }
 
-    /// Overwrites `self` with `scale · other` (same band rules as
-    /// [`BandedMatrix::axpy_banded`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BandedMatrix::axpy_banded`].
-    pub fn assign_scaled(&mut self, scale: f64, other: &BandedMatrix) -> Result<()> {
-        self.fill_zero();
-        self.axpy_banded(scale, other)
-    }
-
     /// Adds `value` to every diagonal entry.
     pub fn add_diagonal(&mut self, value: f64) {
         let w = self.w();
@@ -625,7 +614,8 @@ mod tests {
         let mut s = BandedMatrix::zeros(12, 3).expect("valid");
         let mut factor: Option<BandedCholesky> = None;
         for &lambda in &[1e-4, 1e-2, 1.0, 1e2] {
-            s.assign_scaled(lambda, &omega).expect("same band");
+            s.fill_zero();
+            s.axpy_banded(lambda, &omega).expect("same band");
             s.add_diagonal(2.0);
             match factor.as_mut() {
                 Some(f) => f.refactor(&s).expect("spd"),

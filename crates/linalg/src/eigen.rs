@@ -70,8 +70,56 @@ impl SymmetricEigen {
         vectors.symmetrize()?;
         let mut values = Vector::zeros(n);
         let mut work = vec![0.0; n];
-        decompose_in_place(n, vectors.as_mut_slice(), values.as_mut_slice(), &mut work)?;
+        SymmetricEigen::decompose_in_place(
+            n,
+            vectors.as_mut_slice(),
+            values.as_mut_slice(),
+            &mut work,
+        )?;
         Ok(SymmetricEigen { values, vectors })
+    }
+
+    /// Eigendecomposes the symmetric `n × n` matrix held row-major in `v`,
+    /// in place and without allocating: the form a loop over many small
+    /// matrices of one size wants.
+    ///
+    /// Only the lower triangle of `v` is read. On success `v` holds the
+    /// orthonormal eigenvectors as columns and `d` the eigenvalues, sorted
+    /// ascending; `e` (length `n`) is scratch. The entries must be finite.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::InvalidArgument`] for bad buffer lengths; otherwise as
+    /// [`SymmetricEigen::new`].
+    pub fn decompose_in_place(n: usize, v: &mut [f64], d: &mut [f64], e: &mut [f64]) -> Result<()> {
+        if n == 0 || v.len() != n * n || d.len() != n || e.len() != n {
+            return Err(LinalgError::InvalidArgument(
+                "in-place eigendecomposition needs n ≥ 1 and buffers of n², n and n",
+            ));
+        }
+        tridiagonalize(n, v, d, e);
+        tridiagonal_ql(n, v, d, e)?;
+        if !d.iter().chain(v.iter()).all(|x| x.is_finite()) {
+            return Err(LinalgError::NonFinite {
+                op: "symmetric eigendecomposition",
+            });
+        }
+        // Selection sort: O(n²) compares and at most n − 1 column swaps.
+        for i in 0..n - 1 {
+            let mut k = i;
+            for j in (i + 1)..n {
+                if d[j].total_cmp(&d[k]).is_lt() {
+                    k = j;
+                }
+            }
+            if k != i {
+                d.swap(i, k);
+                for row in v.chunks_exact_mut(n) {
+                    row.swap(i, k);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Eigenvalues sorted ascending.
@@ -89,66 +137,10 @@ impl SymmetricEigen {
     pub fn min_eigenvalue(&self) -> f64 {
         self.values[0]
     }
-
-    /// Largest eigenvalue.
-    pub fn max_eigenvalue(&self) -> f64 {
-        self.values[self.values.len() - 1]
-    }
-
-    /// Spectral condition number `|λ_max| / |λ_min|`; infinite when the
-    /// smallest eigenvalue is zero.
-    pub fn condition_number(&self) -> f64 {
-        let lo = self.min_eigenvalue().abs();
-        let hi = self.values.iter().fold(0.0_f64, |acc, &x| acc.max(x.abs()));
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
-    }
 }
 
 /// QL iteration budget per eigenvalue (the LAPACK `dsteqr` convention).
 const MAX_QL_ITERATIONS_PER_EIGENVALUE: usize = 30;
-
-/// Eigendecomposes the symmetric `n × n` matrix held row-major in `v`,
-/// in place and without allocating.
-///
-/// Only the lower triangle of `v` is read. On success `v` holds the
-/// orthonormal eigenvectors as columns and `d` the eigenvalues, sorted
-/// ascending; `e` (length `n`) is scratch. The caller validates the
-/// input (finite entries, `n ≥ 1`).
-pub(crate) fn decompose_in_place(
-    n: usize,
-    v: &mut [f64],
-    d: &mut [f64],
-    e: &mut [f64],
-) -> Result<()> {
-    debug_assert!(n >= 1 && v.len() == n * n && d.len() == n && e.len() == n);
-    tridiagonalize(n, v, d, e);
-    tridiagonal_ql(n, v, d, e)?;
-    if !d.iter().chain(v.iter()).all(|x| x.is_finite()) {
-        return Err(LinalgError::NonFinite {
-            op: "symmetric eigendecomposition",
-        });
-    }
-    // Selection sort: O(n²) compares and at most n − 1 column swaps.
-    for i in 0..n - 1 {
-        let mut k = i;
-        for j in (i + 1)..n {
-            if d[j].total_cmp(&d[k]).is_lt() {
-                k = j;
-            }
-        }
-        if k != i {
-            d.swap(i, k);
-            for row in v.chunks_exact_mut(n) {
-                row.swap(i, k);
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Householder reduction to tridiagonal form (`tred2`): on exit `d` holds
 /// the diagonal, `e[1..]` the subdiagonal, and `v` the accumulated
@@ -375,19 +367,6 @@ mod tests {
         assert!(spd.symmetric_eigen().unwrap().min_eigenvalue() > 1e-12);
         let indef = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
         assert!(indef.symmetric_eigen().unwrap().min_eigenvalue() < 0.0);
-    }
-
-    #[test]
-    fn condition_number() {
-        let a = Matrix::from_diagonal(&Vector::from_slice(&[1.0, 100.0]));
-        let eig = a.symmetric_eigen().unwrap();
-        assert!((eig.condition_number() - 100.0).abs() < 1e-9);
-        let z = Matrix::from_diagonal(&Vector::from_slice(&[0.0, 1.0]));
-        assert!(z
-            .symmetric_eigen()
-            .unwrap()
-            .condition_number()
-            .is_infinite());
     }
 
     #[test]

@@ -12,18 +12,15 @@
 //! * [`LuDecomposition`] — LU with partial pivoting: solves, determinant,
 //!   inverse.
 //! * [`CholeskyDecomposition`] — for symmetric positive definite systems.
-//! * [`QrDecomposition`] — Householder QR: least squares, orthonormal bases,
-//!   null spaces (used by the null-space active-set QP in `cellsync-opt`).
+//! * [`QrDecomposition`] — Householder QR: least squares and orthonormal
+//!   bases (used by the null-space active-set QP in `cellsync-opt`).
 //! * [`SymmetricEigen`] — Householder tridiagonalization plus implicit-shift
 //!   QL eigendecomposition of symmetric matrices (used for influence
 //!   traces and diagnostics).
-//! * [`GeneralizedSymmetricEigen`] — simultaneous diagonalization of a
-//!   symmetric-definite pencil `(A, B)`; the factor-once basis behind the
-//!   λ-path GCV sweep in `cellsync`.
 //!
 //! The factorizations expose in-place entry points
 //! ([`CholeskyDecomposition::refactor`] / [`CholeskyDecomposition::solve_in_place`],
-//! [`QrDecomposition::refactor`], [`GeneralizedSymmetricEigen::refactor`])
+//! [`QrDecomposition::refactor`])
 //! and the [`Matrix`] product kernels have
 //! `_into` variants ([`Matrix::gram_into`], [`Matrix::weighted_gram_into`],
 //! [`Matrix::matvec_into`], [`Matrix::tr_matvec_into`]) that write into
@@ -60,7 +57,6 @@ mod banded;
 mod cholesky;
 mod eigen;
 mod error;
-mod geigen;
 mod kernels;
 mod lu;
 mod matrix;
@@ -72,7 +68,6 @@ pub use banded::{BandedCholesky, BandedMatrix};
 pub use cholesky::CholeskyDecomposition;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
-pub use geigen::GeneralizedSymmetricEigen;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;

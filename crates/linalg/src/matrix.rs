@@ -565,40 +565,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Extracts the contiguous submatrix with rows `r0..r1` and columns
-    /// `c0..c1` (half-open).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the ranges are out of bounds or empty.
-    pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Matrix {
-        assert!(r0 < r1 && r1 <= self.rows, "bad row range");
-        assert!(c0 < c1 && c1 <= self.cols, "bad column range");
-        Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self[(r0 + i, c0 + j)])
-    }
-
-    /// Stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::ShapeMismatch`] when column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(LinalgError::ShapeMismatch {
-                left: self.shape(),
-                right: other.shape(),
-                op: "vstack",
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// LU decomposition with partial pivoting.
     ///
     /// # Errors
@@ -789,16 +755,6 @@ mod tests {
         assert_eq!(m.norm_inf(), 4.0);
         assert_eq!(m.trace().unwrap(), 7.0);
         assert!(Matrix::zeros(2, 3).trace().is_err());
-    }
-
-    #[test]
-    fn submatrix_and_vstack() {
-        let m = Matrix::from_fn(3, 3, |i, j| (3 * i + j) as f64);
-        let s = m.submatrix(1, 3, 0, 2);
-        assert_eq!(s, Matrix::from_rows(&[&[3.0, 4.0], &[6.0, 7.0]]).unwrap());
-        let v = s.vstack(&s).unwrap();
-        assert_eq!(v.shape(), (4, 2));
-        assert!(s.vstack(&m).is_err());
     }
 
     #[test]

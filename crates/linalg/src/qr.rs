@@ -1,14 +1,9 @@
-//! Householder QR decomposition, least squares, and null-space bases.
+//! Householder QR decomposition and least squares.
 
 use crate::{LinalgError, Matrix, Result, Vector};
 
 /// Householder QR decomposition `A = Q·R` of an `m × n` matrix (`m ≥ n` or
 /// `m < n` both supported; the full square `Q` is formed explicitly).
-///
-/// The active-set quadratic program in `cellsync-opt` eliminates equality
-/// constraints through the null space of the constraint matrix, which this
-/// type exposes via [`QrDecomposition::null_space_basis`] on the transposed
-/// constraint matrix.
 ///
 /// # Example
 ///
@@ -77,6 +72,7 @@ impl QrDecomposition {
         }
         let r = &mut self.r;
         let q = &mut self.q;
+        let mut v = vec![0.0; m];
 
         for k in 0..n.min(m.saturating_sub(1)) {
             // Build the Householder vector for column k.
@@ -88,7 +84,6 @@ impl QrDecomposition {
                 continue; // column already zero below the diagonal
             }
             let alpha = if r[(k, k)] > 0.0 { -norm } else { norm };
-            let mut v = vec![0.0; m];
             v[k] = r[(k, k)] - alpha;
             for i in (k + 1)..m {
                 v[i] = r[(i, k)];
@@ -141,19 +136,6 @@ impl QrDecomposition {
         &self.r
     }
 
-    /// Numerical rank: the number of diagonal entries of `R` larger than
-    /// `tol · max|R_ii|`.
-    pub fn rank(&self, tol: f64) -> usize {
-        let k = self.r.rows().min(self.r.cols());
-        let maxdiag = (0..k).map(|i| self.r[(i, i)].abs()).fold(0.0_f64, f64::max);
-        if maxdiag == 0.0 {
-            return 0;
-        }
-        (0..k)
-            .filter(|&i| self.r[(i, i)].abs() > tol * maxdiag)
-            .count()
-    }
-
     /// Solves the least-squares problem `min ‖A·x − b‖₂` for full-column-rank
     /// `A` (`m ≥ n`).
     ///
@@ -192,24 +174,6 @@ impl QrDecomposition {
             x[i] = sum / rii;
         }
         Ok(x)
-    }
-
-    /// Orthonormal basis for the null space of the factored matrix's
-    /// **transpose**, i.e. the trailing `m − rank` columns of `Q`.
-    ///
-    /// For a constraint matrix `C` (`p × n`, `p < n`) factor `Cᵀ` and call
-    /// this to obtain `Z` (`n × (n − rank)`) with `C·Z = 0`; any feasible
-    /// point plus `Z·w` stays feasible — the null-space method for
-    /// equality-constrained QPs.
-    ///
-    /// Returns `None` when the null space is trivial.
-    pub fn null_space_basis(&self, tol: f64) -> Option<Matrix> {
-        let m = self.r.rows();
-        let rank = self.rank(tol);
-        if rank >= m {
-            return None;
-        }
-        Some(self.q.submatrix(0, m, rank, m))
     }
 }
 
@@ -263,35 +227,6 @@ mod tests {
         let rhs = a.tr_matvec(&b).unwrap();
         let x2 = g.cholesky().unwrap().solve(&rhs).unwrap();
         assert!((&x - &x2).norm2() < 1e-10);
-    }
-
-    #[test]
-    fn rank_detects_deficiency() {
-        let full = Matrix::identity(3);
-        assert_eq!(full.qr().unwrap().rank(1e-12), 3);
-        let deficient = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0], &[3.0, 6.0]]).unwrap();
-        assert_eq!(deficient.qr().unwrap().rank(1e-10), 1);
-    }
-
-    #[test]
-    fn null_space_is_annihilated() {
-        // C is 1x3: x + y + z = const. Null space of Cᵀ's transpose...
-        // factor Cᵀ (3x1) and request trailing columns of Q.
-        let c = Matrix::from_rows(&[&[1.0, 1.0, 1.0]]).unwrap();
-        let qr = c.transpose().qr().unwrap();
-        let z = qr.null_space_basis(1e-12).expect("null space exists");
-        assert_eq!(z.shape(), (3, 2));
-        let cz = c.matmul(&z).unwrap();
-        assert!(cz.norm_frobenius() < 1e-12);
-        // Columns orthonormal
-        let ztz = z.transpose().matmul(&z).unwrap();
-        assert!((&ztz - &Matrix::identity(2)).norm_frobenius() < 1e-12);
-    }
-
-    #[test]
-    fn null_space_trivial_for_full_rank_square() {
-        let a = Matrix::identity(3);
-        assert!(a.qr().unwrap().null_space_basis(1e-12).is_none());
     }
 
     #[test]

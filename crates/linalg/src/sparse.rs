@@ -106,15 +106,36 @@ impl SparseRowMatrix {
     ///
     /// [`LinalgError::InvalidArgument`] for non-finite entries.
     pub fn from_dense(dense: &Matrix) -> Result<Self> {
-        let mut triplets = Vec::new();
-        for r in 0..dense.rows() {
+        let (rows, cols) = dense.shape();
+        if rows == 0 || cols == 0 {
+            return Err(LinalgError::Empty);
+        }
+        if !dense.is_finite() {
+            return Err(LinalgError::InvalidArgument(
+                "sparse entries must be finite",
+            ));
+        }
+        // Straight to compressed rows: no triplets, no per-row vectors.
+        let nnz = dense.as_slice().iter().filter(|&&v| v != 0.0).count();
+        let (mut indices, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        for r in 0..rows {
             for (c, &v) in dense.row(r).iter().enumerate() {
                 if v != 0.0 {
-                    triplets.push((r, c, v));
+                    indices.push(c);
+                    values.push(v);
                 }
             }
+            indptr.push(indices.len());
         }
-        SparseRowMatrix::from_triplets(dense.rows(), dense.cols(), &triplets)
+        Ok(SparseRowMatrix {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        })
     }
 
     /// Number of rows.

@@ -4,7 +4,7 @@
 //! factorization residuals, orthogonality, and solver consistency across
 //! independent code paths (LU vs Cholesky vs QR).
 
-use cellsync_linalg::{BandedMatrix, GeneralizedSymmetricEigen, Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
 use proptest::prelude::*;
 
 /// Strategy: a square matrix with entries in [-10, 10].
@@ -129,20 +129,6 @@ fn eigen_test_matrix(kind: usize, n: usize, draws: &[f64], extra: &[f64]) -> Mat
     }
 }
 
-/// Second-difference roughness Gram `DᵀD` (`n × n`, rank `n − 2`).
-fn second_difference_gram(n: usize) -> Matrix {
-    let mut omega = Matrix::zeros(n, n);
-    for i in 1..n.saturating_sub(1) {
-        let stencil = [(i - 1, 1.0), (i, -2.0), (i + 1, 1.0)];
-        for &(r, a) in &stencil {
-            for &(c, b) in &stencil {
-                omega[(r, c)] += a * b;
-            }
-        }
-    }
-    omega
-}
-
 /// Makes an SPD matrix from an arbitrary square one: `AᵀA + n·I`.
 fn make_spd(a: &Matrix) -> Matrix {
     let n = a.rows();
@@ -230,49 +216,6 @@ proptest! {
         prop_assert!(orth <= 50.0 * n as f64 * eps, "kind {} n {}: ‖VᵀV − I‖ = {:e}", kind, n, orth);
         for w in lambda.as_slice().windows(2) {
             prop_assert!(w[0] <= w[1], "kind {} n {}: not ascending {:?}", kind, n, w);
-        }
-    }
-
-    #[test]
-    fn spectral_path_pencils_diagonalize(
-        input in eigen_inputs(),
-        rows in 2usize..=48,
-        log_sigma_span in 0.0..3.0f64,
-    ) {
-        // The pencil shape the λ-path builds: A = Ω (second-difference
-        // Gram, singular), B = XᵀW²X + εI + μΩ with μ = tr(XᵀW²X + εI)/tr(Ω)
-        // and σ spread over up to 3 decades. Then TᵀBT = I and
-        // TᵀAT = diag(γ). Two or more rows let the Gram cover Ω's null
-        // space (the linear functions), as every real design does, so
-        // B is definite beyond the ridge.
-        let (n, draws, extra) = input;
-        let omega = second_difference_gram(n);
-        let x = Matrix::from_fn(rows, n, |i, j| draws[(i * n + j) % draws.len()]);
-        let weights: Vec<f64> = (0..rows)
-            .map(|i| 10f64.powf(-log_sigma_span * extra[i % n]))
-            .collect();
-        let mut b = Matrix::zeros(n, n);
-        x.weighted_gram_into(&weights, &mut b).expect("shapes");
-        for i in 0..n {
-            b[(i, i)] += 1e-9;
-        }
-        let omega_trace = omega.trace().expect("square");
-        if omega_trace > 0.0 {
-            let mu = b.trace().expect("square") / omega_trace;
-            b = &b + &omega.scaled(mu);
-        }
-        let pencil = GeneralizedSymmetricEigen::new(&omega, &b).expect("SPD metric");
-        let t = pencil.vectors();
-        let tbt = t.transpose().matmul(&b).unwrap().matmul(t).unwrap();
-        let metric_err = (&tbt - &Matrix::identity(n)).norm_frobenius();
-        prop_assert!(metric_err <= 1e-8, "n {} rows {}: ‖TᵀBT − I‖ = {:e}", n, rows, metric_err);
-        let tat = t.transpose().matmul(&omega).unwrap().matmul(t).unwrap();
-        let diag = Matrix::from_diagonal(pencil.eigenvalues());
-        let gamma_scale = pencil.eigenvalues().norm_inf().max(1e-300);
-        let diag_err = (&tat - &diag).norm_frobenius() / gamma_scale;
-        prop_assert!(diag_err <= 1e-8, "n {} rows {}: ‖TᵀΩT − Γ‖/‖γ‖ = {:e}", n, rows, diag_err);
-        for w in pencil.eigenvalues().as_slice().windows(2) {
-            prop_assert!(w[0] <= w[1]);
         }
     }
 

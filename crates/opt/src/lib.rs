@@ -20,10 +20,6 @@
 //! * [`QpInstance`] — owned, serializable QP with a line-oriented text
 //!   format (writer + strict parser) backing the committed differential
 //!   corpus under `tests/fixtures/qp_corpus/`.
-//! * [`Nnls`] — Lawson–Hanson nonnegative least squares (independent
-//!   cross-check of the QP on positivity-only problems).
-//! * [`ProjectedGradient`] — projected gradient descent for box-constrained
-//!   QPs (second independent cross-check).
 //! * [`NelderMead`] — derivative-free simplex minimization, used by the
 //!   §5 parameter-estimation application to fit ODE rate constants.
 //! * [`golden_section`] — scalar unimodal minimization (λ grid refinement).
@@ -56,8 +52,6 @@ mod error;
 mod golden;
 mod ipm;
 mod nelder_mead;
-mod nnls;
-mod projgrad;
 mod qp;
 
 pub use backend::QpBackend;
@@ -66,8 +60,6 @@ pub use error::OptError;
 pub use golden::golden_section;
 pub use ipm::IpmWorkspace;
 pub use nelder_mead::{NelderMead, SimplexResult};
-pub use nnls::Nnls;
-pub use projgrad::ProjectedGradient;
 pub use qp::{QpProblem, QpSolution, QpWorkspace};
 
 /// Convenience alias for results produced by this crate.

@@ -7,7 +7,7 @@
 //! warm-start information instead of reallocating per solve. A one-shot
 //! solve is `QpWorkspace::new().solve(&problem)`.
 
-use cellsync_linalg::{CholeskyDecomposition, Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
 use cellsync_runtime::CancelToken;
 
 use crate::{OptError, Result};
@@ -20,53 +20,33 @@ use crate::{OptError, Result};
 /// last row, so the value only needs to be clearly above roundoff.
 const INTERIOR_MARGIN: f64 = 1e-3;
 
-/// The inequality block of a [`QpProblem`]: dense rows, or sparse
-/// collocation rows (≤ a handful of nonzeros each). The sparse form
-/// borrows the caller's dense twin for zero-copy row slices in the
-/// working-set factor, but routes the per-iteration matvecs (`A·x`,
-/// `A·p` over all rows) through the sparse storage — O(nnz) instead of
-/// O(rows·n).
+/// The inequality block of a [`QpProblem`]: the rows `A` and the
+/// right-hand side `b` of `A x ≥ b`.
 #[derive(Debug, Clone)]
-enum IneqRef<'a> {
-    Dense(&'a Matrix, &'a Vector),
-    Sparse {
-        src: &'a SparseRowMatrix,
-        dense: &'a Matrix,
-        rhs: &'a Vector,
-    },
+struct IneqRef<'a> {
+    a: &'a Matrix,
+    rhs: &'a Vector,
 }
 
 impl IneqRef<'_> {
     fn rows(&self) -> usize {
-        match self {
-            IneqRef::Dense(a, _) => a.rows(),
-            IneqRef::Sparse { src, .. } => src.rows(),
-        }
+        self.a.rows()
     }
 
     fn rhs(&self) -> &Vector {
-        match self {
-            IneqRef::Dense(_, b) => b,
-            IneqRef::Sparse { rhs, .. } => rhs,
-        }
+        self.rhs
     }
 
     fn dense(&self) -> &Matrix {
-        match self {
-            IneqRef::Dense(a, _) => a,
-            IneqRef::Sparse { dense, .. } => dense,
-        }
+        self.a
     }
 
     fn row(&self, i: usize) -> &[f64] {
-        self.dense().row(i)
+        self.a.row(i)
     }
 
     fn matvec_into(&self, x: &Vector, out: &mut Vector) -> Result<()> {
-        match self {
-            IneqRef::Dense(a, _) => a.matvec_into(x, out)?,
-            IneqRef::Sparse { src, .. } => src.matvec_into(x, out)?,
-        }
+        self.a.matvec_into(x, out)?;
         Ok(())
     }
 
@@ -221,51 +201,8 @@ impl<'a> QpProblem<'a> {
                 got: b_rhs.len(),
             });
         }
-        self.ineq = Some(IneqRef::Dense(a_mat, b_rhs));
-        Ok(self)
-    }
-
-    /// Adds inequality constraints `A x ≥ b` from sparse-row storage
-    /// (e.g. the collocation rows of a locally supported spline basis,
-    /// ≤ 4 nonzeros per row). The per-iteration matvecs run sparse; the
-    /// working-set factor reads row slices of `a_dense`, the same rows
-    /// densified, which callers hold anyway and which would otherwise be
-    /// copied per problem.
-    ///
-    /// # Errors
-    ///
-    /// [`OptError::DimensionMismatch`] for inconsistent shapes.
-    pub fn with_inequalities_sparse(
-        mut self,
-        a_mat: &'a SparseRowMatrix,
-        a_dense: &'a Matrix,
-        b_rhs: &'a Vector,
-    ) -> Result<Self> {
-        if a_dense.shape() != (a_mat.rows(), a_mat.cols()) {
-            return Err(OptError::DimensionMismatch {
-                what: "dense twin of the sparse inequality matrix",
-                expected: a_mat.rows() * a_mat.cols(),
-                got: a_dense.rows() * a_dense.cols(),
-            });
-        }
-        debug_assert_eq!(&a_mat.to_dense(), a_dense, "dense twin differs");
-        if a_mat.cols() != self.dim() {
-            return Err(OptError::DimensionMismatch {
-                what: "inequality matrix columns",
-                expected: self.dim(),
-                got: a_mat.cols(),
-            });
-        }
-        if a_mat.rows() != b_rhs.len() {
-            return Err(OptError::DimensionMismatch {
-                what: "inequality rhs",
-                expected: a_mat.rows(),
-                got: b_rhs.len(),
-            });
-        }
-        self.ineq = Some(IneqRef::Sparse {
-            src: a_mat,
-            dense: a_dense,
+        self.ineq = Some(IneqRef {
+            a: a_mat,
             rhs: b_rhs,
         });
         Ok(self)
@@ -1736,62 +1673,5 @@ mod tests {
         let c3 = Vector::from_slice(&[-1.0, -1.0]);
         let s3 = ws.solve(&QpProblem::new(&h3, &c3).unwrap()).unwrap();
         assert!((s3.x[0] - 1.0).abs() < 1e-10);
-    }
-
-    /// A strictly diagonally dominant banded SPD test Hessian plus a
-    /// gradient with mixed signs, so positivity binds.
-    fn banded_spd(n: usize, bw: usize) -> (Matrix, Vector) {
-        let h = Matrix::from_fn(n, n, |i, j| match i.abs_diff(j) {
-            0 => 4.0 + (i as f64 * 0.29).sin().abs(),
-            off if off <= bw => 0.8 / off as f64,
-            _ => 0.0,
-        });
-        let c = Vector::from_fn(n, |i| ((i * 5 % 7) as f64) - 3.0);
-        (h, c)
-    }
-
-    #[test]
-    fn sparse_inequalities_match_dense() {
-        let n = 24;
-        let (h, c) = banded_spd(n, 3);
-        let a_dense = Matrix::identity(n);
-        let a_sparse = SparseRowMatrix::from_dense(&a_dense).unwrap();
-        let b = Vector::zeros(n);
-        let dense_sol = QpWorkspace::new()
-            .solve(
-                &QpProblem::new(&h, &c)
-                    .unwrap()
-                    .with_inequalities(&a_dense, &b)
-                    .unwrap(),
-            )
-            .unwrap();
-        let sparse_sol = QpWorkspace::new()
-            .solve(
-                &QpProblem::new(&h, &c)
-                    .unwrap()
-                    .with_inequalities_sparse(&a_sparse, &a_dense, &b)
-                    .unwrap(),
-            )
-            .unwrap();
-        assert!((&dense_sol.x - &sparse_sol.x).norm2() < 1e-9);
-        assert_eq!(dense_sol.active_set, sparse_sol.active_set);
-
-        // Sparse inequality column mismatch rejected.
-        let wide_dense = Matrix::identity(n + 1);
-        let wide = SparseRowMatrix::from_dense(&wide_dense).unwrap();
-        let problem = QpProblem::new(&h, &c).unwrap();
-        assert!(problem
-            .clone()
-            .with_inequalities_sparse(&wide, &wide_dense, &Vector::zeros(n + 1))
-            .is_err());
-        // Sparse inequality rhs length mismatch rejected.
-        assert!(problem
-            .clone()
-            .with_inequalities_sparse(&a_sparse, &a_dense, &Vector::zeros(5))
-            .is_err());
-        // A dense twin of the wrong shape is rejected.
-        assert!(problem
-            .with_inequalities_sparse(&a_sparse, &wide_dense, &b)
-            .is_err());
     }
 }

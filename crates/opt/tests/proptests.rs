@@ -3,8 +3,7 @@
 
 use cellsync_linalg::{Matrix, Vector};
 use cellsync_opt::{
-    golden_section, IpmWorkspace, NelderMead, Nnls, ProjectedGradient, QpBackend, QpInstance,
-    QpProblem, QpWorkspace,
+    golden_section, IpmWorkspace, NelderMead, QpBackend, QpInstance, QpProblem, QpWorkspace,
 };
 use proptest::prelude::*;
 
@@ -150,6 +149,8 @@ proptest! {
         h in spd_hessian(5),
         c in linear_term(5),
     ) {
+        // Random box QPs: the active-set optimum's objective is never
+        // above the independent interior-point backend's.
         let (ineq, zeros) = (Matrix::identity(5), Vector::zeros(5));
         let problem = QpProblem::new(&h, &c)
             .expect("valid qp")
@@ -158,35 +159,12 @@ proptest! {
         let qp = QpWorkspace::new()
             .solve(&problem)
             .expect("solvable");
-        let pg = ProjectedGradient::new(500_000, 1e-12)
-            .solve(&h, &c, &Vector::zeros(5))
-            .expect("converges");
+        let ipm = IpmWorkspace::new().solve_qp(&problem).expect("converges");
         let obj = |x: &Vector| {
             0.5 * x.dot(&h.matvec(x).expect("shapes")).expect("shapes")
                 + c.dot(x).expect("shapes")
         };
-        prop_assert!(obj(&qp.x) <= obj(&pg) + 1e-7, "{} vs {}", obj(&qp.x), obj(&pg));
-    }
-
-    #[test]
-    fn nnls_never_returns_negatives(
-        data in prop::collection::vec(-3.0..3.0f64, 8 * 4),
-        rhs in prop::collection::vec(-3.0..3.0f64, 8),
-    ) {
-        let a = Matrix::from_vec(8, 4, data).expect("sized data");
-        let b = Vector::from(rhs);
-        // Degenerate (rank-deficient) draws are legal NNLS inputs too; the
-        // solver must still return a nonnegative KKT point or error out
-        // cleanly rather than panic.
-        if let Ok(x) = Nnls::new().solve(&a, &b) {
-            prop_assert!(x.iter().all(|&v| v >= 0.0));
-            let w = a.tr_matvec(&(&b - &a.matvec(&x).expect("shapes"))).expect("shapes");
-            for i in 0..4 {
-                if x[i] > 1e-8 {
-                    prop_assert!(w[i].abs() < 1e-6, "active gradient {}", w[i]);
-                }
-            }
-        }
+        prop_assert!(obj(&qp.x) <= obj(&ipm.x) + 1e-7, "{} vs {}", obj(&qp.x), obj(&ipm.x));
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Per-endpoint serving counters: request/error totals and a lock-free
-//! log₂-bucketed latency histogram from which p50/p99 are read.
+//! log-linear latency histogram from which p50/p99 are read.
 //!
-//! The histogram trades resolution for zero contention: 64 power-of-two
-//! buckets of microseconds, each an `AtomicU64`, so the record path on
-//! the hot serving threads is two relaxed atomic increments. Reported
-//! percentiles are the upper bound of the bucket containing the
-//! percentile rank — at worst a 2× overestimate, which is the right
-//! direction to err for a latency SLO.
+//! The histogram trades resolution for zero contention: every
+//! power-of-two octave of microseconds is split into 8 linear
+//! sub-buckets, each an `AtomicU64`, so the record path on the hot
+//! serving threads is two relaxed atomic increments. Reported percentiles
+//! are the upper bound of the bucket containing the percentile rank — at
+//! worst a 12.5 % overestimate, which is the right direction to err for a
+//! latency SLO.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -16,27 +17,40 @@ use cellsync_wire::{EndpointStatsWire, StatsWire};
 use crate::batch::BatchCounters;
 use cellsync::session::CacheStats;
 
-/// Lock-free log₂-bucketed histogram of microsecond latencies.
+/// Linear sub-buckets per octave (a power of two).
+const SUB_BUCKETS: usize = 8;
+/// `log₂ SUB_BUCKETS`.
+const SUB_BITS: u32 = SUB_BUCKETS.trailing_zeros();
+/// Values below `SUB_BUCKETS` get one bucket each; every octave above
+/// (`2^o ≤ v < 2^(o+1)` for `o` from `SUB_BITS` to 63) gets
+/// `SUB_BUCKETS`.
+const BUCKETS: usize = SUB_BUCKETS * (64 - SUB_BITS as usize + 1);
+
+/// Lock-free log-linear histogram of microsecond latencies.
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    /// `buckets[b]` counts samples with `bucket(us) == b`, where
-    /// `bucket(0) = 0` and `bucket(v) = 64 - v.leading_zeros()`.
-    buckets: [AtomicU64; 65],
+    /// `buckets[b]` counts samples with `bucket(us) == b`.
+    buckets: [AtomicU64; BUCKETS],
 }
 
+/// The bucket of `us`: its own below `SUB_BUCKETS`; else its octave `o`
+/// and the `SUB_BITS` bits after its leading one.
 fn bucket(us: u64) -> usize {
-    (u64::BITS - us.leading_zeros()) as usize
+    if us < SUB_BUCKETS as u64 {
+        return us as usize;
+    }
+    let octave = u64::BITS - 1 - us.leading_zeros();
+    let sub = (us >> (octave - SUB_BITS)) as usize & (SUB_BUCKETS - 1);
+    SUB_BUCKETS * (octave - SUB_BITS + 1) as usize + sub
 }
 
 /// Upper bound (inclusive) of a bucket, the value percentiles report.
 fn bucket_upper(b: usize) -> u64 {
-    if b == 0 {
-        0
-    } else if b >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << b) - 1
+    if b < SUB_BUCKETS {
+        return b as u64;
     }
+    let lead = (SUB_BUCKETS + b % SUB_BUCKETS + 1) as u128;
+    u64::try_from((lead << (b / SUB_BUCKETS - 1)) - 1).unwrap_or(u64::MAX)
 }
 
 impl LatencyHistogram {
@@ -71,7 +85,7 @@ impl LatencyHistogram {
                 return bucket_upper(b);
             }
         }
-        bucket_upper(64)
+        bucket_upper(BUCKETS - 1)
     }
 }
 
@@ -229,6 +243,38 @@ mod tests {
         assert_eq!(p99, p50);
         assert!(p100 >= 1_000_000, "p100 = {p100}");
         assert!(p100 < 2_100_000, "p100 = {p100}");
+    }
+
+    #[test]
+    fn percentiles_resolve_within_an_eighth_of_an_octave() {
+        // A log₂ histogram reports 8 191 µs for samples at 4 200 µs; the
+        // sub-buckets bound the overestimate at 12.5 %.
+        let h = LatencyHistogram::new();
+        for _ in 0..1_000 {
+            h.record(4_200);
+        }
+        let p50 = h.percentile(0.50);
+        assert!((4_200..=4_725).contains(&p50), "p50 = {p50}");
+        // Every bucket's upper bound holds its samples and overestimates
+        // them by at most 12.5 %.
+        for us in [
+            1,
+            7,
+            8,
+            9,
+            15,
+            16,
+            100,
+            1_023,
+            1_024,
+            4_200,
+            1 << 40,
+            u64::MAX,
+        ] {
+            let upper = bucket_upper(bucket(us));
+            assert!(upper >= us, "{us}: upper {upper}");
+            assert!(upper as f64 <= us as f64 * 1.125, "{us}: upper {upper}");
+        }
     }
 
     #[test]

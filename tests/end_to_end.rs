@@ -200,8 +200,8 @@ fn reproducibility_from_seeds() {
 #[test]
 fn fitted_profiles_have_natural_end_conditions_at_every_basis_size() {
     // The paper's profile is a natural cubic spline (eq. 4): zero
-    // curvature at both ends, whichever solve path the basis size picks
-    // (dense below `BANDED_THRESHOLD`, banded at and above it).
+    // curvature at both ends, at every basis size (127/128 straddle the
+    // size where the engine once switched solve paths).
     let k = kernel(5, 150.0, 12, 2000);
     let forward = ForwardModel::new(k.clone());
     let truths = [
@@ -209,7 +209,7 @@ fn fitted_profiles_have_natural_end_conditions_at_every_basis_size() {
         PhaseProfile::from_fn(200, |phi| 0.5 + 3.0 * phi * phi).unwrap(),
         PhaseProfile::from_fn(200, |phi| (-((phi - 0.4) / 0.1).powi(2)).exp() + 0.2).unwrap(),
     ];
-    for basis_size in [18, 127, Deconvolver::BANDED_THRESHOLD, 256] {
+    for basis_size in [18, 127, 128, 256] {
         let config = DeconvolutionConfig::builder()
             .basis_size(basis_size)
             .build()

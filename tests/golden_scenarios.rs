@@ -18,6 +18,11 @@
 //! ```
 //!
 //! and commit the updated `tests/fixtures/*.json` in the same PR.
+//! Regeneration keeps every committed value the fresh run reproduces
+//! within its tolerance and rewrites only the rest, so the diff shows
+//! exactly what moved.
+
+mod common;
 
 use std::path::PathBuf;
 
@@ -106,10 +111,13 @@ fn check_golden(spec: ScenarioSpec, stem: &str) {
     let path = fixture_path(stem);
 
     if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("fixtures dir has a parent"))
-            .expect("create fixtures dir");
-        std::fs::write(&path, outcome_to_json(&outcome).render() + "\n").expect("write fixture");
-        eprintln!("regenerated {}", path.display());
+        let tol = common::Tolerances {
+            alpha: ALPHA_TOL,
+            metric: METRIC_TOL,
+            lambda_rel: LAMBDA_REL_TOL,
+        };
+        let moved = common::regenerate(&path, outcome_to_json(&outcome), &tol);
+        eprintln!("regenerated {}: {moved} value(s) moved", path.display());
         return;
     }
 

@@ -1,14 +1,15 @@
-//! λ-path solver suite: the spectral (factor-once) GCV selector must
-//! reproduce the dense (factor-per-λ) algorithm it replaced, and its
-//! scores must be bit-identical across thread counts and gene order.
+//! λ-path solver suite: the measurement-space (factor-once) GCV selector
+//! must reproduce the dense (factor-per-λ) algorithm, and its scores must
+//! be bit-identical across thread counts and gene order.
 //!
-//! The dense reference implemented here *is* the pre-refactor algorithm:
-//! per λ, assemble `K = BᵀB + λΩ + εI`, Cholesky-factor it, solve for the
-//! smoother coefficients, and take the influence trace via `n` more
-//! triangular solves — followed by the identical 5 %-threshold grid
-//! selection and golden-section refinement. The production path computes
-//! the same quantities from one generalized eigendecomposition of the
-//! (penalty, Gram) pencil; see `docs/SOLVER.md`.
+//! The dense reference implemented here is the textbook algorithm: per
+//! λ, assemble the criterion's normal matrix `K = BᵀB + λ̄Ω + ε·R`
+//! (`λ̄ = max(λ, ε)`, `R` holding `NᵀN` on the two end coefficients),
+//! Cholesky-factor it, solve for the smoother coefficients, and take the
+//! influence trace via `n` more triangular solves — followed by the
+//! identical 5 %-threshold grid selection and golden-section refinement.
+//! The production path computes the same quantities from one
+//! eigendecomposition in measurement space; see `docs/SOLVER.md`.
 
 use std::sync::OnceLock;
 
@@ -56,16 +57,15 @@ fn anchor_config(points: usize) -> DeconvolutionConfig {
         .expect("valid config")
 }
 
-/// The pre-refactor dense GCV score: factor `K(λ)` from scratch.
-fn dense_gcv_score(b: &Matrix, y: &Vector, omega: &Matrix, ridge: f64, lambda: f64) -> f64 {
+/// The dense GCV score: factor `K(λ) = BᵀB + λ̄Ω + ridge` from scratch.
+fn dense_gcv_score(b: &Matrix, y: &Vector, omega: &Matrix, ridge: &Matrix, lambda: f64) -> f64 {
     let m = b.rows() as f64;
     let n = b.cols();
     let mut k = b.gram();
     for i in 0..n {
         for j in 0..n {
-            k[(i, j)] += lambda * omega[(i, j)];
+            k[(i, j)] += lambda.max(DeconvolutionConfig::RIDGE) * omega[(i, j)] + ridge[(i, j)];
         }
-        k[(i, i)] += ridge;
     }
     k.symmetrize().expect("square");
     let chol = k.cholesky().expect("spd for positive lambda");
@@ -84,7 +84,7 @@ fn dense_gcv_score(b: &Matrix, y: &Vector, omega: &Matrix, ridge: f64, lambda: f
     (rss / m) / (denom * denom)
 }
 
-/// The pre-refactor λ selection: grid scan, largest-λ-within-5 %-of-min
+/// The dense λ selection: grid scan, largest-λ-within-5 %-of-min
 /// threshold, golden-section refinement between the grid neighbours.
 fn dense_gcv_lambda(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> f64 {
     let basis = engine.basis();
@@ -93,7 +93,22 @@ fn dense_gcv_lambda(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> 
         .design_matrix(basis)
         .expect("engine-validated protocol");
     let omega = basis.penalty_matrix();
-    let ridge = DeconvolutionConfig::RIDGE;
+    // ε·NᵀN on the end coefficients, N = [ℓ₀, ℓ₁] the linear
+    // interpolants of the ends at the Greville abscissae.
+    let n = basis.len();
+    let xi = basis.greville();
+    let l1: Vec<f64> = xi
+        .iter()
+        .map(|x| (x - xi[0]) / (xi[n - 1] - xi[0]))
+        .collect();
+    let null = [l1.iter().map(|v| 1.0 - v).collect::<Vec<_>>(), l1];
+    let mut ridge = Matrix::zeros(n, n);
+    for (a, la) in null.iter().enumerate() {
+        for (c, lc) in null.iter().enumerate() {
+            let ntn: f64 = la.iter().zip(lc).map(|(x, y)| x * y).sum();
+            ridge[(a * (n - 1), c * (n - 1))] = DeconvolutionConfig::RIDGE * ntn;
+        }
+    }
     let m = g.len();
     let weights: Vec<f64> = match sigmas {
         None => vec![1.0; m],
@@ -105,7 +120,7 @@ fn dense_gcv_lambda(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> 
     let grid = engine.config().lambda().lambda_grid();
     let scores: Vec<(f64, f64)> = grid
         .iter()
-        .map(|&l| (l, dense_gcv_score(&b, &y, &omega, ridge, l)))
+        .map(|&l| (l, dense_gcv_score(&b, &y, &omega, &ridge, l)))
         .collect();
     let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
     let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
@@ -119,7 +134,7 @@ fn dense_gcv_lambda(engine: &Deconvolver, g: &[f64], sigmas: Option<&[f64]>) -> 
         let lo = scores[best_idx - 1].0.log10();
         let hi = scores[best_idx + 1].0.log10();
         match cellsync_opt::golden_section(
-            |log_l| dense_gcv_score(&b, &y, &omega, ridge, 10f64.powf(log_l)),
+            |log_l| dense_gcv_score(&b, &y, &omega, &ridge, 10f64.powf(log_l)),
             lo,
             hi,
             1e-3,

@@ -1,20 +1,17 @@
 //! Cross-checks between independent solver implementations on real
-//! deconvolution problems: the active-set QP against NNLS and projected
-//! gradient, the design-matrix path against direct convolution, and the
-//! committed QP corpus (`tests/fixtures/qp_corpus/`) replayed through
-//! both QP backends with independent KKT verification.
+//! deconvolution problems: the design-matrix path against direct
+//! convolution, and the committed QP corpus
+//! (`tests/fixtures/qp_corpus/`) replayed through both QP backends with
+//! independent KKT verification.
 
 use std::path::PathBuf;
 
 use cellsync::{DeconvolutionConfig, Deconvolver, ForwardModel, LambdaSelection, PhaseProfile};
 use cellsync_linalg::{Matrix, Vector};
-use cellsync_opt::{
-    IpmWorkspace, Nnls, OptError, ProjectedGradient, QpBackend, QpInstance, QpProblem, QpWorkspace,
-};
+use cellsync_opt::{IpmWorkspace, OptError, QpBackend, QpInstance, QpProblem, QpWorkspace};
 use cellsync_popsim::{
     CellCycleParams, InitialCondition, KernelEstimator, PhaseKernel, Population,
 };
-use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,87 +27,6 @@ fn kernel(seed: u64) -> PhaseKernel {
         .unwrap()
         .estimate(&pop, &times)
         .unwrap()
-}
-
-/// Assembles the positivity-only deconvolution QP pieces for cross-checks.
-fn deconv_qp_pieces(k: &PhaseKernel, g: &[f64], lambda: f64) -> (Matrix, Vector, SplineBasis) {
-    let basis = SplineBasis::uniform(12, 0.0, 1.0).unwrap();
-    let a = ForwardModel::new(k.clone()).design_matrix(&basis).unwrap();
-    let omega = basis.penalty_matrix();
-    let mut h = a.gram();
-    for i in 0..basis.len() {
-        for j in 0..basis.len() {
-            h[(i, j)] += lambda * omega[(i, j)];
-        }
-        h[(i, i)] += 1e-9;
-    }
-    let mut h = h.scaled(2.0);
-    h.symmetrize().unwrap();
-    let c = -&a.tr_matvec(&Vector::from_slice(g)).unwrap().scaled(2.0);
-    (h, c, basis)
-}
-
-#[test]
-fn qp_and_projected_gradient_agree_on_deconvolution() {
-    let k = kernel(1);
-    let truth =
-        PhaseProfile::from_fn(200, |phi| 1.5 + (2.0 * std::f64::consts::PI * phi).cos()).unwrap();
-    let g = ForwardModel::new(k.clone()).predict(&truth).unwrap();
-    let (h, c, basis) = deconv_qp_pieces(&k, &g, 1e-4);
-
-    // Coefficient positivity (α ≥ 0) is a box constraint both solvers
-    // support. (The production deconvolver constrains f on a grid
-    // instead; α ≥ 0 is a stand-in with the same QP shape.)
-    let qp = QpWorkspace::new()
-        .solve(
-            &QpProblem::new(&h, &c)
-                .unwrap()
-                .with_inequalities(&Matrix::identity(basis.len()), &Vector::zeros(basis.len()))
-                .unwrap(),
-        )
-        .unwrap()
-        .x;
-    let pg = ProjectedGradient::new(500_000, 1e-12)
-        .solve(&h, &c, &Vector::zeros(basis.len()))
-        .unwrap();
-    assert!(
-        (&qp - &pg).norm2() < 1e-5 * (1.0 + qp.norm2()),
-        "qp {qp} vs pg {pg}"
-    );
-}
-
-#[test]
-fn qp_matches_nnls_on_unregularized_problem() {
-    // With λ = 0 and ridge → 0 the positivity-only problem is exactly
-    // NNLS on the design matrix.
-    let k = kernel(2);
-    let truth = PhaseProfile::from_fn(200, |phi| (1.0 - phi) * 2.0 + 0.5).unwrap();
-    let g = ForwardModel::new(k.clone()).predict(&truth).unwrap();
-    let basis = SplineBasis::uniform(10, 0.0, 1.0).unwrap();
-    let a = ForwardModel::new(k).design_matrix(&basis).unwrap();
-    let y = Vector::from_slice(&g);
-
-    let x_nnls = Nnls::new().solve(&a, &y).unwrap();
-
-    let mut h = a.gram().scaled(2.0);
-    for i in 0..basis.len() {
-        h[(i, i)] += 1e-12;
-    }
-    h.symmetrize().unwrap();
-    let c = -&a.tr_matvec(&y).unwrap().scaled(2.0);
-    let x_qp = QpWorkspace::new()
-        .solve(
-            &QpProblem::new(&h, &c)
-                .unwrap()
-                .with_inequalities(&Matrix::identity(basis.len()), &Vector::zeros(basis.len()))
-                .unwrap(),
-        )
-        .unwrap()
-        .x;
-    assert!(
-        (&x_nnls - &x_qp).norm2() < 1e-5 * (1.0 + x_qp.norm2()),
-        "nnls {x_nnls} vs qp {x_qp}"
-    );
 }
 
 #[test]
@@ -417,74 +333,6 @@ fn qp_corpus_backends_agree() {
             verify_kkt(name, inst, &as_warm.x);
         }
     }
-}
-
-#[test]
-fn qp_corpus_bound_constrained_subset_matches_nnls_and_projected_gradient() {
-    // On instances of the form min ½xᵀHx + cᵀx s.t. x >= 0 the QP is
-    // equivalent to NNLS on the Cholesky square root (H/2 = LLᵀ gives
-    // design Lᵀ and data L⁻¹(−c/2)) and to projected gradient on (H, c):
-    // two more algorithmically independent opinions.
-    let corpus = load_corpus();
-    let mut ipm = IpmWorkspace::new();
-    let mut active = QpWorkspace::new();
-    let mut checked = 0usize;
-    for (path, inst) in &corpus {
-        let n = inst.dim();
-        let bound_constrained = inst.equalities().is_none()
-            && inst.inequalities().is_some_and(|(a_mat, b_rhs)| {
-                a_mat.rows() == n
-                    && *a_mat == Matrix::identity(n)
-                    && b_rhs.iter().all(|&v| v == 0.0)
-            });
-        if !bound_constrained {
-            continue;
-        }
-        checked += 1;
-
-        let cold = cold_problem(inst);
-        active.clear_warm_start();
-        let qp_as = active.solve_qp(&cold).expect("active-set solves corpus");
-        let qp_ipm = ipm.solve_qp(&cold).expect("ipm solves corpus");
-
-        let half_h = inst.hessian().scaled(0.5);
-        let chol = half_h.cholesky().expect("corpus H is PD");
-        let design = chol.factor().transpose();
-        let mut y = inst.linear().scaled(-0.5);
-        chol.forward_solve_in_place(&mut y).expect("shapes");
-        let x_nnls = Nnls::new().solve(&design, &y).expect("nnls solves");
-
-        let scale = 1.0 + qp_as.x.norm_inf();
-        for (label, x) in [("nnls vs active-set", &qp_as.x), ("nnls vs ipm", &qp_ipm.x)] {
-            let d = (&x_nnls - x).norm_inf();
-            assert!(
-                d <= 1e-6 * scale,
-                "{path} [{label}]: |Δx|∞ = {d:e}\n  nnls = {x_nnls}\n  qp = {x}"
-            );
-        }
-
-        // Projected gradient's linear rate makes it hopeless on the
-        // near-singular instances; cross-check it where it can converge.
-        let cond = inst
-            .hessian()
-            .symmetric_eigen()
-            .expect("symmetric")
-            .condition_number();
-        if cond < 1e6 {
-            let x_pg = ProjectedGradient::new(500_000, 1e-12)
-                .solve(inst.hessian(), inst.linear(), &Vector::zeros(n))
-                .expect("pg converges on well-conditioned instance");
-            let d = (&x_pg - &qp_as.x).norm_inf();
-            assert!(
-                d <= 1e-6 * scale,
-                "{path} [pg vs active-set]: |Δx|∞ = {d:e}"
-            );
-        }
-    }
-    assert!(
-        checked >= 3,
-        "only {checked} bound-constrained corpus instances; expected >= 3"
-    );
 }
 
 #[test]
@@ -1091,9 +939,8 @@ fn harvested_instances() -> Vec<QpInstance> {
     .unwrap();
     out.push(deconv.harvest_qp(&g, None, "harvest-lowreg-14").unwrap());
 
-    // 6–8. Genome-scale shapes harvested through the banded Woodbury
-    // path (basis ≥ BANDED_THRESHOLD → B-splines + banded execution):
-    // the QP the positivity fallback solves at production basis sizes.
+    // 6–8. Genome-scale shapes: the QP the positivity fallback solves
+    // at production basis sizes.
     // `harvest_qp` densifies after the fit, so the committed instances
     // exercise both backends at n ≥ 128.
 
