@@ -28,30 +28,33 @@
 //! edf = m − tr M⁻¹ + tr(𝒮⁻¹ Ĝᵀ M⁻² Ĝ),     β = S⁻¹(B_rᵀr − Uz)
 //! ```
 //!
-//! where `VΓVᵀ = W·K₀·W` and `K₀ = A_rΩ_rr⁻¹A_rᵀ = RᵀR` (`L⁻¹A_rᵀ = QR`,
-//! `Ω_rr = LLᵀ`). Scaling the multiplier columns by `−λ̄` turns `Ĝ` into
-//! `W·C₀` with the λ-independent border `C₀ = [A·N, A_rΩ_rr⁻¹E_rᵀ]`, and
-//! `Uᵀ S⁻¹ U` into `λ̄·J₀` with `J₀ = E_rΩ_rr⁻¹E_rᵀ`. So the engine
-//! factors `Ω_rr` (banded) once and forms `R`, `C₀` and `J₀` once
-//! ([`Frame`]); a series eigendecomposes its `m × m` matrix `W·K₀·W`
-//! once (on its small side: a symmetric eigendecomposition of
+//! where `VΓVᵀ = W·K₀·W` and `K₀ = A_rΩ_rr⁻¹A_rᵀ = RᵀR`
+//! (`L⁻¹[A_rᵀ, E_rᵀ] = Q·[[R, f], [0, f₂]]`, `Ω_rr = LLᵀ`). Scaling the
+//! multiplier columns by `−λ̄` turns `Ĝ` into `W·C₀` with the
+//! λ-independent border `C₀ = [A·N, A_rΩ_rr⁻¹E_rᵀ] = [A·N, Rᵀf]`, and
+//! `Uᵀ S⁻¹ U` into `λ̄·J₀` with `J₀ = E_rΩ_rr⁻¹E_rᵀ = fᵀf + f₂ᵀf₂`. So
+//! the engine factors `Ω_rr` (banded) once and forms `R`, `A·N`, `f` and
+//! `f₂ᵀf₂` once ([`Frame`]); a series eigendecomposes its `m × m` matrix
+//! `W·K₀·W` once (on its small side: a symmetric eigendecomposition of
 //! `R·W²·Rᵀ` refined by one-sided Jacobi on the rows of `R·W`, so the
 //! small eigenvalues do not inherit the squared conditioning of the
 //! formed product) and projects its data and border onto `V`
 //! ([`Spectrum`], the engine's own for unit weights); and every
-//! λ then costs O(m·q² + q³) ([`Frame::gcv_score`]). The minimizer at the
+//! λ then costs O(m·q² + q³) ([`Frame::gcv_score`]). The multiplier
+//! block of `𝒮`, `Σ sᵢC̃ᵢC̃ᵢᵀ − λ̄J₀`, is formed as the equal
+//! `−λ̄(Σ sᵢf̂ᵢf̂ᵢᵀ + J_rest)` (`W·Rᵀf` has coordinates `σᵢf̂ᵢ` in the
+//! basis), because its two O(λ̄) terms cancel to O(λ̄²/γ). The minimizer at the
 //! selected λ is assembled from the same `r` and `z`
 //! ([`Frame::minimizer`]), then polished by iterative refinement
 //! ([`Frame::polish`]); `docs/SOLVER.md` derives all of it.
 
-use cellsync_linalg::{BandedCholesky, BandedMatrix, Matrix, SymmetricEigen, Vector};
+use cellsync_linalg::{
+    BandedCholesky, BandedMatrix, LuDecomposition, Matrix, QrDecomposition, SymmetricEigen, Vector,
+};
 
 use crate::{DeconvError, DeconvolutionConfig, Result};
 
-/// `aᵀb`, summed in index order.
-pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
+pub(crate) use cellsync_linalg::dot;
 
 /// The smoothing weight the criterion applies: `λ̄ = max(λ, ε)`, which
 /// keeps `Fixed(0)` and a λ = 0 override well posed.
@@ -59,9 +62,9 @@ pub(crate) fn floored(lambda: f64) -> f64 {
     lambda.max(DeconvolutionConfig::RIDGE)
 }
 
-/// The engine's λ-independent frame: the interior penalty and its factor,
-/// the null basis, and the measurement-space operators `K₀`, `C₀`, `E·N`
-/// and `J₀`, built once per engine.
+/// The engine's λ-independent frame: the factor of the interior
+/// penalty, the null basis, and the measurement-space operators `R`,
+/// `A·N`, `f`, `E·N` and `f₂ᵀf₂`, built once per engine.
 #[derive(Debug, Clone)]
 pub(crate) struct Frame {
     /// Coefficients per block.
@@ -70,38 +73,41 @@ pub(crate) struct Frame {
     blocks: usize,
     /// Number of equality rows k.
     k: usize,
-    /// `Ω_rr = blockdiag(Ω_rrᵏ)` over the `K(n − 2)` interior coefficients.
-    omega_rr: BandedMatrix,
-    /// Banded Cholesky factor of `Ω_rr`.
+    /// Banded Cholesky factor `L` of `Ω_rr = blockdiag(Ω_rrᵏ)` over the
+    /// `K(n − 2)` interior coefficients.
     omega_chol: BandedCholesky,
     /// `ℓ₀`, `ℓ₁` over one block's interior.
     null_interior: [Vec<f64>; 2],
     /// `NᵀN` of one block.
     null_gram: [[f64; 2]; 2],
     /// `R` (`rows × m` row-major, `rows = min(K(n − 2), m)`), the
-    /// triangular factor of `L⁻¹A_rᵀ = QR` (`Ω_rr = LLᵀ`), so that
+    /// triangular factor of `L⁻¹A_rᵀ = QR`, so that
     /// `K₀ = A_rΩ_rr⁻¹A_rᵀ = RᵀR` without ever forming `K₀`.
     root: Vec<f64>,
     /// Rows of `R`.
     rows: usize,
-    /// `C₀ = [A·N, A_rΩ_rr⁻¹E_rᵀ]`, `m × q` row-major.
+    /// `A·N`, the null columns of `C₀` (`m × 2K` row-major).
     border: Vec<f64>,
+    /// `f = Q₁ᵀL⁻¹E_rᵀ` (`rows × k` row-major): `A_rΩ_rr⁻¹E_rᵀ = Rᵀf`.
+    eq_root: Vec<f64>,
+    /// `f₂ᵀf₂ = J₀ − fᵀf`, the part of `J₀` the data cannot see
+    /// (`k × k` row-major; zero when `K(n − 2) ≤ m`).
+    eq_rest: Vec<f64>,
     /// `E·N`, `k × 2K` row-major.
     en: Vec<f64>,
-    /// `J₀ = E_rΩ_rr⁻¹E_rᵀ`, `k × k` row-major.
-    j0: Vec<f64>,
     /// The spectrum of unit weights, shared by every unit-weight series.
     pub(crate) unit: Spectrum,
 }
 
-/// The eigenbasis of one weight vector. `W·K₀·W = BᵀB` with `B = R·W`
-/// has rank `r ≤ min(K(n − 2), m)`: `W·K₀·W = Vᵀdiag(γ)V` over the `r`
-/// rows of `V` (eigenvectors with `γ > 0`), completed to an orthonormal
-/// basis of ℝᵐ by `m − r` null vectors (`γ = 0`, `s = 1`): the trailing
-/// columns of the Householder `Q` of `Vᵀ = QR`, kept as its reflectors.
-/// Every vector `x` the scan reads is held in that basis. A σ-weighted
-/// series rebuilds it in place ([`Spectrum::rebuild`]), so a genome of
-/// weighted series allocates nothing per gene for it; the [`Default`]
+/// The eigenbasis of one weight vector. `W·K₀·W = BᵀB` with
+/// `B = R·W = U·diag(σ)·V` has rank `r ≤ min(K(n − 2), m)`:
+/// `W·K₀·W = Vᵀdiag(γ)V` (`γ = σ²`) over the `r` rows of `V`
+/// (eigenvectors with `γ > 0`), completed to an orthonormal basis of ℝᵐ
+/// by `m − r` null vectors (`γ = 0`, `s = 1`): the trailing columns of
+/// the Householder `Q` of `Vᵀ = QR`, kept as its reflectors. Every vector
+/// `x` the scan reads is held in that basis. A σ-weighted series rebuilds
+/// it in place ([`Spectrum::rebuild`]), reusing every buffer, so a genome
+/// of weighted series allocates nothing per gene for it; the [`Default`]
 /// value is empty.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Spectrum {
@@ -112,13 +118,20 @@ pub(crate) struct Spectrum {
     gamma: Vec<f64>,
     /// `V`, `r × m` row-major.
     vt: Vec<f64>,
-    /// The Householder vectors of `Vᵀ = QR`, `r × m` row-major, each
-    /// scaled so that its reflector is `I − uuᵀ`.
+    /// The Householder reflectors of `Vᵀ = QR` (`m × r` column-major, as
+    /// [`QrDecomposition::factor_in_place`] leaves them) and their
+    /// scales; empty at full rank.
     reflectors: Vec<f64>,
+    tau: Vec<f64>,
     /// The projected border `C₀` in the basis, `m × q` row-major,
     /// followed by `Σ C̃ᵢC̃ᵢᵀ` over the null rows (where `s = 1` at every
     /// λ) as a packed lower triangle.
     border: Vec<f64>,
+    /// `f̂ = Uᵀf` over the eigen rows (`r × k`): the multiplier columns
+    /// of the border are `σᵢf̂ᵢ` there and zero on the null rows.
+    fhat: Vec<f64>,
+    /// `J_rest = f₂ᵀf₂ + Σ f̂ᵢf̂ᵢᵀ` over the rows dropped as null (`k × k`).
+    rest: Vec<f64>,
     /// Rank r: the eigen rows before the null rows.
     rank: usize,
     /// `B = R·W`, then `U₀ᵀB` orthogonalized in place (`rows × m`).
@@ -127,11 +140,9 @@ pub(crate) struct Spectrum {
     gram: Vec<f64>,
     /// Eigensolver and Jacobi scratch (`rows`).
     work: Vec<f64>,
+    /// One border column on its way into the basis (`m + r`).
+    column: Vec<f64>,
 }
-
-/// Sweep budget of the one-sided Jacobi iteration ([`jacobi`]); it
-/// converges quadratically, in a handful of sweeps.
-const MAX_SWEEPS: usize = 60;
 
 /// Per-λ scratch of the scan: shrink factors, the residual in the
 /// eigenbasis and the factored `q × q` border system.
@@ -159,6 +170,8 @@ pub(crate) struct ScanScratch {
 /// held-out rows.
 pub(crate) struct Series<'a> {
     pub(crate) design: &'a Matrix,
+    /// The full banded penalty `blockdiag(Ωₖ)`.
+    pub(crate) omega: &'a BandedMatrix,
     pub(crate) equality: Option<&'a Matrix>,
     pub(crate) weights: &'a [f64],
     pub(crate) g: &'a [f64],
@@ -199,10 +212,11 @@ impl Frame {
         let (m, total) = design.shape();
         let n = greville.len();
         let (blocks, nr) = (total / n, n - 2);
-        let bw = omega.bandwidth().min(blocks * nr - 1);
+        let interior = blocks * nr;
+        let bw = omega.bandwidth().min(interior - 1);
         let coef = |p: usize| (p / nr) * n + 1 + p % nr;
-        let mut omega_rr = BandedMatrix::zeros(blocks * nr, bw)?;
-        for p in 0..blocks * nr {
+        let mut omega_rr = BandedMatrix::zeros(interior, bw)?;
+        for p in 0..interior {
             for p2 in p.saturating_sub(bw)..=p {
                 let v = omega.get(coef(p), coef(p2));
                 if v != 0.0 {
@@ -220,12 +234,13 @@ impl Frame {
         let off = dot(&l0, &l1);
         let null_gram = [[1.0 + dot(&l0, &l0), off], [off, 1.0 + dot(&l1, &l1)]];
 
-        // L⁻¹[A_rᵀ, E_rᵀ]; its Gram holds K₀, A_rΩ_rr⁻¹E_rᵀ and J₀.
+        // L⁻¹[A_rᵀ, E_rᵀ], then (column-major) its Householder QR over
+        // the first m columns, in place (no Q): R, f and f₂ in one pass.
         let eq: Vec<&[f64]> =
             equality.map_or(Vec::new(), |e| (0..e.rows()).map(|l| e.row(l)).collect());
         let k = eq.len();
         let cols = m + k;
-        let mut y = vec![0.0; blocks * nr * cols];
+        let mut y = vec![0.0; interior * cols];
         for (p, row) in y.chunks_exact_mut(cols).enumerate() {
             let j = coef(p);
             for (i, v) in row[..m].iter_mut().enumerate() {
@@ -236,20 +251,36 @@ impl Frame {
             }
         }
         omega_chol.forward_solve_block(&mut y, cols);
-        // A_rΩ_rr⁻¹E_rᵀ and J₀ from the Gram of the whitened block, then
-        // R from a Householder QR of its first m columns, in place (no Q).
-        let column = |c: usize| y.iter().skip(c).step_by(cols);
-        let cross = |a: usize, b: usize| column(a).zip(column(b)).map(|(x, y)| x * y).sum::<f64>();
-        let f: Vec<f64> = (0..m * k).map(|x| cross(x / k, m + x % k)).collect();
-        let j0 = (0..k * k).map(|x| cross(m + x / k, m + x % k)).collect();
-        let rows = (blocks * nr).min(m);
-        let root = householder_r(&mut y, blocks * nr, cols, m, rows);
+        let mut packed: Vec<f64> = (0..interior * cols)
+            .map(|x| y[(x % interior) * cols + x / interior])
+            .collect();
+        drop(y);
+        let mut tau = vec![0.0; m.min(interior)];
+        QrDecomposition::factor_in_place(&mut packed, interior, m, &mut tau);
+        let at = |i: usize, j: usize| packed[j * interior + i];
+        let rows = interior.min(m);
+        let root = (0..rows * m)
+            .map(|x| {
+                if x % m >= x / m {
+                    at(x / m, x % m)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let eq_root = (0..rows * k).map(|x| at(x / k, m + x % k)).collect();
+        let eq_rest = (0..k * k)
+            .map(|x| {
+                (rows..interior)
+                    .map(|i| at(i, m + x / k) * at(i, m + x % k))
+                    .sum()
+            })
+            .collect();
 
         let null_interior = [l0, l1];
-        let mut border = Vec::with_capacity(m * (2 * blocks + k));
+        let mut border = Vec::with_capacity(m * 2 * blocks);
         for i in 0..m {
             push_null_t(&null_interior, design.row(i), &mut border);
-            border.extend_from_slice(&f[i * k..(i + 1) * k]);
         }
         let mut en = Vec::with_capacity(k * 2 * blocks);
         for e in &eq {
@@ -259,23 +290,20 @@ impl Frame {
             n,
             blocks,
             k,
-            omega_rr,
             omega_chol,
             null_interior,
             null_gram,
             root,
             rows,
             border,
+            eq_root,
+            eq_rest,
             en,
-            j0,
             unit: Spectrum::default(),
         };
         let mut unit = Spectrum::default();
         unit.rebuild(&frame, &vec![1.0; m])?;
-        // The engine keeps the basis, not the decomposition's scratch.
-        unit.b = Vec::new();
-        unit.gram = Vec::new();
-        unit.work = Vec::new();
+        unit.keep_basis_only();
         frame.unit = unit;
         Ok(frame)
     }
@@ -315,9 +343,14 @@ impl Frame {
         out
     }
 
+    /// Interior coefficient count `K(n − 2)`.
+    fn interior(&self) -> usize {
+        self.blocks * (self.n - 2)
+    }
+
     /// The interior entries of a full-length `h`.
     fn interior_of(&self, h: &[f64]) -> Vec<f64> {
-        (0..self.omega_rr.dim()).map(|p| h[self.coef(p)]).collect()
+        (0..self.interior()).map(|p| h[self.coef(p)]).collect()
     }
 
     /// `Aᵀ·W·x` (full length).
@@ -419,7 +452,19 @@ impl Frame {
         }
         unpack(schur, q);
         unpack(q2, q);
-        // The λ-dependent border block: εNᵀN per block, −λ̄(EN) and −λ̄J₀.
+        // The multipliers' block −λ̄(Σ sᵢf̂ᵢf̂ᵢᵀ + J_rest), formed directly:
+        // the rows' Σ sᵢC̃ᵢC̃ᵢᵀ less λ̄J₀ cancels to it from O(λ̄) terms.
+        let k = self.k;
+        for l in 0..k {
+            for l2 in 0..k {
+                let mut v = sp.rest[l * k + l2];
+                for (f, &si) in sp.fhat.chunks_exact(k).zip(s.iter()) {
+                    v += si * f[l] * f[l2];
+                }
+                schur[(nk + l) * q + nk + l2] = -lb * v;
+            }
+        }
+        // The rest of the λ-dependent border: εNᵀN per block and −λ̄(EN).
         for b in 0..self.blocks {
             for xi in 0..2 {
                 for yi in 0..2 {
@@ -428,18 +473,17 @@ impl Frame {
                 }
             }
         }
-        for l in 0..self.k {
+        for l in 0..k {
             for a in 0..nk {
                 let v = lb * self.en[l * nk + a];
                 schur[(nk + l) * q + a] -= v;
                 schur[a * q + nk + l] -= v;
             }
-            for l2 in 0..self.k {
-                schur[(nk + l) * q + nk + l2] -= lb * self.j0[l * self.k + l2];
-            }
         }
-        lu_factor(schur, pivots, q)?;
-        lu_solve(schur, pivots, q, z);
+        LuDecomposition::factor_in_place(schur, q, pivots).map_err(|_| {
+            DeconvError::NumericalBreakdown("border system of the λ scan is singular")
+        })?;
+        LuDecomposition::solve_in_place(schur, q, pivots, z);
 
         let mut rss = 0.0;
         for (i, row) in rows_part.chunks_exact(q).enumerate() {
@@ -452,7 +496,7 @@ impl Frame {
             for (b, xb) in x.iter_mut().enumerate() {
                 *xb = q2[b * q + a];
             }
-            lu_solve(schur, pivots, q, x);
+            LuDecomposition::solve_in_place(schur, q, pivots, x);
             trace += x[a];
         }
         Ok((rss, m as f64 - trace_s + trace))
@@ -499,7 +543,7 @@ impl Frame {
             .enumerate()
             .map(|(a, &v)| if a < nk { v } else { -lb * v })
             .collect();
-        let zeros = vec![0.0; self.omega_rr.dim()];
+        let zeros = vec![0.0; self.interior()];
         let mut beta = self.rho_beta(series, lb, r.as_slice(), &zeros, &z)?;
         self.interior_solve(&mut beta, lb);
         let alpha = self.assemble(&beta, &z[..nk]);
@@ -570,11 +614,13 @@ impl Frame {
     ) -> Result<Vec<f64>> {
         let h = self.design_t(series, x)?;
         let eg = self.equality_t(series, &z[2 * self.blocks..])?;
-        let s_beta = self.omega_rr.matvec(&Vector::from_slice(beta))?;
+        // Ω_rr·β is the interior of Ω·(0, β, 0).
+        let zeros = vec![0.0; 2 * self.blocks];
+        let s_beta = series.omega.matvec(&self.assemble(beta, &zeros))?;
         Ok((0..beta.len())
             .map(|p| {
                 let j = self.coef(p);
-                h[j] - eg[j] - lb * s_beta[p]
+                h[j] - eg[j] - lb * s_beta[j]
             })
             .collect())
     }
@@ -654,7 +700,7 @@ impl Frame {
         };
         let mut dz = rz;
         scale(&mut dz);
-        lu_solve(&scan.schur, &scan.pivots, dz.len(), &mut dz);
+        LuDecomposition::solve_in_place(&scan.schur, dz.len(), &scan.pivots, &mut dz);
         scale(&mut dz);
         // ρ_β − W·δz = ρ_β − B_rᵀ·B·N·δc − E_rᵀ·δγ.
         let bn = self.design_w(series, &self.assemble(&[], &dz[..nk]))?;
@@ -705,34 +751,40 @@ impl Spectrum {
     /// projects the frame's border onto the eigenbasis, reusing every
     /// buffer. A symmetric eigendecomposition of `BBᵀ` (`U₀`) makes the
     /// rows of `U₀ᵀB` orthogonal to `ε_mach·‖B‖²`; one-sided Jacobi on
-    /// them ([`jacobi`]) finishes in a sweep or two, and the rows become
-    /// `σᵢ·vᵢ`, so each eigenvalue `γᵢ = σᵢ²` is accurate to
-    /// `ε_mach·σ_max·σᵢ` rather than the `ε_mach·σ_max²` of a decomposition
-    /// of the formed product. Rows at rounding level are null space. The
-    /// result is bit-identical whatever the spectrum held before.
+    /// them ([`SymmetricEigen::orthogonalize_rows`], carrying `U₀ᵀf`
+    /// along into `f̂ = Uᵀf`) finishes in a sweep or two, and the rows
+    /// become `σᵢ·vᵢ`, so each eigenvalue `γᵢ = σᵢ²` is accurate to
+    /// `ε_mach·σ_max·σᵢ` rather than the `ε_mach·σ_max²` of a
+    /// decomposition of the formed product. Rows at rounding level are
+    /// null space. The result is bit-identical whatever the spectrum held
+    /// before.
     pub(crate) fn rebuild(&mut self, frame: &Frame, weights: &[f64]) -> Result<()> {
-        let (m, q, rows) = (weights.len(), frame.q(), frame.rows);
+        let (m, q, rows, k) = (weights.len(), frame.q(), frame.rows, frame.k);
+        let nk = q - k;
         (self.m, self.q) = (m, q);
         self.b.clear();
-        self.b.reserve(rows * m);
         self.b.extend(
             frame
                 .root
                 .chunks_exact(m)
                 .flat_map(|r| r.iter().zip(weights).map(|(x, w)| x * w)),
         );
+        // BBᵀ's lower triangle: all the eigensolver reads.
         self.gram.clear();
-        self.gram.reserve(rows * rows);
-        for bi in self.b.chunks_exact(m) {
-            self.gram
-                .extend(self.b.chunks_exact(m).map(|bj| dot(bi, bj)));
+        self.gram.resize(rows * rows, 0.0);
+        for (i, bi) in self.b.chunks_exact(m).enumerate() {
+            for (j, bj) in self.b.chunks_exact(m).take(i + 1).enumerate() {
+                self.gram[i * rows + j] = dot(bi, bj);
+            }
         }
         self.gamma.resize(rows, 0.0);
         self.work.resize(rows, 0.0);
         SymmetricEigen::decompose_in_place(rows, &mut self.gram, &mut self.gamma, &mut self.work)?;
-        // U₀ᵀB: row i combines B's rows by eigenvector i.
+        // U₀ᵀB and U₀ᵀf: row i combines the rows by eigenvector i.
         self.vt.clear();
         self.vt.resize(rows * m, 0.0);
+        self.fhat.clear();
+        self.fhat.resize(rows * k, 0.0);
         for (i, out) in self.vt.chunks_exact_mut(m).enumerate() {
             for (r, b) in self.b.chunks_exact(m).enumerate() {
                 let u = self.gram[r * rows + i];
@@ -741,66 +793,93 @@ impl Spectrum {
                 }
             }
         }
+        for (x, out) in self.fhat.iter_mut().enumerate() {
+            let (i, l) = (x / k, x % k);
+            for r in 0..rows {
+                *out += self.gram[r * rows + i] * frame.eq_root[r * k + l];
+            }
+        }
         std::mem::swap(&mut self.b, &mut self.vt);
         let negligible = (f64::EPSILON * f64::EPSILON) * dot(&self.b, &self.b);
-        jacobi(rows, m, &mut self.b, &mut self.work, negligible)?;
+        SymmetricEigen::orthogonalize_rows(
+            &mut self.b,
+            rows,
+            m,
+            &mut self.fhat,
+            k,
+            &mut self.work,
+            negligible,
+        )
+        .map_err(|_| {
+            DeconvError::NumericalBreakdown(
+                "Jacobi eigendecomposition of the λ scan did not converge",
+            )
+        })?;
+        // Keep the eigen rows (normalized, with their f̂); a row at
+        // rounding level is null space and its f̂ joins J_rest.
         self.gamma.clear();
-        self.gamma.reserve(m);
         self.vt.clear();
-        self.vt.reserve(rows * m);
-        for row in self.b.chunks_exact(m) {
+        self.rest.clear();
+        self.rest.extend_from_slice(&frame.eq_rest);
+        let mut rank = 0;
+        for (i, row) in self.b.chunks_exact(m).enumerate() {
             let g = dot(row, row);
             if g > negligible {
                 self.gamma.push(g);
                 let sigma = g.sqrt();
                 self.vt.extend(row.iter().map(|x| x / sigma));
+                self.fhat.copy_within(i * k..(i + 1) * k, rank * k);
+                rank += 1;
+            } else {
+                let f = &self.fhat[i * k..(i + 1) * k];
+                for (x, v) in self.rest.iter_mut().enumerate() {
+                    *v += f[x / k] * f[x % k];
+                }
             }
         }
+        self.fhat.truncate(rank * k);
+        self.rank = rank;
         // Householder reflectors of Vᵀ = QR: Q's trailing m − r columns
         // are the null vectors.
         self.reflectors.clear();
-        let rank = self.gamma.len();
+        self.tau.clear();
         if rank < m {
+            // V row-major is Vᵀ column-major.
             self.reflectors.extend_from_slice(&self.vt);
-        }
-        for k in 0..self.reflectors.len() / m {
-            let (done, rest) = self.reflectors.split_at_mut(k * m);
-            let u = &mut rest[..m];
-            for h in done.chunks_exact(m) {
-                let f = dot(h, u);
-                for (x, &y) in u.iter_mut().zip(h) {
-                    *x -= f * y;
-                }
-            }
-            u[..k].fill(0.0);
-            let norm = dot(&u[k..], &u[k..]).sqrt();
-            let alpha = if u[k] > 0.0 { -norm } else { norm };
-            u[k] -= alpha;
-            let scale = dot(&u[k..], &u[k..]).sqrt();
-            if scale > 0.0 {
-                for x in &mut u[k..] {
-                    *x *= std::f64::consts::SQRT_2 / scale;
-                }
-            }
+            self.tau.resize(rank, 0.0);
+            QrDecomposition::factor_in_place(&mut self.reflectors, m, rank, &mut self.tau);
         }
         self.gamma.resize(m, 0.0);
+        // The border in the basis: the null columns through the basis,
+        // the multiplier columns as σᵢf̂ᵢ on the eigen rows.
         self.border.clear();
         self.border.resize(m * q + q * (q + 1) / 2, 0.0);
-        let mut column = vec![0.0; m];
-        let mut held = Vec::new();
-        for a in 0..q {
-            for (c, (w, crow)) in column
-                .iter_mut()
-                .zip(weights.iter().zip(frame.border.chunks_exact(q)))
-            {
-                *c = w * crow[a];
-            }
-            self.hold(&column, &mut held);
-            for (out, &h) in self.border.chunks_exact_mut(q).zip(&held) {
+        let mut column = std::mem::take(&mut self.column);
+        for a in 0..nk {
+            column.clear();
+            column.extend(
+                weights
+                    .iter()
+                    .zip(frame.border.chunks_exact(nk))
+                    .map(|(w, c)| w * c[a]),
+            );
+            self.hold(&mut column);
+            for (out, &h) in self.border.chunks_exact_mut(q).zip(&column) {
                 out[a] = h;
             }
         }
-        self.rank = rank;
+        self.column = column;
+        for ((out, f), &g) in self
+            .border
+            .chunks_exact_mut(q)
+            .zip(self.fhat.chunks_exact(k.max(1)))
+            .zip(&self.gamma)
+        {
+            let sigma = g.sqrt();
+            for (o, &x) in out[nk..].iter_mut().zip(f) {
+                *o = sigma * x;
+            }
+        }
         let (rows_part, sums) = self.border.split_at_mut(m * q);
         for row in rows_part.chunks_exact(q).skip(rank) {
             let mut packed = sums.iter_mut();
@@ -813,60 +892,82 @@ impl Spectrum {
         Ok(())
     }
 
-    /// Writes the coordinates of `x` (length m) in the basis into `out`:
-    /// `V·x`, then the trailing `m − r` entries of `Qᵀx`.
-    fn hold(&self, x: &[f64], out: &mut Vec<f64>) {
-        let m = self.m;
-        out.clear();
-        out.extend(self.vt.chunks_exact(m).map(|v| dot(v, x)));
-        let rank = out.len();
-        if rank < m {
-            let mut y = x.to_vec();
-            for u in self.reflectors.chunks_exact(m) {
-                let f = dot(u, &y);
-                for (a, &b) in y.iter_mut().zip(u) {
-                    *a -= f * b;
-                }
-            }
-            out.extend_from_slice(&y[rank..]);
+    /// Frees the decomposition's scratch and trims every buffer: the
+    /// engine's unit-weight spectrum keeps only what the scan reads.
+    fn keep_basis_only(&mut self) {
+        for scratch in [
+            &mut self.b,
+            &mut self.gram,
+            &mut self.work,
+            &mut self.column,
+        ] {
+            *scratch = Vec::new();
         }
+        for kept in [
+            &mut self.gamma,
+            &mut self.vt,
+            &mut self.reflectors,
+            &mut self.tau,
+            &mut self.border,
+            &mut self.fhat,
+            &mut self.rest,
+        ] {
+            kept.shrink_to_fit();
+        }
+    }
+
+    /// Replaces the m-vector `x` at the front of `buf` by its coordinates
+    /// in the basis: `V·x`, then the trailing `m − r` entries of `Qᵀx`.
+    /// Allocates nothing once `buf` has room for `m + r` entries.
+    fn hold(&self, buf: &mut Vec<f64>) {
+        let (m, rank) = (self.m, self.rank);
+        for v in self.vt.chunks_exact(m) {
+            let c = dot(v, &buf[..m]);
+            buf.push(c);
+        }
+        if rank < m {
+            QrDecomposition::apply_qt_in_place(&self.reflectors, &self.tau, &mut buf[..m]);
+        }
+        buf.copy_within(m..m + rank, 0);
+        buf.truncate(m);
     }
 
     /// The once-per-series projection of the data: `W·g` in the basis,
     /// followed by its λ-independent null-row sums `Σ C̃ᵢ·d̃ᵢ` (q).
+    /// Allocates nothing once `proj` has room for `m + max(r, q)`.
     pub(crate) fn project(&self, weights: &[f64], g: &[f64], proj: &mut Vec<f64>) {
-        let wg: Vec<f64> = weights.iter().zip(g).map(|(w, g)| w * g).collect();
-        self.hold(&wg, proj);
-        let q = self.q;
-        let mut rhs = vec![0.0; q];
-        for (row, &d) in self.border.chunks_exact(q).zip(proj.iter()).skip(self.rank) {
+        let (m, q) = (self.m, self.q);
+        proj.clear();
+        proj.extend(weights.iter().zip(g).map(|(w, g)| w * g));
+        self.hold(proj);
+        proj.resize(m + q, 0.0);
+        let (coords, rhs) = proj.split_at_mut(m);
+        for (row, &d) in self
+            .border
+            .chunks_exact(q)
+            .zip(coords.iter())
+            .skip(self.rank)
+        {
             for (r, &c) in rhs.iter_mut().zip(row) {
                 *r += c * d;
             }
         }
-        proj.extend_from_slice(&rhs);
     }
 
     /// The coordinates of `x` in the basis.
     fn project_raw(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.hold(x, &mut out);
+        let mut out = x.to_vec();
+        self.hold(&mut out);
         out
     }
 
     /// The m-vector with coordinates `y` in the basis.
     fn rotate(&self, y: &[f64]) -> Vec<f64> {
-        let m = self.m;
-        let rank = self.vt.len() / m;
+        let (m, rank) = (self.m, self.rank);
         let mut out = vec![0.0; m];
         if rank < m {
             out[rank..].copy_from_slice(&y[rank..]);
-            for u in self.reflectors.chunks_exact(m).rev() {
-                let f = dot(u, &out);
-                for (a, &b) in out.iter_mut().zip(u) {
-                    *a -= f * b;
-                }
-            }
+            QrDecomposition::apply_q_in_place(&self.reflectors, &self.tau, &mut out);
         }
         for (v, &yi) in self.vt.chunks_exact(m).zip(y) {
             for (o, &vr) in out.iter_mut().zip(v) {
@@ -875,64 +976,6 @@ impl Spectrum {
         }
         out
     }
-}
-
-/// One-sided Jacobi (Hestenes) on the `k` rows of `rows` (each of
-/// length `len`): rotates pairs of them until all are mutually
-/// orthogonal. Rows whose squared norm is at most `negligible` are left
-/// as they are (the rank deficiency of a k-fold fold or of `K(n−2) < m`).
-/// Cyclic Jacobi converges quadratically, so a sweep whose largest
-/// relative inner product was below `√tol` leaves them orthogonal to
-/// `tol` and ends the iteration without a checking sweep. `norms`
-/// (length `k`) is scratch for the squared row norms, recomputed every
-/// sweep and updated through each rotation.
-fn jacobi(
-    k: usize,
-    len: usize,
-    rows: &mut [f64],
-    norms: &mut [f64],
-    negligible: f64,
-) -> Result<()> {
-    let tol = k.max(len) as f64 * f64::EPSILON;
-    for _ in 0..MAX_SWEEPS {
-        for (n, b) in norms.iter_mut().zip(rows.chunks_exact(len)) {
-            *n = dot(b, b);
-        }
-        let mut largest: f64 = 0.0;
-        for p in 0..k {
-            for q in p + 1..k {
-                let (a, b) = (norms[p], norms[q]);
-                if a <= negligible || b <= negligible {
-                    continue;
-                }
-                let (head, tail) = rows.split_at_mut(q * len);
-                let (bp, bq) = (&mut head[p * len..(p + 1) * len], &mut tail[..len]);
-                let c = dot(bp, bq);
-                let relative = c.abs() / (a * b).sqrt();
-                if relative <= tol {
-                    continue;
-                }
-                largest = largest.max(relative);
-                let zeta = (b - a) / (2.0 * c);
-                let t = zeta.signum() / (zeta.abs() + (1.0 + zeta * zeta).sqrt());
-                let cs = 1.0 / (1.0 + t * t).sqrt();
-                let sn = cs * t;
-                for (u, v) in bp.iter_mut().zip(bq.iter_mut()) {
-                    let (x, y) = (*u, *v);
-                    *u = cs * x - sn * y;
-                    *v = sn * x + cs * y;
-                }
-                norms[p] = a - t * c;
-                norms[q] = b + t * c;
-            }
-        }
-        if largest <= tol.sqrt() {
-            return Ok(());
-        }
-    }
-    Err(DeconvError::NumericalBreakdown(
-        "Jacobi eigendecomposition of the λ scan did not converge",
-    ))
 }
 
 /// Expands the packed lower triangle at the front of `a` into the full
@@ -960,94 +1003,6 @@ fn push_null_t(null_interior: &[Vec<f64>; 2], h: &[f64], out: &mut Vec<f64>) {
         for (a, l) in null_interior.iter().enumerate() {
             out.push(block[a * (n - 1)] + dot(l, &block[1..n - 1]));
         }
-    }
-}
-
-/// The upper triangle `R` (`rows × cols_r` row-major) of the Householder
-/// QR of the first `cols_r` columns of the row-major `n × width` matrix
-/// `a`, computed in place (those columns are overwritten).
-fn householder_r(a: &mut [f64], n: usize, width: usize, cols_r: usize, rows: usize) -> Vec<f64> {
-    let at = |i: usize, j: usize| i * width + j;
-    for k in 0..cols_r.min(n) {
-        let norm = (k..n)
-            .map(|i| a[at(i, k)] * a[at(i, k)])
-            .sum::<f64>()
-            .sqrt();
-        if norm == 0.0 {
-            continue;
-        }
-        let alpha = if a[at(k, k)] > 0.0 { -norm } else { norm };
-        let vk = a[at(k, k)] - alpha;
-        // v = (vk, a[k+1.., k]) and H = I − 2vvᵀ/(vᵀv) with vᵀv = −2α·vk.
-        for j in k + 1..cols_r {
-            let dot = vk * a[at(k, j)] + (k + 1..n).map(|i| a[at(i, k)] * a[at(i, j)]).sum::<f64>();
-            let f = dot / (-alpha * vk);
-            a[at(k, j)] -= f * vk;
-            for i in k + 1..n {
-                a[at(i, j)] -= f * a[at(i, k)];
-            }
-        }
-        a[at(k, k)] = alpha;
-    }
-    (0..rows * cols_r)
-        .map(|x| {
-            if x % cols_r >= x / cols_r {
-                a[at(x / cols_r, x % cols_r)]
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
-/// In-place LU factorization with partial pivoting of the row-major
-/// `q × q` matrix `a` (the border system, q = 2K + k).
-fn lu_factor(a: &mut [f64], pivots: &mut [usize], q: usize) -> Result<()> {
-    for k in 0..q {
-        let mut p = k;
-        for i in k + 1..q {
-            if a[i * q + k].abs() > a[p * q + k].abs() {
-                p = i;
-            }
-        }
-        let pivot = a[p * q + k];
-        if pivot == 0.0 || !pivot.is_finite() {
-            return Err(DeconvError::NumericalBreakdown(
-                "border system of the λ scan is singular",
-            ));
-        }
-        pivots[k] = p;
-        if p != k {
-            for j in 0..q {
-                a.swap(k * q + j, p * q + j);
-            }
-        }
-        for i in k + 1..q {
-            let f = a[i * q + k] / pivot;
-            a[i * q + k] = f;
-            for j in k + 1..q {
-                a[i * q + j] -= f * a[k * q + j];
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Solves `A·x = b` in place from [`lu_factor`]'s factors.
-fn lu_solve(a: &[f64], pivots: &[usize], q: usize, x: &mut [f64]) {
-    for (k, &p) in pivots.iter().enumerate().take(q) {
-        x.swap(k, p);
-    }
-    for i in 0..q {
-        for j in 0..i {
-            x[i] -= a[i * q + j] * x[j];
-        }
-    }
-    for i in (0..q).rev() {
-        for j in i + 1..q {
-            x[i] -= a[i * q + j] * x[j];
-        }
-        x[i] /= a[i * q + i];
     }
 }
 
@@ -1187,7 +1142,7 @@ pub(crate) mod reference {
     fn dual(ops: &FitOperators, weights: &[f64], g: &[f64], lambda: f64) -> (f64, f64) {
         let frame = &ops.frame;
         let (m, kn) = ops.design.shape();
-        let interior = frame.omega_rr.dim();
+        let interior = frame.interior();
         let at = ops.design.matmul(&coordinates(frame)).unwrap();
         let mut yt = vec![0.0; kn * m];
         for (p, row) in yt.chunks_exact_mut(m).enumerate() {
@@ -1196,11 +1151,7 @@ pub(crate) mod reference {
             }
         }
         let (interior_rows, null_rows) = yt.split_at_mut(interior * m);
-        frame
-            .omega_rr
-            .cholesky()
-            .unwrap()
-            .forward_solve_block(interior_rows, m);
+        frame.omega_chol.forward_solve_block(interior_rows, m);
         let root_l = floored(lambda).sqrt();
         for v in interior_rows.iter_mut() {
             *v /= root_l;
@@ -1258,10 +1209,10 @@ pub(crate) mod reference {
     ) -> (f64, f64) {
         let frame = &ops.frame;
         let (m, kn) = ops.design.shape();
-        let interior = frame.omega_rr.dim();
+        let interior = frame.interior();
         let t = coordinates(frame);
         let at = ops.design.matmul(&t).unwrap();
-        let l = frame.omega_rr.to_dense().cholesky().unwrap();
+        let l = frame.omega_chol.to_dense_factor();
         let lg = null_factor(frame);
         let (root_l, root_e) = (floored(lambda).sqrt(), DeconvolutionConfig::RIDGE.sqrt());
         let x = Matrix::from_fn(m + kn, kn, |row, col| match row {
@@ -1269,7 +1220,7 @@ pub(crate) mod reference {
             r if r < m + interior => {
                 let p = r - m;
                 if col < interior {
-                    root_l * l.factor()[(col, p)]
+                    root_l * l[(col, p)]
                 } else {
                     0.0
                 }
@@ -1341,8 +1292,10 @@ mod tests {
         spectrum.rebuild(&frame, weights).unwrap();
         let mut proj = Vec::new();
         spectrum.project(weights, g, &mut proj);
+        let omega = basis.penalty();
         let series = Series {
             design,
+            omega: &omega,
             equality,
             weights,
             g,

@@ -1,6 +1,6 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
-use cellsync_linalg::{Matrix, Vector};
+use cellsync_linalg::{Matrix, SparseRowMatrix, Vector};
 use cellsync_opt::{QpInstance, QpWorkspace};
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
@@ -128,16 +128,18 @@ impl Deconvolver {
             let grid: Vec<f64> = (0..config.positivity_grid())
                 .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
                 .collect();
-            let p = basis.collocation_matrix(&grid)?;
-            let rhs = Vector::zeros(p.rows());
-            Some((p, rhs))
+            Some(basis.collocation_matrix(&grid)?)
         } else {
             None
         };
         let interior = match &positivity {
-            Some((p, _)) => constraints::interior_direction(p, equality.as_ref().map(|(e, _)| e))?,
+            Some(p) => constraints::interior_direction(p, equality.as_ref().map(|(e, _)| e))?,
             None => None,
         };
+        let positivity = positivity
+            .as_ref()
+            .map(SparseRowMatrix::from_dense)
+            .transpose()?;
 
         let ops = FitOperators::new(
             design,
@@ -261,7 +263,7 @@ impl Deconvolver {
         if let Some((e_mat, e_rhs)) = &self.ops.equality {
             instance = instance.with_equalities(e_mat.clone(), e_rhs.clone())?;
         }
-        if let Some((p_mat, p_rhs)) = &self.ops.positivity {
+        if let Some((p_mat, p_rhs)) = self.ops.positivity_rows() {
             instance = instance
                 .with_inequalities(p_mat.clone(), p_rhs.clone())?
                 .with_active(self.ops.warm_active_rows(&alpha)?)?;
@@ -1617,7 +1619,7 @@ mod tests {
         for v in c.as_mut_slice() {
             *v *= -2.0;
         }
-        let (p, p_rhs) = engine.ops.positivity.as_ref().unwrap();
+        let (p, p_rhs) = engine.ops.positivity_rows().unwrap();
         let mut problem = cellsync_opt::QpProblem::new(&h, &c)
             .unwrap()
             .with_inequalities(p, p_rhs)
@@ -1646,7 +1648,7 @@ mod tests {
                     engine.ops.interior.as_ref().unwrap_or_else(|| {
                         panic!("basis {basis} {conservation}/{rate}: no direction")
                     });
-                let (p, _) = engine.ops.positivity.as_ref().unwrap();
+                let (p, _) = engine.ops.positivity_rows().unwrap();
                 let pd = p.matvec(d).unwrap();
                 let min = pd.iter().cloned().fold(f64::INFINITY, f64::min);
                 assert!(
@@ -1684,7 +1686,7 @@ mod tests {
         // constraint set admits no interior direction.
         let mut engine = fixed_engine(18, true, false);
         let ops = &engine.ops;
-        let (p, _) = ops.positivity.as_ref().unwrap();
+        let (p, _) = ops.positivity_rows().unwrap();
         let pin = Matrix::from_rows(&[p.row(0)]).unwrap();
         assert!(constraints::interior_direction(p, Some(&pin))
             .unwrap()

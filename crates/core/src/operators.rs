@@ -11,6 +11,8 @@
 //! ([`gcv_select`] over the measurement-space scan, or k-fold) and the
 //! same constrained solve.
 
+use std::sync::OnceLock;
+
 use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
 use cellsync_opt::{QpProblem, QpWorkspace};
 use cellsync_runtime::CancelToken;
@@ -131,11 +133,14 @@ pub(crate) struct FitOperators {
     pub(crate) omega: BandedMatrix,
     /// Stacked equality rows with their zero right-hand side.
     pub(crate) equality: Option<(Matrix, Vector)>,
-    /// Positivity collocation matrix with its zero right-hand side.
-    pub(crate) positivity: Option<(Matrix, Vector)>,
-    /// The positivity rows in sparse-row storage (≤ 4 nnz per row): the
-    /// O(rows) feasibility check of the frame's minimizer.
-    sparse_positivity: Option<SparseRowMatrix>,
+    /// The positivity collocation rows (zero right-hand side) in
+    /// sparse-row storage (≤ 4 nnz per row): the O(rows) feasibility
+    /// check of the frame's minimizer.
+    pub(crate) positivity: Option<SparseRowMatrix>,
+    /// The same rows dense, with their zero right-hand side, for the QP:
+    /// built on first use ([`FitOperators::positivity_rows`]), so an
+    /// engine that never runs a QP holds the rows once.
+    positivity_dense: OnceLock<(Matrix, Vector)>,
     /// Interior direction of the constraint set (`E·d = 0`, `P·d > 0`;
     /// [`crate::constraints::interior_direction`]), handed to every QP
     /// so cold solves start strictly inside the positivity cone. `None`
@@ -161,22 +166,18 @@ impl FitOperators {
         omega: BandedMatrix,
         greville: &[f64],
         equality: Option<(Matrix, Vector)>,
-        positivity: Option<(Matrix, Vector)>,
+        positivity: Option<SparseRowMatrix>,
         interior: Option<Vector>,
         config: &DeconvolutionConfig,
     ) -> Result<Self> {
         let frame = Frame::new(&design, &omega, equality.as_ref().map(|(e, _)| e), greville)?;
-        let sparse_positivity = match &positivity {
-            Some((p, _)) => Some(SparseRowMatrix::from_dense(p)?),
-            None => None,
-        };
         Ok(FitOperators {
             unit_weights: vec![1.0; design.rows()],
             design,
             omega,
             equality,
             positivity,
-            sparse_positivity,
+            positivity_dense: OnceLock::new(),
             interior,
             frame,
             selection: config.lambda().clone(),
@@ -231,7 +232,12 @@ impl FitOperators {
             }
         }
         let equality = block_diag(|o| o.equality.as_ref().map(|(e, _)| e));
-        let positivity = block_diag(|o| o.positivity.as_ref().map(|(p, _)| p));
+        let positivity = blocks
+            .iter()
+            .map(|o| o.positivity.as_ref())
+            .collect::<Option<Vec<_>>>()
+            .map(|parts| SparseRowMatrix::block_diagonal(&parts))
+            .transpose()?;
         let interior = blocks
             .iter()
             .map(|o| o.interior.as_ref().map(Vector::as_slice))
@@ -288,6 +294,7 @@ impl FitOperators {
         spectrum.project(weights, g, proj);
         Ok(Series {
             design: &self.design,
+            omega: &self.omega,
             equality: self.equality.as_ref().map(|(e, _)| e),
             weights,
             g,
@@ -377,10 +384,20 @@ impl FitOperators {
     /// `1e-9·(1 + ‖α‖∞)`.
     fn binds(&self, alpha: &Vector) -> Result<bool> {
         let tol = 1e-9 * (1.0 + alpha.norm_inf());
-        Ok(match &self.sparse_positivity {
+        Ok(match &self.positivity {
             Some(p) => p.matvec(alpha)?.iter().any(|&v| v < -tol),
             None => false,
         })
+    }
+
+    /// The dense positivity rows with their zero right-hand side, as the
+    /// QP takes them; `None` without positivity.
+    pub(crate) fn positivity_rows(&self) -> Option<&(Matrix, Vector)> {
+        let sparse = self.positivity.as_ref()?;
+        Some(
+            self.positivity_dense
+                .get_or_init(|| (sparse.to_dense(), Vector::zeros(sparse.rows()))),
+        )
     }
 
     /// The QP Hessian `H = 2(AᵀW²A + λ̄Ω + ε·R)` for weights `weights`,
@@ -424,7 +441,7 @@ impl FitOperators {
         if let Some((e, rhs)) = &self.equality {
             problem = problem.with_equalities(e, rhs)?;
         }
-        if let Some((p, rhs)) = &self.positivity {
+        if let Some((p, rhs)) = self.positivity_rows() {
             problem = problem.with_inequalities(p, rhs)?;
         }
         if let Some(d) = &self.interior {
@@ -438,7 +455,7 @@ impl FitOperators {
     /// active set of a solve warm-started at `alpha`. Empty without
     /// positivity.
     pub(crate) fn warm_active_rows(&self, alpha: &Vector) -> Result<Vec<usize>> {
-        let Some((p, _)) = &self.positivity else {
+        let Some(p) = &self.positivity else {
             return Ok(Vec::new());
         };
         let px = p.matvec(alpha)?;

@@ -4,7 +4,32 @@
 //! Both kernels are update-style loops over contiguous segments: every
 //! output element gets its own independent accumulation chain, so the
 //! optimizer is free to vectorize across elements without changing any
-//! element's rounding. Reductions (dot products) live elsewhere.
+//! element's rounding. The one reduction, [`dot`], keeps four
+//! independent partial sums so its adds pipeline.
+
+/// `aᵀb` over the common length, summed in four interleaved partial
+/// sums (`a[4i + j]·b[4i + j]` into sum `j`), combined as
+/// `(s₀ + s₁) + (s₂ + s₃)`, then the tail: a fixed order, so the result is
+/// deterministic, with a rounding error bound no worse than the
+/// sequential sum's.
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut sums = [0.0; 4];
+    let (mut ca, mut cb) = (a.chunks_exact(4), b.chunks_exact(4));
+    for (x, y) in (&mut ca).zip(&mut cb) {
+        for j in 0..4 {
+            sums[j] += x[j] * y[j];
+        }
+    }
+    let tail: f64 = ca
+        .remainder()
+        .iter()
+        .zip(cb.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    (sums[0] + sums[1]) + (sums[2] + sums[3]) + tail
+}
 
 /// `out[k] += a * x[k]`.
 #[inline]

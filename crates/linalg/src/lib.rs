@@ -20,7 +20,10 @@
 //!
 //! The factorizations expose in-place entry points
 //! ([`CholeskyDecomposition::refactor`] / [`CholeskyDecomposition::solve_in_place`],
-//! [`QrDecomposition::refactor`])
+//! [`QrDecomposition::refactor`], and over raw row-major buffers
+//! [`LuDecomposition::factor_in_place`], [`QrDecomposition::factor_in_place`],
+//! [`SymmetricEigen::decompose_in_place`] and the one-sided Jacobi
+//! refinement [`SymmetricEigen::orthogonalize_rows`])
 //! and the [`Matrix`] product kernels have
 //! `_into` variants ([`Matrix::gram_into`], [`Matrix::weighted_gram_into`],
 //! [`Matrix::matvec_into`], [`Matrix::tr_matvec_into`]) that write into
@@ -68,6 +71,7 @@ pub use banded::{BandedCholesky, BandedMatrix};
 pub use cholesky::CholeskyDecomposition;
 pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
+pub use kernels::dot;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
 pub use qr::QrDecomposition;

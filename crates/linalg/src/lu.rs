@@ -25,9 +25,9 @@ pub struct LuDecomposition {
     /// Packed LU factors: unit-lower-triangular L below the diagonal, U on
     /// and above it.
     lu: Matrix,
-    /// Row permutation: row `i` of the factored matrix is row `perm[i]` of
-    /// the original.
-    perm: Vec<usize>,
+    /// Row swaps: step `k` of the factorization swapped rows `k` and
+    /// `pivots[k]`.
+    pivots: Vec<usize>,
     /// Sign of the permutation (`+1.0` or `-1.0`), used for determinants.
     perm_sign: f64,
 }
@@ -55,15 +55,36 @@ impl LuDecomposition {
         }
         let n = a.rows();
         let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
-        let mut perm_sign = 1.0;
+        let mut pivots = vec![0; n];
+        LuDecomposition::factor_in_place(lu.as_mut_slice(), n, &mut pivots)?;
+        let swaps = pivots.iter().enumerate().filter(|&(k, &p)| p != k).count();
+        let perm_sign = if swaps % 2 == 0 { 1.0 } else { -1.0 };
+        Ok(LuDecomposition {
+            lu,
+            pivots,
+            perm_sign,
+        })
+    }
 
+    /// Factors the row-major `n × n` matrix `a` in place, without
+    /// allocating: on success `a` holds the packed factors (unit-lower L
+    /// below the diagonal, U on and above it) and step `k` swapped rows
+    /// `k` and `pivots[k]` (length `n`). The form a loop over many small
+    /// systems of one size wants; [`LuDecomposition::solve_in_place`]
+    /// solves with the result.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::Singular`] when a pivot is exactly zero,
+    /// [`LinalgError::NonFinite`] when one is not finite; `a` is then
+    /// partly factored.
+    pub fn factor_in_place(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<()> {
         for k in 0..n {
             // Partial pivoting: bring the largest |entry| in column k to row k.
             let mut pivot_row = k;
-            let mut pivot_val = lu[(k, k)].abs();
+            let mut pivot_val = a[k * n + k].abs();
             for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
+                let v = a[i * n + k].abs();
                 if v > pivot_val {
                     pivot_val = v;
                     pivot_row = i;
@@ -72,32 +93,49 @@ impl LuDecomposition {
             if pivot_val == 0.0 {
                 return Err(LinalgError::Singular);
             }
+            if !pivot_val.is_finite() {
+                return Err(LinalgError::NonFinite { op: "lu factor" });
+            }
+            pivots[k] = pivot_row;
             if pivot_row != k {
                 for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
+                    a.swap(k * n + j, pivot_row * n + j);
                 }
-                perm.swap(k, pivot_row);
-                perm_sign = -perm_sign;
             }
-            let pivot = lu[(k, k)];
+            let pivot = a[k * n + k];
             for i in (k + 1)..n {
-                let factor = lu[(i, k)] / pivot;
-                lu[(i, k)] = factor;
+                let factor = a[i * n + k] / pivot;
+                a[i * n + k] = factor;
                 if factor != 0.0 {
                     for j in (k + 1)..n {
-                        let ukj = lu[(k, j)];
-                        lu[(i, j)] -= factor * ukj;
+                        a[i * n + j] -= factor * a[k * n + j];
                     }
                 }
             }
         }
-        Ok(LuDecomposition {
-            lu,
-            perm,
-            perm_sign,
-        })
+        Ok(())
+    }
+
+    /// Solves `A·x = b` in place (`x` holds `b` on entry) from the
+    /// factors and pivots of [`LuDecomposition::factor_in_place`].
+    pub fn solve_in_place(a: &[f64], n: usize, pivots: &[usize], x: &mut [f64]) {
+        for (k, &p) in pivots.iter().enumerate().take(n) {
+            x.swap(k, p);
+        }
+        for i in 1..n {
+            let mut sum = x[i];
+            for j in 0..i {
+                sum -= a[i * n + j] * x[j];
+            }
+            x[i] = sum;
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for j in (i + 1)..n {
+                sum -= a[i * n + j] * x[j];
+            }
+            x[i] = sum / a[i * n + i];
+        }
     }
 
     /// Dimension of the factored matrix.
@@ -119,22 +157,8 @@ impl LuDecomposition {
                 op: "lu solve",
             });
         }
-        // Apply permutation, then forward and backward substitution.
-        let mut x = Vector::from_fn(n, |i| b[self.perm[i]]);
-        for i in 1..n {
-            let mut sum = x[i];
-            for j in 0..i {
-                sum -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = sum;
-        }
-        for i in (0..n).rev() {
-            let mut sum = x[i];
-            for j in (i + 1)..n {
-                sum -= self.lu[(i, j)] * x[j];
-            }
-            x[i] = sum / self.lu[(i, i)];
-        }
+        let mut x = b.clone();
+        LuDecomposition::solve_in_place(self.lu.as_slice(), n, &self.pivots, x.as_mut_slice());
         Ok(x)
     }
 
@@ -253,5 +277,23 @@ mod tests {
         let inv2 = lu.solve_matrix(&Matrix::identity(2)).unwrap();
         assert_eq!(inv1, inv2);
         assert!(lu.solve_matrix(&Matrix::zeros(3, 1)).is_err());
+    }
+
+    #[test]
+    fn in_place_factor_and_solve_match_the_decomposition() {
+        let a =
+            Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[1.0, 1.0, -3.0], &[4.0, -1.0, 2.0]]).unwrap();
+        let b = Vector::from_slice(&[1.0, -2.0, 0.5]);
+        let mut packed = a.as_slice().to_vec();
+        let mut pivots = vec![0; 3];
+        LuDecomposition::factor_in_place(&mut packed, 3, &mut pivots).unwrap();
+        let mut x = b.as_slice().to_vec();
+        LuDecomposition::solve_in_place(&packed, 3, &pivots, &mut x);
+        assert_eq!(x.as_slice(), a.lu().unwrap().solve(&b).unwrap().as_slice());
+        let mut singular = vec![1.0, 2.0, 2.0, 4.0];
+        assert_eq!(
+            LuDecomposition::factor_in_place(&mut singular, 2, &mut [0; 2]),
+            Err(LinalgError::Singular)
+        );
     }
 }

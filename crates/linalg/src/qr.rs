@@ -44,10 +44,9 @@ impl QrDecomposition {
     }
 
     /// Re-factors `a` into this decomposition's existing `Q`/`R` storage —
-    /// the no-allocation path for workspaces that factor same-shaped
-    /// matrices repeatedly (active-set iterations, fold loops). A single
-    /// `m`-length Householder scratch vector is the only allocation, and
-    /// only when `m` grows.
+    /// the path for workspaces that factor same-shaped matrices
+    /// repeatedly. A column-major copy of `a` and two short vectors (the
+    /// reflector scales and one column of `Q`) are its only allocations.
     ///
     /// On error the factors are unspecified; refactor again before use.
     ///
@@ -63,67 +62,84 @@ impl QrDecomposition {
                 "matrix entries must be finite",
             ));
         }
-        let m = a.rows();
-        let n = a.cols();
-        self.r.copy_from(a);
-        self.q.reset_zeroed(m, m);
-        for i in 0..m {
-            self.q[(i, i)] = 1.0;
-        }
-        let r = &mut self.r;
-        let q = &mut self.q;
-        let mut v = vec![0.0; m];
-
-        for k in 0..n.min(m.saturating_sub(1)) {
-            // Build the Householder vector for column k.
-            let mut norm = 0.0_f64;
-            for i in k..m {
-                norm = norm.hypot(r[(i, k)]);
-            }
-            if norm == 0.0 {
-                continue; // column already zero below the diagonal
-            }
-            let alpha = if r[(k, k)] > 0.0 { -norm } else { norm };
-            v[k] = r[(k, k)] - alpha;
-            for i in (k + 1)..m {
-                v[i] = r[(i, k)];
-            }
-            let vnorm2: f64 = v[k..].iter().map(|x| x * x).sum();
-            if vnorm2 == 0.0 {
-                continue;
-            }
-            // Apply H = I - 2vvᵀ/(vᵀv) to R (columns k..n).
-            for j in k..n {
-                let mut dot = 0.0;
-                for i in k..m {
-                    dot += v[i] * r[(i, j)];
-                }
-                let f = 2.0 * dot / vnorm2;
-                for i in k..m {
-                    r[(i, j)] -= f * v[i];
-                }
-            }
-            // Accumulate Q ← Q·H (apply H to Q's columns from the right).
-            for i in 0..m {
-                let mut dot = 0.0;
-                for l in k..m {
-                    dot += q[(i, l)] * v[l];
-                }
-                let f = 2.0 * dot / vnorm2;
-                for l in k..m {
-                    q[(i, l)] -= f * v[l];
-                }
-            }
-        }
-        // Clean tiny subdiagonal residue so `r` is exactly triangular.
+        let (m, n) = a.shape();
+        let mut packed: Vec<f64> = (0..m * n).map(|x| a[(x % m, x / m)]).collect();
+        let mut tau = vec![0.0; n.min(m)];
+        let reflectors = QrDecomposition::factor_in_place(&mut packed, m, n, &mut tau);
+        self.r.reset_zeroed(m, n);
         for j in 0..n {
-            for i in (j + 1)..m {
-                if r[(i, j)].abs() < 1e-300 {
-                    r[(i, j)] = 0.0;
-                }
+            for i in 0..=j.min(m - 1) {
+                self.r[(i, j)] = packed[j * m + i];
+            }
+        }
+        // Q = H₀⋯H_{p−1}, column by column.
+        self.q.reset_zeroed(m, m);
+        let mut column = vec![0.0; m];
+        for j in 0..m {
+            column.fill(0.0);
+            column[j] = 1.0;
+            QrDecomposition::apply_q_in_place(&packed, &tau[..reflectors], &mut column);
+            for (i, &v) in column.iter().enumerate() {
+                self.q[(i, j)] = v;
             }
         }
         Ok(())
+    }
+
+    /// Householder QR of the first `factored` columns of the column-major
+    /// `rows × width` matrix `a` (column `j` at `a[j·rows..(j + 1)·rows]`,
+    /// `width = a.len() / rows`), in place and without allocating. Each
+    /// reflector is applied to all `width` columns, so trailing columns
+    /// come out as `Qᵀ` times themselves. Returns the reflector count
+    /// `p = min(factored, rows − 1)`. On return the upper triangle of the
+    /// first `factored` columns holds `R`; below its diagonal, column `k`
+    /// holds the Householder vector `vₖ` (its leading unit entry implied)
+    /// and `tau[k]` its scale, so that `Hₖ = I − τₖvₖvₖᵀ` and
+    /// `Q = H₀⋯H_{p−1}`. `tau` needs at least `p` entries.
+    pub fn factor_in_place(a: &mut [f64], rows: usize, factored: usize, tau: &mut [f64]) -> usize {
+        let reflectors = factored.min(rows.saturating_sub(1));
+        for k in 0..reflectors {
+            let (done, rest) = a.split_at_mut((k + 1) * rows);
+            let column = &mut done[k * rows..];
+            let norm = crate::dot(&column[k..], &column[k..]).sqrt();
+            if norm == 0.0 {
+                tau[k] = 0.0; // column already zero below the diagonal
+                continue;
+            }
+            let head = column[k];
+            let alpha = if head > 0.0 { -norm } else { norm };
+            // v = (head − α, a[k+1.., k]) scaled to a unit head; with
+            // vᵀv = −2α(head − α), H = I − 2vvᵀ/(vᵀv) has τ = (α − head)/α.
+            let v0 = head - alpha;
+            for x in &mut column[k + 1..] {
+                *x /= v0;
+            }
+            tau[k] = -v0 / alpha;
+            column[k] = alpha;
+            let v = &column[k + 1..];
+            for cj in rest.chunks_exact_mut(rows) {
+                reflect_with(v, k, tau[k], cj);
+            }
+        }
+        reflectors
+    }
+
+    /// `x ← Qᵀx` for the reflectors of [`QrDecomposition::factor_in_place`]
+    /// (`a` with `x.len()` rows, one reflector per entry of `tau`).
+    pub fn apply_qt_in_place(a: &[f64], tau: &[f64], x: &mut [f64]) {
+        let rows = x.len();
+        for (k, &t) in tau.iter().enumerate() {
+            reflect_with(&a[k * rows + k + 1..(k + 1) * rows], k, t, x);
+        }
+    }
+
+    /// `x ← Q·x` for the reflectors of [`QrDecomposition::factor_in_place`]
+    /// (the inverse of [`QrDecomposition::apply_qt_in_place`]).
+    pub fn apply_q_in_place(a: &[f64], tau: &[f64], x: &mut [f64]) {
+        let rows = x.len();
+        for (k, &t) in tau.iter().enumerate().rev() {
+            reflect_with(&a[k * rows + k + 1..(k + 1) * rows], k, t, x);
+        }
     }
 
     /// The full orthogonal factor `Q` (`m × m`).
@@ -174,6 +190,18 @@ impl QrDecomposition {
             x[i] = sum / rii;
         }
         Ok(x)
+    }
+}
+
+/// `x ← Hₖx = x − τₖvₖ(vₖᵀx)`, with `vₖ = (0, …, 0, 1, v)` (the unit at
+/// entry `k`).
+fn reflect_with(v: &[f64], k: usize, tau: f64, x: &mut [f64]) {
+    let (head, tail) = x[k..].split_at_mut(1);
+    let dot = head[0] + crate::dot(v, tail);
+    let f = tau * dot;
+    head[0] -= f;
+    for (x, &vi) in tail.iter_mut().zip(v) {
+        *x -= f * vi;
     }
 }
 
@@ -267,5 +295,46 @@ mod tests {
         let a = Matrix::from_fn(4, 2, |i, j| (i + j) as f64 + 1.0);
         let qr = a.qr().unwrap();
         assert!(qr.solve_least_squares(&Vector::zeros(3)).is_err());
+    }
+
+    #[test]
+    fn in_place_factor_carries_trailing_columns_and_inverts() {
+        // Factoring the first 4 of 6 columns leaves R over them and Qᵀ
+        // applied to the other 2; Q and Qᵀ are inverses.
+        let a = Matrix::from_fn(7, 6, |i, j| {
+            ((i * 5 + j * 3) % 11) as f64 - 4.0 + 0.1 * j as f64
+        });
+        let mut packed: Vec<f64> = (0..42).map(|x| a[(x % 7, x / 7)]).collect();
+        let mut tau = vec![0.0; 4];
+        let p = QrDecomposition::factor_in_place(&mut packed, 7, 4, &mut tau);
+        assert_eq!(p, 4);
+        let mut q = Matrix::zeros(7, 7);
+        for j in 0..7 {
+            let mut e = vec![0.0; 7];
+            e[j] = 1.0;
+            QrDecomposition::apply_q_in_place(&packed, &tau, &mut e);
+            for (i, v) in e.iter().enumerate() {
+                q[(i, j)] = *v;
+            }
+        }
+        assert!(orthogonality_error(&q) < 1e-13);
+        let qta = q.transpose().matmul(&a).unwrap();
+        for i in 0..7 {
+            for j in 0..6 {
+                let expected = if j < 4 && i > j {
+                    0.0
+                } else {
+                    packed[j * 7 + i]
+                };
+                assert!((qta[(i, j)] - expected).abs() < 1e-12, "({i}, {j})");
+            }
+        }
+        let x: Vec<f64> = (0..7).map(|i| (i as f64).sin()).collect();
+        let mut y = x.clone();
+        QrDecomposition::apply_qt_in_place(&packed, &tau, &mut y);
+        QrDecomposition::apply_q_in_place(&packed, &tau, &mut y);
+        for (u, v) in x.iter().zip(&y) {
+            assert!((u - v).abs() < 1e-14);
+        }
     }
 }

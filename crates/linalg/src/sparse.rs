@@ -100,6 +100,40 @@ impl SparseRowMatrix {
         })
     }
 
+    /// The block-diagonal matrix `blockdiag(B₁, …, B_K)`, assembled
+    /// straight into compressed rows.
+    ///
+    /// # Errors
+    ///
+    /// [`LinalgError::Empty`] without blocks.
+    pub fn block_diagonal(blocks: &[&SparseRowMatrix]) -> Result<Self> {
+        if blocks.is_empty() {
+            return Err(LinalgError::Empty);
+        }
+        let rows = blocks.iter().map(|b| b.rows).sum();
+        let nnz = blocks.iter().map(|b| b.nnz()).sum();
+        let mut indptr = Vec::with_capacity(rows + 1);
+        let (mut indices, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        indptr.push(0);
+        let mut offset = 0;
+        for block in blocks {
+            for r in 0..block.rows {
+                let (cols, vals) = block.row(r);
+                indices.extend(cols.iter().map(|c| c + offset));
+                values.extend_from_slice(vals);
+                indptr.push(indices.len());
+            }
+            offset += block.cols;
+        }
+        Ok(SparseRowMatrix {
+            rows,
+            cols: offset,
+            indptr,
+            indices,
+            values,
+        })
+    }
+
     /// Compresses a dense matrix, dropping exact zeros.
     ///
     /// # Errors
