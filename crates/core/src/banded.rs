@@ -43,13 +43,25 @@
 //! λ then costs O(m·q² + q³) ([`Frame::gcv_score`]). The multiplier
 //! block of `𝒮`, `Σ sᵢC̃ᵢC̃ᵢᵀ − λ̄J₀`, is formed as the equal
 //! `−λ̄(Σ sᵢf̂ᵢf̂ᵢᵀ + J_rest)` (`W·Rᵀf` has coordinates `σᵢf̂ᵢ` in the
-//! basis), because its two O(λ̄) terms cancel to O(λ̄²/γ). The minimizer at the
-//! selected λ is assembled from the same `r` and `z`
-//! ([`Frame::minimizer`]), then polished by iterative refinement
-//! ([`Frame::polish`]); `docs/SOLVER.md` derives all of it.
+//! basis), because its two O(λ̄) terms cancel to O(λ̄²/γ).
+//!
+//! The minimizer at the selected λ comes from the same eigenbasis in
+//! closed form ([`Frame::minimizer`]): with `B = R·W = Σ σᵢuᵢvᵢᵀ`,
+//! `tᵢ = vᵢᵀd − C̃ᵢ·z` the data less the border and `z = (c, z′)` the
+//! scaled border solution,
+//!
+//! ```text
+//! β = L⁻ᵀ(Q₁·Σᵢ uᵢσᵢtᵢ/(λ̄ + γᵢ) + L⁻¹E_rᵀz′),   α = N·c + (0, β, 0)
+//! ```
+//!
+//! over the eigen rows only. Nothing is divided by λ̄
+//! (`σ/(λ̄ + σ²) ≤ 1/(2√λ̄)`), so no refinement follows; one projection
+//! in the `Ω_rr` metric removes the rounding the multipliers carry into
+//! `E·α`. `docs/SOLVER.md` derives all of it.
 
 use cellsync_linalg::{
-    BandedCholesky, BandedMatrix, LuDecomposition, Matrix, QrDecomposition, SymmetricEigen, Vector,
+    BandedCholesky, BandedMatrix, CholeskyDecomposition, LuDecomposition, Matrix, QrDecomposition,
+    SymmetricEigen, Vector,
 };
 
 use crate::{DeconvError, DeconvolutionConfig, Result};
@@ -63,8 +75,9 @@ pub(crate) fn floored(lambda: f64) -> f64 {
 }
 
 /// The engine's λ-independent frame: the factor of the interior
-/// penalty, the null basis, and the measurement-space operators `R`,
-/// `A·N`, `f`, `E·N` and `f₂ᵀf₂`, built once per engine.
+/// penalty, the null basis, the measurement-space operators `R`,
+/// `A·N`, `f`, `E·N` and `f₂ᵀf₂`, and what the minimizer lifts through
+/// (`Q₁`, `L⁻¹E_rᵀ`, the factor of `J₀`), built once per engine.
 #[derive(Debug, Clone)]
 pub(crate) struct Frame {
     /// Coefficients per block.
@@ -95,6 +108,13 @@ pub(crate) struct Frame {
     eq_rest: Vec<f64>,
     /// `E·N`, `k × 2K` row-major.
     en: Vec<f64>,
+    /// `Q₁` of `L⁻¹A_rᵀ = Q₁R` (`K(n − 2) × rows` row-major).
+    q1: Vec<f64>,
+    /// `F = L⁻¹E_rᵀ` (`K(n − 2) × k` row-major).
+    eq_white: Vec<f64>,
+    /// The Cholesky factor of `J₀ = FᵀF = E_rΩ_rr⁻¹E_rᵀ`; `None`
+    /// without equality rows.
+    j0: Option<CholeskyDecomposition>,
     /// The spectrum of unit weights, shared by every unit-weight series.
     pub(crate) unit: Spectrum,
 }
@@ -127,9 +147,11 @@ pub(crate) struct Spectrum {
     /// followed by `Σ C̃ᵢC̃ᵢᵀ` over the null rows (where `s = 1` at every
     /// λ) as a packed lower triangle.
     border: Vec<f64>,
-    /// `f̂ = Uᵀf` over the eigen rows (`r × k`): the multiplier columns
-    /// of the border are `σᵢf̂ᵢ` there and zero on the null rows.
-    fhat: Vec<f64>,
+    /// `(f̂ᵢ, uᵢ)` per eigen row (`r × (k + rows)`): `f̂ = Uᵀf`, so the
+    /// multiplier columns of the border are `σᵢf̂ᵢ` there and zero on the
+    /// null rows, and `uᵢ` the left singular vector of `B` the minimizer
+    /// lifts through.
+    left: Vec<f64>,
     /// `J_rest = f₂ᵀf₂ + Σ f̂ᵢf̂ᵢᵀ` over the rows dropped as null (`k × k`).
     rest: Vec<f64>,
     /// Rank r: the eigen rows before the null rows.
@@ -144,8 +166,9 @@ pub(crate) struct Spectrum {
     column: Vec<f64>,
 }
 
-/// Per-λ scratch of the scan: shrink factors, the residual in the
-/// eigenbasis and the factored `q × q` border system.
+/// Per-λ scratch of the scan and the minimizer: shrink factors, the
+/// residual in the eigenbasis, the factored `q × q` border system and
+/// the minimizer's vectors.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ScanScratch {
     /// `s = λ̄/(λ̄ + γ)`.
@@ -162,41 +185,26 @@ pub(crate) struct ScanScratch {
     z: Vec<f64>,
     /// Column scratch of the edf trace.
     x: Vec<f64>,
+    /// `y = Σ uᵢσᵢtᵢ/(λ̄ + γᵢ)` (rows).
+    y: Vec<f64>,
+    /// `β`, built as `η = Q₁y + L⁻¹E_rᵀz′` (`K(n − 2)`).
+    beta: Vec<f64>,
+    /// The equality projection: `E·α`, then `J₀⁻¹E·α` (k).
+    eq: Vector,
+    /// The projection step `L⁻ᵀ·L⁻¹E_rᵀ·J₀⁻¹E·α` (`K(n − 2)`).
+    step: Vec<f64>,
 }
 
-/// One series on a [`Frame`]: the problem's design and equality rows, the
-/// fit's weights and data, and its spectrum with the projected data
+/// One series on a [`Frame`]: the problem's equality rows, the fit's
+/// weights and data, and its spectrum with the projected data
 /// `Vᵀ·W·g`. A k-fold training fold is the fit with zero weight on its
 /// held-out rows.
 pub(crate) struct Series<'a> {
-    pub(crate) design: &'a Matrix,
-    /// The full banded penalty `blockdiag(Ωₖ)`.
-    pub(crate) omega: &'a BandedMatrix,
     pub(crate) equality: Option<&'a Matrix>,
     pub(crate) weights: &'a [f64],
     pub(crate) g: &'a [f64],
     pub(crate) spectrum: &'a Spectrum,
     pub(crate) proj: &'a [f64],
-}
-
-/// The frame's minimizer at one λ, before refinement: the interior
-/// `β`, the border `z = (c, γ)` and `α = N·c + (0, β, 0)`.
-pub(crate) struct Minimizer {
-    beta: Vec<f64>,
-    z: Vec<f64>,
-    pub(crate) alpha: Vector,
-}
-
-/// Iterative-refinement corrections [`Frame::polish`] may spend on one α.
-const MAX_POLISH: usize = 4;
-
-/// The residual of the bordered normal equations at one `(β, z)`.
-struct Residual {
-    /// `e = d − Bα`.
-    e: Vector,
-    rho_beta: Vec<f64>,
-    /// `‖(ρ_β, ρ_z)‖₂`.
-    norm: f64,
 }
 
 impl Frame {
@@ -235,7 +243,7 @@ impl Frame {
         let null_gram = [[1.0 + dot(&l0, &l0), off], [off, 1.0 + dot(&l1, &l1)]];
 
         // L⁻¹[A_rᵀ, E_rᵀ], then (column-major) its Householder QR over
-        // the first m columns, in place (no Q): R, f and f₂ in one pass.
+        // the first m columns, in place: R, f and f₂ in one pass.
         let eq: Vec<&[f64]> =
             equality.map_or(Vec::new(), |e| (0..e.rows()).map(|l| e.row(l)).collect());
         let k = eq.len();
@@ -251,14 +259,41 @@ impl Frame {
             }
         }
         omega_chol.forward_solve_block(&mut y, cols);
+        let eq_white: Vec<f64> = y
+            .chunks_exact(cols)
+            .flat_map(|r| &r[m..])
+            .copied()
+            .collect();
         let mut packed: Vec<f64> = (0..interior * cols)
             .map(|x| y[(x % interior) * cols + x / interior])
             .collect();
         drop(y);
-        let mut tau = vec![0.0; m.min(interior)];
-        QrDecomposition::factor_in_place(&mut packed, interior, m, &mut tau);
-        let at = |i: usize, j: usize| packed[j * interior + i];
         let rows = interior.min(m);
+        let mut tau = vec![0.0; rows];
+        QrDecomposition::factor_in_place(&mut packed, interior, m, &mut tau);
+        // Q₁ column by column: Q·eⱼ through the reflectors.
+        let mut q1 = vec![0.0; interior * rows];
+        let mut column = vec![0.0; interior];
+        for j in 0..rows {
+            column.fill(0.0);
+            column[j] = 1.0;
+            QrDecomposition::apply_q_in_place(&packed, &tau, &mut column);
+            for (out, &v) in q1.chunks_exact_mut(rows).zip(&column) {
+                out[j] = v;
+            }
+        }
+        let j0 = (k > 0)
+            .then(|| {
+                let col = |l: usize| eq_white.iter().skip(l).step_by(k);
+                let j0 = Matrix::from_fn(k, k, |a, b| col(a).zip(col(b)).map(|(x, y)| x * y).sum());
+                CholeskyDecomposition::new(&j0).map_err(|_| {
+                    DeconvError::NumericalBreakdown(
+                        "equality rows are not independent on the interior coefficients",
+                    )
+                })
+            })
+            .transpose()?;
+        let at = |i: usize, j: usize| packed[j * interior + i];
         let root = (0..rows * m)
             .map(|x| {
                 if x % m >= x / m {
@@ -299,6 +334,9 @@ impl Frame {
             eq_root,
             eq_rest,
             en,
+            q1,
+            eq_white,
+            j0,
             unit: Spectrum::default(),
         };
         let mut unit = Spectrum::default();
@@ -313,66 +351,20 @@ impl Frame {
         2 * self.blocks + self.k
     }
 
-    /// Coefficient index of interior position `p`.
-    fn coef(&self, p: usize) -> usize {
-        let nr = self.n - 2;
-        (p / nr) * self.n + 1 + p % nr
-    }
-
-    /// `α = N·c + (0, β, 0)`, block by block.
-    fn assemble(&self, beta: &[f64], c: &[f64]) -> Vector {
+    /// Writes `α = N·c + (0, β, 0)` into `alpha`, block by block.
+    fn assemble(&self, beta: &[f64], c: &[f64], alpha: &mut [f64]) {
         let (n, nr) = (self.n, self.n - 2);
         let [l0, l1] = &self.null_interior;
-        let mut alpha = Vector::zeros(n * self.blocks);
-        for (b, block) in alpha.as_mut_slice().chunks_exact_mut(n).enumerate() {
-            let (c0, c1) = (c[2 * b], c[2 * b + 1]);
-            block[0] = c0;
-            block[n - 1] = c1;
-            for j in 0..nr {
-                let interior = beta.get(b * nr + j).copied().unwrap_or(0.0);
-                block[1 + j] = interior + c0 * l0[j] + c1 * l1[j];
+        for ((block, beta), c) in alpha
+            .chunks_exact_mut(n)
+            .zip(beta.chunks_exact(nr))
+            .zip(c.chunks_exact(2))
+        {
+            block[0] = c[0];
+            block[n - 1] = c[1];
+            for (j, &b) in beta.iter().enumerate() {
+                block[1 + j] = b + c[0] * l0[j] + c[1] * l1[j];
             }
-        }
-        alpha
-    }
-
-    /// `Nᵀh` for a full-length `h` (`N` is the identity at the ends).
-    fn null_t(&self, h: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(2 * self.blocks);
-        push_null_t(&self.null_interior, h, &mut out);
-        out
-    }
-
-    /// Interior coefficient count `K(n − 2)`.
-    fn interior(&self) -> usize {
-        self.blocks * (self.n - 2)
-    }
-
-    /// The interior entries of a full-length `h`.
-    fn interior_of(&self, h: &[f64]) -> Vec<f64> {
-        (0..self.interior()).map(|p| h[self.coef(p)]).collect()
-    }
-
-    /// `Aᵀ·W·x` (full length).
-    fn design_t(&self, series: &Series<'_>, x: &[f64]) -> Result<Vector> {
-        let wx = Vector::from_fn(x.len(), |i| series.weights[i] * x[i]);
-        Ok(series.design.tr_matvec(&wx)?)
-    }
-
-    /// `W·A·α`.
-    fn design_w(&self, series: &Series<'_>, alpha: &Vector) -> Result<Vector> {
-        let mut out = series.design.matvec(alpha)?;
-        for (v, w) in out.as_mut_slice().iter_mut().zip(series.weights) {
-            *v *= w;
-        }
-        Ok(out)
-    }
-
-    /// `Eᵀγ` (full length; zero without equality rows).
-    fn equality_t(&self, series: &Series<'_>, gamma: &[f64]) -> Result<Vector> {
-        match series.equality {
-            Some(e) => Ok(e.tr_matvec(&Vector::from_slice(gamma))?),
-            None => Ok(Vector::zeros(self.n * self.blocks)),
         }
     }
 
@@ -411,6 +403,7 @@ impl Frame {
             q2,
             z,
             x,
+            ..
         } = scan;
         s.resize(m, 0.0);
         resid.resize(m, 0.0);
@@ -458,7 +451,7 @@ impl Frame {
         for l in 0..k {
             for l2 in 0..k {
                 let mut v = sp.rest[l * k + l2];
-                for (f, &si) in sp.fhat.chunks_exact(k).zip(s.iter()) {
+                for (f, &si) in sp.left.chunks_exact(k + self.rows).zip(s.iter()) {
                     v += si * f[l] * f[l2];
                 }
                 schur[(nk + l) * q + nk + l2] = -lb * v;
@@ -524,225 +517,71 @@ impl Frame {
     }
 
     /// The equality-constrained (positivity-unconstrained) minimizer at
-    /// `lambda`, from the scan's `r` and `z`: `β = S⁻¹(B_rᵀr − Uz)` and
-    /// `α = N·c + (0, β, 0)`, unpolished ([`Frame::polish`]). Leaves the
-    /// scan's factors at `lambda` in `scan`.
+    /// `lambda`, in closed form from the scan's border solution
+    /// `z = (c, z′)`: `β = L⁻ᵀ(Q₁y + L⁻¹E_rᵀz′)` with
+    /// `y = Σ uᵢσᵢtᵢ/(λ̄ + γᵢ)` over the eigen rows, `tᵢ = vᵢᵀd − C̃ᵢ·z`,
+    /// and `α = N·c + (0, β, 0)`. `z′` grows like 1/λ̄ and carries its
+    /// rounding into `E·α`, so one projection in the `Ω_rr` metric,
+    /// `β ← β − L⁻ᵀ·L⁻¹E_rᵀ·J₀⁻¹·E·α`, restores the equalities. Leaves the
+    /// scan's factors at `lambda` in `scan`; allocates only α.
     pub(crate) fn minimizer(
         &self,
         series: &Series<'_>,
         lambda: f64,
         scan: &mut ScanScratch,
-    ) -> Result<Minimizer> {
+    ) -> Result<Vector> {
         self.evaluate(series, lambda, scan)?;
         let lb = floored(lambda);
-        let nk = 2 * self.blocks;
-        let r = series.spectrum.rotate(&scan.resid);
-        let z: Vec<f64> = scan
-            .z
-            .iter()
-            .enumerate()
-            .map(|(a, &v)| if a < nk { v } else { -lb * v })
-            .collect();
-        let zeros = vec![0.0; self.interior()];
-        let mut beta = self.rho_beta(series, lb, r.as_slice(), &zeros, &z)?;
-        self.interior_solve(&mut beta, lb);
-        let alpha = self.assemble(&beta, &z[..nk]);
-        Ok(Minimizer { beta, z, alpha })
-    }
-
-    /// Polishes a [`Frame::minimizer`] by iterative refinement; `scan`
-    /// must still hold that minimizer's factors.
-    ///
-    /// One correction reaches rounding level unless λ̄ is tiny: there
-    /// `S⁻¹B_rᵀ` amplifies the rounding of `r`, the Woodbury correction
-    /// is itself only a few digits accurate and the refinement contracts
-    /// slowly and not monotonically, so up to [`MAX_POLISH`] corrections
-    /// run (stopping once the residual is at rounding level) and the
-    /// iterate with the smallest residual is kept.
-    pub(crate) fn polish(
-        &self,
-        series: &Series<'_>,
-        lambda: f64,
-        scan: &ScanScratch,
-        start: Minimizer,
-    ) -> Result<Vector> {
-        let (lb, nk) = (floored(lambda), 2 * self.blocks);
-        let Minimizer {
-            mut beta, mut z, ..
-        } = start;
-        let wg: Vec<f64> = series
-            .weights
-            .iter()
-            .zip(series.g)
-            .map(|(w, g)| w * g)
-            .collect();
-        let h = self.design_t(series, &wg)?;
-        let norm = |v: Vec<f64>| dot(&v, &v).sqrt();
-        let floor =
-            1e-14 * (norm(self.interior_of(h.as_slice())) + norm(self.null_t(h.as_slice())));
-        let mut res = self.residual(series, lb, &beta, &z)?;
-        let mut best = (res.norm, self.assemble(&beta, &z[..nk]));
-        for _ in 0..MAX_POLISH {
-            if res.norm <= floor {
-                break;
-            }
-            (beta, z) = self.correct(series, lb, scan, &res, &beta, &z)?;
-            res = self.residual(series, lb, &beta, &z)?;
-            if res.norm < best.0 {
-                best = (res.norm, self.assemble(&beta, &z[..nk]));
-            }
-        }
-        Ok(best.1)
-    }
-
-    /// `v ← S⁻¹v = Ω_rr⁻¹v/λ̄`.
-    fn interior_solve(&self, v: &mut [f64], lb: f64) {
-        self.omega_chol.solve_slice_in_place(v);
-        for x in v.iter_mut() {
-            *x /= lb;
-        }
-    }
-
-    /// `ρ_β = B_rᵀx − E_rᵀγ − Sβ` for the m-vector `x`.
-    fn rho_beta(
-        &self,
-        series: &Series<'_>,
-        lb: f64,
-        x: &[f64],
-        beta: &[f64],
-        z: &[f64],
-    ) -> Result<Vec<f64>> {
-        let h = self.design_t(series, x)?;
-        let eg = self.equality_t(series, &z[2 * self.blocks..])?;
-        // Ω_rr·β is the interior of Ω·(0, β, 0).
-        let zeros = vec![0.0; 2 * self.blocks];
-        let s_beta = series.omega.matvec(&self.assemble(beta, &zeros))?;
-        Ok((0..beta.len())
-            .map(|p| {
-                let j = self.coef(p);
-                h[j] - eg[j] - lb * s_beta[j]
-            })
-            .collect())
-    }
-
-    /// `ρ_z = (Nᵀ(B ᵀx − Eᵀγ) − εNᵀN·c, −E·α(β, c))` for the m-vector
-    /// `x`: the border rows of the normal equations.
-    fn rho_z(&self, series: &Series<'_>, x: &[f64], beta: &[f64], z: &[f64]) -> Result<Vec<f64>> {
-        let nk = 2 * self.blocks;
-        let h = self.design_t(series, x)?;
-        let eg = self.equality_t(series, &z[nk..])?;
-        let mut out: Vec<f64> = self
-            .null_t(h.as_slice())
-            .iter()
-            .zip(self.null_t(eg.as_slice()))
-            .map(|(a, b)| a - b)
-            .collect();
-        for b in 0..self.blocks {
-            for xi in 0..2 {
-                out[2 * b + xi] -= DeconvolutionConfig::RIDGE
-                    * (self.null_gram[xi][0] * z[2 * b] + self.null_gram[xi][1] * z[2 * b + 1]);
-            }
-        }
-        if let Some(e) = series.equality {
-            let ea = e.matvec(&self.assemble(beta, &z[..nk]))?;
-            out.extend(ea.iter().map(|v| -v));
-        }
-        Ok(out)
-    }
-
-    /// The residual of the bordered normal equations
-    /// `[[K_r, W], [Wᵀ, D]]·(β, z) = (B_rᵀd, Gᵀd)` at `(β, z)`, with
-    /// `K_r = S + B_rᵀB_r`, `G = [B·N, 0]`, `W = U + B_rᵀG` and
-    /// `D = D₀ + GᵀG`, formed from `e = d − Bα`. At small λ̄, `S⁻¹B_rᵀ`
-    /// amplifies the rounding of `r` into β; this residual is accurate,
-    /// and the same factors solve for the correction
-    /// ([`Frame::correct`]).
-    fn residual(&self, series: &Series<'_>, lb: f64, beta: &[f64], z: &[f64]) -> Result<Residual> {
-        let alpha = self.assemble(beta, &z[..2 * self.blocks]);
-        let mut e = self.design_w(series, &alpha)?;
-        for (v, (&w, &g)) in e
-            .as_mut_slice()
-            .iter_mut()
-            .zip(series.weights.iter().zip(series.g))
-        {
-            *v = w * g - *v;
-        }
-        let rho_beta = self.rho_beta(series, lb, e.as_slice(), beta, z)?;
-        let rho_z = self.rho_z(series, e.as_slice(), beta, z)?;
-        let norm = (dot(&rho_beta, &rho_beta) + dot(&rho_z, &rho_z)).sqrt();
-        Ok(Residual { e, rho_beta, norm })
-    }
-
-    /// One step of iterative refinement: `δz = 𝒮⁻¹(ρ_z − Wᵀ·K_r⁻¹ρ_β)`
-    /// and `δβ = K_r⁻¹(ρ_β − W·δz)`, returning `(β + δβ, z + δz)`.
-    fn correct(
-        &self,
-        series: &Series<'_>,
-        lb: f64,
-        scan: &ScanScratch,
-        res: &Residual,
-        beta: &[f64],
-        z: &[f64],
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        let nk = 2 * self.blocks;
-        let t = self.kr_solve(series, lb, scan, &res.rho_beta)?;
-        // ρ_z − Wᵀt is formed from e − B_r·t, which keeps the
-        // cancellation inside one residual.
-        let bt = self.design_w(series, &self.assemble(&t, &vec![0.0; nk]))?;
-        let e_t: Vec<f64> = res.e.iter().zip(bt.iter()).map(|(e, b)| e - b).collect();
-        let beta_t: Vec<f64> = beta.iter().zip(&t).map(|(b, t)| b + t).collect();
-        let rz = self.rho_z(series, &e_t, &beta_t, z)?;
-        // 𝒮⁻¹ = T·𝒮′⁻¹·T with T = diag(1, …, 1, −λ̄, …, −λ̄).
-        let scale = |v: &mut [f64]| {
-            for x in &mut v[nk..] {
-                *x *= -lb;
-            }
-        };
-        let mut dz = rz;
-        scale(&mut dz);
-        LuDecomposition::solve_in_place(&scan.schur, dz.len(), &scan.pivots, &mut dz);
-        scale(&mut dz);
-        // ρ_β − W·δz = ρ_β − B_rᵀ·B·N·δc − E_rᵀ·δγ.
-        let bn = self.design_w(series, &self.assemble(&[], &dz[..nk]))?;
-        let minus_bn: Vec<f64> = bn.iter().map(|v| -v).collect();
-        let v: Vec<f64> = self
-            .rho_beta(series, lb, &minus_bn, &vec![0.0; beta.len()], &dz)?
-            .iter()
-            .zip(&res.rho_beta)
-            .map(|(a, b)| a + b)
-            .collect();
-        let db = self.kr_solve(series, lb, scan, &v)?;
-        Ok((
-            beta.iter().zip(&db).map(|(b, d)| b + d).collect(),
-            z.iter().zip(&dz).map(|(z, d)| z + d).collect(),
-        ))
-    }
-
-    /// `K_r⁻¹v = S⁻¹(v − B_rᵀ·M⁻¹·B_r·S⁻¹v)` (Woodbury). The subtraction
-    /// cancels at small λ̄, so it only ever solves for a correction.
-    fn kr_solve(
-        &self,
-        series: &Series<'_>,
-        lb: f64,
-        scan: &ScanScratch,
-        v: &[f64],
-    ) -> Result<Vec<f64>> {
-        let mut t = v.to_vec();
-        self.interior_solve(&mut t, lb);
-        let y = self.design_w(series, &self.assemble(&t, &vec![0.0; 2 * self.blocks]))?;
         let sp = series.spectrum;
-        let mut p = sp.project_raw(y.as_slice());
-        for (x, s) in p.iter_mut().zip(&scan.s) {
-            *x *= s;
+        let (q, k, nk, rows) = (self.q(), self.k, 2 * self.blocks, self.rows);
+        let ScanScratch {
+            z,
+            y,
+            beta,
+            eq,
+            step,
+            ..
+        } = scan;
+        let (c, z_eq) = z.split_at(nk);
+        y.clear();
+        y.resize(rows, 0.0);
+        for ((row, left), (&g, &d)) in sp
+            .border
+            .chunks_exact(q)
+            .zip(sp.left.chunks_exact(k + rows))
+            .zip(sp.gamma.iter().zip(series.proj))
+            .take(sp.rank)
+        {
+            let weight = g.sqrt() * (d - dot(row, z)) / (lb + g);
+            for (v, &u) in y.iter_mut().zip(&left[k..]) {
+                *v += weight * u;
+            }
         }
-        let h = self.design_t(series, sp.rotate(&p).as_slice())?;
-        let mut out: Vec<f64> = v
-            .iter()
-            .enumerate()
-            .map(|(q, &x)| x - h[self.coef(q)])
-            .collect();
-        self.interior_solve(&mut out, lb);
-        Ok(out)
+        beta.clear();
+        beta.extend(self.q1.chunks_exact(rows).map(|q1| dot(q1, y)));
+        for (b, f) in beta.iter_mut().zip(self.eq_white.chunks_exact(k.max(1))) {
+            *b += dot(f, z_eq);
+        }
+        self.omega_chol.backward_solve_slice_in_place(beta);
+        let mut alpha = Vector::zeros(self.n * self.blocks);
+        self.assemble(beta, c, alpha.as_mut_slice());
+        if let (Some(e), Some(j0)) = (series.equality, &self.j0) {
+            if eq.len() != k {
+                *eq = Vector::zeros(k);
+            }
+            for (l, v) in eq.as_mut_slice().iter_mut().enumerate() {
+                *v = dot(e.row(l), alpha.as_slice());
+            }
+            j0.solve_in_place(eq)?;
+            step.clear();
+            step.extend(self.eq_white.chunks_exact(k).map(|f| dot(f, eq.as_slice())));
+            self.omega_chol.backward_solve_slice_in_place(step);
+            for (b, s) in beta.iter_mut().zip(step.iter()) {
+                *b -= s;
+            }
+            self.assemble(beta, c, alpha.as_mut_slice());
+        }
+        Ok(alpha)
     }
 }
 
@@ -751,16 +590,16 @@ impl Spectrum {
     /// projects the frame's border onto the eigenbasis, reusing every
     /// buffer. A symmetric eigendecomposition of `BBᵀ` (`U₀`) makes the
     /// rows of `U₀ᵀB` orthogonal to `ε_mach·‖B‖²`; one-sided Jacobi on
-    /// them ([`SymmetricEigen::orthogonalize_rows`], carrying `U₀ᵀf`
-    /// along into `f̂ = Uᵀf`) finishes in a sweep or two, and the rows
-    /// become `σᵢ·vᵢ`, so each eigenvalue `γᵢ = σᵢ²` is accurate to
-    /// `ε_mach·σ_max·σᵢ` rather than the `ε_mach·σ_max²` of a
+    /// them ([`SymmetricEigen::orthogonalize_rows`], carrying `U₀ᵀf` and
+    /// `U₀ᵀ` along into `f̂ = Uᵀf` and `Uᵀ`) finishes in a sweep or two,
+    /// and the rows become `σᵢ·vᵢ`, so each eigenvalue `γᵢ = σᵢ²` is
+    /// accurate to `ε_mach·σ_max·σᵢ` rather than the `ε_mach·σ_max²` of a
     /// decomposition of the formed product. Rows at rounding level are
     /// null space. The result is bit-identical whatever the spectrum held
     /// before.
     pub(crate) fn rebuild(&mut self, frame: &Frame, weights: &[f64]) -> Result<()> {
         let (m, q, rows, k) = (weights.len(), frame.q(), frame.rows, frame.k);
-        let nk = q - k;
+        let (nk, width) = (q - k, k + rows);
         (self.m, self.q) = (m, q);
         self.b.clear();
         self.b.extend(
@@ -780,11 +619,11 @@ impl Spectrum {
         self.gamma.resize(rows, 0.0);
         self.work.resize(rows, 0.0);
         SymmetricEigen::decompose_in_place(rows, &mut self.gram, &mut self.gamma, &mut self.work)?;
-        // U₀ᵀB and U₀ᵀf: row i combines the rows by eigenvector i.
+        // U₀ᵀB, U₀ᵀf and U₀ᵀ: row i combines the rows by eigenvector i.
         self.vt.clear();
         self.vt.resize(rows * m, 0.0);
-        self.fhat.clear();
-        self.fhat.resize(rows * k, 0.0);
+        self.left.clear();
+        self.left.resize(rows * width, 0.0);
         for (i, out) in self.vt.chunks_exact_mut(m).enumerate() {
             for (r, b) in self.b.chunks_exact(m).enumerate() {
                 let u = self.gram[r * rows + i];
@@ -793,10 +632,15 @@ impl Spectrum {
                 }
             }
         }
-        for (x, out) in self.fhat.iter_mut().enumerate() {
-            let (i, l) = (x / k, x % k);
-            for r in 0..rows {
-                *out += self.gram[r * rows + i] * frame.eq_root[r * k + l];
+        for (i, out) in self.left.chunks_exact_mut(width).enumerate() {
+            let (f, u) = out.split_at_mut(k);
+            for (l, out) in f.iter_mut().enumerate() {
+                for r in 0..rows {
+                    *out += self.gram[r * rows + i] * frame.eq_root[r * k + l];
+                }
+            }
+            for (r, out) in u.iter_mut().enumerate() {
+                *out = self.gram[r * rows + i];
             }
         }
         std::mem::swap(&mut self.b, &mut self.vt);
@@ -805,8 +649,8 @@ impl Spectrum {
             &mut self.b,
             rows,
             m,
-            &mut self.fhat,
-            k,
+            &mut self.left,
+            width,
             &mut self.work,
             negligible,
         )
@@ -815,7 +659,7 @@ impl Spectrum {
                 "Jacobi eigendecomposition of the λ scan did not converge",
             )
         })?;
-        // Keep the eigen rows (normalized, with their f̂); a row at
+        // Keep the eigen rows (normalized, with their f̂ and u); a row at
         // rounding level is null space and its f̂ joins J_rest.
         self.gamma.clear();
         self.vt.clear();
@@ -828,16 +672,17 @@ impl Spectrum {
                 self.gamma.push(g);
                 let sigma = g.sqrt();
                 self.vt.extend(row.iter().map(|x| x / sigma));
-                self.fhat.copy_within(i * k..(i + 1) * k, rank * k);
+                self.left
+                    .copy_within(i * width..(i + 1) * width, rank * width);
                 rank += 1;
             } else {
-                let f = &self.fhat[i * k..(i + 1) * k];
+                let f = &self.left[i * width..i * width + k];
                 for (x, v) in self.rest.iter_mut().enumerate() {
                     *v += f[x / k] * f[x % k];
                 }
             }
         }
-        self.fhat.truncate(rank * k);
+        self.left.truncate(rank * width);
         self.rank = rank;
         // Householder reflectors of Vᵀ = QR: Q's trailing m − r columns
         // are the null vectors.
@@ -872,11 +717,11 @@ impl Spectrum {
         for ((out, f), &g) in self
             .border
             .chunks_exact_mut(q)
-            .zip(self.fhat.chunks_exact(k.max(1)))
+            .zip(self.left.chunks_exact(width))
             .zip(&self.gamma)
         {
             let sigma = g.sqrt();
-            for (o, &x) in out[nk..].iter_mut().zip(f) {
+            for (o, &x) in out[nk..].iter_mut().zip(&f[..k]) {
                 *o = sigma * x;
             }
         }
@@ -893,7 +738,8 @@ impl Spectrum {
     }
 
     /// Frees the decomposition's scratch and trims every buffer: the
-    /// engine's unit-weight spectrum keeps only what the scan reads.
+    /// engine's unit-weight spectrum keeps only what the scan and the
+    /// minimizer read.
     fn keep_basis_only(&mut self) {
         for scratch in [
             &mut self.b,
@@ -909,7 +755,7 @@ impl Spectrum {
             &mut self.reflectors,
             &mut self.tau,
             &mut self.border,
-            &mut self.fhat,
+            &mut self.left,
             &mut self.rest,
         ] {
             kept.shrink_to_fit();
@@ -953,29 +799,6 @@ impl Spectrum {
             }
         }
     }
-
-    /// The coordinates of `x` in the basis.
-    fn project_raw(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = x.to_vec();
-        self.hold(&mut out);
-        out
-    }
-
-    /// The m-vector with coordinates `y` in the basis.
-    fn rotate(&self, y: &[f64]) -> Vec<f64> {
-        let (m, rank) = (self.m, self.rank);
-        let mut out = vec![0.0; m];
-        if rank < m {
-            out[rank..].copy_from_slice(&y[rank..]);
-            QrDecomposition::apply_q_in_place(&self.reflectors, &self.tau, &mut out);
-        }
-        for (v, &yi) in self.vt.chunks_exact(m).zip(y) {
-            for (o, &vr) in out.iter_mut().zip(v) {
-                *o += yi * vr;
-            }
-        }
-        out
-    }
 }
 
 /// Expands the packed lower triangle at the front of `a` into the full
@@ -1013,6 +836,19 @@ pub(crate) mod reference {
     use super::*;
     use crate::operators::FitOperators;
     use cellsync_spline::SplineBasis;
+
+    impl Frame {
+        /// Coefficient index of interior position `p`.
+        fn coef(&self, p: usize) -> usize {
+            let nr = self.n - 2;
+            (p / nr) * self.n + 1 + p % nr
+        }
+
+        /// Interior coefficient count `K(n − 2)`.
+        fn interior(&self) -> usize {
+            self.blocks * (self.n - 2)
+        }
+    }
 
     /// `K` stacked blocks of a `basis`-function problem measured at `m`
     /// times: a smooth synthetic kernel integrated against the natural
@@ -1292,10 +1128,7 @@ mod tests {
         spectrum.rebuild(&frame, weights).unwrap();
         let mut proj = Vec::new();
         spectrum.project(weights, g, &mut proj);
-        let omega = basis.penalty();
         let series = Series {
-            design,
-            omega: &omega,
             equality,
             weights,
             g,
@@ -1304,12 +1137,8 @@ mod tests {
         };
         let mut scan = ScanScratch::default();
         let (rss, edf) = frame.evaluate(&series, lambda, &mut scan).unwrap();
-        let start = frame.minimizer(&series, lambda, &mut scan).unwrap();
-        (
-            frame.polish(&series, lambda, &scan, start).unwrap(),
-            edf,
-            rss,
-        )
+        let alpha = frame.minimizer(&series, lambda, &mut scan).unwrap();
+        (alpha, edf, rss)
     }
 
     /// The dense normal matrix of the criterion,
@@ -1392,19 +1221,21 @@ mod tests {
     #[test]
     fn woodbury_solution_satisfies_normal_equations() {
         // At tiny λ the normal matrix is ill-conditioned (cond(K) ~ 1e9),
-        // so cross-method α comparison is meaningless — but the polished
-        // solve must still satisfy the normal equations to near machine
-        // precision.
-        let (design, weights, g, basis) = instance(9, 60);
-        for &lambda in &[1e-8, 1e-6, 1e-3, 1.0] {
-            let (alpha, _, _) = evaluate(&basis, &design, &weights, &g, None, lambda);
-            let (k, rhs) = normal_equations(&basis, &design, &weights, &g, lambda);
-            let resid = (&k.matvec(&alpha).unwrap() - &rhs).norm2();
-            let scale = rhs.norm2();
-            assert!(
-                resid <= 1e-10 * (1.0 + scale),
-                "λ={lambda}: KKT residual {resid} vs rhs norm {scale}"
-            );
+        // so cross-method α comparison is meaningless — but the minimizer
+        // must still satisfy the normal equations to near machine
+        // precision, down to the floor λ̄ = ε and at fine bases.
+        for n in [60, 80, 128] {
+            let (design, weights, g, basis) = instance(9, n);
+            for &lambda in &[0.0, 1e-8, 1e-6, 1e-3, 1.0] {
+                let (alpha, _, _) = evaluate(&basis, &design, &weights, &g, None, lambda);
+                let (k, rhs) = normal_equations(&basis, &design, &weights, &g, lambda);
+                let resid = (&k.matvec(&alpha).unwrap() - &rhs).norm2();
+                let scale = rhs.norm2();
+                assert!(
+                    resid <= 1e-10 * (1.0 + scale),
+                    "n={n}, λ={lambda}: KKT residual {resid} vs rhs norm {scale}"
+                );
+            }
         }
     }
 

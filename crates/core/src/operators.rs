@@ -293,8 +293,6 @@ impl FitOperators {
         };
         spectrum.project(weights, g, proj);
         Ok(Series {
-            design: &self.design,
-            omega: &self.omega,
             equality: self.equality.as_ref().map(|(e, _)| e),
             weights,
             g,
@@ -343,13 +341,13 @@ impl FitOperators {
 
     /// The one fixed-λ solve behind every fit and every k-fold fold.
     ///
-    /// It builds the equality-constrained minimizer in the frame
-    /// ([`Frame::minimizer`]). When that satisfies positivity, convexity
-    /// makes it the optimum with zero inequality multipliers: it is
-    /// polished ([`Frame::polish`]) and the QP is skipped. When positivity
-    /// binds, it only warms the dense active-set QP (unpolished), which
-    /// gets the interior direction too, so it starts at the minimizer
-    /// moved strictly inside the positivity cone.
+    /// It builds the equality-constrained minimizer in closed form in the
+    /// frame ([`Frame::minimizer`]). When that satisfies positivity,
+    /// convexity makes it the optimum with zero inequality multipliers,
+    /// and the QP is skipped: a feasible solve allocates only the α it
+    /// returns. When positivity binds, the minimizer warms the dense
+    /// active-set QP, which gets the interior direction too, so it starts
+    /// at the minimizer moved strictly inside the positivity cone.
     pub(crate) fn solve_at(
         &self,
         scan: &mut ScanScratch,
@@ -358,16 +356,10 @@ impl FitOperators {
         lambda: f64,
         cancel: Option<&CancelToken>,
     ) -> Result<Vector> {
-        let start = self.frame.minimizer(series, lambda, scan)?;
-        let hint = if self.binds(&start.alpha)? {
-            start.alpha
-        } else {
-            let alpha = self.frame.polish(series, lambda, scan, start)?;
-            if !self.binds(&alpha)? {
-                return Ok(alpha);
-            }
-            alpha
-        };
+        let alpha = self.frame.minimizer(series, lambda, scan)?;
+        if !self.binds(&alpha) {
+            return Ok(alpha);
+        }
         check_cancel(cancel)?;
         let SolveScratch { qp, h, c, w2g } = scratch;
         self.hessian(series.weights, lambda, h)?;
@@ -376,18 +368,17 @@ impl FitOperators {
         // of workspace history: drop the cached factor and replace any
         // warm hint with this solve's own.
         qp.invalidate_hessian();
-        qp.set_warm_start(hint, Vec::new());
+        qp.set_warm_start(alpha, Vec::new());
         Ok(qp.solve(&self.constrained_problem(h, c, cancel)?)?.x)
     }
 
     /// Whether `alpha` violates a positivity row by more than
-    /// `1e-9·(1 + ‖α‖∞)`.
-    fn binds(&self, alpha: &Vector) -> Result<bool> {
+    /// `1e-9·(1 + ‖α‖∞)`, checked row by row.
+    fn binds(&self, alpha: &Vector) -> bool {
         let tol = 1e-9 * (1.0 + alpha.norm_inf());
-        Ok(match &self.positivity {
-            Some(p) => p.matvec(alpha)?.iter().any(|&v| v < -tol),
-            None => false,
-        })
+        self.positivity
+            .as_ref()
+            .is_some_and(|p| (0..p.rows()).any(|r| p.row_dot(r, alpha.as_slice()) < -tol))
     }
 
     /// The dense positivity rows with their zero right-hand side, as the

@@ -179,7 +179,8 @@ mod tests {
         // Once a workspace has seen a set of series, scanning them again —
         // rebuilding each σ-weighted spectrum, projecting the data and
         // scoring every grid λ — allocates nothing: a genome of weighted
-        // genes costs no allocation per gene in the scan.
+        // genes costs no allocation per gene in the scan. The fixed-λ
+        // solve of a feasible series then allocates only the α it returns.
         for (basis, k) in [(18, 0), (18, 2), (128, 1)] {
             let (ops, g) = synthetic_operators(16, basis, 1, k);
             let mut fold = sigma_weights(16, 5, 2.0);
@@ -204,11 +205,35 @@ mod tests {
                     }
                 }
             };
+            let solve_all = |ws: &mut FitWorkspace| {
+                let FitWorkspace {
+                    spectrum,
+                    proj,
+                    scan,
+                    solve,
+                    ..
+                } = ws;
+                for weights in &weight_sets {
+                    let series = ops.series(weights, &g, Some(spectrum), proj).unwrap();
+                    for l in [0.0, 1e-4, 1.0] {
+                        ops.solve_at(scan, solve, &series, l, None).unwrap();
+                    }
+                }
+            };
             scan_all(&mut ws);
+            solve_all(&mut ws);
             let before = counting::allocations();
             scan_all(&mut ws);
             let made = counting::allocations() - before;
             assert_eq!(made, 0, "basis {basis}, k {k}: {made} allocations");
+            let before = counting::allocations();
+            solve_all(&mut ws);
+            let made = counting::allocations() - before;
+            let solves = 3 * weight_sets.len();
+            assert_eq!(
+                made, solves,
+                "basis {basis}, k {k}: {made} allocations in {solves} feasible solves"
+            );
         }
     }
 
@@ -253,8 +278,7 @@ mod tests {
                 .series(&weights, &g, Some(&mut ws.spectrum), &mut ws.proj)
                 .unwrap();
             for lambda in [0.0, 1e-6, 1e-2, 1e2] {
-                let start = ops.frame.minimizer(&series, lambda, &mut ws.scan).unwrap();
-                let alpha = ops.frame.polish(&series, lambda, &ws.scan, start).unwrap();
+                let alpha = ops.frame.minimizer(&series, lambda, &mut ws.scan).unwrap();
                 let ea = e.matvec(&alpha).unwrap();
                 let scale = e.norm_inf() * (1.0 + alpha.norm_inf());
                 assert!(

@@ -196,33 +196,6 @@ impl BandedMatrix {
         Matrix::from_fn(self.n, self.n, |i, j| self.get(i, j))
     }
 
-    /// The bandwidth-preserving axpy `self += scale · other`.
-    ///
-    /// # Errors
-    ///
-    /// [`LinalgError::ShapeMismatch`] when dimensions differ or `other`
-    /// has a wider band than `self` (the sum would leave the band).
-    pub fn axpy_banded(&mut self, scale: f64, other: &BandedMatrix) -> Result<()> {
-        if self.n != other.n || other.bandwidth > self.bandwidth {
-            return Err(LinalgError::ShapeMismatch {
-                left: (self.n, self.bandwidth),
-                right: (other.n, other.bandwidth),
-                op: "banded axpy",
-            });
-        }
-        if self.bandwidth == other.bandwidth {
-            kernels::axpy(&mut self.data, scale, &other.data);
-            return Ok(());
-        }
-        let (w, ow) = (self.w(), other.w());
-        for i in 0..self.n {
-            let dst = &mut self.data[i * w + (w - ow)..(i + 1) * w];
-            let src = &other.data[i * ow..(i + 1) * ow];
-            kernels::axpy(dst, scale, src);
-        }
-        Ok(())
-    }
-
     /// Adds `value` to every diagonal entry.
     pub fn add_diagonal(&mut self, value: f64) {
         let w = self.w();
@@ -434,7 +407,7 @@ impl BandedCholesky {
     pub fn solve_slice_in_place(&self, rhs: &mut [f64]) {
         assert_eq!(rhs.len(), self.n, "banded solve length mismatch");
         self.forward_slice_in_place(rhs);
-        self.backward_slice_in_place(rhs);
+        self.backward_solve_slice_in_place(rhs);
     }
 
     /// Forward substitution `L·Y = R` for `k` right-hand sides at once:
@@ -493,11 +466,16 @@ impl BandedCholesky {
         }
     }
 
-    /// Backward substitution `Lᵀ·x = y`, row-oriented: once `x[i]` is
-    /// known it is scattered into the earlier right-hand sides through a
-    /// contiguous axpy against packed row `i` (which *is* column `i` of
-    /// `Lᵀ`).
-    fn backward_slice_in_place(&self, rhs: &mut [f64]) {
+    /// Backward substitution `Lᵀ·x = y` in place on a raw slice,
+    /// row-oriented: once `x[i]` is known it is scattered into the earlier
+    /// right-hand sides through a contiguous axpy against packed row `i`
+    /// (which *is* column `i` of `Lᵀ`).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `rhs.len() != dim()`.
+    pub fn backward_solve_slice_in_place(&self, rhs: &mut [f64]) {
+        assert_eq!(rhs.len(), self.n, "banded solve length mismatch");
         let (n, b, w) = (self.n, self.bandwidth, self.w());
         for i in (0..n).rev() {
             let xi = rhs[i] / self.l[i * w + b];
@@ -615,7 +593,11 @@ mod tests {
         let mut factor: Option<BandedCholesky> = None;
         for &lambda in &[1e-4, 1e-2, 1.0, 1e2] {
             s.fill_zero();
-            s.axpy_banded(lambda, &omega).expect("same band");
+            for i in 0..12usize {
+                for j in i.saturating_sub(3)..=i {
+                    s.add_at(i, j, lambda * omega.get(i, j)).expect("in band");
+                }
+            }
             s.add_diagonal(2.0);
             match factor.as_mut() {
                 Some(f) => f.refactor(&s).expect("spd"),
@@ -646,23 +628,6 @@ mod tests {
             Err(LinalgError::NotPositiveDefinite { pivot }) => assert_eq!(pivot, 3),
             other => panic!("expected pivot failure, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn axpy_rejects_wider_band_and_accepts_narrower() {
-        let narrow = spd_banded(8, 1);
-        let mut wide = spd_banded(8, 3);
-        wide.axpy_banded(0.5, &narrow).expect("narrow into wide");
-        let expect = &wide.to_dense(); // already summed
-        let mut again = spd_banded(8, 3).to_dense();
-        for i in 0..8 {
-            for j in 0..8 {
-                again[(i, j)] += 0.5 * narrow.get(i, j);
-            }
-        }
-        assert!((expect - &again).norm_inf() < 1e-14);
-        let mut narrow2 = spd_banded(8, 1);
-        assert!(narrow2.axpy_banded(1.0, &spd_banded(8, 3)).is_err());
     }
 
     #[test]

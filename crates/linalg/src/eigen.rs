@@ -442,7 +442,8 @@ mod tests {
     fn trace_equals_eigenvalue_sum() {
         let a = Matrix::from_rows(&[&[5.0, 2.0], &[2.0, 1.0]]).unwrap();
         let eig = a.symmetric_eigen().unwrap();
-        assert!((eig.eigenvalues().sum() - a.trace().unwrap()).abs() < 1e-12);
+        let trace = a[(0, 0)] + a[(1, 1)];
+        assert!((eig.eigenvalues().sum() - trace).abs() < 1e-12);
     }
 
     #[test]

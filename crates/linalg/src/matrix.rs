@@ -493,20 +493,6 @@ impl Matrix {
         }
     }
 
-    /// Sum of diagonal entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::NotSquare`] for rectangular matrices.
-    pub fn trace(&self) -> Result<f64> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                shape: self.shape(),
-            });
-        }
-        Ok((0..self.rows).map(|i| self[(i, i)]).sum())
-    }
-
     /// Frobenius norm.
     pub fn norm_frobenius(&self) -> f64 {
         Vector::from_slice(&self.data).norm2()
@@ -706,7 +692,7 @@ mod tests {
     #[test]
     fn identity_and_diagonal() {
         let i3 = Matrix::identity(3);
-        assert_eq!(i3.trace().unwrap(), 3.0);
+        assert_eq!((0..3).map(|i| i3[(i, i)]).sum::<f64>(), 3.0);
         let d = Matrix::from_diagonal(&Vector::from_slice(&[1.0, 2.0]));
         assert_eq!(d[(1, 1)], 2.0);
         assert_eq!(d[(0, 1)], 0.0);
@@ -753,8 +739,7 @@ mod tests {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, 4.0]]).unwrap();
         assert_eq!(m.norm_frobenius(), 5.0);
         assert_eq!(m.norm_inf(), 4.0);
-        assert_eq!(m.trace().unwrap(), 7.0);
-        assert!(Matrix::zeros(2, 3).trace().is_err());
+        assert_eq!(m[(0, 0)] + m[(1, 1)], 7.0);
     }
 
     #[test]

@@ -534,11 +534,6 @@ impl QpWorkspace {
         self.warm = Some((x0, active));
     }
 
-    /// Clears the warm-start hint.
-    pub fn clear_warm_start(&mut self) {
-        self.warm = None;
-    }
-
     /// Solves `problem`, reusing this workspace's buffers, cached Hessian
     /// factor, and warm-start hint.
     ///
@@ -1541,12 +1536,6 @@ mod tests {
             let sol = ws.solve(&problem).unwrap();
             assert!((&sol.x - &expected.x).norm2() < 1e-9);
         }
-        // Clearing the hint keeps the workspace usable.
-        let mut ws = QpWorkspace::new();
-        ws.set_warm_start(expected.x.clone(), expected.active_set.clone());
-        ws.clear_warm_start();
-        let sol = ws.solve(&problem).unwrap();
-        assert!((&sol.x - &expected.x).norm2() < 1e-9);
     }
 
     /// A deconvolution-shaped QP family: ill-conditioned smooth-kernel

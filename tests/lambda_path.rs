@@ -75,7 +75,7 @@ fn dense_gcv_score(b: &Matrix, y: &Vector, omega: &Matrix, ridge: &Matrix, lambd
     let rss = (&fitted - y).norm2().powi(2);
     let btb = b.gram();
     let x = chol.solve_matrix(&btb).expect("matching dims");
-    let trace = x.trace().expect("square");
+    let trace: f64 = (0..x.rows()).map(|i| x[(i, i)]).sum();
     let edf_ratio = trace / m;
     if edf_ratio > 0.99 {
         return f64::INFINITY;

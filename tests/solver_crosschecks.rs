@@ -304,15 +304,13 @@ fn qp_corpus_backends_agree() {
     let corpus = load_corpus();
     assert!(corpus.len() >= 20, "run with the committed corpus");
     let mut ipm = IpmWorkspace::new();
-    let mut active = QpWorkspace::new();
     for (path, inst) in &corpus {
         let name = inst.name();
         let cold = cold_problem(inst);
         let ipm_sol = ipm
             .solve_qp(&cold)
             .unwrap_or_else(|e| panic!("{path}: ipm failed: {e}"));
-        active.clear_warm_start();
-        let as_cold = active
+        let as_cold = QpWorkspace::new()
             .solve_qp(&cold)
             .unwrap_or_else(|e| panic!("{path}: active-set (cold) failed: {e}"));
         assert_solutions_agree(name, "ipm vs active-set cold", &ipm_sol, &as_cold);
@@ -324,11 +322,11 @@ fn qp_corpus_backends_agree() {
         // same point as both cold solves.
         if let Some(start) = inst.start() {
             let warm = inst.problem().expect("valid instance");
+            let mut active = QpWorkspace::new();
             active.set_warm_start(start.clone(), inst.active().to_vec());
             let as_warm = active
                 .solve_qp(&warm)
                 .unwrap_or_else(|e| panic!("{path}: active-set (warm) failed: {e}"));
-            active.clear_warm_start();
             assert_solutions_agree(name, "warm vs cold", &as_warm, &as_cold);
             verify_kkt(name, inst, &as_warm.x);
         }
@@ -407,8 +405,7 @@ fn qp_backends_reject_degenerate_inputs_identically() {
         .unwrap()
         .with_inequalities(&a_dup, &b_dup)
         .unwrap();
-    active.clear_warm_start();
-    let sol_as = active
+    let sol_as = QpWorkspace::new()
         .solve_qp(&problem)
         .expect("active-set handles duplicates");
     let sol_ipm = ipm.solve_qp(&problem).expect("ipm handles duplicates");
@@ -420,11 +417,11 @@ fn qp_backends_reject_degenerate_inputs_identically() {
     );
 
     // An infeasible warm hint is advisory: ignored, not an error.
+    let mut active = QpWorkspace::new();
     active.set_warm_start(Vector::from_slice(&[-5.0, -5.0]), vec![0, 1]);
     let sol_hinted = active
         .solve_qp(&problem)
         .expect("infeasible hint is ignored");
-    active.clear_warm_start();
     assert_solutions_agree(
         "degenerate-bad-hint",
         "hinted vs clean",
@@ -1046,7 +1043,6 @@ fn regenerate_qp_corpus() {
     let mut instances = synthetic_instances();
     instances.extend(harvested_instances());
     let mut ipm = IpmWorkspace::new();
-    let mut active = QpWorkspace::new();
     for inst in &instances {
         // Refuse to commit an instance the differential suite would
         // reject: both backends must solve it cold, in agreement.
@@ -1054,8 +1050,7 @@ fn regenerate_qp_corpus() {
         let a = ipm
             .solve_qp(&cold)
             .unwrap_or_else(|e| panic!("{}: ipm: {e}", inst.name()));
-        active.clear_warm_start();
-        let b = active
+        let b = QpWorkspace::new()
             .solve_qp(&cold)
             .unwrap_or_else(|e| panic!("{}: active-set: {e}", inst.name()));
         eprintln!(
