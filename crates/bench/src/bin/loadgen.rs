@@ -19,10 +19,12 @@
 //!   bins, 10 times, 8 basis functions); `--full` switches to the
 //!   paper-scale standard registry. `--addr` skips the in-process server
 //!   and drives an external `served` instance instead.
+//! * Every 10th request is σ-weighted and asks for a bootstrap band (50
+//!   replicates on 100 phase points); the rest are plain fits.
 //! * `--verify` re-runs every response's request through the library
-//!   directly (after the timed window) and fails unless payloads are
-//!   bit-identical — only available in-process, where the registry is
-//!   known.
+//!   directly (after the timed window) and fails unless payloads, band
+//!   included, are bit-identical — only available in-process, where the
+//!   registry is known.
 //! * `--min-hit-rate F` exits non-zero when the server's engine-cache
 //!   hit rate `hits / (hits + misses)` falls below `F` — the CI gate for
 //!   the repeated-key workload.
@@ -45,10 +47,10 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use cellsync::{Deconvolver, FitRequest};
+use cellsync::{BootstrapSpec, Deconvolver, FitRequest};
 use cellsync_bench::stamp;
 use cellsync_serve::{Client, FamilyRegistry, Fault, FaultPlan, Server, ServerConfig};
-use cellsync_wire::{ErrorWire, FitRequestWire, FitResponseWire, Json, StatsWire};
+use cellsync_wire::{BootstrapWire, ErrorWire, FitRequestWire, FitResponseWire, Json, StatsWire};
 
 /// Schema tag of the serving benchmark document.
 const SCHEMA: &str = "cellsync-serve-bench/2";
@@ -185,13 +187,37 @@ fn series_for(index: usize, len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// Every `HEAVY_EVERY`-th request (index 0 included) asks for a
+/// bootstrap band, so the replicate fan-out runs under the workload's
+/// concurrency.
+const HEAVY_EVERY: usize = 10;
+
+/// The library request behind request `index`: a plain fit, or on every
+/// [`HEAVY_EVERY`]-th index a σ-weighted fit with the documented
+/// bootstrap spec (50 replicates, 100 grid points) seeded by the index.
+/// The wire request and `--verify`'s replay are both built from it.
+fn library_request(index: usize, len: usize, seed: u64) -> FitRequest {
+    let request = FitRequest::new(series_for(index, len, seed));
+    if !index.is_multiple_of(HEAVY_EVERY) {
+        return request;
+    }
+    request
+        .with_sigmas(vec![0.05; len])
+        .with_bootstrap(BootstrapSpec::new(50, 100, index as u64))
+}
+
 fn wire_request_for(family: &str, index: usize, len: usize, seed: u64) -> FitRequestWire {
+    let request = library_request(index, len, seed);
     FitRequestWire {
         family: family.to_string(),
-        series: series_for(index, len, seed),
-        sigmas: None,
+        series: request.series().to_vec(),
+        sigmas: request.sigmas().map(<[f64]>::to_vec),
         lambda: None,
-        bootstrap: None,
+        bootstrap: request.bootstrap().map(|b| BootstrapWire {
+            replicates: b.replicates(),
+            grid: b.grid(),
+            seed: b.seed(),
+        }),
         deadline_ms: None,
     }
 }
@@ -363,9 +389,10 @@ fn percentile(sorted_us: &[u64], p: f64) -> u64 {
     sorted_us[rank.clamp(1, sorted_us.len()) - 1]
 }
 
-/// Replays every recorded response through the library directly and
-/// counts bit-exact mismatches. Plain fits only (the workload sends no
-/// sigmas/overrides), so one engine per family covers every request.
+/// Replays every recorded response's request ([`library_request`])
+/// through the library directly and counts bit-exact mismatches of the
+/// fit and, for bootstrap requests, of the band. The workload sends no
+/// λ overrides, so one engine per family covers every request.
 fn verify_responses(
     registry: &FamilyRegistry,
     args: &Args,
@@ -387,24 +414,24 @@ fn verify_responses(
         let wire = FitResponseWire::decode(body)
             .map_err(|e| format!("response {index} did not decode: {e}"))?;
         let family = &args.families[index % args.families.len()];
-        let direct = engines[family.as_str()]
-            .fit_request(&FitRequest::new(series_for(*index, series_len, args.seed)))
+        let response = engines[family.as_str()]
+            .fit_request(&library_request(*index, series_len, args.seed))
             .map_err(|e| format!("direct fit {index}: {e}"))?;
-        let direct = direct.result();
+        let direct = response.result();
+        let same_band = match (&wire.band, response.band()) {
+            (None, None) => true,
+            (Some(served), Some(lib)) => {
+                served.replicates == lib.replicates
+                    && same_bits(&served.mean, &lib.mean)
+                    && same_bits(&served.std, &lib.std)
+            }
+            _ => false,
+        };
         let same = wire.lambda.to_bits() == direct.lambda().to_bits()
             && wire.weighted_sse.to_bits() == direct.weighted_sse().to_bits()
-            && wire.alpha.len() == direct.alpha().len()
-            && wire
-                .alpha
-                .iter()
-                .zip(direct.alpha())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && wire.predicted.len() == direct.predicted().len()
-            && wire
-                .predicted
-                .iter()
-                .zip(direct.predicted())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
+            && same_bits(&wire.alpha, direct.alpha())
+            && same_bits(&wire.predicted, direct.predicted())
+            && same_band;
         if !same {
             mismatches += 1;
             if mismatches == 1 {
@@ -413,6 +440,11 @@ fn verify_responses(
         }
     }
     Ok(mismatches)
+}
+
+/// Whether `a` and `b` hold the same values bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn fetch_stats(addr: &str) -> Result<StatsWire, String> {

@@ -576,11 +576,10 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
         min,
     ));
 
-    // 7. Warm-started repeated QP: one Hessian, 32 right-hand sides — the
-    // bootstrap-replicate pattern (λ fixed, per-replicate noise only).
-    // The borrow-based problem view plus a persistent workspace reuses
-    // the Hessian factor and warm-starts every solve from the base
-    // problem's solution.
+    // 7. Warm-started repeated QP: one Hessian, 32 right-hand sides
+    // (λ fixed, noise on the linear term only). A persistent workspace
+    // reuses its buffers, factors H afresh per solve, and warm-starts
+    // every solve from the base problem's solution.
     let (h, c0) = qp_instance(24, 19);
     let rhs: Vec<Vector> = (0..32)
         .map(|r| {

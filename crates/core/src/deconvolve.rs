@@ -1,15 +1,17 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
 use cellsync_linalg::{Matrix, SparseRowMatrix, Vector};
-use cellsync_opt::{QpInstance, QpWorkspace};
+use cellsync_opt::QpInstance;
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
 use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::banded::ScanScratch;
 use crate::operators::{check_cancel, FitOperators};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
+use crate::solver::SolveScratch;
 use crate::{
     constraints, DeconvError, DeconvolutionConfig, FitWorkspace, ForwardModel, PhaseProfile, Result,
 };
@@ -61,16 +63,15 @@ pub struct DeconvolutionResult {
     selection_scores: Vec<(f64, f64)>,
 }
 
-/// Per-worker scratch for bootstrap replicates: the QP workspace carries
-/// the shared warm hint (the point fit) and the once-factored shared
-/// Hessian, and the buffers hold the replicate's resampled data and
-/// assembled linear term.
-#[derive(Debug)]
+/// Per-worker scratch for bootstrap replicates: the replicate's
+/// resampled data, its projection onto the point fit's spectrum, and the
+/// scratch of its fixed-λ solve.
+#[derive(Debug, Default)]
 struct BootScratch {
-    qp: QpWorkspace,
     resampled: Vec<f64>,
-    w2g: Vector,
-    c: Vector,
+    proj: Vec<f64>,
+    scan: ScanScratch,
+    solve: SolveScratch,
 }
 
 impl Deconvolver {
@@ -224,7 +225,7 @@ impl Deconvolver {
     /// at the selected λ — exactly what the production solve saw — along
     /// with the engine's equality and positivity blocks. The fitted
     /// coefficients become the instance's warm start, and the positivity
-    /// rows active at them (the bootstrap's warm-hint rule) its active
+    /// rows active at them (the QP's warm-activity rule) its active
     /// set, so the corpus preserves the warm-started solve shape, not
     /// just the cold one. The origin line records λ, the problem sizes,
     /// and the weighting for provenance.
@@ -303,8 +304,8 @@ impl Deconvolver {
     ///
     /// Same as [`Deconvolver::fit`], plus
     /// [`DeconvError::InvalidConfig`] for a non-finite or negative λ
-    /// override, a bootstrap spec without sigmas, `replicates == 0`, or
-    /// `grid < 2`.
+    /// override, a bootstrap spec without sigmas, or replicates or grid
+    /// outside the [`BootstrapSpec`] limits.
     pub fn fit_request(&self, request: &FitRequest) -> Result<FitResponse> {
         let mut workspace = FitWorkspace::new();
         self.fit_request_with(&mut workspace, request)
@@ -389,8 +390,18 @@ impl Deconvolver {
             if spec.replicates() == 0 {
                 return Err(DeconvError::InvalidConfig("n_boot must be positive"));
             }
+            if spec.replicates() > BootstrapSpec::MAX_REPLICATES {
+                return Err(DeconvError::InvalidConfig(
+                    "n_boot exceeds BootstrapSpec::MAX_REPLICATES",
+                ));
+            }
             if spec.grid() < 2 {
                 return Err(DeconvError::InvalidConfig("n_grid must be at least 2"));
+            }
+            if spec.grid() > BootstrapSpec::MAX_GRID {
+                return Err(DeconvError::InvalidConfig(
+                    "n_grid exceeds BootstrapSpec::MAX_GRID",
+                ));
             }
         }
         Ok(())
@@ -484,11 +495,9 @@ impl Deconvolver {
     /// λ is selected once on the original data and held fixed across
     /// replicates (standard practice; re-selecting per replicate mixes
     /// model-selection variance into the band). Because λ and the weights
-    /// are shared, the replicate Hessian is assembled and factored
-    /// **once**; each replicate then solves for its own right-hand side,
-    /// warm-started from the point fit's coefficients and active set —
-    /// the same deterministic hint for every replicate, so the band stays
-    /// independent of scheduling.
+    /// are shared, every replicate projects its data onto the point fit's
+    /// σ-weighted spectrum and runs the engine's one fixed-λ solve on it —
+    /// the arithmetic of a fixed-λ [`Deconvolver::fit`] of the replicate.
     ///
     /// Replicates refit in parallel over the engine's worker pool
     /// ([`Deconvolver::with_threads`]). Replicate `i` draws its noise from
@@ -499,7 +508,8 @@ impl Deconvolver {
     ///
     /// # Errors
     ///
-    /// * [`DeconvError::InvalidConfig`] for `n_boot == 0` or `n_grid < 2`.
+    /// * [`DeconvError::InvalidConfig`] for `n_boot` or `n_grid` outside
+    ///   the [`BootstrapSpec`] limits.
     /// * [`DeconvError::Series`] wrapping the lowest-indexed failing
     ///   replicate.
     /// * Propagates point-fit errors.
@@ -534,79 +544,50 @@ impl Deconvolver {
         let seed = spec.seed();
         let point = self.fit_validated(workspace, g, Some(sigmas), lambda_override, cancel)?;
         let lambda = point.lambda();
-        let n = self.basis.len();
-        let m = g.len();
-        // The point fit left the weights `1/σ` in the workspace.
-        let weights = self.ops.weights(workspace, false);
-
-        // The replicate Hessian H = 2(AᵀW²A + λ̄Ω + εR) is shared by every
-        // replicate (same weights, same λ): assemble and symmetrize once.
-        let mut h = Matrix::zeros(n, n);
-        self.ops.hessian(weights, lambda, &mut h)?;
-
-        // Deterministic warm hint: the point fit's coefficients and the
-        // positivity rows active there. Every worker seeds its workspace
-        // with this same hint, so replicate solves are independent of
-        // which worker runs them.
-        let point_alpha = Vector::from_slice(point.alpha());
-        let hint_active = self.ops.warm_active_rows(&point_alpha)?;
+        // The point fit left the weights `1/σ` and their spectrum in the
+        // workspace; every replicate shares both.
+        let FitWorkspace {
+            weights, spectrum, ..
+        } = &*workspace;
 
         let normal = cellsync_stats::dist::Normal::new(0.0, 1.0)?;
-        let h = &h;
-        let point_alpha = &point_alpha;
-        let hint_active = &hint_active;
         // Per-replicate RNG streams (`stream_seed(seed, i)`) decouple the
         // replicates from each other, which is what lets them refit in
         // parallel while staying bit-identical at any thread count.
-        let profiles: Vec<Vec<f64>> =
-            self.pool
-                .try_par_map_with(
-                    n_boot,
-                    || {
-                        let mut qp = QpWorkspace::new();
-                        qp.set_warm_start(point_alpha.clone(), hint_active.clone());
-                        BootScratch {
-                            qp,
-                            resampled: vec![0.0; m],
-                            w2g: Vector::zeros(m),
-                            c: Vector::zeros(n),
-                        }
-                    },
-                    |scratch, i| {
-                        use cellsync_stats::dist::ContinuousDistribution as _;
-                        check_cancel(cancel)?;
-                        let mut rng =
-                            StdRng::seed_from_u64(cellsync_runtime::stream_seed(seed, i as u64));
-                        for ((r, &v), &s) in scratch.resampled.iter_mut().zip(g).zip(sigmas) {
-                            *r = v + s * normal.sample(&mut rng);
-                        }
-                        // c = −2·AᵀW²·g_rep — the only replicate-specific part
-                        // of the QP.
-                        self.ops.linear_term_into(
-                            weights,
-                            &scratch.resampled,
-                            &mut scratch.w2g,
-                            &mut scratch.c,
-                        )?;
-                        // H is shared across replicates, so the Hessian factor the QP
-                        // workspace caches on its first solve stays valid.
-                        let problem = self.ops.constrained_problem(h, &scratch.c, cancel)?;
-                        let alpha = scratch.qp.solve(&problem)?.x;
+        let profiles: Vec<Vec<f64>> = self
+            .pool
+            .try_par_map_with(n_boot, BootScratch::default, |scratch, i| {
+                use cellsync_stats::dist::ContinuousDistribution as _;
+                check_cancel(cancel)?;
+                let BootScratch {
+                    resampled,
+                    proj,
+                    scan,
+                    solve,
+                } = scratch;
+                let mut rng = StdRng::seed_from_u64(cellsync_runtime::stream_seed(seed, i as u64));
+                resampled.clear();
+                resampled.extend(
+                    g.iter()
+                        .zip(sigmas)
+                        .map(|(&v, &s)| v + s * normal.sample(&mut rng)),
+                );
+                let series = self.ops.series(weights, resampled, spectrum, proj);
+                let alpha = self.ops.solve_at(scan, solve, &series, lambda, cancel)?;
 
-                        let mut values = Vec::with_capacity(n_grid);
-                        for k in 0..n_grid {
-                            values.push(self.basis.eval_combination(
-                                alpha.as_slice(),
-                                k as f64 / (n_grid - 1) as f64,
-                            )?);
-                        }
-                        Ok::<_, DeconvError>(values)
-                    },
-                )
-                .map_err(|(index, source)| DeconvError::Series {
-                    index,
-                    source: Box::new(source),
-                })?;
+                let mut values = Vec::with_capacity(n_grid);
+                for k in 0..n_grid {
+                    values.push(
+                        self.basis
+                            .eval_combination(alpha.as_slice(), k as f64 / (n_grid - 1) as f64)?,
+                    );
+                }
+                Ok::<_, DeconvError>(values)
+            })
+            .map_err(|(index, source)| DeconvError::Series {
+                index,
+                source: Box::new(source),
+            })?;
 
         let mut sum = vec![0.0; n_grid];
         let mut sum_sq = vec![0.0; n_grid];
@@ -1199,11 +1180,10 @@ mod tests {
 
     #[test]
     fn bootstrap_replicates_match_full_refits() {
-        // The warm-started shared-Hessian replicate path must agree with
-        // refitting each replicate from scratch at the fixed λ (to solver
-        // tolerance — the warm path takes a different iterate route). The
-        // second engine's truth touches zero, so positivity binds and its
-        // refits fall back to the QP.
+        // Each replicate is a fixed-λ fit of its resampled data on the
+        // point fit's spectrum, so the band mean must be the mean of
+        // refits from scratch bit for bit. The second engine's truth
+        // touches zero, so positivity binds and its refits run the QP.
         let touching = PhaseProfile::from_fn(200, |phi| {
             (2.0 * (std::f64::consts::PI * (phi - 0.1)).sin()).max(0.0)
         })
@@ -1248,8 +1228,9 @@ mod tests {
                 assert!(binding > 0, "basis {basis}: positivity never binds");
             }
             for (mean, acc) in band.mean.iter().zip(&sum) {
-                assert!(
-                    (mean - acc / 6.0).abs() < 1e-7,
+                assert_eq!(
+                    mean.to_bits(),
+                    (acc / 6.0).to_bits(),
                     "basis {basis}: replicate mean {mean} vs refit {}",
                     acc / 6.0
                 );
@@ -1536,6 +1517,28 @@ mod tests {
             let r = d.fit_request(&FitRequest::new(g.clone()).with_lambda(bad));
             assert!(matches!(r, Err(DeconvError::InvalidConfig(_))), "{bad}");
         }
+        // Bootstrap limits: each bound is accepted, one past it is not.
+        let sigmas = vec![0.1; 12];
+        let boot = |replicates, grid| {
+            d.fit_request(
+                &FitRequest::new(g.clone())
+                    .with_sigmas(sigmas.clone())
+                    .with_lambda(1.0)
+                    .with_bootstrap(BootstrapSpec::new(replicates, grid, 0)),
+            )
+        };
+        let (max_r, max_g) = (BootstrapSpec::MAX_REPLICATES, BootstrapSpec::MAX_GRID);
+        for (replicates, grid) in [(0, 2), (1, 1), (max_r + 1, 2), (1, max_g + 1)] {
+            let r = boot(replicates, grid);
+            assert!(
+                matches!(r, Err(DeconvError::InvalidConfig(_))),
+                "{replicates} × {grid}"
+            );
+        }
+        for (replicates, grid) in [(max_r, 2), (1, max_g)] {
+            let band = boot(replicates, grid).unwrap().into_parts().1.unwrap();
+            assert_eq!((band.replicates, band.mean.len()), (replicates, grid));
+        }
         // Series validation still runs on the request path.
         let r = d.fit_request(&FitRequest::new(vec![1.0; 5]));
         assert!(matches!(r, Err(DeconvError::LengthMismatch { .. })));
@@ -1596,38 +1599,20 @@ mod tests {
         Deconvolver::new(kernel(41, 16), config).unwrap()
     }
 
-    /// The constrained solve of a unit-weight fit exactly as
-    /// `FitOperators::constrained_problem` builds it, minus the interior
-    /// direction: the origin (or minimum-norm) start.
+    /// The constrained QP of a unit-weight fit, as [`Deconvolver::harvest_qp`]
+    /// records it, solved without the interior direction or a start: the
+    /// origin (or minimum-norm) start.
     fn origin_start_alpha(engine: &Deconvolver, g: &[f64]) -> Vector {
-        let n = engine.basis.len();
-        let lambda = match engine.config.lambda() {
-            LambdaSelection::Fixed(l) => *l,
-            _ => unreachable!("fixed-λ engines only"),
-        };
-        let mut h = Matrix::zeros(n, n);
-        engine
-            .ops
-            .hessian(&engine.ops.unit_weights, lambda, &mut h)
-            .unwrap();
-        let mut c = Vector::zeros(n);
-        engine
-            .ops
-            .design
-            .tr_matvec_into(&Vector::from_slice(g), &mut c)
-            .unwrap();
-        for v in c.as_mut_slice() {
-            *v *= -2.0;
-        }
-        let (p, p_rhs) = engine.ops.positivity_rows().unwrap();
-        let mut problem = cellsync_opt::QpProblem::new(&h, &c)
+        let instance = engine.harvest_qp(g, None, "origin-start").unwrap();
+        let (p, p_rhs) = instance.inequalities().unwrap();
+        let mut problem = cellsync_opt::QpProblem::new(instance.hessian(), instance.linear())
             .unwrap()
             .with_inequalities(p, p_rhs)
             .unwrap();
-        if let Some((e, e_rhs)) = &engine.ops.equality {
+        if let Some((e, e_rhs)) = instance.equalities() {
             problem = problem.with_equalities(e, e_rhs).unwrap();
         }
-        QpWorkspace::new().solve(&problem).unwrap().x
+        cellsync_opt::QpWorkspace::new().solve(&problem).unwrap().x
     }
 
     /// A profile that dips well below zero, so positivity binds.

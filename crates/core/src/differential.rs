@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use cellsync_linalg::{Matrix, Vector};
-use cellsync_opt::QpWorkspace;
+use cellsync_opt::{QpProblem, QpWorkspace};
 
 use crate::banded::reference::dense_gcv;
 use crate::operators::{argmin_score, gcv_select};
@@ -81,7 +81,16 @@ fn dense_alpha(engine: &Deconvolver, weights: &[f64], g: &[f64], lambda: f64) ->
     let mut c = Vector::zeros(n);
     ops.linear_term_into(weights, g, &mut Vector::zeros(m), &mut c)
         .expect("linear term");
-    let problem = ops.constrained_problem(&h, &c, None).expect("problem");
+    let mut problem = QpProblem::new(&h, &c).expect("problem");
+    if let Some((e, rhs)) = &ops.equality {
+        problem = problem.with_equalities(e, rhs).expect("equalities");
+    }
+    if let Some((p, rhs)) = ops.positivity_rows() {
+        problem = problem.with_inequalities(p, rhs).expect("positivity");
+    }
+    if let Some(d) = &ops.interior {
+        problem = problem.with_interior_direction(d);
+    }
     QpWorkspace::new()
         .solve(&problem)
         .expect("dense QP")

@@ -607,8 +607,13 @@ mod tests {
             for weights in [ops.unit_weights.clone(), sigma_weights] {
                 let unit = weights.iter().all(|&w| w == 1.0);
                 let mut ws = FitWorkspace::new();
-                let own = (!unit).then_some(&mut ws.spectrum);
-                let series = ops.series(&weights, &bulk, own, &mut ws.proj).unwrap();
+                let spectrum = if unit {
+                    &ops.frame.unit
+                } else {
+                    ws.spectrum.rebuild(&ops.frame, &weights).unwrap();
+                    &ws.spectrum
+                };
+                let series = ops.series(&weights, &bulk, spectrum, &mut ws.proj);
                 // The tolerance rule of `spectral_gcv_matches_dense_reference`
                 // (ε times the (σ_max/σ_min)² growth of the weighted Gram's
                 // conditioning, floored at 1e-9), plus ε times the

@@ -273,32 +273,25 @@ impl FitOperators {
         }
     }
 
-    /// One series on these operators: its weights and data, with its
-    /// spectrum — the engine's unit-weight one when `own` is `None`,
-    /// else `own` rebuilt for `weights` — and the data projected onto it
+    /// One series on these operators: its weights and data, its spectrum
+    /// (which must be built for `weights`: the engine's unit-weight one,
+    /// or one [`Spectrum::rebuild`] made) and the data projected onto it
     /// (into `proj`).
     pub(crate) fn series<'a>(
         &'a self,
         weights: &'a [f64],
         g: &'a [f64],
-        own: Option<&'a mut Spectrum>,
+        spectrum: &'a Spectrum,
         proj: &'a mut Vec<f64>,
-    ) -> Result<Series<'a>> {
-        let spectrum: &Spectrum = match own {
-            Some(spectrum) => {
-                spectrum.rebuild(&self.frame, weights)?;
-                spectrum
-            }
-            None => &self.frame.unit,
-        };
+    ) -> Series<'a> {
         spectrum.project(weights, g, proj);
-        Ok(Series {
+        Series {
             equality: self.equality.as_ref().map(|(e, _)| e),
             weights,
             g,
             spectrum,
             proj,
-        })
+        }
     }
 
     /// The coefficient solve behind every fit: select λ (a
@@ -322,9 +315,10 @@ impl FitOperators {
             solve,
         } = workspace;
         let series = if unit {
-            self.series(&self.unit_weights, g, None, proj)?
+            self.series(&self.unit_weights, g, &self.frame.unit, proj)
         } else {
-            self.series(weights, g, Some(spectrum), proj)?
+            spectrum.rebuild(&self.frame, weights)?;
+            self.series(weights, g, spectrum, proj)
         };
         let (lambda, scores) = match (lambda_override, &self.selection) {
             (Some(l), _) | (None, &LambdaSelection::Fixed(l)) => (l, Vec::new()),
@@ -339,15 +333,20 @@ impl FitOperators {
         Ok((alpha, lambda, scores))
     }
 
-    /// The one fixed-λ solve behind every fit and every k-fold fold.
+    /// The one fixed-λ solve behind every fit, every k-fold fold and
+    /// every bootstrap replicate.
     ///
     /// It builds the equality-constrained minimizer in closed form in the
     /// frame ([`Frame::minimizer`]). When that satisfies positivity,
     /// convexity makes it the optimum with zero inequality multipliers,
     /// and the QP is skipped: a feasible solve allocates only the α it
     /// returns. When positivity binds, the minimizer warms the dense
-    /// active-set QP, which gets the interior direction too, so it starts
-    /// at the minimizer moved strictly inside the positivity cone.
+    /// active-set QP `min ½αᵀHα + cᵀα` over the equality and positivity
+    /// rows, which gets the interior direction too, so it starts at the
+    /// minimizer moved strictly inside the positivity cone. (The dense
+    /// rows cost the QP nothing measurable next to its `n × n` Hessian
+    /// factor: traced `genome_fine` fits read the same p50 with the
+    /// sparse-row form.)
     pub(crate) fn solve_at(
         &self,
         scan: &mut ScanScratch,
@@ -364,12 +363,21 @@ impl FitOperators {
         let SolveScratch { qp, h, c, w2g } = scratch;
         self.hessian(series.weights, lambda, h)?;
         self.linear_term_into(series.weights, series.g, w2g, c)?;
-        // H differs per call in fit context and fits must be independent
-        // of workspace history: drop the cached factor and replace any
-        // warm hint with this solve's own.
-        qp.invalidate_hessian();
+        let mut problem = QpProblem::new(h, c)?;
+        if let Some(token) = cancel {
+            problem = problem.with_cancel(token.clone());
+        }
+        if let Some((e, rhs)) = &self.equality {
+            problem = problem.with_equalities(e, rhs)?;
+        }
+        if let Some((p, rhs)) = self.positivity_rows() {
+            problem = problem.with_inequalities(p, rhs)?;
+        }
+        if let Some(d) = &self.interior {
+            problem = problem.with_interior_direction(d);
+        }
         qp.set_warm_start(alpha, Vec::new());
-        Ok(qp.solve(&self.constrained_problem(h, c, cancel)?)?.x)
+        Ok(qp.solve(&problem)?.x)
     }
 
     /// Whether `alpha` violates a positivity row by more than
@@ -394,9 +402,9 @@ impl FitOperators {
     /// The QP Hessian `H = 2(AᵀW²A + λ̄Ω + ε·R)` for weights `weights`,
     /// with `λ̄ = max(λ, ε)` and `R` holding `NᵀN` on each block's end
     /// coefficients, symmetrized, written into `h` (resized when needed):
-    /// the Hessian of every fit, of the bootstrap's once-per-band
-    /// replicate solves and of a harvested QP — the single site for the
-    /// scale/ridge convention. It is positive definite for any data.
+    /// the Hessian of every constrained solve ([`FitOperators::solve_at`])
+    /// and of a harvested QP — the single site for the scale/ridge
+    /// convention. It is positive definite for any data.
     pub(crate) fn hessian(&self, weights: &[f64], lambda: f64, h: &mut Matrix) -> Result<()> {
         let n = self.dim();
         if h.shape() != (n, n) {
@@ -410,35 +418,6 @@ impl FitOperators {
         }
         h.symmetrize()?;
         Ok(())
-    }
-
-    /// The constrained QP `min ½xᵀHx + cᵀx` over the operators'
-    /// constraint set: the equality rows, the positivity rows and the
-    /// interior direction, so cold solves start strictly inside the
-    /// positivity cone. The one QP builder behind fits and bootstrap
-    /// replicates. (The dense rows cost the QP nothing measurable next
-    /// to its `n × n` Hessian factor: traced `genome_fine` fits read the
-    /// same p50 with the sparse-row form.)
-    pub(crate) fn constrained_problem<'a>(
-        &'a self,
-        h: &'a Matrix,
-        c: &'a Vector,
-        cancel: Option<&CancelToken>,
-    ) -> Result<QpProblem<'a>> {
-        let mut problem = QpProblem::new(h, c)?;
-        if let Some(token) = cancel {
-            problem = problem.with_cancel(token.clone());
-        }
-        if let Some((e, rhs)) = &self.equality {
-            problem = problem.with_equalities(e, rhs)?;
-        }
-        if let Some((p, rhs)) = self.positivity_rows() {
-            problem = problem.with_inequalities(p, rhs)?;
-        }
-        if let Some(d) = &self.interior {
-            problem = problem.with_interior_direction(d);
-        }
-        Ok(problem)
     }
 
     /// The positivity rows active at `alpha` — `|P·α|` within the QP's
@@ -483,7 +462,8 @@ impl FitOperators {
             for &v in &fold.validation {
                 masked[v] = 0.0;
             }
-            let train = self.series(&masked, series.g, Some(&mut spectrum), &mut proj)?;
+            spectrum.rebuild(&self.frame, &masked)?;
+            let train = self.series(&masked, series.g, &spectrum, &mut proj);
             for (total, &l) in totals.iter_mut().zip(&self.lambda_grid) {
                 check_cancel(cancel)?;
                 let alpha = self.solve_at(scan, scratch, &train, l, cancel)?;
@@ -506,8 +486,8 @@ impl FitOperators {
 
     /// The QP linear term `c = −2·AᵀW²g` for weights `weights` and data
     /// `g`, written into `c` with `w2g` as scratch (both resized when
-    /// needed): the linear term of every fit, of each bootstrap replicate
-    /// and of a harvested QP.
+    /// needed): the linear term of every constrained solve
+    /// ([`FitOperators::solve_at`]) and of a harvested QP.
     pub(crate) fn linear_term_into(
         &self,
         weights: &[f64],
@@ -605,7 +585,8 @@ mod tests {
                     solve,
                     ..
                 } = &mut workspace;
-                let series = ops.series(&masked, &g, Some(spectrum), proj).unwrap();
+                spectrum.rebuild(&ops.frame, &masked).unwrap();
+                let series = ops.series(&masked, &g, spectrum, proj);
                 let fold = ops.solve_at(scan, solve, &series, lambda, None).unwrap();
 
                 let g_train: Vec<f64> = train.iter().map(|&i| g[i]).collect();

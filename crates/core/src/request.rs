@@ -13,6 +13,12 @@ use crate::{BootstrapBand, CancelToken, DeconvolutionResult};
 
 /// Bootstrap options riding on a [`FitRequest`]: how many replicates,
 /// the band's phase-grid resolution, and the RNG seed.
+///
+/// The engine accepts `1 ≤ replicates ≤` [`BootstrapSpec::MAX_REPLICATES`]
+/// and `2 ≤ grid ≤` [`BootstrapSpec::MAX_GRID`]. The caps bound the
+/// replicate profiles a band holds (at most 10⁷ values, 80 MB), so a
+/// request cannot make the engine ask for an allocation the process
+/// cannot survive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BootstrapSpec {
     replicates: usize,
@@ -21,9 +27,15 @@ pub struct BootstrapSpec {
 }
 
 impl BootstrapSpec {
+    /// The largest accepted replicate count.
+    pub const MAX_REPLICATES: usize = 10_000;
+
+    /// The largest accepted phase-grid resolution.
+    pub const MAX_GRID: usize = 1_000;
+
     /// Builds a bootstrap spec. Values are validated by the engine at
-    /// fit time ([`crate::Deconvolver::fit_request`]): `replicates ≥ 1`,
-    /// `grid ≥ 2`, and the request must carry sigmas.
+    /// fit time ([`crate::Deconvolver::fit_request`]): the limits above,
+    /// and the request must carry sigmas.
     pub fn new(replicates: usize, grid: usize, seed: u64) -> Self {
         BootstrapSpec {
             replicates,

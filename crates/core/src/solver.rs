@@ -38,10 +38,11 @@ pub struct FitWorkspace {
 
 /// Scratch of the engine's one fixed-λ solve: the QP workspace and the
 /// QP it assembles when positivity binds. A separate struct so a solve
-/// can borrow it next to the workspace's weights.
+/// can borrow it next to the workspace's weights, and so each bootstrap
+/// worker can carry one without a whole [`FitWorkspace`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SolveScratch {
-    /// Active-set QP scratch (cached Hessian factor, warm hints).
+    /// Active-set QP scratch (buffers and the solve's warm hint).
     pub(crate) qp: QpWorkspace,
     /// Assembled QP Hessian (n × n).
     pub(crate) h: Matrix,
@@ -118,9 +119,8 @@ mod tests {
     /// The scan's score at `lambda` for one weight vector.
     fn scan_score(ops: &FitOperators, weights: &[f64], g: &[f64], lambda: f64) -> f64 {
         let mut ws = FitWorkspace::new();
-        let series = ops
-            .series(weights, g, Some(&mut ws.spectrum), &mut ws.proj)
-            .unwrap();
+        ws.spectrum.rebuild(&ops.frame, weights).unwrap();
+        let series = ops.series(weights, g, &ws.spectrum, &mut ws.proj);
         ops.frame.gcv_score(&series, lambda, &mut ws.scan).unwrap()
     }
 
@@ -194,12 +194,13 @@ mod tests {
                     scan,
                     ..
                 } = ws;
-                let unit = ops.series(&ops.unit_weights, &g, None, proj).unwrap();
+                let unit = ops.series(&ops.unit_weights, &g, &ops.frame.unit, proj);
                 for &l in &ops.lambda_grid {
                     ops.frame.gcv_score(&unit, l, scan).unwrap();
                 }
                 for weights in &weight_sets {
-                    let series = ops.series(weights, &g, Some(spectrum), proj).unwrap();
+                    spectrum.rebuild(&ops.frame, weights).unwrap();
+                    let series = ops.series(weights, &g, spectrum, proj);
                     for &l in &ops.lambda_grid {
                         ops.frame.gcv_score(&series, l, scan).unwrap();
                     }
@@ -214,7 +215,8 @@ mod tests {
                     ..
                 } = ws;
                 for weights in &weight_sets {
-                    let series = ops.series(weights, &g, Some(spectrum), proj).unwrap();
+                    spectrum.rebuild(&ops.frame, weights).unwrap();
+                    let series = ops.series(weights, &g, spectrum, proj);
                     for l in [0.0, 1e-4, 1.0] {
                         ops.solve_at(scan, solve, &series, l, None).unwrap();
                     }
@@ -274,9 +276,8 @@ mod tests {
             let (e, _) = ops.equality.as_ref().unwrap();
             let weights = sigma_weights(16, 3, 2.0);
             let mut ws = FitWorkspace::new();
-            let series = ops
-                .series(&weights, &g, Some(&mut ws.spectrum), &mut ws.proj)
-                .unwrap();
+            ws.spectrum.rebuild(&ops.frame, &weights).unwrap();
+            let series = ops.series(&weights, &g, &ws.spectrum, &mut ws.proj);
             for lambda in [0.0, 1e-6, 1e-2, 1e2] {
                 let alpha = ops.frame.minimizer(&series, lambda, &mut ws.scan).unwrap();
                 let ea = e.matvec(&alpha).unwrap();
@@ -296,9 +297,7 @@ mod tests {
         for k in [0, 2] {
             let (ops, g) = synthetic_operators(16, 18, 1, k);
             let mut ws = FitWorkspace::new();
-            let series = ops
-                .series(&ops.unit_weights, &g, None, &mut ws.proj)
-                .unwrap();
+            let series = ops.series(&ops.unit_weights, &g, &ops.frame.unit, &mut ws.proj);
             let mut previous = f64::INFINITY;
             for lambda in [0.0, 1e-9, 1e-6, 1e-3, 1.0, 1e3] {
                 let (_, edf) = ops.frame.evaluate(&series, lambda, &mut ws.scan).unwrap();

@@ -8,7 +8,7 @@
 //! used in the §5 parameter-estimation application):
 //!
 //! * [`OdeSystem`] — the right-hand-side trait implemented by all models.
-//! * [`solver`] — fixed-step Euler / Heun / classic RK4 and the adaptive
+//! * [`solver`] — fixed-step classic RK4 and the adaptive
 //!   Dormand–Prince 5(4) pair, all producing a dense [`Trajectory`].
 //! * [`models`] — Lotka–Volterra, Goodwin, and a damped
 //!   linear oscillator with a closed-form solution for validation.

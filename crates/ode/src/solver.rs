@@ -24,123 +24,6 @@ fn validate_setup<S: OdeSystem>(system: &S, y0: &[f64], t0: f64, t1: f64) -> Res
     Ok(())
 }
 
-/// The forward Euler method (first order). Provided as the accuracy
-/// baseline in the integrator-convergence tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Euler {
-    dt: f64,
-}
-
-impl Euler {
-    /// Creates an Euler integrator with step size `dt`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::InvalidStep`] for non-positive or non-finite `dt`.
-    pub fn new(dt: f64) -> Result<Self> {
-        if !(dt > 0.0) || !dt.is_finite() {
-            return Err(OdeError::InvalidStep(dt));
-        }
-        Ok(Euler { dt })
-    }
-
-    /// Integrates `system` from `y0` over `[t0, t1]`.
-    ///
-    /// # Errors
-    ///
-    /// Setup errors from validation plus [`OdeError::SolutionDiverged`].
-    pub fn integrate<S: OdeSystem>(
-        &self,
-        system: &S,
-        y0: &[f64],
-        t0: f64,
-        t1: f64,
-    ) -> Result<Trajectory> {
-        validate_setup(system, y0, t0, t1)?;
-        let dim = system.dim();
-        let mut t = t0;
-        let mut y = y0.to_vec();
-        let mut dydt = vec![0.0; dim];
-        let mut times = vec![t0];
-        let mut states = vec![y.clone()];
-        while t < t1 {
-            let h = self.dt.min(t1 - t);
-            system.rhs(t, &y, &mut dydt);
-            for i in 0..dim {
-                y[i] += h * dydt[i];
-            }
-            t += h;
-            if y.iter().any(|v| !v.is_finite()) {
-                return Err(OdeError::SolutionDiverged { t });
-            }
-            times.push(t);
-            states.push(y.clone());
-        }
-        Trajectory::from_parts(times, states)
-    }
-}
-
-/// Heun's method (explicit trapezoid, second order).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Heun {
-    dt: f64,
-}
-
-impl Heun {
-    /// Creates a Heun integrator with step size `dt`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OdeError::InvalidStep`] for non-positive or non-finite `dt`.
-    pub fn new(dt: f64) -> Result<Self> {
-        if !(dt > 0.0) || !dt.is_finite() {
-            return Err(OdeError::InvalidStep(dt));
-        }
-        Ok(Heun { dt })
-    }
-
-    /// Integrates `system` from `y0` over `[t0, t1]`.
-    ///
-    /// # Errors
-    ///
-    /// Setup errors from validation plus [`OdeError::SolutionDiverged`].
-    pub fn integrate<S: OdeSystem>(
-        &self,
-        system: &S,
-        y0: &[f64],
-        t0: f64,
-        t1: f64,
-    ) -> Result<Trajectory> {
-        validate_setup(system, y0, t0, t1)?;
-        let dim = system.dim();
-        let mut t = t0;
-        let mut y = y0.to_vec();
-        let mut k1 = vec![0.0; dim];
-        let mut k2 = vec![0.0; dim];
-        let mut pred = vec![0.0; dim];
-        let mut times = vec![t0];
-        let mut states = vec![y.clone()];
-        while t < t1 {
-            let h = self.dt.min(t1 - t);
-            system.rhs(t, &y, &mut k1);
-            for i in 0..dim {
-                pred[i] = y[i] + h * k1[i];
-            }
-            system.rhs(t + h, &pred, &mut k2);
-            for i in 0..dim {
-                y[i] += 0.5 * h * (k1[i] + k2[i]);
-            }
-            t += h;
-            if y.iter().any(|v| !v.is_finite()) {
-                return Err(OdeError::SolutionDiverged { t });
-            }
-            times.push(t);
-            states.push(y.clone());
-        }
-        Trajectory::from_parts(times, states)
-    }
-}
-
 /// The classic fourth-order Runge–Kutta method — the workhorse used to
 /// generate the Lotka–Volterra "single cell" trajectories of Fig. 2/3.
 ///
@@ -459,48 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn euler_first_order_convergence() {
-        let exact = (-1.0_f64).exp();
-        let e1 = (Euler::new(0.01)
-            .unwrap()
-            .integrate(&Decay, &[1.0], 0.0, 1.0)
-            .unwrap()
-            .last_state()[0]
-            - exact)
-            .abs();
-        let e2 = (Euler::new(0.005)
-            .unwrap()
-            .integrate(&Decay, &[1.0], 0.0, 1.0)
-            .unwrap()
-            .last_state()[0]
-            - exact)
-            .abs();
-        let order = (e1 / e2).log2();
-        assert!((order - 1.0).abs() < 0.15, "order {order}");
-    }
-
-    #[test]
-    fn heun_second_order_convergence() {
-        let exact = (-1.0_f64).exp();
-        let e1 = (Heun::new(0.02)
-            .unwrap()
-            .integrate(&Decay, &[1.0], 0.0, 1.0)
-            .unwrap()
-            .last_state()[0]
-            - exact)
-            .abs();
-        let e2 = (Heun::new(0.01)
-            .unwrap()
-            .integrate(&Decay, &[1.0], 0.0, 1.0)
-            .unwrap()
-            .last_state()[0]
-            - exact)
-            .abs();
-        let order = (e1 / e2).log2();
-        assert!((order - 2.0).abs() < 0.2, "order {order}");
-    }
-
-    #[test]
     fn rk4_fourth_order_convergence() {
         let exact = (-1.0_f64).exp();
         let e1 = (Rk4::new(0.1)
@@ -578,8 +419,6 @@ mod tests {
     #[test]
     fn setup_validation() {
         assert!(Rk4::new(0.0).is_err());
-        assert!(Euler::new(f64::NAN).is_err());
-        assert!(Heun::new(-0.1).is_err());
         assert!(DormandPrince::new(0.0, 1e-6).is_err());
         let rk = Rk4::new(0.1).unwrap();
         assert!(rk.integrate(&Decay, &[1.0, 2.0], 0.0, 1.0).is_err());

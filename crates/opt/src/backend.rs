@@ -51,15 +51,7 @@ impl QpBackend for QpWorkspace {
         "active-set"
     }
 
-    /// Solves via the active-set method. Unlike [`QpWorkspace::solve`],
-    /// which caches the Hessian factorization across solves (the
-    /// λ-sweep hot path, where the caller invalidates on change), the
-    /// trait path assumes successive problems are unrelated and drops
-    /// the cached factor first — a stale factor silently produces a
-    /// wrong answer, which is exactly what a differential harness must
-    /// never do to itself.
     fn solve_qp(&mut self, problem: &QpProblem<'_>) -> Result<QpSolution> {
-        self.invalidate_hessian();
         self.solve(problem)
     }
 }

@@ -75,8 +75,8 @@ const TAU: f64 = 0.995;
 ///
 /// Like [`crate::QpWorkspace`], the workspace owns every buffer the
 /// iteration needs, so repeated same-shape solves allocate nothing. Unlike
-/// the active-set workspace it carries **no** cross-solve state (no cached
-/// factor, no warm hint): interior-point methods restart from their own
+/// the active-set workspace it carries **no** cross-solve state (no warm
+/// hint): interior-point methods restart from their own
 /// self-dual starting point, which is what keeps this backend's answers
 /// independent of solve history — the property the differential corpus
 /// suite leans on. A supplied [`QpProblem`] starting point is therefore

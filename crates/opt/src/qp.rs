@@ -2,10 +2,9 @@
 //!
 //! The solver is split into a borrow-based problem description
 //! ([`QpProblem`]) and a reusable mutable scratch ([`QpWorkspace`]), so
-//! repeated solves — a λ sweep, cross-validation folds, bootstrap
-//! replicates — share buffers, cached Hessian factorizations, and
-//! warm-start information instead of reallocating per solve. A one-shot
-//! solve is `QpWorkspace::new().solve(&problem)`.
+//! repeated solves share buffers and warm-start information instead of
+//! reallocating per solve. A one-shot solve is
+//! `QpWorkspace::new().solve(&problem)`.
 
 use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
 use cellsync_runtime::CancelToken;
@@ -19,43 +18,6 @@ use crate::{OptError, Result};
 /// toward the equality-constrained minimizer then stops exactly on that
 /// last row, so the value only needs to be clearly above roundoff.
 const INTERIOR_MARGIN: f64 = 1e-3;
-
-/// The inequality block of a [`QpProblem`]: the rows `A` and the
-/// right-hand side `b` of `A x ≥ b`.
-#[derive(Debug, Clone)]
-struct IneqRef<'a> {
-    a: &'a Matrix,
-    rhs: &'a Vector,
-}
-
-impl IneqRef<'_> {
-    fn rows(&self) -> usize {
-        self.a.rows()
-    }
-
-    fn rhs(&self) -> &Vector {
-        self.rhs
-    }
-
-    fn dense(&self) -> &Matrix {
-        self.a
-    }
-
-    fn row(&self, i: usize) -> &[f64] {
-        self.a.row(i)
-    }
-
-    fn matvec_into(&self, x: &Vector, out: &mut Vector) -> Result<()> {
-        self.a.matvec_into(x, out)?;
-        Ok(())
-    }
-
-    fn matvec(&self, x: &Vector) -> Result<Vector> {
-        let mut out = Vector::zeros(self.rows());
-        self.matvec_into(x, &mut out)?;
-        Ok(out)
-    }
-}
 
 /// A borrowed view of a convex quadratic program
 ///
@@ -99,7 +61,7 @@ pub struct QpProblem<'a> {
     h: &'a Matrix,
     c: &'a Vector,
     eq: Option<(&'a Matrix, &'a Vector)>,
-    ineq: Option<IneqRef<'a>>,
+    ineq: Option<(&'a Matrix, &'a Vector)>,
     start: Option<&'a Vector>,
     direction: Option<&'a Vector>,
     tolerance: f64,
@@ -201,10 +163,7 @@ impl<'a> QpProblem<'a> {
                 got: b_rhs.len(),
             });
         }
-        self.ineq = Some(IneqRef {
-            a: a_mat,
-            rhs: b_rhs,
-        });
+        self.ineq = Some((a_mat, b_rhs));
         Ok(self)
     }
 
@@ -283,9 +242,9 @@ impl<'a> QpProblem<'a> {
         self.eq
     }
 
-    /// The inequality block `(A, b)` as dense views, if any.
-    pub(crate) fn inequalities(&self) -> Option<(&Matrix, &Vector)> {
-        self.ineq.as_ref().map(|iq| (iq.dense(), iq.rhs()))
+    /// The inequality block `(A, b)`, if any.
+    pub(crate) fn inequalities(&self) -> Option<(&'a Matrix, &'a Vector)> {
+        self.ineq
     }
 
     /// The iteration budget, `100·(n + 10)`.
@@ -301,9 +260,8 @@ impl<'a> QpProblem<'a> {
                 return Ok(false);
             }
         }
-        if let Some(iq) = &self.ineq {
-            let ax = iq.matvec(x)?;
-            let b_rhs = iq.rhs();
+        if let Some((a_mat, b_rhs)) = self.ineq {
+            let ax = a_mat.matvec(x)?;
             for i in 0..b_rhs.len() {
                 if ax[i] < b_rhs[i] - tol {
                     return Ok(false);
@@ -319,7 +277,7 @@ impl<'a> QpProblem<'a> {
     /// are left in `ad`. A problem without inequalities has no use for
     /// one.
     fn interior_direction(&self, ad: &mut Vector) -> Result<Option<&'a Vector>> {
-        let (Some(d), Some(iq)) = (self.direction, &self.ineq) else {
+        let (Some(d), Some((a_mat, _))) = (self.direction, self.ineq) else {
             return Ok(None);
         };
         if d.len() != self.dim() || !d.is_finite() {
@@ -334,7 +292,7 @@ impl<'a> QpProblem<'a> {
                 }
             }
         }
-        iq.matvec_into(d, ad)?;
+        a_mat.matvec_into(d, ad)?;
         Ok(ad.iter().all(|&v| v > 0.0).then_some(d))
     }
 
@@ -385,10 +343,10 @@ impl<'a> QpProblem<'a> {
 /// **incrementally maintained** factorization of the working-set system.
 ///
 /// The solver is an active-set method in the whitened coordinates
-/// `u = Lᵀx`, where `H = LLᵀ` is factored once per solve family (and
-/// cached across solves). In those coordinates the objective is
-/// `½‖u − u₀‖²` with `u₀ = −L⁻¹c`, and each working row `a` becomes the
-/// whitened column `v = L⁻¹a`. The workspace maintains the thin QR
+/// `u = Lᵀx`, where `H = LLᵀ` is factored at the start of every solve.
+/// In those coordinates the objective is `½‖u − u₀‖²` with
+/// `u₀ = −L⁻¹c`, and each working row `a` becomes the whitened column
+/// `v = L⁻¹a`. The workspace maintains the thin QR
 /// factorization of those columns,
 ///
 /// ```text
@@ -417,15 +375,12 @@ impl<'a> QpProblem<'a> {
 ///
 /// Across solves the workspace provides:
 ///
-/// 1. **Buffer reuse** — every per-iteration vector and the `Q`/`R`
-///    storage persist, so same-sized solves allocate nothing but their
-///    returned solution.
-/// 2. **Hessian-factor caching** — the Cholesky factor of `H` is kept
-///    between solves. The caller owns invalidation: call
-///    [`QpWorkspace::invalidate_hessian`] whenever the backing `H`
-///    changes (a dimension change invalidates automatically). Bootstrap
-///    replicates — one `H`, many right-hand sides — factor once and
-///    reuse everywhere.
+/// 1. **Buffer reuse** — every per-iteration vector, the `Q`/`R`
+///    storage and the storage of `H`'s Cholesky factor persist, so
+///    same-sized solves allocate nothing but their returned solution.
+/// 2. **No Hessian state** — `H` is refactored into that storage at the
+///    start of every solve, so successive problems may change `H`
+///    freely and a solve never reads a factor of another problem.
 /// 3. **Warm starts** — [`QpWorkspace::set_warm_start`] records a hint
 ///    `(x₀, active set)` (typically a previous solution of a nearby
 ///    problem). The next solves start from the hint when it is feasible
@@ -433,10 +388,9 @@ impl<'a> QpProblem<'a> {
 ///    through the same guarded incremental append (dependent rows are
 ///    dropped); a stale hint is ignored, never an error, and an infeasible
 ///    one is at most the base point of the interior start (item 4).
-///    The hint persists until replaced or cleared, so a family of
-///    perturbed problems (bootstrap replicates around a point fit) all
-///    warm-start from the same deterministic hint — results stay
-///    independent of solve order.
+///    The hint persists until replaced, so every solve after one
+///    [`QpWorkspace::set_warm_start`] starts from the same deterministic
+///    hint — results stay independent of solve order.
 /// 4. **Interior start** — when no feasible start applies and the
 ///    problem carries an interior direction `d`
 ///    ([`QpProblem::with_interior_direction`]), the walk starts at the
@@ -446,7 +400,8 @@ impl<'a> QpProblem<'a> {
 ///    otherwise leaves only through a long run of zero-length steps.
 #[derive(Debug, Clone, Default)]
 pub struct QpWorkspace {
-    hessian_factor: Option<CholeskyDecomposition>,
+    /// Cholesky factor `L` of the current solve's `H`.
+    hessian_factor: CholeskyDecomposition,
     warm: Option<(Vector, Vec<usize>)>,
     /// Inequality rows currently treated as equalities.
     working: Vec<usize>,
@@ -519,13 +474,6 @@ impl QpWorkspace {
         QpWorkspace::default()
     }
 
-    /// Drops the cached Hessian factorization. Call whenever the `H`
-    /// backing subsequent [`QpProblem`]s changes; forgetting to do so
-    /// silently reuses the stale factor.
-    pub fn invalidate_hessian(&mut self) {
-        self.hessian_factor = None;
-    }
-
     /// Records a warm-start hint: a candidate starting point and the
     /// inequality active set to seed the working set from. The hint is
     /// validated at solve time (feasibility, activity, rank) and ignored
@@ -534,8 +482,8 @@ impl QpWorkspace {
         self.warm = Some((x0, active));
     }
 
-    /// Solves `problem`, reusing this workspace's buffers, cached Hessian
-    /// factor, and warm-start hint.
+    /// Solves `problem`, reusing this workspace's buffers and warm-start
+    /// hint; `H` is factored afresh.
     ///
     /// # Errors
     ///
@@ -552,18 +500,11 @@ impl QpWorkspace {
     pub fn solve(&mut self, problem: &QpProblem<'_>) -> Result<QpSolution> {
         let n = problem.dim();
         let tol = problem.tolerance;
-        if self.hessian_factor.as_ref().is_some_and(|f| f.dim() != n) {
-            self.hessian_factor = None;
-        }
-        if self.hessian_factor.is_none() {
-            let factor = problem
-                .h
-                .cholesky()
-                .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?;
-            self.hessian_factor = Some(factor);
-        }
+        self.hessian_factor
+            .refactor(problem.h)
+            .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?;
         let n_eq = problem.eq.as_ref().map_or(0, |(m, _)| m.rows());
-        let n_ineq = problem.ineq.as_ref().map_or(0, IneqRef::rows);
+        let n_ineq = problem.ineq.map_or(0, |(a_mat, _)| a_mat.rows());
         self.ensure(n, n_ineq);
 
         // Whitened objective center u₀ = −L⁻¹c, fixed for the whole
@@ -572,10 +513,7 @@ impl QpWorkspace {
         for (u, &ci) in self.u0.as_mut_slice().iter_mut().zip(problem.c.iter()) {
             *u = -ci;
         }
-        self.hessian_factor
-            .as_ref()
-            .expect("factored above")
-            .forward_solve_in_place(&mut self.u0)?;
+        self.hessian_factor.forward_solve_in_place(&mut self.u0)?;
 
         // Working system: equality rows first (a consistent dependent row
         // is redundant — the retained independent rows already enforce
@@ -656,10 +594,9 @@ impl QpWorkspace {
                 // Line search to the nearest blocking constraint.
                 let mut alpha = 1.0;
                 let mut blocking: Option<usize> = None;
-                if let Some(iq) = &problem.ineq {
-                    iq.matvec_into(&self.step, &mut self.ap)?;
-                    iq.matvec_into(&self.x, &mut self.ax)?;
-                    let b_rhs = iq.rhs();
+                if let Some((a_mat, b_rhs)) = problem.ineq {
+                    a_mat.matvec_into(&self.step, &mut self.ap)?;
+                    a_mat.matvec_into(&self.x, &mut self.ax)?;
                     for i in 0..n_ineq {
                         if self.working.contains(&i) || self.dependent.contains(&i) {
                             continue;
@@ -678,7 +615,7 @@ impl QpWorkspace {
                 }
                 if let Some(bi) = blocking {
                     let full = self.eq_keep.len() + self.working.len() >= n;
-                    let row = problem.ineq.as_ref().expect("blocking row exists").row(bi);
+                    let row = problem.ineq.expect("blocking row exists").0.row(bi);
                     if !full && self.push_row(row)? {
                         self.working.push(bi);
                         self.dependent.clear();
@@ -825,13 +762,11 @@ impl QpWorkspace {
     /// (a base point that violates the equalities cannot be repaired
     /// along `d`).
     fn move_inside(&mut self, problem: &QpProblem<'_>, d: &Vector, tol: f64) -> Result<bool> {
-        let iq = problem
+        let (a_mat, b_rhs) = problem
             .ineq
-            .as_ref()
             .expect("a usable interior direction implies inequality rows");
-        iq.matvec_into(&self.x, &mut self.ax)?;
-        let t = iq
-            .rhs()
+        a_mat.matvec_into(&self.x, &mut self.ax)?;
+        let t = b_rhs
             .iter()
             .zip(self.ax.iter().zip(self.ap.iter()))
             .map(|(&b, (&ax, &ad))| (b - ax) / ad)
@@ -880,10 +815,7 @@ impl QpWorkspace {
             self.solve_r(m_w);
         }
         self.xt.as_mut_slice().copy_from_slice(self.ut.as_slice());
-        self.hessian_factor
-            .as_ref()
-            .expect("factored in solve")
-            .backward_solve_in_place(&mut self.xt)?;
+        self.hessian_factor.backward_solve_in_place(&mut self.xt)?;
         Ok(())
     }
 
@@ -892,7 +824,7 @@ impl QpWorkspace {
     /// guarded incremental append (dependent rows are dropped, exactly
     /// like the old explicit rank check, but incrementally).
     fn seed_working_from_hint(&mut self, problem: &QpProblem<'_>) -> Result<()> {
-        let Some(iq) = &problem.ineq else {
+        let Some((a_mat, b_rhs)) = problem.ineq else {
             return Ok(());
         };
         self.warm_idx.clear();
@@ -902,16 +834,16 @@ impl QpWorkspace {
         if self.warm_idx.is_empty() {
             return Ok(());
         }
-        iq.matvec_into(&self.x, &mut self.ax)?;
+        a_mat.matvec_into(&self.x, &mut self.ax)?;
         let scale = 1.0 + self.x.norm_inf();
         let n = problem.dim();
         for k in 0..self.warm_idx.len() {
             let i = self.warm_idx[k];
-            if i < iq.rows()
-                && (self.ax[i] - iq.rhs()[i]).abs() <= Self::WARM_ACTIVITY_TOL * scale
+            if i < a_mat.rows()
+                && (self.ax[i] - b_rhs[i]).abs() <= Self::WARM_ACTIVITY_TOL * scale
                 && self.eq_keep.len() + self.working.len() < n
                 && !self.working.contains(&i)
-                && self.push_row(iq.row(i))?
+                && self.push_row(a_mat.row(i))?
             {
                 self.working.push(i);
             }
@@ -926,8 +858,8 @@ impl QpWorkspace {
             let (e_mat, _) = problem.eq.as_ref().expect("equality rows retained");
             e_mat.row(self.eq_keep[r])
         } else {
-            let iq = problem.ineq.as_ref().expect("working rows exist");
-            iq.row(self.working[r - self.eq_keep.len()])
+            let (a_mat, _) = problem.ineq.expect("working rows exist");
+            a_mat.row(self.working[r - self.eq_keep.len()])
         }
     }
 
@@ -937,8 +869,8 @@ impl QpWorkspace {
             let (_, e_rhs) = problem.eq.as_ref().expect("equality rows retained");
             e_rhs[self.eq_keep[r]]
         } else {
-            let iq = problem.ineq.as_ref().expect("working rows exist");
-            iq.rhs()[self.working[r - self.eq_keep.len()]]
+            let (_, b_rhs) = problem.ineq.expect("working rows exist");
+            b_rhs[self.working[r - self.eq_keep.len()]]
         }
     }
 
@@ -958,10 +890,7 @@ impl QpWorkspace {
             return Ok(false); // more than n rows cannot be independent
         }
         self.vcol.as_mut_slice().copy_from_slice(row);
-        self.hessian_factor
-            .as_ref()
-            .expect("factored in solve")
-            .forward_solve_in_place(&mut self.vcol)?;
+        self.hessian_factor.forward_solve_in_place(&mut self.vcol)?;
         let vnorm = self.vcol.norm2();
         if !(vnorm > 0.0) || !vnorm.is_finite() {
             return Ok(false);
@@ -1078,7 +1007,7 @@ impl QpWorkspace {
         }
         let work = std::mem::take(&mut self.working);
         for i in work {
-            let row = problem.ineq.as_ref().expect("working rows exist").row(i);
+            let row = problem.ineq.expect("working rows exist").0.row(i);
             if self.push_row(row)? {
                 self.working.push(i);
             }
@@ -1110,10 +1039,7 @@ impl QpWorkspace {
         self.vcol
             .as_mut_slice()
             .copy_from_slice(self.resid.as_slice());
-        self.hessian_factor
-            .as_ref()
-            .expect("factored in solve")
-            .solve_in_place(&mut self.vcol)?;
+        self.hessian_factor.solve_in_place(&mut self.vcol)?;
         if m_w > 0 {
             // S·δλ = r₂ − A_W·t with r₂ = b_W − A_W·x and S = RᵀR.
             for r in 0..m_w {
@@ -1147,8 +1073,6 @@ impl QpWorkspace {
                 }
             }
             self.hessian_factor
-                .as_ref()
-                .expect("factored in solve")
                 .backward_solve_in_place(&mut self.resid)?;
             for ((xv, &t), &z) in self
                 .x
@@ -1444,7 +1368,7 @@ mod tests {
 
     #[test]
     fn workspace_reuse_matches_fresh_solves() {
-        // One Hessian, several right-hand sides — the bootstrap pattern.
+        // One Hessian, several right-hand sides.
         let n = 8;
         let mut h = Matrix::identity(n).scaled(2.0);
         for i in 0..n - 1 {
@@ -1564,10 +1488,10 @@ mod tests {
 
     #[test]
     fn incremental_matches_one_shot_solution_and_active_set() {
-        // The incremental path (shared workspace, cached Hessian factor,
-        // warm-started working set evolving by rank-one factor updates)
-        // must agree with a fresh one-shot solve of every problem to
-        // 1e-9, with the identical active set.
+        // The incremental path (shared workspace, warm-started working
+        // set evolving by rank-one factor updates) must agree with a
+        // fresh one-shot solve of every problem to 1e-9, with the
+        // identical active set.
         let n = 16;
         let ineq = Matrix::identity(n);
         let zero = Vector::zeros(n);
@@ -1645,19 +1569,17 @@ mod tests {
 
     #[test]
     fn hessian_cache_invalidation_contract() {
-        // Same dimension, different H: without invalidation the stale
-        // factor would be reused on the unconstrained path, so the
-        // contract is exercised exactly as a caller must honor it.
+        // Same dimension, different H: the workspace keeps no factor of a
+        // previous problem, so a reused workspace solves the new H.
         let h1 = Matrix::identity(3).scaled(2.0);
         let h2 = Matrix::identity(3).scaled(8.0);
         let c = Vector::from_slice(&[-2.0, -4.0, -6.0]);
         let mut ws = QpWorkspace::new();
         let s1 = ws.solve(&QpProblem::new(&h1, &c).unwrap()).unwrap();
         assert!((s1.x[0] - 1.0).abs() < 1e-10);
-        ws.invalidate_hessian();
         let s2 = ws.solve(&QpProblem::new(&h2, &c).unwrap()).unwrap();
         assert!((s2.x[0] - 0.25).abs() < 1e-10, "x = {}", s2.x);
-        // A dimension change invalidates automatically.
+        // So does a dimension change.
         let h3 = Matrix::identity(2);
         let c3 = Vector::from_slice(&[-1.0, -1.0]);
         let s3 = ws.solve(&QpProblem::new(&h3, &c3).unwrap()).unwrap();

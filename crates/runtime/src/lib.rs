@@ -129,22 +129,6 @@ impl Pool {
         self.threads
     }
 
-    /// Runs `f` with a [`std::thread::scope`] — the escape hatch for
-    /// workloads that do not fit the indexed-map shape. Provided so
-    /// callers standardize on one entry point for scoped parallelism
-    /// instead of hand-rolling their own chunking.
-    ///
-    /// Unlike the map entry points, `scope` places **no limit** on how
-    /// many threads the closure spawns — the pool's width bounds only
-    /// [`Pool::par_map_indexed`] and its derivatives. Callers needing a
-    /// bounded fan-out should spawn at most [`Pool::threads`] workers.
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> R,
-    {
-        std::thread::scope(f)
-    }
-
     /// Evaluates `f(i)` for every `i ∈ 0..n` across the pool and returns
     /// the results in index order.
     ///
@@ -322,20 +306,7 @@ impl Pool {
         E: Send,
         F: Fn(usize) -> std::result::Result<T, E> + Sync,
     {
-        let mut results = self.par_map_indexed(n, f);
-        if let Some(i) = results.iter().position(std::result::Result::is_err) {
-            let Err(e) = results.swap_remove(i) else {
-                unreachable!("position() found an Err at {i}")
-            };
-            return Err((i, e));
-        }
-        Ok(results
-            .into_iter()
-            .map(|r| match r {
-                Ok(v) => v,
-                Err(_) => unreachable!("errors were ruled out above"),
-            })
-            .collect())
+        self.try_par_map_with(n, || (), |(), i| f(i))
     }
 }
 
@@ -486,17 +457,5 @@ mod tests {
                 "threads {threads}"
             );
         }
-    }
-
-    #[test]
-    fn scope_escape_hatch_runs_scoped_threads() {
-        let total = AtomicUsize::new(0);
-        Pool::new(2).scope(|scope| {
-            for add in [1usize, 2, 3] {
-                let total = &total;
-                scope.spawn(move || total.fetch_add(add, Ordering::Relaxed));
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 6);
     }
 }

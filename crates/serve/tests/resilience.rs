@@ -6,13 +6,20 @@
 //! count is calibrated at run time (debug and release builds differ by
 //! orders of magnitude), so the tests assert behavior — a deadline cuts
 //! a fit short, a full server sheds, a panic stays contained — rather
-//! than wall-clock guesses.
+//! than wall-clock guesses. Its replicates run on a basis-128 family
+//! whose profile dips below zero, so every replicate binds positivity
+//! and runs the dense QP: each costs enough that a band within
+//! `BootstrapSpec::MAX_REPLICATES` lasts seconds.
 
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
-use cellsync::{Deconvolver, FitRequest, ForwardModel, PhaseProfile};
-use cellsync_serve::{Client, FamilyRegistry, RetryPolicy, RetryingClient, Server, ServerConfig};
+use cellsync::{
+    BootstrapSpec, DeconvolutionConfig, Deconvolver, FitRequest, ForwardModel, PhaseProfile,
+};
+use cellsync_serve::{
+    Client, Family, FamilyRegistry, RetryPolicy, RetryingClient, Server, ServerConfig,
+};
 use cellsync_wire::{BootstrapWire, ErrorWire, FitRequestWire, FitResponseWire, StatsWire};
 
 /// Keeps injected poisoned-family panics off the test log while
@@ -35,6 +42,13 @@ fn quiet_injected_panics() {
 
 fn start(config: ServerConfig, seed: u64, poisoned: bool) -> (Server, FamilyRegistry) {
     let mut registry = FamilyRegistry::quick(seed).expect("quick registry");
+    let kernel = registry.get("fixed").unwrap().kernel().clone();
+    let slow = DeconvolutionConfig::builder()
+        .basis_size(128)
+        .lambda(1e-4)
+        .build()
+        .expect("slow family config");
+    registry.insert(Family::new("slow", kernel, slow));
     if poisoned {
         assert!(registry.insert_poisoned_clone("fixed", "poisoned"));
     }
@@ -61,9 +75,19 @@ fn fit_body(family: &str, series: &[f64]) -> String {
     .encode()
 }
 
+/// A series of the slow family whose profile dips below zero.
+fn slow_series(registry: &FamilyRegistry) -> Vec<f64> {
+    let kernel = registry.get("slow").unwrap().kernel().clone();
+    let truth = PhaseProfile::from_fn(100, |phi| {
+        1.5 * (2.0 * std::f64::consts::PI * phi).sin() - 0.3
+    })
+    .unwrap();
+    ForwardModel::new(kernel).predict(&truth).unwrap()
+}
+
 fn bootstrap_body(series: &[f64], replicates: usize, deadline_ms: Option<u64>) -> String {
     FitRequestWire {
-        family: "fixed".to_string(),
+        family: "slow".to_string(),
         series: series.to_vec(),
         sigmas: Some(vec![0.05; series.len()]),
         lambda: None,
@@ -94,11 +118,13 @@ fn wait_for_inflight(client: &mut Client) {
     panic!("occupant never reached the admission slot");
 }
 
-/// Measures a small bootstrap fit and returns the replicate count whose
-/// expected duration is roughly `target` (at least 500 replicates so
-/// cancellation always has poll points to hit).
+/// Measures a small bootstrap fit of the slow series and returns the
+/// replicate count whose expected duration is roughly `target` (at
+/// least the probe's 16, at most the engine's limit). Cancellation is
+/// polled before every replicate and between QP iterations, so even the
+/// floor leaves it poll points to hit.
 fn replicates_for(client: &mut Client, series: &[f64], target: Duration) -> usize {
-    let probe = 200;
+    let probe = 16;
     let started = Instant::now();
     let (status, body) = client
         .post("/fit", &bootstrap_body(series, probe, None))
@@ -106,7 +132,7 @@ fn replicates_for(client: &mut Client, series: &[f64], target: Duration) -> usiz
     assert_eq!(status, 200, "probe fit failed: {body}");
     let per_replicate = started.elapsed().div_f64(probe as f64);
     let scaled = target.div_duration_f64(per_replicate.max(Duration::from_nanos(50))) as usize;
-    scaled.max(500)
+    scaled.clamp(probe, BootstrapSpec::MAX_REPLICATES)
 }
 
 #[test]
@@ -126,13 +152,14 @@ fn deadline_cuts_a_long_fit_short() {
     // (the probe also warms the engine cache, so the timed request
     // below pays no cold-build cost).
     let budget = Duration::from_millis(600);
-    let replicates = replicates_for(&mut client, &series, budget * 20);
+    let heavy = slow_series(&registry);
+    let replicates = replicates_for(&mut client, &heavy, budget * 20);
 
     let started = Instant::now();
     let (status, body) = client
         .post(
             "/fit",
-            &bootstrap_body(&series, replicates, Some(budget.as_millis() as u64)),
+            &bootstrap_body(&heavy, replicates, Some(budget.as_millis() as u64)),
         )
         .unwrap();
     let elapsed = started.elapsed();
@@ -173,17 +200,17 @@ fn overload_sheds_with_retry_after_and_bounded_queue() {
     client
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
-    let slow = replicates_for(&mut client, &series, Duration::from_secs(3));
+    let heavy = slow_series(&registry);
+    let slow = replicates_for(&mut client, &heavy, Duration::from_secs(3));
 
     std::thread::scope(|scope| {
         // One slow fit occupies the only admission slot...
         let occupant = scope.spawn({
-            let series = series.clone();
+            let heavy = heavy.clone();
             move || {
                 let mut c = Client::connect(addr).unwrap();
                 c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-                c.post("/fit", &bootstrap_body(&series, slow, None))
-                    .unwrap()
+                c.post("/fit", &bootstrap_body(&heavy, slow, None)).unwrap()
             }
         });
 
@@ -283,16 +310,16 @@ fn retrying_client_rides_out_an_overload() {
     plain
         .set_read_timeout(Some(Duration::from_secs(120)))
         .unwrap();
-    let slow = replicates_for(&mut plain, &series, Duration::from_secs(3));
+    let heavy = slow_series(&registry);
+    let slow = replicates_for(&mut plain, &heavy, Duration::from_secs(3));
 
     std::thread::scope(|scope| {
         let occupant = scope.spawn({
-            let series = series.clone();
+            let heavy = heavy.clone();
             move || {
                 let mut c = Client::connect(addr).unwrap();
                 c.set_read_timeout(Some(Duration::from_secs(120))).unwrap();
-                c.post("/fit", &bootstrap_body(&series, slow, None))
-                    .unwrap()
+                c.post("/fit", &bootstrap_body(&heavy, slow, None)).unwrap()
             }
         });
         // Wait until the occupant actually holds the slot.

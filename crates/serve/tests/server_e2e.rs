@@ -211,6 +211,35 @@ fn error_paths_use_stable_codes() {
 }
 
 #[test]
+fn oversized_bootstrap_is_rejected_and_the_server_keeps_serving() {
+    // A grid of 2⁴⁰ points is valid JSON; without the engine's limit each
+    // replicate would ask for a 8 TiB profile and the process would abort.
+    let (server, registry) = quick_server(15);
+    let series = test_series(&registry);
+    let mut client = Client::connect(server.addr()).unwrap();
+    let wire = FitRequestWire {
+        family: "fixed".to_string(),
+        series: series.clone(),
+        sigmas: Some(vec![0.05; series.len()]),
+        lambda: None,
+        bootstrap: Some(cellsync_wire::BootstrapWire {
+            replicates: 2,
+            grid: 1 << 40,
+            seed: 0,
+        }),
+        deadline_ms: None,
+    };
+    let (status, body) = client.post("/fit", &wire.encode()).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(ErrorWire::decode(&body).unwrap().code, "invalid_config");
+
+    let (status, body) = client.post("/fit", &fit_body("fixed", &series)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn healthz_and_graceful_shutdown() {
     let (server, _registry) = quick_server(15);
     let addr = server.addr();
