@@ -1,14 +1,13 @@
 //! `perf` — the machine-readable performance harness.
 //!
-//! Times the workspace's fifteen hot computational kernels (dense Cholesky
+//! Times the workspace's fourteen hot computational kernels (dense Cholesky
 //! solve, spline-basis assembly/evaluation, active-set QP, RK4 ODE
 //! integration, Monte-Carlo kernel estimation, blocked weighted-Gram
-//! assembly, the cold collocation-constrained QP on both the active-set
-//! backend — from the origin and from the interior-direction start — and
-//! the interior-point backend, banded Cholesky factor+solve and sparse
+//! assembly, the cold collocation-constrained QP on both the dual
+//! active-set backend and the interior-point backend, banded Cholesky factor+solve and sparse
 //! banded Gram assembly at genome-scale basis sizes, the λ-path GCV
 //! fit unit-weighted and σ-weighted, the σ-weighted banded-path GCV fit
-//! at basis 128, and the warm-started shared-Hessian QP pattern), writes
+//! at basis 128, and the row-hinted shared-Hessian QP pattern), writes
 //! the results as a schema-stable `BENCH.json` — the repo's kernel perf
 //! trajectory format — and gates them against a committed baseline.
 //! End-to-end and per-layer costs (genome-wide `fit_many` throughput,
@@ -333,7 +332,7 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
 
     // 7. Cold constrained QP at the per-gene `fit_many` shape: 18 basis
     // functions, the engine's 101-row positivity collocation matrix — the
-    // QP a `fit_many` gene pays when its warm hint does not apply.
+    // QP a `fit_many` gene pays when positivity binds.
     let basis = SplineBasis::uniform(18, 0.0, 1.0).expect("n >= 4");
     let grid: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
     let colloc = basis.collocation_matrix(&grid).expect("finite grid");
@@ -372,32 +371,6 @@ fn measure_kernels(config: &Config, population: &Population, times: &[f64]) -> V
         }
     });
     kernels.push(kernel_entry("qp_cold_colloc_18x101x6", reps, median, min));
-
-    // 7b. Kernel 7's QP with the engine's start rule: the same H, c and
-    // collocation rows plus the constant-profile interior direction
-    // (all ones: the natural B-spline basis reproduces constants with
-    // unit coefficients), so the walk starts strictly inside the positivity
-    // cone instead of at the origin, where all 101 rows are tight. The
-    // speed-up over kernel 7 is a documented ratio (docs/SOLVER.md,
-    // "QP start"), not a gate.
-    let ones18 = Vector::from_fn(18, |_| 1.0);
-    let (median, min) = time_reps(reps, || {
-        for _ in 0..6 {
-            let mut workspace = QpWorkspace::new();
-            let problem = QpProblem::new(&h, &c)
-                .expect("valid qp")
-                .with_inequalities(&colloc, &zeros101)
-                .expect("shapes agree")
-                .with_interior_direction(&ones18);
-            std::hint::black_box(workspace.solve(&problem).expect("solvable"));
-        }
-    });
-    kernels.push(kernel_entry(
-        "qp_interior_colloc_18x101x6",
-        reps,
-        median,
-        min,
-    ));
 
     // 8. The same cold collocation-constrained QP through the Mehrotra
     // interior-point backend — the second opinion a differential
@@ -578,8 +551,8 @@ fn measure_solver_kernels(config: &Config, kernel: &PhaseKernel) -> Vec<Json> {
 
     // 7. Warm-started repeated QP: one Hessian, 32 right-hand sides
     // (λ fixed, noise on the linear term only). A persistent workspace
-    // reuses its buffers, factors H afresh per solve, and warm-starts
-    // every solve from the base problem's solution.
+    // reuses its buffers, factors H afresh per solve, and adds the base
+    // problem's active rows first whenever they are violated.
     let (h, c0) = qp_instance(24, 19);
     let rhs: Vec<Vector> = (0..32)
         .map(|r| {

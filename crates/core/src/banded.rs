@@ -894,7 +894,6 @@ pub(crate) mod reference {
                     &spline.greville(),
                     equality,
                     None,
-                    None,
                     &config,
                 )
                 .unwrap()

@@ -21,7 +21,6 @@
 //! (mean 0.15, CV 0.13). Its mass outside `[0, 1]` is below 10⁻¹⁰, so
 //! integrating over `[0, 1]` is exact to solver precision.
 
-use cellsync_linalg::{Matrix, Vector};
 use cellsync_numerics::quadrature::GaussLegendre;
 use cellsync_popsim::{CellCycleParams, VolumeModel};
 use cellsync_spline::SplineBasis;
@@ -171,44 +170,6 @@ where
     )?;
     let int_pdf = rule.integrate_panels(|phi| params.sst_density(phi) * df(phi), 0.0, 1.0, 64)?;
     Ok(b0 * f(1.0) - b0 * f(0.0) - int_bpf - 0.4 * df(0.0) - 0.6 * int_pdf + df(1.0))
-}
-
-/// The interior direction of a positivity/equality constraint set, for
-/// the QP start rule ([`cellsync_opt::QpProblem::with_interior_direction`]):
-/// the constant profile's coefficients, least-squares fitted over the
-/// equality null space, `d = 1 − Eᵀ(EEᵀ)⁻¹E·1`, so `E·d = 0` by
-/// construction. Kept only when `P·d > 0` (beyond rounding) on every
-/// collocation row; `None` when the equalities admit no such direction
-/// (or are dependent).
-///
-/// The natural B-spline basis partitions unity, so the constant profile
-/// `f ≡ 1` has unit coefficients: without equalities `d = 1` and
-/// `P·d = 1`.
-/// Conservation annihilates constants and leaves `d = 1`; rate
-/// continuity tilts it slightly. Costs O(n·k) for k equality rows and
-/// one pass over `P`, with no n×n temporaries.
-pub(crate) fn interior_direction(
-    positivity: &Matrix,
-    equality: Option<&Matrix>,
-) -> Result<Option<Vector>> {
-    let mut d = Vector::from_fn(positivity.cols(), |_| 1.0);
-    if let Some(e) = equality {
-        let Ok(eet) = e.matmul(&e.transpose())?.cholesky() else {
-            return Ok(None);
-        };
-        let w = eet.solve(&e.matvec(&d)?)?;
-        d = &d - &e.tr_matvec(&w)?;
-    }
-    // A row counts as interior only when `P·d` clears the rounding of
-    // its own products (relative 1e-9, the QP's equality tolerance): a
-    // row that `E` pins to zero reads ±ε, not a usable margin.
-    let interior = (0..positivity.rows()).all(|r| {
-        let row = positivity.row(r);
-        let scale: f64 = row.iter().zip(d.iter()).map(|(p, v)| (p * v).abs()).sum();
-        let pd: f64 = row.iter().zip(d.iter()).map(|(p, v)| p * v).sum();
-        pd > 1e-9 * scale
-    });
-    Ok(interior.then_some(d))
 }
 
 #[cfg(test)]

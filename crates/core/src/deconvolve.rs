@@ -133,10 +133,6 @@ impl Deconvolver {
         } else {
             None
         };
-        let interior = match &positivity {
-            Some(p) => constraints::interior_direction(p, equality.as_ref().map(|(e, _)| e))?,
-            None => None,
-        };
         let positivity = positivity
             .as_ref()
             .map(SparseRowMatrix::from_dense)
@@ -148,7 +144,6 @@ impl Deconvolver {
             &basis.greville(),
             equality,
             positivity,
-            interior,
             &config,
         )?;
         Ok(Deconvolver {
@@ -225,10 +220,10 @@ impl Deconvolver {
     /// at the selected λ — exactly what the production solve saw — along
     /// with the engine's equality and positivity blocks. The fitted
     /// coefficients become the instance's warm start, and the positivity
-    /// rows active at them (the QP's warm-activity rule) its active
-    /// set, so the corpus preserves the warm-started solve shape, not
-    /// just the cold one. The origin line records λ, the problem sizes,
-    /// and the weighting for provenance.
+    /// rows active at them (to 10⁻⁸ relative) its active set, so the
+    /// corpus records the hinted solve shape, not just the cold one. The
+    /// origin line records λ, the problem sizes, and the weighting for
+    /// provenance.
     ///
     /// This is how the committed instances under
     /// `tests/fixtures/qp_corpus/harvest-*.qp` were produced.
@@ -1600,19 +1595,13 @@ mod tests {
     }
 
     /// The constrained QP of a unit-weight fit, as [`Deconvolver::harvest_qp`]
-    /// records it, solved without the interior direction or a start: the
-    /// origin (or minimum-norm) start.
-    fn origin_start_alpha(engine: &Deconvolver, g: &[f64]) -> Vector {
-        let instance = engine.harvest_qp(g, None, "origin-start").unwrap();
-        let (p, p_rhs) = instance.inequalities().unwrap();
-        let mut problem = cellsync_opt::QpProblem::new(instance.hessian(), instance.linear())
+    /// records it, solved by a fresh workspace without the row hint.
+    fn harvested_alpha(engine: &Deconvolver, g: &[f64]) -> Vector {
+        let instance = engine.harvest_qp(g, None, "harvested").unwrap();
+        cellsync_opt::QpWorkspace::new()
+            .solve(&instance.problem().unwrap())
             .unwrap()
-            .with_inequalities(p, p_rhs)
-            .unwrap();
-        if let Some((e, e_rhs)) = instance.equalities() {
-            problem = problem.with_equalities(e, e_rhs).unwrap();
-        }
-        cellsync_opt::QpWorkspace::new().solve(&problem).unwrap().x
+            .x
     }
 
     /// A profile that dips well below zero, so positivity binds.
@@ -1625,73 +1614,42 @@ mod tests {
     }
 
     #[test]
-    fn interior_direction_is_interior_for_each_constraint_set() {
-        for basis in [18, 128] {
-            for (conservation, rate) in [(false, false), (true, false), (true, true)] {
-                let engine = fixed_engine(basis, conservation, rate);
-                let d =
-                    engine.ops.interior.as_ref().unwrap_or_else(|| {
-                        panic!("basis {basis} {conservation}/{rate}: no direction")
-                    });
-                let (p, _) = engine.ops.positivity_rows().unwrap();
-                let pd = p.matvec(d).unwrap();
-                let min = pd.iter().cloned().fold(f64::INFINITY, f64::min);
-                assert!(
-                    min > 0.0,
-                    "basis {basis} {conservation}/{rate}: min P·d {min}"
-                );
-                if let Some((e, _)) = &engine.ops.equality {
-                    let ed = e.matvec(d).unwrap();
-                    let scale = e.norm_inf() * d.norm_inf();
-                    assert!(
-                        ed.norm_inf() <= 1e-12 * scale,
-                        "basis {basis} {conservation}/{rate}: E·d = {ed}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn interior_start_fits_match_the_origin_start() {
+    fn binding_fits_are_the_harvested_qp_solve() {
         for (conservation, rate) in [(false, false), (true, false), (true, true)] {
             let engine = fixed_engine(18, conservation, rate);
             let g = dipping_series(&engine);
-            let fitted = Vector::from_slice(engine.fit(&g, None).unwrap().alpha());
-            let origin = origin_start_alpha(&engine, &g);
-            let diff = (&fitted - &origin).norm_inf() / (1.0 + origin.norm_inf());
-            assert!(diff <= 1e-8, "{conservation}/{rate}: Δα {diff:e}");
+            let fitted = engine.fit(&g, None).unwrap();
+            assert_eq!(
+                fitted.alpha(),
+                harvested_alpha(&engine, &g).as_slice(),
+                "{conservation}/{rate}: the fit must be the QP solve, bit for bit"
+            );
         }
     }
 
     #[test]
-    fn engine_without_interior_direction_keeps_the_origin_start() {
-        // Pin the profile to zero at φ = 0: every direction that keeps
-        // that equality leaves the first collocation row at zero, so the
-        // constraint set admits no interior direction.
+    fn pinned_collocation_row_fits_like_the_harvested_qp() {
+        // Pin the profile to zero at φ = 0 with an equality row equal to
+        // the first collocation row: that positivity row is then
+        // dependent on the equality, and the dual loop must never add it.
         let mut engine = fixed_engine(18, true, false);
         let ops = &engine.ops;
         let (p, _) = ops.positivity_rows().unwrap();
         let pin = Matrix::from_rows(&[p.row(0)]).unwrap();
-        assert!(constraints::interior_direction(p, Some(&pin))
-            .unwrap()
-            .is_none());
         engine.ops = FitOperators::new(
             ops.design.clone(),
             ops.omega.clone(),
             &engine.basis.greville(),
             Some((pin, Vector::zeros(1))),
             ops.positivity.clone(),
-            None,
             &engine.config,
         )
         .unwrap();
         let g = dipping_series(&engine);
         let fitted = engine.fit(&g, None).unwrap();
-        assert_eq!(
-            fitted.alpha(),
-            origin_start_alpha(&engine, &g).as_slice(),
-            "the fit must be the origin-start solve, bit for bit"
-        );
+        assert_eq!(fitted.alpha(), harvested_alpha(&engine, &g).as_slice());
+        let at_zero = engine.basis.eval_combination(fitted.alpha(), 0.0).unwrap();
+        assert!(at_zero.abs() < 1e-12, "f(0) = {at_zero:e}");
+        assert!(!engine.ops.binds(&Vector::from_slice(fitted.alpha())));
     }
 }

@@ -88,9 +88,6 @@ fn dense_alpha(engine: &Deconvolver, weights: &[f64], g: &[f64], lambda: f64) ->
     if let Some((p, rhs)) = ops.positivity_rows() {
         problem = problem.with_inequalities(p, rhs).expect("positivity");
     }
-    if let Some(d) = &ops.interior {
-        problem = problem.with_interior_direction(d);
-    }
     QpWorkspace::new()
         .solve(&problem)
         .expect("dense QP")
@@ -161,6 +158,16 @@ fn positive_series() -> Vec<f64> {
     ForwardModel::new(anchor_kernel().clone())
         .predict(&truth)
         .expect("predicts")
+}
+
+/// Asserts the engine's positivity check accepts a fitted `alpha`: the
+/// constrained solve stops at a violation tolerance, which must sit
+/// inside that check's.
+fn assert_passes_positivity(engine: &Deconvolver, alpha: &[f64], case: &str) {
+    assert!(
+        !engine.operators().binds(&Vector::from_slice(alpha)),
+        "{case}: the fitted α violates positivity"
+    );
 }
 
 fn max_coef_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -314,6 +321,7 @@ fn banded_kfold_matches_dense_twin() {
             for (g, name) in &series {
                 let case = format!("basis {basis}, {name}, weighted {weighted}");
                 let fit = engine.fit(g, sigmas).expect("fit");
+                assert_passes_positivity(&engine, fit.alpha(), &case);
                 let (lambda, scores) = dense_kfold(&engine, g, sigmas);
                 assert_eq!(fit.lambda(), lambda, "{case}: selected λ");
                 for (&(l, s), &(_, d)) in fit.selection_scores().iter().zip(&scores) {
@@ -339,6 +347,7 @@ fn banded_positivity_fallback_matches_dense() {
     let g = binding_series();
     let engine = engine(anchor_kernel(), 128, LambdaSelection::Fixed(1e-6));
     let fit = engine.fit(&g, None).expect("fit");
+    assert_passes_positivity(&engine, fit.alpha(), "fallback");
     // Positivity holds on the collocation grid.
     let grid: Vec<f64> = (0..101).map(|i| i as f64 / 100.0).collect();
     let profile = fit.profile(grid.len()).expect("profile");
@@ -711,6 +720,7 @@ fn replay_probe_configuration(basis: usize, sel: LambdaSelection, tol: f64) {
             fit.lambda().is_finite() && fit.alpha().iter().all(|a| a.is_finite()),
             "basis {basis} gene {k}: non-finite fit"
         );
+        assert_passes_positivity(&engine, fit.alpha(), &format!("basis {basis} gene {k}"));
         let lambda = match engine.config().lambda() {
             LambdaSelection::Fixed(l) => *l,
             _ => dense_gcv_lambda(&engine, series, sigmas),

@@ -508,6 +508,84 @@ mod tests {
             .unwrap()
     }
 
+    #[test]
+    fn solve_at_never_returns_an_alpha_that_positivity_rejects() {
+        // Pulse components (zero over most of the cycle) make positivity
+        // bind; the dual QP stops at a violation tolerance, which must sit
+        // inside the positivity check `binds` applies to the minimizer.
+        // K = 1 solves on the component engine's own operators.
+        let params = [
+            (0.15, 0.13, 150.0, 0.12),
+            (0.25, 0.13, 110.0, 0.12),
+            (0.10, 0.13, 200.0, 0.12),
+        ];
+        let kernels: Vec<PhaseKernel> = (0..3).map(|i| kernel(params[i], 11 + i as u64)).collect();
+        let m = 37;
+        let sigmas: Vec<f64> = (0..m)
+            .map(|t| 0.05 * (1.0 + 0.5 * (0.9 * t as f64).sin()))
+            .collect();
+        let mut binding = 0;
+        for basis in [18, 128] {
+            let config = DeconvolutionConfig::builder()
+                .basis_size(basis)
+                .positivity(true)
+                .build()
+                .unwrap();
+            for k in 1..=3 {
+                let components = kernels[..k]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, q)| MixtureComponent::new(["a", "b", "c"][i], q.clone()).unwrap())
+                    .collect();
+                let engine = MixtureDeconvolver::new(components, config.clone()).unwrap();
+                let ops = match &engine.stacked {
+                    Some(ops) => ops,
+                    None => engine.slots[0].engine.operators(),
+                };
+                let mut bulk = vec![0.0; m];
+                for (i, q) in kernels[..k].iter().enumerate() {
+                    let center = 0.25 + 0.25 * i as f64;
+                    let pulse = PhaseProfile::from_fn(200, |phi| {
+                        (1.0 - ((phi - center) / 0.1).powi(2)).max(0.0)
+                    })
+                    .unwrap();
+                    let g = ForwardModel::new(q.clone()).predict(&pulse).unwrap();
+                    for (t, (acc, v)) in bulk.iter_mut().zip(&g).enumerate() {
+                        *acc += v / k as f64 * (1.0 + 0.05 * (1.3 * t as f64).sin());
+                    }
+                }
+                for weighted in [false, true] {
+                    let mut ws = FitWorkspace::new();
+                    let unit = ops.prepare(&mut ws, weighted.then_some(sigmas.as_slice()));
+                    let FitWorkspace {
+                        weights,
+                        spectrum,
+                        proj,
+                        scan,
+                        solve,
+                    } = &mut ws;
+                    let series = if unit {
+                        ops.series(&ops.unit_weights, &bulk, &ops.frame.unit, proj)
+                    } else {
+                        spectrum.rebuild(&ops.frame, weights).unwrap();
+                        ops.series(weights, &bulk, spectrum, proj)
+                    };
+                    for lambda in [1e-6, 1e-3, 1.0] {
+                        let minimizer = ops.frame.minimizer(&series, lambda, scan).unwrap();
+                        binding += usize::from(ops.binds(&minimizer));
+                        let alpha = ops.solve_at(scan, solve, &series, lambda, None).unwrap();
+                        assert!(
+                            !ops.binds(&alpha),
+                            "basis {basis}, K = {k}, weighted {weighted}, λ = {lambda:e}"
+                        );
+                    }
+                }
+            }
+        }
+        // Most of the 36 solves must have run the QP for this to test it.
+        assert!(binding >= 24, "positivity bound in {binding} of 36 solves");
+    }
+
     /// A K-component GCV engine and a bulk series mixing one smooth
     /// profile per component, with a deterministic wiggle standing in
     /// for noise.

@@ -14,7 +14,7 @@
 use std::sync::OnceLock;
 
 use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
-use cellsync_opt::{QpProblem, QpWorkspace};
+use cellsync_opt::QpProblem;
 use cellsync_runtime::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,9 +122,9 @@ pub(crate) fn add_band_into(omega: &BandedMatrix, h: &mut Matrix, scale: f64) {
 }
 
 /// Everything about one fit problem that does not depend on the
-/// measurements: design, penalty, constraint rows, the interior
-/// direction, the frame of the λ scan and the fixed-λ minimizer
-/// ([`Frame`]), the λ grid and the unit weights.
+/// measurements: design, penalty, constraint rows, the frame of the λ
+/// scan and the fixed-λ minimizer ([`Frame`]), the λ grid and the unit
+/// weights.
 #[derive(Debug, Clone)]
 pub(crate) struct FitOperators {
     /// Design matrix `A[m, i] = ∫Q(φ,tₘ)ψᵢ(φ)dφ` (`m × n`).
@@ -141,12 +141,6 @@ pub(crate) struct FitOperators {
     /// built on first use ([`FitOperators::positivity_rows`]), so an
     /// engine that never runs a QP holds the rows once.
     positivity_dense: OnceLock<(Matrix, Vector)>,
-    /// Interior direction of the constraint set (`E·d = 0`, `P·d > 0`;
-    /// [`crate::constraints::interior_direction`]), handed to every QP
-    /// so cold solves start strictly inside the positivity cone. `None`
-    /// without positivity, or when the equalities admit no such
-    /// direction (the QP then starts at the origin).
-    pub(crate) interior: Option<Vector>,
     /// The λ-independent frame of the scan and the minimizer.
     pub(crate) frame: Frame,
     /// The configured λ selection.
@@ -167,7 +161,6 @@ impl FitOperators {
         greville: &[f64],
         equality: Option<(Matrix, Vector)>,
         positivity: Option<SparseRowMatrix>,
-        interior: Option<Vector>,
         config: &DeconvolutionConfig,
     ) -> Result<Self> {
         let frame = Frame::new(&design, &omega, equality.as_ref().map(|(e, _)| e), greville)?;
@@ -178,7 +171,6 @@ impl FitOperators {
             equality,
             positivity,
             positivity_dense: OnceLock::new(),
-            interior,
             frame,
             selection: config.lambda().clone(),
             lambda_grid: config.lambda().lambda_grid(),
@@ -188,11 +180,9 @@ impl FitOperators {
     /// The operators of the block problem over `[α₁ … α_K]`: design
     /// `[A₁ … A_K]`, penalty `blockdiag(Ωₖ)` (banded like its blocks), and
     /// block-diagonal equality and positivity rows, in the order of
-    /// `blocks`. The blocks' interior directions, stacked, are an
-    /// interior direction of the block-diagonal constraint set. Every
-    /// block must share one configuration (`config`) and one basis (with
-    /// Greville abscissae `greville`), so they agree on the measurement
-    /// count, basis size and constraint rows.
+    /// `blocks`. Every block must share one configuration (`config`) and
+    /// one basis (with Greville abscissae `greville`), so they agree on
+    /// the measurement count, basis size and constraint rows.
     pub(crate) fn stacked(
         blocks: &[&FitOperators],
         greville: &[f64],
@@ -238,14 +228,7 @@ impl FitOperators {
             .collect::<Option<Vec<_>>>()
             .map(|parts| SparseRowMatrix::block_diagonal(&parts))
             .transpose()?;
-        let interior = blocks
-            .iter()
-            .map(|o| o.interior.as_ref().map(Vector::as_slice))
-            .collect::<Option<Vec<_>>>()
-            .map(|parts| Vector::from_slice(&parts.concat()));
-        FitOperators::new(
-            design, omega, greville, equality, positivity, interior, config,
-        )
+        FitOperators::new(design, omega, greville, equality, positivity, config)
     }
 
     /// Number of coefficients `n`.
@@ -340,10 +323,14 @@ impl FitOperators {
     /// frame ([`Frame::minimizer`]). When that satisfies positivity,
     /// convexity makes it the optimum with zero inequality multipliers,
     /// and the QP is skipped: a feasible solve allocates only the α it
-    /// returns. When positivity binds, the minimizer warms the dense
-    /// active-set QP `min ½αᵀHα + cᵀα` over the equality and positivity
-    /// rows, which gets the interior direction too, so it starts at the
-    /// minimizer moved strictly inside the positivity cone. (The dense
+    /// returns. When positivity binds, the dense QP
+    /// `min ½αᵀHα + cᵀα` over the equality and positivity rows is solved
+    /// by the dual active-set method, which starts at the unconstrained
+    /// minimizer and adds the equality rows and then the violated
+    /// positivity rows. It stops once no row is violated beyond
+    /// `1e-10·‖p‖₁·‖α‖∞`, inside the tolerance of the positivity check
+    /// here ([`FitOperators::binds`]); a test pins that the α it returns
+    /// passes that check. (The dense
     /// rows cost the QP nothing measurable next to its `n × n` Hessian
     /// factor: traced `genome_fine` fits read the same p50 with the
     /// sparse-row form.)
@@ -373,16 +360,12 @@ impl FitOperators {
         if let Some((p, rhs)) = self.positivity_rows() {
             problem = problem.with_inequalities(p, rhs)?;
         }
-        if let Some(d) = &self.interior {
-            problem = problem.with_interior_direction(d);
-        }
-        qp.set_warm_start(alpha, Vec::new());
         Ok(qp.solve(&problem)?.x)
     }
 
     /// Whether `alpha` violates a positivity row by more than
     /// `1e-9·(1 + ‖α‖∞)`, checked row by row.
-    fn binds(&self, alpha: &Vector) -> bool {
+    pub(crate) fn binds(&self, alpha: &Vector) -> bool {
         let tol = 1e-9 * (1.0 + alpha.norm_inf());
         self.positivity
             .as_ref()
@@ -420,9 +403,8 @@ impl FitOperators {
         Ok(())
     }
 
-    /// The positivity rows active at `alpha` — `|P·α|` within the QP's
-    /// warm-activity tolerance, scaled by `1 + ‖α‖∞` — which seed the
-    /// active set of a solve warm-started at `alpha`. Empty without
+    /// The positivity rows active at `alpha` — `|P·α| ≤ 10⁻⁸·(1 + ‖α‖∞)` —
+    /// recorded as a harvested QP's active hint. Empty without
     /// positivity.
     pub(crate) fn warm_active_rows(&self, alpha: &Vector) -> Result<Vec<usize>> {
         let Some(p) = &self.positivity else {
@@ -431,7 +413,7 @@ impl FitOperators {
         let px = p.matvec(alpha)?;
         let scale = 1.0 + alpha.norm_inf();
         Ok((0..px.len())
-            .filter(|&i| px[i].abs() <= QpWorkspace::WARM_ACTIVITY_TOL * scale)
+            .filter(|&i| px[i].abs() <= 1e-8 * scale)
             .collect())
     }
 
@@ -564,7 +546,6 @@ mod tests {
                 &engine.basis().greville(),
                 ops.equality.clone(),
                 ops.positivity.clone(),
-                ops.interior.clone(),
                 &config,
             )
             .unwrap();

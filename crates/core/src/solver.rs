@@ -42,7 +42,7 @@ pub struct FitWorkspace {
 /// worker can carry one without a whole [`FitWorkspace`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SolveScratch {
-    /// Active-set QP scratch (buffers and the solve's warm hint).
+    /// Active-set QP scratch (buffers only; no row hint is set).
     pub(crate) qp: QpWorkspace,
     /// Assembled QP Hessian (n × n).
     pub(crate) h: Matrix,

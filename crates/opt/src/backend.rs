@@ -1,7 +1,7 @@
 //! Backend-agnostic QP solving.
 //!
 //! Two algorithmically independent solvers implement [`QpBackend`]: the
-//! whitened active-set method ([`crate::QpWorkspace`]) and the Mehrotra
+//! whitened dual active-set method ([`crate::QpWorkspace`]) and the Mehrotra
 //! predictor–corrector interior-point method ([`crate::IpmWorkspace`]).
 //! The trait exists so the differential corpus suite — and any caller
 //! that wants a second opinion on an ill-conditioned fit — can run the

@@ -182,8 +182,9 @@ impl QpInstance {
         Ok(self)
     }
 
-    /// Attaches a warm starting point (used by the active-set backend,
-    /// ignored by the interior-point backend).
+    /// Attaches a warm starting point: the point the `active` hint was
+    /// read at (for a harvested fit, the fitted coefficients). Neither
+    /// backend reads it; it is kept with the instance as its record.
     ///
     /// # Errors
     ///
@@ -274,8 +275,8 @@ impl QpInstance {
         &self.active
     }
 
-    /// Borrowed [`QpProblem`] view over this instance, including the
-    /// warm start when present.
+    /// Borrowed [`QpProblem`] view over this instance (the warm start and
+    /// active hint are not part of the problem).
     ///
     /// # Errors
     ///
@@ -288,9 +289,6 @@ impl QpInstance {
         }
         if let Some((a_mat, b_rhs)) = &self.ineq {
             problem = problem.with_inequalities(a_mat, b_rhs)?;
-        }
-        if let Some(start) = &self.start {
-            problem = problem.with_start(start)?;
         }
         Ok(problem)
     }

@@ -19,7 +19,8 @@ pub enum OptError {
     /// The Hessian (or Gram matrix) is not positive definite on the
     /// feasible subspace.
     NotConvex(String),
-    /// No feasible starting point could be constructed.
+    /// The constraints admit no feasible point (inconsistent equality
+    /// rows, or inequality rows that cannot hold together with them).
     Infeasible(String),
     /// The iteration budget was exhausted before convergence.
     IterationLimit {

@@ -1051,8 +1051,8 @@ mod tests {
             .unwrap()
             .with_inequalities(&a, &b)
             .unwrap();
-        // The active-set backend needs a feasible start here; the IPM
-        // does not — it synthesizes its own interior point.
+        // Neither the origin nor the minimum-norm equality solution is
+        // feasible; the IPM synthesizes its own interior point.
         let sol = IpmWorkspace::new().solve(&problem).unwrap();
         assert!((sol.x[0] - 0.75).abs() < 1e-8, "x = {}", sol.x);
         assert!((sol.x[1] - 1.5).abs() < 1e-8);

@@ -7,11 +7,11 @@
 //! inequalities on a dense phase grid. No approved external crate solves
 //! QPs, so this crate implements the required machinery:
 //!
-//! * [`QpProblem`] / [`QpWorkspace`] — primal active-set method with
-//!   null-space KKT solves (Nocedal & Wright, §16.5) for convex QPs with
-//!   general linear equality and inequality constraints, split into a
-//!   borrow-based problem view and a reusable workspace (warm starts,
-//!   scratch buffers) for repeated-solve hot paths;
+//! * [`QpProblem`] / [`QpWorkspace`] — dual active-set method
+//!   (Goldfarb & Idnani 1983) for strictly convex QPs with general linear
+//!   equality and inequality constraints, split into a borrow-based
+//!   problem view and a reusable workspace (row hints, scratch buffers)
+//!   for repeated-solve hot paths;
 //!   a one-shot solve is `QpWorkspace::new().solve(&problem)`.
 //! * [`IpmWorkspace`] — Mehrotra predictor–corrector interior-point method
 //!   (Nocedal & Wright, §16.6), an algorithmically independent second QP

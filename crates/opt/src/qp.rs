@@ -1,25 +1,23 @@
-//! Primal active-set method for convex quadratic programs.
+//! Dual active-set method for strictly convex quadratic programs
+//! (Goldfarb & Idnani, *Math. Programming* 27 (1983) 1–33).
 //!
 //! The solver is split into a borrow-based problem description
 //! ([`QpProblem`]) and a reusable mutable scratch ([`QpWorkspace`]), so
-//! repeated solves share buffers and warm-start information instead of
-//! reallocating per solve. A one-shot solve is
-//! `QpWorkspace::new().solve(&problem)`.
+//! repeated solves share buffers instead of reallocating per solve. A
+//! one-shot solve is `QpWorkspace::new().solve(&problem)`.
 
 use cellsync_linalg::{CholeskyDecomposition, Matrix, Vector};
 use cellsync_runtime::CancelToken;
 
 use crate::{OptError, Result};
 
-/// Relative margin of the interior start: the push along the interior
-/// direction is stretched by this fraction past the point where the last
-/// inequality row becomes satisfied, so every row starts strictly slack
-/// (by at least this fraction of its own push). The first step back
-/// toward the equality-constrained minimizer then stops exactly on that
-/// last row, so the value only needs to be clearly above roundoff.
-const INTERIOR_MARGIN: f64 = 1e-3;
+/// Dependence test of a constraint row: the row is numerically dependent
+/// on the working rows when its whitened column keeps less than this
+/// fraction of its norm after orthogonalization against them (the new
+/// pivot of `R` would not stay safely positive).
+const DEPENDENCE_TOL: f64 = 1e-12;
 
-/// A borrowed view of a convex quadratic program
+/// A borrowed view of a strictly convex quadratic program
 ///
 /// ```text
 /// minimize   ½·xᵀH x + cᵀx
@@ -27,9 +25,9 @@ const INTERIOR_MARGIN: f64 = 1e-3;
 ///            A x ≥ b          (inequalities)
 /// ```
 ///
-/// solved with the primal active-set method using null-space KKT solves
-/// (Nocedal & Wright, *Numerical Optimization*, §16.5). `H` must be
-/// symmetric positive definite — the deconvolution Hessian
+/// solved with the dual active-set method of Goldfarb & Idnani, which
+/// starts at the unconstrained minimizer and needs no feasible start.
+/// `H` must be symmetric positive definite — the deconvolution Hessian
 /// `2(AᵀW²A + λΩ + εI)` always is.
 ///
 /// The problem only borrows its matrices: building one is free, so a hot
@@ -62,8 +60,6 @@ pub struct QpProblem<'a> {
     c: &'a Vector,
     eq: Option<(&'a Matrix, &'a Vector)>,
     ineq: Option<(&'a Matrix, &'a Vector)>,
-    start: Option<&'a Vector>,
-    direction: Option<&'a Vector>,
     tolerance: f64,
     cancel: Option<CancelToken>,
 }
@@ -112,8 +108,6 @@ impl<'a> QpProblem<'a> {
             c,
             eq: None,
             ineq: None,
-            start: None,
-            direction: None,
             tolerance: 1e-10,
             cancel: None,
         })
@@ -167,42 +161,6 @@ impl<'a> QpProblem<'a> {
         Ok(self)
     }
 
-    /// Supplies a feasible starting point (takes precedence over any
-    /// workspace warm start).
-    ///
-    /// # Errors
-    ///
-    /// [`OptError::DimensionMismatch`] for a wrong-length vector.
-    pub fn with_start(mut self, x0: &'a Vector) -> Result<Self> {
-        if x0.len() != self.dim() {
-            return Err(OptError::DimensionMismatch {
-                what: "starting point",
-                expected: self.dim(),
-                got: x0.len(),
-            });
-        }
-        self.start = Some(x0);
-        Ok(self)
-    }
-
-    /// Supplies an **interior direction** `d` for the start rule: a
-    /// direction along which every inequality row strictly increases
-    /// (`aᵢᵀd > 0`) while the equalities stay put (`E·d = 0`).
-    ///
-    /// When no supplied start or feasible warm hint applies,
-    /// [`QpWorkspace::solve`] takes a base point — the warm hint, or else
-    /// the equality-constrained minimizer — and moves it along `d` just
-    /// far enough that every inequality row holds with a small relative
-    /// margin, so the active-set walk starts strictly inside the feasible
-    /// cone instead of at a degenerate vertex. A direction that fails
-    /// either condition (or has the wrong length) is ignored at solve
-    /// time, exactly like a stale warm hint; it is never an error.
-    #[must_use]
-    pub fn with_interior_direction(mut self, d: &'a Vector) -> Self {
-        self.direction = Some(d);
-        self
-    }
-
     /// Attaches a cooperative cancellation token. Both backends poll it
     /// once per outer iteration and abandon the solve with
     /// [`OptError::Cancelled`] when it fires; a cancelled solve leaves the
@@ -252,126 +210,56 @@ impl<'a> QpProblem<'a> {
         100 * (self.dim() + 10)
     }
 
-    /// Checks feasibility of `x` within tolerance `tol`.
-    fn is_feasible(&self, x: &Vector, tol: f64) -> Result<bool> {
-        if let Some((e_mat, e_rhs)) = &self.eq {
-            let r = &e_mat.matvec(x)? - e_rhs;
-            if r.norm_inf() > tol {
-                return Ok(false);
-            }
-        }
-        if let Some((a_mat, b_rhs)) = self.ineq {
-            let ax = a_mat.matvec(x)?;
-            for i in 0..b_rhs.len() {
-                if ax[i] < b_rhs[i] - tol {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
-    }
-
-    /// The interior direction when it is usable for this problem: right
-    /// length, finite, `E·d = 0` to roundoff (relative to each row's
-    /// `Σ|eⱼdⱼ|`), and `aᵢᵀd > 0` on every inequality row, whose values
-    /// are left in `ad`. A problem without inequalities has no use for
-    /// one.
-    fn interior_direction(&self, ad: &mut Vector) -> Result<Option<&'a Vector>> {
-        let (Some(d), Some((a_mat, _))) = (self.direction, self.ineq) else {
-            return Ok(None);
-        };
-        if d.len() != self.dim() || !d.is_finite() {
-            return Ok(None);
-        }
-        if let Some((e_mat, _)) = &self.eq {
-            for r in 0..e_mat.rows() {
-                let row = e_mat.row(r);
-                let scale: f64 = row.iter().zip(d.iter()).map(|(e, v)| (e * v).abs()).sum();
-                if dot(row, d.as_slice()).abs() > 1e-9 * scale {
-                    return Ok(None);
-                }
-            }
-        }
-        a_mat.matvec_into(d, ad)?;
-        Ok(ad.iter().all(|&v| v > 0.0).then_some(d))
-    }
-
-    /// Finds a default feasible starting point (user-supplied, origin, or
-    /// minimum-norm equality solution).
-    fn feasible_start(&self, tol: f64) -> Result<Vector> {
-        if let Some(x0) = self.start {
-            if self.is_feasible(x0, tol)? {
-                return Ok(x0.clone());
-            }
-            return Err(OptError::Infeasible(
-                "supplied starting point violates constraints".into(),
-            ));
-        }
-        let origin = Vector::zeros(self.dim());
-        if self.is_feasible(&origin, tol)? {
-            return Ok(origin);
-        }
-        if let Some((e_mat, e_rhs)) = &self.eq {
-            // Minimum-norm solution of Ex = e: x = Eᵀ(EEᵀ)⁻¹e. A singular
-            // EEᵀ means dependent equality rows — with a right-hand side
-            // the origin did not already satisfy, the system is either
-            // inconsistent or needs a user-supplied start, so the failure
-            // is reported as infeasibility rather than a bare linear-
-            // algebra error.
-            let eet = e_mat.matmul(&e_mat.transpose())?;
-            if let Ok(lu) = eet.lu() {
-                let w = lu.solve(e_rhs)?;
-                let x = e_mat.tr_matvec(&w)?;
-                if self.is_feasible(&x, tol.max(1e-8))? {
-                    return Ok(x);
-                }
-            } else {
-                return Err(OptError::Infeasible(
-                    "equality system is rank-deficient and not satisfied at the origin \
-                     (inconsistent rows, or supply a start with with_start)"
-                        .into(),
-                ));
-            }
-        }
-        Err(OptError::Infeasible(
-            "no feasible starting point found (supply one with with_start)".into(),
-        ))
+    /// Whether `slack = aᵀx − b` of a row with right-hand side `b` and
+    /// absolute row sum `row_abs` is negative beyond the rounding of
+    /// `aᵀx` at `x_inf = ‖x‖∞`: the violation test of the dual loop (and,
+    /// on `−|slack|`, the consistency test of a dependent equality row).
+    /// A NaN slack never counts as a violation.
+    fn violates(&self, slack: f64, b: f64, row_abs: f64, x_inf: f64) -> bool {
+        slack < -self.tolerance * (b.abs() + row_abs * x_inf)
     }
 }
 
-/// Reusable scratch for [`QpProblem`] solves, built around an
-/// **incrementally maintained** factorization of the working-set system.
+/// Reusable scratch for [`QpProblem`] solves: the dual active-set method
+/// of Goldfarb & Idnani over an **incrementally maintained**
+/// factorization of the working-set system.
 ///
-/// The solver is an active-set method in the whitened coordinates
-/// `u = Lᵀx`, where `H = LLᵀ` is factored at the start of every solve.
-/// In those coordinates the objective is `½‖u − u₀‖²` with
-/// `u₀ = −L⁻¹c`, and each working row `a` becomes the whitened column
-/// `v = L⁻¹a`. The workspace maintains the thin QR
-/// factorization of those columns,
+/// The solver works in the whitened coordinates `u = Lᵀx`, where
+/// `H = LLᵀ` is factored at the start of every solve. In those
+/// coordinates the objective is `½‖u − u₀‖²` with `u₀ = −L⁻¹c`, and each
+/// working row `a` becomes the whitened column `v = L⁻¹a`. The workspace
+/// maintains the thin QR factorization of those columns,
 ///
 /// ```text
 /// L⁻¹·A_Wᵀ = Q·R      (Q n×m orthonormal, R m×m upper triangular)
 /// ```
 ///
-/// which is a **factored null-space basis**: the orthogonal complement
-/// of `range(Q)` is exactly the (whitened) null space of the working
-/// constraints, and `R` is algebraically the Cholesky factor of the
-/// constraint Gram matrix `S = A_W·H⁻¹·A_Wᵀ = RᵀR` — but computed by
-/// orthogonalization, so its conditioning is `√cond(S)` (the explicit
-/// Schur-complement recurrence squares `cond(H)` and collapses on the
-/// near-singular Hessians of small-λ deconvolution fits).
+/// where `R` is algebraically the Cholesky factor of the constraint Gram
+/// matrix `S = A_W·H⁻¹·A_Wᵀ = RᵀR`, computed by orthogonalization, so
+/// its conditioning is `√cond(S)`.
 ///
-/// When a constraint **enters**, the factor is updated in `O(n²)`: one
-/// forward substitution for `v = L⁻¹a` plus a re-orthogonalized
-/// Gram–Schmidt append (a bordered — rank-one — extension of `R`). When
-/// one **leaves**, a Givens rotation sweep restores triangularity in
-/// `O(m·(m + n))` — the downdate. A pivot that loses positive
-/// definiteness (a numerically dependent row, detected as a vanishing
-/// orthogonal residual) rejects the row; a degenerated factor falls
-/// back to one **full refactorization** from the working rows. No
-/// iteration ever refactorizes from scratch otherwise — the `O(n³)`
-/// per-iteration QR + reduced-Hessian Cholesky of the old solver is
-/// gone — and the steady-state iteration does **zero heap allocation**.
+/// **The dual loop.** The solve starts at the unconstrained minimizer
+/// `u₀` (`x = −H⁻¹c`), which is optimal for the empty working set, and
+/// adds the equality rows with full steps. Every iteration then takes
+/// the most violated inequality row `a` and orthogonalizes its column
+/// `v` against `Q`: the residual `z = v − Q·h` is the primal direction
+/// (it keeps every working row's value and raises `a`'s at rate `‖z‖²`)
+/// and `r = R⁻¹h` the dual one (the working multipliers fall by `t·r`
+/// while `a`'s rises by `t`). The step is the smaller of `t₂ = −s/‖z‖²`,
+/// which makes the row active, and `t₁`, the step at which the first
+/// working inequality multiplier reaches zero; a partial step drops that
+/// row and retries the same one. A row dependent on the working set
+/// (`z ≈ 0`) takes a pure dual step, and one that no multiplier can
+/// make room for proves the problem infeasible. Every step keeps the
+/// iterate optimal for its working set with nonnegative multipliers, so
+/// the loop stops at the first iterate no row violates: no feasible
+/// start is needed, and the walk never visits a degenerate vertex.
+///
+/// When a row **enters**, the factor is bordered in `O(n²)`: one forward
+/// substitution for `v = L⁻¹a` plus a re-orthogonalized Gram–Schmidt
+/// append. When one **leaves**, a Givens rotation sweep restores
+/// triangularity in `O(m·(m + n))`. The steady-state iteration does
+/// **zero heap allocation**.
 ///
 /// Across solves the workspace provides:
 ///
@@ -381,35 +269,26 @@ impl<'a> QpProblem<'a> {
 /// 2. **No Hessian state** — `H` is refactored into that storage at the
 ///    start of every solve, so successive problems may change `H`
 ///    freely and a solve never reads a factor of another problem.
-/// 3. **Warm starts** — [`QpWorkspace::set_warm_start`] records a hint
-///    `(x₀, active set)` (typically a previous solution of a nearby
-///    problem). The next solves start from the hint when it is feasible
-///    and seed the working set from its still-active rows, each admitted
-///    through the same guarded incremental append (dependent rows are
-///    dropped); a stale hint is ignored, never an error, and an infeasible
-///    one is at most the base point of the interior start (item 4).
-///    The hint persists until replaced, so every solve after one
-///    [`QpWorkspace::set_warm_start`] starts from the same deterministic
-///    hint — results stay independent of solve order.
-/// 4. **Interior start** — when no feasible start applies and the
-///    problem carries an interior direction `d`
-///    ([`QpProblem::with_interior_direction`]), the walk starts at the
-///    hint (or the equality-constrained minimizer) moved along `d` until
-///    every inequality row is strictly slack. Zero-right-hand-side rows
-///    are all tight at the origin, a fully degenerate vertex the walk
-///    otherwise leaves only through a long run of zero-length steps.
+/// 3. **Row hints** — [`QpWorkspace::set_warm_start`] records inequality
+///    rows (typically a previous solution's active set) that enter first
+///    whenever they are violated. A hint changes the order in which rows
+///    enter, never the answer; rows out of range are ignored. The hint
+///    persists until replaced, so results stay independent of solve
+///    order.
 #[derive(Debug, Clone, Default)]
 pub struct QpWorkspace {
     /// Cholesky factor `L` of the current solve's `H`.
     hessian_factor: CholeskyDecomposition,
-    warm: Option<(Vector, Vec<usize>)>,
-    /// Inequality rows currently treated as equalities.
+    /// Hinted inequality rows, preferred while violated.
+    hint: Vec<usize>,
+    /// Inequality rows in the working set, in factor order after the
+    /// equality rows.
     working: Vec<usize>,
-    /// Equality rows retained in the working system (consistent
-    /// dependent rows are redundant and skipped at seed time).
-    eq_keep: Vec<usize>,
+    /// Equality rows in the factor (the first rows; a consistent
+    /// dependent equality row is redundant and skipped).
+    n_eq: usize,
     /// Rows currently in the factored working system
-    /// (`== eq_keep.len() + working.len()`).
+    /// (`== n_eq + working.len()`).
     m_rows: usize,
     /// Storage stride / capacity of the factor (`== n`).
     cap: usize,
@@ -419,227 +298,159 @@ pub struct QpWorkspace {
     /// Row-major upper-triangular `R` with row stride `cap`:
     /// `L⁻¹A_Wᵀ = Q·R`, sized like `qmat`.
     rmat: Vec<f64>,
-    /// Whitened objective center `u₀ = −L⁻¹c` for the current solve.
-    u0: Vector,
-    /// Whitened working-set minimizer `u_W`.
-    ut: Vector,
+    /// The working rows (row `j` at `j·n..(j+1)·n`) and their right-hand
+    /// sides, in factor order.
+    wrows: Vec<f64>,
+    wrhs: Vec<f64>,
     /// Current iterate.
     x: Vector,
-    /// Working-set minimizer `x_W = L⁻ᵀu_W`.
-    xt: Vector,
-    /// Step `x_W − x`.
-    step: Vector,
-    /// Scratch for `L⁻¹a` / refinement directions.
+    /// Whitened column `v = L⁻¹a` of the row being added.
+    vraw: Vector,
+    /// Its residual `z` against `Q` (and refinement scratch).
     vcol: Vector,
+    /// Primal step `L⁻ᵀz`.
+    step: Vector,
     /// Refinement / objective scratch (`n`).
     resid: Vector,
-    /// Multipliers `λ` of the working system.
+    /// Multipliers `λ` of the working rows (`Hx + c = A_Wᵀλ`).
     lam: Vec<f64>,
-    /// `R⁻ᵀb_W` and refinement right-hand sides.
+    /// Dual direction `r = R⁻¹h` and refinement right-hand sides.
     dvec: Vec<f64>,
-    /// Projection coefficients `d − Qᵀu₀` (and `δλ` in refinement).
+    /// Refinement multiplier correction.
     gvec: Vec<f64>,
-    /// Gram–Schmidt / triangular-matvec coefficient scratch.
+    /// Gram–Schmidt coefficients `h = Qᵀv`.
     hcoef: Vec<f64>,
     /// `A·x` over all inequality rows.
     ax: Vector,
-    /// `A·p` over all inequality rows.
-    ap: Vector,
-    /// Reused copy of the warm hint's active list for the seeding loop.
-    warm_idx: Vec<usize>,
-    /// Inequality rows found numerically dependent on the **current**
-    /// working set. Such a row is implied by the working rows (any
-    /// apparent blocking is roundoff at the factor's dependence
-    /// tolerance), so it is excluded from the line search until the
-    /// working set changes — the standard guard against degenerate
-    /// zero-step cycling. Cleared on every working-set change.
-    dependent: Vec<usize>,
-    /// Interior-point rescue solver for solves whose active-set walk
-    /// cycles (see [`QpWorkspace::solve`]). Defaults to empty buffers, so
+    /// `Σⱼ|aᵢⱼ|` of every inequality row: the scale of the violation test.
+    row_abs: Vec<f64>,
+    /// Interior-point rescue solver for solves that exhaust the iteration
+    /// budget (see [`QpWorkspace::solve`]). Defaults to empty buffers, so
     /// callers that never hit the degenerate regime pay nothing.
     ipm: crate::ipm::IpmWorkspace,
 }
 
 impl QpWorkspace {
-    /// Activity tolerance of the warm-start protocol: a hinted inequality
-    /// row is seeded into the working set only when `|aᵀx₀ − b|` is below
-    /// this times the problem scale. Callers that *collect* hint rows
-    /// (e.g. from a previous solution) should use the same constant, or a
-    /// looser one only deliberately — rows failing this test at solve
-    /// time are silently dropped.
-    pub const WARM_ACTIVITY_TOL: f64 = 1e-8;
-
     /// Creates an empty workspace.
     pub fn new() -> Self {
         QpWorkspace::default()
     }
 
-    /// Records a warm-start hint: a candidate starting point and the
-    /// inequality active set to seed the working set from. The hint is
-    /// validated at solve time (feasibility, activity, rank) and ignored
-    /// when it does not apply.
-    pub fn set_warm_start(&mut self, x0: Vector, active: Vec<usize>) {
-        self.warm = Some((x0, active));
+    /// Records a row hint: the inequality rows in `active` enter the
+    /// working set first whenever they are violated. The dual method
+    /// starts at the unconstrained minimizer, so the point `x0` is not
+    /// read; the signature keeps the `(point, active set)` shape of a
+    /// previous solution.
+    pub fn set_warm_start(&mut self, _x0: Vector, active: Vec<usize>) {
+        self.hint = active;
     }
 
-    /// Solves `problem`, reusing this workspace's buffers and warm-start
-    /// hint; `H` is factored afresh.
+    /// Solves `problem`, reusing this workspace's buffers and row hint;
+    /// `H` is factored afresh.
     ///
     /// # Errors
     ///
-    /// * [`OptError::Infeasible`] when no feasible start exists.
-    /// * [`OptError::NotConvex`] when `H` is not positive definite (or the
-    ///   working system degenerates beyond the full-refactor fallback).
-    /// * [`OptError::IterationLimit`] if the active-set loop fails to
-    ///   terminate (degenerate cycling) **and** the interior-point rescue
-    ///   solve also exhausts its budget. An exhausted active-set walk —
-    ///   observed on ill-conditioned mixture residual fits, where the
-    ///   working-set factor degenerates and multiplier signs become
-    ///   noise — is retried on the algorithmically independent
-    ///   [`crate::IpmWorkspace`] backend before erroring.
+    /// * [`OptError::Infeasible`] when the equality rows are inconsistent,
+    ///   or a violated row is implied by working rows whose multipliers
+    ///   cannot make room for it.
+    /// * [`OptError::NotConvex`] when `H` is not positive definite.
+    /// * [`OptError::Cancelled`] when the problem's token fires.
+    /// * [`OptError::IterationLimit`] if the dual loop exhausts its budget
+    ///   (or its factor degenerates) **and** the interior-point rescue
+    ///   solve also fails: such a problem is retried on the
+    ///   algorithmically independent [`crate::IpmWorkspace`] backend
+    ///   before erroring.
     pub fn solve(&mut self, problem: &QpProblem<'_>) -> Result<QpSolution> {
         let n = problem.dim();
-        let tol = problem.tolerance;
         self.hessian_factor
             .refactor(problem.h)
             .map_err(|_| OptError::NotConvex("hessian is not positive definite".into()))?;
-        let n_eq = problem.eq.as_ref().map_or(0, |(m, _)| m.rows());
-        let n_ineq = problem.ineq.map_or(0, |(a_mat, _)| a_mat.rows());
-        self.ensure(n, n_ineq);
+        self.ensure(n, problem.ineq.map_or(0, |(a_mat, _)| a_mat.rows()));
 
-        // Whitened objective center u₀ = −L⁻¹c, fixed for the whole
-        // solve: every working-set minimizer below is u₀ plus a
-        // combination of Q columns.
-        for (u, &ci) in self.u0.as_mut_slice().iter_mut().zip(problem.c.iter()) {
-            *u = -ci;
+        // The unconstrained minimizer x = −H⁻¹c, optimal for the empty
+        // working set; the equality rows enter with full steps.
+        for (x, &ci) in self.x.as_mut_slice().iter_mut().zip(problem.c.iter()) {
+            *x = -ci;
         }
-        self.hessian_factor.forward_solve_in_place(&mut self.u0)?;
-
-        // Working system: equality rows first (a consistent dependent row
-        // is redundant — the retained independent rows already enforce
-        // it — and is skipped), then, for warm starts, the hinted active
-        // rows. Every row is admitted through the same guarded
-        // incremental append, so the factored system always has
-        // independent rows. Cold solves start with equalities only:
-        // blocking rows satisfy aᵀp ≠ 0 against the current step, so they
-        // can never be linear combinations of rows already in the set.
-        for r in 0..n_eq {
-            let row = problem.eq.as_ref().expect("n_eq > 0").0.row(r);
-            if self.push_row(row)? {
-                self.eq_keep.push(r);
+        self.hessian_factor.solve_in_place(&mut self.x)?;
+        if let Some((e_mat, e_rhs)) = problem.eq {
+            for r in 0..e_mat.rows() {
+                self.add_equality(problem, e_mat.row(r), e_rhs[r])?;
             }
         }
-
-        // Starting point (see `start_point` for the rule). A feasible
-        // warm hint also seeds the working set.
-        if self.start_point(problem, tol)? {
-            self.seed_working_from_hint(problem)?;
+        let Some((a_mat, b_rhs)) = problem.ineq else {
+            return self.finish(problem, 0);
+        };
+        for (s, r) in self.row_abs.iter_mut().zip(0..a_mat.rows()) {
+            *s = a_mat.row(r).iter().map(|v| v.abs()).sum();
         }
 
+        // The row being added and its multiplier so far: a partial step
+        // drops a working row and retries the same one.
+        let mut adding: Option<(usize, f64)> = None;
         for iteration in 0..problem.iteration_budget() {
             problem.check_cancel()?;
-            self.working_minimizer(problem)?;
-
-            // Step toward the working-set minimizer. With n independent
-            // working rows the null space is trivial, so the step is
-            // identically zero — forcing it avoids chasing roundoff.
-            if self.m_rows == n {
-                self.step.as_mut_slice().fill(0.0);
-            } else {
-                for ((p, &t), &xv) in self
-                    .step
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.xt.iter())
-                    .zip(self.x.iter())
-                {
-                    *p = t - xv;
+            let (p, lam_p) = match adding {
+                Some(entry) => entry,
+                None => {
+                    a_mat.matvec_into(&self.x, &mut self.ax)?;
+                    let Some(p) = self.most_violated(problem, b_rhs) else {
+                        return self.finish(problem, iteration);
+                    };
+                    self.whiten(a_mat.row(p))?;
+                    (p, 0.0)
+                }
+            };
+            let row = a_mat.row(p);
+            let slack = dot(row, self.x.as_slice()) - b_rhs[p];
+            let rho = self.orthogonalize();
+            // t₁: the first working inequality multiplier to reach zero.
+            let mut blocking: Option<(usize, f64)> = None;
+            for k in 0..self.working.len() {
+                let (l, r) = (self.lam[self.n_eq + k], self.dvec[self.n_eq + k]);
+                if r > 0.0 && blocking.is_none_or(|(_, t1)| l / r < t1) {
+                    blocking = Some((k, l / r));
                 }
             }
-
-            let p_scale = 1.0 + self.x.norm2();
-            if self.step.norm2() <= tol * p_scale {
-                // Stationary on the working set: check the inequality
-                // multipliers (computed by the same solve as the step).
-                if self.working.is_empty() {
-                    return self.finish(problem, iteration);
+            // t₂: the full step that makes the row active.
+            let full = rho.map(|rho| -slack / (rho * rho));
+            let (t, leaving) = match (full, blocking) {
+                (Some(t2), Some((k, t1))) if t1 < t2 => (t1, Some(k)),
+                (Some(t2), _) => (t2, None),
+                (None, Some((k, t1))) => (t1, Some(k)),
+                (None, None) => {
+                    return Err(OptError::Infeasible(
+                        "a violated inequality row is implied by working rows that cannot \
+                         make room for it"
+                            .into(),
+                    ))
                 }
-                let n_eqk = self.eq_keep.len();
-                let mut most_negative: Option<(usize, f64)> = None;
-                for k in 0..self.working.len() {
-                    let l = self.lam[n_eqk + k];
-                    if l < -1e-8 {
-                        match most_negative {
-                            Some((_, best)) if l >= best => {}
-                            _ => most_negative = Some((k, l)),
-                        }
+            };
+            self.step_by(t, full.is_some())?;
+            match leaving {
+                None => {
+                    self.append(row, b_rhs[p], lam_p + t);
+                    self.working.push(p);
+                    adding = None;
+                }
+                Some(k) => {
+                    self.remove_row(self.n_eq + k, n);
+                    self.working.remove(k);
+                    if !self.factor_is_sound() {
+                        break;
                     }
-                }
-                match most_negative {
-                    None => return self.finish(problem, iteration),
-                    Some((k, _)) => {
-                        // Constraint leaves: a Givens rotation sweep
-                        // downdates the factor in place. A degenerated
-                        // result (never observed; pure safety net) falls
-                        // back to a full refactorization.
-                        self.remove_row(n_eqk + k, n);
-                        self.working.remove(k);
-                        self.dependent.clear();
-                        if !self.factor_is_sound() {
-                            self.rebuild_factor(problem)?;
-                        }
-                    }
-                }
-            } else {
-                // Line search to the nearest blocking constraint.
-                let mut alpha = 1.0;
-                let mut blocking: Option<usize> = None;
-                if let Some((a_mat, b_rhs)) = problem.ineq {
-                    a_mat.matvec_into(&self.step, &mut self.ap)?;
-                    a_mat.matvec_into(&self.x, &mut self.ax)?;
-                    for i in 0..n_ineq {
-                        if self.working.contains(&i) || self.dependent.contains(&i) {
-                            continue;
-                        }
-                        if self.ap[i] < -tol {
-                            let step = (b_rhs[i] - self.ax[i]) / self.ap[i];
-                            if step < alpha {
-                                alpha = step.max(0.0);
-                                blocking = Some(i);
-                            }
-                        }
-                    }
-                }
-                for (xv, &p) in self.x.as_mut_slice().iter_mut().zip(self.step.iter()) {
-                    *xv += alpha * p;
-                }
-                if let Some(bi) = blocking {
-                    let full = self.eq_keep.len() + self.working.len() >= n;
-                    let row = problem.ineq.expect("blocking row exists").0.row(bi);
-                    if !full && self.push_row(row)? {
-                        self.working.push(bi);
-                        self.dependent.clear();
-                    } else {
-                        // The blocking row is (numerically) implied by
-                        // the working set: park it so it cannot stall
-                        // the line search at α = 0 forever.
-                        self.dependent.push(bi);
-                    }
+                    adding = Some((p, lam_p + t));
                 }
             }
         }
-        // Budget exhausted: degenerate cycling. Near a rank-deficient
-        // vertex the working-set factor goes ill-conditioned, the
-        // multiplier signs that drive drop decisions become noise, and
-        // the add/drop walk revisits vertices forever — more iterations
-        // cannot help. Hand the problem to the algorithmically
-        // independent interior-point backend, which follows the central
-        // path instead of walking vertices and therefore cannot cycle;
-        // the differential corpus suite pins the two backends to 1e-8
-        // agreement on problems both solve, so the rescue preserves
-        // answers. The IPM ignores warm hints and caches nothing, so the
-        // workspace's cross-solve state is untouched; a problem the IPM
-        // also rejects surfaces its structured error.
+        // Budget exhausted (or, never observed, a degenerated downdate).
+        // Hand the problem to the algorithmically independent
+        // interior-point backend, which follows the central path instead
+        // of walking working sets; the differential corpus suite pins the
+        // two backends to 1e-8 agreement on problems both solve, so the
+        // rescue preserves answers. The IPM ignores row hints and caches
+        // nothing, so the workspace's cross-solve state is untouched; a
+        // problem the IPM also rejects surfaces its structured error.
         self.ipm.solve(problem)
     }
 
@@ -648,16 +459,15 @@ impl QpWorkspace {
     fn ensure(&mut self, n: usize, n_ineq: usize) {
         if self.cap != n {
             self.cap = n;
-            self.u0 = Vector::zeros(n);
-            self.ut = Vector::zeros(n);
             self.x = Vector::zeros(n);
-            self.xt = Vector::zeros(n);
-            self.step = Vector::zeros(n);
+            self.vraw = Vector::zeros(n);
             self.vcol = Vector::zeros(n);
+            self.step = Vector::zeros(n);
             self.resid = Vector::zeros(n);
-            // Q and R grow a row at a time in `push_row`: the working set
-            // rarely holds more than a few rows, and an n×n reservation
-            // would make every large-basis solve resident in n² memory.
+            // Q, R and the working rows grow a row at a time in `append`:
+            // the working set rarely holds more than a few rows, and an
+            // n×n reservation would make every large-basis solve resident
+            // in n² memory.
             self.qmat.clear();
             self.rmat.clear();
             self.lam = vec![0.0; n];
@@ -667,234 +477,81 @@ impl QpWorkspace {
         }
         if self.ax.len() != n_ineq {
             self.ax = Vector::zeros(n_ineq);
-            self.ap = Vector::zeros(n_ineq);
+            self.row_abs = vec![0.0; n_ineq];
         }
         self.m_rows = 0;
+        self.n_eq = 0;
         self.working.clear();
-        self.eq_keep.clear();
-        self.dependent.clear();
+        self.wrows.clear();
+        self.wrhs.clear();
     }
 
-    /// Forward-substitutes `Rᵀ·d = dvec` in place over the leading `m`
-    /// entries.
-    fn solve_r_transposed(&mut self, m: usize) {
-        for i in 0..m {
-            let mut sum = self.dvec[i];
-            for j in 0..i {
-                sum -= self.rmat[j * self.cap + i] * self.dvec[j];
-            }
-            self.dvec[i] = sum / self.rmat[i * self.cap + i];
-        }
-    }
-
-    /// Back-substitutes `R·λ = lam` in place over the leading `m`
-    /// entries.
-    fn solve_r(&mut self, m: usize) {
-        for i in (0..m).rev() {
-            let mut sum = self.lam[i];
-            for j in (i + 1)..m {
-                sum -= self.rmat[i * self.cap + j] * self.lam[j];
-            }
-            self.lam[i] = sum / self.rmat[i * self.cap + i];
-        }
-    }
-
-    /// Initializes the iterate `self.x` and reports whether the warm
-    /// hint's active rows should seed the working set.
-    ///
-    /// The start rule, in order:
-    ///
-    /// 1. a supplied start ([`QpProblem::with_start`]), which must be
-    ///    feasible;
-    /// 2. a feasible warm hint, whose active rows then seed the working
-    ///    set;
-    /// 3. with a valid interior direction `d`
-    ///    ([`QpProblem::with_interior_direction`]): the warm hint, or
-    ///    else the equality-constrained minimizer `x_E`, moved along `d`
-    ///    until every inequality row holds with a relative margin;
-    /// 4. the origin, or the minimum-norm equality solution.
-    ///
-    /// Rule 4 starts at a fully degenerate vertex whenever the
-    /// inequalities have a zero right-hand side (every row is tight at
-    /// the origin), which is what rule 3 exists to avoid.
-    ///
-    /// Expects the equality rows already in the working factor (rule 3
-    /// reads `x_E` from it).
-    fn start_point(&mut self, problem: &QpProblem<'_>, tol: f64) -> Result<bool> {
-        if let Some(x0) = problem.start {
-            if !problem.is_feasible(x0, tol)? {
+    /// Adds equality row `row·x = rhs` with a full step. A dependent row
+    /// is skipped when the current point (which satisfies the rows
+    /// already in) satisfies it too, and proves the system inconsistent
+    /// otherwise.
+    fn add_equality(&mut self, problem: &QpProblem<'_>, row: &[f64], rhs: f64) -> Result<()> {
+        self.whiten(row)?;
+        let slack = dot(row, self.x.as_slice()) - rhs;
+        let Some(rho) = self.orthogonalize() else {
+            let row_abs = row.iter().map(|v| v.abs()).sum();
+            if problem.violates(-slack.abs(), rhs, row_abs, self.x.norm_inf()) {
                 return Err(OptError::Infeasible(
-                    "supplied starting point violates constraints".into(),
+                    "equality rows are dependent and inconsistent".into(),
                 ));
             }
-            self.x.as_mut_slice().copy_from_slice(x0.as_slice());
-            return Ok(false);
-        }
-        let mut hint_base = false;
-        if let Some((x0, _)) = &self.warm {
-            if x0.len() == problem.dim() {
-                self.x.as_mut_slice().copy_from_slice(x0.as_slice());
-                if problem.is_feasible(x0, tol.max(Self::WARM_ACTIVITY_TOL))? {
-                    return Ok(true);
-                }
-                hint_base = true;
-            }
-        }
-        if let Some(d) = problem.interior_direction(&mut self.ap)? {
-            if hint_base && self.move_inside(problem, d, tol)? {
-                return Ok(false);
-            }
-            self.working_minimizer(problem)?;
-            self.x.as_mut_slice().copy_from_slice(self.xt.as_slice());
-            if self.move_inside(problem, d, tol)? {
-                return Ok(false);
-            }
-        }
-        let x0 = problem.feasible_start(tol)?;
-        self.x.as_mut_slice().copy_from_slice(x0.as_slice());
-        Ok(false)
-    }
-
-    /// Moves `self.x` along the interior direction `d` (with `A·d`
-    /// already in `self.ap`) to `x + t·d`, the smallest `t ≥ 0` at which
-    /// every inequality row holds, stretched by [`INTERIOR_MARGIN`] so
-    /// that no row is left tight. Reports whether the result is feasible
-    /// (a base point that violates the equalities cannot be repaired
-    /// along `d`).
-    fn move_inside(&mut self, problem: &QpProblem<'_>, d: &Vector, tol: f64) -> Result<bool> {
-        let (a_mat, b_rhs) = problem
-            .ineq
-            .expect("a usable interior direction implies inequality rows");
-        a_mat.matvec_into(&self.x, &mut self.ax)?;
-        let t = b_rhs
-            .iter()
-            .zip(self.ax.iter().zip(self.ap.iter()))
-            .map(|(&b, (&ax, &ad))| (b - ax) / ad)
-            .fold(0.0, f64::max);
-        if !t.is_finite() {
-            return Ok(false);
-        }
-        let t = t * (1.0 + INTERIOR_MARGIN);
-        for (xv, &dv) in self.x.as_mut_slice().iter_mut().zip(d.iter()) {
-            *xv += t * dv;
-        }
-        problem.is_feasible(&self.x, tol.max(Self::WARM_ACTIVITY_TOL))
-    }
-
-    /// Minimizer of the objective over the current working rows (as
-    /// equalities) into `self.xt`, with the working system's multipliers
-    /// in `self.lam`. In whitened coordinates `u_W = u₀ + Q·g` with
-    /// `g = R⁻ᵀb_W − Qᵀu₀` and `λ = R⁻¹g`; then `x_W = L⁻ᵀu_W`.
-    fn working_minimizer(&mut self, problem: &QpProblem<'_>) -> Result<()> {
-        let n = problem.dim();
-        let m_w = self.m_rows;
-        self.ut.as_mut_slice().copy_from_slice(self.u0.as_slice());
-        if m_w > 0 {
-            for r in 0..m_w {
-                self.dvec[r] = self.working_rhs(problem, r);
-            }
-            self.solve_r_transposed(m_w);
-            for j in 0..m_w {
-                self.gvec[j] =
-                    self.dvec[j] - dot(&self.qmat[j * n..(j + 1) * n], self.u0.as_slice());
-            }
-            for j in 0..m_w {
-                let gj = self.gvec[j];
-                if gj != 0.0 {
-                    for (u, &qv) in self
-                        .ut
-                        .as_mut_slice()
-                        .iter_mut()
-                        .zip(&self.qmat[j * n..(j + 1) * n])
-                    {
-                        *u += gj * qv;
-                    }
-                }
-            }
-            self.lam[..m_w].copy_from_slice(&self.gvec[..m_w]);
-            self.solve_r(m_w);
-        }
-        self.xt.as_mut_slice().copy_from_slice(self.ut.as_slice());
-        self.hessian_factor.backward_solve_in_place(&mut self.xt)?;
-        Ok(())
-    }
-
-    /// Seeds the working set from the warm hint's active rows: every row
-    /// that is still active at the starting point enters through the
-    /// guarded incremental append (dependent rows are dropped, exactly
-    /// like the old explicit rank check, but incrementally).
-    fn seed_working_from_hint(&mut self, problem: &QpProblem<'_>) -> Result<()> {
-        let Some((a_mat, b_rhs)) = problem.ineq else {
             return Ok(());
         };
-        self.warm_idx.clear();
-        if let Some((_, active)) = &self.warm {
-            self.warm_idx.extend_from_slice(active);
-        }
-        if self.warm_idx.is_empty() {
-            return Ok(());
-        }
-        a_mat.matvec_into(&self.x, &mut self.ax)?;
-        let scale = 1.0 + self.x.norm_inf();
-        let n = problem.dim();
-        for k in 0..self.warm_idx.len() {
-            let i = self.warm_idx[k];
-            if i < a_mat.rows()
-                && (self.ax[i] - b_rhs[i]).abs() <= Self::WARM_ACTIVITY_TOL * scale
-                && self.eq_keep.len() + self.working.len() < n
-                && !self.working.contains(&i)
-                && self.push_row(a_mat.row(i))?
-            {
-                self.working.push(i);
-            }
-        }
+        let t = -slack / (rho * rho);
+        self.step_by(t, true)?;
+        self.append(row, rhs, t);
+        self.n_eq += 1;
         Ok(())
     }
 
-    /// Row `r` of the working-constraint matrix (retained equality rows
-    /// first, then the working inequality rows, in that fixed order).
-    fn working_row<'p>(&self, problem: &'p QpProblem<'_>, r: usize) -> &'p [f64] {
-        if r < self.eq_keep.len() {
-            let (e_mat, _) = problem.eq.as_ref().expect("equality rows retained");
-            e_mat.row(self.eq_keep[r])
-        } else {
-            let (a_mat, _) = problem.ineq.expect("working rows exist");
-            a_mat.row(self.working[r - self.eq_keep.len()])
+    /// The inequality row to add next: the most violated hinted row when
+    /// one is violated, else the most violated row; `None` when no row
+    /// outside the working set is violated (reads `A·x` from `self.ax`).
+    fn most_violated(&self, problem: &QpProblem<'_>, b_rhs: &Vector) -> Option<usize> {
+        let x_inf = self.x.norm_inf();
+        // (row, slack) of the most violated row, and of the most violated
+        // hinted row.
+        let mut any: Option<(usize, f64)> = None;
+        let mut hinted: Option<(usize, f64)> = None;
+        for (i, (&ax, &b)) in self.ax.iter().zip(b_rhs.iter()).enumerate() {
+            let slack = ax - b;
+            if !problem.violates(slack, b, self.row_abs[i], x_inf) || self.working.contains(&i) {
+                continue;
+            }
+            if any.is_none_or(|(_, s)| slack < s) {
+                any = Some((i, slack));
+            }
+            if self.hint.contains(&i) && hinted.is_none_or(|(_, s)| slack < s) {
+                hinted = Some((i, slack));
+            }
         }
+        hinted.or(any).map(|(i, _)| i)
     }
 
-    /// Right-hand side of working row `r`.
-    fn working_rhs(&self, problem: &QpProblem<'_>, r: usize) -> f64 {
-        if r < self.eq_keep.len() {
-            let (_, e_rhs) = problem.eq.as_ref().expect("equality rows retained");
-            e_rhs[self.eq_keep[r]]
-        } else {
-            let (_, b_rhs) = problem.ineq.expect("working rows exist");
-            b_rhs[self.working[r - self.eq_keep.len()]]
-        }
+    /// The whitened column `v = L⁻¹a` of `row` into `self.vraw`.
+    fn whiten(&mut self, row: &[f64]) -> Result<()> {
+        self.vraw.as_mut_slice().copy_from_slice(row);
+        self.hessian_factor.forward_solve_in_place(&mut self.vraw)?;
+        Ok(())
     }
 
-    /// Admits one constraint row into the factored working system: one
-    /// forward substitution for the whitened column `v = L⁻¹a` (`O(n²)`)
-    /// and a re-orthogonalized Gram–Schmidt append against `Q` —
-    /// bordering `R` by one column (`O(n·m)`). Returns whether the row
-    /// was accepted: a vanishing orthogonal residual means the row is
-    /// numerically dependent on the working set (the factor's
-    /// positive-definiteness guard — `R`'s new pivot would not stay
-    /// safely positive) and the row is rejected with the factor
-    /// untouched.
-    fn push_row(&mut self, row: &[f64]) -> Result<bool> {
-        let n = row.len();
+    /// Orthogonalizes `v` (`self.vraw`) against `Q`: the residual `z`
+    /// into `self.vcol`, the coefficients `h = Qᵀv` into `self.hcoef`
+    /// and the dual direction `r = R⁻¹h` into `self.dvec`. Returns
+    /// `‖z‖`, or `None` when the row is numerically dependent on the
+    /// working rows.
+    fn orthogonalize(&mut self) -> Option<f64> {
+        let n = self.cap;
         let m = self.m_rows;
-        if m >= n {
-            return Ok(false); // more than n rows cannot be independent
-        }
-        self.vcol.as_mut_slice().copy_from_slice(row);
-        self.hessian_factor.forward_solve_in_place(&mut self.vcol)?;
+        self.vcol
+            .as_mut_slice()
+            .copy_from_slice(self.vraw.as_slice());
         let vnorm = self.vcol.norm2();
-        if !(vnorm > 0.0) || !vnorm.is_finite() {
-            return Ok(false);
-        }
         // Classical Gram–Schmidt with one re-orthogonalization pass —
         // enough to keep Q orthonormal to working precision even for
         // nearly dependent columns (Kahan–Parlett "twice is enough").
@@ -909,14 +566,44 @@ impl QpWorkspace {
                 }
             }
         }
+        self.dvec[..m].copy_from_slice(&self.hcoef[..m]);
+        back_substitute(&self.rmat, n, &mut self.dvec[..m]);
         let rho = self.vcol.norm2();
-        if rho <= 1e-12 * vnorm {
-            return Ok(false); // dependent row: pivot would vanish
+        (m < n && vnorm.is_finite() && rho > DEPENDENCE_TOL * vnorm).then_some(rho)
+    }
+
+    /// Takes a step of length `t` along the directions
+    /// [`QpWorkspace::orthogonalize`] left: the working multipliers fall
+    /// by `t·r`, and, unless the step is purely dual (`primal == false`,
+    /// a dependent row), the iterate moves by `t·L⁻ᵀz`.
+    fn step_by(&mut self, t: f64, primal: bool) -> Result<()> {
+        for (l, &r) in self.lam[..self.m_rows].iter_mut().zip(&self.dvec) {
+            *l -= t * r;
         }
+        if primal {
+            self.step
+                .as_mut_slice()
+                .copy_from_slice(self.vcol.as_slice());
+            self.hessian_factor
+                .backward_solve_in_place(&mut self.step)?;
+            for (x, &s) in self.x.as_mut_slice().iter_mut().zip(self.step.iter()) {
+                *x += t * s;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the row just orthogonalized (`z`, `h` from
+    /// [`QpWorkspace::orthogonalize`]) to the factor, bordering `R` by one
+    /// column, with multiplier `lam`.
+    fn append(&mut self, row: &[f64], rhs: f64, lam: f64) {
+        let n = self.cap;
+        let m = self.m_rows;
+        let rho = self.vcol.norm2();
         let inv = 1.0 / rho;
         if self.qmat.len() < (m + 1) * n {
             self.qmat.resize((m + 1) * n, 0.0);
-            self.rmat.resize((m + 1) * self.cap, 0.0);
+            self.rmat.resize((m + 1) * n, 0.0);
         }
         for (q, &v) in self.qmat[m * n..(m + 1) * n]
             .iter_mut()
@@ -925,16 +612,19 @@ impl QpWorkspace {
             *q = v * inv;
         }
         for j in 0..m {
-            self.rmat[j * self.cap + m] = self.hcoef[j];
+            self.rmat[j * n + m] = self.hcoef[j];
         }
-        self.rmat[m * self.cap + m] = rho;
+        self.rmat[m * n + m] = rho;
+        self.wrows.extend_from_slice(row);
+        self.wrhs.push(rhs);
+        self.lam[m] = lam;
         self.m_rows = m + 1;
-        Ok(true)
     }
 
-    /// Deletes working row `j` from the factor: column `j` of `R` leaves,
-    /// and a sweep of Givens rotations — applied to `R`'s rows and the
-    /// matching `Q` columns — restores triangularity in `O(m·(m + n))`.
+    /// Deletes working row `j` from the factor, its multiplier and its
+    /// stored row: column `j` of `R` leaves, and a sweep of Givens
+    /// rotations — applied to `R`'s rows and the matching `Q` columns —
+    /// restores triangularity in `O(m·(m + n))`.
     fn remove_row(&mut self, j: usize, n: usize) {
         let m = self.m_rows;
         let cap = self.cap;
@@ -970,49 +660,20 @@ impl QpWorkspace {
                 *l = c * lv - s * uv;
             }
         }
+        self.lam.copy_within(j + 1..m, j);
+        self.wrows.drain(j * n..(j + 1) * n);
+        self.wrhs.remove(j);
         self.m_rows = m - 1;
     }
 
     /// Whether the maintained factor's pivots are all finite and
-    /// positive — the degradation test behind the full-refactorization
-    /// fallback.
+    /// positive; a downdate that breaks this hands the solve to the
+    /// interior-point rescue.
     fn factor_is_sound(&self) -> bool {
         (0..self.m_rows).all(|i| {
             let d = self.rmat[i * self.cap + i];
             d.is_finite() && d > 0.0
         })
-    }
-
-    /// Full refactorization fallback: rebuilds `Q`/`R` from scratch by
-    /// re-admitting every working row. Equality rows that fail are a
-    /// hard error (the system itself degenerated); working inequality
-    /// rows that fail are dropped.
-    fn rebuild_factor(&mut self, problem: &QpProblem<'_>) -> Result<()> {
-        self.m_rows = 0;
-        let eq_rows = std::mem::take(&mut self.eq_keep);
-        for r in eq_rows {
-            let row = problem
-                .eq
-                .as_ref()
-                .expect("equality rows retained")
-                .0
-                .row(r);
-            if self.push_row(row)? {
-                self.eq_keep.push(r);
-            } else {
-                return Err(OptError::NotConvex(
-                    "working constraint system lost positive definiteness".into(),
-                ));
-            }
-        }
-        let work = std::mem::take(&mut self.working);
-        for i in work {
-            let row = problem.ineq.expect("working rows exist").0.row(i);
-            if self.push_row(row)? {
-                self.working.push(i);
-            }
-        }
-        Ok(())
     }
 
     /// One step of KKT iterative refinement on `(x, λ)` against the
@@ -1026,10 +687,8 @@ impl QpWorkspace {
         for (r, &ci) in self.resid.as_mut_slice().iter_mut().zip(problem.c.iter()) {
             *r = -(*r + ci);
         }
-        for j in 0..m_w {
-            let lj = self.lam[j];
+        for (row, &lj) in self.wrows.chunks_exact(n).zip(&self.lam[..m_w]) {
             if lj != 0.0 {
-                let row = self.working_row(problem, j);
                 for (r, &aj) in self.resid.as_mut_slice().iter_mut().zip(row) {
                     *r += lj * aj;
                 }
@@ -1042,17 +701,12 @@ impl QpWorkspace {
         self.hessian_factor.solve_in_place(&mut self.vcol)?;
         if m_w > 0 {
             // S·δλ = r₂ − A_W·t with r₂ = b_W − A_W·x and S = RᵀR.
-            for r in 0..m_w {
-                let row = self.working_row(problem, r);
-                self.dvec[r] = self.working_rhs(problem, r)
-                    - dot(row, self.x.as_slice())
-                    - dot(row, self.vcol.as_slice());
+            for (r, row) in self.wrows.chunks_exact(n).enumerate() {
+                self.gvec[r] =
+                    self.wrhs[r] - dot(row, self.x.as_slice()) - dot(row, self.vcol.as_slice());
             }
-            self.solve_r_transposed(m_w);
-            self.lam[..m_w].copy_from_slice(&self.dvec[..m_w]);
-            self.solve_r(m_w);
-            // δλ now sits in `lam`'s place — swap it out through gvec.
-            self.gvec[..m_w].copy_from_slice(&self.lam[..m_w]);
+            forward_substitute_transposed(&self.rmat, n, &mut self.gvec[..m_w]);
+            back_substitute(&self.rmat, n, &mut self.gvec[..m_w]);
             // δx = t + H⁻¹A_Wᵀδλ = t + L⁻ᵀ(Q·(R·δλ)).
             for i in 0..m_w {
                 let row = i * self.cap;
@@ -1098,6 +752,31 @@ impl QpWorkspace {
             iterations,
             active_set: self.working.clone(),
         })
+    }
+}
+
+/// Forward-substitutes `Rᵀ·y = y` in place, `R` upper triangular with row
+/// stride `cap`, over the leading `y.len()` rows.
+fn forward_substitute_transposed(rmat: &[f64], cap: usize, y: &mut [f64]) {
+    for i in 0..y.len() {
+        let mut sum = y[i];
+        for j in 0..i {
+            sum -= rmat[j * cap + i] * y[j];
+        }
+        y[i] = sum / rmat[i * cap + i];
+    }
+}
+
+/// Back-substitutes `R·y = y` in place, `R` upper triangular with row
+/// stride `cap`, over the leading `y.len()` rows.
+fn back_substitute(rmat: &[f64], cap: usize, y: &mut [f64]) {
+    let m = y.len();
+    for i in (0..m).rev() {
+        let mut sum = y[i];
+        for j in (i + 1)..m {
+            sum -= rmat[i * cap + j] * y[j];
+        }
+        y[i] = sum / rmat[i * cap + i];
     }
 }
 
@@ -1222,16 +901,13 @@ mod tests {
         let b = Vector::from_slice(&[0.0, 0.0, 0.0, 1.5]);
         let e_rhs = Vector::from_slice(&[3.0]);
         // Inhomogeneous constraints: neither the origin nor the
-        // minimum-norm equality solution (1,1,1) is feasible, so a
-        // feasible start must be supplied.
-        let start = Vector::from_slice(&[0.0, 3.0, 0.0]);
+        // minimum-norm equality solution (1,1,1) is feasible, and the
+        // dual method needs neither.
         let problem = QpProblem::new(&h, &c)
             .unwrap()
             .with_equalities(&e, &e_rhs)
             .unwrap()
             .with_inequalities(&a, &b)
-            .unwrap()
-            .with_start(&start)
             .unwrap();
         let sol = QpWorkspace::new().solve(&problem).unwrap();
         // With x2 pinned at 1.5, the rest splits evenly: (0.75, 1.5, 0.75).
@@ -1262,17 +938,16 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_start_rejected() {
+    fn conflicting_inequalities_are_infeasible() {
+        // x ≥ 5 and x ≤ 4: the second row is implied by the first with a
+        // multiplier that cannot make room for it.
         let h = Matrix::identity(1);
         let c = Vector::zeros(1);
-        let a = Matrix::from_rows(&[&[1.0]]).unwrap();
-        let b = Vector::from_slice(&[5.0]);
-        let start = Vector::zeros(1);
+        let a = Matrix::from_rows(&[&[1.0], &[-1.0]]).unwrap();
+        let b = Vector::from_slice(&[5.0, -4.0]);
         let problem = QpProblem::new(&h, &c)
             .unwrap()
             .with_inequalities(&a, &b)
-            .unwrap()
-            .with_start(&start)
             .unwrap();
         assert!(matches!(
             QpWorkspace::new().solve(&problem).unwrap_err(),
@@ -1281,7 +956,7 @@ mod tests {
     }
 
     #[test]
-    fn user_start_used() {
+    fn inhomogeneous_bound_binds() {
         let h = Matrix::identity(1).scaled(2.0);
         let c = Vector::from_slice(&[-8.0]); // unconstrained min at 4
         let sol = QpWorkspace::new()
@@ -1292,13 +967,13 @@ mod tests {
                         &Matrix::from_rows(&[&[1.0]]).unwrap(),
                         &Vector::from_slice(&[5.0]),
                     )
-                    .unwrap()
-                    .with_start(&Vector::from_slice(&[6.0]))
                     .unwrap(),
             )
             .unwrap();
-        // Constrained minimum at the bound x = 5.
-        assert!((sol.x[0] - 5.0).abs() < 1e-9);
+        // Constrained minimum at the bound x = 5, multiplier 2.
+        assert!((sol.x[0] - 5.0).abs() < 1e-12);
+        assert_eq!(sol.active_set, vec![0]);
+        assert_eq!(sol.iterations, 1);
     }
 
     #[test]
@@ -1316,7 +991,6 @@ mod tests {
             .clone()
             .with_inequalities(&Matrix::identity(2), &Vector::zeros(3))
             .is_err());
-        assert!(ok.with_start(&Vector::zeros(5)).is_err());
     }
 
     #[test]
@@ -1420,20 +1094,26 @@ mod tests {
 
         let mut cold_ws = QpWorkspace::new();
         let cold = cold_ws.solve(&problem).unwrap();
+        assert!(!cold.active_set.is_empty());
 
+        // The cold active set as the hint: its rows enter first, each
+        // with one full step, and nothing is dropped.
         let mut warm_ws = QpWorkspace::new();
         warm_ws.set_warm_start(cold.x.clone(), cold.active_set.clone());
         let warm = warm_ws.solve(&problem).unwrap();
-        assert!((&warm.x - &cold.x).norm2() < 1e-9);
+        assert!(
+            (&warm.x - &cold.x).norm_inf() <= 1e-12 * (1.0 + cold.x.norm_inf()),
+            "warm {} vs cold {}",
+            warm.x,
+            cold.x
+        );
         assert!(
             warm.iterations <= cold.iterations,
             "warm {} vs cold {}",
             warm.iterations,
             cold.iterations
         );
-        // Restarting exactly at the optimum must terminate immediately
-        // after the multiplier check.
-        assert!(warm.iterations <= 1, "iterations {}", warm.iterations);
+        assert_eq!(warm.iterations, cold.active_set.len());
     }
 
     #[test]
@@ -1539,8 +1219,7 @@ mod tests {
         // Dense positivity collocation rows on a near-singular Hessian:
         // heavy enter/leave churn plus numerically dependent blocking
         // rows. The solve must terminate and satisfy the KKT conditions
-        // to solver tolerance (this instance cycles forever without the
-        // dependent-row parking guard).
+        // to solver tolerance.
         let n = 18;
         let (h, c) = smooth_family(n, 16, 0.0);
         // Oversampled "collocation": 3 interleaved copies of smooth rows.

@@ -133,11 +133,9 @@ fn load_corpus() -> Vec<(String, QpInstance)> {
         .collect()
 }
 
-/// The instance's problem for a "cold" solve: the instance-supplied
-/// starting point stays (it is part of the problem — the active-set
-/// method has no inequality phase-1, so some geometries require one),
-/// but no workspace-level warm hint is set. The interior-point backend
-/// ignores the start either way.
+/// The instance's problem for a "cold" solve: no workspace-level row hint
+/// is set. The instance's starting point is a record only; neither
+/// backend reads one.
 fn cold_problem(inst: &QpInstance) -> QpProblem<'_> {
     inst.problem().expect("valid corpus instance")
 }
@@ -317,9 +315,9 @@ fn qp_corpus_backends_agree() {
         verify_kkt(name, inst, &ipm_sol.x);
         verify_kkt(name, inst, &as_cold.x);
 
-        // Warm replay: instances harvested from real fits carry the
-        // production warm start; the warm-started solve must land on the
-        // same point as both cold solves.
+        // Hinted replay: instances with a warm start carry an active
+        // hint; the solve hinted with it must land on the same point as
+        // both cold solves.
         if let Some(start) = inst.start() {
             let warm = inst.problem().expect("valid instance");
             let mut active = QpWorkspace::new();
@@ -365,7 +363,8 @@ fn qp_backends_reject_degenerate_inputs_identically() {
     }
 
     // Equality/inequality conflict (x₀ = −1 vs x ≥ 0): both report a
-    // structured error in bounded time rather than spinning.
+    // structured error in bounded time rather than spinning. The dual
+    // active set proves it: the violated row is implied by the equality.
     let e_mat = Matrix::from_rows(&[&[1.0, 0.0]]).unwrap();
     let e_rhs = Vector::from_slice(&[-1.0]);
     let ineq = Matrix::identity(2);
@@ -376,22 +375,21 @@ fn qp_backends_reject_degenerate_inputs_identically() {
         .unwrap()
         .with_inequalities(&ineq, &zero)
         .unwrap();
-    for (name, err) in [
-        ("active-set", active.solve_qp(&problem).unwrap_err()),
-        ("ipm", ipm.solve_qp(&problem).unwrap_err()),
-    ] {
-        assert!(
-            matches!(
-                err,
-                OptError::Infeasible(_) | OptError::IterationLimit { .. }
-            ),
-            "{name}: {err}"
-        );
-    }
+    let err = active.solve_qp(&problem).unwrap_err();
+    assert!(matches!(err, OptError::Infeasible(_)), "active-set: {err}");
+    let err = ipm.solve_qp(&problem).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            OptError::Infeasible(_) | OptError::IterationLimit { .. }
+        ),
+        "ipm: {err}"
+    );
 
     // Duplicated and linearly dependent inequality rows: legal input,
-    // both backends must solve (the active-set parks dependent rows, the
-    // interior-point method never forms a working set at all).
+    // both backends must solve (the dual active set never adds a row its
+    // working set already implies, the interior-point method never forms
+    // a working set at all).
     let c2 = Vector::from_slice(&[1.0, -2.0]);
     let a_dup = Matrix::from_rows(&[
         &[1.0, 0.0],
@@ -416,7 +414,8 @@ fn qp_backends_reject_degenerate_inputs_identically() {
         &sol_as,
     );
 
-    // An infeasible warm hint is advisory: ignored, not an error.
+    // A hint is advisory: its point is not read, and its rows enter
+    // first only while violated.
     let mut active = QpWorkspace::new();
     active.set_warm_start(Vector::from_slice(&[-5.0, -5.0]), vec![0, 1]);
     let sol_hinted = active
