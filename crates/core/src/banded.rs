@@ -868,43 +868,52 @@ pub(crate) mod reference {
             .unwrap();
         let grid: Vec<f64> = (0..240).map(|p| (p as f64 + 0.5) / 240.0).collect();
         let psi = spline.collocation_matrix(&grid).unwrap();
-        let ops: Vec<FitOperators> = (0..blocks)
-            .map(|b| {
-                let width = 0.08 + 0.03 * b as f64;
-                let design = Matrix::from_fn(m, basis, |i, j| {
-                    let t = 0.05 + 0.9 * i as f64 / (m - 1) as f64;
-                    grid.iter()
+        let (omega, kn) = (spline.penalty(), blocks * basis);
+        let bw = omega.bandwidth();
+        let mut design = Matrix::zeros(m, kn);
+        let mut block_omega = BandedMatrix::zeros(kn, bw).unwrap();
+        let mut e = Matrix::zeros(blocks * k, kn);
+        for b in 0..blocks {
+            let width = 0.08 + 0.03 * b as f64;
+            for i in 0..m {
+                let t = 0.05 + 0.9 * i as f64 / (m - 1) as f64;
+                for j in 0..basis {
+                    design[(i, b * basis + j)] = grid
+                        .iter()
                         .enumerate()
                         .map(|(p, &phi)| {
                             (-(phi - t).powi(2) / (2.0 * width * width)).exp() * psi[(p, j)]
                         })
                         .sum::<f64>()
-                        / grid.len() as f64
-                });
-                let equality = (k > 0).then(|| {
-                    let e = Matrix::from_fn(k, basis, |l, j| match l {
+                        / grid.len() as f64;
+                }
+            }
+            for i in 0..basis {
+                for j in i.saturating_sub(bw)..=i {
+                    block_omega
+                        .set(b * basis + i, b * basis + j, omega.get(i, j))
+                        .unwrap();
+                }
+            }
+            for l in 0..k {
+                for j in 0..basis {
+                    e[(b * k + l, b * basis + j)] = match l {
                         0 => 1.0 + 0.3 * (j as f64 / basis as f64),
                         _ => ((j * 5 + b) % 7) as f64 / 7.0 - 0.4,
-                    });
-                    (e, Vector::zeros(k))
-                });
-                FitOperators::new(
-                    design,
-                    spline.penalty(),
-                    &spline.greville(),
-                    equality,
-                    None,
-                    &config,
-                )
-                .unwrap()
-            })
-            .collect();
-        let ops = if blocks == 1 {
-            ops.into_iter().next().unwrap()
-        } else {
-            let refs: Vec<&FitOperators> = ops.iter().collect();
-            FitOperators::stacked(&refs, &spline.greville(), &config).unwrap()
-        };
+                    };
+                }
+            }
+        }
+        let equality = (k > 0).then(|| (e, Vector::zeros(blocks * k)));
+        let ops = FitOperators::new(
+            design,
+            block_omega,
+            &spline.greville(),
+            equality,
+            None,
+            &config,
+        )
+        .unwrap();
         let xi = spline.greville();
         let alpha = Vector::from_fn(ops.dim(), |j| {
             let x = xi[j % basis];

@@ -157,7 +157,6 @@ pub struct DeconvolutionConfig {
     positivity: bool,
     conservation: bool,
     rate_continuity: bool,
-    positivity_grid: usize,
     lambda: LambdaSelection,
 }
 
@@ -170,10 +169,15 @@ impl DeconvolutionConfig {
     /// The interior coefficients carry no ridge (`docs/SOLVER.md` §1).
     pub const RIDGE: f64 = 1e-9;
 
+    /// Number of uniform phase points, `0` and `1` included, where
+    /// positivity `f_α(φ) ≥ 0` is imposed. It is fixed rather than
+    /// configurable: it sets the size of the dense collocation block the
+    /// engine builds, so no caller can ask for an arbitrarily large one.
+    pub const POSITIVITY_GRID: usize = 101;
+
     /// Starts a builder with the defaults: 24 basis functions, positivity
     /// on, division constraints off (they encode Caulobacter-specific
-    /// biology; enable them for Caulobacter data), GCV λ selection,
-    /// 101-point positivity grid.
+    /// biology; enable them for Caulobacter data), GCV λ selection.
     pub fn builder() -> DeconvolutionConfigBuilder {
         DeconvolutionConfigBuilder::default()
     }
@@ -199,9 +203,12 @@ impl DeconvolutionConfig {
         self.rate_continuity
     }
 
-    /// Number of uniform grid points where positivity is imposed.
+    /// Number of uniform grid points where positivity is imposed: always
+    /// [`DeconvolutionConfig::POSITIVITY_GRID`]. The accessor stays for
+    /// callers that rebuild the positivity rows themselves, such as the
+    /// repository benchmark's QP probe.
     pub fn positivity_grid(&self) -> usize {
-        self.positivity_grid
+        DeconvolutionConfig::POSITIVITY_GRID
     }
 
     /// The λ-selection strategy.
@@ -225,7 +232,6 @@ pub struct DeconvolutionConfigBuilder {
     positivity: bool,
     conservation: bool,
     rate_continuity: bool,
-    positivity_grid: usize,
     lambda: LambdaSelection,
 }
 
@@ -236,7 +242,6 @@ impl Default for DeconvolutionConfigBuilder {
             positivity: true,
             conservation: false,
             rate_continuity: false,
-            positivity_grid: 101,
             lambda: LambdaSelection::default_gcv(),
         }
     }
@@ -271,13 +276,6 @@ impl DeconvolutionConfigBuilder {
         self
     }
 
-    /// Sets the positivity grid resolution (≥ 2 when positivity is on).
-    #[must_use]
-    pub fn positivity_grid(mut self, n: usize) -> Self {
-        self.positivity_grid = n;
-        self
-    }
-
     /// Shortcut for a fixed smoothing parameter.
     #[must_use]
     pub fn lambda(mut self, lambda: f64) -> Self {
@@ -301,18 +299,12 @@ impl DeconvolutionConfigBuilder {
         if self.basis_size < 4 {
             return Err(DeconvError::InvalidConfig("basis_size must be at least 4"));
         }
-        if self.positivity && self.positivity_grid < 2 {
-            return Err(DeconvError::InvalidConfig(
-                "positivity_grid must be at least 2 when positivity is enabled",
-            ));
-        }
         self.lambda.validate()?;
         Ok(DeconvolutionConfig {
             basis_size: self.basis_size,
             positivity: self.positivity,
             conservation: self.conservation,
             rate_continuity: self.rate_continuity,
-            positivity_grid: self.positivity_grid,
             lambda: self.lambda,
         })
     }
@@ -339,7 +331,6 @@ mod tests {
             .positivity(false)
             .conservation(true)
             .rate_continuity(true)
-            .positivity_grid(51)
             .lambda(0.01)
             .build()
             .unwrap();
@@ -354,10 +345,6 @@ mod tests {
     fn validation() {
         assert!(DeconvolutionConfig::builder()
             .basis_size(3)
-            .build()
-            .is_err());
-        assert!(DeconvolutionConfig::builder()
-            .positivity_grid(1)
             .build()
             .is_err());
         assert!(DeconvolutionConfig::builder()

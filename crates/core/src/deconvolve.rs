@@ -1,6 +1,6 @@
 //! The constrained-spline deconvolution solver (paper §2.3).
 
-use cellsync_linalg::{Matrix, SparseRowMatrix, Vector};
+use cellsync_linalg::{Matrix, Vector};
 use cellsync_opt::QpInstance;
 use cellsync_popsim::{CellCycleParams, PhaseKernel};
 use cellsync_runtime::{CancelToken, Pool};
@@ -9,12 +9,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::banded::ScanScratch;
-use crate::operators::{check_cancel, FitOperators};
+use crate::operators::{check_cancel, FitOperators, LambdaScan};
 use crate::request::{BootstrapSpec, FitRequest, FitResponse};
 use crate::solver::SolveScratch;
-use crate::{
-    constraints, DeconvError, DeconvolutionConfig, FitWorkspace, ForwardModel, PhaseProfile, Result,
-};
+use crate::{DeconvError, DeconvolutionConfig, FitWorkspace, ForwardModel, PhaseProfile, Result};
 
 /// The deconvolution engine: inverts `G(t) = ∫Q(φ,t)f(φ)dφ` for the
 /// synchronous profile `f` by solving the constrained penalized
@@ -99,53 +97,10 @@ impl Deconvolver {
         config: DeconvolutionConfig,
         params: &CellCycleParams,
     ) -> Result<Self> {
-        if kernel.times().len() < 4 {
-            return Err(DeconvError::TooFewMeasurements {
-                measurements: kernel.times().len(),
-                basis: config.basis_size(),
-            });
-        }
         let basis = SplineBasis::uniform(config.basis_size(), 0.0, 1.0)?;
         let forward = ForwardModel::new(kernel);
         let design = forward.design_matrix(&basis)?;
-
-        let mut eq_rows: Vec<Vec<f64>> = Vec::new();
-        if config.conservation() {
-            eq_rows.push(constraints::rna_conservation_row(&basis, params)?);
-        }
-        if config.rate_continuity() {
-            eq_rows.push(constraints::rate_continuity_row(&basis, params)?);
-        }
-        let equality = if eq_rows.is_empty() {
-            None
-        } else {
-            let rows: Vec<&[f64]> = eq_rows.iter().map(|r| r.as_slice()).collect();
-            let e = Matrix::from_rows(&rows)?;
-            let rhs = Vector::zeros(e.rows());
-            Some((e, rhs))
-        };
-
-        let positivity = if config.positivity() {
-            let grid: Vec<f64> = (0..config.positivity_grid())
-                .map(|i| i as f64 / (config.positivity_grid() - 1) as f64)
-                .collect();
-            Some(basis.collocation_matrix(&grid)?)
-        } else {
-            None
-        };
-        let positivity = positivity
-            .as_ref()
-            .map(SparseRowMatrix::from_dense)
-            .transpose()?;
-
-        let ops = FitOperators::new(
-            design,
-            basis.penalty(),
-            &basis.greville(),
-            equality,
-            positivity,
-            &config,
-        )?;
+        let ops = FitOperators::blocks(&[design], &basis, params, &config)?;
         Ok(Deconvolver {
             forward,
             config,
@@ -184,12 +139,6 @@ impl Deconvolver {
     /// The configuration in use.
     pub fn config(&self) -> &DeconvolutionConfig {
         &self.config
-    }
-
-    /// The engine's measurement-independent operators (the mixture
-    /// engine stacks its components' into one block problem).
-    pub(crate) fn operators(&self) -> &FitOperators {
-        &self.ops
     }
 
     /// Fits the synchronous profile to population measurements `g`.
@@ -285,7 +234,7 @@ impl Deconvolver {
         g: &[f64],
         sigmas: Option<&[f64]>,
     ) -> Result<DeconvolutionResult> {
-        self.validate_series(g, sigmas)?;
+        validate_series(self.forward.num_measurements(), g, sigmas)?;
         self.fit_validated(workspace, g, sigmas, None, None)
     }
 
@@ -335,42 +284,12 @@ impl Deconvolver {
         }
     }
 
-    /// The single validation site for per-series inputs: series length
-    /// and finiteness, sigma length and positivity. Every fit entry
-    /// point funnels through here (directly or via
-    /// [`Deconvolver::validate_request`]).
-    pub(crate) fn validate_series(&self, g: &[f64], sigmas: Option<&[f64]>) -> Result<()> {
-        let m = self.forward.num_measurements();
-        if g.len() != m {
-            return Err(DeconvError::LengthMismatch {
-                what: "measurements",
-                expected: m,
-                got: g.len(),
-            });
-        }
-        if g.iter().any(|v| !v.is_finite()) {
-            return Err(DeconvError::InvalidConfig("measurements must be finite"));
-        }
-        if let Some(s) = sigmas {
-            if s.len() != m {
-                return Err(DeconvError::LengthMismatch {
-                    what: "sigmas",
-                    expected: m,
-                    got: s.len(),
-                });
-            }
-            if s.iter().any(|v| !(*v > 0.0) || !v.is_finite()) {
-                return Err(DeconvError::InvalidConfig("sigmas must be positive"));
-            }
-        }
-        Ok(())
-    }
-
     /// Validates a full [`FitRequest`]: the series checks of
-    /// [`Deconvolver::validate_series`] plus the request-only options
-    /// (λ override, bootstrap spec).
+    /// [`validate_series`] plus the request-only options (λ override,
+    /// bootstrap spec).
     fn validate_request(&self, request: &FitRequest) -> Result<()> {
-        self.validate_series(request.series(), request.sigmas())?;
+        let m = self.forward.num_measurements();
+        validate_series(m, request.series(), request.sigmas())?;
         if let Some(l) = request.lambda_override() {
             if !l.is_finite() || l < 0.0 {
                 return Err(DeconvError::InvalidConfig(
@@ -415,38 +334,16 @@ impl Deconvolver {
     ) -> Result<DeconvolutionResult> {
         check_cancel(cancel)?;
         let unit = self.ops.prepare(workspace, sigmas);
-        let (alpha, lambda, scores) =
-            self.ops
-                .solve(workspace, g, unit, lambda_override, cancel)?;
+        let solution = self
+            .ops
+            .solve(workspace, g, unit, lambda_override, cancel)?;
         let weights = self.ops.weights(workspace, unit);
-        self.assemble_result(alpha, g, weights, lambda, scores)
-    }
-
-    /// Assembles a fit's result from its coefficients: predictions
-    /// `A·α` and the weighted residual sum of squares against `g`.
-    fn assemble_result(
-        &self,
-        alpha: Vector,
-        g: &[f64],
-        weights: &[f64],
-        lambda: f64,
-        selection_scores: Vec<(f64, f64)>,
-    ) -> Result<DeconvolutionResult> {
-        let predicted = self.ops.design.matvec(&alpha)?.into_vec();
-        let weighted_sse: f64 = predicted
-            .iter()
-            .zip(g)
-            .zip(weights)
-            .map(|((p, gv), w)| ((p - gv) * w).powi(2))
-            .sum();
-        Ok(DeconvolutionResult {
-            alpha,
-            basis: self.basis.clone(),
-            lambda,
-            predicted,
-            weighted_sse,
-            selection_scores,
-        })
+        let designs = std::slice::from_ref(&self.ops.design);
+        let (results, _) = DeconvolutionResult::blocks(designs, &self.basis, solution, g, weights)?;
+        results
+            .into_iter()
+            .next()
+            .ok_or(DeconvError::InvalidConfig("the engine fits one block"))
     }
 
     /// Fits many series measured on the same protocol — the genome-wide
@@ -608,6 +505,36 @@ impl Deconvolver {
     }
 }
 
+/// The single validation site for per-series inputs of an engine with
+/// `m` measurements: series length and finiteness, sigma length and
+/// positivity. Every fit entry point, single or mixture, funnels through
+/// here (directly or via [`Deconvolver::validate_request`]).
+pub(crate) fn validate_series(m: usize, g: &[f64], sigmas: Option<&[f64]>) -> Result<()> {
+    if g.len() != m {
+        return Err(DeconvError::LengthMismatch {
+            what: "measurements",
+            expected: m,
+            got: g.len(),
+        });
+    }
+    if g.iter().any(|v| !v.is_finite()) {
+        return Err(DeconvError::InvalidConfig("measurements must be finite"));
+    }
+    if let Some(s) = sigmas {
+        if s.len() != m {
+            return Err(DeconvError::LengthMismatch {
+                what: "sigmas",
+                expected: m,
+                got: s.len(),
+            });
+        }
+        if s.iter().any(|v| !(*v > 0.0) || !v.is_finite()) {
+            return Err(DeconvError::InvalidConfig("sigmas must be positive"));
+        }
+    }
+    Ok(())
+}
+
 /// Bootstrap uncertainty band around a deconvolved profile.
 #[derive(Debug, Clone)]
 pub struct BootstrapBand {
@@ -641,26 +568,50 @@ impl BootstrapBand {
 }
 
 impl DeconvolutionResult {
-    /// Crate-internal constructor for fits assembled outside the engine's
-    /// own result builder (the mixture engine solves K components as one
-    /// stacked problem and splits the solution back into per-component
-    /// results, each carrying the shared λ scan).
-    pub(crate) fn from_parts(
-        alpha: Vector,
-        basis: SplineBasis,
-        lambda: f64,
-        predicted: Vec<f64>,
-        weighted_sse: f64,
-        selection_scores: Vec<(f64, f64)>,
-    ) -> Self {
-        DeconvolutionResult {
-            alpha,
-            basis,
-            lambda,
-            predicted,
-            weighted_sse,
-            selection_scores,
+    /// The one result builder, for every engine and every K: splits the
+    /// solution `(α, λ, scan)` of a K-block fit, `α = [α₁ … α_K]`, into
+    /// one result per block, in block order. Block k predicts `Aₖ·αₖ`
+    /// (`designs[k]`), and every block carries λ, the selection scan and
+    /// the joint weighted SSE `Σₜ (wₜ·(gₜ − Σₖ predₖ(tₘ)))²`, with the
+    /// block predictions summed in block order. Also returns that summed
+    /// prediction.
+    pub(crate) fn blocks(
+        designs: &[Matrix],
+        basis: &SplineBasis,
+        (alpha, lambda, scores): (Vector, f64, LambdaScan),
+        g: &[f64],
+        weights: &[f64],
+    ) -> Result<(Vec<Self>, Vec<f64>)> {
+        let mut total = vec![0.0; g.len()];
+        let mut results = Vec::with_capacity(designs.len());
+        for (design, alpha) in designs
+            .iter()
+            .zip(alpha.as_slice().chunks_exact(basis.len()))
+        {
+            let alpha = Vector::from_slice(alpha);
+            let predicted = design.matvec(&alpha)?.into_vec();
+            for (t, p) in total.iter_mut().zip(&predicted) {
+                *t += p;
+            }
+            results.push(DeconvolutionResult {
+                alpha,
+                basis: basis.clone(),
+                lambda,
+                predicted,
+                weighted_sse: 0.0,
+                selection_scores: scores.clone(),
+            });
         }
+        let weighted_sse: f64 = g
+            .iter()
+            .zip(&total)
+            .zip(weights)
+            .map(|((gv, p), w)| (w * (gv - p)).powi(2))
+            .sum();
+        for result in &mut results {
+            result.weighted_sse = weighted_sse;
+        }
+        Ok((results, total))
     }
 
     /// The fitted spline coefficients `α`: the profile's coordinates in
@@ -723,9 +674,17 @@ impl DeconvolutionResult {
 }
 
 #[cfg(test)]
+impl Deconvolver {
+    /// The engine's measurement-independent operators.
+    pub(crate) fn operators(&self) -> &FitOperators {
+        &self.ops
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LambdaSelection;
+    use crate::{constraints, LambdaSelection};
     use cellsync_popsim::{InitialCondition, KernelEstimator, Population};
 
     fn kernel(seed: u64, n_times: usize) -> PhaseKernel {

@@ -17,21 +17,22 @@
 //!
 //! A K-component mixture is paper eq. 5 again, with one λ: the block
 //! design `[A₁ … A_K]` over the concatenated coefficient vector
-//! `[α₁ … α_K]`, a block-diagonal penalty `blockdiag(Ωₖ)` and a
-//! block-diagonal copy of each component's equality/positivity rows.
-//! [`MixtureDeconvolver`] builds these stacked operators once, from its
-//! components' engines, and fits every K ≥ 2 through the
-//! single-population engine's fit path: the configured λ rule (a fixed
-//! λ, the measurement-space GCV scan with its near-tie rule, or k-fold)
-//! and the one fixed-λ solve, on the stacked system. GCV therefore scores
-//! the *joint* smoother, whose trace counts the effective degrees of
-//! freedom of the whole K-component fit (per-component GCV against the
-//! full bulk is badly biased: each component alone must explain the
-//! whole mixture, which rewards oversmoothing by decades of λ). Each
-//! component's engine is built once, at construction; K = 1 delegates to
-//! the component engine's [`crate::Deconvolver::fit_request`].
+//! `[α₁ … α_K]`, a block-diagonal penalty `blockdiag(Ω)` and
+//! block-diagonal copies of the equality/positivity rows. The
+//! single-population engine ([`crate::Deconvolver`]) is the one-block
+//! case of the same problem: [`MixtureDeconvolver`] builds its operators
+//! once, by the same constructor from its components' designs, and fits
+//! every K, 1 included, through the same fit path: the configured λ rule
+//! (a fixed λ, the measurement-space GCV scan with its near-tie rule, or
+//! k-fold), the one fixed-λ solve, and the one result builder. GCV
+//! therefore scores the *joint* smoother, whose trace counts the
+//! effective degrees of freedom of the whole K-component fit
+//! (per-component GCV against the full bulk is badly biased: each
+//! component alone must explain the whole mixture, which rewards
+//! oversmoothing by decades of λ). A one-component mixture reproduces the
+//! plain single-population fit bit for bit, with fraction 1.
 //!
-//! Components are *named*, the stacked blocks are laid out in canonical
+//! Components are *named*, the blocks are laid out in canonical
 //! (sorted-by-name) order, and responses key results by name, so a
 //! mixture fit is bit-identical under permutation of the component
 //! list.
@@ -64,14 +65,15 @@
 //! # }
 //! ```
 
-use cellsync_linalg::Vector;
-use cellsync_popsim::PhaseKernel;
+use cellsync_linalg::Matrix;
+use cellsync_popsim::{CellCycleParams, PhaseKernel};
+use cellsync_spline::SplineBasis;
 
+use crate::deconvolve::validate_series;
 use crate::operators::FitOperators;
 use crate::session::EngineKey;
 use crate::{
-    DeconvError, DeconvolutionConfig, DeconvolutionResult, Deconvolver, FitRequest, FitWorkspace,
-    Result,
+    DeconvError, DeconvolutionConfig, DeconvolutionResult, FitWorkspace, ForwardModel, Result,
 };
 
 /// Phase-grid resolution of the mass quadrature behind fraction
@@ -201,8 +203,8 @@ impl MixtureFitResponse {
         self.components.iter().find(|c| c.name == name)
     }
 
-    /// Solver passes the fit took: always 1 — every fit is one stacked
-    /// solve (or, for K = 1, one single-component fit).
+    /// Solver passes the fit took: always 1 — every fit, whatever K, is
+    /// one solve of the block problem.
     pub fn sweeps(&self) -> usize {
         1
     }
@@ -216,38 +218,37 @@ impl MixtureFitResponse {
     }
 }
 
-/// A component's engine slot inside [`MixtureDeconvolver`].
-#[derive(Debug, Clone)]
-struct Slot {
-    name: String,
-    engine: Deconvolver,
-}
-
-/// A prepared K-component mixture engine: one [`Deconvolver`] per
-/// component, sharing one configuration, plus the stacked operators of
-/// the joint problem.
+/// A prepared K-component mixture engine: the operators of the one
+/// block problem over the components, sharing one configuration and one
+/// basis.
 ///
 /// Construction validates the component set once (non-empty, unique
 /// names, shared measurement times, no duplicate kernels — two
 /// identical kernels make the mixture unidentifiable), builds each
-/// component's engine, and stacks the engines' operators into the block
-/// problem (K ≥ 2), so a service fitting many bulk series against one
-/// reference set pays the preparation cost once.
+/// component's design and then the block problem's operators, so a
+/// service fitting many bulk series against one reference set pays the
+/// preparation cost once.
 #[derive(Debug)]
 pub struct MixtureDeconvolver {
-    slots: Vec<Slot>,
-    /// Slot indices in canonical (sorted-by-name) order: the block order
-    /// of the stacked problem, so fits are invariant under
-    /// component-list permutation.
+    /// Component names, in specification order.
+    names: Vec<String>,
+    /// Component indices in canonical (sorted-by-name) order: the block
+    /// order of the problem, so fits are invariant under component-list
+    /// permutation.
     canonical: Vec<usize>,
-    /// The stacked operators, blocks in canonical order; `None` for
-    /// K = 1, which delegates to the component engine.
-    stacked: Option<FitOperators>,
+    /// The spline basis every component's profile lives in.
+    basis: SplineBasis,
+    /// The components' designs `Aₖ`, in block order.
+    designs: Vec<Matrix>,
+    /// The operators of the block problem, blocks in canonical order.
+    ops: FitOperators,
 }
 
 impl MixtureDeconvolver {
-    /// Builds the engine: one [`Deconvolver`] per component, then their
-    /// operators stacked into the joint problem.
+    /// Builds the engine: one design per component, then the operators
+    /// of the block problem over them, using the paper's Caulobacter
+    /// parameters for the constraint functionals (as
+    /// [`crate::Deconvolver::new`] does).
     ///
     /// # Errors
     ///
@@ -255,7 +256,7 @@ impl MixtureDeconvolver {
     /// duplicate component names, kernels that disagree on measurement
     /// times, or bit-identical duplicate kernels (unidentifiable);
     /// otherwise propagates engine-construction errors.
-    pub fn new(components: Vec<MixtureComponent>, config: DeconvolutionConfig) -> Result<Self> {
+    pub fn new(mut components: Vec<MixtureComponent>, config: DeconvolutionConfig) -> Result<Self> {
         if components.is_empty() {
             return Err(DeconvError::InvalidConfig(
                 "mixture needs at least one component",
@@ -288,163 +289,85 @@ impl MixtureDeconvolver {
             }
         }
 
-        let slots = components
+        let names: Vec<String> = components.iter().map(|c| c.name.clone()).collect();
+        let mut canonical: Vec<usize> = (0..names.len()).collect();
+        canonical.sort_by(|&a, &b| names[a].cmp(&names[b]));
+        components.sort_by(|a, b| a.name.cmp(&b.name));
+        let basis = SplineBasis::uniform(config.basis_size(), 0.0, 1.0)?;
+        let designs = components
             .into_iter()
-            .map(|c| {
-                let engine = Deconvolver::new(c.kernel, config.clone())?.with_threads(1);
-                Ok(Slot {
-                    name: c.name,
-                    engine,
-                })
-            })
+            .map(|c| ForwardModel::new(c.kernel).design_matrix(&basis))
             .collect::<Result<Vec<_>>>()?;
-        let mut canonical: Vec<usize> = (0..slots.len()).collect();
-        canonical.sort_by(|&a, &b| slots[a].name.cmp(&slots[b].name));
-        let stacked = if slots.len() > 1 {
-            let blocks: Vec<&FitOperators> = canonical
-                .iter()
-                .map(|&i| slots[i].engine.operators())
-                .collect();
-            let greville = slots[0].engine.basis().greville();
-            Some(FitOperators::stacked(&blocks, &greville, &config)?)
-        } else {
-            None
-        };
+        let params = CellCycleParams::caulobacter()?;
+        let ops = FitOperators::blocks(&designs, &basis, &params, &config)?;
         Ok(MixtureDeconvolver {
-            slots,
+            names,
             canonical,
-            stacked,
+            basis,
+            designs,
+            ops,
         })
     }
 
-    /// The component names, in specification order.
-    pub fn component_names(&self) -> Vec<&str> {
-        self.slots.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Number of components.
-    pub fn num_components(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Fits the mixture to one bulk series: one λ selection and one
-    /// constrained solve on the stacked operators, split back into
+    /// constrained solve of the block problem, split back into
     /// per-component results. Every component's result carries the
     /// shared λ and its selection scan.
     ///
-    /// A single-component "mixture" delegates to the component engine's
-    /// [`Deconvolver::fit_request`] — the result is bit-identical to the
-    /// plain single-population fit, with fraction 1.
+    /// A single-component "mixture" is the one-block problem of the plain
+    /// single-population fit: the result is bit-identical to
+    /// [`crate::Deconvolver::fit`], with fraction 1.
     ///
     /// # Errors
     ///
     /// * [`DeconvError::InvalidConfig`] / [`DeconvError::LengthMismatch`]
     ///   for invalid series or sigmas, exactly as
-    ///   [`Deconvolver::fit`] reports them.
+    ///   [`crate::Deconvolver::fit`] reports them.
     /// * Solver errors from the λ selection or the constrained solve.
     pub fn fit(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let Some(stacked) = &self.stacked else {
-            return self.fit_single(request);
-        };
         let g = request.series();
-        self.slots[0].engine.validate_series(g, request.sigmas())?;
+        validate_series(self.ops.design.rows(), g, request.sigmas())?;
         let mut workspace = FitWorkspace::new();
-        let unit = stacked.prepare(&mut workspace, request.sigmas());
-        let (alpha, lambda, scores) = stacked.solve(&mut workspace, g, unit, None, None)?;
-        let weights = stacked.weights(&workspace, unit);
+        let unit = self.ops.prepare(&mut workspace, request.sigmas());
+        let solution = self.ops.solve(&mut workspace, g, unit, None, None)?;
+        let weights = self.ops.weights(&workspace, unit);
+        let (results, total_pred) =
+            DeconvolutionResult::blocks(&self.designs, &self.basis, solution, g, weights)?;
 
-        // Split the stacked solution back into per-component results.
-        let n = self.slots[0].engine.basis().len();
-        let mut total_pred = vec![0.0; g.len()];
-        let mut split = Vec::with_capacity(self.slots.len());
-        for (block, &i) in self.canonical.iter().enumerate() {
-            let alpha = Vector::from_slice(&alpha.as_slice()[block * n..(block + 1) * n]);
-            let pred = self.slots[i].engine.operators().design.matvec(&alpha)?;
-            for (t, p) in pred.as_slice().iter().enumerate() {
-                total_pred[t] += p;
-            }
-            split.push((i, alpha, pred));
-        }
-        let weighted_sse: f64 = (0..g.len())
-            .map(|t| {
-                let r = weights[t] * (g[t] - total_pred[t]);
-                r * r
-            })
-            .sum();
-        // Back from canonical block order to specification order.
-        split.sort_by_key(|&(i, _, _)| i);
-        let results = split
-            .into_iter()
-            .map(|(i, alpha, pred)| {
-                DeconvolutionResult::from_parts(
-                    alpha,
-                    self.slots[i].engine.basis().clone(),
-                    lambda,
-                    pred.into_vec(),
-                    weighted_sse,
-                    scores.clone(),
-                )
-            })
-            .collect();
-        self.finalize(request, results, &total_pred)
-    }
-
-    /// K = 1: the mixture degenerates to a plain single-population fit.
-    fn fit_single(&self, request: &MixtureFitRequest) -> Result<MixtureFitResponse> {
-        let slot = &self.slots[0];
-        let mut req = FitRequest::new(request.series().to_vec());
-        if let Some(s) = request.sigmas() {
-            req = req.with_sigmas(s.to_vec());
-        }
-        let result = slot.engine.fit_request(&req)?.into_result();
-        let residual_rel = residual_rel(request, result.predicted());
-        Ok(MixtureFitResponse {
-            components: vec![ComponentFit {
-                name: slot.name.clone(),
-                fraction: 1.0,
-                result,
-            }],
-            residual_rel,
-        })
-    }
-
-    /// The joint fit's epilogue: estimate fractions from recovered mass
-    /// shares and assemble the response in specification order. Sums
-    /// across components (`total_pred`, the total mass) run in canonical
-    /// order, so they too are invariant under component permutation.
-    fn finalize(
-        &self,
-        request: &MixtureFitRequest,
-        results: Vec<DeconvolutionResult>,
-        total_pred: &[f64],
-    ) -> Result<MixtureFitResponse> {
+        // Fractions are recovered mass shares. The results, and so the
+        // masses and their total, run in canonical order, which keeps the
+        // sums invariant under component permutation.
         let masses: Vec<f64> = results
             .iter()
             .map(contribution_mass)
             .collect::<Result<_>>()?;
-        let total: f64 = self.canonical.iter().map(|&i| masses[i]).sum();
+        let total: f64 = masses.iter().sum();
         let k = results.len();
-        let residual_rel = residual_rel(request, total_pred);
-        let components = results
-            .into_iter()
-            .zip(masses)
-            .zip(&self.slots)
-            .map(|((result, mass), slot)| ComponentFit {
-                name: slot.name.clone(),
-                // A total recovered mass of ~zero (an all-zero fit) has
-                // no meaningful split; report uniform fractions rather
-                // than 0/0.
-                fraction: if total > 1e-12 {
-                    mass / total
-                } else {
-                    1.0 / k as f64
-                },
-                result,
+        let mut fits: Vec<(usize, ComponentFit)> = self
+            .canonical
+            .iter()
+            .zip(results.into_iter().zip(masses))
+            .map(|(&i, (result, mass))| {
+                let fit = ComponentFit {
+                    name: self.names[i].clone(),
+                    // A total recovered mass of ~zero (an all-zero fit)
+                    // has no meaningful split; report uniform fractions
+                    // rather than 0/0.
+                    fraction: if total > 1e-12 {
+                        mass / total
+                    } else {
+                        1.0 / k as f64
+                    },
+                    result,
+                };
+                (i, fit)
             })
             .collect();
+        // Back from canonical block order to specification order.
+        fits.sort_by_key(|&(i, _)| i);
         Ok(MixtureFitResponse {
-            components,
-            residual_rel,
+            components: fits.into_iter().map(|(_, fit)| fit).collect(),
+            residual_rel: residual_rel(request, &total_pred),
         })
     }
 }
@@ -483,7 +406,7 @@ fn residual_rel(request: &MixtureFitRequest, predicted: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use crate::{ForwardModel, LambdaSelection, PhaseProfile};
-    use cellsync_linalg::Matrix;
+    use cellsync_linalg::Vector;
     use cellsync_popsim::{CellCycleParams, InitialCondition, KernelEstimator, Population};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -513,7 +436,6 @@ mod tests {
         // Pulse components (zero over most of the cycle) make positivity
         // bind; the dual QP stops at a violation tolerance, which must sit
         // inside the positivity check `binds` applies to the minimizer.
-        // K = 1 solves on the component engine's own operators.
         let params = [
             (0.15, 0.13, 150.0, 0.12),
             (0.25, 0.13, 110.0, 0.12),
@@ -538,10 +460,7 @@ mod tests {
                     .map(|(i, q)| MixtureComponent::new(["a", "b", "c"][i], q.clone()).unwrap())
                     .collect();
                 let engine = MixtureDeconvolver::new(components, config.clone()).unwrap();
-                let ops = match &engine.stacked {
-                    Some(ops) => ops,
-                    None => engine.slots[0].engine.operators(),
-                };
+                let ops = &engine.ops;
                 let mut bulk = vec![0.0; m];
                 for (i, q) in kernels[..k].iter().enumerate() {
                     let center = 0.25 + 0.25 * i as f64;
@@ -584,6 +503,102 @@ mod tests {
         }
         // Most of the 36 solves must have run the QP for this to test it.
         assert!(binding >= 24, "positivity bound in {binding} of 36 solves");
+    }
+
+    #[test]
+    fn mixture_components_satisfy_the_paper_equality_rows() {
+        // With conservation and rate continuity (paper eqs. 14–19) on,
+        // every component's coefficients must satisfy both rows, and
+        // positivity must hold where it binds: K ∈ {2, 3}, basis 18 and
+        // 128, unit and σ weights, and a pulse first component (zero over
+        // most of the cycle) so that positivity binds.
+        let params = [
+            (0.15, 0.13, 150.0, 0.12),
+            (0.25, 0.13, 110.0, 0.12),
+            (0.10, 0.13, 200.0, 0.12),
+        ];
+        let kernels: Vec<PhaseKernel> = (0..3).map(|i| kernel(params[i], 11 + i as u64)).collect();
+        let truths = [
+            PhaseProfile::from_fn(200, |phi| (1.0 - ((phi - 0.5) / 0.1).powi(2)).max(0.0)).unwrap(),
+            PhaseProfile::from_fn(200, |phi| {
+                1.0 + 0.5 * (2.0 * std::f64::consts::PI * phi).sin()
+            })
+            .unwrap(),
+            PhaseProfile::from_fn(200, |phi| 0.5 + phi * (1.0 - phi)).unwrap(),
+        ];
+        let m = 37;
+        let sigmas: Vec<f64> = (0..m)
+            .map(|t| 0.05 * (1.0 + 0.5 * (0.9 * t as f64).sin()))
+            .collect();
+        let (mut worst, mut binding, mut cases) = (0.0_f64, 0, 0);
+        for basis in [18, 128] {
+            let config = DeconvolutionConfig::builder()
+                .basis_size(basis)
+                .positivity(true)
+                .conservation(true)
+                .rate_continuity(true)
+                .build()
+                .unwrap();
+            for k in [2, 3] {
+                let components = kernels[..k]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, q)| MixtureComponent::new(["a", "b", "c"][i], q.clone()).unwrap())
+                    .collect();
+                let engine = MixtureDeconvolver::new(components, config.clone()).unwrap();
+                let (e, _) = engine.ops.equality.as_ref().expect("both rows are on");
+                let mut bulk = vec![0.0; m];
+                for (q, truth) in kernels[..k].iter().zip(&truths) {
+                    let g = ForwardModel::new(q.clone()).predict(truth).unwrap();
+                    for (t, (acc, v)) in bulk.iter_mut().zip(&g).enumerate() {
+                        *acc += v / k as f64 * (1.0 + 0.05 * (1.3 * t as f64).sin());
+                    }
+                }
+                for weighted in [false, true] {
+                    let case = format!("basis {basis}, K = {k}, weighted {weighted}");
+                    let mut request = MixtureFitRequest::new(bulk.clone());
+                    if weighted {
+                        request = request.with_sigmas(sigmas.clone());
+                    }
+                    let fit = engine.fit(&request).unwrap();
+                    // Names sort in specification order here, so the
+                    // components concatenate in block order.
+                    let alpha: Vec<f64> = fit
+                        .components()
+                        .iter()
+                        .flat_map(|c| c.result().alpha().to_vec())
+                        .collect();
+                    let alpha = Vector::from_slice(&alpha);
+                    assert!(!engine.ops.binds(&alpha), "{case}: positivity violated");
+                    binding +=
+                        usize::from(!engine.ops.warm_active_rows(&alpha).unwrap().is_empty());
+                    for (b, c) in fit.components().iter().enumerate() {
+                        let block = c.result().alpha();
+                        let scale = 1.0 + block.iter().fold(0.0_f64, |mx, v| mx.max(v.abs()));
+                        for r in 2 * b..2 * b + 2 {
+                            let row = &e.row(r)[b * basis..(b + 1) * basis];
+                            let residual = row.iter().zip(block).map(|(x, y)| x * y).sum::<f64>();
+                            worst = worst.max(residual.abs() / scale);
+                            assert!(
+                                residual.abs() <= 1e-9 * scale,
+                                "{case}: component {}, row {}: residual {residual:e}",
+                                c.name(),
+                                r - 2 * b
+                            );
+                        }
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        eprintln!(
+            "largest equality residual over 1 + ‖αₖ‖∞: {worst:e}; \
+             positivity active in {binding} of {cases} fits"
+        );
+        assert!(
+            binding * 2 >= cases,
+            "positivity bound in {binding} of {cases} fits"
+        );
     }
 
     /// A K-component GCV engine and a bulk series mixing one smooth
@@ -677,7 +692,7 @@ mod tests {
     fn stacked_spectral_gcv_matches_the_cholesky_hat_matrix_reference() {
         for k in [2, 3] {
             let (engine, bulk) = gcv_mixture(k);
-            let ops = engine.stacked.as_ref().expect("K ≥ 2 stacks");
+            let ops = &engine.ops;
             let m = bulk.len();
             let sigma_weights: Vec<f64> = (0..m)
                 .map(|t| 1.0 / (0.05 * (1.0 + 0.8 * (0.9 * t as f64).sin())))

@@ -3,26 +3,29 @@
 //! place that selects λ, solves at it (the frame's minimizer, then the
 //! constrained QP when positivity binds) and builds every QP.
 //!
-//! [`crate::Deconvolver`] owns one [`FitOperators`] built from its basis
-//! and kernel. [`crate::mixture::MixtureDeconvolver`] owns a *stacked*
-//! one: the K-component mixture is the same problem with the block
-//! design `[A₁ … A_K]`, a block-diagonal penalty and block-diagonal
-//! constraint rows, so it is fitted by the very same λ rule
-//! ([`gcv_select`] over the measurement-space scan, or k-fold) and the
-//! same constrained solve.
+//! Every engine owns one [`FitOperators`], built by
+//! [`FitOperators::blocks`] from one design per block: the K-component
+//! mixture ([`crate::mixture::MixtureDeconvolver`]) is the problem with
+//! the block design `[A₁ … A_K]`, a block-diagonal penalty and
+//! block-diagonal constraint rows, and the single-population engine
+//! ([`crate::Deconvolver`]) is its one-block case. Every K is fitted by
+//! the very same λ rule ([`gcv_select`] over the measurement-space scan,
+//! or k-fold) and the same constrained solve.
 
 use std::sync::OnceLock;
 
 use cellsync_linalg::{BandedMatrix, Matrix, SparseRowMatrix, Vector};
 use cellsync_opt::QpProblem;
+use cellsync_popsim::CellCycleParams;
 use cellsync_runtime::CancelToken;
+use cellsync_spline::SplineBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::banded::{dot, floored, Frame, ScanScratch, Series, Spectrum};
 use crate::config::LambdaSelection;
 use crate::solver::SolveScratch;
-use crate::{DeconvError, DeconvolutionConfig, FitWorkspace, Result};
+use crate::{constraints, DeconvError, DeconvolutionConfig, FitWorkspace, Result};
 
 /// The `(λ, score)` pairs of a λ-selection scan, in scan order.
 pub(crate) type LambdaScan = Vec<(f64, f64)>;
@@ -39,15 +42,22 @@ pub(crate) fn check_cancel(cancel: Option<&CancelToken>) -> Result<()> {
     }
 }
 
-/// The λ with the smallest score in a `(λ, score)` scan (the first on
-/// ties). A NaN score means the selection criterion broke down, which is
-/// an error rather than a silently skipped grid point.
-pub(crate) fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
+/// The one rule for a broken λ score, shared by GCV and k-fold: a NaN
+/// score means the selection criterion broke down, which is an error
+/// rather than a silently skipped grid point.
+fn check_scores(scores: &[(f64, f64)]) -> Result<()> {
     if scores.iter().any(|(_, s)| s.is_nan()) {
         return Err(DeconvError::NumericalBreakdown(
             "cross-validation score is NaN",
         ));
     }
+    Ok(())
+}
+
+/// The λ with the smallest score in a `(λ, score)` scan (the first on
+/// ties); a NaN score is an error ([`check_scores`]).
+pub(crate) fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
+    check_scores(scores)?;
     scores
         .iter()
         .min_by(|a, b| a.1.total_cmp(&b.1))
@@ -56,7 +66,8 @@ pub(crate) fn argmin_score(scores: &[(f64, f64)]) -> Result<f64> {
 }
 
 /// The GCV λ-selection rule of every engine:
-/// score every grid point (polling `cancel` before each), take the
+/// score every grid point (polling `cancel` before each; a NaN grid score
+/// is an error, [`check_scores`]), take the
 /// LARGEST λ whose score is within 5 % of the minimum, then refine by
 /// golden-section search in log₁₀λ between that point's grid neighbours
 /// (interior points only; a boundary pick keeps its grid value). The
@@ -77,6 +88,7 @@ pub(crate) fn gcv_select(
         check_cancel(cancel)?;
         scores.push((l, score(l)?));
     }
+    check_scores(&scores)?;
     let s_min = scores.iter().map(|&(_, s)| s).fold(f64::INFINITY, f64::min);
     let threshold = s_min + 0.05 * s_min.abs() + f64::MIN_POSITIVE;
     let (best_idx, best) = scores
@@ -177,58 +189,86 @@ impl FitOperators {
         })
     }
 
-    /// The operators of the block problem over `[α₁ … α_K]`: design
-    /// `[A₁ … A_K]`, penalty `blockdiag(Ωₖ)` (banded like its blocks), and
-    /// block-diagonal equality and positivity rows, in the order of
-    /// `blocks`. Every block must share one configuration (`config`) and
-    /// one basis (with Greville abscissae `greville`), so they agree on
-    /// the measurement count, basis size and constraint rows.
-    pub(crate) fn stacked(
-        blocks: &[&FitOperators],
-        greville: &[f64],
+    /// The operators of the K-block problem over `[α₁ … α_K]`, one block
+    /// per design in `designs` (K = 1 is the single-population fit):
+    /// design `[A₁ … A_K]`, penalty `blockdiag(Ω)`, and block-diagonal
+    /// copies of the equality rows `config` enables (paper eqs. 14–19,
+    /// under `params`) and of the positivity rows on the
+    /// [`DeconvolutionConfig::POSITIVITY_GRID`]-point grid. Those
+    /// per-block parts depend on the basis, `params` and `config` only,
+    /// not on the kernel, so they are built once whatever K is.
+    ///
+    /// # Errors
+    ///
+    /// [`DeconvError::TooFewMeasurements`] for fewer than four
+    /// measurements (nothing to regularize against); otherwise
+    /// propagates substrate errors.
+    pub(crate) fn blocks(
+        designs: &[Matrix],
+        basis: &SplineBasis,
+        params: &CellCycleParams,
         config: &DeconvolutionConfig,
     ) -> Result<Self> {
-        let m = blocks[0].design.rows();
-        let n = blocks[0].design.cols();
-        let kn = blocks.len() * n;
-        let block_diag = |part: fn(&FitOperators) -> Option<&Matrix>| {
-            let rows = part(blocks[0])?.rows();
-            let mut stacked = Matrix::zeros(blocks.len() * rows, kn);
-            for (b, block) in blocks.iter().enumerate() {
-                let rows_b = part(block).expect("blocks share one config");
-                for r in 0..rows {
-                    for j in 0..n {
-                        stacked[(b * rows + r, b * n + j)] = rows_b[(r, j)];
-                    }
-                }
-            }
-            let rhs = Vector::zeros(stacked.rows());
-            Some((stacked, rhs))
+        let (k, m, n) = (
+            designs.len(),
+            designs.first().map_or(0, Matrix::rows),
+            basis.len(),
+        );
+        if m < 4 {
+            return Err(DeconvError::TooFewMeasurements {
+                measurements: m,
+                basis: n,
+            });
+        }
+        let omega = basis.penalty();
+        let mut eq_rows = Vec::new();
+        if config.conservation() {
+            eq_rows.push(constraints::rna_conservation_row(basis, params)?);
+        }
+        if config.rate_continuity() {
+            eq_rows.push(constraints::rate_continuity_row(basis, params)?);
+        }
+        let positivity = if config.positivity() {
+            let last = (DeconvolutionConfig::POSITIVITY_GRID - 1) as f64;
+            let grid: Vec<f64> = (0..DeconvolutionConfig::POSITIVITY_GRID)
+                .map(|i| i as f64 / last)
+                .collect();
+            let rows = SparseRowMatrix::from_dense(&basis.collocation_matrix(&grid)?)?;
+            Some(SparseRowMatrix::block_diagonal(&vec![&rows; k])?)
+        } else {
+            None
         };
 
-        let bw = blocks[0].omega.bandwidth();
-        let mut design = Matrix::zeros(m, kn);
-        let mut omega = BandedMatrix::zeros(kn, bw)?;
-        for (b, block) in blocks.iter().enumerate() {
+        let (bw, q) = (omega.bandwidth(), eq_rows.len());
+        let mut design = Matrix::zeros(m, k * n);
+        let mut block_omega = BandedMatrix::zeros(k * n, bw)?;
+        let mut equality = Matrix::zeros(k * q, k * n);
+        for (b, block) in designs.iter().enumerate() {
             for r in 0..m {
                 for j in 0..n {
-                    design[(r, b * n + j)] = block.design[(r, j)];
+                    design[(r, b * n + j)] = block[(r, j)];
                 }
             }
             for i in 0..n {
                 for j in i.saturating_sub(bw)..=i {
-                    omega.set(b * n + i, b * n + j, block.omega.get(i, j))?;
+                    block_omega.set(b * n + i, b * n + j, omega.get(i, j))?;
+                }
+            }
+            for (r, row) in eq_rows.iter().enumerate() {
+                for (j, &v) in row.iter().enumerate() {
+                    equality[(b * q + r, b * n + j)] = v;
                 }
             }
         }
-        let equality = block_diag(|o| o.equality.as_ref().map(|(e, _)| e));
-        let positivity = blocks
-            .iter()
-            .map(|o| o.positivity.as_ref())
-            .collect::<Option<Vec<_>>>()
-            .map(|parts| SparseRowMatrix::block_diagonal(&parts))
-            .transpose()?;
-        FitOperators::new(design, omega, greville, equality, positivity, config)
+        let equality = (q > 0).then(|| (equality, Vector::zeros(k * q)));
+        FitOperators::new(
+            design,
+            block_omega,
+            &basis.greville(),
+            equality,
+            positivity,
+            config,
+        )
     }
 
     /// Number of coefficients `n`.
@@ -499,6 +539,20 @@ mod tests {
     use super::*;
     use crate::{Deconvolver, ForwardModel, PhaseProfile};
     use cellsync_popsim::{CellCycleParams, InitialCondition, KernelEstimator, Population};
+
+    #[test]
+    fn gcv_select_refuses_a_nan_grid_score() {
+        // GCV shares k-fold's rule for a broken score: NaN at one interior
+        // grid point is a structured error, not a silently skipped point.
+        let grid = [1e-4, 1e-3, 1e-2, 1e-1, 1.0];
+        let bowl = |l: f64| (l.log10() + 2.5).powi(2) + 1.0;
+        let broken = |l: f64| Ok(if l == 1e-2 { f64::NAN } else { bowl(l) });
+        let err = gcv_select(&grid, None, broken).unwrap_err();
+        assert_eq!(err.code(), "numerical_breakdown");
+        let (lambda, scores) = gcv_select(&grid, None, |l| Ok(bowl(l))).unwrap();
+        assert!(lambda > 1e-3 && lambda < 1e-1, "λ = {lambda:e}");
+        assert!(scores.len() >= grid.len());
+    }
 
     #[test]
     fn fold_solve_matches_the_training_rows_problem() {

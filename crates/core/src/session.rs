@@ -83,7 +83,6 @@ impl EngineKey {
         words.push(u64::from(config.positivity()));
         words.push(u64::from(config.conservation()));
         words.push(u64::from(config.rate_continuity()));
-        words.push(config.positivity_grid() as u64);
         match config.lambda() {
             LambdaSelection::Fixed(l) => {
                 words.push(0);

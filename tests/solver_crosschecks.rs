@@ -852,7 +852,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(10)
-            .positivity_grid(21)
             .build()
             .unwrap(),
     )
@@ -867,7 +866,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(8)
-            .positivity_grid(17)
             .conservation(true)
             .lambda(1e-4)
             .build()
@@ -885,7 +883,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(12)
-            .positivity_grid(21)
             .lambda(1e-5)
             .build()
             .unwrap(),
@@ -908,7 +905,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(9)
-            .positivity_grid(15)
             .conservation(true)
             .rate_continuity(true)
             .lambda(3e-4)
@@ -927,7 +923,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(14)
-            .positivity_grid(25)
             .lambda(1e-7)
             .build()
             .unwrap(),
@@ -960,7 +955,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(128)
-            .positivity_grid(101)
             .lambda_selection(LambdaSelection::Gcv {
                 log10_min: -5.0,
                 log10_max: 0.0,
@@ -986,7 +980,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(144)
-            .positivity_grid(81)
             .conservation(true)
             .lambda(1e-4)
             .build()
@@ -1011,7 +1004,6 @@ fn harvested_instances() -> Vec<QpInstance> {
         k,
         DeconvolutionConfig::builder()
             .basis_size(160)
-            .positivity_grid(101)
             .lambda(1e-5)
             .build()
             .unwrap(),
